@@ -733,32 +733,58 @@ func BenchmarkMVABatch(b *testing.B) {
 }
 
 // BenchmarkTripathiMaxMoments measures the numeric max-moment integration
-// behind the Tripathi estimator.
+// behind the Tripathi estimator: two distinct operands, and one operand
+// twice (the identical-operand path, one CDF evaluation per grid point).
 func BenchmarkTripathiMaxMoments(b *testing.B) {
 	d1 := dist.MustFit(30, 0.2)
 	d2 := dist.MustFit(25, 0.4)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := dist.MaxMoments([]dist.Distribution{d1, d2}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		ds   []dist.Distribution
+	}{
+		{"distinct", []dist.Distribution{d1, d2}},
+		{"identical", []dist.Distribution{d1, d1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := dist.MaxMoments(c.ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkEstimators compares the cost of the two tree estimators on a
-// 5 GB prediction.
+// 5 GB, 4-node prediction, plus the Tripathi estimator on the same point
+// with 4 concurrent jobs (Fig. 13's 4-node point, its costliest
+// prediction). Tripathi runs report their P-node evaluations and the max
+// integrations those cost per prediction.
 func BenchmarkEstimators(b *testing.B) {
 	job, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 	if err != nil {
 		b.Fatal(err)
 	}
 	spec := DefaultCluster(4)
-	for _, est := range []core.Estimator{core.EstimatorForkJoin, core.EstimatorTripathi} {
-		est := est
-		b.Run(est.String(), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		est  core.Estimator
+		jobs int
+	}{
+		{core.EstimatorForkJoin.String(), core.EstimatorForkJoin, 1},
+		{core.EstimatorTripathi.String(), core.EstimatorTripathi, 1},
+		{"tripathi-4jobs", core.EstimatorTripathi, 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var pred core.Prediction
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Predict(core.Config{Spec: spec, Job: job, Estimator: est}); err != nil {
+				if pred, err = core.Predict(core.Config{Spec: spec, Job: job, NumJobs: c.jobs, Estimator: c.est}); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if c.est == core.EstimatorTripathi {
+				b.ReportMetric(float64(pred.MaxEvaluations), "pnodes/op")
+				b.ReportMetric(float64(pred.MaxIntegrations), "integrations/op")
 			}
 		})
 	}

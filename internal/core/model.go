@@ -222,6 +222,13 @@ type Prediction struct {
 	// all outer iterations — with Iterations, the observable cost of the
 	// prediction (surfaced by the service's /v1/metrics).
 	InnerIterations int
+	// MaxEvaluations counts the Tripathi estimator's P-node evaluations and
+	// MaxIntegrations the numeric max integrations (dist.MaxMoments calls)
+	// they cost, both totaled across all outer iterations; a P node whose
+	// operand pair was already integrated earlier in the same prediction is
+	// answered from a memo. Both are zero for the other estimators.
+	MaxEvaluations  int
+	MaxIntegrations int
 	// WarmStarted reports whether this prediction was seeded from a
 	// previously converged neighbor (PredictWarm) instead of the cold A1
 	// initialization.
@@ -308,6 +315,9 @@ type Predictor struct {
 	// infl is the fault effective-demand correction of the current
 	// prediction (the identity without a fault scenario).
 	infl fault.Inflation
+
+	// trip is the A6 Tripathi evaluation state of the current prediction.
+	trip tripathiEval
 }
 
 // hwView is the per-prediction hardware resolution of a cluster spec: the
@@ -553,6 +563,7 @@ func (p *Predictor) beginPredict(cfg Config) (Config, map[timeline.Class]*classD
 	}
 	p.hw.init(cfg.Spec)
 	p.infl = faultFactors(cfg, &p.hw)
+	p.trip.reset()
 	return cfg, initialize(cfg, &p.hw, p.infl), nil
 }
 
@@ -610,6 +621,7 @@ func (p *Predictor) roundFold(cfg Config, classes map[timeline.Class]*classData,
 	total += cfg.Job.Profile.AMStartup
 	pred.Iterations = iter
 	pred.ResponseTime = total
+	pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
 	if math.Abs(total-*prevTotal) <= cfg.Epsilon && !acc.justExtrapolated {
 		pred.Converged = true
 		return true, nil
@@ -1180,7 +1192,7 @@ func (p *Predictor) estimate(cfg Config, tree *ptree.Node, tl *timeline.Timeline
 
 	switch cfg.Estimator {
 	case EstimatorTripathi:
-		d, err := evalTripathi(tree, leaf, cfg.TripathiCVFloor)
+		d, err := p.trip.eval(tree, leaf, cfg.TripathiCVFloor)
 		if err != nil {
 			return 0, err
 		}
@@ -1240,10 +1252,33 @@ func evalForkJoin(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, 
 	return 0, 0, errors.New("core: unknown tree operator")
 }
 
-// evalTripathi evaluates the tree with distribution fitting: children are
-// fitted as Erlang/Hyperexponential by (mean, CV); S composes sums, P
-// composes maxima (numeric moments).
-func evalTripathi(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, error), cvFloor float64) (dist.Distribution, error) {
+// tripathiEval evaluates the precedence tree for the Tripathi estimator.
+// Its memo maps a P node's fitted operand pair to the fitted max, so each
+// distinct max integration runs once per prediction, across all outer
+// rounds: dist.MaxMoments is a pure function of its operands and symmetric
+// in them to the last bit, so the memo is exact and its key unordered. The
+// memo lives for one prediction (reset by beginPredict) — pooled Predictors
+// never answer from another configuration's integrals.
+type tripathiEval struct {
+	memo map[maxOperands]dist.Distribution
+	// evals and integrations total P-node evaluations and actual
+	// dist.MaxMoments calls since the last reset.
+	evals, integrations int
+}
+
+// maxOperands is a memo key: a P node's fitted operands, as dist.Fit
+// returns them (comparable values).
+type maxOperands struct{ a, b dist.Distribution }
+
+func (t *tripathiEval) reset() {
+	clear(t.memo)
+	t.evals, t.integrations = 0, 0
+}
+
+// eval evaluates the tree with distribution fitting: children are fitted as
+// Erlang/Hyperexponential by (mean, CV); S composes sums, P composes maxima
+// (numeric moments).
+func (t *tripathiEval) eval(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, error), cvFloor float64) (dist.Distribution, error) {
 	switch n.Op {
 	case ptree.Leaf:
 		m, cv, err := leaf(n.Task)
@@ -1255,24 +1290,47 @@ func evalTripathi(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, 
 		}
 		return dist.Fit(m, cv)
 	case ptree.S, ptree.P:
-		dl, err := evalTripathi(n.Left, leaf, cvFloor)
+		dl, err := t.eval(n.Left, leaf, cvFloor)
 		if err != nil {
 			return nil, err
 		}
-		dr, err := evalTripathi(n.Right, leaf, cvFloor)
+		dr, err := t.eval(n.Right, leaf, cvFloor)
 		if err != nil {
 			return nil, err
 		}
-		var m, cv float64
 		if n.Op == ptree.S {
-			m, cv, err = dist.SumMoments([]dist.Distribution{dl, dr})
-		} else {
-			m, cv, err = dist.MaxMoments([]dist.Distribution{dl, dr})
+			m, cv, err := dist.SumMoments([]dist.Distribution{dl, dr})
+			if err != nil {
+				return nil, err
+			}
+			return dist.Fit(m, cv)
 		}
-		if err != nil {
-			return nil, err
-		}
-		return dist.Fit(m, cv)
+		return t.max(dl, dr)
 	}
 	return nil, errors.New("core: unknown tree operator")
+}
+
+// max is a P node: the fitted maximum of two fitted operands, memoized.
+func (t *tripathiEval) max(dl, dr dist.Distribution) (dist.Distribution, error) {
+	t.evals++
+	if d, ok := t.memo[maxOperands{dl, dr}]; ok {
+		return d, nil
+	}
+	if d, ok := t.memo[maxOperands{dr, dl}]; ok {
+		return d, nil
+	}
+	t.integrations++
+	m, cv, err := dist.MaxMoments([]dist.Distribution{dl, dr})
+	if err != nil {
+		return nil, err
+	}
+	d, err := dist.Fit(m, cv)
+	if err != nil {
+		return nil, err
+	}
+	if t.memo == nil {
+		t.memo = make(map[maxOperands]dist.Distribution)
+	}
+	t.memo[maxOperands{dl, dr}] = d
+	return d, nil
 }

@@ -1,0 +1,77 @@
+package core
+
+import (
+	"testing"
+
+	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/workload"
+)
+
+// TestTripathiFigureSubsetBitExact pins the Tripathi estimator on the seven
+// §5.2 figure points of the figures benchmark: WordCount on cluster.Default
+// with one reducer per node. The response times are hex-exact values of the
+// estimator before P-node max integrations were memoized, so the memo and
+// the identical-operand integration path must change no bit, and the outer
+// and inner iteration counts must not move. MaxEvaluations and
+// MaxIntegrations pin the work: integrations equal the distinct unordered
+// operand pairs of each prediction. One Predictor serves every point in
+// turn, so a memo entry surviving into the next prediction would show as a
+// lower integration count.
+func TestTripathiFigureSubsetBitExact(t *testing.T) {
+	cases := []struct {
+		name            string
+		nodes, jobs     int
+		inputMB, block  float64
+		want            float64
+		iters, inner    int
+		evals, integral int
+	}{
+		{"fig10@4", 4, 1, 1024, 128, 0x1.24bcd3b1bcaeap+06, 2, 16, 26, 7},
+		{"fig10@6", 6, 1, 1024, 128, 0x1.b57c9206fa802p+05, 19, 152, 342, 65},
+		{"fig10@8", 8, 1, 1024, 128, 0x1.d4e5d426c0923p+05, 2, 2, 42, 9},
+		{"fig11@6", 6, 4, 1024, 128, 0x1.b90eef6469466p+05, 23, 966, 414, 314},
+		{"fig12@8", 8, 1, 5 * 1024, 128, 0x1.ff4ee1f04928ep+06, 2, 26, 106, 12},
+		{"fig13@4", 4, 4, 5 * 1024, 128, 0x1.81b843013bdf5p+08, 31, 1519, 1395, 708},
+		{"fig15@6", 6, 1, 5 * 1024, 64, 0x1.b2163f08fdaacp+06, 13, 195, 1170, 491},
+	}
+	p := NewPredictor()
+	for _, tc := range cases {
+		job, err := workload.NewJob(0, tc.inputMB, tc.block, tc.nodes, workload.WordCount())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := p.Predict(Config{Spec: cluster.Default(tc.nodes), Job: job, NumJobs: tc.jobs, Estimator: EstimatorTripathi})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if pred.ResponseTime != tc.want {
+			t.Errorf("%s: response %x, want %x", tc.name, pred.ResponseTime, tc.want)
+		}
+		if !pred.Converged || pred.Iterations != tc.iters || pred.InnerIterations != tc.inner {
+			t.Errorf("%s: converged=%v after %d outer / %d inner iterations, want converged after %d / %d",
+				tc.name, pred.Converged, pred.Iterations, pred.InnerIterations, tc.iters, tc.inner)
+		}
+		if pred.MaxEvaluations != tc.evals || pred.MaxIntegrations != tc.integral {
+			t.Errorf("%s: %d P-node evaluations / %d max integrations, want %d / %d",
+				tc.name, pred.MaxEvaluations, pred.MaxIntegrations, tc.evals, tc.integral)
+		}
+	}
+}
+
+// TestMaxCountersTripathiOnly checks that the max counters stay zero for the
+// estimators that integrate nothing.
+func TestMaxCountersTripathiOnly(t *testing.T) {
+	job, err := workload.NewJob(0, 1024, 128, 4, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, est := range []Estimator{EstimatorForkJoin, EstimatorPaperLiteral} {
+		pred, err := Predict(Config{Spec: cluster.Default(4), Job: job, Estimator: est})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.MaxEvaluations != 0 || pred.MaxIntegrations != 0 {
+			t.Errorf("%v: max counters %d / %d, want 0 / 0", est, pred.MaxEvaluations, pred.MaxIntegrations)
+		}
+	}
+}

@@ -183,6 +183,16 @@ func MaxMoments(ds []Distribution) (mean, cv float64, err error) {
 		}
 		return 1 - prod
 	}
+	if len(ds) == 2 && identical(ds[0], ds[1]) {
+		// max(X, X') of i.i.d. operands: one CDF evaluation per point. 1·c·c
+		// is c·c exactly, and c == 0 gives 1 on both paths, so the result is
+		// bit-identical to the general loop at half the cost.
+		d := ds[0]
+		tail = func(x float64) float64 {
+			c := d.CDF(x)
+			return 1 - c*c
+		}
+	}
 	for i := 0; i < 30 && tail(upper) > 1e-10; i++ {
 		upper *= 2
 	}
@@ -214,6 +224,21 @@ func MaxMoments(ds []Distribution) (mean, cv float64, err error) {
 		v = 0 // numeric jitter for near-deterministic inputs
 	}
 	return m1, math.Sqrt(v) / m1, nil
+}
+
+// identical reports whether a and b are the same fitted distribution. Only
+// the package's own (comparable) types are compared, so a caller-defined
+// Distribution — possibly not comparable — is never identical to anything.
+func identical(a, b Distribution) bool {
+	switch x := a.(type) {
+	case mixedErlang:
+		y, ok := b.(mixedErlang)
+		return ok && x == y
+	case hyperExp2:
+		y, ok := b.(hyperExp2)
+		return ok && x == y
+	}
+	return false
 }
 
 // gammP is the regularized lower incomplete gamma function P(a, x),

@@ -136,3 +136,76 @@ func TestGammPIsAProbability(t *testing.T) {
 		t.Error("gammP(a, 0) != 0")
 	}
 }
+
+// operandPairs spans the fitted shapes the Tripathi estimator combines:
+// Erlang mixtures of several stage counts, the exponential and H₂.
+var operandPairs = [][2]Distribution{
+	{MustFit(30, 0.2), MustFit(25, 0.4)},   // Erlang mixture × Erlang mixture
+	{MustFit(30, 0.15), MustFit(31, 0.15)}, // near-equal low-cv mixtures
+	{MustFit(12, 0.3), MustFit(40, 1.6)},   // Erlang mixture × H₂
+	{MustFit(20, 1.2), MustFit(18, 2.5)},   // H₂ × H₂
+	{MustFit(20, 1), MustFit(0.5, 0.05)},   // exponential × sharp mixture
+}
+
+// TestMaxMomentsSymmetricBits pins max(a, b) and max(b, a) to the same bits:
+// the integration bound is a max and the tail product 1·c₁·c₂ commutes
+// exactly, which is what lets a memo key operand pairs unordered.
+func TestMaxMomentsSymmetricBits(t *testing.T) {
+	for i, pr := range operandPairs {
+		m1, cv1, err1 := MaxMoments([]Distribution{pr[0], pr[1]})
+		m2, cv2, err2 := MaxMoments([]Distribution{pr[1], pr[0]})
+		if err1 != nil || err2 != nil {
+			t.Fatalf("pair %d: %v / %v", i, err1, err2)
+		}
+		if math.Float64bits(m1) != math.Float64bits(m2) || math.Float64bits(cv1) != math.Float64bits(cv2) {
+			t.Errorf("pair %d: max(a,b) = (%x, %x), max(b,a) = (%x, %x)", i, m1, cv1, m2, cv2)
+		}
+	}
+}
+
+// opaque hides a distribution's type from MaxMoments, forcing the general
+// product loop even for identical operands.
+type opaque struct{ Distribution }
+
+// noncomparable is a caller-defined Distribution whose dynamic type cannot
+// be compared with ==.
+type noncomparable struct {
+	Distribution
+	tags []string
+}
+
+// TestMaxMomentsIdenticalOperands checks that the identical-operand path
+// (one CDF evaluation per grid point) gives the general loop's bits, and
+// that a non-comparable caller type passed twice takes the general loop
+// without panicking.
+func TestMaxMomentsIdenticalOperands(t *testing.T) {
+	for i, pr := range operandPairs {
+		for j, d := range pr {
+			fm, fcv, err := MaxMoments([]Distribution{d, d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gm, gcv, err := MaxMoments([]Distribution{d, opaque{d}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(fm) != math.Float64bits(gm) || math.Float64bits(fcv) != math.Float64bits(gcv) {
+				t.Errorf("pair %d operand %d: identical path (%x, %x), general loop (%x, %x)", i, j, fm, fcv, gm, gcv)
+			}
+			nc := noncomparable{Distribution: d, tags: []string{"caller"}}
+			nm, ncv, err := MaxMoments([]Distribution{nc, nc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(nm) != math.Float64bits(gm) || math.Float64bits(ncv) != math.Float64bits(gcv) {
+				t.Errorf("pair %d operand %d: non-comparable (%x, %x), general loop (%x, %x)", i, j, nm, ncv, gm, gcv)
+			}
+		}
+	}
+	if !identical(MustFit(30, 0.2), MustFit(30, 0.2)) {
+		t.Error("equal fits not recognized as identical")
+	}
+	if identical(MustFit(30, 0.2), MustFit(30, 0.21)) || identical(MustFit(30, 1.5), MustFit(30, 0.5)) {
+		t.Error("different fits reported identical")
+	}
+}
