@@ -219,33 +219,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	b.Run("contended-cold", func(b *testing.B) {
 		runContended(b, func(c *ModelConfig) { c.ColdStart = true })
 	})
-	// The same cold sweep through the lane-lockstep pipeline
-	// (PredictBatchLockstep). This is the A/B behind PredictBatch routing
-	// cold entries sequentially: identical innerIters/op, but the packed
-	// kernel pays full four-wide sweeps while the scalar kernel's dirty-row
-	// skip makes late sweeps nearly free (PERFORMANCE.md §2).
-	b.Run("contended-cold-lanes", func(b *testing.B) {
-		b.ReportAllocs()
-		p := NewPredictor()
-		var outer, inner int64
-		for i := 0; i < b.N; i++ {
-			cfgs := make([]ModelConfig, len(contended))
-			copy(cfgs, contended)
-			for j := range cfgs {
-				cfgs[j].ColdStart = true
-			}
-			preds, err := p.PredictBatchLockstep(context.Background(), cfgs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, pr := range preds {
-				outer += int64(pr.Iterations)
-				inner += int64(pr.InnerIterations)
-			}
-		}
-		b.ReportMetric(float64(outer)/float64(b.N), "outerIters/op")
-		b.ReportMetric(float64(inner)/float64(b.N), "innerIters/op")
-	})
 	b.Run("contended-warm", func(b *testing.B) {
 		runContended(b, func(c *ModelConfig) {})
 	})
@@ -373,10 +346,9 @@ func BenchmarkPlanDeadline(b *testing.B) {
 }
 
 // BenchmarkServicePlanParallel drives concurrent deadline plans against
-// one service: every query runs bisection walks on pooled warm chains,
-// and narrow brackets finish through the batched evaluation path
-// (predictEvalBatch), so this is the -race CI step's coverage of the
-// batch solver under BenchmarkServiceParallel-style concurrent traffic.
+// one service: every query runs bisection walks on pooled warm chains, so
+// this is the -race CI step's coverage of the planner's warm-chain
+// evaluation under BenchmarkServiceParallel-style concurrent traffic.
 func BenchmarkServicePlanParallel(b *testing.B) {
 	job, err := workload.NewJob(0, 1024, 128, 1, workload.WordCount())
 	if err != nil {
@@ -392,7 +364,7 @@ func BenchmarkServicePlanParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			// Rotate deadlines and populations so plans mix cache hits
-			// with fresh batched walks.
+			// with fresh warm-chain walks.
 			g := seq.Add(1)
 			req := PlanRequest{
 				Spec: DefaultCluster(4), Job: job, NumJobs: 1 + int(g)%3,
@@ -674,62 +646,6 @@ func BenchmarkMVAOverlapStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkMVAOverlapStepScalar measures the historical element-wise kernel
-// kept behind OverlapInput.Scalar — the PR 8 A/B baseline.
-func BenchmarkMVAOverlapStepScalar(b *testing.B) {
-	in := mvaBenchInput()
-	in.Scalar = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mva.OverlapStep(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMVABatch compares four same-shape contended fixed points solved
-// through the lane-batched solver against four sequential scalar Steps: the
-// per-lane trajectories are identical, so the delta is pure execution
-// layout (instruction-level parallelism across lanes).
-func BenchmarkMVABatch(b *testing.B) {
-	mk := func() []mva.OverlapInput {
-		ins := make([]mva.OverlapInput, mva.BatchLanes)
-		for l := range ins {
-			ins[l] = mvaBenchInput()
-			// Perturb each lane's demand so the lanes are neighbors, not clones.
-			for i := range ins[l].Tasks {
-				ins[l].Tasks[i].Demands[0] += float64(l) * 0.5
-			}
-		}
-		return ins
-	}
-	b.Run("batch4", func(b *testing.B) {
-		ins := mk()
-		var s mva.BatchOverlapSolver
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, errs := s.Solve(ins)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("sequential4", func(b *testing.B) {
-		ins := mk()
-		var s mva.OverlapSolver
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l := range ins {
-				if _, err := s.Step(ins[l]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkTripathiMaxMoments measures the numeric max-moment integration

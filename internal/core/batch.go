@@ -1,77 +1,13 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"math"
+import "fmt"
 
-	"hadoop2perf/internal/mva"
-	"hadoop2perf/internal/ptree"
-	"hadoop2perf/internal/timeline"
-)
-
-// This file runs batches of ColdStart configurations through a rolling
-// lane pipeline: up to mva.BatchLanes predictions are in flight at once,
-// each at its own outer round, and every tick solves all live lanes' inner
-// MVA fixed points in one lane-packed mva.BatchOverlapSolver call. The
-// sweeps — the dominant cost of a contended prediction — are where the
-// lanes share: one packed pass over the fused weight matrices advances
-// four fixed points.
-//
-// Correctness contract: each lane follows exactly the scalar cold path's
-// trajectory (the packed kernel is bit-identical to scalar Steps, and the
-// outer fold is the same roundFold the scalar loop uses), so batch cold
-// results are bit-identical to per-config Predict. Warm (non-ColdStart)
-// entries never enter the pipeline — they chain sequentially through
-// predictWarm, which the A/B benchmarks show beats lane-locking in the
-// warm regime (see PredictBatch).
-
-// batchLane is one configuration's in-flight outer state.
-type batchLane struct {
-	idx     int        // position in the caller's slice
-	cfg     Config     // defaults applied
-	pp      *Predictor // lane-private scratch (timeline, overlap, estimate)
-	classes map[timeline.Class]*classData
-	tl      *timeline.Timeline
-	tree    *ptree.Node
-	n, nc   int // inner fixed-point shape (tasks × centers)
-
-	iter      int // lane-private outer round counter
-	prevTotal float64
-	acc       outerAccel
-	pred      Prediction
-
-	done bool
-}
-
-// finish seals a lane: class responses and final round artifacts.
-func (l *batchLane) finish() {
-	for cls, cd := range l.classes {
-		l.pred.ClassResponse[cls] = cd.response
-	}
-	l.pred.Timeline = l.tl
-	l.pred.Tree = l.tree
-	l.done = true
-}
-
-// PredictBatch evaluates a batch of configurations through the paths the
-// interleaved A/B benchmarks show are fastest for each regime:
+// PredictBatch evaluates a batch of configurations on this Predictor:
 //
 //   - Warm entries chain sequentially through PredictWarm: each solve
 //     seeds the pool the next one warm-starts from.
 //   - ColdStart entries run sequential cold predictions, bit-identical to
 //     per-config Predict.
-//
-// Both regimes deliberately avoid the lane-packed kernel. The packed
-// kernel wins when its lanes stay aligned (BenchmarkMVABatch: ~1.2× over
-// four scalar Steps of the same input), but end-to-end batches skew: warm
-// rounds converge in a handful of inner sweeps whose counts diverge
-// lane-to-lane (~28% slower lane-locked than chained on the contended
-// 16-point sweep), and cold rounds lose ~2× because the scalar kernel's
-// dirty-row skip makes late sweeps nearly free while the packed kernel
-// pays full four-wide cost until the slowest lane drains (PERFORMANCE.md
-// §2). PredictBatchLockstep keeps the lane pipeline runnable so those
-// measurements stay reproducible.
 //
 // Results match per-config Predict calls within the warm-start tolerance
 // (1e-6 relative, property-tested); ColdStart entries are bit-identical.
@@ -79,12 +15,6 @@ func (l *batchLane) finish() {
 // error. Cold entries are processed after the warm ones (they neither read
 // nor feed the warm pool, so the reordering is unobservable in results).
 func (p *Predictor) PredictBatch(cfgs []Config) ([]Prediction, error) {
-	return p.PredictBatchContext(context.Background(), cfgs)
-}
-
-// PredictBatchContext is PredictBatch honoring ctx between outer rounds
-// (see PredictContext).
-func (p *Predictor) PredictBatchContext(ctx context.Context, cfgs []Config) ([]Prediction, error) {
 	out := make([]Prediction, len(cfgs))
 	var cold []int
 	for i := range cfgs {
@@ -92,140 +22,18 @@ func (p *Predictor) PredictBatchContext(ctx context.Context, cfgs []Config) ([]P
 			cold = append(cold, i)
 			continue
 		}
-		// Warm entries chain sequentially (see the routing rationale above).
-		pred, err := p.predictWarm(ctx, cfgs[i])
+		pred, err := p.predictWarm(nil, cfgs[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: batch config %d: %w", i, err)
 		}
 		out[i] = pred
 	}
 	for _, i := range cold {
-		pred, err := p.predict(ctx, cfgs[i], nil, false)
+		pred, err := p.predict(nil, cfgs[i], nil, false)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch config %d: %w", i, err)
 		}
 		out[i] = pred
 	}
 	return out, nil
-}
-
-// PredictBatchLockstep evaluates every config cold through the rolling
-// lane pipeline, solving up to mva.BatchLanes inner fixed points per tick
-// with the lane-packed kernel. Results are bit-identical to per-config
-// Predict with ColdStart semantics (the warm pool is neither read nor
-// fed). This is the measurement path behind the routing decision in
-// PredictBatch — it loses to sequential cold evaluation on skewed batches
-// and is kept so the A/B stays reproducible — and the fast path for
-// batches whose lanes genuinely align (identical or near-identical inner
-// trajectories).
-func (p *Predictor) PredictBatchLockstep(ctx context.Context, cfgs []Config) ([]Prediction, error) {
-	out := make([]Prediction, len(cfgs))
-	all := make([]int, len(cfgs))
-	for i := range all {
-		all[i] = i
-	}
-	if err := p.runColdPipeline(ctx, cfgs, all, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runColdPipeline drives the queued ColdStart configs through a rolling
-// lane pipeline: up to mva.BatchLanes lanes are in flight, each at its own
-// outer round, and every tick packs the live lanes' inner solves into
-// shared mva.BatchOverlapSolver calls. When a lane converges (or exhausts
-// its budget) its result is sealed and the next queued config takes the
-// slot on the following tick — lanes never idle waiting for a slow
-// sibling's outer loop, only within a single packed solve. Cold lanes
-// replicate the sequential cold loop exactly: no seed, no inner chaining,
-// no acceleration, no warm-pool traffic.
-func (p *Predictor) runColdPipeline(ctx context.Context, cfgs []Config, queue []int, out []Prediction) error {
-	lanes := make([]*batchLane, 0, mva.BatchLanes)
-	next := 0
-	admit := func() error {
-		for len(lanes) < mva.BatchLanes && next < len(queue) {
-			idx := queue[next]
-			next++
-			l := &batchLane{idx: idx, cfg: cfgs[idx]}
-			if n := len(p.laneFree); n > 0 {
-				l.pp = p.laneFree[n-1]
-				p.laneFree = p.laneFree[:n-1]
-			} else {
-				l.pp = NewPredictor()
-			}
-			cfg, classes, err := l.pp.beginPredict(l.cfg)
-			if err != nil {
-				return fmt.Errorf("core: batch config %d: %w", idx, err)
-			}
-			l.cfg, l.classes = cfg, classes
-			l.prevTotal = math.Inf(1)
-			l.pred = Prediction{ClassResponse: map[timeline.Class]float64{}}
-			lanes = append(lanes, l)
-		}
-		return nil
-	}
-	if err := admit(); err != nil {
-		return err
-	}
-
-	ins := make([]mva.OverlapInput, 0, mva.BatchLanes)
-	pend := make([]*batchLane, 0, mva.BatchLanes)
-	for len(lanes) > 0 {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		// A2–A4 per live lane at its own round, then the shared A5 solve.
-		ins, pend = ins[:0], pend[:0]
-		for _, l := range lanes {
-			l.iter++
-			tl, tree, in, err := l.pp.roundArtifacts(l.cfg, l.classes, nil, false)
-			if err != nil {
-				return fmt.Errorf("core: batch config %d: %w", l.idx, err)
-			}
-			l.tl, l.tree = tl, tree
-			l.n, l.nc = len(tl.Tasks), l.pp.hw.nc
-			ins = append(ins, in)
-			pend = append(pend, l)
-		}
-		// Solve same-shape runs together: results alias the shared solver's
-		// scratch, so each run folds before the next Solve invalidates it.
-		for lo := 0; lo < len(pend); {
-			hi := lo + 1
-			for hi < len(pend) && pend[hi].n == pend[lo].n && pend[hi].nc == pend[lo].nc {
-				hi++
-			}
-			results, errs := p.bsolver.Solve(ins[lo:hi])
-			for g, l := range pend[lo:hi] {
-				if errs[g] != nil {
-					return fmt.Errorf("core: batch config %d: %w", l.idx, errs[g])
-				}
-				res := results[g]
-				l.pred.InnerIterations += res.Iterations
-				done, err := l.pp.roundFold(l.cfg, l.classes, l.tl, l.tree, res.Response, l.iter, &l.prevTotal, &l.acc, &l.pred)
-				if err != nil {
-					return fmt.Errorf("core: batch config %d: %w", l.idx, err)
-				}
-				if done || l.iter >= l.cfg.MaxIterations {
-					l.finish()
-					out[l.idx] = l.pred
-					p.laneFree = append(p.laneFree, l.pp)
-				}
-			}
-			lo = hi
-		}
-		// Compact finished lanes and refill from the queue.
-		live := lanes[:0]
-		for _, l := range lanes {
-			if !l.done {
-				live = append(live, l)
-			}
-		}
-		lanes = live
-		if err := admit(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

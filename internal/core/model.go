@@ -307,11 +307,6 @@ type Predictor struct {
 	seedRows [][]float64
 	lastStep mva.OverlapResult
 
-	// Lane-lockstep batch state (batch.go): the shared lane-packed MVA
-	// solver and the recycled per-lane scratch Predictors.
-	bsolver  mva.BatchOverlapSolver
-	laneFree []*Predictor
-
 	// infl is the fault effective-demand correction of the current
 	// prediction (the identity without a fault scenario).
 	infl fault.Inflation
@@ -436,12 +431,11 @@ func PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
 	return p.PredictContext(ctx, cfg)
 }
 
-// PredictBatch evaluates a batch of configurations through one shared
-// evaluator: entries are warm-started from their nearest already-solved
-// neighbor and — beyond a sequential pilot per warm-signature — advanced in
-// lane-lockstep waves whose inner MVA fixed points share packed sweeps (see
-// Predictor.PredictBatch). Results match per-config Predict calls within
-// the warm-start tolerance (1e-6 relative, property-tested); set
+// PredictBatch evaluates a batch of configurations in order through one
+// shared evaluator: each entry is warm-started from its nearest
+// already-solved neighbor and, once converged, seeds the entries after it
+// (see Predictor.PredictBatch). Results match per-config Predict calls
+// within the warm-start tolerance (1e-6 relative, property-tested); set
 // Config.ColdStart for bit-identical cold runs. The first failing config
 // aborts the batch with its index wrapped in the error.
 func PredictBatch(cfgs []Config) ([]Prediction, error) {
@@ -498,10 +492,28 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 				return Prediction{}, err
 			}
 		}
-		var in mva.OverlapInput
-		tl, tree, in, err = p.roundArtifacts(cfg, classes, warm, fast)
+		// A2: timeline from current class response times.
+		tl, err = p.buildTimeline(cfg, classes)
 		if err != nil {
 			return Prediction{}, err
+		}
+		// A3: precedence tree.
+		tree, err = ptree.Build(tl)
+		if err != nil {
+			return Prediction{}, err
+		}
+		// A4: overlap factors.
+		alpha, beta := p.overlapFactors(tl)
+		taskDemands := p.demandsFor(cfg, tl, classes)
+		p.servers = p.hw.servers(p.servers)
+		in := mva.OverlapInput{
+			Tasks:      taskDemands,
+			Alpha:      alpha,
+			Beta:       beta,
+			Servers:    p.servers,
+			OtherJobs:  cfg.NumJobs - 1,
+			Warm:       warm,
+			Accelerate: fast,
 		}
 		if iter == 1 && seed != nil {
 			warm = p.warmResidenceRows(seed, len(tl.Tasks), p.hw.nc)
@@ -524,12 +536,33 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 			// do, so the old solution is a near-answer).
 			warm = step.Residence
 		}
-		done, err := p.roundFold(cfg, classes, tl, tree, step.Response, iter, &prevTotal, &acc, &pred)
+		// Aggregate per class with damping.
+		var newResp [numClasses]float64
+		classMeans(tl, step.Response, &newResp)
+		for cls, cd := range classes {
+			nr := newResp[cls]
+			if nr <= 0 {
+				continue
+			}
+			cd.response = cfg.Damping*cd.response + (1-cfg.Damping)*nr
+			classes[cls] = cd
+		}
+		// A6: job response from the tree + convergence test.
+		total, err := p.estimate(cfg, tree, tl, step.Response, classes)
 		if err != nil {
 			return Prediction{}, err
 		}
-		if done {
+		total += cfg.Job.Profile.AMStartup
+		pred.Iterations = iter
+		pred.ResponseTime = total
+		pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
+		if math.Abs(total-prevTotal) <= cfg.Epsilon && !acc.justExtrapolated {
+			pred.Converged = true
 			break
+		}
+		prevTotal = total
+		if cfg.AccelerateOuter {
+			acc.observe(classes)
 		}
 	}
 	for cls, cd := range classes {
@@ -542,8 +575,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 
 // beginPredict validates and normalizes a configuration and initializes the
 // per-run hardware view, fault inflation and class working state — the
-// prologue shared by the scalar outer loop and the lane-lockstep batch
-// (batch.go). The returned Config has defaults applied.
+// prologue of the outer loop. The returned Config has defaults applied.
 func (p *Predictor) beginPredict(cfg Config) (Config, map[timeline.Class]*classData, error) {
 	if err := cfg.validateTuning(); err != nil {
 		return cfg, nil, err
@@ -565,72 +597,6 @@ func (p *Predictor) beginPredict(cfg Config) (Config, map[timeline.Class]*classD
 	p.infl = faultFactors(cfg, &p.hw)
 	p.trip.reset()
 	return cfg, initialize(cfg, &p.hw, p.infl), nil
-}
-
-// roundArtifacts runs one outer round's A2–A4 stages — timeline, precedence
-// tree, overlap factors, per-task demands, service centers — and assembles
-// the overlap-MVA input (A5's operand) for the current class responses. The
-// input's matrices alias Predictor scratch, valid until the next round.
-func (p *Predictor) roundArtifacts(cfg Config, classes map[timeline.Class]*classData, warm [][]float64, fast bool) (*timeline.Timeline, *ptree.Node, mva.OverlapInput, error) {
-	// A2: timeline from current class response times.
-	tl, err := p.buildTimeline(cfg, classes)
-	if err != nil {
-		return nil, nil, mva.OverlapInput{}, err
-	}
-	// A3: precedence tree.
-	tree, err := ptree.Build(tl)
-	if err != nil {
-		return nil, nil, mva.OverlapInput{}, err
-	}
-	// A4: overlap factors.
-	alpha, beta := p.overlapFactors(tl)
-	taskDemands := p.demandsFor(cfg, tl, classes)
-	p.servers = p.hw.servers(p.servers)
-	return tl, tree, mva.OverlapInput{
-		Tasks:      taskDemands,
-		Alpha:      alpha,
-		Beta:       beta,
-		Servers:    p.servers,
-		OtherJobs:  cfg.NumJobs - 1,
-		Warm:       warm,
-		Accelerate: fast,
-	}, nil
-}
-
-// roundFold folds one solved MVA step back into the outer state: per-class
-// damped response update, the A6 tree estimate, the convergence test and
-// the optional outer Aitken observation. It reports whether the outer fixed
-// point just converged (pred.Converged is set alongside).
-func (p *Predictor) roundFold(cfg Config, classes map[timeline.Class]*classData, tl *timeline.Timeline, tree *ptree.Node, taskResp []float64, iter int, prevTotal *float64, acc *outerAccel, pred *Prediction) (bool, error) {
-	// Aggregate per class with damping.
-	var newResp [numClasses]float64
-	classMeans(tl, taskResp, &newResp)
-	for cls, cd := range classes {
-		nr := newResp[cls]
-		if nr <= 0 {
-			continue
-		}
-		cd.response = cfg.Damping*cd.response + (1-cfg.Damping)*nr
-		classes[cls] = cd
-	}
-	// A6: job response from the tree + convergence test.
-	total, err := p.estimate(cfg, tree, tl, taskResp, classes)
-	if err != nil {
-		return false, err
-	}
-	total += cfg.Job.Profile.AMStartup
-	pred.Iterations = iter
-	pred.ResponseTime = total
-	pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
-	if math.Abs(total-*prevTotal) <= cfg.Epsilon && !acc.justExtrapolated {
-		pred.Converged = true
-		return true, nil
-	}
-	*prevTotal = total
-	if cfg.AccelerateOuter {
-		acc.observe(classes)
-	}
-	return false, nil
 }
 
 // schedulingLatency is the per-container YARN control-loop cost the model

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -114,46 +113,6 @@ func TestPredictBatchMatchesIndividual(t *testing.T) {
 	}
 }
 
-// PredictBatchLockstep drives the rolling lane pipeline (the packed-kernel
-// measurement path behind PredictBatch's sequential routing): every config
-// evaluates cold through shared four-wide solves, and each lane's
-// trajectory — response, outer rounds AND per-lane inner sweep counts —
-// must be bit-identical to a sequential cold Predict. Six skewed configs
-// exercise rolling admission past the lane width.
-func TestPredictBatchLockstepMatchesCold(t *testing.T) {
-	job, err := workload.NewJob(0, 2*1024, 128, 4, workload.WordCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfgs []Config
-	for _, n := range []int{2, 4, 6, 8, 12, 16} {
-		cfgs = append(cfgs, Config{Spec: cluster.Default(n), Job: job, NumJobs: 3})
-	}
-	p := NewPredictor()
-	got, err := p.PredictBatchLockstep(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		one, err := Predict(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].ResponseTime != one.ResponseTime {
-			t.Errorf("config %d (n=%d): lockstep %v != sequential %v",
-				i, cfg.Spec.NumNodes, got[i].ResponseTime, one.ResponseTime)
-		}
-		if got[i].Iterations != one.Iterations {
-			t.Errorf("config %d: lockstep %d outer rounds, sequential %d",
-				i, got[i].Iterations, one.Iterations)
-		}
-		if got[i].InnerIterations != one.InnerIterations {
-			t.Errorf("config %d: lockstep %d inner sweeps, sequential %d",
-				i, got[i].InnerIterations, one.InnerIterations)
-		}
-	}
-}
-
 func TestPredictBatchPropagatesError(t *testing.T) {
 	job, err := workload.NewJob(0, 1024, 128, 2, workload.WordCount())
 	if err != nil {
@@ -212,16 +171,12 @@ func TestPredictMonotoneInNodes(t *testing.T) {
 }
 
 // TestSweepBudget is the deterministic sweep-count gate of the batch
-// paths, on the contended 16-point sweep the benchmarks use (4 competing
-// jobs, 4 reducers, nodes 2..17). The model is deterministic, so these
-// inequalities are exact gates, not statistical ones:
-//
-//   - PredictBatch's warm chaining must spend at most half the inner
-//     sweeps of per-config cold evaluation (the warm-start win the batch
-//     path exists for; measured ratio ≈ 3.7x, gated at 2x).
-//   - The lockstep lane pipeline must account exactly the cold sweep
-//     total: per-lane masking means a frozen lane stops accruing, so
-//     lane-packing changes wall time but never counted sweeps.
+// path, on the contended 16-point sweep the benchmarks use (4 competing
+// jobs, 4 reducers, nodes 2..17): PredictBatch's warm chaining must spend
+// at most half the inner sweeps of per-config cold evaluation (the
+// warm-start win the batch path exists for; measured ratio ≈ 3.7x, gated
+// at 2x). The model is deterministic, so this is an exact gate, not a
+// statistical one.
 func TestSweepBudget(t *testing.T) {
 	job, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 	if err != nil {
@@ -251,17 +206,5 @@ func TestSweepBudget(t *testing.T) {
 	}
 	if warmInner*2 > coldInner {
 		t.Errorf("warm batch spent %d inner sweeps, budget is half of cold's %d", warmInner, coldInner)
-	}
-
-	lockPreds, err := NewPredictor().PredictBatchLockstep(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lockInner int
-	for _, p := range lockPreds {
-		lockInner += p.InnerIterations
-	}
-	if lockInner != coldInner {
-		t.Errorf("lockstep accounted %d inner sweeps, cold sequential %d — lane masking leaked", lockInner, coldInner)
 	}
 }

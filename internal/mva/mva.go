@@ -101,30 +101,10 @@ type ApproxResult struct {
 	Iterations int
 }
 
-// SBOptions tunes the Schweitzer–Bard fixed point beyond the classic knobs.
-type SBOptions struct {
-	// Warm seeds the per-class queue lengths (one row of `centers` values per
-	// class) instead of the uniform spread — e.g. the QueueLen of a previous
-	// solve at a nearby population. Rows are renormalized to the class
-	// population (the iteration's invariant); a missing, misshapen or
-	// degenerate row falls back to the uniform cold start for that class.
-	Warm [][]float64
-	// Accelerate enables safeguarded Aitken Δ² extrapolation on the queue
-	// lengths: every third sweep the geometric tail is extrapolated, falling
-	// back to the plain iterate wherever the safeguards reject the step.
-	Accelerate bool
-}
-
 // SchweitzerBard runs the approximate multiclass MVA fixed point: the
 // arrival-instant queue length of class c at center k is approximated by
 // sum_j q_jk - q_ck/N_c. Iterates until queue lengths move less than tol.
 func SchweitzerBard(classes []ClassSpec, centers int, tol float64, maxIter int) (ApproxResult, error) {
-	return SchweitzerBardOpt(classes, centers, tol, maxIter, SBOptions{})
-}
-
-// SchweitzerBardOpt is SchweitzerBard with warm-start and acceleration
-// options; the zero SBOptions reproduces SchweitzerBard exactly.
-func SchweitzerBardOpt(classes []ClassSpec, centers int, tol float64, maxIter int, opts SBOptions) (ApproxResult, error) {
 	if len(classes) == 0 {
 		return ApproxResult{}, errors.New("mva: need at least one class")
 	}
@@ -148,21 +128,15 @@ func SchweitzerBardOpt(classes []ClassSpec, centers int, tol float64, maxIter in
 	nc := len(classes)
 	q := make([][]float64, nc)
 	for c := range q {
+		// Spread the class population evenly as the starting point.
 		q[c] = make([]float64, centers)
 		pop := float64(classes[c].Population)
-		if !warmRow(q[c], opts.Warm, c, pop) {
-			// Spread the class population evenly as the starting point.
-			for k := 0; k < centers; k++ {
-				q[c][k] = pop / float64(centers)
-			}
+		for k := 0; k < centers; k++ {
+			q[c][k] = pop / float64(centers)
 		}
 	}
 	resp := make([]float64, nc)
 	thr := make([]float64, nc)
-	var acc Aitken
-	if opts.Accelerate {
-		acc.Init(nc * centers)
-	}
 	// Double-buffer the queue lengths over flat backing: the historical loop
 	// allocated newQ and resid on every sweep, which dominated the allocation
 	// profile of long fixed points (TestSchweitzerBardAllocBudget pins the
@@ -202,48 +176,17 @@ func SchweitzerBardOpt(classes []ClassSpec, centers int, tol float64, maxIter in
 		if maxDelta < tol {
 			break
 		}
-		if opts.Accelerate {
-			// Queue lengths are nonnegative; the renormalizing sweep above
-			// restores the per-class population invariant after any
-			// extrapolation, so the floor is the only safeguard needed here.
-			acc.ObserveRows(q, func(int) float64 { return 0 })
-		}
 	}
 	return ApproxResult{ResponseTime: resp, Throughput: thr, QueueLen: q, Iterations: it + 1}, nil
 }
 
-// warmRow seeds one class's queue-length row from a warm matrix, normalized
-// to the class population. It reports false (leaving dst untouched) when the
-// warm row is absent, misshapen or degenerate.
-func warmRow(dst []float64, warm [][]float64, c int, pop float64) bool {
-	if c >= len(warm) || len(warm[c]) != len(dst) {
-		return false
-	}
-	sum := 0.0
-	for _, v := range warm[c] {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-		sum += v
-	}
-	if sum <= 0 {
-		return false
-	}
-	scale := pop / sum
-	for k, v := range warm[c] {
-		dst[k] = v * scale
-	}
-	return true
-}
-
-// Aitken is the shared safeguarded Δ² accelerator behind every
-// fixed-point loop in the model (the overlap solver, Schweitzer–Bard, and
-// core's outer class-response iteration): it records two plain iterates
-// (x0, x1), and on the third (x2) extrapolates each component's geometric
-// tail — x* = x2 − (Δx1)²/(Δ²x0) — wherever the safeguards hold: a
-// non-degenerate second difference, a bounded step (≤ 8·|Δx1|, so a
-// near-stalled denominator cannot fling the iterate), a finite result and a
-// caller-supplied component floor. Components failing any check keep the
+// Aitken is the shared safeguarded Δ² accelerator behind the model's
+// fixed-point loops (the overlap solver and core's outer class-response
+// iteration): it records two plain iterates (x0, x1), and on the third (x2)
+// extrapolates each component's geometric tail — x* = x2 − (Δx1)²/(Δ²x0) —
+// wherever the safeguards hold: a non-degenerate second difference, a
+// bounded step (≤ 8·|Δx1|, so a near-stalled denominator cannot fling the
+// iterate), a finite result and a caller-supplied component floor. Components failing any check keep the
 // plain iterate — the "safeguarded fallback to plain damping". Convergence
 // must always be declared on plain sweep deltas, never on an extrapolated
 // one: callers Observe *after* their tolerance check. The zero Aitken is
@@ -292,46 +235,6 @@ func (a *Aitken) Observe(cur []float64, floor func(int) float64) (extrapolated b
 	return extrapolated
 }
 
-// ObserveRows is Observe over a row-matrix iterate (flattened view).
-func (a *Aitken) ObserveRows(rows [][]float64, floor func(int) float64) {
-	// Flatten through a scratch-free two-pass: copy into the phase buffers
-	// or extrapolate in place, reusing observe's logic per row segment.
-	off := 0
-	switch a.phase {
-	case 0:
-		for _, r := range rows {
-			copy(a.x0[off:off+len(r)], r)
-			off += len(r)
-		}
-		a.phase = 1
-	case 1:
-		for _, r := range rows {
-			copy(a.x1[off:off+len(r)], r)
-			off += len(r)
-		}
-		a.phase = 2
-	default:
-		for _, r := range rows {
-			for k, x2 := range r {
-				i := off + k
-				x0, x1 := a.x0[i], a.x1[i]
-				d1, d2 := x1-x0, x2-x1
-				den := d2 - d1
-				if math.Abs(den) <= 1e-12*(1+math.Abs(x2)) {
-					continue
-				}
-				x := x2 - d2*d2/den
-				if math.IsNaN(x) || math.IsInf(x, 0) || x < floor(i) || math.Abs(x-x2) > 8*math.Abs(d2) {
-					continue
-				}
-				r[k] = x
-			}
-			off += len(r)
-		}
-		a.phase = 0
-	}
-}
-
 // TaskDemand describes one task (a leaf of the precedence tree) to the
 // overlap-weighted solver: its service demand at each center.
 type TaskDemand struct {
@@ -369,14 +272,6 @@ type OverlapInput struct {
 	// the plain damped iterate wherever the safeguards reject the step).
 	// Convergence is still only ever declared on a plain sweep's delta.
 	Accelerate bool
-	// Scalar selects the historical element-wise sweep (per-(i,j) alpha/beta
-	// loads with the j != i branch) instead of the fused struct-of-arrays
-	// kernel, reproducing the pre-SoA arithmetic bit-for-bit. The fused
-	// kernel hoists W[c] = Alpha[c] + OtherJobs·Beta[c] out of the sweep
-	// loop, which reassociates the arrival sum and can move results by a few
-	// ulps — Scalar is the escape hatch for byte-stable comparisons against
-	// historical pins.
-	Scalar bool
 }
 
 // OverlapResult holds per-task response and residence times.
@@ -392,8 +287,8 @@ type OverlapResult struct {
 // OverlapSolver runs overlap-weighted residence-time steps with reusable
 // scratch buffers: the residence matrices are double-buffered over flat
 // backing arrays, so repeated Step calls — the outer loop of the paper's
-// model iterates the step to a fixed point, and batched predictions solve
-// many steps of the same shape — allocate nothing once warmed up.
+// model iterates the step to a fixed point, and a warm chain of predictions
+// solves many steps of the same shape — allocate nothing once warmed up.
 //
 // A solver is not safe for concurrent use. The matrices inside the returned
 // OverlapResult alias solver-owned memory and are valid until the next Step
@@ -405,8 +300,7 @@ type OverlapSolver struct {
 	next     [][]float64
 	resp     []float64
 	servers  []float64
-	rho      []float64 // n×k task-major visit probabilities (legacy kernel)
-	rhoC     []float64 // k×n center-major visit probabilities (fused kernel)
+	rhoC     []float64 // k×n center-major visit probabilities
 	wFlat    []float64 // k×n×n fused weight matrices W[c] = α[c] + (N-1)β[c]
 	rowDirty []bool    // rows whose residence changed on the last sweep
 	acc      Aitken    // Δ² accelerator scratch (Accelerate inputs only)
@@ -423,12 +317,10 @@ func (s *OverlapSolver) ensure(n, k int) {
 	if cap(s.resFlat) < need {
 		s.resFlat = make([]float64, need)
 		s.nextFlat = make([]float64, need)
-		s.rho = make([]float64, need)
 		s.rhoC = make([]float64, need)
 	}
 	s.resFlat = s.resFlat[:need]
 	s.nextFlat = s.nextFlat[:need]
-	s.rho = s.rho[:need]
 	s.rhoC = s.rhoC[:need]
 	if cap(s.wFlat) < k*n*n {
 		s.wFlat = make([]float64, k*n*n)
@@ -471,34 +363,45 @@ func (s *OverlapSolver) ensure(n, k int) {
 // fluid processor-sharing law: no slowdown until the expected concurrency
 // exceeds the server count. Iterates until response times are stable.
 func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
+	tol, maxIter, err := s.prepare(&in)
+	if err != nil {
+		return OverlapResult{}, err
+	}
+	it := s.sweepFused(&in, tol, maxIter)
+	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+}
+
+// prepare validates in, sizes the scratch and loads the starting iterate
+// (cold or warm), returning the resolved tolerance and sweep budget.
+func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err error) {
 	n := len(in.Tasks)
 	if n == 0 {
-		return OverlapResult{}, errors.New("mva: no tasks")
+		return 0, 0, errors.New("mva: no tasks")
 	}
 	if len(in.Tasks[0].Demands) == 0 {
-		return OverlapResult{}, errors.New("mva: tasks need at least one center demand")
+		return 0, 0, errors.New("mva: tasks need at least one center demand")
 	}
 	k := len(in.Tasks[0].Demands)
 	for i, t := range in.Tasks {
 		if len(t.Demands) != k {
-			return OverlapResult{}, fmt.Errorf("mva: task %d has %d demands, want %d", i, len(t.Demands), k)
+			return 0, 0, fmt.Errorf("mva: task %d has %d demands, want %d", i, len(t.Demands), k)
 		}
 		for _, d := range t.Demands {
 			if d < 0 {
-				return OverlapResult{}, fmt.Errorf("mva: task %d has negative demand", i)
+				return 0, 0, fmt.Errorf("mva: task %d has negative demand", i)
 			}
 		}
 	}
 	if len(in.Alpha) != k || len(in.Beta) != k {
-		return OverlapResult{}, errors.New("mva: overlap matrices must have one layer per center")
+		return 0, 0, errors.New("mva: overlap matrices must have one layer per center")
 	}
 	for c := 0; c < k; c++ {
 		if len(in.Alpha[c]) != n || len(in.Beta[c]) != n {
-			return OverlapResult{}, errors.New("mva: overlap matrix size mismatch")
+			return 0, 0, errors.New("mva: overlap matrix size mismatch")
 		}
 	}
 	if in.Servers != nil && len(in.Servers) != k {
-		return OverlapResult{}, errors.New("mva: Servers must have one entry per center")
+		return 0, 0, errors.New("mva: Servers must have one entry per center")
 	}
 	s.ensure(n, k)
 	for c := 0; c < k; c++ {
@@ -507,11 +410,11 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 			s.servers[c] = in.Servers[c]
 		}
 	}
-	tol := in.Tol
+	tol = in.Tol
 	if tol <= 0 {
 		tol = 1e-10
 	}
-	maxIter := in.MaxIter
+	maxIter = in.MaxIter
 	if maxIter <= 0 {
 		maxIter = 500
 	}
@@ -539,7 +442,7 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 			tot += v
 		}
 		if demTot <= 0 {
-			return OverlapResult{}, fmt.Errorf("mva: task %d has zero total demand", i)
+			return 0, 0, fmt.Errorf("mva: task %d has zero total demand", i)
 		}
 		s.resp[i] = tot
 	}
@@ -551,93 +454,12 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 			s.acc.phase = 0
 		}
 	}
-	var it int
-	if in.Scalar {
-		it = s.sweepLegacy(&in, tol, maxIter)
-	} else {
-		it = s.sweepFused(&in, tol, maxIter)
-	}
-	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
-}
-
-// sweepLegacy is the historical element-wise sweep, kept verbatim behind
-// OverlapInput.Scalar: per-(i,j) alpha/beta loads with the j != i branch and
-// the interleaved α/β accumulation order. It reproduces the pre-SoA results
-// bit-for-bit.
-func (s *OverlapSolver) sweepLegacy(in *OverlapInput, tol float64, maxIter int) int {
-	n, k := s.n, s.k
-	otherJobs := float64(in.OtherJobs)
-	var it int
-	for it = 0; it < maxIter; it++ {
-		maxDelta := 0.0
-		// Hoist the visit probabilities: ρ_jk depends only on the current
-		// iterate, not on i, so computing it once per sweep turns the inner
-		// loop into pure multiply-adds. The division stays a division to keep
-		// results bit-identical with the historical per-(i,j) computation.
-		for j := 0; j < n; j++ {
-			for c := 0; c < k; c++ {
-				s.rho[j*k+c] = s.res[j][c] / s.resp[j]
-			}
-		}
-		for i := 0; i < n; i++ {
-			for c := 0; c < k; c++ {
-				d := in.Tasks[i].Demands[c]
-				if d == 0 {
-					s.next[i][c] = 0
-					continue
-				}
-				alphaRow := in.Alpha[c][i]
-				betaRow := in.Beta[c][i]
-				arr := 0.0
-				for j := 0; j < n; j++ {
-					rho := s.rho[j*k+c]
-					if j != i {
-						arr += alphaRow[j] * rho
-					}
-					arr += otherJobs * betaRow[j] * rho
-				}
-				slowdown := (1 + arr) / s.servers[c]
-				if slowdown < 1 {
-					slowdown = 1
-				}
-				s.next[i][c] = d * slowdown
-			}
-		}
-		for i := 0; i < n; i++ {
-			var tot float64
-			for c := 0; c < k; c++ {
-				tot += s.next[i][c]
-			}
-			if delta := math.Abs(tot - s.resp[i]); delta > maxDelta {
-				maxDelta = delta
-			}
-			s.resp[i] = tot
-		}
-		s.res, s.next = s.next, s.res
-		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
-		if maxDelta < tol {
-			break
-		}
-		if in.Accelerate {
-			if s.acc.Observe(s.resFlat, func(idx int) float64 { return in.Tasks[idx/k].Demands[idx%k] }) {
-				// The extrapolated matrix changed the row sums the next
-				// sweep's visit probabilities divide by.
-				for i := 0; i < n; i++ {
-					tot := 0.0
-					for c := 0; c < k; c++ {
-						tot += s.res[i][c]
-					}
-					s.resp[i] = tot
-				}
-			}
-		}
-	}
-	return it
+	return tol, maxIter, nil
 }
 
 // buildFusedWeights packs W[c] = Alpha[c] + (N-1)·Beta[c] into s.wFlat,
 // center-major, one contiguous n-row per (c, i). The diagonal keeps only the
-// β self-term: the legacy sweep's j != i branch excluded the α self-overlap,
+// β self-term: the arrival sum excludes task i's α self-overlap,
 // while the twin of task i in another job contends fully. Rows whose task
 // demand at the center is zero are skipped — the sweep never reads them.
 func (s *OverlapSolver) buildFusedWeights(in *OverlapInput) {
@@ -663,9 +485,7 @@ func (s *OverlapSolver) buildFusedWeights(in *OverlapInput) {
 // built once outside the loop, ρ is stored center-major so each center's
 // arrival sums read two contiguous arrays, and the inner loop is a pure
 // branch-free dot product split over two accumulators (even/odd j) to break
-// the add-latency dependency chain. BatchOverlapSolver lanes replicate this
-// exact accumulation order, so a batch lane and a scalar Step follow
-// bit-identical trajectories.
+// the add-latency dependency chain.
 func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) int {
 	n, k := s.n, s.k
 	s.buildFusedWeights(in)

@@ -319,80 +319,6 @@ func TestOverlapStepMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// warmUp solves one input cold and returns a deep copy of its queue matrix
-// (the returned QueueLen is freshly allocated per solve, but copy anyway so
-// the test owns its seed).
-func warmUp(t *testing.T, classes []ClassSpec, centers int) ([][]float64, ApproxResult) {
-	t.Helper()
-	cold, err := SchweitzerBard(classes, centers, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := make([][]float64, len(cold.QueueLen))
-	for c, row := range cold.QueueLen {
-		warm[c] = append([]float64(nil), row...)
-	}
-	return warm, cold
-}
-
-func TestSchweitzerBardWarmMatchesCold(t *testing.T) {
-	classes := []ClassSpec{
-		{Name: "a", Population: 6, Demands: []float64{3, 1, 0.5}},
-		{Name: "b", Population: 3, Demands: []float64{0.5, 2, 1}},
-	}
-	warm, cold := warmUp(t, classes, 3)
-
-	// Perturb the populations slightly — the neighbor-seeding scenario.
-	near := []ClassSpec{
-		{Name: "a", Population: 7, Demands: classes[0].Demands},
-		{Name: "b", Population: 3, Demands: classes[1].Demands},
-	}
-	coldNear, err := SchweitzerBard(near, 3, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []SBOptions{{Warm: warm}, {Warm: warm, Accelerate: true}} {
-		warmNear, err := SchweitzerBardOpt(near, 3, 1e-12, 0, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range warmNear.ResponseTime {
-			if !almostEq(warmNear.ResponseTime[c], coldNear.ResponseTime[c], 1e-8) {
-				t.Errorf("opts %+v class %d: warm response %v vs cold %v",
-					opts, c, warmNear.ResponseTime[c], coldNear.ResponseTime[c])
-			}
-		}
-		if warmNear.Iterations > coldNear.Iterations {
-			t.Errorf("opts %+v: warm start used %d iterations, cold %d",
-				opts, warmNear.Iterations, coldNear.Iterations)
-		}
-	}
-	_ = cold
-}
-
-func TestSchweitzerBardWarmRejectsDegenerate(t *testing.T) {
-	classes := []ClassSpec{{Name: "a", Population: 4, Demands: []float64{2, 1}}}
-	cold, err := SchweitzerBard(classes, 2, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, warm := range map[string][][]float64{
-		"misshapen": {{1, 2, 3}},
-		"negative":  {{-1, 2}},
-		"nan":       {{math.NaN(), 1}},
-		"zero":      {{0, 0}},
-		"short":     {},
-	} {
-		got, err := SchweitzerBardOpt(classes, 2, 1e-12, 0, SBOptions{Warm: warm})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !almostEq(got.ResponseTime[0], cold.ResponseTime[0], 1e-9) {
-			t.Errorf("%s warm row: response %v, want cold %v", name, got.ResponseTime[0], cold.ResponseTime[0])
-		}
-	}
-}
-
 // contendedInput builds a slowly-converging overlap fixed point: heavy
 // intra- and inter-job contention over two centers of unequal demand.
 func contendedInput(n int) OverlapInput {
@@ -526,8 +452,126 @@ func TestOverlapSolverWarmAliasPrevious(t *testing.T) {
 	}
 }
 
-// The fused SoA sweep and the legacy element-wise sweep (OverlapInput.Scalar)
-// are different summation orders of the same fixed point: they must agree to
+// randomOverlap draws a contended overlap input: n tasks over k centers with
+// random demands (a quarter of multi-center tasks skip one center), random
+// α/β factors and 1–4 servers per center.
+func randomOverlap(rng *rand.Rand, n, k, otherJobs int) OverlapInput {
+	tasks := make([]TaskDemand, n)
+	for i := range tasks {
+		d := make([]float64, k)
+		for c := range d {
+			d[c] = 0.5 + 4*rng.Float64()
+		}
+		if k > 1 && rng.Float64() < 0.25 {
+			d[rng.Intn(k)] = 0
+		}
+		tasks[i] = TaskDemand{Demands: d}
+	}
+	alpha := make([][][]float64, k)
+	beta := make([][][]float64, k)
+	for c := 0; c < k; c++ {
+		alpha[c] = make([][]float64, n)
+		beta[c] = make([][]float64, n)
+		for i := 0; i < n; i++ {
+			alpha[c][i] = make([]float64, n)
+			beta[c][i] = make([]float64, n)
+			for j := 0; j < n; j++ {
+				if i != j {
+					alpha[c][i][j] = rng.Float64()
+				}
+				beta[c][i][j] = 0.5 * rng.Float64()
+			}
+		}
+	}
+	servers := make([]float64, k)
+	for c := range servers {
+		servers[c] = float64(1 + rng.Intn(4))
+	}
+	return OverlapInput{Tasks: tasks, Alpha: alpha, Beta: beta, Servers: servers, OtherJobs: otherJobs, Tol: 1e-11}
+}
+
+// legacyStep is Step through sweepLegacy instead of the fused kernel.
+func legacyStep(in OverlapInput) (OverlapResult, error) {
+	var s OverlapSolver
+	tol, maxIter, err := s.prepare(&in)
+	if err != nil {
+		return OverlapResult{}, err
+	}
+	it := s.sweepLegacy(&in, tol, maxIter)
+	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+}
+
+// sweepLegacy is the historical element-wise sweep the fused kernel
+// replaced, kept as its test oracle: per-(i,j) alpha/beta loads with the
+// j != i branch and the interleaved α/β accumulation order.
+func (s *OverlapSolver) sweepLegacy(in *OverlapInput, tol float64, maxIter int) int {
+	n, k := s.n, s.k
+	otherJobs := float64(in.OtherJobs)
+	rho := make([]float64, n*k) // task-major visit probabilities
+	var it int
+	for it = 0; it < maxIter; it++ {
+		maxDelta := 0.0
+		for j := 0; j < n; j++ {
+			for c := 0; c < k; c++ {
+				rho[j*k+c] = s.res[j][c] / s.resp[j]
+			}
+		}
+		for i := 0; i < n; i++ {
+			for c := 0; c < k; c++ {
+				d := in.Tasks[i].Demands[c]
+				if d == 0 {
+					s.next[i][c] = 0
+					continue
+				}
+				alphaRow := in.Alpha[c][i]
+				betaRow := in.Beta[c][i]
+				arr := 0.0
+				for j := 0; j < n; j++ {
+					r := rho[j*k+c]
+					if j != i {
+						arr += alphaRow[j] * r
+					}
+					arr += otherJobs * betaRow[j] * r
+				}
+				slowdown := (1 + arr) / s.servers[c]
+				if slowdown < 1 {
+					slowdown = 1
+				}
+				s.next[i][c] = d * slowdown
+			}
+		}
+		for i := 0; i < n; i++ {
+			var tot float64
+			for c := 0; c < k; c++ {
+				tot += s.next[i][c]
+			}
+			if delta := math.Abs(tot - s.resp[i]); delta > maxDelta {
+				maxDelta = delta
+			}
+			s.resp[i] = tot
+		}
+		s.res, s.next = s.next, s.res
+		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
+		if maxDelta < tol {
+			break
+		}
+		if in.Accelerate {
+			if s.acc.Observe(s.resFlat, func(idx int) float64 { return in.Tasks[idx/k].Demands[idx%k] }) {
+				for i := 0; i < n; i++ {
+					tot := 0.0
+					for c := 0; c < k; c++ {
+						tot += s.res[i][c]
+					}
+					s.resp[i] = tot
+				}
+			}
+		}
+	}
+	return it
+}
+
+// The fused SoA sweep and the legacy element-wise sweep (sweepLegacy) are
+// different summation orders of the same fixed point: they must agree to
 // 1e-10 relative on every residence entry, over randomized flat and
 // multi-class contended specs.
 func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
@@ -538,28 +582,22 @@ func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 		in := randomOverlap(rng, n, k, rng.Intn(5))
 		in.Accelerate = rng.Float64() < 0.5
 
-		var fs OverlapSolver
-		fused, err := fs.Step(in)
+		fused, err := OverlapStep(in)
 		if err != nil {
 			t.Fatalf("trial %d: fused: %v", trial, err)
 		}
-		fusedCopy := copyResult(fused)
-
-		legacy := in
-		legacy.Scalar = true
-		var ls OverlapSolver
-		ref, err := ls.Step(legacy)
+		ref, err := legacyStep(in)
 		if err != nil {
 			t.Fatalf("trial %d: scalar: %v", trial, err)
 		}
 		for i := range ref.Response {
-			if rel := math.Abs(fusedCopy.Response[i]-ref.Response[i]) / ref.Response[i]; rel > 1e-10 {
+			if rel := math.Abs(fused.Response[i]-ref.Response[i]) / ref.Response[i]; rel > 1e-10 {
 				t.Errorf("trial %d (n=%d k=%d) task %d: fused %v vs scalar %v (rel %g)",
-					trial, n, k, i, fusedCopy.Response[i], ref.Response[i], rel)
+					trial, n, k, i, fused.Response[i], ref.Response[i], rel)
 			}
 			for c := range ref.Residence[i] {
 				want := ref.Residence[i][c]
-				got := fusedCopy.Residence[i][c]
+				got := fused.Residence[i][c]
 				if want == 0 {
 					if got != 0 {
 						t.Errorf("trial %d task %d center %d: fused %v, scalar 0", trial, i, c, got)
@@ -574,7 +612,7 @@ func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 	}
 }
 
-// SchweitzerBardOpt's allocation count must stay fixed regardless of how
+// SchweitzerBard's allocation count must stay fixed regardless of how
 // many sweeps the fixed point takes: the historical loop allocated a fresh
 // queue matrix and residual slice per iteration.
 func TestSchweitzerBardAllocBudget(t *testing.T) {

@@ -70,10 +70,9 @@ func StageNames() []string {
 }
 
 // Counter identifies one of the fixed request-scoped counters every request
-// may touch. Fixed counters live in a lock-free array on the Trace so the
+// may touch. Counters live in a lock-free array on the Trace so the
 // serving hot path (a cache hit bumps CounterCacheHits and nothing else)
-// never allocates a map; free-form names (the planner's per-combo counts)
-// go through AddCount instead.
+// never locks or allocates.
 type Counter int
 
 // The fixed counters, in the order access-log lines report them.
@@ -150,11 +149,10 @@ func ValidRequestID(id string) bool {
 }
 
 // Trace accumulates one request's observability state: its ID, per-stage
-// durations and span counts, the fixed counters (cache hits, model
-// iterations — lock-free, allocation-free) and free-form named counters
-// (per-combo predict counts). A Trace is safe for concurrent use — plan
-// fan-out records spans from many goroutines — and every method is
-// nil-receiver-safe so un-traced call paths need no checks.
+// durations and span counts, and the fixed counters (cache hits, model
+// iterations — lock-free, allocation-free). A Trace is safe for concurrent
+// use — plan fan-out records spans from many goroutines — and every method
+// is nil-receiver-safe so un-traced call paths need no checks.
 type Trace struct {
 	// ID is the request ID echoed in responses, headers and log lines.
 	ID string
@@ -164,7 +162,6 @@ type Trace struct {
 	mu     sync.Mutex
 	stages [NumStages]time.Duration
 	spans  [NumStages]int64
-	counts map[string]int64
 }
 
 // NewTrace returns a Trace carrying the given request ID.
@@ -232,45 +229,6 @@ func (t *Trace) Counter(c Counter) int64 {
 	return t.counters[c].Load()
 }
 
-// AddCount accumulates a named counter. Names of fixed counters route to
-// their lock-free slot, so AddCount("predicts") and
-// AddCounter(CounterPredicts, …) are the same counter; free-form names (the
-// planner's per-combo evaluation counts) go to a map allocated on first
-// use. Hot paths should call AddCounter directly.
-func (t *Trace) AddCount(name string, n int64) {
-	if t == nil {
-		return
-	}
-	for c := Counter(0); c < NumCounters; c++ {
-		if counterNames[c] == name {
-			t.counters[c].Add(n)
-			return
-		}
-	}
-	t.mu.Lock()
-	if t.counts == nil {
-		t.counts = make(map[string]int64, 8)
-	}
-	t.counts[name] += n
-	t.mu.Unlock()
-}
-
-// Count returns the current value of a named counter — fixed or free-form
-// (0 when absent or for a nil trace).
-func (t *Trace) Count(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	for c := Counter(0); c < NumCounters; c++ {
-		if counterNames[c] == name {
-			return t.counters[c].Load()
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counts[name]
-}
-
 // StageSeconds is one stage's accumulated time within a single request.
 type StageSeconds struct {
 	// Seconds is the total accumulated span time of the stage.
@@ -285,7 +243,8 @@ type Snapshot struct {
 	// Stages maps stage names to their accumulated durations; stages the
 	// request never entered are omitted.
 	Stages map[string]StageSeconds `json:"stages"`
-	// Counts carries the trace's named counters (omitted when empty).
+	// Counts carries the trace's nonzero counters by name (omitted when
+	// empty).
 	Counts map[string]int64 `json:"counts,omitempty"`
 }
 
@@ -305,12 +264,6 @@ func (t *Trace) Snapshot() *Snapshot {
 			Seconds: t.stages[s].Seconds(),
 			Spans:   t.spans[s],
 		}
-	}
-	for k, v := range t.counts {
-		if snap.Counts == nil {
-			snap.Counts = make(map[string]int64, len(t.counts)+int(NumCounters))
-		}
-		snap.Counts[k] = v
 	}
 	for c := Counter(0); c < NumCounters; c++ {
 		if v := t.counters[c].Load(); v != 0 {

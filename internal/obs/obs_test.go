@@ -80,8 +80,8 @@ func TestTraceSpansAndSnapshot(t *testing.T) {
 	if d := stop(); d < 0 {
 		t.Fatalf("span duration negative: %v", d)
 	}
-	tr.AddCount("predicts", 2)
-	tr.AddCount("predicts", 1)
+	tr.AddCounter(CounterPredicts, 2)
+	tr.AddCounter(CounterPredicts, 1)
 
 	snap := tr.Snapshot()
 	ms, ok := snap.Stages["model_solve"]
@@ -100,8 +100,11 @@ func TestTraceSpansAndSnapshot(t *testing.T) {
 	if snap.Counts["predicts"] != 3 {
 		t.Errorf("counts[predicts] = %d, want 3", snap.Counts["predicts"])
 	}
-	if tr.Count("predicts") != 3 {
-		t.Errorf("Count(predicts) = %d, want 3", tr.Count("predicts"))
+	if tr.Counter(CounterPredicts) != 3 {
+		t.Errorf("Counter(CounterPredicts) = %d, want 3", tr.Counter(CounterPredicts))
+	}
+	if _, ok := snap.Counts["cacheHits"]; ok {
+		t.Error("untouched counter cacheHits should be omitted from snapshot")
 	}
 }
 
@@ -114,9 +117,9 @@ func TestTraceNilSafety(t *testing.T) {
 	}
 	tr.Add(StageModelSolve, time.Second)
 	tr.StartSpan(StageSimulate)()
-	tr.AddCount("x", 1)
-	if tr.Count("x") != 0 {
-		t.Error("nil Count should be 0")
+	tr.AddCounter(CounterPredicts, 1)
+	if tr.Counter(CounterPredicts) != 0 {
+		t.Error("nil Counter should be 0")
 	}
 	if tr.Snapshot() != nil {
 		t.Error("nil Snapshot should be nil")
@@ -146,7 +149,7 @@ func TestTraceConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				tr.Add(StageModelSolve, time.Microsecond)
-				tr.AddCount("predicts", 1)
+				tr.AddCounter(CounterPredicts, 1)
 			}
 		}()
 	}

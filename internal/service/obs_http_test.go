@@ -150,7 +150,8 @@ func TestDebugTimings(t *testing.T) {
 }
 
 // TestPlanDebugTimings: a deadline plan's debug block carries the
-// plan_search span and per-combo evaluation counts.
+// plan_search span and the model runs the search made; the per-combo
+// evaluations are the response's candidates.
 func TestPlanDebugTimings(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := `{"cluster":{"nodes":4},"job":{"inputMB":2048,"reduces":1},
@@ -165,17 +166,12 @@ func TestPlanDebugTimings(t *testing.T) {
 		t.Fatalf("plan_search stage missing: %v", stages)
 	}
 	counts, _ := timings["counts"].(map[string]any)
-	found := false
-	for k, v := range counts {
-		if strings.HasPrefix(k, "planCombo_") && strings.HasSuffix(k, "_evals") {
-			found = true
-			if n, _ := v.(float64); n < 1 {
-				t.Errorf("combo count %s = %v", k, v)
-			}
-		}
+	cands, _ := body["candidates"].([]any)
+	if len(cands) == 0 {
+		t.Fatalf("no candidates in %v", body)
 	}
-	if !found {
-		t.Errorf("no per-combo eval counts in %v", counts)
+	if n, _ := counts["predicts"].(float64); n < 1 || int(n) > len(cands) {
+		t.Errorf("predicts = %v, want 1..%d (one per evaluated candidate at most)", counts["predicts"], len(cands))
 	}
 }
 

@@ -2,13 +2,11 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 
 	"hadoop2perf/internal/core"
-	"hadoop2perf/internal/obs"
 	"hadoop2perf/internal/yarn"
 )
 
@@ -96,16 +94,9 @@ type axisOutcome struct {
 // axisEval evaluates the node axis at index i.
 type axisEval func(i int) (rt float64, cached bool, err error)
 
-// axisBatchEval evaluates several node-axis indices in one call, returning
-// their response times and cached flags positionally. The planner backs it
-// with predictEvalBatch, so sibling probes ride one batched model call
-// (one cache pass, one worker slot, one warm chain).
-type axisBatchEval func(idxs []int) (rts []float64, cached []bool, err error)
-
 // searchBatchBand is the bracket width at or under which the bisection
-// stops probing point-by-point and batch-evaluates the remaining band in
-// one call. Matches the lane width of the core batch path
-// (mva.BatchLanes) so a band rides a single batched solve.
+// stops halving and evaluates the whole remaining band, plus the
+// below-frontier guard point, in ascending order.
 const searchBatchBand = 4
 
 // searchNodeAxis finds the grid-equivalent candidate set of one node axis
@@ -114,12 +105,11 @@ const searchBatchBand = 4
 // cost objective is weights[i]·rt(i). eval serves the sequential
 // bisection/sweep probes (and may thread single-owner warm-start state);
 // parEval must be safe for concurrent use — it drives the exhaustive
-// fallback's fan-out. batchEval, when non-nil, lets the bisection finish a
-// narrow bracket (≤ searchBatchBand points) in one batched call instead of
-// log-many sequential probes; nil keeps the pure point-by-point walk. It
-// returns every evaluated point as a candidate (feasible points above the
-// frontier, infeasible bisection probes below it) plus the count of pruned
-// points.
+// fallback's fan-out. Once the bisection bracket narrows to
+// searchBatchBand points, the walk evaluates the whole band in ascending
+// order instead of halving further. It returns every evaluated point as a
+// candidate (feasible points above the frontier, infeasible bisection
+// probes below it) plus the count of pruned points.
 //
 // Exactness: under monotone response times, the returned set provably
 // contains the axis's cheapest feasible candidate — a pruned point i either
@@ -127,7 +117,7 @@ const searchBatchBand = 4
 // weights[i]·rt(i) ≥ weights[i]·rt(max) strictly above the incumbent best.
 // On any observed monotonicity violation the axis is re-evaluated
 // exhaustively instead.
-func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval, parEval axisEval, batchEval axisBatchEval) axisOutcome {
+func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval, parEval axisEval) axisOutcome {
 	n := len(nodes)
 	rt := make([]float64, n)
 	cached := make([]bool, n)
@@ -200,32 +190,23 @@ func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval, parE
 	// Bisect the feasibility frontier: smallest index whose response meets
 	// the deadline. The upper bracket is always an evaluated feasible point.
 	lo, hi := 0, n-1
+	band := true
 	for lo < hi {
-		// Once the bracket narrows to the batch band, evaluate every
-		// remaining unknown point — including the below-frontier guard
-		// probe at lo-1 — in one batched call, then let the loop close
-		// over the now-known values. One shot: on error the walk falls
-		// back to point-by-point probes.
-		if batchEval != nil && hi-lo+1 <= searchBatchBand {
-			var idxs []int
+		// Once the bracket narrows to the band, evaluate every remaining
+		// unknown point — including the below-frontier guard probe at
+		// lo-1 — in ascending order, then let the loop close over the
+		// now-known values. One shot: on an evaluation error the band is
+		// abandoned and the walk continues point by point.
+		if band && hi-lo+1 <= searchBatchBand {
+			band = false
 			for i := max(lo-1, 0); i <= hi; i++ {
-				if !evaluated[i] {
-					idxs = append(idxs, i)
+				if _, ok := get(i); !ok {
+					break
 				}
 			}
-			if len(idxs) > 0 {
-				if rts, cach, err := batchEval(idxs); err == nil {
-					for j, i := range idxs {
-						evaluated[i] = true
-						rt[i] = rts[j]
-						cached[i] = cach[j]
-					}
-					if !monotone() {
-						return exhaustive()
-					}
-				}
+			if !monotone() {
+				return exhaustive()
 			}
-			batchEval = nil
 			continue
 		}
 		mid := (lo + hi) / 2
@@ -317,11 +298,9 @@ func exhaustiveAxis(nodes []int, eval axisEval) axisOutcome {
 // Each bisecting combo threads a warm-start chain through its walk: one
 // pooled evaluator is borrowed for the axis, and every miss it computes
 // seeds the next (bisection visits neighboring node counts by
-// construction, exactly the locality PredictWarm exploits). When the
-// bisection bracket narrows to the batch band, the remaining sibling
-// probes ride one predictEvalBatch call on that chain instead of
-// log-many sequential rounds. The exhaustive paths keep the parallel cold
-// fan-out — their concurrency is worth more than the warm locality.
+// construction, exactly the locality PredictWarm exploits). The
+// exhaustive paths keep the parallel cold fan-out — their concurrency is
+// worth more than the warm locality.
 func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nodeChoice, blocks []float64, reducers []int, policies []yarn.Policy) (PlanResponse, error) {
 	sorted := append([]nodeChoice(nil), choices...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].nodes < sorted[b].nodes })
@@ -370,27 +349,7 @@ func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nod
 					}
 					return pr.Prediction.ResponseTime, pr.Cached, nil
 				}
-				// Sibling probes of a narrow bisection bracket ride one
-				// batched call on the same chain (one cache pass, one
-				// worker slot, every miss seeding the next).
-				batchEval := func(idxs []int) ([]float64, []bool, error) {
-					reqs := make([]PredictRequest, len(idxs))
-					for j, i := range idxs {
-						reqs[j] = candidatePredictRequest(req, sorted[i], cb.block, cb.red)
-					}
-					prs, err := s.predictEvalBatch(ctx, reqs, warm)
-					if err != nil {
-						return nil, nil, err
-					}
-					rts := make([]float64, len(prs))
-					cach := make([]bool, len(prs))
-					for j, pr := range prs {
-						rts[j] = pr.Prediction.ResponseTime
-						cach[j] = pr.Cached
-					}
-					return rts, cach, nil
-				}
-				outcomes[ci] = searchNodeAxis(totals, weights, req.DeadlineSec, eval, parEval, batchEval)
+				outcomes[ci] = searchNodeAxis(totals, weights, req.DeadlineSec, eval, parEval)
 				s.predictors.Put(warm)
 			} else {
 				outcomes[ci] = exhaustiveAxis(totals, parEval)
@@ -398,17 +357,6 @@ func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nod
 		}(ci)
 	}
 	wg.Wait()
-
-	// Per-combo predict counts on the trace: how many node-axis points each
-	// block×reducer×policy combo actually evaluated (vs pruned) — the
-	// ?debug=timings view of the search's effectiveness.
-	if tr := obs.FromContext(ctx); tr != nil {
-		for ci, out := range outcomes {
-			cb := combos[ci]
-			tr.AddCount(fmt.Sprintf("planCombo_b%g_r%d_%s_evals", cb.block, cb.red, cb.policy),
-				int64(len(out.cands)))
-		}
-	}
 
 	resp := PlanResponse{Strategy: StrategySearch}
 	for ci, out := range outcomes {

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/core"
+	"hadoop2perf/internal/obs"
 	"hadoop2perf/internal/workload"
 )
 
@@ -85,7 +87,7 @@ func TestSearchNodeAxisMonotoneCurves(t *testing.T) {
 		// Deadlines spanning infeasible-everywhere to feasible-everywhere.
 		for _, d := range []float64{rt[0] * 1.1, (rt[0] + rt[n-1]) / 2, rt[n-1] * 1.05, rt[n-1] * 0.5} {
 			se := &syntheticEval{rt: rt}
-			out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval, se.eval, nil)
+			out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval, se.eval)
 			if !out.exact {
 				t.Fatalf("trial %d: fell back on a monotone curve", trial)
 			}
@@ -108,29 +110,32 @@ func TestSearchNodeAxisMonotoneCurves(t *testing.T) {
 	}
 }
 
-// syntheticBatch adapts a syntheticEval to an axisBatchEval, counting
-// batched calls and points.
-type syntheticBatch struct {
-	se     *syntheticEval
-	calls  atomic.Int64
-	points atomic.Int64
-}
-
-func (b *syntheticBatch) eval(idxs []int) ([]float64, []bool, error) {
-	b.calls.Add(1)
-	b.points.Add(int64(len(idxs)))
-	rts := make([]float64, len(idxs))
-	cached := make([]bool, len(idxs))
-	for j, i := range idxs {
-		rts[j], cached[j], _ = b.se.eval(i)
-	}
-	return rts, cached, nil
-}
-
-// With a batch evaluator, the bisection must finish narrow brackets in a
-// single batched call — at most one per axis — while returning the same
-// grid-exact best as the point-by-point walk.
+// Once the bracket narrows to searchBatchBand points, the bisection
+// evaluates the whole band in one ascending pass. That pass must still
+// evaluate every axis index at most once, and still return the grid-exact
+// best.
 func TestSearchNodeAxisBatchBand(t *testing.T) {
+	// A pinned walk: rt = 10 + 400/nodes, frontier at index 5. The
+	// bisection probes the ceiling (7) and the midpoint (3); the bracket
+	// [4,7] is then within the band, which evaluates 4, 5, 6 in order.
+	nodes := []int{2, 4, 6, 8, 10, 12, 14, 16}
+	rt := make([]float64, len(nodes))
+	for i, n := range nodes {
+		rt[i] = 10 + 400/float64(n)
+	}
+	var order []int
+	eval := func(i int) (float64, bool, error) {
+		order = append(order, i)
+		return rt[i], false, nil
+	}
+	out := searchNodeAxis(nodes, nodeWeights(nodes), 45, eval, eval)
+	if want := []int{7, 3, 4, 5, 6}; !slices.Equal(order, want) {
+		t.Errorf("evaluation order %v, want %v", order, want)
+	}
+	if !out.exact || len(out.cands) != 5 || out.pruned != 3 {
+		t.Errorf("exact=%v cands=%d pruned=%d, want true/5/3", out.exact, len(out.cands), out.pruned)
+	}
+
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 100; trial++ {
 		n := 6 + rng.Intn(30)
@@ -145,14 +150,19 @@ func TestSearchNodeAxisBatchBand(t *testing.T) {
 			cur += 1 + rng.Intn(4)
 		}
 		for _, d := range []float64{rt[0] * 1.1, (rt[0] + rt[n-1]) / 2, rt[n-1] * 1.05} {
-			se := &syntheticEval{rt: rt}
-			sb := &syntheticBatch{se: se}
-			out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval, se.eval, sb.eval)
+			perIdx := make([]atomic.Int64, n)
+			eval := func(i int) (float64, bool, error) {
+				perIdx[i].Add(1)
+				return rt[i], false, nil
+			}
+			out := searchNodeAxis(nodes, nodeWeights(nodes), d, eval, eval)
 			if !out.exact {
 				t.Fatalf("trial %d: fell back on a monotone curve", trial)
 			}
-			if c := sb.calls.Load(); c > 1 {
-				t.Fatalf("trial %d: %d batched calls, want at most one", trial, c)
+			for i := range perIdx {
+				if c := perIdx[i].Load(); c > 1 {
+					t.Fatalf("trial %d deadline %v: index %d evaluated %d times", trial, d, i, c)
+				}
 			}
 			wc, wr, wok := bruteBest(nodes, rt, d)
 			gc, gr, gok := searchBest(out, d)
@@ -183,7 +193,7 @@ func TestSearchNodeAxisDetectsViolations(t *testing.T) {
 	}
 	for _, d := range []float64{40, 55, 70, 100} {
 		se := &syntheticEval{rt: rt}
-		out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval, se.eval, nil)
+		out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval, se.eval)
 		wc, wr, wok := bruteBest(nodes, rt, d)
 		gc, gr, gok := searchBest(out, d)
 		if wok != gok || (wok && (wc != gc || wr != gr)) {
@@ -203,7 +213,7 @@ func TestSearchNodeAxisFrontierGuard(t *testing.T) {
 	// Frontier by monotone bisection would land at index 4..; index 3 dips
 	// under the deadline (48 <= 50) right below an infeasible point.
 	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval, nil)
+	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval)
 	wc, wr, wok := bruteBest(nodes, rt, deadline)
 	gc, gr, gok := searchBest(out, deadline)
 	if wok != gok || wc != gc || wr != gr {
@@ -216,7 +226,7 @@ func TestSearchNodeAxisAllInfeasible(t *testing.T) {
 	nodes := []int{2, 4, 6, 8, 10, 12}
 	rt := []float64{100, 90, 80, 70, 65, 61}
 	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), 60, se.eval, se.eval, nil)
+	out := searchNodeAxis(nodes, nodeWeights(nodes), 60, se.eval, se.eval)
 	if se.calls.Load() != 2 {
 		t.Errorf("infeasible axis used %d evaluations, want 2 (ceiling + midpoint guard)", se.calls.Load())
 	}
@@ -237,7 +247,7 @@ func TestSearchNodeAxisEndSpikeGuard(t *testing.T) {
 	rt := []float64{90, 80, 70, 60, 55, 52, 50, 75}
 	const deadline = 65.0
 	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval, nil)
+	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval)
 	wc, wr, wok := bruteBest(nodes, rt, deadline)
 	gc, gr, gok := searchBest(out, deadline)
 	if wok != gok || wc != gc || wr != gr {
@@ -449,81 +459,68 @@ func TestPlanExhaustiveFlagForcesGrid(t *testing.T) {
 	}
 }
 
-// predictEvalBatch is the service's batched miss path: per-request cache
-// checks, one core batch call for the misses, per-miss counter accounting.
-// The inner/outer iteration counters must accrue exactly what the
-// equivalent sequential chain walk accrues (the regression guard for
-// mrserved_model_iterations_total{loop=inner} under batching), and a
-// second identical batch must be all cache hits.
-func TestPredictEvalBatchCountersMatchSequential(t *testing.T) {
+// A chained predictEval walk — the planner's warm axis path — accounts
+// each miss exactly once: the service counters and the request trace
+// accrue the sum of the per-prediction inner/outer counts, and an
+// identical replay on a fresh chain is served entirely from the cache
+// with every counter frozen.
+func TestPredictEvalChainCounters(t *testing.T) {
 	job, err := workload.NewJob(0, 2*1024, 128, 1, workload.WordCount())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkReqs := func() []PredictRequest {
-		var reqs []PredictRequest
+	s := New(Options{Workers: 4})
+	walk := func(tr *obs.Trace) []PredictResponse {
+		ctx := obs.WithTrace(context.Background(), tr)
+		chain := s.predictors.Get().(*core.Predictor)
+		defer s.predictors.Put(chain)
+		var out []PredictResponse
 		for _, n := range []int{4, 6, 8, 10, 12} {
-			reqs = append(reqs, PredictRequest{Spec: cluster.Default(n), Job: job, NumJobs: 3})
+			pr, err := s.predictEval(ctx, PredictRequest{Spec: cluster.Default(n), Job: job, NumJobs: 3}, chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, pr)
 		}
-		return reqs
+		return out
 	}
 
-	// Sequential reference: the same requests through predictEval on one
-	// chain (the planner's pre-batching walk).
-	seqSvc := New(Options{Workers: 4})
-	seqChain := seqSvc.predictors.Get().(*core.Predictor)
-	var seqResp []PredictResponse
-	for _, r := range mkReqs() {
-		pr, err := seqSvc.predictEval(context.Background(), r, seqChain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqResp = append(seqResp, pr)
-	}
-	seqSvc.predictors.Put(seqChain)
-	seqM := seqSvc.Metrics()
-
-	batchSvc := New(Options{Workers: 4})
-	chain := batchSvc.predictors.Get().(*core.Predictor)
-	got, err := batchSvc.predictEvalBatch(context.Background(), mkReqs(), chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchSvc.predictors.Put(chain)
-	m := batchSvc.Metrics()
-
+	tr := obs.NewTrace("walk")
+	got := walk(tr)
+	m := s.Metrics()
 	if m.CacheMisses != int64(len(got)) || m.CacheHits != 0 {
-		t.Errorf("batch: misses=%d hits=%d, want %d/0", m.CacheMisses, m.CacheHits, len(got))
+		t.Errorf("walk: misses=%d hits=%d, want %d/0", m.CacheMisses, m.CacheHits, len(got))
 	}
-	var wantInner, wantOuter int64
+	var wantInner, wantOuter, wantWarm int64
 	for i, pr := range got {
 		if pr.Cached {
-			t.Errorf("req %d: fresh batch reported cached", i)
-		}
-		if pr.Prediction.ResponseTime != seqResp[i].Prediction.ResponseTime {
-			t.Errorf("req %d: batch %v != sequential %v",
-				i, pr.Prediction.ResponseTime, seqResp[i].Prediction.ResponseTime)
+			t.Errorf("req %d: fresh walk reported cached", i)
 		}
 		wantInner += int64(pr.Prediction.InnerIterations)
 		wantOuter += int64(pr.Prediction.Iterations)
+		if pr.Prediction.WarmStarted {
+			wantWarm++
+		}
 	}
-	if m.ModelInnerIterations != wantInner || m.ModelOuterIterations != wantOuter {
-		t.Errorf("batch counters inner=%d outer=%d, want %d/%d (sum of per-prediction counts)",
-			m.ModelInnerIterations, m.ModelOuterIterations, wantInner, wantOuter)
+	if wantWarm == 0 {
+		t.Error("no prediction on the chain warm-started")
 	}
-	if m.ModelInnerIterations != seqM.ModelInnerIterations || m.ModelOuterIterations != seqM.ModelOuterIterations {
-		t.Errorf("batch accrued inner=%d outer=%d, sequential chain accrued %d/%d",
-			m.ModelInnerIterations, m.ModelOuterIterations, seqM.ModelInnerIterations, seqM.ModelOuterIterations)
+	if m.ModelInnerIterations != wantInner || m.ModelOuterIterations != wantOuter || m.WarmPredictions != wantWarm {
+		t.Errorf("service counters inner=%d outer=%d warm=%d, want %d/%d/%d (sum of per-prediction counts)",
+			m.ModelInnerIterations, m.ModelOuterIterations, m.WarmPredictions, wantInner, wantOuter, wantWarm)
+	}
+	if tr.Counter(obs.CounterInnerIterations) != wantInner || tr.Counter(obs.CounterOuterIterations) != wantOuter ||
+		tr.Counter(obs.CounterPredicts) != int64(len(got)) || tr.Counter(obs.CounterWarmStarted) != wantWarm {
+		t.Errorf("trace counters inner=%d outer=%d predicts=%d warm=%d, want %d/%d/%d/%d",
+			tr.Counter(obs.CounterInnerIterations), tr.Counter(obs.CounterOuterIterations),
+			tr.Counter(obs.CounterPredicts), tr.Counter(obs.CounterWarmStarted),
+			wantInner, wantOuter, len(got), wantWarm)
 	}
 
 	// Replay: every entry must come from the cache with counters frozen.
-	chain2 := batchSvc.predictors.Get().(*core.Predictor)
-	again, err := batchSvc.predictEvalBatch(context.Background(), mkReqs(), chain2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchSvc.predictors.Put(chain2)
-	m2 := batchSvc.Metrics()
+	trAgain := obs.NewTrace("replay")
+	again := walk(trAgain)
+	m2 := s.Metrics()
 	for i, pr := range again {
 		if !pr.Cached {
 			t.Errorf("replay req %d not served from cache", i)
@@ -532,16 +529,22 @@ func TestPredictEvalBatchCountersMatchSequential(t *testing.T) {
 			t.Errorf("replay req %d: %v != %v", i, pr.Prediction.ResponseTime, got[i].Prediction.ResponseTime)
 		}
 	}
-	if m2.ModelInnerIterations != m.ModelInnerIterations || m2.CacheMisses != m.CacheMisses {
-		t.Errorf("replay moved counters: inner %d→%d misses %d→%d",
-			m.ModelInnerIterations, m2.ModelInnerIterations, m.CacheMisses, m2.CacheMisses)
+	if m2.ModelInnerIterations != m.ModelInnerIterations || m2.ModelOuterIterations != m.ModelOuterIterations ||
+		m2.CacheMisses != m.CacheMisses || m2.CacheHits != m.CacheHits+int64(len(again)) {
+		t.Errorf("replay moved counters: inner %d→%d outer %d→%d misses %d→%d hits %d→%d",
+			m.ModelInnerIterations, m2.ModelInnerIterations, m.ModelOuterIterations, m2.ModelOuterIterations,
+			m.CacheMisses, m2.CacheMisses, m.CacheHits, m2.CacheHits)
+	}
+	if trAgain.Counter(obs.CounterPredicts) != 0 || trAgain.Counter(obs.CounterCacheHits) != int64(len(again)) {
+		t.Errorf("replay trace predicts=%d hits=%d, want 0/%d",
+			trAgain.Counter(obs.CounterPredicts), trAgain.Counter(obs.CounterCacheHits), len(again))
 	}
 }
 
 // Concurrent deadline plans over overlapping axes hammer the pooled
-// warm chains, the batched bisection band and the sharded cache from many
+// warm chains, the bisection band and the sharded cache from many
 // goroutines at once — the -race CI step runs this to hunt data races in
-// the batch path.
+// the planner's evaluation path.
 func TestPlanSearchConcurrent(t *testing.T) {
 	job, err := workload.NewJob(0, 1024, 128, 1, workload.WordCount())
 	if err != nil {

@@ -662,92 +662,6 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chain *co
 	return out, nil
 }
 
-// predictEvalBatch serves a set of sibling model evaluations — the
-// planner's bisection probes over neighboring node counts — as one batch:
-// each request is checked against the cache individually, and all misses
-// ride a single core.PredictBatchContext call on the caller-owned chain,
-// which warm-chains them through one evaluator (each computed miss seeds
-// the next). One worker-pool slot covers the whole batched solve.
-//
-// Unlike predictEval, misses bypass the singleflight group: the batch is
-// planner-internal fan-in, its keys are distinct by construction, and a
-// duplicate computation against a concurrent identical request is
-// tolerated — both populate the same cache key with interchangeable values
-// (the core warm contract). Counters and traces account per miss, so
-// mrserved_model_iterations_total{loop=inner} accrues exactly the per-lane
-// sweep counts the underlying solves used. Like predictEval's chain mode,
-// the chain is single-owner: callers serialize.
-func (s *Service) predictEvalBatch(ctx context.Context, reqs []PredictRequest, chain *core.Predictor) ([]PredictResponse, error) {
-	out := make([]PredictResponse, len(reqs))
-	var missIdx []int
-	var cfgs []core.Config
-	tr := obs.FromContext(ctx)
-	for i := range reqs {
-		req := &reqs[i]
-		if err := req.validate(); err != nil {
-			return nil, invalid(err)
-		}
-		if err := s.resolveProfile(ctx, req.Profile, &req.resolved); err != nil {
-			return nil, err
-		}
-		if req.resolved != nil {
-			out[i].Profile = req.resolved.info.Name
-			out[i].ProfileVersion = req.resolved.info.Version
-		}
-		lookupStart := time.Now()
-		v, ok := s.cache.get(predictKey(*req))
-		s.endSpan(tr, obs.StageCacheLookup, lookupStart)
-		if ok {
-			s.hits.Add(1)
-			tr.AddCounter(obs.CounterCacheHits, 1)
-			out[i].Prediction = v.(core.Prediction)
-			out[i].Cached = true
-			continue
-		}
-		cfg := core.Config{
-			Spec: req.Spec, Job: req.Job, NumJobs: req.NumJobs, Estimator: req.Estimator,
-			Faults: req.Faults,
-		}
-		if req.resolved != nil {
-			cfg.History = req.resolved.history
-		}
-		missIdx = append(missIdx, i)
-		cfgs = append(cfgs, cfg)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	solveStart := time.Now()
-	preds, err := chain.PredictBatchContext(ctx, cfgs)
-	s.endSpan(tr, obs.StageModelSolve, solveStart)
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range missIdx {
-		pred := preds[j]
-		s.misses.Add(1)
-		tr.AddCounter(obs.CounterCacheMisses, 1)
-		s.outerIters.Add(int64(pred.Iterations))
-		s.innerIters.Add(int64(pred.InnerIterations))
-		if pred.WarmStarted {
-			s.warmPredicts.Add(1)
-		}
-		tr.AddCounter(obs.CounterPredicts, 1)
-		tr.AddCounter(obs.CounterOuterIterations, int64(pred.Iterations))
-		tr.AddCounter(obs.CounterInnerIterations, int64(pred.InnerIterations))
-		if pred.WarmStarted {
-			tr.AddCounter(obs.CounterWarmStarted, 1)
-		}
-		s.cache.add(predictKey(reqs[i]), pred)
-		out[i].Prediction = pred
-	}
-	return out, nil
-}
-
 // SimulateRequest asks for a median-of-seeds simulator execution.
 type SimulateRequest struct {
 	// Spec is the cluster to simulate.

@@ -392,21 +392,7 @@ func (s *Service) planWorkflowSearch(ctx context.Context, req PlanRequest, choic
 	}
 	eval := func(i int) (float64, bool, error) { return evalWith(i, warm) }
 	parEval := func(i int) (float64, bool, error) { return evalWith(i, nil) }
-	// Sibling probes of a narrow bracket: sequential on the same chain (a
-	// composed makespan has no single batched solve to ride).
-	batchEval := func(idxs []int) ([]float64, []bool, error) {
-		rts := make([]float64, len(idxs))
-		cach := make([]bool, len(idxs))
-		for j, i := range idxs {
-			rt, c, err := eval(i)
-			if err != nil {
-				return nil, nil, err
-			}
-			rts[j], cach[j] = rt, c
-		}
-		return rts, cach, nil
-	}
-	out := searchNodeAxis(totals, weights, req.DeadlineSec, eval, parEval, batchEval)
+	out := searchNodeAxis(totals, weights, req.DeadlineSec, eval, parEval)
 
 	resp := PlanResponse{Strategy: StrategySearch}
 	for k, c := range out.cands {
