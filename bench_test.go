@@ -651,6 +651,8 @@ func BenchmarkMVAOverlapStep(b *testing.B) {
 // BenchmarkTripathiMaxMoments measures the numeric max-moment integration
 // behind the Tripathi estimator: two distinct operands, and one operand
 // twice (the identical-operand path, one CDF evaluation per grid point).
+// Run it at -cpu 1 for the serial grid evaluation, which allocates nothing,
+// and at -cpu 2 or more for the grid split across goroutines.
 func BenchmarkTripathiMaxMoments(b *testing.B) {
 	d1 := dist.MustFit(30, 0.2)
 	d2 := dist.MustFit(25, 0.4)

@@ -20,6 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Distribution is a nonnegative random variable known through its CDF and
@@ -29,7 +32,9 @@ type Distribution interface {
 	Variance() float64
 	// CV is the coefficient of variation (stddev / mean).
 	CV() float64
-	// CDF evaluates P(X <= x).
+	// CDF evaluates P(X <= x). It must be safe for concurrent use:
+	// MaxMoments calls it from several goroutines at once. The package's own
+	// fitted distributions are immutable values and are.
 	CDF(x float64) float64
 }
 
@@ -39,8 +44,19 @@ type Distribution interface {
 // reach the clamp.
 const maxErlangStages = 400
 
+// lgammaStages[n] is ln Γ(n) for every stage count a fit can use, so an
+// Erlang CDF evaluation never recomputes it.
+var lgammaStages = func() (t [maxErlangStages + 1]float64) {
+	for n := 1; n <= maxErlangStages; n++ {
+		t[n], _ = math.Lgamma(float64(n))
+	}
+	return t
+}()
+
 // Fit returns a phase-type distribution matching the given mean and
-// coefficient of variation.
+// coefficient of variation. It fails when the fitted parameters would not
+// be finite and positive: a cv so large that the H₂'s slow branch vanishes
+// in floating point, or a mean so small that the rates overflow.
 func Fit(mean, cv float64) (Distribution, error) {
 	switch {
 	case math.IsNaN(mean) || math.IsInf(mean, 0) || mean <= 0:
@@ -52,11 +68,15 @@ func Fit(mean, cv float64) (Distribution, error) {
 	if cv2 >= 1 {
 		// Balanced-means H₂ (Morse): p₁/λ₁ = p₂/λ₂.
 		p1 := 0.5 * (1 + math.Sqrt((cv2-1)/(cv2+1)))
-		return hyperExp2{
+		d := hyperExp2{
 			p1: p1,
 			l1: 2 * p1 / mean,
 			l2: 2 * (1 - p1) / mean,
-		}, nil
+		}
+		if !finitePositive(d.l1) || !finitePositive(d.l2) {
+			return nil, fmt.Errorf("dist: no finite hyperexponential fits mean %v, cv %v", mean, cv)
+		}
+		return d, nil
 	}
 	k := int(math.Ceil(1 / cv2))
 	if k > maxErlangStages {
@@ -76,8 +96,13 @@ func Fit(mean, cv float64) (Distribution, error) {
 		p = 1
 	}
 	mu := (fk - p) / mean
+	if !finitePositive(mu) {
+		return nil, fmt.Errorf("dist: no finite Erlang mixture fits mean %v, cv %v", mean, cv)
+	}
 	return mixedErlang{k: k, p: p, mu: mu}, nil
 }
+
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // MustFit is Fit for statically-known parameters; it panics on error.
 func MustFit(mean, cv float64) Distribution {
@@ -116,8 +141,12 @@ func (d mixedErlang) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	// Erlang(n, mu) CDF is the regularized lower incomplete gamma P(n, mu·x).
-	return d.p*gammP(float64(d.k-1), d.mu*x) + (1-d.p)*gammP(float64(d.k), d.mu*x)
+	// Erlang(n, mu) CDF is the regularized lower incomplete gamma P(n, mu·x);
+	// both terms share mu·x and its logarithm.
+	mx := d.mu * x
+	lx := math.Log(mx)
+	return d.p*gammP(float64(d.k-1), lgammaStages[d.k-1], mx, lx) +
+		(1-d.p)*gammP(float64(d.k), lgammaStages[d.k], mx, lx)
 }
 
 // hyperExp2 is a two-phase hyperexponential: exp(l1) w.p. p1, exp(l2) w.p.
@@ -159,8 +188,24 @@ func SumMoments(ds []Distribution) (mean, cv float64, err error) {
 	return m, math.Sqrt(v) / m, nil
 }
 
+// Simpson grid of MaxMoments.
+const (
+	gridSteps  = 2048 // intervals; even
+	gridPoints = gridSteps + 1
+	// gridBlock is the unit of work when the grid is split across
+	// goroutines: 64 points are 512 bytes, so two goroutines share at most
+	// the one cache line where their blocks meet.
+	gridBlock  = 64
+	gridBlocks = (gridPoints + gridBlock - 1) / gridBlock
+)
+
 // MaxMoments returns the mean and cv of the maximum of independent
 // variables, by numeric integration of the tail of the product CDF.
+//
+// The tail is evaluated on the integration grid by up to GOMAXPROCS
+// goroutines, each claiming blocks of grid points, and then summed in grid
+// order on the caller's goroutine, so the result does not depend on
+// GOMAXPROCS: every setting gives the same bits.
 func MaxMoments(ds []Distribution) (mean, cv float64, err error) {
 	if len(ds) == 0 {
 		return 0, 0, errors.New("dist: MaxMoments of no distributions")
@@ -173,46 +218,35 @@ func MaxMoments(ds []Distribution) (mean, cv float64, err error) {
 			upper = u
 		}
 	}
-	tail := func(x float64) float64 {
-		prod := 1.0
-		for _, d := range ds {
-			prod *= d.CDF(x)
-			if prod == 0 {
-				break
-			}
-		}
-		return 1 - prod
-	}
-	if len(ds) == 2 && identical(ds[0], ds[1]) {
-		// max(X, X') of i.i.d. operands: one CDF evaluation per point. 1·c·c
-		// is c·c exactly, and c == 0 gives 1 on both paths, so the result is
-		// bit-identical to the general loop at half the cost.
-		d := ds[0]
-		tail = func(x float64) float64 {
-			c := d.CDF(x)
-			return 1 - c*c
-		}
-	}
-	for i := 0; i < 30 && tail(upper) > 1e-10; i++ {
+	tail := maxTail{ds: ds, same: len(ds) == 2 && identical(ds[0], ds[1])}
+	for i := 0; i < 30 && tail.at(upper) > 1e-10; i++ {
 		upper *= 2
 	}
 
 	// Simpson integration of E[max] = ∫ tail and E[max²] = ∫ 2x·tail.
-	const steps = 2048 // even
-	h := upper / steps
+	h := upper / gridSteps
+	var local [gridPoints]float64
+	t := local[:]
+	if w := min(runtime.GOMAXPROCS(0), gridBlocks); w > 1 {
+		g := gridJobs.Get().(*gridJob)
+		defer gridJobs.Put(g)
+		g.fill(tail, h, w)
+		t = g.t[:]
+	} else {
+		tail.fill(t, 0, gridPoints, h)
+	}
 	var m1, m2 float64
-	for i := 0; i <= steps; i++ {
+	for i, ti := range t {
 		x := float64(i) * h
 		w := 2.0
 		switch {
-		case i == 0 || i == steps:
+		case i == 0 || i == gridSteps:
 			w = 1
 		case i%2 == 1:
 			w = 4
 		}
-		t := tail(x)
-		m1 += w * t
-		m2 += w * 2 * x * t
+		m1 += w * ti
+		m2 += w * 2 * x * ti
 	}
 	m1 *= h / 3
 	m2 *= h / 3
@@ -224,6 +258,79 @@ func MaxMoments(ds []Distribution) (mean, cv float64, err error) {
 		v = 0 // numeric jitter for near-deterministic inputs
 	}
 	return m1, math.Sqrt(v) / m1, nil
+}
+
+// maxTail is the integrand of MaxMoments: 1 − ∏ᵢFᵢ(x).
+type maxTail struct {
+	ds []Distribution
+	// same marks max(X, X') of one distribution twice: one CDF evaluation
+	// per point. 1·c·c is c·c exactly, and c == 0 gives 1 on both paths, so
+	// the result is bit-identical to the product loop at half the cost.
+	same bool
+}
+
+func (m maxTail) at(x float64) float64 {
+	if m.same {
+		c := m.ds[0].CDF(x)
+		return 1 - c*c
+	}
+	prod := 1.0
+	for _, d := range m.ds {
+		prod *= d.CDF(x)
+		if prod == 0 {
+			break
+		}
+	}
+	return 1 - prod
+}
+
+// fill sets t[i] to the tail at grid point i·h for i in [lo, hi).
+func (m maxTail) fill(t []float64, lo, hi int, h float64) {
+	for i := lo; i < hi; i++ {
+		t[i] = m.at(float64(i) * h)
+	}
+}
+
+// gridJob is the shared state of one split grid evaluation. Jobs are
+// pooled, so the split reuses its grid buffer instead of allocating one per
+// integration.
+type gridJob struct {
+	t    [gridPoints]float64
+	tail maxTail // its operands copied, so the caller's slice stays its own
+	h    float64
+	next atomic.Int64 // next unclaimed block
+	wg   sync.WaitGroup
+}
+
+var gridJobs = sync.Pool{New: func() any { return new(gridJob) }}
+
+// fill evaluates tail on every grid point of g.t with w goroutines: w-1
+// helpers and the caller's own. Each claims the next unclaimed block until
+// none is left, so a helper that starts late takes less of the grid.
+func (g *gridJob) fill(tail maxTail, h float64, w int) {
+	g.tail = maxTail{ds: append(g.tail.ds[:0], tail.ds...), same: tail.same}
+	g.h = h
+	g.next.Store(0)
+	g.wg.Add(w - 1)
+	for range w - 1 {
+		go func() {
+			defer g.wg.Done()
+			g.work()
+		}()
+	}
+	g.work()
+	g.wg.Wait()
+	clear(g.tail.ds) // drop the operands so the pool does not keep them alive
+}
+
+func (g *gridJob) work() {
+	for {
+		lo := int(g.next.Add(1)-1) * gridBlock
+		if lo >= gridPoints {
+			return
+		}
+		g.tail.fill(g.t[:], lo, min(lo+gridBlock, gridPoints), g.h)
+	}
 }
 
 // identical reports whether a and b are the same fitted distribution. Only
@@ -241,24 +348,17 @@ func identical(a, b Distribution) bool {
 	return false
 }
 
-// gammP is the regularized lower incomplete gamma function P(a, x),
-// following the series / continued-fraction split of Numerical Recipes.
-func gammP(a, x float64) float64 {
-	if a <= 0 {
-		// Erlang with zero stages is a point mass at 0.
-		return 1
-	}
-	if x <= 0 {
-		return 0
-	}
+// gammP is the regularized lower incomplete gamma function P(a, x) for
+// a ≥ 1 and x ≥ 0, following the series / continued-fraction split of
+// Numerical Recipes. The caller supplies lg = ln Γ(a) and lx = ln x.
+func gammP(a, lg, x, lx float64) float64 {
 	if x < a+1 {
-		return gammPSeries(a, x)
+		return gammPSeries(a, lg, x, lx)
 	}
-	return 1 - gammQContinued(a, x)
+	return 1 - gammQContinued(a, lg, x, lx)
 }
 
-func gammPSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
+func gammPSeries(a, lg, x, lx float64) float64 {
 	ap := a
 	sum := 1 / a
 	del := sum
@@ -270,12 +370,11 @@ func gammPSeries(a, x float64) float64 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum * math.Exp(-x+a*lx-lg)
 }
 
-func gammQContinued(a, x float64) float64 {
+func gammQContinued(a, lg, x, lx float64) float64 {
 	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
 	b := x + 1 - a
 	c := 1 / tiny
 	d := 1 / b
@@ -298,5 +397,5 @@ func gammQContinued(a, x float64) float64 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return math.Exp(-x+a*lx-lg) * h
 }

@@ -2,6 +2,9 @@ package dist
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -57,6 +60,11 @@ func TestFitRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct{ mean, cv float64 }{
 		{0, 0.5}, {-1, 0.5}, {math.NaN(), 0.5}, {math.Inf(1), 0.5},
 		{10, 0}, {10, -0.1}, {10, math.NaN()}, {10, math.Inf(1)},
+		// Valid input whose fit is not finite: at cv 1e8 the H₂'s p1 rounds
+		// to 1 and its slow rate to 0 (mean NaN); at cv 1e160 cv² overflows
+		// (CDF NaN); a subnormal mean overflows the rates of either family.
+		{10, 1e8}, {10, 1e160},
+		{math.SmallestNonzeroFloat64, 2}, {math.SmallestNonzeroFloat64, 0.5},
 	} {
 		if _, err := Fit(tc.mean, tc.cv); err == nil {
 			t.Errorf("Fit(%v, %v): expected error", tc.mean, tc.cv)
@@ -125,15 +133,124 @@ func TestMaxMomentsDominance(t *testing.T) {
 
 func TestGammPIsAProbability(t *testing.T) {
 	for _, a := range []float64{1, 2, 45, 399} {
+		lg, _ := math.Lgamma(a)
 		for _, x := range []float64{0.01, a / 2, a, 2 * a, 10 * a} {
-			p := gammP(a, x)
+			p := gammP(a, lg, x, math.Log(x))
 			if p < 0 || p > 1+1e-12 {
 				t.Errorf("gammP(%v, %v) = %v out of [0,1]", a, x, p)
 			}
 		}
 	}
-	if gammP(3, 0) != 0 {
+	if lg, _ := math.Lgamma(3); gammP(3, lg, 0, math.Log(0)) != 0 {
 		t.Error("gammP(a, 0) != 0")
+	}
+}
+
+// The reference implementation of the regularized incomplete gamma, as it
+// was before ln Γ(a) and ln x were hoisted out of it: every call computes
+// both itself.
+func gammPLegacy(a, x float64) float64 {
+	if a <= 0 {
+		return 1
+	}
+	if x <= 0 {
+		return 0
+	}
+	if x < a+1 {
+		return gammPSeriesLegacy(a, x)
+	}
+	return 1 - gammQContinuedLegacy(a, x)
+}
+
+func gammPSeriesLegacy(a, x float64) float64 {
+	lg, _ := math.Lgamma(a)
+	ap := a
+	sum := 1 / a
+	del := sum
+	for i := 0; i < 500; i++ {
+		ap++
+		del *= x / ap
+		sum += del
+		if math.Abs(del) < math.Abs(sum)*1e-14 {
+			break
+		}
+	}
+	return sum * math.Exp(-x+a*math.Log(x)-lg)
+}
+
+func gammQContinuedLegacy(a, x float64) float64 {
+	const tiny = 1e-300
+	lg, _ := math.Lgamma(a)
+	b := x + 1 - a
+	c := 1 / tiny
+	d := 1 / b
+	h := d
+	for i := 1; i < 500; i++ {
+		an := -float64(i) * (float64(i) - a)
+		b += 2
+		d = an*d + b
+		if math.Abs(d) < tiny {
+			d = tiny
+		}
+		c = b + an/c
+		if math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		del := d * c
+		h *= del
+		if math.Abs(del-1) < 1e-14 {
+			break
+		}
+	}
+	return math.Exp(-x+a*math.Log(x)-lg) * h
+}
+
+// cdfLegacy is mixedErlang.CDF computed through the reference gamma.
+func cdfLegacy(d mixedErlang, x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return d.p*gammPLegacy(float64(d.k-1), d.mu*x) + (1-d.p)*gammPLegacy(float64(d.k), d.mu*x)
+}
+
+// TestMixedErlangCDFMatchesLegacy checks that the hoisted CDF (ln Γ from a
+// table, ln(μx) once per call) gives the reference implementation's bits:
+// k = 2 (an exponential branch), the k = 400 clamp and stage counts between,
+// from x near 0 through the series and continued-fraction branches into the
+// deep tail where the CDF rounds to 1.
+func TestMixedErlangCDFMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ks := map[int]bool{}
+	var series, continued int
+	for _, cv := range []float64{0.99, 0.8, 0.71, 0.6, 0.45, 0.3, 0.2, 0.15, 0.1, 0.06, 0.05, 0.03, 0.01} {
+		for _, mean := range []float64{1e-3, 0.5, 30, 1e4} {
+			d := MustFit(mean, cv).(mixedErlang)
+			ks[d.k] = true
+			xs := []float64{-1, 0, math.SmallestNonzeroFloat64, 1e-300, 1e-12 * mean, mean, 1e3 * mean, math.Inf(1)}
+			for range 200 {
+				// Log-uniform over [1e-8, 1e2] means: both gamma branches
+				// and the tail past them.
+				xs = append(xs, mean*math.Pow(10, -8+10*rng.Float64()))
+			}
+			for _, x := range xs {
+				got, want := d.CDF(x), cdfLegacy(d, x)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Fit(%v, %v) = %+v: CDF(%v) = %x, reference %x", mean, cv, d, x, got, want)
+				}
+				if mx := d.mu * x; mx > 0 && mx < float64(d.k) {
+					series++
+				} else if mx >= float64(d.k) {
+					continued++
+				}
+			}
+		}
+	}
+	if !ks[2] || !ks[maxErlangStages] {
+		t.Errorf("stage counts covered %v, want 2 and %d among them", ks, maxErlangStages)
+	}
+	if series == 0 || continued == 0 {
+		t.Errorf("series branch hit %d times, continued fraction %d times; want both", series, continued)
 	}
 }
 
@@ -208,4 +325,76 @@ func TestMaxMomentsIdenticalOperands(t *testing.T) {
 	if identical(MustFit(30, 0.2), MustFit(30, 0.21)) || identical(MustFit(30, 1.5), MustFit(30, 0.5)) {
 		t.Error("different fits reported identical")
 	}
+}
+
+// TestMaxMomentsIndependentOfGOMAXPROCS checks that splitting the grid
+// across goroutines changes no bit: every operand pair and each operand's
+// identical-operand twin integrate to the same result under GOMAXPROCS 1
+// (the serial path), 2, 3 and 8. Odd counts split the grid's 33 blocks
+// unevenly.
+func TestMaxMomentsIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var cases [][]Distribution
+	for _, pr := range operandPairs {
+		cases = append(cases, []Distribution{pr[0], pr[1]}, []Distribution{pr[0], pr[0]}, []Distribution{pr[1], pr[1]})
+	}
+	type moments struct{ m, cv float64 }
+	want := make([]moments, len(cases))
+	runtime.GOMAXPROCS(1)
+	for i, ds := range cases {
+		m, cv, err := MaxMoments(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = moments{m, cv}
+	}
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i, ds := range cases {
+			m, cv, err := MaxMoments(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(m) != math.Float64bits(want[i].m) || math.Float64bits(cv) != math.Float64bits(want[i].cv) {
+				t.Errorf("GOMAXPROCS %d, case %d: (%x, %x), serial (%x, %x)", procs, i, m, cv, want[i].m, want[i].cv)
+			}
+		}
+	}
+}
+
+// TestMaxMomentsConcurrentCallers runs 8 goroutines integrating the same
+// shared operands at once; each must get the serial result. Under -race it
+// checks that split integrations share no state but the pooled buffers they
+// hand over through the pool.
+func TestMaxMomentsConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cases := make([][]Distribution, len(operandPairs))
+	want := make([][2]float64, len(operandPairs))
+	for i, pr := range operandPairs {
+		cases[i] = []Distribution{pr[0], pr[1]}
+		m, cv, err := MaxMoments(cases[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = [2]float64{m, cv}
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range cases {
+				i := (g + j) % len(cases)
+				m, cv, err := MaxMoments(cases[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(m) != math.Float64bits(want[i][0]) || math.Float64bits(cv) != math.Float64bits(want[i][1]) {
+					t.Errorf("goroutine %d, pair %d: (%x, %x), want (%x, %x)", g, i, m, cv, want[i][0], want[i][1])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
