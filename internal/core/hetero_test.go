@@ -34,8 +34,10 @@ func classForm(s cluster.Spec) cluster.Spec {
 // TestPredictHomogeneousEquivalence pins the refactored (class-aware) model
 // to bit-identical outputs of the pre-refactor homogeneous implementation:
 // the golden values below are hex-exact response times captured from the
-// code before node classes existed. Both the flat spec and its single-class
-// rewrite must reproduce them to the last bit.
+// code before node classes existed, except the Tripathi row, re-captured
+// when P-node max moments moved from numeric integration to closed form.
+// Both the flat spec and its single-class rewrite must reproduce them to
+// the last bit.
 func TestPredictHomogeneousEquivalence(t *testing.T) {
 	cases := []struct {
 		nodes, reduces, numJobs int
@@ -46,7 +48,7 @@ func TestPredictHomogeneousEquivalence(t *testing.T) {
 		{4, 1, 1, EstimatorForkJoin, 1024, 0x1.234a00b4c9901p+07},
 		{4, 4, 1, EstimatorForkJoin, 1024, 0x1.0d9d703cfd597p+06},
 		{8, 4, 3, EstimatorForkJoin, 2048, 0x1.866b43e01b0bdp+06},
-		{4, 4, 1, EstimatorTripathi, 1024, 0x1.24bcd3b1bcaeap+06},
+		{4, 4, 1, EstimatorTripathi, 1024, 0x1.24bcd3b1bcb01p+06},
 		{6, 2, 2, EstimatorPaperLiteral, 512, 0x1.c34a3f681c25ep+06},
 	}
 	for _, tc := range cases {

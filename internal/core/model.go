@@ -223,10 +223,10 @@ type Prediction struct {
 	// prediction (surfaced by the service's /v1/metrics).
 	InnerIterations int
 	// MaxEvaluations counts the Tripathi estimator's P-node evaluations and
-	// MaxIntegrations the numeric max integrations (dist.MaxMoments calls)
-	// they cost, both totaled across all outer iterations; a P node whose
-	// operand pair was already integrated earlier in the same prediction is
-	// answered from a memo. Both are zero for the other estimators.
+	// MaxIntegrations the closed-form max-moment solves (dist.MaxMoments
+	// calls) they cost, both totaled across all outer iterations; a P node
+	// whose operand pair was already solved earlier in the same prediction
+	// is answered from a memo. Both are zero for the other estimators.
 	MaxEvaluations  int
 	MaxIntegrations int
 	// WarmStarted reports whether this prediction was seeded from a
@@ -1220,11 +1220,11 @@ func evalForkJoin(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, 
 
 // tripathiEval evaluates the precedence tree for the Tripathi estimator.
 // Its memo maps a P node's fitted operand pair to the fitted max, so each
-// distinct max integration runs once per prediction, across all outer
+// distinct max is solved once per prediction, across all outer
 // rounds: dist.MaxMoments is a pure function of its operands and symmetric
 // in them to the last bit, so the memo is exact and its key unordered. The
 // memo lives for one prediction (reset by beginPredict) — pooled Predictors
-// never answer from another configuration's integrals.
+// never answer from another configuration's maxima.
 type tripathiEval struct {
 	memo map[maxOperands]dist.Distribution
 	// evals and integrations total P-node evaluations and actual
@@ -1243,7 +1243,7 @@ func (t *tripathiEval) reset() {
 
 // eval evaluates the tree with distribution fitting: children are fitted as
 // Erlang/Hyperexponential by (mean, CV); S composes sums, P composes maxima
-// (numeric moments).
+// (closed-form moments).
 func (t *tripathiEval) eval(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, error), cvFloor float64) (dist.Distribution, error) {
 	switch n.Op {
 	case ptree.Leaf:
@@ -1286,7 +1286,7 @@ func (t *tripathiEval) max(dl, dr dist.Distribution) (dist.Distribution, error) 
 		return d, nil
 	}
 	t.integrations++
-	m, cv, err := dist.MaxMoments([]dist.Distribution{dl, dr})
+	m, cv, err := dist.MaxMoments(dl, dr)
 	if err != nil {
 		return nil, err
 	}

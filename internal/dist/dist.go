@@ -11,31 +11,36 @@
 //   - cv² = 1  → exponential (the degenerate case of both branches);
 //   - cv² > 1  → two-phase hyperexponential H₂ with balanced means.
 //
-// Sum moments are analytic (means and variances add for independent terms).
-// Max moments have no closed form for general phase-type inputs, so they are
-// integrated numerically from E[maxⁿ] = ∫ n·xⁿ⁻¹·(1-∏ᵢFᵢ(x)) dx.
+// Either way a fit is a two-term mixture of Erlang laws, so both operators
+// have closed forms. Sum moments add (means and variances of independent
+// terms). Max moments follow from E[maxʳ] = E[Xʳ] + E[Yʳ] − E[minʳ], where
+// the minimum of two Erlang laws is the N-th event of their merged Poisson
+// process and N has a finite distribution (see MaxMoments).
 package dist
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
-// Distribution is a nonnegative random variable known through its CDF and
-// first two moments.
+// Distribution is a nonnegative random variable fitted by Fit: a two-term
+// mixture of Erlang laws, known through its first two moments. The
+// interface is sealed; only this package's fits implement it.
 type Distribution interface {
 	Mean() float64
 	Variance() float64
 	// CV is the coefficient of variation (stddev / mean).
 	CV() float64
-	// CDF evaluates P(X <= x). It must be safe for concurrent use:
-	// MaxMoments calls it from several goroutines at once. The package's own
-	// fitted distributions are immutable values and are.
-	CDF(x float64) float64
+	// branches returns the two mixture terms.
+	branches() [2]branch
+}
+
+// branch is one mixture term: Erlang(stages, rate) with probability weight.
+type branch struct {
+	weight float64
+	stages int
+	rate   float64
 }
 
 // maxErlangStages bounds the Erlang stage count of a fit. A requested cv
@@ -43,15 +48,6 @@ type Distribution interface {
 // larger than requested); the model's leaf CVs (≥ 0.05 in practice) never
 // reach the clamp.
 const maxErlangStages = 400
-
-// lgammaStages[n] is ln Γ(n) for every stage count a fit can use, so an
-// Erlang CDF evaluation never recomputes it.
-var lgammaStages = func() (t [maxErlangStages + 1]float64) {
-	for n := 1; n <= maxErlangStages; n++ {
-		t[n], _ = math.Lgamma(float64(n))
-	}
-	return t
-}()
 
 // Fit returns a phase-type distribution matching the given mean and
 // coefficient of variation. It fails when the fitted parameters would not
@@ -137,16 +133,8 @@ func (d mixedErlang) CV() float64 {
 	return math.Sqrt(d.Variance()) / m
 }
 
-func (d mixedErlang) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Erlang(n, mu) CDF is the regularized lower incomplete gamma P(n, mu·x);
-	// both terms share mu·x and its logarithm.
-	mx := d.mu * x
-	lx := math.Log(mx)
-	return d.p*gammP(float64(d.k-1), lgammaStages[d.k-1], mx, lx) +
-		(1-d.p)*gammP(float64(d.k), lgammaStages[d.k], mx, lx)
+func (d mixedErlang) branches() [2]branch {
+	return [2]branch{{d.p, d.k - 1, d.mu}, {1 - d.p, d.k, d.mu}}
 }
 
 // hyperExp2 is a two-phase hyperexponential: exp(l1) w.p. p1, exp(l2) w.p.
@@ -165,11 +153,8 @@ func (d hyperExp2) Variance() float64 {
 
 func (d hyperExp2) CV() float64 { return math.Sqrt(d.Variance()) / d.Mean() }
 
-func (d hyperExp2) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 - d.p1*math.Exp(-d.l1*x) - (1-d.p1)*math.Exp(-d.l2*x)
+func (d hyperExp2) branches() [2]branch {
+	return [2]branch{{d.p1, 1, d.l1}, {1 - d.p1, 1, d.l2}}
 }
 
 // SumMoments returns the mean and cv of the sum of independent variables.
@@ -188,214 +173,120 @@ func SumMoments(ds []Distribution) (mean, cv float64, err error) {
 	return m, math.Sqrt(v) / m, nil
 }
 
-// Simpson grid of MaxMoments.
-const (
-	gridSteps  = 2048 // intervals; even
-	gridPoints = gridSteps + 1
-	// gridBlock is the unit of work when the grid is split across
-	// goroutines: 64 points are 512 bytes, so two goroutines share at most
-	// the one cache line where their blocks meet.
-	gridBlock  = 64
-	gridBlocks = (gridPoints + gridBlock - 1) / gridBlock
-)
-
-// MaxMoments returns the mean and cv of the maximum of independent
-// variables, by numeric integration of the tail of the product CDF.
+// MaxMoments returns the mean and cv of max(a, b) for independent a and b,
+// in closed form: E[maxʳ] = E[aʳ] + E[bʳ] − E[minʳ], with E[minʳ] summed
+// over the 2×2 pairs of mixture terms (see minMoments).
 //
-// The tail is evaluated on the integration grid by up to GOMAXPROCS
-// goroutines, each claiming blocks of grid points, and then summed in grid
-// order on the caller's goroutine, so the result does not depend on
-// GOMAXPROCS: every setting gives the same bits.
-func MaxMoments(ds []Distribution) (mean, cv float64, err error) {
-	if len(ds) == 0 {
-		return 0, 0, errors.New("dist: MaxMoments of no distributions")
+// The result is symmetric in a and b to the last bit: the operands are put
+// in a canonical order first, so both argument orders run the same
+// arithmetic. A memo may therefore key operand pairs unordered.
+//
+// Moments are computed in time units of the slowest rate among all four
+// terms, so every scaled rate is ≥ 1 and no scaled moment exceeds
+// (2·maxErlangStages)²: no rate sum or squared moment overflows, and a term
+// too fast to register (its scaled rate +Inf) contributes zero. It fails
+// only when the mean overflows as it is scaled back.
+func MaxMoments(a, b Distribution) (mean, cv float64, err error) {
+	x, y := a.branches(), b.branches()
+	if branchesLess(y, x) {
+		x, y = y, x
 	}
-	// Upper integration bound: past the largest mean + 12 sigma the joint
-	// tail is negligible; extend it while the tail is still visible.
-	upper := 0.0
-	for _, d := range ds {
-		if u := d.Mean() + 12*math.Sqrt(d.Variance()); u > upper {
-			upper = u
+	scale := math.Min(math.Min(x[0].rate, x[1].rate), math.Min(y[0].rate, y[1].rate))
+	for i := range 2 {
+		x[i].rate /= scale
+		y[i].rate /= scale
+	}
+	x1, x2 := rawMoments(x)
+	y1, y2 := rawMoments(y)
+	var min1, min2 float64
+	for _, bx := range x {
+		for _, by := range y {
+			e1, e2 := minMoments(bx.stages, bx.rate, by.stages, by.rate)
+			w := bx.weight * by.weight
+			min1 += w * e1
+			min2 += w * e2
 		}
 	}
-	tail := maxTail{ds: ds, same: len(ds) == 2 && identical(ds[0], ds[1])}
-	for i := 0; i < 30 && tail.at(upper) > 1e-10; i++ {
-		upper *= 2
-	}
-
-	// Simpson integration of E[max] = ∫ tail and E[max²] = ∫ 2x·tail.
-	h := upper / gridSteps
-	var local [gridPoints]float64
-	t := local[:]
-	if w := min(runtime.GOMAXPROCS(0), gridBlocks); w > 1 {
-		g := gridJobs.Get().(*gridJob)
-		defer gridJobs.Put(g)
-		g.fill(tail, h, w)
-		t = g.t[:]
-	} else {
-		tail.fill(t, 0, gridPoints, h)
-	}
-	var m1, m2 float64
-	for i, ti := range t {
-		x := float64(i) * h
-		w := 2.0
-		switch {
-		case i == 0 || i == gridSteps:
-			w = 1
-		case i%2 == 1:
-			w = 4
-		}
-		m1 += w * ti
-		m2 += w * 2 * x * ti
-	}
-	m1 *= h / 3
-	m2 *= h / 3
-	if m1 <= 0 {
-		return 0, 0, errors.New("dist: max has nonpositive mean")
+	m1 := x1 + y1 - min1
+	m2 := x2 + y2 - min2
+	mean = m1 / scale
+	if !finitePositive(mean) {
+		return 0, 0, fmt.Errorf("dist: max has no finite positive mean (%v)", mean)
 	}
 	v := m2 - m1*m1
 	if v < 0 {
-		v = 0 // numeric jitter for near-deterministic inputs
+		v = 0 // rounding for near-deterministic inputs
 	}
-	return m1, math.Sqrt(v) / m1, nil
+	return mean, math.Sqrt(v) / m1, nil
 }
 
-// maxTail is the integrand of MaxMoments: 1 − ∏ᵢFᵢ(x).
-type maxTail struct {
-	ds []Distribution
-	// same marks max(X, X') of one distribution twice: one CDF evaluation
-	// per point. 1·c·c is c·c exactly, and c == 0 gives 1 on both paths, so
-	// the result is bit-identical to the product loop at half the cost.
-	same bool
-}
-
-func (m maxTail) at(x float64) float64 {
-	if m.same {
-		c := m.ds[0].CDF(x)
-		return 1 - c*c
-	}
-	prod := 1.0
-	for _, d := range m.ds {
-		prod *= d.CDF(x)
-		if prod == 0 {
-			break
+// branchesLess is a total order on mixtures, lexicographic over (rate,
+// stages, weight) of each term. Mixtures it cannot order are equal in every
+// field the max moments read.
+func branchesLess(x, y [2]branch) bool {
+	for i := range x {
+		switch {
+		case x[i].rate != y[i].rate:
+			return x[i].rate < y[i].rate
+		case x[i].stages != y[i].stages:
+			return x[i].stages < y[i].stages
+		case x[i].weight != y[i].weight:
+			return x[i].weight < y[i].weight
 		}
-	}
-	return 1 - prod
-}
-
-// fill sets t[i] to the tail at grid point i·h for i in [lo, hi).
-func (m maxTail) fill(t []float64, lo, hi int, h float64) {
-	for i := lo; i < hi; i++ {
-		t[i] = m.at(float64(i) * h)
-	}
-}
-
-// gridJob is the shared state of one split grid evaluation. Jobs are
-// pooled, so the split reuses its grid buffer instead of allocating one per
-// integration.
-type gridJob struct {
-	t    [gridPoints]float64
-	tail maxTail // its operands copied, so the caller's slice stays its own
-	h    float64
-	next atomic.Int64 // next unclaimed block
-	wg   sync.WaitGroup
-}
-
-var gridJobs = sync.Pool{New: func() any { return new(gridJob) }}
-
-// fill evaluates tail on every grid point of g.t with w goroutines: w-1
-// helpers and the caller's own. Each claims the next unclaimed block until
-// none is left, so a helper that starts late takes less of the grid.
-func (g *gridJob) fill(tail maxTail, h float64, w int) {
-	g.tail = maxTail{ds: append(g.tail.ds[:0], tail.ds...), same: tail.same}
-	g.h = h
-	g.next.Store(0)
-	g.wg.Add(w - 1)
-	for range w - 1 {
-		go func() {
-			defer g.wg.Done()
-			g.work()
-		}()
-	}
-	g.work()
-	g.wg.Wait()
-	clear(g.tail.ds) // drop the operands so the pool does not keep them alive
-}
-
-func (g *gridJob) work() {
-	for {
-		lo := int(g.next.Add(1)-1) * gridBlock
-		if lo >= gridPoints {
-			return
-		}
-		g.tail.fill(g.t[:], lo, min(lo+gridBlock, gridPoints), g.h)
-	}
-}
-
-// identical reports whether a and b are the same fitted distribution. Only
-// the package's own (comparable) types are compared, so a caller-defined
-// Distribution — possibly not comparable — is never identical to anything.
-func identical(a, b Distribution) bool {
-	switch x := a.(type) {
-	case mixedErlang:
-		y, ok := b.(mixedErlang)
-		return ok && x == y
-	case hyperExp2:
-		y, ok := b.(hyperExp2)
-		return ok && x == y
 	}
 	return false
 }
 
-// gammP is the regularized lower incomplete gamma function P(a, x) for
-// a ≥ 1 and x ≥ 0, following the series / continued-fraction split of
-// Numerical Recipes. The caller supplies lg = ln Γ(a) and lx = ln x.
-func gammP(a, lg, x, lx float64) float64 {
-	if x < a+1 {
-		return gammPSeries(a, lg, x, lx)
+// rawMoments returns E[X] and E[X²] of a mixture: Erlang(n, λ) has
+// E[X] = n/λ and E[X²] = n(n+1)/λ².
+func rawMoments(bs [2]branch) (m1, m2 float64) {
+	for _, b := range bs {
+		n := float64(b.stages)
+		m1 += b.weight * n / b.rate
+		m2 += b.weight * n * (n + 1) / (b.rate * b.rate)
 	}
-	return 1 - gammQContinued(a, lg, x, lx)
+	return m1, m2
 }
 
-func gammPSeries(a, lg, x, lx float64) float64 {
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-14 {
-			break
-		}
+// minMoments returns E[min] and E[min²] of independent Erlang(m, a) and
+// Erlang(n, b), rates ≥ 1. One of them may be +Inf (never both: the two
+// terms of one fit are a finite ratio apart), and the min is then 0.
+//
+// Merged, the two stage processes are one Poisson process of rate s = a+b
+// in which each event advances X with probability p = a/s, else Y
+// (q = 1−p). The minimum is the time of the N-th event, and N is
+// independent of the gaps, so E[min] = E[N]/s and E[min²] = E[N(N+1)]/s².
+// N ends at X's m-th stage after f < n of Y's, with probability
+// C(m−1+f, f)·pᵐ·q^f, or at Y's n-th stage after g < m of X's, the mirror
+// case: two finite sums of positive terms.
+//
+// The roles are ordered so that a ≥ b. Then p ≥ 1/2 and pᵐ ≥ 2⁻⁴⁰⁰ cannot
+// underflow. The mirror sum starts from qⁿ, which underflows when b ≪ a;
+// but its terms are at most C(n−1+g, g)·qⁿ < 2⁸⁰⁰·qⁿ, so by then their
+// total weight is below 1e-60 and losing them changes nothing. p, q and 1/s
+// are formed from r = b/a ≤ 1 without computing a+b.
+func minMoments(m int, a float64, n int, b float64) (e1, e2 float64) {
+	if a < b {
+		m, a, n, b = n, b, m, a
 	}
-	return sum * math.Exp(-x+a*lx-lg)
-}
-
-func gammQContinued(a, lg, x, lx float64) float64 {
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-14 {
-			break
-		}
+	r := b / a
+	p := 1 / (1 + r)
+	q := r / (1 + r)
+	inv := 1 / a / (1 + r)
+	var n1, n2 float64 // E[N], E[N(N+1)]
+	t := math.Pow(p, float64(m))
+	for f := range n {
+		k := float64(m + f)
+		n1 += k * t
+		n2 += k * (k + 1) * t
+		t *= q * k / float64(f+1)
 	}
-	return math.Exp(-x+a*lx-lg) * h
+	t = math.Pow(q, float64(n))
+	for g := range m {
+		k := float64(n + g)
+		n1 += k * t
+		n2 += k * (k + 1) * t
+		t *= p * k / float64(g+1)
+	}
+	return n1 * inv, n2 * inv * inv
 }

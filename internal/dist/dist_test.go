@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -34,25 +33,37 @@ func TestFitRecoversMoments(t *testing.T) {
 	}
 }
 
+// TestFitBranchesMatchMoments checks that the mixture terms MaxMoments
+// reads describe the same law as Mean and Variance.
+func TestFitBranchesMatchMoments(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for range 200 {
+		d := randomFit(rng)
+		m1, m2 := rawMoments(d.branches())
+		almost(t, m1, d.Mean(), 1e-12, "branch mean")
+		almost(t, m2-m1*m1, d.Variance(), 1e-9, "branch variance")
+	}
+}
+
 func TestFitCDFShape(t *testing.T) {
-	d := MustFit(10, 0.4)
-	if d.CDF(-1) != 0 || d.CDF(0) != 0 {
+	cdf := cdfOf(MustFit(10, 0.4))
+	if cdf(-1) != 0 || cdf(0) != 0 {
 		t.Error("CDF must vanish at and below zero")
 	}
 	prev := 0.0
 	for x := 0.5; x < 100; x += 0.5 {
-		c := d.CDF(x)
+		c := cdf(x)
 		if c < prev-1e-12 {
 			t.Fatalf("CDF not monotone at %v: %v < %v", x, c, prev)
 		}
 		prev = c
 	}
-	if got := d.CDF(1000); math.Abs(got-1) > 1e-9 {
+	if got := cdf(1000); math.Abs(got-1) > 1e-9 {
 		t.Errorf("CDF(1000) = %v, want ~1", got)
 	}
 	// Median of the fitted distribution brackets the mean region.
-	if d.CDF(10) < 0.3 || d.CDF(10) > 0.8 {
-		t.Errorf("CDF(mean) = %v, implausible", d.CDF(10))
+	if cdf(10) < 0.3 || cdf(10) > 0.8 {
+		t.Errorf("CDF(mean) = %v, implausible", cdf(10))
 	}
 }
 
@@ -62,7 +73,7 @@ func TestFitRejectsBadInput(t *testing.T) {
 		{10, 0}, {10, -0.1}, {10, math.NaN()}, {10, math.Inf(1)},
 		// Valid input whose fit is not finite: at cv 1e8 the H₂'s p1 rounds
 		// to 1 and its slow rate to 0 (mean NaN); at cv 1e160 cv² overflows
-		// (CDF NaN); a subnormal mean overflows the rates of either family.
+		// (rates NaN); a subnormal mean overflows the rates of either family.
 		{10, 1e8}, {10, 1e160},
 		{math.SmallestNonzeroFloat64, 2}, {math.SmallestNonzeroFloat64, 0.5},
 	} {
@@ -97,72 +108,266 @@ func TestSumMoments(t *testing.T) {
 	}
 }
 
-// TestMaxMomentsExponential checks the numeric integration against the
-// closed form for two independent exponentials:
-// E[max] = 1/l1 + 1/l2 - 1/(l1+l2).
+// TestMaxMomentsExponential checks the max of two independent exponentials
+// against E[max] = 1/l1 + 1/l2 - 1/(l1+l2) and
+// E[max²] = 2/l1² + 2/l2² - 2/(l1+l2)².
 func TestMaxMomentsExponential(t *testing.T) {
 	l1, l2 := 1.0/30, 1.0/20
-	a := MustFit(30, 1)
-	b := MustFit(20, 1)
-	m, cv, err := MaxMoments([]Distribution{a, b})
+	m, cv, err := MaxMoments(MustFit(30, 1), MustFit(20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 1/l1 + 1/l2 - 1/(l1+l2)
-	almost(t, m, want, 1e-3, "max mean")
-	// E[max²] = 2/l1² + 2/l2² - 2/(l1+l2)².
+	almost(t, m, want, 1e-12, "max mean")
 	m2 := 2/(l1*l1) + 2/(l2*l2) - 2/((l1+l2)*(l1+l2))
 	wantCV := math.Sqrt(m2-want*want) / want
-	almost(t, cv, wantCV, 1e-2, "max cv")
+	almost(t, cv, wantCV, 1e-12, "max cv")
+}
+
+// TestMaxMomentsIIDExponential checks that the max of two i.i.d.
+// exponentials of rate λ has mean exactly 1.5/λ, and cv √5/3 (E[max²] is
+// 3.5/λ²).
+func TestMaxMomentsIIDExponential(t *testing.T) {
+	for _, mean := range []float64{1e-3, 1, 20, 3e4} {
+		d := MustFit(mean, 1)
+		m, cv, err := MaxMoments(d, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := 1 / mean; m != 1.5/l {
+			t.Errorf("mean %v: E[max] = %x, want 1.5/λ = %x", mean, m, 1.5/l)
+		}
+		almost(t, cv, math.Sqrt(5)/3, 1e-15, "iid max cv")
+	}
 }
 
 func TestMaxMomentsDominance(t *testing.T) {
 	// Max of near-deterministic variables is near the largest mean.
-	a := MustFit(10, 0.05)
-	b := MustFit(40, 0.05)
-	m, _, err := MaxMoments([]Distribution{a, b})
+	m, _, err := MaxMoments(MustFit(10, 0.05), MustFit(40, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, m, 40, 0.02, "dominant max mean")
 
-	if _, _, err := MaxMoments(nil); err == nil {
-		t.Error("empty max accepted")
+	// Operands 1e600 apart: in units of the slow rate, the fast fit's rates
+	// are +Inf.
+	fast, slow := MustFit(1e-300, 0.5), MustFit(1e300, 2)
+	m, cv, err := MaxMoments(fast, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	almost(t, m, slow.Mean(), 1e-15, "dominant max mean")
+	almost(t, cv, slow.CV(), 1e-12, "dominant max cv")
+}
+
+// TestMaxMomentsBounds checks max(E[X], E[Y]) ≤ E[max] ≤ E[X] + E[Y] over
+// randomized fits.
+func TestMaxMomentsBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for range 2000 {
+		a, b := randomFit(rng), randomFit(rng)
+		m, cv, err := MaxMoments(a, b)
+		if err != nil {
+			t.Fatalf("MaxMoments(%+v, %+v): %v", a, b, err)
+		}
+		checkMaxMoments(t, a, b, m, cv)
 	}
 }
 
-func TestGammPIsAProbability(t *testing.T) {
-	for _, a := range []float64{1, 2, 45, 399} {
-		lg, _ := math.Lgamma(a)
-		for _, x := range []float64{0.01, a / 2, a, 2 * a, 10 * a} {
-			p := gammP(a, lg, x, math.Log(x))
-			if p < 0 || p > 1+1e-12 {
-				t.Errorf("gammP(%v, %v) = %v out of [0,1]", a, x, p)
+// TestMaxMomentsScaleInvariant checks that rescaling time by 1e±300 scales
+// the max mean alike and leaves its cv: the moments are computed in units
+// of the slowest rate, so neither the rate sums nor the squared moments
+// leave the floating-point range.
+func TestMaxMomentsScaleInvariant(t *testing.T) {
+	for i, pr := range append(randomPairs(6, 200), operandPairs...) {
+		a, b := pr[0], pr[1]
+		m, cv, err := MaxMoments(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []float64{1e-300, 1e300} {
+			sa := MustFit(a.Mean()*s, a.CV())
+			sb := MustFit(b.Mean()*s, b.CV())
+			sm, scv, err := MaxMoments(sa, sb)
+			if err != nil {
+				t.Fatalf("pair %d scaled by %v: %v", i, s, err)
 			}
+			almost(t, sm, m*s, 1e-12, "scaled max mean")
+			almost(t, scv, cv, 1e-9, "scaled max cv")
 		}
 	}
-	if lg, _ := math.Lgamma(3); gammP(3, lg, 0, math.Log(0)) != 0 {
-		t.Error("gammP(a, 0) != 0")
+}
+
+// checkMaxMoments fails unless mean and cv are finite, the cv nonnegative,
+// and max(E[a], E[b]) ≤ mean ≤ E[a] + E[b] to within rounding.
+func checkMaxMoments(t *testing.T, a, b Distribution, mean, cv float64) {
+	t.Helper()
+	if !finitePositive(mean) || math.IsNaN(cv) || math.IsInf(cv, 0) || cv < 0 {
+		t.Fatalf("max(%+v, %+v) = (%v, %v): want finite positive mean and finite cv ≥ 0", a, b, mean, cv)
+	}
+	const slack = 1e-12
+	lo, hi := math.Max(a.Mean(), b.Mean()), a.Mean()+b.Mean()
+	if mean < lo*(1-slack) || mean > hi*(1+slack) {
+		t.Fatalf("max(%+v, %+v): mean %v outside [%v, %v]", a, b, mean, lo, hi)
 	}
 }
 
-// The reference implementation of the regularized incomplete gamma, as it
-// was before ln Γ(a) and ln x were hoisted out of it: every call computes
-// both itself.
-func gammPLegacy(a, x float64) float64 {
-	if a <= 0 {
-		return 1
+// operandPairs spans the fitted shapes the Tripathi estimator combines:
+// Erlang mixtures of several stage counts, the exponential and H₂.
+var operandPairs = [][2]Distribution{
+	{MustFit(30, 0.2), MustFit(25, 0.4)},   // Erlang mixture × Erlang mixture
+	{MustFit(30, 0.15), MustFit(31, 0.15)}, // near-equal low-cv mixtures
+	{MustFit(12, 0.3), MustFit(40, 1.6)},   // Erlang mixture × H₂
+	{MustFit(20, 1.2), MustFit(18, 2.5)},   // H₂ × H₂
+	{MustFit(20, 1), MustFit(0.5, 0.05)},   // exponential × sharp mixture
+	{MustFit(30, 0.2), MustFit(30, 0.2)},   // one fit twice
+}
+
+// randomFit draws a fit with mean log-uniform over four decades, [1, 1e4],
+// and cv log-uniform over [0.02, 4]: Erlang mixtures from k = 2 to the
+// k = 400 clamp (every cv below 0.05), the exponential and H₂.
+func randomFit(rng *rand.Rand) Distribution {
+	return MustFit(math.Pow(10, 4*rng.Float64()), 0.02*math.Pow(200, rng.Float64()))
+}
+
+// randomPairs returns n random operand pairs, a fifth of them one fit
+// twice.
+func randomPairs(seed int64, n int) [][2]Distribution {
+	rng := rand.New(rand.NewSource(seed))
+	prs := make([][2]Distribution, n)
+	for i := range prs {
+		a := randomFit(rng)
+		if i%5 == 0 {
+			prs[i] = [2]Distribution{a, a}
+		} else {
+			prs[i] = [2]Distribution{a, randomFit(rng)}
+		}
 	}
+	return prs
+}
+
+// TestMaxMomentsSymmetricBits pins max(a, b) and max(b, a) to the same bits,
+// which is what lets a memo key operand pairs unordered.
+func TestMaxMomentsSymmetricBits(t *testing.T) {
+	for i, pr := range append(randomPairs(5, 1000), operandPairs...) {
+		m1, cv1, err1 := MaxMoments(pr[0], pr[1])
+		m2, cv2, err2 := MaxMoments(pr[1], pr[0])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("pair %d: %v / %v", i, err1, err2)
+		}
+		if math.Float64bits(m1) != math.Float64bits(m2) || math.Float64bits(cv1) != math.Float64bits(cv2) {
+			t.Errorf("pair %d %+v: max(a,b) = (%x, %x), max(b,a) = (%x, %x)", i, pr, m1, cv1, m2, cv2)
+		}
+	}
+}
+
+// TestMaxMomentsMatchesOracle checks the closed form against numeric
+// integration of the fitted CDFs over randomized pairs that cover k = 2,
+// the k = 400 clamp, H₂ up to cv 4 and means four decades apart.
+func TestMaxMomentsMatchesOracle(t *testing.T) {
+	prs := append(randomPairs(1, 240), operandPairs...)
+	// The extremes, so that coverage does not hang on the draw.
+	prs = append(prs,
+		[2]Distribution{MustFit(1, 0.03), MustFit(1e4, 4)},
+		[2]Distribution{MustFit(1e4, 0.03), MustFit(1, 4)},
+		[2]Distribution{MustFit(1e4, 0.03), MustFit(1e4, 0.8)},
+		[2]Distribution{MustFit(1, 0.8), MustFit(1.2, 4)},
+	)
+	var stages [maxErlangStages + 1]bool
+	var maxCV, minMean, maxMean float64 = 0, math.Inf(1), 0
+	for i, pr := range prs {
+		for _, d := range pr {
+			if e, ok := d.(mixedErlang); ok {
+				stages[e.k] = true
+			}
+			maxCV = math.Max(maxCV, d.CV())
+			minMean, maxMean = math.Min(minMean, d.Mean()), math.Max(maxMean, d.Mean())
+		}
+		m, cv, err := MaxMoments(pr[0], pr[1])
+		if err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		wm, wcv := oracleMaxMoments(pr[0], pr[1])
+		if math.Abs(m-wm) > 1e-9*wm || math.Abs(cv-wcv) > 1e-8*wcv {
+			t.Errorf("pair %d %+v: closed form (%v, %v), oracle (%v, %v)", i, pr, m, cv, wm, wcv)
+		}
+	}
+	if !stages[2] || !stages[maxErlangStages] || maxCV < 3.99 || maxMean/minMean < 9.9e3 {
+		t.Errorf("coverage: k = 2 %v, k = %d %v, max cv %v, means %v..%v",
+			stages[2], maxErlangStages, stages[maxErlangStages], maxCV, minMean, maxMean)
+	}
+}
+
+// oracleMaxSteps is the oracle's Simpson step count.
+const oracleMaxSteps = 1 << 14
+
+// oracleMaxMoments integrates E[max] = ∫ (1 − F_a·F_b) dx and
+// E[max²] = ∫ 2x·(1 − F_a·F_b) dx by Simpson's rule, the method that
+// computed P-node maxima before the closed form, on a finer grid that is
+// uniform in ln x: from 1e-6 of the smaller mean, below which the tail is 1
+// to within 1e-11, to where it falls under 1e-15.
+func oracleMaxMoments(a, b Distribution) (mean, cv float64) {
+	fa, fb := cdfOf(a), cdfOf(b)
+	tail := func(x float64) float64 { return 1 - fa(x)*fb(x) }
+	lo := 1e-6 * math.Min(a.Mean(), b.Mean())
+	hi := math.Max(a.Mean()+12*math.Sqrt(a.Variance()), b.Mean()+12*math.Sqrt(b.Variance()))
+	for i := 0; i < 60 && tail(hi) > 1e-15; i++ {
+		hi *= 2
+	}
+	u0 := math.Log(lo)
+	h := (math.Log(hi) - u0) / oracleMaxSteps
+	var s1, s2 float64
+	for i := 0; i <= oracleMaxSteps; i++ {
+		w := 2.0
+		switch {
+		case i == 0 || i == oracleMaxSteps:
+			w = 1
+		case i%2 == 1:
+			w = 4
+		}
+		// dx = x du
+		x := math.Exp(u0 + float64(i)*h)
+		f := w * tail(x) * x
+		s1 += f
+		s2 += f * 2 * x
+	}
+	m1 := lo + s1*h/3 // ∫₀^lo of a tail of 1
+	m2 := lo*lo + s2*h/3
+	return m1, math.Sqrt(m2-m1*m1) / m1
+}
+
+// cdfOf returns the CDF of a fit.
+func cdfOf(d Distribution) func(float64) float64 {
+	return d.(interface{ CDF(float64) float64 }).CDF
+}
+
+// CDF evaluates P(X ≤ x): Erlang(n, mu) has the regularized lower
+// incomplete gamma P(n, mu·x) as its CDF.
+func (d mixedErlang) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	if x < a+1 {
-		return gammPSeriesLegacy(a, x)
-	}
-	return 1 - gammQContinuedLegacy(a, x)
+	return d.p*gammP(float64(d.k-1), d.mu*x) + (1-d.p)*gammP(float64(d.k), d.mu*x)
 }
 
-func gammPSeriesLegacy(a, x float64) float64 {
+func (d hyperExp2) CDF(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return 1 - d.p1*math.Exp(-d.l1*x) - (1-d.p1)*math.Exp(-d.l2*x)
+}
+
+// gammP is the regularized lower incomplete gamma function P(a, x) for
+// a ≥ 1 and x > 0, following the series / continued-fraction split of
+// Numerical Recipes.
+func gammP(a, x float64) float64 {
+	if x < a+1 {
+		return gammPSeries(a, x)
+	}
+	return 1 - gammQContinued(a, x)
+}
+
+func gammPSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)
 	ap := a
 	sum := 1 / a
@@ -178,7 +383,7 @@ func gammPSeriesLegacy(a, x float64) float64 {
 	return sum * math.Exp(-x+a*math.Log(x)-lg)
 }
 
-func gammQContinuedLegacy(a, x float64) float64 {
+func gammQContinued(a, x float64) float64 {
 	const tiny = 1e-300
 	lg, _ := math.Lgamma(a)
 	b := x + 1 - a
@@ -206,173 +411,42 @@ func gammQContinuedLegacy(a, x float64) float64 {
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
-// cdfLegacy is mixedErlang.CDF computed through the reference gamma.
-func cdfLegacy(d mixedErlang, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return d.p*gammPLegacy(float64(d.k-1), d.mu*x) + (1-d.p)*gammPLegacy(float64(d.k), d.mu*x)
-}
-
-// TestMixedErlangCDFMatchesLegacy checks that the hoisted CDF (ln Γ from a
-// table, ln(μx) once per call) gives the reference implementation's bits:
-// k = 2 (an exponential branch), the k = 400 clamp and stage counts between,
-// from x near 0 through the series and continued-fraction branches into the
-// deep tail where the CDF rounds to 1.
-func TestMixedErlangCDFMatchesLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ks := map[int]bool{}
-	var series, continued int
-	for _, cv := range []float64{0.99, 0.8, 0.71, 0.6, 0.45, 0.3, 0.2, 0.15, 0.1, 0.06, 0.05, 0.03, 0.01} {
-		for _, mean := range []float64{1e-3, 0.5, 30, 1e4} {
-			d := MustFit(mean, cv).(mixedErlang)
-			ks[d.k] = true
-			xs := []float64{-1, 0, math.SmallestNonzeroFloat64, 1e-300, 1e-12 * mean, mean, 1e3 * mean, math.Inf(1)}
-			for range 200 {
-				// Log-uniform over [1e-8, 1e2] means: both gamma branches
-				// and the tail past them.
-				xs = append(xs, mean*math.Pow(10, -8+10*rng.Float64()))
-			}
-			for _, x := range xs {
-				got, want := d.CDF(x), cdfLegacy(d, x)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("Fit(%v, %v) = %+v: CDF(%v) = %x, reference %x", mean, cv, d, x, got, want)
-				}
-				if mx := d.mu * x; mx > 0 && mx < float64(d.k) {
-					series++
-				} else if mx >= float64(d.k) {
-					continued++
-				}
-			}
-		}
-	}
-	if !ks[2] || !ks[maxErlangStages] {
-		t.Errorf("stage counts covered %v, want 2 and %d among them", ks, maxErlangStages)
-	}
-	if series == 0 || continued == 0 {
-		t.Errorf("series branch hit %d times, continued fraction %d times; want both", series, continued)
-	}
-}
-
-// operandPairs spans the fitted shapes the Tripathi estimator combines:
-// Erlang mixtures of several stage counts, the exponential and H₂.
-var operandPairs = [][2]Distribution{
-	{MustFit(30, 0.2), MustFit(25, 0.4)},   // Erlang mixture × Erlang mixture
-	{MustFit(30, 0.15), MustFit(31, 0.15)}, // near-equal low-cv mixtures
-	{MustFit(12, 0.3), MustFit(40, 1.6)},   // Erlang mixture × H₂
-	{MustFit(20, 1.2), MustFit(18, 2.5)},   // H₂ × H₂
-	{MustFit(20, 1), MustFit(0.5, 0.05)},   // exponential × sharp mixture
-}
-
-// TestMaxMomentsSymmetricBits pins max(a, b) and max(b, a) to the same bits:
-// the integration bound is a max and the tail product 1·c₁·c₂ commutes
-// exactly, which is what lets a memo key operand pairs unordered.
-func TestMaxMomentsSymmetricBits(t *testing.T) {
-	for i, pr := range operandPairs {
-		m1, cv1, err1 := MaxMoments([]Distribution{pr[0], pr[1]})
-		m2, cv2, err2 := MaxMoments([]Distribution{pr[1], pr[0]})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("pair %d: %v / %v", i, err1, err2)
-		}
-		if math.Float64bits(m1) != math.Float64bits(m2) || math.Float64bits(cv1) != math.Float64bits(cv2) {
-			t.Errorf("pair %d: max(a,b) = (%x, %x), max(b,a) = (%x, %x)", i, m1, cv1, m2, cv2)
-		}
-	}
-}
-
-// opaque hides a distribution's type from MaxMoments, forcing the general
-// product loop even for identical operands.
-type opaque struct{ Distribution }
-
-// noncomparable is a caller-defined Distribution whose dynamic type cannot
-// be compared with ==.
-type noncomparable struct {
-	Distribution
-	tags []string
-}
-
-// TestMaxMomentsIdenticalOperands checks that the identical-operand path
-// (one CDF evaluation per grid point) gives the general loop's bits, and
-// that a non-comparable caller type passed twice takes the general loop
-// without panicking.
-func TestMaxMomentsIdenticalOperands(t *testing.T) {
-	for i, pr := range operandPairs {
-		for j, d := range pr {
-			fm, fcv, err := MaxMoments([]Distribution{d, d})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gm, gcv, err := MaxMoments([]Distribution{d, opaque{d}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(fm) != math.Float64bits(gm) || math.Float64bits(fcv) != math.Float64bits(gcv) {
-				t.Errorf("pair %d operand %d: identical path (%x, %x), general loop (%x, %x)", i, j, fm, fcv, gm, gcv)
-			}
-			nc := noncomparable{Distribution: d, tags: []string{"caller"}}
-			nm, ncv, err := MaxMoments([]Distribution{nc, nc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(nm) != math.Float64bits(gm) || math.Float64bits(ncv) != math.Float64bits(gcv) {
-				t.Errorf("pair %d operand %d: non-comparable (%x, %x), general loop (%x, %x)", i, j, nm, ncv, gm, gcv)
-			}
-		}
-	}
-	if !identical(MustFit(30, 0.2), MustFit(30, 0.2)) {
-		t.Error("equal fits not recognized as identical")
-	}
-	if identical(MustFit(30, 0.2), MustFit(30, 0.21)) || identical(MustFit(30, 1.5), MustFit(30, 0.5)) {
-		t.Error("different fits reported identical")
-	}
-}
-
-// TestMaxMomentsIndependentOfGOMAXPROCS checks that splitting the grid
-// across goroutines changes no bit: every operand pair and each operand's
-// identical-operand twin integrate to the same result under GOMAXPROCS 1
-// (the serial path), 2, 3 and 8. Odd counts split the grid's 33 blocks
-// unevenly.
-func TestMaxMomentsIndependentOfGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var cases [][]Distribution
-	for _, pr := range operandPairs {
-		cases = append(cases, []Distribution{pr[0], pr[1]}, []Distribution{pr[0], pr[0]}, []Distribution{pr[1], pr[1]})
-	}
-	type moments struct{ m, cv float64 }
-	want := make([]moments, len(cases))
-	runtime.GOMAXPROCS(1)
-	for i, ds := range cases {
-		m, cv, err := MaxMoments(ds)
+// FuzzFitMax fits two (mean, cv) pairs and, when both fits succeed,
+// requires MaxMoments to return an error or a finite positive mean and a
+// finite cv ≥ 0 within max(E[a], E[b]) ≤ mean ≤ E[a] + E[b]. Never NaN:
+// not when the rates sum past MaxFloat64, nor when they are 1e600 apart.
+func FuzzFitMax(f *testing.F) {
+	f.Add(30.0, 0.2, 25.0, 0.4)
+	f.Add(1.0, 0.03, 1e4, 4.0)
+	f.Add(20.0, 1.0, 20.0, 1.0)
+	f.Add(5e-306, 0.03, 5e-306, 0.03) // rates near MaxFloat64; their sum overflows
+	f.Add(1e-300, 0.5, 1e300, 2.0)
+	f.Add(1e308, 0.9, 1.7e308, 0.9) // the max mean itself overflows
+	f.Add(1.0, 1e4, 1.0, 0.01)
+	f.Fuzz(func(t *testing.T, mean, cv, mean2, cv2 float64) {
+		a, err := Fit(mean, cv)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		want[i] = moments{m, cv}
-	}
-	for _, procs := range []int{2, 3, 8} {
-		runtime.GOMAXPROCS(procs)
-		for i, ds := range cases {
-			m, cv, err := MaxMoments(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(m) != math.Float64bits(want[i].m) || math.Float64bits(cv) != math.Float64bits(want[i].cv) {
-				t.Errorf("GOMAXPROCS %d, case %d: (%x, %x), serial (%x, %x)", procs, i, m, cv, want[i].m, want[i].cv)
-			}
+		b, err := Fit(mean2, cv2)
+		if err != nil {
+			return
 		}
-	}
+		m, c, err := MaxMoments(a, b)
+		if err != nil {
+			return
+		}
+		checkMaxMoments(t, a, b, m, c)
+	})
 }
 
-// TestMaxMomentsConcurrentCallers runs 8 goroutines integrating the same
-// shared operands at once; each must get the serial result. Under -race it
-// checks that split integrations share no state but the pooled buffers they
-// hand over through the pool.
+// TestMaxMomentsConcurrentCallers runs 8 goroutines solving the same shared
+// operands at once; each must get the serial result. Under -race it checks
+// that MaxMoments shares no state between callers.
 func TestMaxMomentsConcurrentCallers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	cases := make([][]Distribution, len(operandPairs))
 	want := make([][2]float64, len(operandPairs))
 	for i, pr := range operandPairs {
-		cases[i] = []Distribution{pr[0], pr[1]}
-		m, cv, err := MaxMoments(cases[i])
+		m, cv, err := MaxMoments(pr[0], pr[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,9 +457,9 @@ func TestMaxMomentsConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range cases {
-				i := (g + j) % len(cases)
-				m, cv, err := MaxMoments(cases[i])
+			for j := range operandPairs {
+				i := (g + j) % len(operandPairs)
+				m, cv, err := MaxMoments(operandPairs[i][0], operandPairs[i][1])
 				if err != nil {
 					t.Error(err)
 					return
