@@ -665,8 +665,11 @@ func BenchmarkTripathiMaxMoments(b *testing.B) {
 // BenchmarkEstimators compares the cost of the two tree estimators on a
 // 5 GB, 4-node prediction, plus the Tripathi estimator on the same point
 // with 4 concurrent jobs (Fig. 13's 4-node point, its costliest
-// prediction). Tripathi runs report their P-node evaluations and the
-// max-moment solves (MaxIntegrations) those cost per prediction.
+// prediction), and the joint fork/join + Tripathi solve of that point
+// (core.PredictEach, as internal/bench runs it), which should cost about
+// what tripathi-4jobs costs. Every run reports its outer rounds; Tripathi
+// runs also report their P-node evaluations and the max-moment solves
+// (MaxIntegrations) those cost per prediction.
 func BenchmarkEstimators(b *testing.B) {
 	job, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 	if err != nil {
@@ -675,24 +678,30 @@ func BenchmarkEstimators(b *testing.B) {
 	spec := DefaultCluster(4)
 	for _, c := range []struct {
 		name string
-		est  core.Estimator
+		ests []core.Estimator
 		jobs int
 	}{
-		{core.EstimatorForkJoin.String(), core.EstimatorForkJoin, 1},
-		{core.EstimatorTripathi.String(), core.EstimatorTripathi, 1},
-		{"tripathi-4jobs", core.EstimatorTripathi, 4},
+		{core.EstimatorForkJoin.String(), []core.Estimator{core.EstimatorForkJoin}, 1},
+		{core.EstimatorTripathi.String(), []core.Estimator{core.EstimatorTripathi}, 1},
+		{"tripathi-4jobs", []core.Estimator{core.EstimatorTripathi}, 4},
+		{"joint-4jobs", []core.Estimator{core.EstimatorForkJoin, core.EstimatorTripathi}, 4},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var pred core.Prediction
+			var preds []core.Prediction
 			for i := 0; i < b.N; i++ {
-				if pred, err = core.Predict(core.Config{Spec: spec, Job: job, NumJobs: c.jobs, Estimator: c.est}); err != nil {
+				if preds, err = core.PredictEach(context.Background(), core.Config{Spec: spec, Job: job, NumJobs: c.jobs}, c.ests...); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if c.est == core.EstimatorTripathi {
-				b.ReportMetric(float64(pred.MaxEvaluations), "pnodes/op")
-				b.ReportMetric(float64(pred.MaxIntegrations), "integrations/op")
+			rounds := 0
+			for i, pred := range preds {
+				rounds = max(rounds, pred.Iterations)
+				if c.ests[i] == core.EstimatorTripathi {
+					b.ReportMetric(float64(pred.MaxEvaluations), "pnodes/op")
+					b.ReportMetric(float64(pred.MaxIntegrations), "integrations/op")
+				}
 			}
+			b.ReportMetric(float64(rounds), "rounds/op")
 		})
 	}
 }

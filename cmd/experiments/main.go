@@ -6,12 +6,14 @@
 //	experiments [-exp all|table1|fig6|fig10|fig11|fig12|fig13|fig14|fig15|errors] [-md]
 //
 // With -md the output is the full EXPERIMENTS.md document (paper-reported
-// values next to measured ones).
+// values next to measured ones); the committed copy at the repository root
+// is checked against it by this package's test.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -102,7 +104,7 @@ func runFig6() error {
 	return nil
 }
 
-func runAllFigures(w *os.File) ([]bench.Figure, error) {
+func runAllFigures(w io.Writer) ([]bench.Figure, error) {
 	var figs []bench.Figure
 	for _, s := range bench.FigureSpecs() {
 		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", s.ID, s.Title)
@@ -128,7 +130,7 @@ func printBands(figs []bench.Figure) {
 		100*b.TPMin, 100*b.TPMax, b.TPOver, b.Total)
 }
 
-func writeMarkdown(w *os.File) error {
+func writeMarkdown(w io.Writer) error {
 	figs, err := runAllFigures(nil)
 	if err != nil {
 		return err

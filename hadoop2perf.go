@@ -29,13 +29,13 @@ import (
 	"time"
 
 	"hadoop2perf/internal/aria"
+	"hadoop2perf/internal/bench"
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/core"
 	"hadoop2perf/internal/fault"
 	"hadoop2perf/internal/herodotou"
 	"hadoop2perf/internal/mrsim"
 	"hadoop2perf/internal/service"
-	"hadoop2perf/internal/stats"
 	"hadoop2perf/internal/trace"
 	"hadoop2perf/internal/workflow"
 	"hadoop2perf/internal/workload"
@@ -283,36 +283,18 @@ type Comparison struct {
 
 // Compare validates both model variants against a simulated execution of
 // numJobs concurrent copies of job (fair scheduling for numJobs > 1), using
-// reps simulator repetitions.
+// reps simulator repetitions. The simulation and the model solve run side
+// by side (see internal/bench.Compare).
 func Compare(spec Cluster, job Job, numJobs int, seed int64, reps int) (Comparison, error) {
-	jobs := make([]Job, numJobs)
-	for i := range jobs {
-		j := job
-		j.ID = i
-		jobs[i] = j
-	}
-	pol := PolicyFIFO
-	if numJobs > 1 {
-		pol = PolicyFair
-	}
-	res, err := mrsim.RunMedianOfSeeds(SimConfig{Spec: spec, Jobs: jobs, Seed: seed, Scheduler: pol}, reps)
+	pt, err := bench.Compare(spec, job, numJobs, seed, reps)
 	if err != nil {
 		return Comparison{}, err
 	}
-	fj, err := core.Predict(ModelConfig{Spec: spec, Job: job, NumJobs: numJobs, Estimator: EstimatorForkJoin})
-	if err != nil {
-		return Comparison{}, err
-	}
-	tp, err := core.Predict(ModelConfig{Spec: spec, Job: job, NumJobs: numJobs, Estimator: EstimatorTripathi})
-	if err != nil {
-		return Comparison{}, err
-	}
-	sim := res.MeanResponse()
 	return Comparison{
-		Simulated:   sim,
-		ForkJoin:    fj.ResponseTime,
-		Tripathi:    tp.ResponseTime,
-		ForkJoinErr: stats.SignedRelError(fj.ResponseTime, sim),
-		TripathiErr: stats.SignedRelError(tp.ResponseTime, sim),
+		Simulated:   pt.Sim,
+		ForkJoin:    pt.ForkJoin,
+		Tripathi:    pt.Tripathi,
+		ForkJoinErr: pt.FJErr(),
+		TripathiErr: pt.TPErr(),
 	}, nil
 }

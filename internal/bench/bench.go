@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -94,13 +95,36 @@ func JobFor(inputMB, blockSizeMB float64, numNodes int) (workload.Job, error) {
 }
 
 // RunPoint produces one figure point: median-of-Reps simulation plus both
-// model estimates.
+// model estimates (see Compare).
 func RunPoint(numNodes, numJobs int, inputMB, blockSizeMB float64) (Point, error) {
-	spec := cluster.Default(numNodes)
 	job, err := JobFor(inputMB, blockSizeMB, numNodes)
 	if err != nil {
 		return Point{}, err
 	}
+	return Compare(cluster.Default(numNodes), job, numJobs, BaseSeed, Reps)
+}
+
+// Compare measures numJobs concurrent copies of job on spec (FIFO for one
+// job, fair sharing for more) as the median of reps seeded simulations, and
+// estimates it with both model estimators; the returned Point has X unset.
+// The two are independent, so they run side by side: the joint fork/join
+// and Tripathi solve (core.PredictEach) on its own goroutine, the
+// simulator seeds on the caller's. Both finish before Compare returns, on
+// error too, and a simulator error takes precedence. Each side is
+// deterministic on its own, so the result does not depend on GOMAXPROCS.
+func Compare(spec cluster.Spec, job workload.Job, numJobs int, seed int64, reps int) (Point, error) {
+	type solved struct {
+		preds []core.Prediction
+		err   error
+	}
+	model := make(chan solved, 1)
+	go func() {
+		preds, err := core.PredictEach(context.Background(),
+			core.Config{Spec: spec, Job: job, NumJobs: numJobs},
+			core.EstimatorForkJoin, core.EstimatorTripathi)
+		model <- solved{preds, err}
+	}()
+
 	jobs := make([]workload.Job, numJobs)
 	for i := range jobs {
 		j := job
@@ -111,21 +135,17 @@ func RunPoint(numNodes, numJobs int, inputMB, blockSizeMB float64) (Point, error
 	if numJobs > 1 {
 		pol = yarn.PolicyFair
 	}
-	res, err := mrsim.RunMedianOfSeeds(mrsim.Config{
-		Spec: spec, Jobs: jobs, Seed: BaseSeed, Scheduler: pol,
-	}, Reps)
-	if err != nil {
-		return Point{}, err
+	res, simErr := mrsim.RunMedianOfSeeds(mrsim.Config{
+		Spec: spec, Jobs: jobs, Seed: seed, Scheduler: pol,
+	}, reps)
+	m := <-model
+	if simErr != nil {
+		return Point{}, simErr
 	}
-	fj, err := core.Predict(core.Config{Spec: spec, Job: job, NumJobs: numJobs, Estimator: core.EstimatorForkJoin})
-	if err != nil {
-		return Point{}, err
+	if m.err != nil {
+		return Point{}, m.err
 	}
-	tp, err := core.Predict(core.Config{Spec: spec, Job: job, NumJobs: numJobs, Estimator: core.EstimatorTripathi})
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{Sim: res.MeanResponse(), ForkJoin: fj.ResponseTime, Tripathi: tp.ResponseTime}, nil
+	return Point{Sim: res.MeanResponse(), ForkJoin: m.preds[0].ResponseTime, Tripathi: m.preds[1].ResponseTime}, nil
 }
 
 // RunFigure executes one figure spec.

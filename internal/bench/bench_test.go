@@ -1,8 +1,16 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/core"
+	"hadoop2perf/internal/mrsim"
+	"hadoop2perf/internal/workload"
+	"hadoop2perf/internal/yarn"
 )
 
 func TestTable1(t *testing.T) {
@@ -80,12 +88,133 @@ func TestRunPointSmall(t *testing.T) {
 	}
 }
 
+// TestRunPointMatchesSerial: the concurrent RunPoint returns exactly what
+// running its parts one after another does — the median of the seeded
+// simulations, then a solo core.Predict per estimator. Compare on a
+// 2-class cluster shares the spec's class slice between both goroutines.
+func TestRunPointMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed points in -short mode")
+	}
+	for _, c := range []struct{ nodes, jobs int }{{4, 1}, {6, 4}} {
+		got, err := RunPoint(c.nodes, c.jobs, 1*GB, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := JobFor(1*GB, 128, c.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := serialPoint(t, cluster.Default(c.nodes), job, c.jobs, BaseSeed, Reps); got != want {
+			t.Errorf("%d nodes, %d jobs: RunPoint = %+v, serial = %+v", c.nodes, c.jobs, got, want)
+		}
+	}
+	spec := cluster.Default(0)
+	spec.Classes = []cluster.NodeClass{
+		{Name: "fast", Count: 2, Capacity: cluster.Resource{MemoryMB: 32768, VCores: 32},
+			CPUs: 6, Disks: 1, DiskMBps: 240, NetworkMBps: 110, Speed: 1},
+		{Name: "slow", Count: 2, Capacity: cluster.Resource{MemoryMB: 16384, VCores: 16},
+			CPUs: 4, Disks: 1, DiskMBps: 140, NetworkMBps: 110, Speed: 0.6},
+	}
+	job, err := JobFor(1*GB, 128, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Compare(spec, job, 2, 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := serialPoint(t, spec, job, 2, 7, 3); got != want {
+		t.Errorf("2-class cluster: Compare = %+v, serial = %+v", got, want)
+	}
+}
+
+// serialPoint is Compare's result computed one step after another.
+func serialPoint(t *testing.T, spec cluster.Spec, job workload.Job, numJobs int, seed int64, reps int) Point {
+	t.Helper()
+	jobs := make([]workload.Job, numJobs)
+	for i := range jobs {
+		jobs[i] = job
+		jobs[i].ID = i
+	}
+	pol := yarn.PolicyFIFO
+	if numJobs > 1 {
+		pol = yarn.PolicyFair
+	}
+	res, err := mrsim.RunMedianOfSeeds(mrsim.Config{Spec: spec, Jobs: jobs, Seed: seed, Scheduler: pol}, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Point{Sim: res.MeanResponse()}
+	for _, e := range []struct {
+		est core.Estimator
+		out *float64
+	}{{core.EstimatorForkJoin, &want.ForkJoin}, {core.EstimatorTripathi, &want.Tripathi}} {
+		pred, err := core.Predict(core.Config{Spec: spec, Job: job, NumJobs: numJobs, Estimator: e.est})
+		if err != nil {
+			t.Fatal(err)
+		}
+		*e.out = pred.ResponseTime
+	}
+	return want
+}
+
+// TestCompareErrorsJoin: a failing Compare reports the simulator's error
+// first and returns only after the model goroutine has finished. The
+// zero-reps case fails the simulator at once while the model solves Fig.
+// 13's 4-node point (tens of milliseconds), so a Compare that did not wait
+// would leave that goroutine running.
+func TestCompareErrorsJoin(t *testing.T) {
+	job, err := JobFor(5*GB, 128, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := job
+	bad.InputMB = 0
+	spec := cluster.Default(4)
+	before := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name string
+		job  workload.Job
+		reps int
+	}{
+		{"invalid job", bad, 1}, // both sides fail
+		{"zero reps", job, 0},   // only the simulator fails
+	} {
+		_, err := Compare(spec, c.job, 4, BaseSeed, c.reps)
+		if n := goroutinesAfter(before); n > before {
+			t.Errorf("%s: %d goroutines after Compare, %d before", c.name, n, before)
+		}
+		if err == nil {
+			t.Fatalf("%s: no error", c.name)
+		}
+		_, simErr := mrsim.RunMedianOfSeeds(mrsim.Config{Spec: spec, Jobs: []workload.Job{c.job}, Seed: BaseSeed}, c.reps)
+		if simErr == nil || err.Error() != simErr.Error() {
+			t.Errorf("%s: error %q, want the simulator's %v", c.name, err, simErr)
+		}
+	}
+}
+
+// goroutinesAfter returns the goroutine count once it is back to before,
+// or after 5 ms: a goroutine that has handed over its result may take a
+// moment to exit, but not as long as a model solve.
+func goroutinesAfter(before int) int {
+	deadline := time.Now().Add(5 * time.Millisecond)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= before || time.Now().After(deadline) {
+			return n
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestErrorBands is the calibration guard: the reproduction's headline
 // claims. Fork/join must track the simulator more closely than Tripathi,
 // both must overestimate in (almost) every configuration, and the error
 // bands must stay near the paper's (11–13.5% / 19–23%). The guard bounds
 // are deliberately wider than the paper's point estimates — the substrate
-// is a simulator, not the authors' testbed (see DESIGN.md §4).
+// is a simulator, not the authors' testbed (see EXPERIMENTS.md).
 func TestErrorBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure suite in -short mode")

@@ -29,7 +29,7 @@ func (p *Predictor) PredictBatch(cfgs []Config) ([]Prediction, error) {
 		out[i] = pred
 	}
 	for _, i := range cold {
-		pred, err := p.predict(nil, cfgs[i], nil, false)
+		pred, err := p.predictOne(nil, cfgs[i], nil, false)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch config %d: %w", i, err)
 		}

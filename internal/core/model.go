@@ -38,9 +38,9 @@ type Estimator int
 // Estimators.
 const (
 	// EstimatorForkJoin is the paper's fork/join-based approach with the H₂
-	// inflation attenuated by the node's coefficient of variation (see
-	// DESIGN.md): R_P = max(T_l,T_r)·(1+(H₂−1)·cv). For exponential children
-	// (cv=1) this equals the paper's literal 3/2·max rule.
+	// inflation attenuated by the node's coefficient of variation:
+	// R_P = max(T_l,T_r)·(1+(H₂−1)·cv). For exponential children (cv=1) this
+	// equals the paper's literal 3/2·max rule.
 	EstimatorForkJoin Estimator = iota
 	// EstimatorTripathi fits Erlang/Hyperexponential distributions per child
 	// and propagates max/sum moments numerically.
@@ -447,20 +447,61 @@ func PredictBatch(cfgs []Config) ([]Prediction, error) {
 // homogeneous-equivalence goldens). See PredictWarm for the accelerated
 // warm-start path.
 func (p *Predictor) Predict(cfg Config) (Prediction, error) {
-	return p.predict(nil, cfg, nil, false)
+	return p.predictOne(nil, cfg, nil, false)
 }
 
 // PredictContext is Predict honoring ctx between outer iterations (see the
 // package-level PredictContext).
 func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
-	return p.predict(ctx, cfg, nil, false)
+	return p.predictOne(ctx, cfg, nil, false)
 }
 
-// predict runs the model to convergence. A non-nil seed warm-starts the
-// first MVA step from a previously converged neighbor's residence matrix;
-// fast additionally chains the inner MVA state across outer iterations and
-// enables inner Aitken acceleration. The *outer* class-response trajectory
-// is deliberately never seeded from a neighbor: the timeline's discrete
+// PredictEach runs one cold prediction of cfg per estimator in ests
+// (cfg.Estimator is ignored) and returns them in the order of ests. See
+// Predictor.PredictEach.
+func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
+	var p Predictor
+	return p.PredictEach(ctx, cfg, ests...)
+}
+
+// PredictEach runs one cold prediction of cfg per estimator in ests
+// (cfg.Estimator is ignored), all from a single outer loop, and returns
+// them in the order of ests. Each result is bit-identical to a Predict call
+// with that estimator, every counter included: the estimator does not steer
+// the iteration. A1–A5 and the damped class-response update never read it;
+// the A6 estimate only decides when the ε-test stops the loop. So every
+// estimator sees the same trajectory, round for round, and the shared
+// rounds are paid once. An estimator whose ε-test passes keeps its answer
+// as of that round while the loop runs on for the others; the loop ends
+// when all have stopped or MaxIterations is reached. With
+// Config.AccelerateOuter the outer extrapolation runs only while some
+// estimator is still iterating — exactly the rounds a solo run of that
+// estimator would extrapolate in. ctx is checked between outer iterations,
+// as in PredictContext. An empty list and a repeated estimator are errors.
+func (p *Predictor) PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
+	out := make([]Prediction, len(ests))
+	if err := p.predict(ctx, cfg, nil, false, ests, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// predictOne is predict for the one estimator cfg.Estimator.
+func (p *Predictor) predictOne(ctx context.Context, cfg Config, seed *warmEntry, fast bool) (Prediction, error) {
+	var out [1]Prediction
+	if err := p.predict(ctx, cfg, seed, fast, []Estimator{cfg.Estimator}, out[:]); err != nil {
+		return Prediction{}, err
+	}
+	return out[0], nil
+}
+
+// predict runs the model to convergence once for every estimator in ests,
+// writing out[i] for ests[i] (see PredictEach: the estimators share one
+// trajectory). A non-nil seed warm-starts the first MVA step from a
+// previously converged neighbor's residence matrix; fast additionally
+// chains the inner MVA state across outer iterations and enables inner
+// Aitken acceleration. The *outer* class-response trajectory is
+// deliberately never seeded from a neighbor: the timeline's discrete
 // placement gives the outer fixed point multiple self-consistent basins,
 // and seeding across a parity boundary was observed to land in the
 // neighbor's basin (tens of percent off the cold answer). Inner seeding is
@@ -471,36 +512,54 @@ func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction,
 // path into outer Aitken extrapolation. A non-nil ctx is checked between
 // outer iterations — cancellation costs at most one more round; nil skips
 // the check so un-contexted callers pay nothing.
-func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fast bool) (Prediction, error) {
+func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fast bool, ests []Estimator, out []Prediction) error {
+	if len(ests) == 0 {
+		return errors.New("core: no estimator to predict with")
+	}
+	for i, e := range ests {
+		for _, f := range ests[:i] {
+			if e == f {
+				return fmt.Errorf("core: estimator %s listed twice", e)
+			}
+		}
+	}
 	cfg, classes, err := p.beginPredict(cfg)
 	if err != nil {
-		return Prediction{}, err
+		return err
 	}
 
-	prevTotal := math.Inf(1)
 	var (
 		tl   *timeline.Timeline
 		tree *ptree.Node
 		warm [][]float64 // inner warm seed for the next MVA step
 		acc  outerAccel
+		// inner totals the MVA sweeps so far; warmStarted records whether
+		// the first step was seeded.
+		inner       int
+		warmStarted bool
 	)
-	pred := Prediction{ClassResponse: map[timeline.Class]float64{}}
+	// Until an estimator stops, its entry's ResponseTime is the previous
+	// round's total (the ε-test's reference), +Inf before the first round.
+	for i := range out {
+		out[i] = Prediction{ResponseTime: math.Inf(1)}
+	}
+	running := len(ests)
 
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
+	for iter := 1; iter <= cfg.MaxIterations && running > 0; iter++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return Prediction{}, err
+				return err
 			}
 		}
 		// A2: timeline from current class response times.
 		tl, err = p.buildTimeline(cfg, classes)
 		if err != nil {
-			return Prediction{}, err
+			return err
 		}
 		// A3: precedence tree.
 		tree, err = ptree.Build(tl)
 		if err != nil {
-			return Prediction{}, err
+			return err
 		}
 		// A4: overlap factors.
 		alpha, beta := p.overlapFactors(tl)
@@ -518,14 +577,14 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 		if iter == 1 && seed != nil {
 			warm = p.warmResidenceRows(seed, len(tl.Tasks), p.hw.nc)
 			in.Warm = warm
-			pred.WarmStarted = warm != nil
+			warmStarted = warm != nil
 		}
 		// A5: overlap-weighted MVA step.
 		step, err := p.solver.Step(in)
 		if err != nil {
-			return Prediction{}, err
+			return err
 		}
-		pred.InnerIterations += step.Iterations
+		inner += step.Iterations
 		// Retain the latest MVA state for warm-start recording (PredictWarm);
 		// the matrices alias solver scratch, valid until the next Step.
 		p.lastStep = step
@@ -547,30 +606,55 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 			cd.response = cfg.Damping*cd.response + (1-cfg.Damping)*nr
 			classes[cls] = cd
 		}
-		// A6: job response from the tree + convergence test.
-		total, err := p.estimate(cfg, tree, tl, step.Response, classes)
-		if err != nil {
-			return Prediction{}, err
+		// A6: job response from the tree + convergence test, per estimator
+		// still iterating.
+		p.indexResponses(tl, step.Response)
+		for i, est := range ests {
+			pred := &out[i]
+			if pred.Converged {
+				continue
+			}
+			total, err := p.estimate(&cfg, est, tree, classes)
+			if err != nil {
+				return err
+			}
+			total += cfg.Job.Profile.AMStartup
+			stop := math.Abs(total-pred.ResponseTime) <= cfg.Epsilon && !acc.justExtrapolated
+			pred.ResponseTime = total
+			pred.Iterations = iter
+			pred.InnerIterations = inner
+			pred.WarmStarted = warmStarted
+			if est == EstimatorTripathi {
+				pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
+			}
+			if stop {
+				pred.Converged = true
+				finish(pred, classes, tl, tree)
+				running--
+			}
 		}
-		total += cfg.Job.Profile.AMStartup
-		pred.Iterations = iter
-		pred.ResponseTime = total
-		pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
-		if math.Abs(total-prevTotal) <= cfg.Epsilon && !acc.justExtrapolated {
-			pred.Converged = true
-			break
-		}
-		prevTotal = total
-		if cfg.AccelerateOuter {
+		if running > 0 && cfg.AccelerateOuter {
 			acc.observe(classes)
 		}
 	}
+	for i := range out {
+		if !out[i].Converged {
+			finish(&out[i], classes, tl, tree)
+		}
+	}
+	return nil
+}
+
+// finish records the iteration state an estimator stops with: the class
+// responses (copied — the loop may run on for other estimators) and the
+// round's timeline and tree (fresh per round, so safe to share).
+func finish(pred *Prediction, classes map[timeline.Class]*classData, tl *timeline.Timeline, tree *ptree.Node) {
+	pred.ClassResponse = map[timeline.Class]float64{}
 	for cls, cd := range classes {
 		pred.ClassResponse[cls] = cd.response
 	}
 	pred.Timeline = tl
 	pred.Tree = tree
-	return pred, nil
 }
 
 // beginPredict validates and normalizes a configuration and initializes the
@@ -1128,19 +1212,23 @@ type classTask struct {
 	id  int
 }
 
-// estimate computes the job response time from the precedence tree using the
-// configured estimator; leaf response times come from the MVA step (per
-// task), leaf CVs from the class data.
-func (p *Predictor) estimate(cfg Config, tree *ptree.Node, tl *timeline.Timeline, taskResp []float64, classes map[timeline.Class]*classData) (float64, error) {
-	// Index placed tasks to their MVA responses.
+// indexResponses indexes the placed tasks to their MVA responses for the
+// round's estimates.
+func (p *Predictor) indexResponses(tl *timeline.Timeline, taskResp []float64) {
 	if p.respOf == nil {
 		p.respOf = make(map[classTask]float64, len(tl.Tasks))
 	}
 	clear(p.respOf)
-	respOf := p.respOf
 	for i, t := range tl.Tasks {
-		respOf[classTask{t.Class, t.ID}] = taskResp[i]
+		p.respOf[classTask{t.Class, t.ID}] = taskResp[i]
 	}
+}
+
+// estimate computes the job response time from the precedence tree using
+// estimator est; leaf response times come from the MVA step (per task, as
+// indexed by indexResponses), leaf CVs from the class data.
+func (p *Predictor) estimate(cfg *Config, est Estimator, tree *ptree.Node, classes map[timeline.Class]*classData) (float64, error) {
+	respOf := p.respOf
 	leaf := func(t *timeline.Placed) (mean, cv float64, err error) {
 		m, ok := respOf[classTask{t.Class, t.ID}]
 		if !ok || m <= 0 {
@@ -1156,7 +1244,7 @@ func (p *Predictor) estimate(cfg Config, tree *ptree.Node, tl *timeline.Timeline
 		return m, classes[t.Class].cv, nil
 	}
 
-	switch cfg.Estimator {
+	switch est {
 	case EstimatorTripathi:
 		d, err := p.trip.eval(tree, leaf, cfg.TripathiCVFloor)
 		if err != nil {
@@ -1174,7 +1262,7 @@ func (p *Predictor) estimate(cfg Config, tree *ptree.Node, tl *timeline.Timeline
 
 // evalForkJoin recursively evaluates the tree with the fork/join rule. With
 // literal=true the P rule is the paper's verbatim 3/2·max; otherwise the
-// CV-attenuated variant (DESIGN.md §4).
+// CV-attenuated variant (see EstimatorForkJoin).
 func evalForkJoin(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, error), literal bool, atten float64) (mean, cv float64, err error) {
 	switch n.Op {
 	case ptree.Leaf:

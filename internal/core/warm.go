@@ -157,12 +157,12 @@ func (p *Predictor) PredictWarmContext(ctx context.Context, cfg Config) (Predict
 
 func (p *Predictor) predictWarm(ctx context.Context, cfg Config) (Prediction, error) {
 	if cfg.ColdStart {
-		return p.predict(ctx, cfg, nil, false)
+		return p.predictOne(ctx, cfg, nil, false)
 	}
 	sig := warmSig(&cfg)
 	nodes := cfg.Spec.TotalNodes()
 	seed := p.warm.nearest(sig, nodes)
-	pred, err := p.predict(ctx, cfg, seed, true)
+	pred, err := p.predictOne(ctx, cfg, seed, true)
 	if err != nil {
 		return Prediction{}, err
 	}

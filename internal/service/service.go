@@ -1018,25 +1018,19 @@ func (s *Service) runCompare(ctx context.Context, req CompareRequest) (CompareRe
 		return CompareResponse{}, err
 	}
 	defer s.release()
-	cfg := core.Config{Spec: req.Spec, Job: req.Job, NumJobs: req.NumJobs,
-		Estimator: core.EstimatorForkJoin, Faults: req.Faults}
+	cfg := core.Config{Spec: req.Spec, Job: req.Job, NumJobs: req.NumJobs, Faults: req.Faults}
 	if req.resolved != nil {
 		cfg.History = req.resolved.history
 	}
-	tr := obs.FromContext(ctx)
+	// Both estimators from one outer loop, on this pool worker: the pool
+	// owns the concurrency budget, so the solve spawns nothing.
 	solveStart := time.Now()
-	fj, err := core.PredictContext(ctx, cfg)
-	s.endSpan(tr, obs.StageModelSolve, solveStart)
+	preds, err := core.PredictEach(ctx, cfg, core.EstimatorForkJoin, core.EstimatorTripathi)
+	s.endSpan(obs.FromContext(ctx), obs.StageModelSolve, solveStart)
 	if err != nil {
 		return CompareResponse{}, err
 	}
-	cfg.Estimator = core.EstimatorTripathi
-	solveStart = time.Now()
-	tp, err := core.PredictContext(ctx, cfg)
-	s.endSpan(tr, obs.StageModelSolve, solveStart)
-	if err != nil {
-		return CompareResponse{}, err
-	}
+	fj, tp := preds[0], preds[1]
 	measured := res.MeanResponse()
 	return CompareResponse{
 		Simulated:   measured,
