@@ -561,7 +561,7 @@ func BenchmarkPlanHeterogeneousDeadline(b *testing.B) {
 }
 
 // BenchmarkTimelineConstruction isolates Algorithm 1 (§4.3: O(C·T) per
-// iteration).
+// iteration) on a reused Builder, as the model's outer round runs it.
 func BenchmarkTimelineConstruction(b *testing.B) {
 	in := timeline.Input{NumNodes: 8, MapSlotsPerNode: 8, ReduceSlotsPerNode: 4, SlowStart: true}
 	for i := 0; i < 160; i++ {
@@ -570,9 +570,11 @@ func BenchmarkTimelineConstruction(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		in.Reduces = append(in.Reduces, timeline.ReduceTask{ID: i, ShuffleSortBase: 10, MergeDuration: 50})
 	}
+	var tlb timeline.Builder
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timeline.Build(in); err != nil {
+		if _, err := tlb.Build(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -591,6 +593,7 @@ func BenchmarkPrecedenceTree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ptree.Build(tl); err != nil {
@@ -599,41 +602,28 @@ func BenchmarkPrecedenceTree(b *testing.B) {
 	}
 }
 
-// BenchmarkMVAExact measures the classical Reiser-Lavenberg recursion.
-func BenchmarkMVAExact(b *testing.B) {
-	centers := []mva.Center{{Demand: 1}, {Demand: 2}, {Demand: 0.5}}
-	for i := 0; i < b.N; i++ {
-		if _, err := mva.ExactSingleClass(centers, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // mvaBenchInput builds the overlap-weighted fixed point input at the scale
 // of a 5 GB job (48 tasks, 3 centers) shared by the kernel benchmarks.
+// Every pair overlaps by α = 0.5 within the job and β = 0.25 with each of
+// N−1 = 3 other jobs, so the fused weights are α + 3β = 1.25 off the
+// diagonal and 3β = 0.75 on it.
 func mvaBenchInput() mva.OverlapInput {
 	n := 48
 	tasks := make([]mva.TaskDemand, n)
-	alpha := make([][][]float64, 3)
-	beta := make([][][]float64, 3)
-	for k := 0; k < 3; k++ {
-		alpha[k] = make([][]float64, n)
-		beta[k] = make([][]float64, n)
+	weights := make([]float64, 3*n*n)
+	for c := 0; c < 3; c++ {
 		for i := 0; i < n; i++ {
-			alpha[k][i] = make([]float64, n)
-			beta[k][i] = make([]float64, n)
-			for j := 0; j < n; j++ {
-				if i != j {
-					alpha[k][i][j] = 0.5
-				}
-				beta[k][i][j] = 0.25
+			row := weights[(c*n+i)*n : (c*n+i+1)*n]
+			for j := range row {
+				row[j] = 1.25
 			}
+			row[i] = 0.75
 		}
 	}
 	for i := range tasks {
 		tasks[i] = mva.TaskDemand{Demands: []float64{20, 2, 1}}
 	}
-	return mva.OverlapInput{Tasks: tasks, Alpha: alpha, Beta: beta, Servers: []float64{4, 1, 2}, OtherJobs: 3}
+	return mva.OverlapInput{Tasks: tasks, Weights: weights, Servers: []float64{4, 1, 2}}
 }
 
 // BenchmarkMVAOverlapStep measures the fused struct-of-arrays overlap kernel

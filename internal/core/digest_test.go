@@ -1,0 +1,158 @@
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"testing"
+
+	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/fault"
+	"hadoop2perf/internal/timeline"
+	"hadoop2perf/internal/workload"
+)
+
+// predictDigest is the SHA-256 of digestPredictions' output. It pins every
+// answer bit and every counter of a stratified config set; any change to the
+// model's arithmetic or iteration order moves it. Refresh it only for a
+// change that is meant to move predictions, and say so where the change is
+// recorded.
+const predictDigest = "4b2cf5b4bb8b87244a08cda05aefc487f6405ec83b47dd37a336e4edae19cbec"
+
+// digestConfigs is the stratified set: flat and 2-class clusters, one and
+// four jobs, a fault plan, a partial and a full history, two node counts.
+func digestConfigs(t *testing.T) []Config {
+	t.Helper()
+	small, err := workload.NewJob(0, 1024, 128, 4, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := workload.NewJob(0, 3*1024, 128, 6, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := small.MapDemands(small.BlockSizeMB, cluster.Default(4).DiskMBps)
+	partial := map[timeline.Class]ClassStats{
+		timeline.ClassMap: {MeanCPU: md.CPU * 1.5, MeanDisk: md.Disk, MeanNetwork: md.Network, CV: 0.2},
+	}
+	full := map[timeline.Class]ClassStats{
+		timeline.ClassMap:         {CV: 0.3},
+		timeline.ClassShuffleSort: {MeanResponse: 40, CV: 0.1},
+		timeline.ClassMerge:       {CV: 0.05},
+	}
+	var out []Config
+	for _, spec := range []cluster.Spec{cluster.Default(4), cluster.Default(5), twoClassSpec(2, 2), twoClassSpec(3, 2)} {
+		for _, jobs := range []int{1, 4} {
+			out = append(out,
+				Config{Spec: spec, Job: small, NumJobs: jobs},
+				Config{Spec: spec, Job: large, NumJobs: jobs},
+				Config{Spec: spec, Job: small, NumJobs: jobs, History: partial},
+			)
+		}
+	}
+	out = append(out,
+		Config{Spec: cluster.Default(10), Job: large, NumJobs: 4, History: full},
+		Config{Spec: reliableSpotSpec(), Job: small, NumJobs: 2,
+			Faults: &fault.Plan{StragglerProb: 0.1, StragglerAlpha: 2}},
+		Config{Spec: reliableSpotSpec(), Job: large, NumJobs: 1,
+			Faults: &fault.Plan{StragglerProb: 0.2, StragglerAlpha: 2.5, Speculation: true}},
+	)
+	return out
+}
+
+// digestPrediction writes one prediction's answer bits and counters.
+func digestPrediction(h hash.Hash, p Prediction) {
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	b := func(v bool) {
+		if v {
+			u64(1)
+		} else {
+			u64(0)
+		}
+	}
+	u64(math.Float64bits(p.ResponseTime))
+	u64(uint64(p.Iterations))
+	b(p.Converged)
+	u64(uint64(p.InnerIterations))
+	u64(uint64(p.MaxEvaluations))
+	u64(uint64(p.MaxIntegrations))
+	b(p.WarmStarted)
+	for _, cls := range []timeline.Class{timeline.ClassMap, timeline.ClassShuffleSort, timeline.ClassMerge} {
+		r, ok := p.ClassResponse[cls]
+		b(ok)
+		u64(math.Float64bits(r))
+	}
+}
+
+// digestPredictions solves every digest config cold, with AccelerateOuter,
+// through one PredictEach over all estimators, and on one shared warm
+// Predictor, then walks a node axis on that Predictor, and hashes every
+// result in that order.
+func digestPredictions(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	var warm Predictor
+	for i, cfg := range digestConfigs(t) {
+		for _, est := range allEstimators {
+			for _, accel := range []bool{false, true} {
+				c := cfg
+				c.Estimator, c.AccelerateOuter = est, accel
+				p, err := Predict(c)
+				if err != nil {
+					t.Fatalf("config %d %s accel=%v: %v", i, est, accel, err)
+				}
+				digestPrediction(h, p)
+			}
+		}
+		each, err := PredictEach(context.Background(), cfg, allEstimators...)
+		if err != nil {
+			t.Fatalf("config %d each: %v", i, err)
+		}
+		for _, p := range each {
+			digestPrediction(h, p)
+		}
+		c := cfg
+		c.Estimator = EstimatorTripathi
+		p, err := warm.PredictWarm(c)
+		if err != nil {
+			t.Fatalf("config %d warm: %v", i, err)
+		}
+		digestPrediction(h, p)
+	}
+	// A planner-style node-axis walk, so the warm chain actually seeds.
+	job, err := workload.NewJob(0, 2048, 128, 4, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := 0
+	for nodes := 4; nodes <= 9; nodes++ {
+		p, err := warm.PredictWarm(Config{Spec: cluster.Default(nodes), Job: job, NumJobs: 2})
+		if err != nil {
+			t.Fatalf("warm chain at %d nodes: %v", nodes, err)
+		}
+		if p.WarmStarted {
+			seeded++
+		}
+		digestPrediction(h, p)
+	}
+	if seeded == 0 {
+		t.Error("the warm chain never warm-started")
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPredictDigest pins the model's output bit for bit over the digest set:
+// an optimization of the outer round must leave every answer and counter
+// exactly as it was.
+func TestPredictDigest(t *testing.T) {
+	if got := digestPredictions(t); got != predictDigest {
+		t.Errorf("prediction digest %s, want %s", got, predictDigest)
+	}
+}

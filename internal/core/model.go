@@ -252,12 +252,13 @@ type classData struct {
 
 func (c *classData) demandTotal() float64 { return c.demCPU + c.demDisk + c.demNetwork }
 
-// Predictor is a reusable, allocation-lean model evaluator: the O(T²)
-// overlap matrices, the MVA solver scratch, the timeline inputs and the
-// per-iteration lookup tables live on the Predictor and are recycled across
-// iterations and across predictions, so evaluating many configurations —
-// the planner's node-axis sweeps, batched figure reproduction — stops
-// churning the garbage collector.
+// Predictor is a reusable, allocation-lean model evaluator: the O(T²) fused
+// overlap weights, the MVA solver scratch, the timeline builder and its
+// inputs and the per-iteration lookup tables live on the Predictor and are
+// recycled across iterations and across predictions, so evaluating many
+// configurations — the planner's node-axis sweeps, batched figure
+// reproduction — stops churning the garbage collector. Each outer round
+// allocates only the timeline and the precedence tree it returns.
 //
 // A Predictor is not safe for concurrent use; pool Predictors (one per
 // worker) to serve parallel predictions. Results are bit-identical to the
@@ -268,19 +269,19 @@ type Predictor struct {
 	// hw is the hardware-class view of the current prediction's cluster.
 	hw hwView
 
-	// Overlap-factor matrices: 2 (alpha, beta) × numCenters layers of n×n,
-	// views over one flat backing array, rebuilt only when the task count or
-	// the center count changes.
-	ovFlat      []float64
-	alpha, beta [][][]float64
-	ovN, ovC    int
+	// weights is the fused overlap weight matrix the MVA step reads
+	// (mva.OverlapInput.Weights: numCenters×n×n, center-major), written in
+	// place by overlapFactors each round.
+	weights []float64
 
 	// Per-task MVA demands, flat-backed with a numCenters stride.
 	demands []mva.TaskDemand
 	demFlat []float64
 	demC    int
 
-	// Algorithm-1 inputs (timeline.Build copies them; safe to reuse).
+	// Algorithm-1 builder and inputs (the builder copies what it keeps into
+	// the returned timeline; safe to reuse).
+	tlb        timeline.Builder
 	maps       []timeline.MapTask
 	reduces    []timeline.ReduceTask
 	mapSlotsBy []int
@@ -291,13 +292,14 @@ type Predictor struct {
 	// Center service multiplicities, rebuilt per prediction.
 	servers []float64
 
-	// Per-iteration lookup tables, cleared instead of reallocated. Lanes are
-	// resolved to dense indices once per round (laneWindows); the factor
-	// loops index laneOf/laneWins instead of hashing per pair.
-	lanes    map[laneKey]int
+	// Per-iteration lookup tables, rewritten instead of reallocated. Lanes
+	// have a dense (pool, node, slot) index (laneWindows); the factor loops
+	// index laneOf/laneWins instead of hashing per pair. respBy[cls][id] is
+	// the round's MVA response of task id of class cls (0 = absent).
+	laneBase []int
 	laneOf   []int
 	laneWins []laneWindow
-	respOf   map[classTask]float64
+	respBy   [numClasses][]float64
 
 	// Warm-start state (warm.go): a small pool of converged solutions
 	// PredictWarm seeds from, scratch for viewing a pooled flat residence
@@ -561,16 +563,14 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 		if err != nil {
 			return err
 		}
-		// A4: overlap factors.
-		alpha, beta := p.overlapFactors(tl)
+		// A4: overlap factors, fused into the MVA step's weights.
+		weights := p.overlapFactors(tl, cfg.NumJobs-1)
 		taskDemands := p.demandsFor(cfg, tl, classes)
 		p.servers = p.hw.servers(p.servers)
 		in := mva.OverlapInput{
 			Tasks:      taskDemands,
-			Alpha:      alpha,
-			Beta:       beta,
+			Weights:    weights,
 			Servers:    p.servers,
-			OtherJobs:  cfg.NumJobs - 1,
 			Warm:       warm,
 			Accelerate: fast,
 		}
@@ -795,7 +795,7 @@ func leafCVFor(cfg Config, cls timeline.Class) float64 {
 // buildTimeline converts class responses into Algorithm 1 inputs. The
 // shuffle-sort response is split into a node-local base and a network share
 // that Algorithm 1 redistributes per remote map (sd/|R|). The input slices
-// are predictor-owned scratch: timeline.Build copies what it keeps.
+// are predictor-owned scratch: the timeline builder copies what it keeps.
 func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classData) (*timeline.Timeline, error) {
 	m := cfg.Job.NumMaps()
 	r := cfg.Job.NumReduces
@@ -855,7 +855,7 @@ func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classD
 		SlowStart:         cfg.Job.SlowStart,
 	}
 	in.MapDurationScaleByNode, in.ReduceDurationScaleByNode = p.durationScales(cfg, classes)
-	return timeline.Build(in)
+	return p.tlb.Build(in)
 }
 
 // durationScales derives Algorithm 1's per-node duration-scale vectors for
@@ -939,49 +939,13 @@ const (
 // class constants index arrays of this size.
 const numClasses = 3
 
-// overlapMatrices returns zeroed alpha/beta matrices for n tasks over nc
-// centers, views over one predictor-owned flat backing so repeated
-// iterations of the same shape allocate nothing.
-func (p *Predictor) overlapMatrices(n, nc int) (alpha, beta [][][]float64) {
-	need := 2 * nc * n * n
-	if p.ovN != n || p.ovC != nc {
-		p.ovN, p.ovC = n, nc
-		if cap(p.ovFlat) < need {
-			p.ovFlat = make([]float64, need)
-		}
-		p.ovFlat = p.ovFlat[:need]
-		if cap(p.alpha) < nc {
-			p.alpha = make([][][]float64, nc)
-			p.beta = make([][][]float64, nc)
-		}
-		p.alpha = p.alpha[:nc]
-		p.beta = p.beta[:nc]
-		off := 0
-		row := func() []float64 {
-			r := p.ovFlat[off : off+n : off+n]
-			off += n
-			return r
-		}
-		for k := 0; k < nc; k++ {
-			if cap(p.alpha[k]) < n {
-				p.alpha[k] = make([][]float64, n)
-				p.beta[k] = make([][]float64, n)
-			}
-			p.alpha[k] = p.alpha[k][:n]
-			p.beta[k] = p.beta[k][:n]
-			for i := 0; i < n; i++ {
-				p.alpha[k][i] = row()
-			}
-			for i := 0; i < n; i++ {
-				p.beta[k][i] = row()
-			}
-		}
-	}
-	clear(p.ovFlat)
-	return p.alpha, p.beta
-}
-
-// overlapFactors computes α (intra-job) and β (inter-job) per center.
+// overlapFactors computes the intra-job (α) and inter-job (β) overlap
+// factors per center and writes them fused into the MVA step's weights
+// (mva.OverlapInput.Weights): W[c][i][j] = α^c_ij + (N−1)·β^c_ij off the
+// diagonal and (N−1)·β^c_ii on it, with N−1 = otherJobs. Task i has demand
+// only at its own class's CPU and Disk centers and the Network center, so
+// only those three rows of i are written; the solver never reads the rest,
+// and nothing needs clearing.
 //
 // α^k_ij is the fraction of task i's execution that overlaps task j's, masked
 // by center visibility: the CPU&Memory center is per-node, so only
@@ -996,32 +960,32 @@ func (p *Predictor) overlapMatrices(n, nc int) (alpha, beta [][][]float64) {
 // other job's tasks spread over nodes in proportion to their share of the
 // container pool, which for a flat spec reduces to the paper's uniform
 // 1/numNodes.
-func (p *Predictor) overlapFactors(tl *timeline.Timeline) (alpha, beta [][][]float64) {
+func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float64 {
 	hw := &p.hw
 	n := len(tl.Tasks)
-	alpha, beta = p.overlapMatrices(n, hw.nc)
+	p.weights = resizeFloats(p.weights, hw.nc*n*n)
+	row := func(c, i int) []float64 { return p.weights[(c*n+i)*n : (c*n+i+1)*n] }
+	n1 := float64(otherJobs)
 	laneOf, wins := p.laneWindows(tl)
 	netC := hw.netCenter()
 	for i := 0; i < n; i++ {
 		ti := tl.Tasks[i]
 		ci := hw.classOf[ti.Node]
-		cpuC, diskC := hw.cpuCenter(ci), hw.diskCenter(ci)
+		wNet, wCPU, wDisk := row(netC, i), row(hw.cpuCenter(ci), i), row(hw.diskCenter(ci), i)
 		di := ti.Duration()
 		li := laneOf[i]
 		// The twin of task j draws its node from j's container pool; node(i)
 		// hosts a pool share of slots(class(i))/totalSlots.
 		invWMap, invWRed := hw.invWMap[ci], hw.invWRed[ci]
-		aNet, bNet := alpha[netC][i], beta[netC][i]
-		aCPU, aDisk := alpha[cpuC][i], alpha[diskC][i]
-		bCPU, bDisk := beta[cpuC][i], beta[diskC][i]
-		// The twin of task i in another job overlaps fully.
-		bNet[i] = 1
+		// The twin of task i in another job overlaps fully (β_ii); task i
+		// never queues behind itself (no α_ii).
 		selfW := invWMap
 		if ti.Class != timeline.ClassMap {
 			selfW = invWRed
 		}
-		bCPU[i] = 1 / selfW
-		bDisk[i] = 1 / selfW
+		wNet[i] = n1 * 1
+		wCPU[i] = n1 * (1 / selfW)
+		wDisk[i] = wCPU[i]
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
@@ -1042,14 +1006,11 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline) (alpha, beta [][][]flo
 			}
 			// Network: global center, pairwise transfer overlap — the same
 			// α and β time-overlap (see the doc comment above).
-			aNet[j] = ov
+			wNet[j] = ov + n1*ov
 			invW := invWMap
 			if tj.Class != timeline.ClassMap {
 				invW = invWRed
 			}
-			bNet[j] = ov
-			bCPU[j] = ov / invW
-			bDisk[j] = ov / invW
 			// CPU and Disk: per-node centers (task i contends at its own
 			// class's center pair). Contention is assessed against the *lane*
 			// hosting task j rather than j's exact interval: on the real
@@ -1057,60 +1018,67 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline) (alpha, beta [][][]flo
 			// stays busy wall-to-wall while work remains. Each lane counts
 			// once, with its contention spread over its tasks in proportion
 			// to their durations; same-lane tasks serialize and never
-			// contend.
+			// contend, and tasks on other nodes have no α at all.
+			lov := 0.0
 			if ti.Node == tj.Node {
-				lj := laneOf[j]
-				lov := ov
-				if lj != li {
+				if lj := laneOf[j]; lj != li {
+					lov = ov
 					if w := &wins[lj]; w.total > 0 && di > 0 {
 						lov = timeline.Overlap(ti, w.placed) / di * (tj.Duration() / w.total)
 					}
-				} else {
-					lov = 0
 				}
-				aCPU[j] = lov
-				aDisk[j] = lov
 			}
+			wCPU[j] = lov + n1*(ov/invW)
+			wDisk[j] = wCPU[j]
 		}
 	}
-	return alpha, beta
+	return p.weights
 }
 
-// laneKey identifies one container lane: reduce subtasks (shuffle-sort and
-// merge) share their reducer's lane; maps have their own lane pool.
-type laneKey struct {
-	mapPool bool
-	node    int
-	slot    int
-}
-
-// laneWindow is the busy envelope of one lane.
+// laneWindow is the busy envelope of one container lane: reduce subtasks
+// (shuffle-sort and merge) share their reducer's lane; maps have their own
+// lane pool.
 type laneWindow struct {
 	placed timeline.Placed // envelope interval, reused for Overlap
 	total  float64         // sum of task durations in the lane
+	used   bool            // some task of this round runs in the lane
 }
 
-// laneWindows resolves each task's container lane to a dense index and
-// builds the per-lane busy envelopes. The map is only touched once per task
-// here (ID assignment); the O(n²) factor loop above indexes slices — the
-// n² map hashes of the historical per-pair laneOverlap lookups dominated
-// the outer round's artifact cost once the MVA sweep itself got cheap.
+// laneWindows resolves each task's container lane to its dense
+// (pool, node, slot) index — the map lanes of every node, then the reduce
+// lanes, at the per-job lane counts the round's timeline was built with —
+// and builds the per-lane busy envelopes. Only the lanes a task runs in are
+// reset, so the cost is O(tasks + nodes), not O(lanes).
 func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []laneWindow) {
-	if p.lanes == nil {
-		p.lanes = make(map[laneKey]int)
+	nodes := p.hw.nodes
+	p.laneBase = resizeInts(p.laneBase, 2*nodes)
+	lanes := 0
+	for n, c := range p.mapSlotsBy[:nodes] {
+		p.laneBase[n] = lanes
+		lanes += c
 	}
-	clear(p.lanes)
+	for n, c := range p.redSlotsBy[:nodes] {
+		p.laneBase[nodes+n] = lanes
+		lanes += c
+	}
+	if cap(p.laneWins) < lanes {
+		p.laneWins = make([]laneWindow, lanes)
+	}
+	p.laneWins = p.laneWins[:lanes]
 	p.laneOf = resizeInts(p.laneOf, len(tl.Tasks))
-	p.laneWins = p.laneWins[:0]
 	for i, t := range tl.Tasks {
-		k := laneKey{mapPool: t.Class == timeline.ClassMap, node: t.Node, slot: t.Slot}
-		id, ok := p.lanes[k]
-		if !ok {
-			id = len(p.laneWins)
-			p.lanes[k] = id
-			p.laneWins = append(p.laneWins, laneWindow{placed: t})
+		base := p.laneBase[t.Node]
+		if t.Class != timeline.ClassMap {
+			base = p.laneBase[nodes+t.Node]
+		}
+		p.laneOf[i] = base + t.Slot
+		p.laneWins[base+t.Slot].used = false
+	}
+	for i, t := range tl.Tasks {
+		w := &p.laneWins[p.laneOf[i]]
+		if !w.used {
+			*w = laneWindow{placed: t, used: true}
 		} else {
-			w := &p.laneWins[id]
 			if t.Start < w.placed.Start {
 				w.placed.Start = t.Start
 			}
@@ -1118,8 +1086,7 @@ func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []lan
 				w.placed.End = t.End
 			}
 		}
-		p.laneWins[id].total += t.Duration()
-		p.laneOf[i] = id
+		w.total += t.Duration()
 	}
 	return p.laneOf, p.laneWins
 }
@@ -1205,22 +1172,20 @@ func classMeans(tl *timeline.Timeline, resp []float64, out *[numClasses]float64)
 	}
 }
 
-// classTask identifies a placed task by class and ID (the estimate lookup
-// key).
-type classTask struct {
-	cls timeline.Class
-	id  int
-}
-
-// indexResponses indexes the placed tasks to their MVA responses for the
-// round's estimates.
+// indexResponses indexes the placed tasks' MVA responses by class and task
+// ID for the round's estimates. Task IDs are unique and non-negative within
+// a class (timeline.Input.Validate).
 func (p *Predictor) indexResponses(tl *timeline.Timeline, taskResp []float64) {
-	if p.respOf == nil {
-		p.respOf = make(map[classTask]float64, len(tl.Tasks))
+	var size [numClasses]int
+	for _, t := range tl.Tasks {
+		size[t.Class] = max(size[t.Class], t.ID+1)
 	}
-	clear(p.respOf)
+	for cls := range p.respBy {
+		p.respBy[cls] = resizeFloats(p.respBy[cls], size[cls])
+		clear(p.respBy[cls])
+	}
 	for i, t := range tl.Tasks {
-		p.respOf[classTask{t.Class, t.ID}] = taskResp[i]
+		p.respBy[t.Class][t.ID] = taskResp[i]
 	}
 }
 
@@ -1228,10 +1193,13 @@ func (p *Predictor) indexResponses(tl *timeline.Timeline, taskResp []float64) {
 // estimator est; leaf response times come from the MVA step (per task, as
 // indexed by indexResponses), leaf CVs from the class data.
 func (p *Predictor) estimate(cfg *Config, est Estimator, tree *ptree.Node, classes map[timeline.Class]*classData) (float64, error) {
-	respOf := p.respOf
+	respBy := &p.respBy
 	leaf := func(t *timeline.Placed) (mean, cv float64, err error) {
-		m, ok := respOf[classTask{t.Class, t.ID}]
-		if !ok || m <= 0 {
+		var m float64
+		if ids := respBy[t.Class]; t.ID < len(ids) {
+			m = ids[t.ID]
+		}
+		if m <= 0 {
 			return 0, 0, fmt.Errorf("core: no response for %s task %d", t.Class, t.ID)
 		}
 		// Pipeline-clamped tasks (a shuffle cannot end before the last map)

@@ -208,3 +208,34 @@ func TestSweepBudget(t *testing.T) {
 		t.Errorf("warm batch spent %d inner sweeps, budget is half of cold's %d", warmInner, coldInner)
 	}
 }
+
+// A cold Predict on a reused Predictor allocates a small fixed amount per
+// prediction (the class state and the result's maps) plus, per outer round,
+// only the timeline and precedence tree the round returns (two allocations
+// each): the overlap weights, lane and response tables, timeline scratch
+// and MVA buffers are all reused.
+func TestPredictAllocBudget(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		j, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Spec: cluster.Default(4), Job: j, NumJobs: jobs}
+		var p Predictor
+		pred, err := p.Predict(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.Iterations < 10 {
+			t.Fatalf("jobs=%d: %d outer rounds; too few to expose per-round allocations", jobs, pred.Iterations)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := p.Predict(cfg); err != nil {
+				t.Error(err)
+			}
+		})
+		if budget := 16 + 6*pred.Iterations; allocs > float64(budget) {
+			t.Errorf("jobs=%d: %.0f allocations over %d rounds, budget %d", jobs, allocs, pred.Iterations, budget)
+		}
+	}
+}

@@ -1,14 +1,10 @@
-// Package mva provides Mean Value Analysis solvers for closed queueing
-// networks:
-//
-//   - Exact single-class MVA (Reiser & Lavenberg [7]) — the classical
-//     recursion, used as a verified substrate and in tests;
-//   - Schweitzer–Bard approximate multiclass MVA — the O(C²N²K)-style
-//     fixed-point iteration the paper's complexity analysis refers to;
-//   - the overlap-weighted residence-time step (Mak & Lundstrom [5], Liang &
-//     Tripathi [4]) used by the paper's model: the queueing delay of a task
-//     at a center is proportional to the overlap between tasks
-//     (α for tasks of the same job, β across jobs).
+// Package mva provides the overlap-weighted residence-time step (Mak &
+// Lundstrom [5], Liang & Tripathi [4]) of the paper's Mean Value Analysis:
+// the queueing delay of a task at a center is proportional to the overlap
+// between tasks (α for tasks of the same job, β across jobs), and the
+// safeguarded Aitken accelerator shared by the model's fixed-point loops.
+// With every pair fully overlapping it reduces to Schweitzer–Bard
+// approximate MVA (checked against it in the tests).
 package mva
 
 import (
@@ -16,169 +12,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Center is a service center of a closed network.
-type Center struct {
-	Name string
-	// Demand is the per-visit service demand of one customer (seconds).
-	Demand float64
-	// Delay marks a pure delay (infinite-server) center with no queueing.
-	Delay bool
-}
-
-// ExactResult holds the output of the exact single-class solver.
-type ExactResult struct {
-	// ResponseTime is the end-to-end response time with N customers.
-	ResponseTime float64
-	// Throughput is the system throughput X(N).
-	Throughput float64
-	// QueueLen[k] is the mean number of customers at center k.
-	QueueLen []float64
-	// Residence[k] is the response time at center k.
-	Residence []float64
-}
-
-// ExactSingleClass runs the exact MVA recursion for n customers over the
-// centers. It returns an error for invalid inputs.
-func ExactSingleClass(centers []Center, n int) (ExactResult, error) {
-	if n <= 0 {
-		return ExactResult{}, errors.New("mva: customer count must be positive")
-	}
-	if len(centers) == 0 {
-		return ExactResult{}, errors.New("mva: need at least one center")
-	}
-	for _, c := range centers {
-		if c.Demand < 0 {
-			return ExactResult{}, fmt.Errorf("mva: center %q has negative demand", c.Name)
-		}
-	}
-	k := len(centers)
-	q := make([]float64, k)
-	res := ExactResult{}
-	for pop := 1; pop <= n; pop++ {
-		resid := make([]float64, k)
-		var total float64
-		for i, c := range centers {
-			if c.Delay {
-				resid[i] = c.Demand
-			} else {
-				resid[i] = c.Demand * (1 + q[i])
-			}
-			total += resid[i]
-		}
-		x := float64(pop) / total
-		for i := range centers {
-			q[i] = x * resid[i]
-		}
-		res = ExactResult{ResponseTime: total, Throughput: x, QueueLen: q, Residence: resid}
-	}
-	// Copy queue lengths so callers can't alias internal state.
-	qc := make([]float64, k)
-	copy(qc, res.QueueLen)
-	res.QueueLen = qc
-	return res, nil
-}
-
-// ClassSpec describes one customer class of the approximate multiclass
-// solver.
-type ClassSpec struct {
-	Name string
-	// Population is the number of class customers.
-	Population int
-	// Demands[k] is the class's service demand at center k.
-	Demands []float64
-}
-
-// ApproxResult holds the Schweitzer–Bard output.
-type ApproxResult struct {
-	// ResponseTime[c] is the per-class response time.
-	ResponseTime []float64
-	// Throughput[c] is the per-class throughput.
-	Throughput []float64
-	// QueueLen[c][k] is the mean class-c population at center k.
-	QueueLen [][]float64
-	// Iterations is the number of fixed-point sweeps used.
-	Iterations int
-}
-
-// SchweitzerBard runs the approximate multiclass MVA fixed point: the
-// arrival-instant queue length of class c at center k is approximated by
-// sum_j q_jk - q_ck/N_c. Iterates until queue lengths move less than tol.
-func SchweitzerBard(classes []ClassSpec, centers int, tol float64, maxIter int) (ApproxResult, error) {
-	if len(classes) == 0 {
-		return ApproxResult{}, errors.New("mva: need at least one class")
-	}
-	if centers <= 0 {
-		return ApproxResult{}, errors.New("mva: need at least one center")
-	}
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	if maxIter <= 0 {
-		maxIter = 10_000
-	}
-	for _, c := range classes {
-		if c.Population <= 0 {
-			return ApproxResult{}, fmt.Errorf("mva: class %q has non-positive population", c.Name)
-		}
-		if len(c.Demands) != centers {
-			return ApproxResult{}, fmt.Errorf("mva: class %q has %d demands, want %d", c.Name, len(c.Demands), centers)
-		}
-	}
-	nc := len(classes)
-	q := make([][]float64, nc)
-	for c := range q {
-		// Spread the class population evenly as the starting point.
-		q[c] = make([]float64, centers)
-		pop := float64(classes[c].Population)
-		for k := 0; k < centers; k++ {
-			q[c][k] = pop / float64(centers)
-		}
-	}
-	resp := make([]float64, nc)
-	thr := make([]float64, nc)
-	// Double-buffer the queue lengths over flat backing: the historical loop
-	// allocated newQ and resid on every sweep, which dominated the allocation
-	// profile of long fixed points (TestSchweitzerBardAllocBudget pins the
-	// fixed budget).
-	nextQ := make([][]float64, nc)
-	nextFlat := make([]float64, nc*centers)
-	for c := range nextQ {
-		nextQ[c] = nextFlat[c*centers : (c+1)*centers : (c+1)*centers]
-	}
-	resid := make([]float64, centers)
-	var it int
-	for it = 0; it < maxIter; it++ {
-		maxDelta := 0.0
-		for c := range classes {
-			var total float64
-			for k := 0; k < centers; k++ {
-				// Arrival theorem approximation.
-				arr := 0.0
-				for j := range classes {
-					arr += q[j][k]
-				}
-				arr -= q[c][k] / float64(classes[c].Population)
-				resid[k] = classes[c].Demands[k] * (1 + arr)
-				total += resid[k]
-			}
-			x := float64(classes[c].Population) / total
-			resp[c] = total
-			thr[c] = x
-			for k := 0; k < centers; k++ {
-				nextQ[c][k] = x * resid[k]
-				if d := math.Abs(nextQ[c][k] - q[c][k]); d > maxDelta {
-					maxDelta = d
-				}
-			}
-		}
-		q, nextQ = nextQ, q
-		if maxDelta < tol {
-			break
-		}
-	}
-	return ApproxResult{ResponseTime: resp, Throughput: thr, QueueLen: q, Iterations: it + 1}, nil
-}
 
 // Aitken is the shared safeguarded Δ² accelerator behind the model's
 // fixed-point loops (the overlap solver and core's outer class-response
@@ -244,17 +77,20 @@ type TaskDemand struct {
 // OverlapInput drives one overlap-weighted residence-time step.
 type OverlapInput struct {
 	Tasks []TaskDemand
-	// Alpha[k][i][j] is the intra-job overlap factor between tasks i and j as
-	// seen by center k (per-node centers zero out pairs on different nodes).
-	Alpha [][][]float64
-	// Beta[k][i][j] is the inter-job overlap contribution of task j of *one*
-	// other (statistically identical) job on task i at center k.
-	Beta [][][]float64
+	// Weights holds the fused overlap weights, k·n·n long for n tasks over k
+	// centers and center-major: row c·n+i is W[c][i][0..n). Off the
+	// diagonal W[c][i][j] = α^c_ij + (N−1)·β^c_ij, where α^c_ij is the
+	// intra-job overlap factor between tasks i and j as seen by center c
+	// (per-node centers zero out pairs on different nodes), β^c_ij the
+	// contribution of task j of *one* other identical job, and N−1 the
+	// number of competing jobs. The diagonal is (N−1)·β^c_ii alone: a task
+	// does not queue behind itself, but its twin in another job does. The
+	// row of a task with zero demand at c is never read, so callers need not
+	// write (or clear) it.
+	Weights []float64
 	// Servers[k] is the service multiplicity of center k (cores per node,
 	// disks per node, network fabric width). Zero or negative defaults to 1.
 	Servers []float64
-	// OtherJobs is N-1: how many identical competing jobs to account for.
-	OtherJobs int
 	// Tol and MaxIter bound the inner fixed point.
 	Tol     float64
 	MaxIter int
@@ -301,7 +137,6 @@ type OverlapSolver struct {
 	resp     []float64
 	servers  []float64
 	rhoC     []float64 // k×n center-major visit probabilities
-	wFlat    []float64 // k×n×n fused weight matrices W[c] = α[c] + (N-1)β[c]
 	rowDirty []bool    // rows whose residence changed on the last sweep
 	acc      Aitken    // Δ² accelerator scratch (Accelerate inputs only)
 	n, k     int
@@ -322,10 +157,6 @@ func (s *OverlapSolver) ensure(n, k int) {
 	s.resFlat = s.resFlat[:need]
 	s.nextFlat = s.nextFlat[:need]
 	s.rhoC = s.rhoC[:need]
-	if cap(s.wFlat) < k*n*n {
-		s.wFlat = make([]float64, k*n*n)
-	}
-	s.wFlat = s.wFlat[:k*n*n]
 	if cap(s.rowDirty) < n {
 		s.rowDirty = make([]bool, n)
 	}
@@ -354,11 +185,12 @@ func (s *OverlapSolver) ensure(n, k int) {
 // (Mak–Lundstrom arrival queue lengths over processor-sharing multi-server
 // centers):
 //
-//	arr_ik = sum_{j≠i} α^k_ij ρ_jk + (N-1) sum_j β^k_ij ρ_jk
+//	arr_ik = sum_j W^k_ij ρ_jk
 //	R_ik   = D_ik * max(1, (1 + arr_ik) / c_k)
 //
-// with ρ_jk = R_jk / R_j the probability that an active task j resides at
-// center k, and c_k the center's service multiplicity. For c_k = 1 this is
+// with W the fused overlap weights (OverlapInput.Weights), ρ_jk = R_jk / R_j
+// the probability that an active task j resides at center k, and c_k the
+// center's service multiplicity. For c_k = 1 this is
 // the classical single-server inflation D_ik*(1+arr); for c_k > 1 it is the
 // fluid processor-sharing law: no slowdown until the expected concurrency
 // exceeds the server count. Iterates until response times are stable.
@@ -392,13 +224,8 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 			}
 		}
 	}
-	if len(in.Alpha) != k || len(in.Beta) != k {
-		return 0, 0, errors.New("mva: overlap matrices must have one layer per center")
-	}
-	for c := 0; c < k; c++ {
-		if len(in.Alpha[c]) != n || len(in.Beta[c]) != n {
-			return 0, 0, errors.New("mva: overlap matrix size mismatch")
-		}
+	if len(in.Weights) != k*n*n {
+		return 0, 0, fmt.Errorf("mva: %d weights, want %d (centers × tasks × tasks)", len(in.Weights), k*n*n)
 	}
 	if in.Servers != nil && len(in.Servers) != k {
 		return 0, 0, errors.New("mva: Servers must have one entry per center")
@@ -457,38 +284,14 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 	return tol, maxIter, nil
 }
 
-// buildFusedWeights packs W[c] = Alpha[c] + (N-1)·Beta[c] into s.wFlat,
-// center-major, one contiguous n-row per (c, i). The diagonal keeps only the
-// β self-term: the arrival sum excludes task i's α self-overlap,
-// while the twin of task i in another job contends fully. Rows whose task
-// demand at the center is zero are skipped — the sweep never reads them.
-func (s *OverlapSolver) buildFusedWeights(in *OverlapInput) {
-	n, k := s.n, s.k
-	otherJobs := float64(in.OtherJobs)
-	for c := 0; c < k; c++ {
-		for i := 0; i < n; i++ {
-			if in.Tasks[i].Demands[c] == 0 {
-				continue
-			}
-			alphaRow := in.Alpha[c][i]
-			betaRow := in.Beta[c][i]
-			wRow := s.wFlat[(c*n+i)*n : (c*n+i+1)*n]
-			for j := range wRow {
-				wRow[j] = alphaRow[j] + otherJobs*betaRow[j]
-			}
-			wRow[i] = otherJobs * betaRow[i]
-		}
-	}
-}
-
-// sweepFused is the struct-of-arrays sweep: the fused weight matrices are
-// built once outside the loop, ρ is stored center-major so each center's
-// arrival sums read two contiguous arrays, and the inner loop is a pure
-// branch-free dot product split over two accumulators (even/odd j) to break
-// the add-latency dependency chain.
+// sweepFused is the struct-of-arrays sweep: the caller's fused weight rows
+// are read in place, ρ is stored center-major so each center's arrival sums
+// read two contiguous arrays, and the inner loop is a pure branch-free dot
+// product split over two accumulators (even/odd j) to break the add-latency
+// dependency chain.
 func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) int {
 	n, k := s.n, s.k
-	s.buildFusedWeights(in)
+	w := in.Weights
 	// All rows start dirty: ρ has never been computed for this iterate.
 	for i := range s.rowDirty {
 		s.rowDirty[i] = true
@@ -526,17 +329,17 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 					if d0 == 0 {
 						s.next[i][c] = 0
 					} else {
-						s.next[i][c] = d0 * s.rowSlowdown(base, i, c, rc)
+						s.next[i][c] = d0 * s.rowSlowdown(w, base, i, c, rc)
 					}
 					if d1 == 0 {
 						s.next[i+1][c] = 0
 					} else {
-						s.next[i+1][c] = d1 * s.rowSlowdown(base, i+1, c, rc)
+						s.next[i+1][c] = d1 * s.rowSlowdown(w, base, i+1, c, rc)
 					}
 					continue
 				}
-				w0 := s.wFlat[(base+i)*n : (base+i+1)*n]
-				w1 := s.wFlat[(base+i+1)*n : (base+i+2)*n]
+				w0 := w[(base+i)*n : (base+i+1)*n]
+				w1 := w[(base+i+1)*n : (base+i+2)*n]
 				var a0, a1, b0, b1 float64
 				var j int
 				for ; j+1 < n; j += 2 {
@@ -566,7 +369,7 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 				if d := in.Tasks[i].Demands[c]; d == 0 {
 					s.next[i][c] = 0
 				} else {
-					s.next[i][c] = d * s.rowSlowdown(base, i, c, rc)
+					s.next[i][c] = d * s.rowSlowdown(w, base, i, c, rc)
 				}
 			}
 		}
@@ -613,9 +416,9 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 // rowSlowdown computes one task row's contention slowdown at center c —
 // the single-row tail of the paired dot-product walk in sweepFused, with
 // the identical even/odd accumulation order.
-func (s *OverlapSolver) rowSlowdown(base, i, c int, rc []float64) float64 {
+func (s *OverlapSolver) rowSlowdown(w []float64, base, i, c int, rc []float64) float64 {
 	n := s.n
-	wRow := s.wFlat[(base+i)*n : (base+i+1)*n]
+	wRow := w[(base+i)*n : (base+i+1)*n]
 	var a0, a1 float64
 	var j int
 	for ; j+1 < n; j += 2 {

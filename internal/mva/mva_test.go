@@ -9,162 +9,40 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestExactSingleCustomer(t *testing.T) {
-	// One customer never queues: response = sum of demands.
-	centers := []Center{{Name: "cpu", Demand: 2}, {Name: "disk", Demand: 3}}
-	res, err := ExactSingleClass(centers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(res.ResponseTime, 5, 1e-12) {
-		t.Errorf("R(1) = %v, want 5", res.ResponseTime)
-	}
-	if !almostEq(res.Throughput, 0.2, 1e-12) {
-		t.Errorf("X(1) = %v, want 0.2", res.Throughput)
-	}
+// abInput is an overlap input in the historical α/β form: per-center
+// intra-job (Alpha) and per-other-job inter-job (Beta) overlap matrices and
+// the competing job count. fused folds it into the solver's Weights; the
+// scalar oracle sweepLegacy reads the matrices directly.
+type abInput struct {
+	OverlapInput
+	Alpha, Beta [][][]float64
+	OtherJobs   int
 }
 
-func TestExactTwoCustomersBalanced(t *testing.T) {
-	// Classic textbook case: two balanced queues, N=2.
-	// N=1: R=2, X=0.5, q=[0.5,0.5].
-	// N=2: R_k = 1*(1+0.5) = 1.5 each, R=3, X=2/3, q=[1,1].
-	centers := []Center{{Name: "a", Demand: 1}, {Name: "b", Demand: 1}}
-	res, err := ExactSingleClass(centers, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(res.ResponseTime, 3, 1e-12) {
-		t.Errorf("R(2) = %v, want 3", res.ResponseTime)
-	}
-	if !almostEq(res.Throughput, 2.0/3, 1e-12) {
-		t.Errorf("X(2) = %v, want 2/3", res.Throughput)
-	}
-	for k, q := range res.QueueLen {
-		if !almostEq(q, 1, 1e-12) {
-			t.Errorf("q[%d] = %v, want 1", k, q)
+// fused returns the solver input with Weights folded from α/β:
+// W[c][i][j] = α[c][i][j] + (N−1)·β[c][i][j] off the diagonal and
+// (N−1)·β[c][i][i] on it.
+func (a abInput) fused() OverlapInput {
+	in := a.OverlapInput
+	n, k := len(a.Alpha[0]), len(a.Alpha)
+	in.Weights = make([]float64, k*n*n)
+	otherJobs := float64(a.OtherJobs)
+	for c := 0; c < k; c++ {
+		for i := 0; i < n; i++ {
+			row := in.Weights[(c*n+i)*n : (c*n+i+1)*n]
+			for j := range row {
+				row[j] = a.Alpha[c][i][j] + otherJobs*a.Beta[c][i][j]
+			}
+			row[i] = otherJobs * a.Beta[c][i][i]
 		}
 	}
+	return in
 }
 
-func TestExactDelayCenterNeverQueues(t *testing.T) {
-	centers := []Center{
-		{Name: "think", Demand: 10, Delay: true},
-		{Name: "cpu", Demand: 1},
-	}
-	res, err := ExactSingleClass(centers, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Residence at the delay center stays exactly its demand.
-	if !almostEq(res.Residence[0], 10, 1e-12) {
-		t.Errorf("delay residence = %v", res.Residence[0])
-	}
-	if res.Residence[1] <= 1 {
-		t.Errorf("queueing center should inflate: %v", res.Residence[1])
-	}
-}
+// step solves a with a fresh solver.
+func step(a abInput) (OverlapResult, error) { return OverlapStep(a.fused()) }
 
-func TestExactThroughputSaturation(t *testing.T) {
-	// Throughput is bounded by 1/maxDemand; response grows ~linearly at
-	// saturation (asymptotic bound analysis).
-	centers := []Center{{Name: "bottleneck", Demand: 2}, {Name: "other", Demand: 1}}
-	prevR := 0.0
-	for n := 1; n <= 50; n++ {
-		res, err := ExactSingleClass(centers, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Throughput > 0.5+1e-9 {
-			t.Fatalf("X(%d) = %v exceeds bottleneck bound 0.5", n, res.Throughput)
-		}
-		if res.ResponseTime < prevR-1e-9 {
-			t.Fatalf("R not monotone at N=%d", n)
-		}
-		prevR = res.ResponseTime
-	}
-	res, _ := ExactSingleClass(centers, 50)
-	if !almostEq(res.Throughput, 0.5, 0.01) {
-		t.Errorf("X(50) = %v, want ~0.5", res.Throughput)
-	}
-}
-
-func TestExactValidation(t *testing.T) {
-	if _, err := ExactSingleClass(nil, 1); err == nil {
-		t.Error("no centers accepted")
-	}
-	if _, err := ExactSingleClass([]Center{{Demand: 1}}, 0); err == nil {
-		t.Error("zero customers accepted")
-	}
-	if _, err := ExactSingleClass([]Center{{Demand: -1}}, 1); err == nil {
-		t.Error("negative demand accepted")
-	}
-}
-
-func TestSchweitzerBardMatchesExactSingleClass(t *testing.T) {
-	// For one class, Schweitzer-Bard should be close to exact MVA.
-	centers := []Center{{Demand: 1}, {Demand: 2}, {Demand: 0.5}}
-	for _, n := range []int{1, 2, 5, 10} {
-		exact, err := ExactSingleClass(centers, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, err := SchweitzerBard([]ClassSpec{{
-			Name: "c", Population: n, Demands: []float64{1, 2, 0.5},
-		}}, 3, 1e-10, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := math.Abs(approx.ResponseTime[0]-exact.ResponseTime) / exact.ResponseTime
-		if rel > 0.12 {
-			t.Errorf("N=%d: approx %v vs exact %v (%.1f%% off)",
-				n, approx.ResponseTime[0], exact.ResponseTime, 100*rel)
-		}
-	}
-}
-
-func TestSchweitzerBardMulticlass(t *testing.T) {
-	classes := []ClassSpec{
-		{Name: "a", Population: 2, Demands: []float64{1, 0.5}},
-		{Name: "b", Population: 3, Demands: []float64{0.5, 1}},
-	}
-	res, err := SchweitzerBard(classes, 2, 1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range classes {
-		min := classes[c].Demands[0] + classes[c].Demands[1]
-		if res.ResponseTime[c] <= min {
-			t.Errorf("class %d response %v not above demand %v", c, res.ResponseTime[c], min)
-		}
-	}
-	// Populations are conserved: sum_k q_ck == N_c (Little's law fixpoint).
-	for c, spec := range classes {
-		var tot float64
-		for k := 0; k < 2; k++ {
-			tot += res.QueueLen[c][k]
-		}
-		if !almostEq(tot, float64(spec.Population), 0.01) {
-			t.Errorf("class %d population = %v, want %d", c, tot, spec.Population)
-		}
-	}
-}
-
-func TestSchweitzerBardValidation(t *testing.T) {
-	if _, err := SchweitzerBard(nil, 1, 0, 0); err == nil {
-		t.Error("no classes accepted")
-	}
-	if _, err := SchweitzerBard([]ClassSpec{{Population: 0, Demands: []float64{1}}}, 1, 0, 0); err == nil {
-		t.Error("zero population accepted")
-	}
-	if _, err := SchweitzerBard([]ClassSpec{{Population: 1, Demands: []float64{1, 2}}}, 1, 0, 0); err == nil {
-		t.Error("demand/center mismatch accepted")
-	}
-	if _, err := SchweitzerBard([]ClassSpec{{Population: 1, Demands: []float64{1}}}, 0, 0, 0); err == nil {
-		t.Error("zero centers accepted")
-	}
-}
-
-func overlapInput(n int, d float64, alphaVal float64, servers []float64) OverlapInput {
+func overlapInput(n int, d float64, alphaVal float64, servers []float64) abInput {
 	tasks := make([]TaskDemand, n)
 	for i := range tasks {
 		tasks[i] = TaskDemand{Demands: []float64{d}}
@@ -180,11 +58,11 @@ func overlapInput(n int, d float64, alphaVal float64, servers []float64) Overlap
 			}
 		}
 	}
-	return OverlapInput{Tasks: tasks, Alpha: alpha, Beta: beta, Servers: servers}
+	return abInput{OverlapInput: OverlapInput{Tasks: tasks, Servers: servers}, Alpha: alpha, Beta: beta}
 }
 
 func TestOverlapStepNoOverlapNoInflation(t *testing.T) {
-	res, err := OverlapStep(overlapInput(4, 10, 0, nil))
+	res, err := step(overlapInput(4, 10, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +77,7 @@ func TestOverlapStepFullOverlapSingleServer(t *testing.T) {
 	// n tasks fully overlapping on one server: each sees n-1 competitors all
 	// resident at the only center (rho=1): slowdown = n.
 	n := 4
-	res, err := OverlapStep(overlapInput(n, 10, 1, nil))
+	res, err := step(overlapInput(n, 10, 1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +90,7 @@ func TestOverlapStepFullOverlapSingleServer(t *testing.T) {
 
 func TestOverlapStepMultiServerAbsorbs(t *testing.T) {
 	// 4 fully-overlapping tasks on a 4-server center: no slowdown.
-	res, err := OverlapStep(overlapInput(4, 10, 1, []float64{4}))
+	res, err := step(overlapInput(4, 10, 1, []float64{4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +100,7 @@ func TestOverlapStepMultiServerAbsorbs(t *testing.T) {
 		}
 	}
 	// ...but 8 tasks on 4 servers slow down 2x.
-	res8, err := OverlapStep(overlapInput(8, 10, 1, []float64{4}))
+	res8, err := step(overlapInput(8, 10, 1, []float64{4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +115,7 @@ func TestOverlapStepInterJob(t *testing.T) {
 	in := overlapInput(1, 10, 0, nil)
 	in.Beta[0][0][0] = 1
 	in.OtherJobs = 3
-	res, err := OverlapStep(in)
+	res, err := step(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,22 +128,23 @@ func TestOverlapStepValidation(t *testing.T) {
 	if _, err := OverlapStep(OverlapInput{}); err == nil {
 		t.Error("empty input accepted")
 	}
-	in := overlapInput(2, 10, 0.5, nil)
-	in.Alpha = in.Alpha[:0]
-	if _, err := OverlapStep(in); err == nil {
-		t.Error("missing alpha layer accepted")
+	in := overlapInput(2, 10, 0.5, nil).fused()
+	for _, w := range [][]float64{nil, in.Weights[:3], append(in.Weights, 0)} {
+		bad := in
+		bad.Weights = w
+		if _, err := OverlapStep(bad); err == nil {
+			t.Errorf("%d weights accepted, want 4", len(w))
+		}
 	}
-	in2 := overlapInput(2, 10, 0.5, []float64{1, 2})
-	if _, err := OverlapStep(in2); err == nil {
+	if _, err := step(overlapInput(2, 10, 0.5, []float64{1, 2})); err == nil {
 		t.Error("servers length mismatch accepted")
 	}
-	in3 := overlapInput(2, 0, 0.5, nil)
-	if _, err := OverlapStep(in3); err == nil {
+	if _, err := step(overlapInput(2, 0, 0.5, nil)); err == nil {
 		t.Error("zero-demand task accepted")
 	}
 	in4 := overlapInput(2, 10, 0.5, nil)
 	in4.Tasks[0].Demands = []float64{-1}
-	if _, err := OverlapStep(in4); err == nil {
+	if _, err := step(in4); err == nil {
 		t.Error("negative demand accepted")
 	}
 }
@@ -280,11 +159,11 @@ func TestOverlapStepMonotonicityProperty(t *testing.T) {
 		d := float64(dQ%20) + 1
 		jobs := int(jobsQ) % 4
 
-		lo, err := OverlapStep(overlapInput(n, d, alphaLo, nil))
+		lo, err := step(overlapInput(n, d, alphaLo, nil))
 		if err != nil {
 			return false
 		}
-		hi, err := OverlapStep(overlapInput(n, d, alphaHi, nil))
+		hi, err := step(overlapInput(n, d, alphaHi, nil))
 		if err != nil {
 			return false
 		}
@@ -303,7 +182,7 @@ func TestOverlapStepMonotonicityProperty(t *testing.T) {
 			}
 		}
 		inJobs.OtherJobs = jobs
-		withJobs, err := OverlapStep(inJobs)
+		withJobs, err := step(inJobs)
 		if err != nil {
 			return false
 		}
@@ -321,7 +200,7 @@ func TestOverlapStepMonotonicityProperty(t *testing.T) {
 
 // contendedInput builds a slowly-converging overlap fixed point: heavy
 // intra- and inter-job contention over two centers of unequal demand.
-func contendedInput(n int) OverlapInput {
+func contendedInput(n int) abInput {
 	tasks := make([]TaskDemand, n)
 	for i := range tasks {
 		tasks[i] = TaskDemand{Demands: []float64{10, 2}}
@@ -342,13 +221,13 @@ func contendedInput(n int) OverlapInput {
 			}
 		}
 	}
-	return OverlapInput{Tasks: tasks, Alpha: alpha, Beta: beta, OtherJobs: 3, Tol: 1e-12}
+	return abInput{OverlapInput: OverlapInput{Tasks: tasks, Tol: 1e-12}, Alpha: alpha, Beta: beta, OtherJobs: 3}
 }
 
 func TestOverlapSolverWarmMatchesCold(t *testing.T) {
 	in := contendedInput(12)
 	var cold OverlapSolver
-	ref, err := cold.Step(in)
+	ref, err := cold.Step(in.fused())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +242,7 @@ func TestOverlapSolverWarmMatchesCold(t *testing.T) {
 	var s OverlapSolver
 	warmIn := in
 	warmIn.Warm = warmSeed
-	got, err := s.Step(warmIn)
+	got, err := s.Step(warmIn.fused())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +260,7 @@ func TestOverlapSolverWarmMatchesCold(t *testing.T) {
 	pert := in
 	pert.OtherJobs = 4
 	var coldP OverlapSolver
-	refP, err := coldP.Step(pert)
+	refP, err := coldP.Step(pert.fused())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +268,7 @@ func TestOverlapSolverWarmMatchesCold(t *testing.T) {
 	pertWarm := pert
 	pertWarm.Warm = warmSeed
 	var sP OverlapSolver
-	gotP, err := sP.Step(pertWarm)
+	gotP, err := sP.Step(pertWarm.fused())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +281,7 @@ func TestOverlapSolverWarmMatchesCold(t *testing.T) {
 
 func TestOverlapSolverAccelerateMatchesPlain(t *testing.T) {
 	in := contendedInput(16)
-	plain, err := OverlapStep(in)
+	plain, err := step(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +289,7 @@ func TestOverlapSolverAccelerateMatchesPlain(t *testing.T) {
 	accIn := in
 	accIn.Accelerate = true
 	var s OverlapSolver
-	acc, err := s.Step(accIn)
+	acc, err := s.Step(accIn.fused())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +309,7 @@ func TestOverlapSolverAccelerateMatchesPlain(t *testing.T) {
 // model's outer loop.
 func TestOverlapSolverWarmAliasPrevious(t *testing.T) {
 	var s OverlapSolver
-	in := contendedInput(8)
+	in := contendedInput(8).fused()
 	first, err := s.Step(in)
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +334,7 @@ func TestOverlapSolverWarmAliasPrevious(t *testing.T) {
 // randomOverlap draws a contended overlap input: n tasks over k centers with
 // random demands (a quarter of multi-center tasks skip one center), random
 // α/β factors and 1–4 servers per center.
-func randomOverlap(rng *rand.Rand, n, k, otherJobs int) OverlapInput {
+func randomOverlap(rng *rand.Rand, n, k, otherJobs int) abInput {
 	tasks := make([]TaskDemand, n)
 	for i := range tasks {
 		d := make([]float64, k)
@@ -487,13 +366,17 @@ func randomOverlap(rng *rand.Rand, n, k, otherJobs int) OverlapInput {
 	for c := range servers {
 		servers[c] = float64(1 + rng.Intn(4))
 	}
-	return OverlapInput{Tasks: tasks, Alpha: alpha, Beta: beta, Servers: servers, OtherJobs: otherJobs, Tol: 1e-11}
+	return abInput{
+		OverlapInput: OverlapInput{Tasks: tasks, Servers: servers, Tol: 1e-11},
+		Alpha:        alpha, Beta: beta, OtherJobs: otherJobs,
+	}
 }
 
 // legacyStep is Step through sweepLegacy instead of the fused kernel.
-func legacyStep(in OverlapInput) (OverlapResult, error) {
+func legacyStep(in abInput) (OverlapResult, error) {
 	var s OverlapSolver
-	tol, maxIter, err := s.prepare(&in)
+	fin := in.fused()
+	tol, maxIter, err := s.prepare(&fin)
 	if err != nil {
 		return OverlapResult{}, err
 	}
@@ -504,7 +387,7 @@ func legacyStep(in OverlapInput) (OverlapResult, error) {
 // sweepLegacy is the historical element-wise sweep the fused kernel
 // replaced, kept as its test oracle: per-(i,j) alpha/beta loads with the
 // j != i branch and the interleaved α/β accumulation order.
-func (s *OverlapSolver) sweepLegacy(in *OverlapInput, tol float64, maxIter int) int {
+func (s *OverlapSolver) sweepLegacy(in *abInput, tol float64, maxIter int) int {
 	n, k := s.n, s.k
 	otherJobs := float64(in.OtherJobs)
 	rho := make([]float64, n*k) // task-major visit probabilities
@@ -582,7 +465,7 @@ func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 		in := randomOverlap(rng, n, k, rng.Intn(5))
 		in.Accelerate = rng.Float64() < 0.5
 
-		fused, err := OverlapStep(in)
+		fused, err := step(in)
 		if err != nil {
 			t.Fatalf("trial %d: fused: %v", trial, err)
 		}
@@ -609,35 +492,5 @@ func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// SchweitzerBard's allocation count must stay fixed regardless of how
-// many sweeps the fixed point takes: the historical loop allocated a fresh
-// queue matrix and residual slice per iteration.
-func TestSchweitzerBardAllocBudget(t *testing.T) {
-	classes := []ClassSpec{
-		{Name: "maps", Population: 64, Demands: []float64{12, 3, 1}},
-		{Name: "reduces", Population: 16, Demands: []float64{4, 9, 2}},
-	}
-	// Warm up any lazy runtime state, and confirm the spec actually iterates.
-	res, err := SchweitzerBard(classes, 3, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations < 10 {
-		t.Fatalf("spec converged in %d sweeps; too fast to expose per-sweep allocations", res.Iterations)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := SchweitzerBard(classes, 3, 1e-12, 0); err != nil {
-			t.Error(err)
-		}
-	})
-	// Fixed setup cost: q + its rows, nextQ + flat backing, resp, thr, resid,
-	// and the result struct's slices. Anything scaling with Iterations (~60
-	// here) would blow straight past this.
-	const budget = 16
-	if allocs > budget {
-		t.Errorf("SchweitzerBard allocated %.0f per run, budget %d (iterations=%d)", allocs, budget, res.Iterations)
 	}
 }

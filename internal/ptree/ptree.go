@@ -10,9 +10,10 @@
 package ptree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hadoop2perf/internal/timeline"
@@ -165,48 +166,57 @@ func shortClass(c timeline.Class) string {
 // Build constructs the precedence tree from a timeline. Parallel groups are
 // the connected components of the strict-overlap interval graph, taken in
 // time order; each group becomes a balanced binary P-subtree and groups are
-// chained with S operators.
+// chained with S operators. A build makes two allocations: one sorted copy
+// of the tasks, which the leaves point into, and one slab holding all
+// 2n−1 nodes.
 func Build(tl *timeline.Timeline) (*Node, error) {
 	if tl == nil || len(tl.Tasks) == 0 {
 		return nil, errors.New("ptree: empty timeline")
 	}
-	tasks := make([]timeline.Placed, len(tl.Tasks))
-	copy(tasks, tl.Tasks)
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Start != tasks[j].Start {
-			return tasks[i].Start < tasks[j].Start
-		}
-		return tasks[i].End < tasks[j].End
+	tasks := slices.Clone(tl.Tasks)
+	// Leaves equal in (Start, End) keep the order pdqsort leaves them in,
+	// and the goldens pin it: a further tie-break would move predictions.
+	slices.SortFunc(tasks, func(a, b timeline.Placed) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 	})
 
 	const eps = 1e-9
-	var groups [][]timeline.Placed
-	var cur []timeline.Placed
+	b := builder{tasks: tasks, nodes: make([]Node, 2*len(tasks)-1)}
+	var root *Node
+	lo := 0
 	curMaxEnd := 0.0
-	for _, t := range tasks {
-		if len(cur) > 0 && t.Start >= curMaxEnd-eps {
-			groups = append(groups, cur)
-			cur = nil
+	for i, t := range tasks {
+		if i > lo && t.Start >= curMaxEnd-eps {
+			root = b.chain(root, lo, i)
+			lo = i
 		}
-		cur = append(cur, t)
 		if t.End > curMaxEnd {
 			curMaxEnd = t.End
 		}
 	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
+	return b.chain(root, lo, len(tasks)), nil
+}
 
-	var root *Node
-	for _, g := range groups {
-		sub := balancedP(g)
-		if root == nil {
-			root = sub
-		} else {
-			root = &Node{Op: S, Left: root, Right: sub}
-		}
+// builder hands out tree nodes from one slab.
+type builder struct {
+	tasks []timeline.Placed // sorted; leaves point into it
+	nodes []Node            // slab of 2n−1 nodes
+}
+
+func (b *builder) node(n Node) *Node {
+	p := &b.nodes[0]
+	*p = n
+	b.nodes = b.nodes[1:]
+	return p
+}
+
+// chain appends the group tasks[lo:hi] to root serially.
+func (b *builder) chain(root *Node, lo, hi int) *Node {
+	sub := b.balancedP(lo, hi)
+	if root == nil {
+		return sub
 	}
-	return root, nil
+	return b.node(Node{Op: S, Left: root, Right: sub})
 }
 
 // FromIntervals generalizes Build to arbitrary placed intervals — in
@@ -223,17 +233,12 @@ func FromIntervals(tasks []timeline.Placed) (*Node, error) {
 	return Build(&timeline.Timeline{Tasks: tasks})
 }
 
-// balancedP builds a balanced binary P-subtree over a group of tasks (the
-// paper's balancing procedure).
-func balancedP(group []timeline.Placed) *Node {
-	if len(group) == 1 {
-		t := group[0]
-		return &Node{Op: Leaf, Task: &t}
+// balancedP builds a balanced binary P-subtree over the group
+// tasks[lo:hi] (the paper's balancing procedure).
+func (b *builder) balancedP(lo, hi int) *Node {
+	if hi-lo == 1 {
+		return b.node(Node{Op: Leaf, Task: &b.tasks[lo]})
 	}
-	mid := len(group) / 2
-	return &Node{
-		Op:    P,
-		Left:  balancedP(group[:mid]),
-		Right: balancedP(group[mid:]),
-	}
+	mid := lo + (hi-lo)/2
+	return b.node(Node{Op: P, Left: b.balancedP(lo, mid), Right: b.balancedP(mid, hi)})
 }

@@ -246,3 +246,23 @@ func TestLeafUniquenessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A build allocates the sorted task copy and the node slab, nothing else.
+func TestBuildAllocBudget(t *testing.T) {
+	in := timeline.Input{NumNodes: 8, MapSlotsPerNode: 8, ReduceSlotsPerNode: 4, SlowStart: true}
+	for i := 0; i < 160; i++ {
+		in.Maps = append(in.Maps, timeline.MapTask{ID: i, Duration: 30 + float64(i%7), ShuffleDuration: 1})
+	}
+	for i := 0; i < 8; i++ {
+		in.Reduces = append(in.Reduces, timeline.ReduceTask{ID: i, ShuffleSortBase: 10, MergeDuration: 50})
+	}
+	tl := buildTL(t, in)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Build(tl); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Build allocated %.0f, budget 2", allocs)
+	}
+}

@@ -17,10 +17,11 @@
 package timeline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Class is a model task class (C = 3 in the paper, §4.1).
@@ -139,6 +140,33 @@ func validateScales(pool string, nodes int, scales []float64) error {
 	return nil
 }
 
+// checkIDs rejects a negative or repeated task ID among n tasks of one
+// kind: a placed task is named by its class and ID, so downstream lookups
+// (the model's per-class response tables) need them unique. Increasing IDs,
+// the usual numbering, are checked without allocating.
+func checkIDs(kind string, n int, id func(int) int) error {
+	increasing := true
+	for k := 0; k < n; k++ {
+		if id(k) < 0 {
+			return fmt.Errorf("timeline: %s ID %d is negative", kind, id(k))
+		}
+		if k > 0 && id(k) <= id(k-1) {
+			increasing = false
+		}
+	}
+	if increasing {
+		return nil
+	}
+	seen := make(map[int]bool, n)
+	for k := 0; k < n; k++ {
+		if seen[id(k)] {
+			return fmt.Errorf("timeline: duplicate %s ID %d", kind, id(k))
+		}
+		seen[id(k)] = true
+	}
+	return nil
+}
+
 // Validate reports configuration errors.
 func (in Input) Validate() error {
 	if in.NumNodes <= 0 {
@@ -158,6 +186,12 @@ func (in Input) Validate() error {
 	}
 	if len(in.Maps) == 0 {
 		return errors.New("timeline: need at least one map task")
+	}
+	if err := checkIDs("map", len(in.Maps), func(k int) int { return in.Maps[k].ID }); err != nil {
+		return err
+	}
+	if err := checkIDs("reduce", len(in.Reduces), func(k int) int { return in.Reduces[k].ID }); err != nil {
+		return err
 	}
 	for _, m := range in.Maps {
 		if m.Duration <= 0 {
@@ -212,17 +246,6 @@ type Timeline struct {
 	LastMapEnd float64
 }
 
-// ByClass returns the placed tasks of one class, in placement order.
-func (tl *Timeline) ByClass(c Class) []Placed {
-	var out []Placed
-	for _, t := range tl.Tasks {
-		if t.Class == c {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // slot is one container lane on a node.
 type slot struct {
 	node, lane int
@@ -232,21 +255,41 @@ type slot struct {
 // slotPool tracks lanes plus per-node occupancy for the paper's
 // lowest-occupancy-rate placement rule.
 type slotPool struct {
-	slots    []*slot
+	slots    []slot
 	assigned []int // per node
 }
 
-// Build runs Algorithm 1 and splits each reduce into its shuffle-sort and
-// merge subtasks.
+// Builder runs Algorithm 1 with scratch it keeps between calls: both lane
+// pools, their per-node occupancy and the map→node table. Only the returned
+// Timeline and its Tasks are allocated per Build once the scratch has grown
+// to the input's shape. The zero Builder is ready to use; a Builder is not
+// safe for concurrent use.
+type Builder struct {
+	mapSlots, redSlots slotPool
+	nodeOfMap          []int // node of in.Maps[k], by position
+}
+
+// Build runs Algorithm 1 with a fresh Builder.
 func Build(in Input) (*Timeline, error) {
+	var b Builder
+	return b.Build(in)
+}
+
+// Build runs Algorithm 1 and splits each reduce into its shuffle-sort and
+// merge subtasks. The returned Timeline shares no memory with the Builder.
+func (b *Builder) Build(in Input) (*Timeline, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	tl := &Timeline{}
+	tl := &Timeline{Tasks: make([]Placed, 0, len(in.Maps)+2*len(in.Reduces))}
 
 	// Map container lanes (priority 20: placed first).
-	mapSlots := makeSlots(in.NumNodes, in.MapSlotsPerNode, in.MapSlotsByNode)
-	nodeOfMap := make(map[int]int, len(in.Maps))
+	mapSlots := &b.mapSlots
+	mapSlots.reset(in.NumNodes, in.MapSlotsPerNode, in.MapSlotsByNode)
+	if cap(b.nodeOfMap) < len(in.Maps) {
+		b.nodeOfMap = make([]int, len(in.Maps))
+	}
+	nodeOfMap := b.nodeOfMap[:len(in.Maps)]
 	firstMapEnd := math.Inf(1)
 	scaleOn := func(scales []float64, node int) float64 {
 		if scales == nil {
@@ -254,12 +297,12 @@ func Build(in Input) (*Timeline, error) {
 		}
 		return scales[node]
 	}
-	for _, m := range in.Maps {
+	for k, m := range in.Maps {
 		s := mapSlots.earliest()
 		start := s.free
 		end := start + m.Duration*scaleOn(in.MapDurationScaleByNode, s.node)
 		s.free = end
-		nodeOfMap[m.ID] = s.node
+		nodeOfMap[k] = s.node
 		tl.Tasks = append(tl.Tasks, Placed{
 			Class: ClassMap, ID: m.ID, Node: s.node, Slot: s.lane, Start: start, End: end,
 		})
@@ -280,7 +323,8 @@ func Build(in Input) (*Timeline, error) {
 	}
 
 	// Reduce container lanes (priority 10: placed after all maps).
-	redSlots := makeSlots(in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode)
+	redSlots := &b.redSlots
+	redSlots.reset(in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode)
 	nR := len(in.Reduces)
 	for _, r := range in.Reduces {
 		s := redSlots.earliest()
@@ -290,8 +334,8 @@ func Build(in Input) (*Timeline, error) {
 		// node contributes sd/|R|. The node-local base scales with the
 		// hosting node; the remote shares ride the shared network and do not.
 		ssDur := r.ShuffleSortBase * redScale
-		for _, m := range in.Maps {
-			if nodeOfMap[m.ID] != s.node {
+		for k, m := range in.Maps {
+			if nodeOfMap[k] != s.node {
 				ssDur += m.ShuffleDuration / float64(nR)
 			}
 		}
@@ -315,26 +359,26 @@ func Build(in Input) (*Timeline, error) {
 			tl.Makespan = t.End
 		}
 	}
-	sort.Slice(tl.Tasks, func(i, j int) bool {
-		a, b := tl.Tasks[i], tl.Tasks[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		return a.ID < b.ID
+	// (Start, Class, ID) is a total order — IDs are unique per class — so
+	// the sorted order does not depend on the sort algorithm.
+	slices.SortFunc(tl.Tasks, func(a, b Placed) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Class, b.Class), cmp.Compare(a.ID, b.ID))
 	})
 	return tl, nil
 }
 
-// makeSlots builds the lane pool: perNode lanes on every node, or byNode[n]
-// lanes on node n when a per-node vector is given. Lanes are interleaved
-// lane-major (lane 0 of every node, then lane 1, ...) so that for a uniform
-// vector the pool is identical to the homogeneous layout — placement, and
-// therefore predictions, stay bit-for-bit reproducible.
-func makeSlots(nodes, perNode int, byNode []int) *slotPool {
-	p := &slotPool{assigned: make([]int, nodes)}
+// reset rebuilds the lane pool in place: perNode lanes on every node, or
+// byNode[n] lanes on node n when a per-node vector is given, all free at 0
+// with no occupancy. Lanes are interleaved lane-major (lane 0 of every
+// node, then lane 1, ...) so that for a uniform vector the pool is
+// identical to the homogeneous layout — placement, and therefore
+// predictions, stay bit-for-bit reproducible.
+func (p *slotPool) reset(nodes, perNode int, byNode []int) {
+	if cap(p.assigned) < nodes {
+		p.assigned = make([]int, nodes)
+	}
+	p.assigned = p.assigned[:nodes]
+	clear(p.assigned)
 	maxLanes := perNode
 	if byNode != nil {
 		maxLanes = 0
@@ -344,6 +388,7 @@ func makeSlots(nodes, perNode int, byNode []int) *slotPool {
 			}
 		}
 	}
+	p.slots = p.slots[:0]
 	for lane := 0; lane < maxLanes; lane++ {
 		for n := 0; n < nodes; n++ {
 			lanes := perNode
@@ -351,11 +396,10 @@ func makeSlots(nodes, perNode int, byNode []int) *slotPool {
 				lanes = byNode[n]
 			}
 			if lane < lanes {
-				p.slots = append(p.slots, &slot{node: n, lane: lane})
+				p.slots = append(p.slots, slot{node: n, lane: lane})
 			}
 		}
 	}
-	return p
 }
 
 // earliest picks the slot that frees first; ties go to the node with the
@@ -363,8 +407,9 @@ func makeSlots(nodes, perNode int, byNode []int) *slotPool {
 // lowest occupancy rate"), then the lower node ID.
 func (p *slotPool) earliest() *slot {
 	const eps = 1e-12
-	best := p.slots[0]
-	for _, s := range p.slots[1:] {
+	best := &p.slots[0]
+	for i := range p.slots[1:] {
+		s := &p.slots[i+1]
 		switch {
 		case s.free < best.free-eps:
 			best = s
@@ -377,43 +422,4 @@ func (p *slotPool) earliest() *slot {
 	}
 	p.assigned[best.node]++
 	return best
-}
-
-// Phase is a maximal interval during which the set of running tasks is
-// constant (§4.2.2: "each start or end of a task indicates the start of a new
-// phase").
-type Phase struct {
-	Start, End float64
-	// Active holds indices into Timeline.Tasks.
-	Active []int
-}
-
-// Phases splits the timeline at every task start/end.
-func (tl *Timeline) Phases() []Phase {
-	type edge struct{ t float64 }
-	var cuts []float64
-	for _, t := range tl.Tasks {
-		cuts = append(cuts, t.Start, t.End)
-	}
-	sort.Float64s(cuts)
-	uniq := cuts[:0]
-	for _, c := range cuts {
-		if len(uniq) == 0 || c > uniq[len(uniq)-1]+1e-12 {
-			uniq = append(uniq, c)
-		}
-	}
-	var phases []Phase
-	for i := 0; i+1 < len(uniq); i++ {
-		p := Phase{Start: uniq[i], End: uniq[i+1]}
-		mid := (p.Start + p.End) / 2
-		for idx, t := range tl.Tasks {
-			if t.Start <= mid && mid < t.End {
-				p.Active = append(p.Active, idx)
-			}
-		}
-		if len(p.Active) > 0 {
-			phases = append(phases, p)
-		}
-	}
-	return phases
 }

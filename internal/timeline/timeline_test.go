@@ -2,11 +2,63 @@ package timeline
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// ByClass returns the placed tasks of one class, in placement order.
+func (tl *Timeline) ByClass(c Class) []Placed {
+	var out []Placed
+	for _, t := range tl.Tasks {
+		if t.Class == c {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// Phase is a maximal interval during which the set of running tasks is
+// constant (§4.2.2: "each start or end of a task indicates the start of a new
+// phase").
+type Phase struct {
+	Start, End float64
+	// Active holds indices into Timeline.Tasks.
+	Active []int
+}
+
+// Phases splits the timeline at every task start/end.
+func (tl *Timeline) Phases() []Phase {
+	var cuts []float64
+	for _, t := range tl.Tasks {
+		cuts = append(cuts, t.Start, t.End)
+	}
+	sort.Float64s(cuts)
+	uniq := cuts[:0]
+	for _, c := range cuts {
+		if len(uniq) == 0 || c > uniq[len(uniq)-1]+1e-12 {
+			uniq = append(uniq, c)
+		}
+	}
+	var phases []Phase
+	for i := 0; i+1 < len(uniq); i++ {
+		p := Phase{Start: uniq[i], End: uniq[i+1]}
+		mid := (p.Start + p.End) / 2
+		for idx, t := range tl.Tasks {
+			if t.Start <= mid && mid < t.End {
+				p.Active = append(p.Active, idx)
+			}
+		}
+		if len(p.Active) > 0 {
+			phases = append(phases, p)
+		}
+	}
+	return phases
+}
 
 // runningExample is the paper's n=3, m=4, r=1 scenario.
 func runningExample(slowStart bool) Input {
@@ -52,6 +104,42 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if _, err := Build(base); err != nil {
 		t.Fatalf("valid input rejected: %v", err)
+	}
+}
+
+// Task IDs name placed tasks within a class, so a negative or repeated map
+// or reduce ID is rejected; any order of distinct IDs is accepted.
+func TestValidateTaskIDs(t *testing.T) {
+	twoReduces := func(in *Input) {
+		in.Reduces = append(in.Reduces, ReduceTask{ID: 1, ShuffleSortBase: 6, MergeDuration: 5})
+	}
+	tests := []struct {
+		name   string
+		mutate func(*Input)
+		ok     bool
+	}{
+		{"in order", func(*Input) {}, true},
+		{"shuffled maps", func(in *Input) { in.Maps[0].ID, in.Maps[3].ID = 3, 0 }, true},
+		{"sparse maps", func(in *Input) { in.Maps[2].ID = 40 }, true},
+		{"shuffled reduces", func(in *Input) { twoReduces(in); in.Reduces[0].ID, in.Reduces[1].ID = 1, 0 }, true},
+		{"duplicate map", func(in *Input) { in.Maps[3].ID = 1 }, false},
+		{"duplicate map out of order", func(in *Input) { in.Maps[0].ID = 2 }, false},
+		{"negative map", func(in *Input) { in.Maps[0].ID = -1 }, false},
+		{"duplicate reduce", func(in *Input) { twoReduces(in); in.Reduces[1].ID = 0 }, false},
+		{"negative reduce", func(in *Input) { in.Reduces[0].ID = -2 }, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			in := runningExample(true)
+			tt.mutate(&in)
+			err := in.Validate()
+			if tt.ok && err != nil {
+				t.Errorf("rejected: %v", err)
+			}
+			if !tt.ok && err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }
 
@@ -453,5 +541,68 @@ func TestPerNodeSlotsAndScalesSkewPlacement(t *testing.T) {
 	}
 	if slowMaps >= perNode[1] {
 		t.Errorf("slow node still hosts %d maps (unscaled run: %d); want fewer", slowMaps, perNode[1])
+	}
+}
+
+// One Builder reused across inputs of changing shape — node count, per-node
+// lanes and scales, task counts — returns exactly what a fresh Build does.
+func TestBuilderReuseMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var b Builder
+	for trial := 0; trial < 200; trial++ {
+		nodes := 1 + rng.Intn(6)
+		in := Input{NumNodes: nodes, MapSlotsPerNode: 1 + rng.Intn(3), ReduceSlotsPerNode: 1 + rng.Intn(2), SlowStart: rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			in.MapSlotsByNode = make([]int, nodes)
+			in.ReduceSlotsByNode = make([]int, nodes)
+			in.MapDurationScaleByNode = make([]float64, nodes)
+			in.ReduceDurationScaleByNode = make([]float64, nodes)
+			for n := 0; n < nodes; n++ {
+				in.MapSlotsByNode[n] = 1 + rng.Intn(4)
+				in.ReduceSlotsByNode[n] = 1 + rng.Intn(2)
+				in.MapDurationScaleByNode[n] = 0.5 + rng.Float64()
+				in.ReduceDurationScaleByNode[n] = 0.5 + rng.Float64()
+			}
+		}
+		for i := rng.Intn(30); i >= 0; i-- {
+			in.Maps = append(in.Maps, MapTask{ID: len(in.Maps), Duration: float64(1 + rng.Intn(20)), ShuffleDuration: float64(rng.Intn(3))})
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			in.Reduces = append(in.Reduces, ReduceTask{ID: len(in.Reduces), ShuffleSortBase: float64(rng.Intn(8)), MergeDuration: float64(1 + rng.Intn(8))})
+		}
+		want, err := Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: reused Builder placed\n%+v\nwant\n%+v", trial, got.Tasks, want.Tasks)
+		}
+	}
+}
+
+// A warmed Builder allocates only the returned Timeline and its Tasks.
+func TestBuilderAllocBudget(t *testing.T) {
+	in := Input{NumNodes: 8, MapSlotsPerNode: 8, ReduceSlotsPerNode: 4, SlowStart: true}
+	for i := 0; i < 160; i++ {
+		in.Maps = append(in.Maps, MapTask{ID: i, Duration: 30, ShuffleDuration: 1})
+	}
+	for i := 0; i < 8; i++ {
+		in.Reduces = append(in.Reduces, ReduceTask{ID: i, ShuffleSortBase: 10, MergeDuration: 50})
+	}
+	var b Builder
+	if _, err := b.Build(in); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := b.Build(in); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("warmed Builder allocated %.0f per Build, budget 2", allocs)
 	}
 }
