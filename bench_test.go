@@ -157,8 +157,8 @@ func BenchmarkSimulatorLarge(b *testing.B) {
 // calls — the shape the planner produces. The light sweep (1 reducer, 1
 // job) pins the allocation-lean fast path; the contended sweep (4 reducers,
 // 4 concurrent jobs — dozens of outer rounds per point cold) pins the
-// warm-start/acceleration win: outerIters/op and innerIters/op make the
-// convergence work visible, cold vs warm vs the AccelerateOuter opt-in.
+// warm-start win: outerIters/op and innerIters/op make the convergence
+// work visible, cold vs warm.
 func BenchmarkPredictBatch(b *testing.B) {
 	job, err := workload.NewJob(0, 2*1024, 128, 1, workload.WordCount())
 	if err != nil {
@@ -221,9 +221,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	})
 	b.Run("contended-warm", func(b *testing.B) {
 		runContended(b, func(c *ModelConfig) {})
-	})
-	b.Run("contended-warm-accel", func(b *testing.B) {
-		runContended(b, func(c *ModelConfig) { c.AccelerateOuter = true })
 	})
 }
 

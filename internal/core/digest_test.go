@@ -20,7 +20,7 @@ import (
 // model's arithmetic or iteration order moves it. Refresh it only for a
 // change that is meant to move predictions, and say so where the change is
 // recorded.
-const predictDigest = "4b2cf5b4bb8b87244a08cda05aefc487f6405ec83b47dd37a336e4edae19cbec"
+const predictDigest = "922903e3b100abfbc2da4dc917561afc95b2d5413b03b18ffb16cb79fb2dcba4"
 
 // digestConfigs is the stratified set: flat and 2-class clusters, one and
 // four jobs, a fault plan, a partial and a full history, two node counts.
@@ -91,7 +91,7 @@ func digestPrediction(h hash.Hash, p Prediction) {
 	}
 }
 
-// digestPredictions solves every digest config cold, with AccelerateOuter,
+// digestPredictions solves every digest config cold per estimator,
 // through one PredictEach over all estimators, and on one shared warm
 // Predictor, then walks a node axis on that Predictor, and hashes every
 // result in that order.
@@ -101,15 +101,13 @@ func digestPredictions(t *testing.T) string {
 	var warm Predictor
 	for i, cfg := range digestConfigs(t) {
 		for _, est := range allEstimators {
-			for _, accel := range []bool{false, true} {
-				c := cfg
-				c.Estimator, c.AccelerateOuter = est, accel
-				p, err := Predict(c)
-				if err != nil {
-					t.Fatalf("config %d %s accel=%v: %v", i, est, accel, err)
-				}
-				digestPrediction(h, p)
+			c := cfg
+			c.Estimator = est
+			p, err := Predict(c)
+			if err != nil {
+				t.Fatalf("config %d %s: %v", i, est, err)
 			}
+			digestPrediction(h, p)
 		}
 		each, err := PredictEach(context.Background(), cfg, allEstimators...)
 		if err != nil {

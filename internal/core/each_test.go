@@ -101,18 +101,15 @@ func TestPredictEachMatchesPredict(t *testing.T) {
 	t.Run("rejects", testEachRejects)
 }
 
-// Every figure point with and without outer acceleration, a fault plan and
-// a 2-class cluster, all three estimators.
+// Every figure point, a fault plan and a 2-class cluster, all three
+// estimators.
 func testEachConfigs(t *testing.T) {
 	figs := figureConfigs(t)
 	if len(figs) != 19 {
 		t.Fatalf("%d figure points, want 19", len(figs))
 	}
 	for name, cfg := range figs {
-		for _, accel := range []bool{false, true} {
-			cfg.AccelerateOuter = accel
-			checkEach(t, fmt.Sprintf("%s accel=%v", name, accel), cfg, allEstimators)
-		}
+		checkEach(t, name, cfg, allEstimators)
 	}
 	// Order of the list is the order of the results.
 	checkEach(t, "fig13@4 reversed", figs["fig13@4"], []Estimator{EstimatorPaperLiteral, EstimatorTripathi, EstimatorForkJoin})

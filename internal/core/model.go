@@ -104,8 +104,9 @@ const (
 	// DefaultLeafCV is used when no history trace supplies per-class CVs; it
 	// reflects task-time dispersion of a lightly-jittered Hadoop task.
 	DefaultLeafCV = 0.12
-	// DefaultDamping blends successive class-response estimates to stabilize
-	// the outer fixed point: next = Damping·prev + (1−Damping)·new.
+	// DefaultDamping is the weight of the previous iterate in the outer
+	// class-response update, which stabilizes the outer fixed point:
+	// next = DefaultDamping·prev + (1−DefaultDamping)·new.
 	DefaultDamping = 0.5
 )
 
@@ -136,23 +137,10 @@ type Config struct {
 	Epsilon float64
 	// MaxIterations bounds the outer loop (default 200).
 	MaxIterations int
-	// Damping is the weight of the *previous* iterate in the outer
-	// class-response update (next = Damping·prev + (1−Damping)·new). Zero
-	// selects DefaultDamping (0.5); values outside (0, 1] are rejected, so
-	// acceleration experiments can sweep it without recompiling.
-	Damping float64
 	// ColdStart forces the cold A1 initialization even on the warm-start
 	// paths (PredictWarm, PredictBatch): with it set, every evaluation is
 	// bit-identical to a plain Predict call.
 	ColdStart bool
-	// AccelerateOuter enables safeguarded Aitken Δ² extrapolation of the
-	// outer damped class-response iteration (on any path, cold or warm) —
-	// the contended regime's dozens of outer rounds collapse to a handful.
-	// The accelerated trajectory converges to the same fixed point but may
-	// stop within ~1e-5 relative of the plain path's answer (the ε-test's
-	// own resolution on slow tails), which is why it is an explicit opt-in
-	// rather than part of the 1e-6-contracted warm default.
-	AccelerateOuter bool
 	// TripathiCVFloor floors leaf CVs for the Tripathi estimator, which
 	// assumes exponential-family task times (default 0.15).
 	TripathiCVFloor float64
@@ -192,17 +180,11 @@ func (c *Config) applyDefaults() {
 	if c.PAttenuation <= 0 {
 		c.PAttenuation = DefaultPAttenuation
 	}
-	if c.Damping <= 0 {
-		c.Damping = DefaultDamping
-	}
 }
 
 // validateTuning rejects out-of-range convergence knobs before the zero
 // values are replaced by defaults.
 func (c *Config) validateTuning() error {
-	if c.Damping < 0 || c.Damping > 1 {
-		return fmt.Errorf("core: damping %v outside (0, 1]", c.Damping)
-	}
 	if c.Epsilon < 0 {
 		return fmt.Errorf("core: epsilon %v must be positive", c.Epsilon)
 	}
@@ -475,11 +457,9 @@ func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Predicti
 // estimator sees the same trajectory, round for round, and the shared
 // rounds are paid once. An estimator whose ε-test passes keeps its answer
 // as of that round while the loop runs on for the others; the loop ends
-// when all have stopped or MaxIterations is reached. With
-// Config.AccelerateOuter the outer extrapolation runs only while some
-// estimator is still iterating — exactly the rounds a solo run of that
-// estimator would extrapolate in. ctx is checked between outer iterations,
-// as in PredictContext. An empty list and a repeated estimator are errors.
+// when all have stopped or MaxIterations is reached. ctx is checked
+// between outer iterations, as in PredictContext. An empty list and a
+// repeated estimator are errors.
 func (p *Predictor) PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
 	out := make([]Prediction, len(ests))
 	if err := p.predict(ctx, cfg, nil, false, ests, out); err != nil {
@@ -510,8 +490,7 @@ func (p *Predictor) predictOne(ctx context.Context, cfg Config, seed *warmEntry,
 // basin-safe — the overlap fixed point is a smooth contraction solved to
 // 1e-10, so the outer trajectory tracks the cold one bit-for-bit up to
 // inner-tolerance noise. With seed == nil and fast == false the iteration
-// is exactly the historical cold path; cfg.AccelerateOuter opts either
-// path into outer Aitken extrapolation. A non-nil ctx is checked between
+// is exactly the historical cold path. A non-nil ctx is checked between
 // outer iterations — cancellation costs at most one more round; nil skips
 // the check so un-contexted callers pay nothing.
 func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fast bool, ests []Estimator, out []Prediction) error {
@@ -534,7 +513,6 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 		tl   *timeline.Timeline
 		tree *ptree.Node
 		warm [][]float64 // inner warm seed for the next MVA step
-		acc  outerAccel
 		// inner totals the MVA sweeps so far; warmStarted records whether
 		// the first step was seeded.
 		inner       int
@@ -603,7 +581,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 			if nr <= 0 {
 				continue
 			}
-			cd.response = cfg.Damping*cd.response + (1-cfg.Damping)*nr
+			cd.response = DefaultDamping*cd.response + (1-DefaultDamping)*nr
 			classes[cls] = cd
 		}
 		// A6: job response from the tree + convergence test, per estimator
@@ -619,7 +597,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 				return err
 			}
 			total += cfg.Job.Profile.AMStartup
-			stop := math.Abs(total-pred.ResponseTime) <= cfg.Epsilon && !acc.justExtrapolated
+			stop := math.Abs(total-pred.ResponseTime) <= cfg.Epsilon
 			pred.ResponseTime = total
 			pred.Iterations = iter
 			pred.InnerIterations = inner
@@ -632,9 +610,6 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 				finish(pred, classes, tl, tree)
 				running--
 			}
-		}
-		if running > 0 && cfg.AccelerateOuter {
-			acc.observe(classes)
 		}
 	}
 	for i := range out {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"hadoop2perf/internal/mva"
 	"hadoop2perf/internal/timeline"
 )
 
@@ -14,8 +13,7 @@ import (
 // nearest already-solved neighbor — adjacent node counts and class mixes of
 // one sweep re-solve the overlap step in a handful of sweeps instead of
 // dozens. The warm path also chains the inner state across outer iterations
-// and applies safeguarded Aitken acceleration to the inner loop; outer
-// Aitken is the separate Config.AccelerateOuter opt-in (outerAccel below).
+// and applies safeguarded Aitken acceleration to the inner loop.
 //
 // Correctness contract: the inner overlap fixed point is a smooth
 // contraction solved to 1e-10, so the warm outer trajectory tracks the
@@ -170,41 +168,6 @@ func (p *Predictor) predictWarm(ctx context.Context, cfg Config) (Prediction, er
 		p.warm.record(sig, nodes, p.lastStep.Residence)
 	}
 	return pred, nil
-}
-
-// outerAccel applies the shared safeguarded Δ² accelerator (mva.Aitken —
-// one implementation, one set of safeguards for every fixed-point loop in
-// the model) to the outer damped class-response iteration: two plain
-// damped updates are recorded, and on the third each class's geometric
-// tail is extrapolated wherever the safeguards hold; classes failing any
-// check keep the plain damped value. Convergence is never declared on the
-// iteration consuming an extrapolated state (justExtrapolated).
-type outerAccel struct {
-	acc     mva.Aitken
-	buf     [numClasses]float64
-	started bool
-	// justExtrapolated marks that the responses feeding the next iteration
-	// were extrapolated rather than plainly damped.
-	justExtrapolated bool
-}
-
-// observe feeds the current class responses; every third call extrapolates
-// them in place.
-func (a *outerAccel) observe(classes map[timeline.Class]*classData) {
-	if !a.started {
-		a.acc.Init(numClasses)
-		a.started = true
-	}
-	for cls, cd := range classes {
-		a.buf[cls] = cd.response
-	}
-	// Floor just above zero: a class response must stay strictly positive.
-	a.justExtrapolated = a.acc.Observe(a.buf[:], func(int) float64 { return math.SmallestNonzeroFloat64 })
-	if a.justExtrapolated {
-		for cls, cd := range classes {
-			cd.response = a.buf[cls]
-		}
-	}
 }
 
 // warmSig hashes everything that shapes a prediction's fixed point except

@@ -115,10 +115,9 @@ func TestPredictWarmMatchesColdProperty(t *testing.T) {
 // A warm sweep over a node axis must spend materially fewer inner MVA
 // sweeps than the same sweep cold in the contended regime — multi-job,
 // multi-reducer predictions, where each of the cold outer loop's dozens of
-// rounds re-solves the overlap fixed point from scratch. With the
-// AccelerateOuter opt-in, the outer rounds themselves must at least halve.
-// This is the tentpole's performance premise; the numbers on the 16-point
-// sweep are recorded by BenchmarkPredictBatch. (Uncontended configs
+// rounds re-solves the overlap fixed point from scratch. This is the warm
+// path's performance premise; the numbers on the 16-point sweep are
+// recorded by BenchmarkPredictBatch. (Uncontended configs
 // converge in the 2-round minimum cold, so there is nothing to save there —
 // warm start is about the expensive regime.)
 func TestPredictWarmSavesIterations(t *testing.T) {
@@ -126,9 +125,8 @@ func TestPredictWarmSavesIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldOuter, accOuter, coldInner, warmInner := 0, 0, 0, 0
+	coldInner, warmInner := 0, 0
 	p := NewPredictor()
-	pa := NewPredictor()
 	for n := 2; n <= 17; n++ {
 		cfg := Config{Spec: cluster.Default(n), Job: job, NumJobs: 4}
 		cold, err := Predict(cfg)
@@ -142,58 +140,12 @@ func TestPredictWarmSavesIterations(t *testing.T) {
 		if rel := math.Abs(warm.ResponseTime-cold.ResponseTime) / cold.ResponseTime; rel > warmTol {
 			t.Errorf("n=%d: warm %v vs cold %v (rel %.2e)", n, warm.ResponseTime, cold.ResponseTime, rel)
 		}
-		acfg := cfg
-		acfg.AccelerateOuter = true
-		acc, err := pa.PredictWarm(acfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldOuter += cold.Iterations
-		accOuter += acc.Iterations
 		coldInner += cold.InnerIterations
 		warmInner += warm.InnerIterations
 	}
-	t.Logf("16-point contended sweep: outer %d cold / %d accelerated, inner %d cold / %d warm",
-		coldOuter, accOuter, coldInner, warmInner)
+	t.Logf("16-point contended sweep: inner %d cold / %d warm", coldInner, warmInner)
 	if warmInner*2 > coldInner {
 		t.Errorf("warm sweep used %d inner sweeps, want <= half of cold's %d", warmInner, coldInner)
-	}
-	if accOuter*2 > coldOuter {
-		t.Errorf("accelerated sweep used %d outer iterations, want <= half of cold's %d", accOuter, coldOuter)
-	}
-}
-
-// The AccelerateOuter opt-in trades the ε-test's plateau determinism for
-// outer-round savings: its answers agree with the plain path to the
-// ε-resolution (~1e-5 relative on slow tails), well inside the model's
-// accuracy but looser than the warm default's 1e-6 contract.
-func TestAccelerateOuterStaysNearPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	trials := 20
-	if testing.Short() {
-		trials = 6
-	}
-	for trial := 0; trial < trials; trial++ {
-		job := randomJob(t, rng)
-		cfg := Config{
-			Spec:    cluster.Default(2 + rng.Intn(12)),
-			Job:     job,
-			NumJobs: 1 + rng.Intn(4),
-		}
-		plain, err := Predict(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acfg := cfg
-		acfg.AccelerateOuter = true
-		acc, err := Predict(acfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel := math.Abs(acc.ResponseTime-plain.ResponseTime) / plain.ResponseTime; rel > 1e-4 {
-			t.Errorf("trial %d: accelerated %v vs plain %v (rel %.2e)",
-				trial, acc.ResponseTime, plain.ResponseTime, rel)
-		}
 	}
 }
 
@@ -290,8 +242,8 @@ func TestPredictWarmSignatureIsolation(t *testing.T) {
 	}
 }
 
-// Convergence-knob validation: damping outside (0,1] and negative epsilon
-// are rejected on every path; valid overrides are honored.
+// Convergence-knob validation: a negative epsilon is rejected on every
+// path; a valid override is honored.
 func TestConfigTuningValidation(t *testing.T) {
 	job, err := workload.NewJob(0, 2048, 128, 4, workload.WordCount())
 	if err != nil {
@@ -299,34 +251,19 @@ func TestConfigTuningValidation(t *testing.T) {
 	}
 	base := Config{Spec: cluster.Default(2), Job: job, NumJobs: 3}
 
-	for _, bad := range []Config{
-		func() Config { c := base; c.Damping = -0.1; return c }(),
-		func() Config { c := base; c.Damping = 1.5; return c }(),
-		func() Config { c := base; c.Epsilon = -1e-9; return c }(),
-	} {
-		if _, err := Predict(bad); err == nil {
-			t.Errorf("config %+v accepted", bad)
-		}
-		p := NewPredictor()
-		if _, err := p.PredictWarm(bad); err == nil {
-			t.Errorf("warm config accepted bad tuning")
-		}
+	bad := base
+	bad.Epsilon = -1e-9
+	if _, err := Predict(bad); err == nil {
+		t.Errorf("config %+v accepted", bad)
+	}
+	if _, err := NewPredictor().PredictWarm(bad); err == nil {
+		t.Errorf("warm config accepted bad tuning")
 	}
 
-	// A custom damping converges to the same fixed point (within the outer
-	// tolerance scaled to the response), and a looser epsilon stops earlier.
+	// A looser epsilon stops earlier.
 	def, err := Predict(base)
 	if err != nil {
 		t.Fatal(err)
-	}
-	light := base
-	light.Damping = 0.25
-	lp, err := Predict(light)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(lp.ResponseTime-def.ResponseTime) / def.ResponseTime; rel > 1e-4 {
-		t.Errorf("damping 0.25 moved the fixed point: %v vs %v (rel %.2e)", lp.ResponseTime, def.ResponseTime, rel)
 	}
 	loose := base
 	loose.Epsilon = 1e-2

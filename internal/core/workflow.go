@@ -10,9 +10,10 @@ import (
 	"hadoop2perf/internal/workflow"
 )
 
-// This file evaluates DAG workflows of dependent jobs analytically: stages
-// are solved in topological order with per-stage warm-start chaining on one
-// Predictor, stages sharing a wave and a cluster are priced as a closed
+// This file evaluates DAG workflows of dependent jobs analytically:
+// ComposeWorkflow solves stages in topological order through a per-stage
+// solver (a Predictor warm-chains them; the service passes its cached
+// predict), stages sharing a wave and a cluster are priced as a closed
 // multi-job population (the paper's N-concurrent-jobs methodology applied
 // per wave), and the stage durations compose into a critical-path response
 // via internal/workflow's CPM schedule. The per-stage precedence trees stay
@@ -130,14 +131,30 @@ func PredictWorkflowContext(ctx context.Context, dag *workflow.DAG, cfgs []Confi
 // PredictWorkflowContext evaluates every stage of the DAG in deterministic
 // topological order on this Predictor — warm-start chaining each stage's
 // fixed point from its solved neighbors — and composes the critical-path
-// response. cfgs holds one model Config per stage, in DAG declaration
-// order; each stage's NumJobs is raised to its wave population when lower
-// (stages co-scheduled on the same cluster contend as a closed multi-job
-// network). A single-stage workflow takes the bit-exact cold path, so a
-// trivial DAG predicts exactly what Predict does; multi-stage chains stay
-// within the warm-start contract (1e-6 relative per stage) of composing
-// cold predictions.
+// response (see ComposeWorkflow). A single-stage workflow takes the
+// bit-exact cold path, so a trivial DAG predicts exactly what Predict does;
+// multi-stage chains stay within the warm-start contract (1e-6 relative per
+// stage) of composing cold predictions.
 func (p *Predictor) PredictWorkflowContext(ctx context.Context, dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, error) {
+	return ComposeWorkflow(dag, cfgs, func(_ int, cfg Config, warm bool) (Prediction, error) {
+		if warm {
+			return p.PredictWarmContext(ctx, cfg)
+		}
+		return p.PredictContext(ctx, cfg)
+	})
+}
+
+// ComposeWorkflow is the workflow composition: it validates the DAG, solves
+// every stage in deterministic topological order through solve, and
+// composes the stage durations into the critical-path schedule, the
+// critical path and the stage-level S/P tree. cfgs holds one model Config
+// per stage, in DAG declaration order; each stage's NumJobs is raised to
+// its wave population when lower (stages co-scheduled on the same cluster
+// contend as a closed multi-job network) before solve sees it. solve's warm
+// argument is false for a single-stage workflow — it has no neighbor to
+// chain from, so it must solve cold and stay bit-identical to the
+// equivalent single-job prediction — and true otherwise.
+func ComposeWorkflow(dag *workflow.DAG, cfgs []Config, solve func(i int, cfg Config, warm bool) (Prediction, error)) (WorkflowPrediction, error) {
 	if err := dag.Validate(); err != nil {
 		return WorkflowPrediction{}, err
 	}
@@ -157,19 +174,14 @@ func (p *Predictor) PredictWorkflowContext(ctx context.Context, dag *workflow.DA
 		Stages:    make([]WorkflowStageResult, dag.NumStages()),
 		Converged: true,
 	}
+	warm := dag.NumStages() > 1
 	durations := make([]float64, dag.NumStages())
 	for _, i := range order {
 		cfg := cfgs[i]
 		if cfg.NumJobs < conc[i] {
 			cfg.NumJobs = conc[i]
 		}
-		var pred Prediction
-		var err error
-		if dag.NumStages() == 1 {
-			pred, err = p.PredictContext(ctx, cfg)
-		} else {
-			pred, err = p.PredictWarmContext(ctx, cfg)
-		}
+		pred, err := solve(i, cfg, warm)
 		if err != nil {
 			return WorkflowPrediction{}, fmt.Errorf("core: stage %q: %w", dag.Stages[i], err)
 		}

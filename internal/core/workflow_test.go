@@ -41,6 +41,59 @@ func TestPredictWorkflowValidation(t *testing.T) {
 	}
 }
 
+// TestComposeWorkflowWarmRule pins where the cold/warm rule lives: the
+// composition asks a one-stage DAG's solver for a cold solve and every
+// stage of a longer DAG for a warm one, in topological order, with each
+// stage's NumJobs raised to its wave population.
+func TestComposeWorkflowWarmRule(t *testing.T) {
+	spec := cluster.Default(4)
+	type call struct {
+		stage, numJobs int
+		warm           bool
+	}
+	record := func(calls *[]call) func(int, Config, bool) (Prediction, error) {
+		return func(i int, cfg Config, warm bool) (Prediction, error) {
+			*calls = append(*calls, call{i, cfg.NumJobs, warm})
+			return Prediction{ResponseTime: 10, Converged: true}, nil
+		}
+	}
+
+	var one []call
+	wf, err := ComposeWorkflow(&workflow.DAG{Stages: []string{"only"}}, wfConfigs(t, spec, 1), record(&one))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 || one[0] != (call{0, 1, false}) {
+		t.Errorf("one-stage solves = %+v, want one cold solve of stage 0", one)
+	}
+	if wf.ResponseTime != 10 || wf.Tree == nil {
+		t.Errorf("one-stage composition = %+v", wf)
+	}
+
+	// Declared out of topological order: join first, then the two legs.
+	diamond := &workflow.DAG{
+		Stages: []string{"join", "left", "right"},
+		Edges:  []workflow.Edge{{From: "left", To: "join"}, {From: "right", To: "join"}},
+	}
+	var three []call
+	wf, err = ComposeWorkflow(diamond, wfConfigs(t, spec, 3), record(&three))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []call{{1, 2, true}, {2, 2, true}, {0, 1, true}}
+	if len(three) != len(want) {
+		t.Fatalf("three-stage solves = %+v, want %+v", three, want)
+	}
+	for k := range want {
+		if three[k] != want[k] {
+			t.Errorf("solve %d = %+v, want %+v", k, three[k], want[k])
+		}
+	}
+	if wf.ResponseTime != 20 || len(wf.CriticalPath) != 2 {
+		t.Errorf("three-stage composition: makespan %v, critical path %v", wf.ResponseTime, wf.CriticalPath)
+	}
+}
+
 // TestWorkflowChainComposesSequentialPredicts is the composition property:
 // a chain of K identical dependent jobs must predict the same total
 // response as K sequential single-job Predict calls composed — within the

@@ -100,10 +100,15 @@ type PlanRequest struct {
 	// the workflow on that candidate's cluster (stages with their own Spec
 	// keep it; the rest inherit the swept spec). Only the cluster axes
 	// (Nodes or ClassCounts) apply — job-shape axes and UseSimulator are
-	// rejected, and Job is ignored. See Service.planWorkflow.
+	// rejected, and Job is ignored.
 	Workflow *Workflow
 }
 
+// validate checks the request and defaults NumJobs. The cluster axes, the
+// deadline, faults, estimator and quantile rules are shared; job-shape axes
+// and the simulator belong to single-job plans only, because workflow
+// stages fix their own jobs and the simulator has no DAG support on the
+// plan axis.
 func (r *PlanRequest) validate() error {
 	if r.NumJobs <= 0 {
 		r.NumJobs = 1
@@ -111,13 +116,17 @@ func (r *PlanRequest) validate() error {
 	if r.NumJobs > MaxNumJobs {
 		return fmt.Errorf("service: NumJobs %d exceeds limit %d", r.NumJobs, MaxNumJobs)
 	}
-	if r.Reps > MaxSimReps {
-		return fmt.Errorf("service: Reps %d exceeds limit %d", r.Reps, MaxSimReps)
-	}
-	if err := r.Spec.Validate(); err != nil {
+	if r.Workflow != nil {
+		if r.UseSimulator {
+			return errors.New("service: workflow plans are analytic; the simulator sweep has no DAG support on the plan axis")
+		}
+		if len(r.BlockSizesMB) > 0 || len(r.Reducers) > 0 || len(r.Policies) > 0 {
+			return errors.New("service: workflow plans sweep only the cluster axes (nodes or classCounts); stage jobs fix their own block sizes and reducers")
+		}
+	} else if err := r.validateJob(); err != nil {
 		return err
 	}
-	if err := r.Job.Validate(); err != nil {
+	if err := r.Spec.Validate(); err != nil {
 		return err
 	}
 	if _, err := r.Estimator.MarshalText(); err != nil {
@@ -158,6 +167,34 @@ func (r *PlanRequest) validate() error {
 			}
 		}
 	}
+	if r.DeadlineSec < 0 {
+		return fmt.Errorf("service: deadline %v must be nonnegative", r.DeadlineSec)
+	}
+	if err := r.Faults.Validate(); err != nil {
+		return err
+	}
+	if r.Quantile != 0 {
+		if !r.UseSimulator {
+			return errors.New("service: quantile planning needs useSimulator (the analytic model predicts means)")
+		}
+		switch r.Quantile {
+		case 0.5, 0.95, 0.99:
+		default:
+			return fmt.Errorf("service: quantile %v not supported (want 0.5, 0.95 or 0.99)", r.Quantile)
+		}
+	}
+	return nil
+}
+
+// validateJob checks the single-job plan's own fields: the job template,
+// its axes and the simulator options.
+func (r *PlanRequest) validateJob() error {
+	if r.Reps > MaxSimReps {
+		return fmt.Errorf("service: Reps %d exceeds limit %d", r.Reps, MaxSimReps)
+	}
+	if err := r.Job.Validate(); err != nil {
+		return err
+	}
 	for _, b := range r.BlockSizesMB {
 		if b <= 0 {
 			return fmt.Errorf("service: plan block size %v must be positive", b)
@@ -173,24 +210,8 @@ func (r *PlanRequest) validate() error {
 			return err
 		}
 	}
-	if r.DeadlineSec < 0 {
-		return fmt.Errorf("service: deadline %v must be nonnegative", r.DeadlineSec)
-	}
 	if r.UseSimulator && r.Profile != "" {
 		return errors.New("service: calibrated profiles seed the analytic model; simulator-backed plans cannot use one")
-	}
-	if err := r.Faults.Validate(); err != nil {
-		return err
-	}
-	if r.Quantile != 0 {
-		if !r.UseSimulator {
-			return errors.New("service: quantile planning needs useSimulator (the analytic model predicts means)")
-		}
-		switch r.Quantile {
-		case 0.5, 0.95, 0.99:
-		default:
-			return fmt.Errorf("service: quantile %v not supported (want 0.5, 0.95 or 0.99)", r.Quantile)
-		}
 	}
 	return nil
 }
@@ -347,16 +368,27 @@ func nodeChoices(req *PlanRequest) []nodeChoice {
 // queries backed by the analytic model run the bisection + pruning search
 // (search.go); everything else evaluates the full grid in parallel. Each
 // candidate flows through the same cache/singleflight/pool path as a direct
-// Predict or Simulate call, so overlapping plans share work.
+// Predict or Simulate call, so overlapping plans share work — a workflow
+// candidate is the workflow Predict at its cluster.
 func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {
 	s.planReqs.Add(1)
 	if req.Workflow != nil {
-		return s.planWorkflow(ctx, req)
+		s.workflowReqs.Add(1)
 	}
 	if err := req.validate(); err != nil {
 		return PlanResponse{}, invalid(err)
 	}
-	if err := s.resolveProfile(ctx, req.Profile, &req.resolved); err != nil {
+	var rw *resolvedWorkflow
+	if req.Workflow != nil {
+		var err error
+		rw, err = s.resolveWorkflow(ctx, &PredictRequest{
+			NumJobs: req.NumJobs, Estimator: req.Estimator, Faults: req.Faults,
+			Profile: req.Profile, Workflow: req.Workflow,
+		})
+		if err != nil {
+			return PlanResponse{}, err
+		}
+	} else if err := s.resolveProfile(ctx, req.Profile, &req.resolved); err != nil {
 		return PlanResponse{}, err
 	}
 	// The whole strategy evaluation — grid fan-out or bisection search — is
@@ -365,31 +397,23 @@ func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, erro
 	defer s.endSpan(obs.FromContext(ctx), obs.StagePlanSearch, time.Now())
 
 	choices := nodeChoices(&req)
-	blocks := axisFloats(req.BlockSizesMB, req.Job.BlockSizeMB)
-	reducers := axisInts(req.Reducers, req.Job.NumReduces)
-	policies := axisPolicies(req.Policies)
-
-	total := len(choices) * len(blocks) * len(reducers) * len(policies)
+	units := s.planUnits(ctx, &req, rw)
+	total := len(choices) * len(units)
 	if total > maxPlanCandidates {
 		return PlanResponse{}, invalid(fmt.Errorf("service: plan grid has %d candidates (max %d); split the sweep",
 			total, maxPlanCandidates))
 	}
 
 	if useSearch(&req, choices) {
-		return s.planSearch(ctx, req, choices, blocks, reducers, policies)
+		return s.planSearch(ctx, req, choices, units)
 	}
 
 	cands := make([]PlanCandidate, 0, total)
 	for _, ch := range choices {
-		for _, b := range blocks {
-			for _, red := range reducers {
-				for _, pol := range policies {
-					cands = append(cands, PlanCandidate{
-						Nodes: ch.nodes, ClassCounts: ch.counts,
-						BlockSizeMB: b, Reducers: red, Policy: pol,
-					})
-				}
-			}
+		for _, u := range units {
+			c := u.proto
+			c.Nodes, c.ClassCounts = ch.nodes, ch.counts
+			cands = append(cands, c)
 		}
 	}
 
@@ -397,12 +421,17 @@ func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, erro
 	// actual concurrency and the shared cache collapses duplicates (e.g.
 	// model-backed candidates differing only in policy).
 	var wg sync.WaitGroup
-	for i := range cands {
+	for k := range cands {
 		wg.Add(1)
-		go func(c *PlanCandidate) {
+		go func(c *PlanCandidate, u *planUnit) {
 			defer wg.Done()
-			s.evalCandidate(ctx, req, c)
-		}(&cands[i])
+			r, err := u.eval(*c, nil)
+			if err != nil {
+				c.Err = err.Error()
+				return
+			}
+			*c = r
+		}(&cands[k], &units[k%len(units)])
 	}
 	wg.Wait()
 	obs.FromContext(ctx).AddCounter(obs.CounterPlanCandidates, int64(len(cands)))
@@ -410,6 +439,52 @@ func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, erro
 	resp := PlanResponse{Candidates: cands, Strategy: StrategyGrid}
 	finalizePlan(&resp, &req)
 	return partialOnDeadline(ctx, resp)
+}
+
+// planUnit is one combination of a plan's non-node axes: every candidate
+// is a (cluster choice, unit) pair. A single-job plan has one unit per
+// (block size, reducers, policy) combo; a workflow plan has exactly one.
+type planUnit struct {
+	// proto carries the unit's axis values, copied into each of its
+	// candidates.
+	proto PlanCandidate
+	// bisect reports a response curve the deadline search may bisect along
+	// the node axis: a single reducer, or every workflow stage
+	// single-reducer (see search.go).
+	bisect bool
+	// eval returns c with its result filled in at its cluster (c.Nodes,
+	// c.ClassCounts). walk, when non-nil, is a caller-owned warm chain for
+	// the misses.
+	eval func(c PlanCandidate, walk *core.Predictor) (PlanCandidate, error)
+}
+
+// planUnits expands the request's non-node axes into units, in grid order.
+func (s *Service) planUnits(ctx context.Context, req *PlanRequest, rw *resolvedWorkflow) []planUnit {
+	if rw != nil {
+		bisect := true
+		for _, st := range req.Workflow.Stages {
+			bisect = bisect && st.Job.NumReduces == 1
+		}
+		return []planUnit{{bisect: bisect, eval: func(c PlanCandidate, walk *core.Predictor) (PlanCandidate, error) {
+			return s.evalWorkflowCandidate(ctx, req, rw, c, walk)
+		}}}
+	}
+	eval := func(c PlanCandidate, walk *core.Predictor) (PlanCandidate, error) {
+		return s.evalCandidate(ctx, req, c, walk)
+	}
+	var units []planUnit
+	for _, b := range axisFloats(req.BlockSizesMB, req.Job.BlockSizeMB) {
+		for _, red := range axisInts(req.Reducers, req.Job.NumReduces) {
+			for _, pol := range axisPolicies(req.Policies) {
+				units = append(units, planUnit{
+					proto:  PlanCandidate{BlockSizeMB: b, Reducers: red, Policy: pol},
+					bisect: red == 1,
+					eval:   eval,
+				})
+			}
+		}
+	}
+	return units
 }
 
 // candidateSpec derives one grid point's cluster: a class mix rebuilds the
@@ -439,51 +514,39 @@ func candidateSpec(req *PlanRequest, ch nodeChoice) cluster.Spec {
 	return spec
 }
 
-// candidatePredictRequest derives the model request of one grid point from
-// the plan template — the single definition of what a candidate means,
-// shared by the grid and search strategies.
-func candidatePredictRequest(req PlanRequest, ch nodeChoice, blockMB float64, reducers int) PredictRequest {
+// evalCandidate evaluates one single-job grid point via the cached
+// Predict/Simulate paths; walk, when non-nil, warm-chains a model miss.
+func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCandidate, walk *core.Predictor) (PlanCandidate, error) {
+	spec := candidateSpec(req, nodeChoice{nodes: c.Nodes, counts: c.ClassCounts})
 	job := req.Job
-	job.BlockSizeMB = blockMB
-	job.NumReduces = reducers
-	return PredictRequest{
-		Spec: candidateSpec(&req, ch), Job: job, NumJobs: req.NumJobs, Estimator: req.Estimator,
-		Faults: req.Faults, Profile: req.Profile, resolved: req.resolved,
-	}
-}
-
-// evalCandidate fills in one grid point via the cached Predict/Simulate
-// paths.
-func (s *Service) evalCandidate(ctx context.Context, req PlanRequest, c *PlanCandidate) {
-	ch := nodeChoice{nodes: c.Nodes, counts: c.ClassCounts}
+	job.BlockSizeMB = c.BlockSizeMB
+	job.NumReduces = c.Reducers
 	if !req.UseSimulator {
-		pr, err := s.predict(ctx, candidatePredictRequest(req, ch, c.BlockSizeMB, c.Reducers))
+		resp, err := s.predictEval(ctx, PredictRequest{
+			Spec: spec, Job: job, NumJobs: req.NumJobs, Estimator: req.Estimator,
+			Faults: req.Faults, Profile: req.Profile, resolved: req.resolved,
+		}, walk)
 		if err != nil {
-			c.Err = err.Error()
-			return
+			return c, err
 		}
-		c.ResponseTime = pr.Prediction.ResponseTime
-		c.Cached = pr.Cached
-		c.Stale = pr.Stale
-		return
+		c.ResponseTime = resp.Prediction.ResponseTime
+		c.Cached = resp.Cached
+		c.Stale = resp.Stale
+		return c, nil
 	}
 
-	// Same candidate derivation as the model branch; the simulator runs
-	// NumJobs identical copies of the derived job.
-	pr := candidatePredictRequest(req, ch, c.BlockSizeMB, c.Reducers)
+	// The simulator runs NumJobs identical copies of the derived job.
 	jobs := make([]workload.Job, req.NumJobs)
 	for i := range jobs {
-		j := pr.Job
-		j.ID = i
-		jobs[i] = j
+		jobs[i] = job
+		jobs[i].ID = i
 	}
 	sr, err := s.simulate(ctx, SimulateRequest{
-		Spec: pr.Spec, Jobs: jobs, Seed: req.Seed, Reps: req.Reps, Policy: c.Policy,
+		Spec: spec, Jobs: jobs, Seed: req.Seed, Reps: req.Reps, Policy: c.Policy,
 		Faults: req.Faults,
 	})
 	if err != nil {
-		c.Err = err.Error()
-		return
+		return c, err
 	}
 	switch req.Quantile {
 	case 0.95:
@@ -497,6 +560,7 @@ func (s *Service) evalCandidate(ctx context.Context, req PlanRequest, c *PlanCan
 	c.Cached = sr.Cached
 	c.Degraded = sr.Degraded
 	c.Stale = sr.Stale
+	return c, nil
 }
 
 // sortCandidates ranks the grid best-first. Failed candidates sink to the

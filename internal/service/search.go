@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"hadoop2perf/internal/core"
-	"hadoop2perf/internal/yarn"
 )
 
 // This file implements the planner's deadline fast path: instead of
@@ -286,22 +285,25 @@ func exhaustiveAxis(nodes []int, eval axisEval) axisOutcome {
 	return out
 }
 
-// planSearch answers a deadline query through per-combo cluster-size-axis
-// searches run concurrently (the per-candidate predictions inside each combo
-// are bounded by the service worker pool, like the grid path). Single-reducer
-// combos on a chain-ordered axis ride the bisection fast path; multi-reducer
-// combos — whose response curves are not reliably monotone in cluster size —
-// and non-chain mix axes are evaluated exhaustively. On top of the chain
+// planSearch answers a deadline query through per-unit cluster-size-axis
+// searches run concurrently (the per-candidate predictions inside each unit
+// are bounded by the service worker pool, like the grid path). Units that
+// may bisect (planUnit.bisect: single-reducer jobs or workflows) on a
+// chain-ordered axis ride the bisection fast path; multi-reducer units —
+// whose response curves are not reliably monotone in cluster size — and
+// non-chain mix axes are evaluated exhaustively. On top of the chain
 // premise, the bisection verifies monotonicity over every pair of points it
-// actually evaluates and falls back to exhaustive on any violation.
+// actually evaluates and falls back to exhaustive on any violation. A
+// workflow makespan is a max/sum composition of per-stage responses, each
+// non-increasing in cluster size, so the same premise carries over.
 //
-// Each bisecting combo threads a warm-start chain through its walk: one
+// Each bisecting unit threads a warm-start chain through its walk: one
 // pooled evaluator is borrowed for the axis, and every miss it computes
 // seeds the next (bisection visits neighboring node counts by
 // construction, exactly the locality PredictWarm exploits). The
-// exhaustive paths keep the parallel cold fan-out — their concurrency is
-// worth more than the warm locality.
-func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nodeChoice, blocks []float64, reducers []int, policies []yarn.Policy) (PlanResponse, error) {
+// exhaustive paths keep the parallel fan-out without a walk — their
+// concurrency is worth more than the warm locality.
+func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nodeChoice, units []planUnit) (PlanResponse, error) {
 	sorted := append([]nodeChoice(nil), choices...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].nodes < sorted[b].nodes })
 	totals := make([]int, len(sorted))
@@ -312,60 +314,38 @@ func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nod
 	}
 	chain := chainOrdered(sorted)
 
-	type combo struct {
-		block  float64
-		red    int
-		policy yarn.Policy
-	}
-	var combos []combo
-	for _, b := range blocks {
-		for _, red := range reducers {
-			for _, pol := range policies {
-				combos = append(combos, combo{block: b, red: red, policy: pol})
-			}
+	// at evaluates unit u along the sorted axis, on walk when non-nil.
+	at := func(u *planUnit, walk *core.Predictor) axisEval {
+		return func(i int) (float64, bool, error) {
+			c := u.proto
+			c.Nodes, c.ClassCounts = sorted[i].nodes, sorted[i].counts
+			c, err := u.eval(c, walk)
+			return c.ResponseTime, c.Cached, err
 		}
 	}
-
-	outcomes := make([]axisOutcome, len(combos))
+	outcomes := make([]axisOutcome, len(units))
 	var wg sync.WaitGroup
-	for ci := range combos {
+	for ui := range units {
 		wg.Add(1)
-		go func(ci int) {
+		go func(u *planUnit, out *axisOutcome) {
 			defer wg.Done()
-			cb := combos[ci]
-			parEval := func(i int) (float64, bool, error) {
-				pr, err := s.predict(ctx, candidatePredictRequest(req, sorted[i], cb.block, cb.red))
-				if err != nil {
-					return 0, false, err
-				}
-				return pr.Prediction.ResponseTime, pr.Cached, nil
-			}
-			if cb.red == 1 && chain {
+			if u.bisect && chain {
 				warm := s.predictors.Get().(*core.Predictor)
-				eval := func(i int) (float64, bool, error) {
-					pr, err := s.predictEval(ctx, candidatePredictRequest(req, sorted[i], cb.block, cb.red), warm)
-					if err != nil {
-						return 0, false, err
-					}
-					return pr.Prediction.ResponseTime, pr.Cached, nil
-				}
-				outcomes[ci] = searchNodeAxis(totals, weights, req.DeadlineSec, eval, parEval)
+				*out = searchNodeAxis(totals, weights, req.DeadlineSec, at(u, warm), at(u, nil))
 				s.predictors.Put(warm)
 			} else {
-				outcomes[ci] = exhaustiveAxis(totals, parEval)
+				*out = exhaustiveAxis(totals, at(u, nil))
 			}
-		}(ci)
+		}(&units[ui], &outcomes[ui])
 	}
 	wg.Wait()
 
 	resp := PlanResponse{Strategy: StrategySearch}
-	for ci, out := range outcomes {
-		cb := combos[ci]
+	for ui, out := range outcomes {
+		u := &units[ui]
 		for k, c := range out.cands {
 			c.ClassCounts = sorted[out.idxs[k]].counts
-			c.BlockSizeMB = cb.block
-			c.Reducers = cb.red
-			c.Policy = cb.policy
+			c.BlockSizeMB, c.Reducers, c.Policy = u.proto.BlockSizeMB, u.proto.Reducers, u.proto.Policy
 			resp.Candidates = append(resp.Candidates, c)
 		}
 		resp.Pruned += out.pruned

@@ -537,6 +537,18 @@ func (r *PredictRequest) validate() error {
 	return nil
 }
 
+// config is the model configuration of a validated request.
+func (r *PredictRequest) config() core.Config {
+	cfg := core.Config{
+		Spec: r.Spec, Job: r.Job, NumJobs: r.NumJobs, Estimator: r.Estimator,
+		Faults: r.Faults,
+	}
+	if r.resolved != nil {
+		cfg.History = r.resolved.history
+	}
+	return cfg
+}
+
 // PredictResponse is an analytic prediction plus serving metadata. The
 // embedded Prediction may be shared with other cache readers — treat it as
 // read-only.
@@ -616,13 +628,7 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chain *co
 			return nil, err
 		}
 		defer s.release()
-		cfg := core.Config{
-			Spec: req.Spec, Job: req.Job, NumJobs: req.NumJobs, Estimator: req.Estimator,
-			Faults: req.Faults,
-		}
-		if req.resolved != nil {
-			cfg.History = req.resolved.history
-		}
+		cfg := req.config()
 		tr := obs.FromContext(ctx)
 		solveStart := time.Now()
 		var pred core.Prediction

@@ -4,16 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/core"
-	"hadoop2perf/internal/obs"
-	"hadoop2perf/internal/ptree"
-	"hadoop2perf/internal/timeline"
 	"hadoop2perf/internal/workflow"
 	"hadoop2perf/internal/workload"
 )
@@ -110,145 +104,167 @@ type workflowOutcome struct {
 	pred   core.Prediction
 }
 
-// validateWorkflow structurally checks a workflow block and resolves it
-// into the DAG and one per-stage PredictRequest (profile references
-// resolved, wave concurrency priced in). Every defect returns a structured
-// invalid-request error (HTTP 400), including the partial-profile rule.
-func (s *Service) resolveWorkflow(ctx context.Context, req *PredictRequest) (*workflow.DAG, []PredictRequest, error) {
+// resolvedWorkflow is a workflow block checked once per request: its DAG
+// and one stage request template per stage, with the stage's own cluster
+// (if any) and its calibrated profile pinned to one snapshot. A plan
+// resolves once and derives every candidate's stages from it (stagesAt).
+type resolvedWorkflow struct {
+	wf  *Workflow
+	dag *workflow.DAG
+	// stages holds each stage's request less the cluster it inherits (Spec
+	// is set only for stage-local clusters) and its wave population.
+	stages []PredictRequest
+}
+
+// resolveWorkflow checks req's workflow block and resolves its profile
+// references: the stage-count limit, the NumJobs rule, the DAG's structure
+// and the all-or-none profile coverage. Every defect is an invalid request
+// (HTTP 400). Each distinct profile name resolves once, so every stage —
+// and every candidate of a plan — shares one snapshot.
+func (s *Service) resolveWorkflow(ctx context.Context, req *PredictRequest) (*resolvedWorkflow, error) {
 	wf := req.Workflow
 	if len(wf.Stages) > MaxNumJobs {
-		return nil, nil, invalid(fmt.Errorf("service: workflow has %d stages, limit %d", len(wf.Stages), MaxNumJobs))
+		return nil, invalid(fmt.Errorf("service: workflow has %d stages, limit %d", len(wf.Stages), MaxNumJobs))
 	}
 	if req.NumJobs > 1 {
-		return nil, nil, invalid(errors.New("service: NumJobs is derived from the workflow's waves; set per-stage shape with edges instead"))
+		return nil, invalid(errors.New("service: NumJobs is derived from the workflow's waves; set per-stage shape with edges instead"))
 	}
-	dag := wf.dag()
-	if err := dag.Validate(); err != nil {
-		return nil, nil, invalid(err)
+	rw := &resolvedWorkflow{wf: wf, dag: wf.dag(), stages: make([]PredictRequest, len(wf.Stages))}
+	if err := rw.dag.Validate(); err != nil {
+		return nil, invalid(err)
 	}
 
 	// Per-stage profile resolution rule: stage Profile wins over the
 	// request's; mixed coverage (some stages seeded, some not) is rejected
 	// up front with the uncovered stages named.
-	names := make([]string, len(wf.Stages))
 	var covered, uncovered []string
 	for i, st := range wf.Stages {
-		names[i] = st.Profile
-		if names[i] == "" {
-			names[i] = req.Profile
+		sr := &rw.stages[i]
+		*sr = PredictRequest{Job: st.Job, Estimator: req.Estimator, Faults: req.Faults, Profile: st.Profile}
+		if sr.Profile == "" {
+			sr.Profile = req.Profile
 		}
-		if names[i] == "" {
+		if sr.Profile == "" {
 			uncovered = append(uncovered, st.Name)
 		} else {
 			covered = append(covered, st.Name)
 		}
+		if st.Spec != nil {
+			sr.Spec = *st.Spec
+		}
 	}
 	if len(covered) > 0 && len(uncovered) > 0 {
-		return nil, nil, invalid(fmt.Errorf(
+		return nil, invalid(fmt.Errorf(
 			"service: workflow profiles cover only stages %s; stages %s resolve none — seed every stage (stage profile or request default) or none",
 			strings.Join(covered, ", "), strings.Join(uncovered, ", ")))
 	}
-
-	// Wave concurrency over the resolved per-stage clusters.
-	cfgs := make([]core.Config, len(wf.Stages))
-	for i, st := range wf.Stages {
-		cfgs[i].Spec = req.Spec
-		if st.Spec != nil {
-			cfgs[i].Spec = *st.Spec
+	snapshots := map[string]*calibratedProfile{}
+	for i := range rw.stages {
+		sr := &rw.stages[i]
+		if sr.Profile == "" {
+			continue
 		}
-	}
-	conc, err := core.WorkflowConcurrency(dag, cfgs)
-	if err != nil {
-		return nil, nil, invalid(err)
-	}
-
-	stageReqs := make([]PredictRequest, len(wf.Stages))
-	for i, st := range wf.Stages {
-		sr := PredictRequest{
-			Spec: cfgs[i].Spec, Job: st.Job, NumJobs: conc[i],
-			Estimator: req.Estimator, Faults: req.Faults, Profile: names[i],
-		}
-		if err := sr.validate(); err != nil {
-			return nil, nil, invalid(fmt.Errorf("service: workflow stage %q: %w", st.Name, err))
+		if p, ok := snapshots[sr.Profile]; ok {
+			sr.resolved = p
+			continue
 		}
 		if err := s.resolveProfile(ctx, sr.Profile, &sr.resolved); err != nil {
-			return nil, nil, fmt.Errorf("service: workflow stage %q: %w", st.Name, err)
+			return nil, fmt.Errorf("service: workflow stage %q: %w", wf.Stages[i].Name, err)
 		}
-		stageReqs[i] = sr
+		snapshots[sr.Profile] = sr.resolved
 	}
-	return dag, stageReqs, nil
+	return rw, nil
 }
 
-// workflowEval composes one workflow evaluation: stages run through the
-// per-stage predictEval path in deterministic topological order — each
-// stage's cache key identical to the equivalent single-job predict, so a
-// K-identical-stage chain costs one model run plus K-1 hits — and the
-// durations feed the DAG's critical-path schedule. chain, when non-nil,
-// warm-chains stage misses through one caller-owned evaluator.
-func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest, chain *core.Predictor) (*workflowOutcome, error) {
-	order, err := dag.TopoOrder()
+// stagesAt derives the per-stage PredictRequests of the workflow on the
+// cluster spec: inheriting stages take spec, and every stage is priced at
+// its wave population. The requests — and so the stage and workflow cache
+// keys — are those of a workflow predict on spec.
+func (rw *resolvedWorkflow) stagesAt(spec cluster.Spec) ([]PredictRequest, error) {
+	stageReqs := make([]PredictRequest, len(rw.stages))
+	cfgs := make([]core.Config, len(rw.stages))
+	for i := range stageReqs {
+		stageReqs[i] = rw.stages[i]
+		if rw.wf.Stages[i].Spec == nil {
+			stageReqs[i].Spec = spec
+		}
+		cfgs[i].Spec = stageReqs[i].Spec
+	}
+	conc, err := core.WorkflowConcurrency(rw.dag, cfgs)
 	if err != nil {
 		return nil, invalid(err)
 	}
-	n := len(stageReqs)
-	if n == 1 {
-		// A trivial DAG has no neighbor to chain from; the pooled cold path
-		// keeps it bit-identical to the equivalent single-job predict.
-		chain = nil
+	for i := range stageReqs {
+		stageReqs[i].NumJobs = conc[i]
+		if err := stageReqs[i].validate(); err != nil {
+			return nil, invalid(fmt.Errorf("service: workflow stage %q: %w", rw.dag.Stages[i], err))
+		}
 	}
-	out := &workflowOutcome{
-		report: WorkflowReport{Stages: make([]WorkflowStageReport, n)},
-		pred:   core.Prediction{Converged: true},
+	return stageReqs, nil
+}
+
+// workflowEval composes one workflow evaluation through
+// core.ComposeWorkflow, with each stage served by the per-stage predictEval
+// path — each stage's cache key identical to the equivalent single-job
+// predict, so a K-identical-stage chain costs one model run plus K-1 hits.
+// chain warm-chains the stage misses when the composition asks for warm
+// solves; a one-stage workflow solves on the pooled cold path.
+func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest, chain *core.Predictor) (*workflowOutcome, error) {
+	cfgs := make([]core.Config, len(stageReqs))
+	for i := range stageReqs {
+		cfgs[i] = stageReqs[i].config()
 	}
-	durations := make([]float64, n)
-	for _, i := range order {
-		pr, err := s.predictEval(ctx, stageReqs[i], chain)
+	stages := make([]WorkflowStageReport, len(stageReqs))
+	wp, err := core.ComposeWorkflow(dag, cfgs, func(i int, _ core.Config, warm bool) (core.Prediction, error) {
+		// stagesAt priced each stage at its wave population already, so the
+		// composition's config is stageReqs[i]'s own.
+		walk := chain
+		if !warm {
+			walk = nil
+		}
+		pr, err := s.predictEval(ctx, stageReqs[i], walk)
 		if err != nil {
-			return nil, fmt.Errorf("service: workflow stage %q: %w", dag.Stages[i], err)
+			return core.Prediction{}, err
 		}
-		durations[i] = pr.Prediction.ResponseTime
-		out.report.Stages[i] = WorkflowStageReport{
-			Name:         dag.Stages[i],
-			ResponseTime: pr.Prediction.ResponseTime,
-			Concurrency:  stageReqs[i].NumJobs,
-			Cached:       pr.Cached,
-			Profile:      pr.Profile,
-		}
-		out.pred.Iterations += pr.Prediction.Iterations
-		out.pred.InnerIterations += pr.Prediction.InnerIterations
-		out.pred.Converged = out.pred.Converged && pr.Prediction.Converged
-		out.pred.WarmStarted = out.pred.WarmStarted || pr.Prediction.WarmStarted
+		stages[i].Cached = pr.Cached
+		stages[i].Profile = pr.Profile
+		return pr.Prediction, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	sched, err := dag.ComputeSchedule(durations)
-	if err != nil {
-		return nil, invalid(err)
+	out := &workflowOutcome{
+		report: WorkflowReport{ResponseTime: wp.ResponseTime, Stages: stages, CriticalPath: wp.CriticalPath},
+		pred: core.Prediction{
+			ResponseTime: wp.ResponseTime, Iterations: wp.Iterations,
+			InnerIterations: wp.InnerIterations, Converged: wp.Converged,
+		},
 	}
-	out.pred.ResponseTime = sched.Makespan
-	out.report.ResponseTime = sched.Makespan
-	intervals := make([]timeline.Placed, n)
-	for i := range out.report.Stages {
-		st := &out.report.Stages[i]
-		st.Start = sched.Start[i]
-		st.Finish = sched.Finish[i]
-		st.Slack = sched.Slack[i]
-		st.Critical = sched.Critical[i]
-		intervals[i] = timeline.Placed{Class: timeline.ClassStage, ID: i, Start: st.Start, End: st.Finish}
+	for i, st := range wp.Stages {
+		r := &stages[i]
+		r.Name, r.ResponseTime, r.Concurrency = st.Name, st.ResponseTime, st.Concurrency
+		r.Start, r.Finish, r.Slack, r.Critical = st.Start, st.Finish, st.Slack, st.Critical
+		out.pred.WarmStarted = out.pred.WarmStarted || st.WarmStarted
 	}
-	for _, i := range sched.CriticalPath {
-		out.report.CriticalPath = append(out.report.CriticalPath, dag.Stages[i])
-	}
-	if tree, err := ptree.FromIntervals(intervals); err == nil {
-		out.report.Tree = tree.String()
+	if wp.Tree != nil {
+		out.report.Tree = wp.Tree.String()
 	}
 	return out, nil
 }
 
 // workflowEvalCached serves one composed workflow through the cache and
 // singleflight under its workflow-level key (the per-stage evaluations
-// inside keep their own keys either way).
-func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest, chain *core.Predictor) (*workflowOutcome, bool, bool, error) {
+// inside keep their own keys either way). walk, when non-nil, is a
+// caller-owned warm chain for the stage misses; nil borrows a pooled chain
+// for the evaluation.
+func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest, walk *core.Predictor) (*workflowOutcome, bool, bool, error) {
 	v, cached, stale, err := s.cachedCompute(ctx, workflowPredictKey(dag, stageReqs), func() (any, error) {
+		chain := walk
+		if chain == nil {
+			chain = s.predictors.Get().(*core.Predictor)
+			defer s.predictors.Put(chain)
+		}
 		return s.workflowEval(ctx, dag, stageReqs, chain)
 	})
 	if err != nil {
@@ -260,210 +276,34 @@ func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, sta
 // predictWorkflow serves a workflow-bearing Predict request.
 func (s *Service) predictWorkflow(ctx context.Context, req PredictRequest) (PredictResponse, error) {
 	s.workflowReqs.Add(1)
-	dag, stageReqs, err := s.resolveWorkflow(ctx, &req)
+	rw, err := s.resolveWorkflow(ctx, &req)
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	chain := s.predictors.Get().(*core.Predictor)
-	o, cached, stale, err := s.workflowEvalCached(ctx, dag, stageReqs, chain)
-	s.predictors.Put(chain)
+	stageReqs, err := rw.stagesAt(req.Spec)
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs, nil)
 	if err != nil {
 		return PredictResponse{}, err
 	}
 	return PredictResponse{Prediction: o.pred, Cached: cached, Stale: stale, Workflow: &o.report}, nil
 }
 
-// planWorkflow serves a workflow-bearing Plan request: the cluster-size
-// axis (Nodes or ClassCounts) is swept with the composed workflow makespan
-// as each candidate's response time. Job-shape axes and simulator backing
-// are rejected — stage jobs are fixed by the workflow block, and the
-// analytic composition is what makes the sweep cheap. Deadline queries on
-// a bisectable axis reuse the planner's monotone search: the workflow
-// makespan is a max/sum composition of per-stage responses, each
-// non-increasing in cluster size, so the frontier logic carries over
-// unchanged (single-reducer stages only, like the classic fast path).
-func (s *Service) planWorkflow(ctx context.Context, req PlanRequest) (PlanResponse, error) {
-	s.workflowReqs.Add(1)
-	if err := req.validateWorkflowPlan(); err != nil {
-		return PlanResponse{}, invalid(err)
+// evalWorkflowCandidate is a workflow plan's unit evaluation: the
+// candidate's response is the workflow predict at its cluster, served from
+// the same cache entry. walk, when non-nil, warm-chains the stage misses
+// along a search walk.
+func (s *Service) evalWorkflowCandidate(ctx context.Context, req *PlanRequest, rw *resolvedWorkflow, c PlanCandidate, walk *core.Predictor) (PlanCandidate, error) {
+	stageReqs, err := rw.stagesAt(candidateSpec(req, nodeChoice{nodes: c.Nodes, counts: c.ClassCounts}))
+	if err != nil {
+		return c, err
 	}
-	defer s.endSpan(obs.FromContext(ctx), obs.StagePlanSearch, time.Now())
-
-	choices := nodeChoices(&req)
-	if len(choices) > maxPlanCandidates {
-		return PlanResponse{}, invalid(fmt.Errorf("service: plan grid has %d candidates (max %d); split the sweep",
-			len(choices), maxPlanCandidates))
+	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs, walk)
+	if err != nil {
+		return c, err
 	}
-
-	// Resolve the workflow once per candidate spec: stages without a
-	// stage-local cluster inherit the candidate's swept spec.
-	stageReqsAt := func(ch nodeChoice) (*workflow.DAG, []PredictRequest, error) {
-		preq := PredictRequest{
-			Spec: candidateSpec(&req, ch), NumJobs: req.NumJobs, Estimator: req.Estimator,
-			Faults: req.Faults, Profile: req.Profile, Workflow: req.Workflow,
-		}
-		return s.resolveWorkflow(ctx, &preq)
-	}
-
-	if s.useWorkflowSearch(&req, choices) {
-		return s.planWorkflowSearch(ctx, req, choices, stageReqsAt)
-	}
-
-	cands := make([]PlanCandidate, len(choices))
-	var wg sync.WaitGroup
-	for i := range cands {
-		cands[i] = PlanCandidate{Nodes: choices[i].nodes, ClassCounts: choices[i].counts}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := &cands[i]
-			dag, stageReqs, err := stageReqsAt(choices[i])
-			if err != nil {
-				c.Err = err.Error()
-				return
-			}
-			chain := s.predictors.Get().(*core.Predictor)
-			o, cached, stale, err := s.workflowEvalCached(ctx, dag, stageReqs, chain)
-			s.predictors.Put(chain)
-			if err != nil {
-				c.Err = err.Error()
-				return
-			}
-			c.ResponseTime = o.report.ResponseTime
-			c.Cached = cached
-			c.Stale = stale
-		}(i)
-	}
-	wg.Wait()
-	obs.FromContext(ctx).AddCounter(obs.CounterPlanCandidates, int64(len(cands)))
-
-	resp := PlanResponse{Candidates: cands, Strategy: StrategyGrid}
-	finalizePlan(&resp, &req)
-	return partialOnDeadline(ctx, resp)
-}
-
-// useWorkflowSearch gates the workflow deadline fast path: same conditions
-// as the classic search, plus every stage must be single-reducer (the
-// pinned monotonicity premise) and share the swept cluster (a stage-local
-// spec does not shrink with the axis, so its duration is constant anyway —
-// but a constant floor under a max() keeps monotonicity, so only the
-// reducer shape actually gates).
-func (s *Service) useWorkflowSearch(req *PlanRequest, choices []nodeChoice) bool {
-	if !(req.DeadlineSec > 0 && !req.Exhaustive && len(choices) >= minSearchAxis) {
-		return false
-	}
-	for _, st := range req.Workflow.Stages {
-		if st.Job.NumReduces != 1 {
-			return false
-		}
-	}
-	sorted := append([]nodeChoice(nil), choices...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].nodes < sorted[b].nodes })
-	return chainOrdered(sorted)
-}
-
-// planWorkflowSearch runs the monotone bisection of search.go with the
-// composed workflow makespan as the axis metric. One warm chain threads
-// every stage evaluation of the walk: bisection probes neighboring node
-// counts, and within a probe the stages chain through the same evaluator,
-// so a 20-stage chain costs barely more model runs than a single job.
-func (s *Service) planWorkflowSearch(ctx context.Context, req PlanRequest, choices []nodeChoice, stageReqsAt func(nodeChoice) (*workflow.DAG, []PredictRequest, error)) (PlanResponse, error) {
-	sorted := append([]nodeChoice(nil), choices...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].nodes < sorted[b].nodes })
-	totals := make([]int, len(sorted))
-	weights := make([]float64, len(sorted))
-	for i, ch := range sorted {
-		totals[i] = ch.nodes
-		weights[i] = candidateSpec(&req, ch).PriceWeight()
-	}
-
-	warm := s.predictors.Get().(*core.Predictor)
-	defer s.predictors.Put(warm)
-	evalWith := func(i int, chain *core.Predictor) (float64, bool, error) {
-		dag, stageReqs, err := stageReqsAt(sorted[i])
-		if err != nil {
-			return 0, false, err
-		}
-		o, cached, _, err := s.workflowEvalCached(ctx, dag, stageReqs, chain)
-		if err != nil {
-			return 0, false, err
-		}
-		return o.report.ResponseTime, cached, nil
-	}
-	eval := func(i int) (float64, bool, error) { return evalWith(i, warm) }
-	parEval := func(i int) (float64, bool, error) { return evalWith(i, nil) }
-	out := searchNodeAxis(totals, weights, req.DeadlineSec, eval, parEval)
-
-	resp := PlanResponse{Strategy: StrategySearch}
-	for k, c := range out.cands {
-		c.ClassCounts = sorted[out.idxs[k]].counts
-		resp.Candidates = append(resp.Candidates, c)
-	}
-	resp.Pruned = out.pruned
-	finalizePlan(&resp, &req)
-	return partialOnDeadline(ctx, resp)
-}
-
-// validateWorkflowPlan checks the plan fields meaningful for a workflow
-// sweep and rejects the job-shape and simulator machinery that does not
-// compose with a DAG of fixed stage jobs.
-func (r *PlanRequest) validateWorkflowPlan() error {
-	if r.NumJobs <= 0 {
-		r.NumJobs = 1
-	}
-	if r.UseSimulator {
-		return errors.New("service: workflow plans are analytic; the simulator sweep has no DAG support on the plan axis")
-	}
-	if len(r.BlockSizesMB) > 0 || len(r.Reducers) > 0 || len(r.Policies) > 0 {
-		return errors.New("service: workflow plans sweep only the cluster axes (nodes or classCounts); stage jobs fix their own block sizes and reducers")
-	}
-	if err := r.Spec.Validate(); err != nil {
-		return err
-	}
-	for _, n := range r.Nodes {
-		if n <= 0 {
-			return fmt.Errorf("service: plan node count %d must be positive", n)
-		}
-	}
-	if len(r.Nodes) > 0 && r.Spec.Heterogeneous() {
-		return errors.New("service: Nodes axis requires a flat cluster spec; sweep class-form specs with ClassCounts")
-	}
-	if len(r.ClassCounts) > 0 {
-		if len(r.Nodes) > 0 {
-			return errors.New("service: ClassCounts and Nodes axes are mutually exclusive")
-		}
-		if !r.Spec.Heterogeneous() {
-			return errors.New("service: ClassCounts requires a class-form cluster spec")
-		}
-		for mi, mix := range r.ClassCounts {
-			if len(mix) != len(r.Spec.Classes) {
-				return fmt.Errorf("service: class mix %d has %d counts, want %d (one per spec class)",
-					mi, len(mix), len(r.Spec.Classes))
-			}
-			total := 0
-			for ci, n := range mix {
-				if n < 0 {
-					return fmt.Errorf("service: class mix %d: count for class %q must be nonnegative",
-						mi, r.Spec.Classes[ci].Name)
-				}
-				total += n
-			}
-			if total <= 0 {
-				return fmt.Errorf("service: class mix %d has no nodes", mi)
-			}
-		}
-	}
-	if r.DeadlineSec < 0 {
-		return fmt.Errorf("service: deadline %v must be nonnegative", r.DeadlineSec)
-	}
-	if r.Quantile != 0 {
-		return errors.New("service: quantile planning needs useSimulator (the analytic model predicts means)")
-	}
-	if err := r.Faults.Validate(); err != nil {
-		return err
-	}
-	if _, err := r.Estimator.MarshalText(); err != nil {
-		return err
-	}
-	return nil
+	c.ResponseTime, c.Cached, c.Stale = o.report.ResponseTime, cached, stale
+	return c, nil
 }

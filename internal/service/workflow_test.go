@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -443,5 +444,180 @@ func TestWorkflowHTTPRoundTrip(t *testing.T) {
 		`{"cluster": {"nodes": 2}, "nodes": [2, 4], "reducers": [2, 4], `+diamond+`}`)
 	if status != 400 {
 		t.Fatalf("reducers axis on workflow plan: status = %d, want 400: %v", status, errBody)
+	}
+}
+
+// TestWorkflowPlanRejectsInvalidWorkflows: a workflow plan resolves its
+// workflow once, up front, so every defect a workflow predict rejects is an
+// invalid request (HTTP 400) for the whole plan, not an error on every
+// candidate.
+func TestWorkflowPlanRejectsInvalidWorkflows(t *testing.T) {
+	s := New(Options{Workers: 2, CacheSize: 8})
+	cyclic := chainWorkflow(t, 2)
+	cyclic.Edges = append(cyclic.Edges, workflow.Edge{From: "s1", To: "s0"})
+	partial := chainWorkflow(t, 2)
+	partial.Stages[1].Profile = "only-this-stage"
+
+	cases := []struct {
+		name   string
+		mutate func(*PlanRequest)
+		want   string
+	}{
+		{"cycle", func(r *PlanRequest) { r.Workflow = cyclic }, "cycle"},
+		{"tooManyStages", func(r *PlanRequest) { r.Workflow = chainWorkflow(t, MaxNumJobs+1) }, "limit"},
+		{"numJobs", func(r *PlanRequest) { r.NumJobs = 2 }, "derived from the workflow"},
+		{"partialProfiles", func(r *PlanRequest) { r.Workflow = partial }, "cover only stages s1"},
+		{"unknownProfile", func(r *PlanRequest) { r.Profile = "nope" }, "nope"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := PlanRequest{Spec: cluster.Default(2), Workflow: chainWorkflow(t, 2), Nodes: []int{2, 4}}
+			tc.mutate(&req)
+			resp, err := s.Plan(context.Background(), req)
+			if err == nil {
+				t.Fatalf("invalid workflow plan answered %+v", resp)
+			}
+			if !IsInvalidRequest(err) {
+				t.Errorf("error is not an invalid-request (would be HTTP 500): %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+
+	t.Run("http", func(t *testing.T) {
+		_, ts := newTestServer(t)
+		status, body := postJSON(t, ts.URL+"/v1/plan", `{"cluster": {"nodes": 2}, "nodes": [2, 4], "workflow": {
+			"stages": [{"name": "a", "job": {"inputMB": 256}}, {"name": "b", "job": {"inputMB": 256}}],
+			"edges": [{"from": "a", "to": "b"}, {"from": "b", "to": "a"}]
+		}}`)
+		if status != 400 {
+			t.Fatalf("cyclic workflow plan: status = %d, want 400: %v", status, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "cycle") {
+			t.Errorf("cyclic workflow plan error = %v", body)
+		}
+	})
+}
+
+// TestWorkflowPlanResolvesProfileOnce: a profiled workflow plan resolves
+// its profile once — one snapshot for every stage of every candidate.
+func TestWorkflowPlanResolvesProfileOnce(t *testing.T) {
+	s := New(Options{Workers: 4, CacheSize: 256})
+	calibrate(t, s, "wc", 512, 1)
+	resolves := func() int64 {
+		return int64(s.Metrics().StageDurations[obs.StageProfileResolve.String()].Count)
+	}
+	before := resolves()
+	resp, err := s.Plan(context.Background(), PlanRequest{
+		Spec: cluster.Default(2), Workflow: chainWorkflow(t, 3), Profile: "wc", Nodes: []int{2, 4, 6, 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Evaluated != 4 {
+		t.Fatalf("plan evaluated %d of 4 candidates: %+v", resp.Evaluated, resp)
+	}
+	if got := resolves() - before; got != 1 {
+		t.Errorf("profile_resolve ran %d times for a 3-stage x 4-node plan, want 1", got)
+	}
+}
+
+// TestWorkflowPlanCandidateIsPredict: a workflow plan candidate is the
+// workflow predict at the candidate's cluster — the same bits, and the
+// predict is a hit on the entry the plan filled — on the grid and on the
+// search's warm walk alike.
+func TestWorkflowPlanCandidateIsPredict(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		wf       *Workflow
+		deadline float64
+		strategy string
+	}{
+		{"grid", diamondWorkflow(t), 0, StrategyGrid},
+		{"search", chainWorkflow(t, 4), 1e6, StrategySearch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options{Workers: 4, CacheSize: 256})
+			spec := cluster.Default(2)
+			plan, err := s.Plan(context.Background(), PlanRequest{
+				Spec: spec, Workflow: tc.wf, Nodes: []int{2, 3, 4, 6, 8, 12}, DeadlineSec: tc.deadline,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Strategy != tc.strategy || plan.Evaluated == 0 {
+				t.Fatalf("plan strategy %q, %d evaluated", plan.Strategy, plan.Evaluated)
+			}
+			for _, c := range plan.Candidates {
+				at := spec
+				at.NumNodes = c.Nodes
+				pr, err := s.Predict(context.Background(), PredictRequest{Spec: at, Workflow: tc.wf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(pr.Prediction.ResponseTime) != math.Float64bits(c.ResponseTime) {
+					t.Errorf("%d nodes: plan candidate %v, workflow predict %v", c.Nodes, c.ResponseTime, pr.Prediction.ResponseTime)
+				}
+				if !pr.Cached {
+					t.Errorf("%d nodes: workflow predict missed the plan candidate's cache entry", c.Nodes)
+				}
+			}
+		})
+	}
+}
+
+// TestWorkflowPlanMultiReducerSearch: a workflow deadline plan that cannot
+// bisect (a multi-reducer stage) follows the single-job rule — the search
+// strategy with every point evaluated — and answers what the exhaustive
+// grid answers.
+func TestWorkflowPlanMultiReducerSearch(t *testing.T) {
+	s := New(Options{Workers: 4, CacheSize: 256})
+	req := PlanRequest{Spec: cluster.Default(2), Workflow: diamondWorkflow(t), Nodes: []int{2, 3, 4, 6, 8, 12}}
+	ex := req
+	ex.Exhaustive = true
+	ref, err := s.Plan(context.Background(), ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A deadline between the fastest and slowest candidate.
+	lo, hi := math.Inf(1), 0.0
+	for _, c := range ref.Candidates {
+		lo, hi = math.Min(lo, c.ResponseTime), math.Max(hi, c.ResponseTime)
+	}
+	req.DeadlineSec = (lo + hi) / 2
+	ex.DeadlineSec = req.DeadlineSec
+
+	got, err := s.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Strategy != StrategySearch || got.Pruned != 0 {
+		t.Fatalf("strategy %q pruned %d, want search with 0 pruned", got.Strategy, got.Pruned)
+	}
+	want, err := s.Plan(context.Background(), ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Strategy != StrategyGrid {
+		t.Fatalf("exhaustive plan strategy %q", want.Strategy)
+	}
+	if got.Best == nil || want.Best == nil {
+		t.Fatalf("best: search %v, grid %v", got.Best, want.Best)
+	}
+	// Both plans read the same cache entries; only the Cached flags differ.
+	clearCached := func(cs []PlanCandidate) []PlanCandidate {
+		out := append([]PlanCandidate(nil), cs...)
+		for i := range out {
+			out[i].Cached = false
+		}
+		return out
+	}
+	if !reflect.DeepEqual(clearCached(got.Candidates), clearCached(want.Candidates)) {
+		t.Errorf("search candidates %+v\ngrid candidates %+v", got.Candidates, want.Candidates)
+	}
+	if b, w := clearCached([]PlanCandidate{*got.Best}), clearCached([]PlanCandidate{*want.Best}); !reflect.DeepEqual(b, w) {
+		t.Errorf("search best %+v, grid best %+v", b[0], w[0])
 	}
 }

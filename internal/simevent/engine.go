@@ -1,8 +1,8 @@
 // Package simevent is a small discrete-event simulation engine with
 // contention-aware resources. It provides the substrate on which the YARN
 // cluster simulator (internal/mrsim) executes: an event calendar plus
-// processor-sharing and FCFS resources that convert "seconds of work" into
-// elapsed time under concurrency.
+// processor-sharing resources that convert "seconds of work" into elapsed
+// time under concurrency.
 //
 // The calendar is engineered for the simulator hot path: scheduled events
 // live in a value slice managed by a free list (one arena slot per pending

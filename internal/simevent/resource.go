@@ -150,63 +150,3 @@ func (r *PSResource) complete() {
 		fn()
 	}
 }
-
-// FCFSResource is a single-server first-come-first-served queue (e.g. a
-// network link serialized at a fixed bandwidth).
-type FCFSResource struct {
-	eng   *Engine
-	name  string
-	queue []fcfsItem
-	busy  bool
-	// busyIntegral accumulates service time for utilization reporting.
-	busyIntegral float64
-}
-
-type fcfsItem struct {
-	work float64
-	done func()
-}
-
-// NewFCFSResource creates an empty FCFS queue attached to the engine.
-func NewFCFSResource(eng *Engine, name string) *FCFSResource {
-	return &FCFSResource{eng: eng, name: name}
-}
-
-// Submit enqueues work seconds of service; done fires when service completes.
-func (r *FCFSResource) Submit(work float64, done func()) {
-	if work <= 0 {
-		r.eng.After(0, done)
-		return
-	}
-	r.queue = append(r.queue, fcfsItem{work: work, done: done})
-	if !r.busy {
-		r.serveNext()
-	}
-}
-
-// QueueLen returns the number of waiting plus in-service items.
-func (r *FCFSResource) QueueLen() int {
-	n := len(r.queue)
-	if r.busy {
-		n++
-	}
-	return n
-}
-
-// BusyTime returns total service time delivered so far.
-func (r *FCFSResource) BusyTime() float64 { return r.busyIntegral }
-
-func (r *FCFSResource) serveNext() {
-	if len(r.queue) == 0 {
-		r.busy = false
-		return
-	}
-	item := r.queue[0]
-	r.queue = r.queue[1:]
-	r.busy = true
-	r.busyIntegral += item.work
-	r.eng.After(item.work, func() {
-		item.done()
-		r.serveNext()
-	})
-}

@@ -199,53 +199,6 @@ func TestPSInvalidCapacityPanics(t *testing.T) {
 	NewPSResource(NewEngine(), "x", 0)
 }
 
-func TestFCFSSerializes(t *testing.T) {
-	eng := NewEngine()
-	r := NewFCFSResource(eng, "link")
-	var d1, d2, d3 float64 = -1, -1, -1
-	r.Submit(5, func() { d1 = eng.Now() })
-	r.Submit(3, func() { d2 = eng.Now() })
-	r.Submit(2, func() { d3 = eng.Now() })
-	if _, err := eng.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(d1, 5, 1e-9) || !almostEq(d2, 8, 1e-9) || !almostEq(d3, 10, 1e-9) {
-		t.Errorf("completions = %v %v %v; want 5 8 10", d1, d2, d3)
-	}
-	if got := r.BusyTime(); !almostEq(got, 10, 1e-9) {
-		t.Errorf("busy = %v", got)
-	}
-}
-
-func TestFCFSQueueLen(t *testing.T) {
-	eng := NewEngine()
-	r := NewFCFSResource(eng, "link")
-	r.Submit(5, func() {})
-	r.Submit(5, func() {})
-	if got := r.QueueLen(); got != 2 {
-		t.Errorf("queue len = %d, want 2", got)
-	}
-	if _, err := eng.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.QueueLen(); got != 0 {
-		t.Errorf("drained queue len = %d", got)
-	}
-}
-
-func TestFCFSZeroWork(t *testing.T) {
-	eng := NewEngine()
-	r := NewFCFSResource(eng, "link")
-	done := false
-	r.Submit(-1, func() { done = true })
-	if _, err := eng.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Error("non-positive work never completed")
-	}
-}
-
 // Conservation property: with capacity c and n equal tasks submitted
 // together, each finishes at work*max(1, n/c).
 func TestPSConservationProperty(t *testing.T) {
