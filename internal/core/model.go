@@ -275,10 +275,9 @@ type Predictor struct {
 	servers []float64
 
 	// Per-iteration lookup tables, rewritten instead of reallocated. Lanes
-	// have a dense (pool, node, slot) index (laneWindows); the factor loops
+	// have a dense (pool, lane-major) index (laneWindows); the factor loops
 	// index laneOf/laneWins instead of hashing per pair. respBy[cls][id] is
 	// the round's MVA response of task id of class cls (0 = absent).
-	laneBase []int
 	laneOf   []int
 	laneWins []laneWindow
 	respBy   [numClasses][]float64
@@ -1019,35 +1018,34 @@ type laneWindow struct {
 	used   bool            // some task of this round runs in the lane
 }
 
-// laneWindows resolves each task's container lane to its dense
-// (pool, node, slot) index — the map lanes of every node, then the reduce
-// lanes, at the per-job lane counts the round's timeline was built with —
-// and builds the per-lane busy envelopes. Only the lanes a task runs in are
-// reset, so the cost is O(tasks + nodes), not O(lanes).
+// laneWindows resolves each task's container lane to a dense index — the
+// map lanes by their lane-major ID (timeline.Placed.Lane), then the reduce
+// lanes after the highest map lane — and builds the per-lane busy
+// envelopes. The table spans only the lanes up to the highest one a task
+// runs in, which the builder hands out in lane-major order, so its size
+// follows the task count rather than the cluster's lane count.
 func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []laneWindow) {
-	nodes := p.hw.nodes
-	p.laneBase = resizeInts(p.laneBase, 2*nodes)
-	lanes := 0
-	for n, c := range p.mapSlotsBy[:nodes] {
-		p.laneBase[n] = lanes
-		lanes += c
+	mapLanes, redLanes := 0, 0
+	for _, t := range tl.Tasks {
+		if t.Class == timeline.ClassMap {
+			mapLanes = max(mapLanes, t.Lane+1)
+		} else {
+			redLanes = max(redLanes, t.Lane+1)
+		}
 	}
-	for n, c := range p.redSlotsBy[:nodes] {
-		p.laneBase[nodes+n] = lanes
-		lanes += c
-	}
+	lanes := mapLanes + redLanes
 	if cap(p.laneWins) < lanes {
 		p.laneWins = make([]laneWindow, lanes)
 	}
 	p.laneWins = p.laneWins[:lanes]
 	p.laneOf = resizeInts(p.laneOf, len(tl.Tasks))
 	for i, t := range tl.Tasks {
-		base := p.laneBase[t.Node]
+		l := t.Lane
 		if t.Class != timeline.ClassMap {
-			base = p.laneBase[nodes+t.Node]
+			l += mapLanes
 		}
-		p.laneOf[i] = base + t.Slot
-		p.laneWins[base+t.Slot].used = false
+		p.laneOf[i] = l
+		p.laneWins[l].used = false
 	}
 	for i, t := range tl.Tasks {
 		w := &p.laneWins[p.laneOf[i]]

@@ -5,8 +5,56 @@ import (
 	"testing"
 
 	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/timeline"
 	"hadoop2perf/internal/workload"
 )
+
+// laneWindows numbers lanes by the timeline's lane-major IDs: two tasks
+// share a window exactly when they share a (pool, node, slot) lane, and on
+// a 65-node × 8-lane cluster running 28 maps and 4 reducers the table is
+// no longer than the task list. One Predictor is reused across shapes.
+func TestLaneWindowsSizedByTasks(t *testing.T) {
+	big := timeline.Input{NumNodes: 65, MapSlotsPerNode: 8, ReduceSlotsPerNode: 8, SlowStart: true}
+	for k := 0; k < 28; k++ {
+		big.Maps = append(big.Maps, timeline.MapTask{ID: k, Duration: 30 + float64(k%3), ShuffleDuration: 2})
+	}
+	for k := 0; k < 4; k++ {
+		big.Reduces = append(big.Reduces, timeline.ReduceTask{ID: k, ShuffleSortBase: 5, MergeDuration: 20})
+	}
+	// More tasks than lanes, on per-node lane counts: lanes are reused.
+	small := big
+	small.NumNodes = 3
+	small.MapSlotsByNode, small.ReduceSlotsByNode = []int{1, 3, 2}, []int{2, 1, 1}
+	var p Predictor
+	for _, in := range []timeline.Input{big, small, big} {
+		tl, err := timeline.Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		laneOf, wins := p.laneWindows(tl)
+		if in.NumNodes == 65 && len(wins) > len(tl.Tasks) {
+			t.Errorf("lane table has %d entries for %d tasks", len(wins), len(tl.Tasks))
+		}
+		type lane struct {
+			isMap      bool
+			node, slot int
+		}
+		laneAt := func(i int) lane {
+			t := tl.Tasks[i]
+			return lane{t.Class == timeline.ClassMap, t.Node, t.Slot}
+		}
+		for i := range tl.Tasks {
+			for j := range tl.Tasks {
+				if (laneOf[i] == laneOf[j]) != (laneAt(i) == laneAt(j)) {
+					t.Fatalf("%d nodes: tasks %+v and %+v: window %d vs %d", in.NumNodes, tl.Tasks[i], tl.Tasks[j], laneOf[i], laneOf[j])
+				}
+			}
+			if w := wins[laneOf[i]]; !w.used || w.placed.Start > tl.Tasks[i].Start || w.placed.End < tl.Tasks[i].End {
+				t.Fatalf("window %+v does not cover task %+v", w, tl.Tasks[i])
+			}
+		}
+	}
+}
 
 // A reused Predictor must produce bit-identical results to one-shot
 // Predict calls, across shape changes (different task counts) in either

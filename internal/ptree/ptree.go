@@ -72,60 +72,6 @@ func (n *Node) Depth() int {
 	return r + 1
 }
 
-// MaxPDepth returns the deepest chain of nested P operators, the quantity
-// the paper links to estimation error.
-func (n *Node) MaxPDepth() int {
-	if n == nil || n.Op == Leaf {
-		return 0
-	}
-	l, r := n.Left.MaxPDepth(), n.Right.MaxPDepth()
-	d := l
-	if r > d {
-		d = r
-	}
-	if n.Op == P {
-		d++
-	}
-	return d
-}
-
-// Walk visits nodes pre-order.
-func (n *Node) Walk(fn func(*Node)) {
-	if n == nil {
-		return
-	}
-	fn(n)
-	n.Left.Walk(fn)
-	n.Right.Walk(fn)
-}
-
-// Validate checks structural invariants: leaves have tasks and no children;
-// internal nodes have exactly two children and no task.
-func (n *Node) Validate() error {
-	if n == nil {
-		return errors.New("ptree: nil node")
-	}
-	if n.Op == Leaf {
-		if n.Task == nil {
-			return errors.New("ptree: leaf without task")
-		}
-		if n.Left != nil || n.Right != nil {
-			return errors.New("ptree: leaf with children")
-		}
-		return nil
-	}
-	if n.Task != nil {
-		return fmt.Errorf("ptree: %s node with task", n.Op)
-	}
-	if n.Left == nil || n.Right == nil {
-		return fmt.Errorf("ptree: %s node missing a child", n.Op)
-	}
-	if err := n.Left.Validate(); err != nil {
-		return err
-	}
-	return n.Right.Validate()
-}
-
 // String renders the tree as a nested expression, e.g. S(P(m0,m1),r0).
 func (n *Node) String() string {
 	var b strings.Builder

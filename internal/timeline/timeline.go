@@ -167,6 +167,10 @@ func checkIDs(kind string, n int, id func(int) int) error {
 	return nil
 }
 
+// finiteNonNegative reports whether x is a usable duration: not negative,
+// not +Inf and not NaN.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // Validate reports configuration errors.
 func (in Input) Validate() error {
 	if in.NumNodes <= 0 {
@@ -193,17 +197,18 @@ func (in Input) Validate() error {
 	if err := checkIDs("reduce", len(in.Reduces), func(k int) int { return in.Reduces[k].ID }); err != nil {
 		return err
 	}
+	// NaN fails every comparison, so each bound is written to reject it.
 	for _, m := range in.Maps {
-		if m.Duration <= 0 {
-			return fmt.Errorf("timeline: map %d has non-positive duration", m.ID)
+		if !(m.Duration > 0) || math.IsInf(m.Duration, 1) {
+			return fmt.Errorf("timeline: map %d duration must be positive and finite (got %g)", m.ID, m.Duration)
 		}
-		if m.ShuffleDuration < 0 {
-			return fmt.Errorf("timeline: map %d has negative shuffle duration", m.ID)
+		if !finiteNonNegative(m.ShuffleDuration) {
+			return fmt.Errorf("timeline: map %d shuffle duration must be non-negative and finite (got %g)", m.ID, m.ShuffleDuration)
 		}
 	}
 	for _, r := range in.Reduces {
-		if r.ShuffleSortBase < 0 || r.MergeDuration < 0 {
-			return fmt.Errorf("timeline: reduce %d has negative durations", r.ID)
+		if !finiteNonNegative(r.ShuffleSortBase) || !finiteNonNegative(r.MergeDuration) {
+			return fmt.Errorf("timeline: reduce %d durations must be non-negative and finite (got %g, %g)", r.ID, r.ShuffleSortBase, r.MergeDuration)
 		}
 		if r.ShuffleSortBase+r.MergeDuration <= 0 {
 			return fmt.Errorf("timeline: reduce %d has zero total duration", r.ID)
@@ -218,6 +223,10 @@ type Placed struct {
 	ID    int
 	Node  int
 	Slot  int // lane within the node's map or reduce container pool
+	// Lane is the task's lane in its pool's lane-major order (lane 0 of
+	// every node, then lane 1, ...): a dense ID, unique per pool, that
+	// names the same (Node, Slot) pair in every timeline of one cluster.
+	Lane  int
 	Start float64
 	End   float64
 }
@@ -252,11 +261,32 @@ type slot struct {
 	free       float64
 }
 
-// slotPool tracks lanes plus per-node occupancy for the paper's
+// tieEps is the tolerance under which two lanes free at the same time and
+// the occupancy tie-break decides.
+const tieEps = 1e-12
+
+// slotPool is one container pool: its lanes in lane-major order (lane 0 of
+// every node, then lane 1, ...) plus per-node occupancy for the paper's
 // lowest-occupancy-rate placement rule.
+//
+// Lanes are stored lazily, in that order. After reset every lane frees at
+// exactly 0. While every lane touched so far frees later than tieEps, the
+// earliest-free scan can never prefer a touched lane to an untouched one,
+// and among the untouched lanes its (occupancy, node) tie-break picks
+// exactly the next lane in lane-major order, because a node's occupancy is
+// then its count of touched lanes. So the first wave is handed out in O(1)
+// per task and only the lanes it uses are stored. A touched lane freeing
+// at or before tieEps (or at NaN) trips the guard: the remaining lanes are
+// stored and the scan runs for the rest of the Build, as it does once
+// every lane is touched.
 type slotPool struct {
-	slots    []slot
-	assigned []int // per node
+	slots    []slot // stored lanes: a prefix of the lane-major order
+	assigned []int  // per node
+	byNode   []int  // per-node lane counts; nil when uniform
+	total    int    // lanes in the pool
+	// nextLane, nextNode is the lane-major position the next stored lane is
+	// searched from.
+	nextLane, nextNode int
 }
 
 // Builder runs Algorithm 1 with scratch it keeps between calls: both lane
@@ -264,6 +294,10 @@ type slotPool struct {
 // Timeline and its Tasks are allocated per Build once the scratch has grown
 // to the input's shape. The zero Builder is ready to use; a Builder is not
 // safe for concurrent use.
+//
+// Placement is O(1) per task while a pool's first wave lasts (see
+// slotPool) and a scan over the pool's lanes after it, so a Build over a
+// large cluster with few tasks never touches the lanes it does not use.
 type Builder struct {
 	mapSlots, redSlots slotPool
 	nodeOfMap          []int // node of in.Maps[k], by position
@@ -298,13 +332,14 @@ func (b *Builder) Build(in Input) (*Timeline, error) {
 		return scales[node]
 	}
 	for k, m := range in.Maps {
-		s := mapSlots.earliest()
+		i := mapSlots.earliest()
+		s := mapSlots.slots[i]
 		start := s.free
 		end := start + m.Duration*scaleOn(in.MapDurationScaleByNode, s.node)
-		s.free = end
+		mapSlots.setFree(i, end)
 		nodeOfMap[k] = s.node
 		tl.Tasks = append(tl.Tasks, Placed{
-			Class: ClassMap, ID: m.ID, Node: s.node, Slot: s.lane, Start: start, End: end,
+			Class: ClassMap, ID: m.ID, Node: s.node, Slot: s.lane, Lane: i, Start: start, End: end,
 		})
 		if end < firstMapEnd {
 			firstMapEnd = end
@@ -327,7 +362,8 @@ func (b *Builder) Build(in Input) (*Timeline, error) {
 	redSlots.reset(in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode)
 	nR := len(in.Reduces)
 	for _, r := range in.Reduces {
-		s := redSlots.earliest()
+		i := redSlots.earliest()
+		s := redSlots.slots[i]
 		start := math.Max(s.free, tl.Border)
 		redScale := scaleOn(in.ReduceDurationScaleByNode, s.node)
 		// Remote-shuffle inflation (lines 14-18): every map on a different
@@ -345,12 +381,12 @@ func (b *Builder) Build(in Input) (*Timeline, error) {
 			ssEnd = tl.LastMapEnd
 		}
 		mergeEnd := ssEnd + r.MergeDuration*redScale
-		s.free = mergeEnd
+		redSlots.setFree(i, mergeEnd)
 		tl.Tasks = append(tl.Tasks, Placed{
-			Class: ClassShuffleSort, ID: r.ID, Node: s.node, Slot: s.lane, Start: start, End: ssEnd,
+			Class: ClassShuffleSort, ID: r.ID, Node: s.node, Slot: s.lane, Lane: i, Start: start, End: ssEnd,
 		})
 		tl.Tasks = append(tl.Tasks, Placed{
-			Class: ClassMerge, ID: r.ID, Node: s.node, Slot: s.lane, Start: ssEnd, End: mergeEnd,
+			Class: ClassMerge, ID: r.ID, Node: s.node, Slot: s.lane, Lane: i, Start: ssEnd, End: mergeEnd,
 		})
 	}
 
@@ -367,59 +403,80 @@ func (b *Builder) Build(in Input) (*Timeline, error) {
 	return tl, nil
 }
 
-// reset rebuilds the lane pool in place: perNode lanes on every node, or
+// reset empties the lane pool in O(nodes): perNode lanes on every node, or
 // byNode[n] lanes on node n when a per-node vector is given, all free at 0
-// with no occupancy. Lanes are interleaved lane-major (lane 0 of every
-// node, then lane 1, ...) so that for a uniform vector the pool is
-// identical to the homogeneous layout — placement, and therefore
-// predictions, stay bit-for-bit reproducible.
+// with no occupancy. No lane is stored until earliest hands it out.
 func (p *slotPool) reset(nodes, perNode int, byNode []int) {
 	if cap(p.assigned) < nodes {
 		p.assigned = make([]int, nodes)
 	}
 	p.assigned = p.assigned[:nodes]
 	clear(p.assigned)
-	maxLanes := perNode
+	p.byNode = byNode
+	p.total = nodes * perNode
 	if byNode != nil {
-		maxLanes = 0
+		p.total = 0
 		for _, c := range byNode {
-			if c > maxLanes {
-				maxLanes = c
-			}
+			p.total += c
 		}
 	}
 	p.slots = p.slots[:0]
-	for lane := 0; lane < maxLanes; lane++ {
-		for n := 0; n < nodes; n++ {
-			lanes := perNode
-			if byNode != nil {
-				lanes = byNode[n]
-			}
-			if lane < lanes {
-				p.slots = append(p.slots, slot{node: n, lane: lane})
-			}
+	p.nextLane, p.nextNode = 0, 0
+}
+
+// grow stores the next lane in lane-major order. For a uniform vector the
+// order is the homogeneous layout, so placement, and therefore
+// predictions, stay bit-for-bit reproducible. The caller guarantees an
+// unstored lane remains.
+func (p *slotPool) grow() {
+	for {
+		n, lane := p.nextNode, p.nextLane
+		if p.nextNode++; p.nextNode == len(p.assigned) {
+			p.nextLane, p.nextNode = p.nextLane+1, 0
+		}
+		if p.byNode == nil || lane < p.byNode[n] {
+			p.slots = append(p.slots, slot{node: n, lane: lane})
+			return
 		}
 	}
 }
 
-// earliest picks the slot that frees first; ties go to the node with the
-// lowest occupancy (the paper's "assign containers to the nodes with the
-// lowest occupancy rate"), then the lower node ID.
-func (p *slotPool) earliest() *slot {
-	const eps = 1e-12
-	best := &p.slots[0]
-	for i := range p.slots[1:] {
-		s := &p.slots[i+1]
-		switch {
-		case s.free < best.free-eps:
-			best = s
-		case math.Abs(s.free-best.free) <= eps:
-			if p.assigned[s.node] < p.assigned[best.node] ||
-				(p.assigned[s.node] == p.assigned[best.node] && s.node < best.node) {
-				best = s
+// setFree records that lane i next frees at t. A time not later than
+// tieEps trips the first-wave guard: every remaining lane is stored, so
+// earliest scans from then on.
+func (p *slotPool) setFree(i int, t float64) {
+	p.slots[i].free = t
+	if !(t > tieEps) {
+		for len(p.slots) < p.total {
+			p.grow()
+		}
+	}
+}
+
+// earliest returns the index of the lane that frees first; ties go to the
+// node with the lowest occupancy (the paper's "assign containers to the
+// nodes with the lowest occupancy rate"), then the lower node ID. While
+// unstored lanes remain that is the next lane in lane-major order (see
+// slotPool); otherwise every lane is scanned.
+func (p *slotPool) earliest() int {
+	best := 0
+	if len(p.slots) < p.total {
+		p.grow()
+		best = len(p.slots) - 1
+	} else {
+		for i := 1; i < len(p.slots); i++ {
+			s, b := &p.slots[i], &p.slots[best]
+			switch {
+			case s.free < b.free-tieEps:
+				best = i
+			case math.Abs(s.free-b.free) <= tieEps:
+				if p.assigned[s.node] < p.assigned[b.node] ||
+					(p.assigned[s.node] == p.assigned[b.node] && s.node < b.node) {
+					best = i
+				}
 			}
 		}
 	}
-	p.assigned[best.node]++
+	p.assigned[p.slots[best].node]++
 	return best
 }

@@ -107,6 +107,36 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// NaN fails every comparison and +Inf passes the sign checks, so each
+// duration is rejected when non-finite; Build would otherwise return a NaN
+// or +Inf makespan.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mutate func(*Input)
+	}{
+		{"NaN map duration", func(in *Input) { in.Maps[0].Duration = nan }},
+		{"+Inf map duration", func(in *Input) { in.Maps[1].Duration = inf }},
+		{"NaN shuffle duration", func(in *Input) { in.Maps[0].ShuffleDuration = nan }},
+		{"+Inf shuffle duration", func(in *Input) { in.Maps[2].ShuffleDuration = inf }},
+		{"NaN shuffle-sort base", func(in *Input) { in.Reduces[0].ShuffleSortBase = nan }},
+		{"+Inf shuffle-sort base", func(in *Input) { in.Reduces[0].ShuffleSortBase = inf }},
+		{"-Inf shuffle-sort base", func(in *Input) { in.Reduces[0].ShuffleSortBase = -inf }},
+		{"NaN merge duration", func(in *Input) { in.Reduces[0].MergeDuration = nan }},
+		{"+Inf merge duration", func(in *Input) { in.Reduces[0].MergeDuration = inf }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			in := runningExample(true)
+			tt.mutate(&in)
+			if err := in.Validate(); err == nil {
+				t.Error("Validate accepted a non-finite duration")
+			}
+		})
+	}
+}
+
 // Task IDs name placed tasks within a class, so a negative or repeated map
 // or reduce ID is rejected; any order of distinct IDs is accepted.
 func TestValidateTaskIDs(t *testing.T) {
