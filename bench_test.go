@@ -629,7 +629,8 @@ func BenchmarkMVAOverlapStep(b *testing.B) {
 	in := mvaBenchInput()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mva.OverlapStep(in); err != nil {
+		var s mva.OverlapSolver
+		if _, err := s.Step(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -639,8 +640,14 @@ func BenchmarkMVAOverlapStep(b *testing.B) {
 // behind the Tripathi estimator: the maximum of a 25-stage and a 7-stage
 // Erlang mixture. It allocates nothing.
 func BenchmarkTripathiMaxMoments(b *testing.B) {
-	d1 := dist.MustFit(30, 0.2)
-	d2 := dist.MustFit(25, 0.4)
+	d1, err := dist.Fit(30, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d2, err := dist.Fit(25, 0.4)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := dist.MaxMoments(d1, d2); err != nil {

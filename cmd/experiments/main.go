@@ -186,7 +186,7 @@ Generated by 'go run ./cmd/experiments -md'. The "HadoopSetup" series is the
 discrete-event YARN simulator (internal/mrsim) standing in for the authors'
 4–8 node Hadoop 2.x cluster; absolute seconds therefore differ from the
 paper, but the curve shapes, the estimator ranking and the error bands are
-the reproduction targets (see DESIGN.md §2).
+the reproduction targets (see docs/ARCHITECTURE.md, "Package map").
 
 `, "\n")
 
@@ -222,6 +222,5 @@ measured bands with this deviation allowed.
 
 Caveats: the multi-job points (figs 11/13/14) otherwise overestimate more
 than the paper's 13.5% because the model assumes rigid 1/N fair container
-shares while the simulated scheduler is work-conserving; see DESIGN.md §4
-for the modeling decisions.
+shares while the simulated scheduler is work-conserving.
 `

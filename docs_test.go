@@ -6,7 +6,8 @@
 //     comment — types, funcs, methods, consts/vars (group docs count),
 //     struct fields and interface methods (inline comments count).
 //   - TestDocsLinksResolve: every intra-repo markdown link in README and
-//     docs/ points at a file that exists.
+//     docs/ points at a file that exists, and so does every bare mention
+//     of a markdown file (PAPER.md, docs/API.md) outside the change log.
 package hadoop2perf
 
 import (
@@ -153,8 +154,13 @@ func receiverExported(d *ast.FuncDecl) bool {
 // mdLink matches markdown links and images; group 1 is the target.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// mdMention matches a bare markdown file name or repo-relative path in
+// prose (PAPER.md, docs/API.md); group 1 is the path. Paths inside URLs
+// and relative links are left to mdLink.
+var mdMention = regexp.MustCompile(`(?:^|[^\w./-])((?:[\w-]+/)*[\w-]+\.md)\b`)
+
 func TestDocsLinksResolve(t *testing.T) {
-	files := []string{"README.md", "PERFORMANCE.md", "ROADMAP.md", "CHANGES.md", "PAPER.md"}
+	files := []string{"README.md", "PERFORMANCE.md", "ROADMAP.md", "CHANGES.md", "PAPER.md", "EXPERIMENTS.md"}
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +183,17 @@ func TestDocsLinksResolve(t *testing.T) {
 			}
 			if _, err := os.Stat(filepath.Join(filepath.Dir(f), target)); err != nil {
 				t.Errorf("%s: broken intra-repo link %q", f, m[1])
+			}
+			checked++
+		}
+		if f == "CHANGES.md" {
+			continue // a log: it names files as they were at the time
+		}
+		for _, m := range mdMention.FindAllStringSubmatch(string(raw), -1) {
+			_, errHere := os.Stat(filepath.Join(filepath.Dir(f), m[1]))
+			_, errRoot := os.Stat(m[1])
+			if errHere != nil && errRoot != nil {
+				t.Errorf("%s: mentions %q, which does not exist", f, m[1])
 			}
 			checked++
 		}

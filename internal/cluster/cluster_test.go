@@ -8,6 +8,59 @@ import (
 	"testing/quick"
 )
 
+// ClassOfNode maps a node ID (0-based, classes laid out in order) to its
+// class index in ClassView. Out-of-range IDs map to the last class.
+func (s Spec) ClassOfNode(node int) int {
+	if len(s.Classes) == 0 {
+		return 0
+	}
+	for i, c := range s.Classes {
+		node -= c.Count
+		if node < 0 {
+			return i
+		}
+	}
+	return len(s.Classes) - 1
+}
+
+// NodeCapacityOf returns the schedulable capacity of one node.
+func (s Spec) NodeCapacityOf(node int) Resource {
+	if len(s.Classes) == 0 {
+		return s.NodeCapacity
+	}
+	return s.Classes[s.ClassOfNode(node)].Capacity
+}
+
+// MaxMapsPerNode is the largest per-node map container capacity across
+// classes (for flat specs: the capacity of every node).
+func (s Spec) MaxMapsPerNode() int {
+	if len(s.Classes) == 0 {
+		return containersPerNode(s.NodeCapacity, s.MapContainer)
+	}
+	best := 0
+	for _, c := range s.Classes {
+		if m := s.MaxMapsOf(c); m > best {
+			best = m
+		}
+	}
+	return best
+}
+
+// MaxReducesPerNode is the largest per-node reduce container capacity across
+// classes.
+func (s Spec) MaxReducesPerNode() int {
+	if len(s.Classes) == 0 {
+		return containersPerNode(s.NodeCapacity, s.ReduceContainer)
+	}
+	best := 0
+	for _, c := range s.Classes {
+		if m := s.MaxReducesOf(c); m > best {
+			best = m
+		}
+	}
+	return best
+}
+
 func TestResourceArithmetic(t *testing.T) {
 	a := Resource{MemoryMB: 4096, VCores: 4}
 	b := Resource{MemoryMB: 1024, VCores: 1}

@@ -157,7 +157,7 @@ func TestPartialHistoryKeepsClassScaling(t *testing.T) {
 	spec := twoClassSpec(4, 4)
 	md := j.MapDemands(j.BlockSizeMB, spec.MeanDiskMBps())
 	mapOnly := map[timeline.Class]ClassStats{
-		timeline.ClassMap: {MeanCPU: md.CPU, MeanDisk: md.Disk, MeanResponse: md.Total()},
+		timeline.ClassMap: {MeanCPU: md.CPU, MeanDisk: md.Disk, MeanResponse: md.TotalScaled(1)},
 	}
 
 	// Degrading the slow class's disk must slow the reduce-side class

@@ -406,14 +406,6 @@ func Predict(cfg Config) (Prediction, error) {
 	return p.Predict(cfg)
 }
 
-// PredictContext is Predict honoring ctx: the outer fixed-point loop checks
-// for cancellation between iterations, so a canceled request stops paying
-// for convergence it no longer wants.
-func PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
-	var p Predictor
-	return p.PredictContext(ctx, cfg)
-}
-
 // PredictBatch evaluates a batch of configurations in order through one
 // shared evaluator: each entry is warm-started from its nearest
 // already-solved neighbor and, once converged, seeds the entries after it
@@ -433,8 +425,9 @@ func (p *Predictor) Predict(cfg Config) (Prediction, error) {
 	return p.predictOne(nil, cfg, nil, false)
 }
 
-// PredictContext is Predict honoring ctx between outer iterations (see the
-// package-level PredictContext).
+// PredictContext is Predict honoring ctx: the outer fixed-point loop checks
+// for cancellation between iterations, so a canceled request stops paying
+// for convergence it no longer wants.
 func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
 	return p.predictOne(ctx, cfg, nil, false)
 }

@@ -122,13 +122,8 @@ func PredictWorkflow(dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, erro
 	return NewPredictor().PredictWorkflowContext(context.Background(), dag, cfgs)
 }
 
-// PredictWorkflowContext is PredictWorkflow honoring ctx between stage
-// evaluations and outer iterations.
-func PredictWorkflowContext(ctx context.Context, dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, error) {
-	return NewPredictor().PredictWorkflowContext(ctx, dag, cfgs)
-}
-
-// PredictWorkflowContext evaluates every stage of the DAG in deterministic
+// PredictWorkflowContext evaluates every stage of the DAG, honoring ctx
+// between stage evaluations and outer iterations, in deterministic
 // topological order on this Predictor — warm-start chaining each stage's
 // fixed point from its solved neighbors — and composes the critical-path
 // response (see ComposeWorkflow). A single-stage workflow takes the

@@ -30,8 +30,6 @@ import (
 type Distribution interface {
 	Mean() float64
 	Variance() float64
-	// CV is the coefficient of variation (stddev / mean).
-	CV() float64
 	// branches returns the two mixture terms.
 	branches() [2]branch
 }
@@ -100,15 +98,6 @@ func Fit(mean, cv float64) (Distribution, error) {
 
 func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
-// MustFit is Fit for statically-known parameters; it panics on error.
-func MustFit(mean, cv float64) Distribution {
-	d, err := Fit(mean, cv)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // mixedErlang draws Erlang(k-1, mu) with probability p, else Erlang(k, mu).
 type mixedErlang struct {
 	k  int
@@ -128,11 +117,6 @@ func (d mixedErlang) Variance() float64 {
 	return m2 - m*m
 }
 
-func (d mixedErlang) CV() float64 {
-	m := d.Mean()
-	return math.Sqrt(d.Variance()) / m
-}
-
 func (d mixedErlang) branches() [2]branch {
 	return [2]branch{{d.p, d.k - 1, d.mu}, {1 - d.p, d.k, d.mu}}
 }
@@ -150,8 +134,6 @@ func (d hyperExp2) Variance() float64 {
 	m := d.Mean()
 	return m2 - m*m
 }
-
-func (d hyperExp2) CV() float64 { return math.Sqrt(d.Variance()) / d.Mean() }
 
 func (d hyperExp2) branches() [2]branch {
 	return [2]branch{{d.p1, 1, d.l1}, {1 - d.p1, 1, d.l2}}

@@ -434,11 +434,3 @@ func (s *OverlapSolver) rowSlowdown(w []float64, base, i, c int, rc []float64) f
 	}
 	return slowdown
 }
-
-// OverlapStep solves one overlap-weighted residence-time step with a fresh
-// solver (see OverlapSolver.Step). The result's matrices are freshly owned
-// by the caller.
-func OverlapStep(in OverlapInput) (OverlapResult, error) {
-	var s OverlapSolver
-	return s.Step(in)
-}

@@ -39,6 +39,13 @@ func (a abInput) fused() OverlapInput {
 	return in
 }
 
+// OverlapStep solves one overlap-weighted residence-time step with a fresh
+// solver (see OverlapSolver.Step).
+func OverlapStep(in OverlapInput) (OverlapResult, error) {
+	var s OverlapSolver
+	return s.Step(in)
+}
+
 // step solves a with a fresh solver.
 func step(a abInput) (OverlapResult, error) { return OverlapStep(a.fused()) }
 

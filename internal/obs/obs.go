@@ -61,14 +61,6 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// StageNames lists the stable stage names in pipeline order — the label
-// domain of the mrserved_stage_duration_seconds family.
-func StageNames() []string {
-	out := make([]string, NumStages)
-	copy(out, stageNames[:])
-	return out
-}
-
 // Counter identifies one of the fixed request-scoped counters every request
 // may touch. Counters live in a lock-free array on the Trace so the
 // serving hot path (a cache hit bumps CounterCacheHits and nothing else)
@@ -199,17 +191,6 @@ func (t *Trace) Add(stage Stage, d time.Duration) {
 	t.stages[stage] += d
 	t.spans[stage]++
 	t.mu.Unlock()
-}
-
-// StartSpan starts a stage timer; the returned stop function records the
-// elapsed duration into the trace and returns it.
-func (t *Trace) StartSpan(stage Stage) func() time.Duration {
-	start := time.Now()
-	return func() time.Duration {
-		d := time.Since(start)
-		t.Add(stage, d)
-		return d
-	}
 }
 
 // AddCounter accumulates one of the fixed counters — a single atomic add,

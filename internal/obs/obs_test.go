@@ -8,6 +8,17 @@ import (
 	"time"
 )
 
+// StartSpan starts a stage timer; the returned stop function records the
+// elapsed duration into the trace and returns it.
+func (t *Trace) StartSpan(stage Stage) func() time.Duration {
+	start := time.Now()
+	return func() time.Duration {
+		d := time.Since(start)
+		t.Add(stage, d)
+		return d
+	}
+}
+
 func TestNewRequestID(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 100; i++ {
@@ -51,14 +62,10 @@ func TestValidRequestID(t *testing.T) {
 
 func TestStageString(t *testing.T) {
 	want := []string{"admission", "queue_wait", "cache_lookup", "profile_resolve", "model_solve", "simulate", "plan_search"}
-	names := StageNames()
-	if len(names) != len(want) {
-		t.Fatalf("StageNames() has %d entries, want %d", len(names), len(want))
+	if len(want) != int(NumStages) {
+		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}
 	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("StageNames()[%d] = %q, want %q", i, names[i], w)
-		}
 		if got := Stage(i).String(); got != w {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, got, w)
 		}

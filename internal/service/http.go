@@ -98,8 +98,8 @@ const RequestIDHeader = "X-Request-Id"
 const DeadlineHeader = "X-Deadline-Ms"
 
 // Route patterns of the mrserved HTTP API, in registration order. NewHandler
-// registers exactly these; Routes exposes the list so docs-coverage tests
-// can hold docs/API.md to it.
+// registers exactly these; the tests list them to hold the mux and
+// docs/API.md to one route set.
 const (
 	routeHealthz   = "GET /healthz"
 	routeReadyz    = "GET /readyz"
@@ -111,16 +111,6 @@ const (
 	routePlan      = "POST /v1/plan"
 	routeCalibrate = "POST /v1/calibrate"
 )
-
-// Routes returns the method+pattern of every endpoint NewHandler registers —
-// the single authoritative route list shared by the mux, docs/API.md and the
-// coverage tests binding the two.
-func Routes() []string {
-	return []string{
-		routeHealthz, routeReadyz, routeMetrics, routeProfiles,
-		routePredict, routeSimulate, routeCompare, routePlan, routeCalibrate,
-	}
-}
 
 // NewHandler builds the mrserved HTTP API over a Service:
 //

@@ -386,6 +386,15 @@ func TestCalibrateValidationOverWire(t *testing.T) {
 	}
 }
 
+// Routes returns the method+pattern of every endpoint NewHandler registers,
+// in registration order.
+func Routes() []string {
+	return []string{
+		routeHealthz, routeReadyz, routeMetrics, routeProfiles,
+		routePredict, routeSimulate, routeCompare, routePlan, routeCalibrate,
+	}
+}
+
 // TestRoutesRegistered binds Routes() to the mux: every advertised pattern
 // must resolve to a registered handler under its own method and path. It
 // inspects the inner mux directly — NewHandler wraps it in the trace (and

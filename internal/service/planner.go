@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -183,7 +184,41 @@ func (r *PlanRequest) validate() error {
 			return fmt.Errorf("service: quantile %v not supported (want 0.5, 0.95 or 0.99)", r.Quantile)
 		}
 	}
-	return nil
+	return r.checkCeilings()
+}
+
+// checkCeilings holds every candidate of the plan to the request ceilings:
+// the template's and each axis point's cluster to MaxNodes, and the grid's
+// largest model job (smallest block size, most reducers; each workflow
+// stage) to MaxModelCells on the template's class table, the widest any
+// candidate has.
+func (r *PlanRequest) checkCeilings() error {
+	if err := checkNodes(r.Spec); err != nil {
+		return err
+	}
+	for _, ch := range nodeChoices(r) {
+		if err := checkNodes(candidateSpec(r, ch)); err != nil {
+			return err
+		}
+	}
+	if r.Workflow != nil {
+		for _, st := range r.Workflow.Stages {
+			var err error
+			if st.Spec != nil {
+				err = checkCeilings(*st.Spec, st.Job)
+			} else {
+				err = checkModelCells(r.Spec, st.Job)
+			}
+			if err != nil {
+				return fmt.Errorf("%w (workflow stage %q)", err, st.Name)
+			}
+		}
+		return nil
+	}
+	job := r.Job
+	job.BlockSizeMB = slices.Min(axisFloats(r.BlockSizesMB, r.Job.BlockSizeMB))
+	job.NumReduces = slices.Max(axisInts(r.Reducers, r.Job.NumReduces))
+	return checkModelCells(r.Spec, job)
 }
 
 // validateJob checks the single-job plan's own fields: the job template,

@@ -22,8 +22,9 @@ import (
 // at least one second.
 func TestErrorEnvelopeContract(t *testing.T) {
 	// Big enough that the simulation cannot finish inside the 60ms server
-	// timeout on any hardware; the context abort produces the 504.
-	heavySim := `{"cluster":{"nodes":64},"job":{"inputMB":1048576},"numJobs":4,"reps":6,"seed":9}`
+	// timeout on any hardware, yet under the MaxModelCells ceiling; the
+	// context abort produces the 504.
+	heavySim := `{"cluster":{"nodes":64},"job":{"inputMB":262144},"numJobs":4,"reps":6,"seed":9}`
 	predict := `{"cluster":{"nodes":2},"job":{"inputMB":256}}`
 
 	cases := []struct {
@@ -263,7 +264,7 @@ func TestReadyzStates(t *testing.T) {
 	}
 
 	// One expensive admission fills the 8-unit bound: overloaded, not dead.
-	ticket, err := svc.Admission().Admit(context.Background(), admit.ClassExpensive)
+	ticket, err := svc.admission.Admit(context.Background(), admit.ClassExpensive)
 	if err != nil {
 		t.Fatal(err)
 	}

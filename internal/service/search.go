@@ -93,22 +93,15 @@ type axisOutcome struct {
 // axisEval evaluates the node axis at index i.
 type axisEval func(i int) (rt float64, cached bool, err error)
 
-// searchBatchBand is the bracket width at or under which the bisection
-// stops halving and evaluates the whole remaining band, plus the
-// below-frontier guard point, in ascending order.
-const searchBatchBand = 4
-
 // searchNodeAxis finds the grid-equivalent candidate set of one node axis
 // under a deadline. nodes must be sorted ascending; weights carries each
 // point's price weight (Σ count×price, node count when unpriced) — the
 // cost objective is weights[i]·rt(i). eval serves the sequential
 // bisection/sweep probes (and may thread single-owner warm-start state);
 // parEval must be safe for concurrent use — it drives the exhaustive
-// fallback's fan-out. Once the bisection bracket narrows to
-// searchBatchBand points, the walk evaluates the whole band in ascending
-// order instead of halving further. It returns every evaluated point as a
-// candidate (feasible points above the frontier, infeasible bisection
-// probes below it) plus the count of pruned points.
+// fallback's fan-out. It returns every evaluated point as a candidate
+// (feasible points above the frontier, infeasible bisection probes below
+// it) plus the count of pruned points.
 //
 // Exactness: under monotone response times, the returned set provably
 // contains the axis's cheapest feasible candidate — a pruned point i either
@@ -189,25 +182,7 @@ func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval, parE
 	// Bisect the feasibility frontier: smallest index whose response meets
 	// the deadline. The upper bracket is always an evaluated feasible point.
 	lo, hi := 0, n-1
-	band := true
 	for lo < hi {
-		// Once the bracket narrows to the band, evaluate every remaining
-		// unknown point — including the below-frontier guard probe at
-		// lo-1 — in ascending order, then let the loop close over the
-		// now-known values. One shot: on an evaluation error the band is
-		// abandoned and the walk continues point by point.
-		if band && hi-lo+1 <= searchBatchBand {
-			band = false
-			for i := max(lo-1, 0); i <= hi; i++ {
-				if _, ok := get(i); !ok {
-					break
-				}
-			}
-			if !monotone() {
-				return exhaustive()
-			}
-			continue
-		}
 		mid := (lo + hi) / 2
 		v, ok := get(mid)
 		if !ok || !monotone() {

@@ -86,8 +86,12 @@ func TestSearchNodeAxisMonotoneCurves(t *testing.T) {
 		}
 		// Deadlines spanning infeasible-everywhere to feasible-everywhere.
 		for _, d := range []float64{rt[0] * 1.1, (rt[0] + rt[n-1]) / 2, rt[n-1] * 1.05, rt[n-1] * 0.5} {
-			se := &syntheticEval{rt: rt}
-			out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval, se.eval)
+			perIdx := make([]atomic.Int64, n)
+			eval := func(i int) (float64, bool, error) {
+				perIdx[i].Add(1)
+				return rt[i], false, nil
+			}
+			out := searchNodeAxis(nodes, nodeWeights(nodes), d, eval, eval)
 			if !out.exact {
 				t.Fatalf("trial %d: fell back on a monotone curve", trial)
 			}
@@ -101,23 +105,28 @@ func TestSearchNodeAxisMonotoneCurves(t *testing.T) {
 				t.Fatalf("trial %d: %d candidates + %d pruned != %d axis points",
 					trial, len(out.cands), out.pruned, n)
 			}
+			var calls int64
+			for i := range perIdx {
+				c := perIdx[i].Load()
+				if c > 1 {
+					t.Fatalf("trial %d deadline %v: index %d evaluated %d times", trial, d, i, c)
+				}
+				calls += c
+			}
 			// The whole point: far fewer evaluations than the axis length on
 			// feasible axes of meaningful size.
-			if wok && n >= 16 && int(se.calls.Load()) >= n {
-				t.Errorf("trial %d (n=%d): search used %d evaluations", trial, n, se.calls.Load())
+			if wok && n >= 16 && int(calls) >= n {
+				t.Errorf("trial %d (n=%d): search used %d evaluations", trial, n, calls)
 			}
 		}
 	}
 }
 
-// Once the bracket narrows to searchBatchBand points, the bisection
-// evaluates the whole band in one ascending pass. That pass must still
-// evaluate every axis index at most once, and still return the grid-exact
-// best.
-func TestSearchNodeAxisBatchBand(t *testing.T) {
-	// A pinned walk: rt = 10 + 400/nodes, frontier at index 5. The
-	// bisection probes the ceiling (7) and the midpoint (3); the bracket
-	// [4,7] is then within the band, which evaluates 4, 5, 6 in order.
+// TestSearchNodeAxisWalk pins one whole walk: rt = 10 + 400/nodes with the
+// frontier at index 5. The search probes the ceiling (7), then bisects
+// through 3, 5 and 4; the frontier guard (4) is already known, and the
+// dominance sweep evaluates 6 but not 7, which the ceiling probe covered.
+func TestSearchNodeAxisWalk(t *testing.T) {
 	nodes := []int{2, 4, 6, 8, 10, 12, 14, 16}
 	rt := make([]float64, len(nodes))
 	for i, n := range nodes {
@@ -129,53 +138,80 @@ func TestSearchNodeAxisBatchBand(t *testing.T) {
 		return rt[i], false, nil
 	}
 	out := searchNodeAxis(nodes, nodeWeights(nodes), 45, eval, eval)
-	if want := []int{7, 3, 4, 5, 6}; !slices.Equal(order, want) {
+	if want := []int{7, 3, 5, 4, 6}; !slices.Equal(order, want) {
 		t.Errorf("evaluation order %v, want %v", order, want)
 	}
 	if !out.exact || len(out.cands) != 5 || out.pruned != 3 {
 		t.Errorf("exact=%v cands=%d pruned=%d, want true/5/3", out.exact, len(out.cands), out.pruned)
 	}
-
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		n := 6 + rng.Intn(30)
-		nodes := make([]int, n)
-		rt := make([]float64, n)
-		cur := 2 + rng.Intn(3)
-		floor := 5 + 40*rng.Float64()
-		work := 200 + 2000*rng.Float64()
-		for i := 0; i < n; i++ {
-			nodes[i] = cur
-			rt[i] = floor + work/float64(cur)
-			cur += 1 + rng.Intn(4)
-		}
-		for _, d := range []float64{rt[0] * 1.1, (rt[0] + rt[n-1]) / 2, rt[n-1] * 1.05} {
-			perIdx := make([]atomic.Int64, n)
-			eval := func(i int) (float64, bool, error) {
-				perIdx[i].Add(1)
-				return rt[i], false, nil
-			}
-			out := searchNodeAxis(nodes, nodeWeights(nodes), d, eval, eval)
-			if !out.exact {
-				t.Fatalf("trial %d: fell back on a monotone curve", trial)
-			}
-			for i := range perIdx {
-				if c := perIdx[i].Load(); c > 1 {
-					t.Fatalf("trial %d deadline %v: index %d evaluated %d times", trial, d, i, c)
-				}
-			}
-			wc, wr, wok := bruteBest(nodes, rt, d)
-			gc, gr, gok := searchBest(out, d)
-			if wok != gok || (wok && (wc != gc || wr != gr)) {
-				t.Fatalf("trial %d deadline %v: search best (%v,%v,%v) != grid best (%v,%v,%v)",
-					trial, d, gc, gr, gok, wc, wr, wok)
-			}
-			if len(out.cands)+out.pruned != n {
-				t.Fatalf("trial %d: %d candidates + %d pruned != %d axis points",
-					trial, len(out.cands), out.pruned, n)
-			}
-		}
+	if _, best, ok := searchBest(out, 45); !ok || best != rt[5] {
+		t.Errorf("best rt %v (ok=%v), want %v", best, ok, rt[5])
 	}
+}
+
+// FuzzSearchNodeAxis drives the search with curves built from the fuzz
+// input. Each input yields two curves over the same axis:
+//   - a non-increasing one (a byte is the drop from one point to the next,
+//     so zero bytes make ties): the search must stay exact, match the grid
+//     best, and evaluate each index at most once;
+//   - an arbitrary one (a byte is the response itself): the search may fall
+//     back, but must not panic, must account for every point, and every
+//     candidate must carry the curve's value at its index.
+func FuzzSearchNodeAxis(f *testing.F) {
+	f.Add([]byte{200, 100, 40, 20, 10, 5, 3, 1}, uint16(60))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint16(1))
+	f.Add([]byte{9, 0, 7, 0, 0, 3, 1, 0, 0, 2}, uint16(5))
+	f.Add([]byte{1, 255, 1, 255, 1, 255, 1}, uint16(128))
+	f.Fuzz(func(t *testing.T, data []byte, dl uint16) {
+		n := min(len(data), 64)
+		if n == 0 {
+			return
+		}
+		deadline := float64(dl)
+		nodes := make([]int, n)
+		mono := make([]float64, n)
+		raw := make([]float64, n)
+		for i := range nodes {
+			nodes[i] = 2 + i
+			raw[i] = float64(data[i])
+		}
+		mono[n-1] = 1
+		for i := n - 2; i >= 0; i-- {
+			mono[i] = mono[i+1] + float64(data[i+1])
+		}
+
+		perIdx := make([]atomic.Int64, n)
+		eval := func(i int) (float64, bool, error) {
+			perIdx[i].Add(1)
+			return mono[i], false, nil
+		}
+		out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, eval, eval)
+		if !out.exact {
+			t.Fatalf("fell back on non-increasing curve %v, deadline %v", mono, deadline)
+		}
+		wc, wr, wok := bruteBest(nodes, mono, deadline)
+		gc, gr, gok := searchBest(out, deadline)
+		if wok != gok || (wok && (wc != gc || wr != gr)) {
+			t.Fatalf("curve %v deadline %v: search best (%v,%v,%v) != grid best (%v,%v,%v)",
+				mono, deadline, gc, gr, gok, wc, wr, wok)
+		}
+		for i := range perIdx {
+			if c := perIdx[i].Load(); c > 1 {
+				t.Fatalf("curve %v deadline %v: index %d evaluated %d times", mono, deadline, i, c)
+			}
+		}
+
+		se := &syntheticEval{rt: raw}
+		out = searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval)
+		if len(out.cands)+out.pruned != n {
+			t.Fatalf("curve %v: %d candidates + %d pruned != %d axis points", raw, len(out.cands), out.pruned, n)
+		}
+		for k, c := range out.cands {
+			if i := out.idxs[k]; c.Nodes != nodes[i] || c.ResponseTime != raw[i] {
+				t.Fatalf("curve %v: candidate %+v at index %d, want nodes %d rt %v", raw, c, i, nodes[i], raw[i])
+			}
+		}
+	})
 }
 
 func TestSearchNodeAxisDetectsViolations(t *testing.T) {
@@ -542,7 +578,7 @@ func TestPredictEvalChainCounters(t *testing.T) {
 }
 
 // Concurrent deadline plans over overlapping axes hammer the pooled
-// warm chains, the bisection band and the sharded cache from many
+// warm chains, the bisection and the sharded cache from many
 // goroutines at once — the -race CI step runs this to hunt data races in
 // the planner's evaluation path.
 func TestPlanSearchConcurrent(t *testing.T) {

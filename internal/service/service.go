@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,56 @@ const (
 	MaxSimJobs = 64
 	// MaxSimReps bounds the median-of-seeds repetition count.
 	MaxSimReps = 25
+	// MaxNodes bounds the worker-node count of every cluster a request
+	// names, each plan-axis point included: the model and the simulator
+	// keep per-node state.
+	MaxNodes = 10000
+	// MaxModelCells bounds (2K+1)·T² for every job that can reach the
+	// model, where K is the node-class count and T = maps + 2·reduces the
+	// task count: one solve allocates that many 8-byte overlap weights.
+	// Simulated jobs count too, since the breaker's degraded fallback
+	// answers them with the model.
+	MaxModelCells = 1 << 24
 )
+
+// checkCeilings holds one model job on spec to MaxNodes and MaxModelCells.
+func checkCeilings(spec cluster.Spec, job workload.Job) error {
+	if err := checkNodes(spec); err != nil {
+		return err
+	}
+	return checkModelCells(spec, job)
+}
+
+// checkNodes rejects a cluster of more than MaxNodes nodes.
+func checkNodes(spec cluster.Spec) error {
+	n := spec.NumNodes
+	if len(spec.Classes) > 0 {
+		n = 0
+		for _, c := range spec.Classes {
+			n += min(c.Count, MaxNodes+1) // saturates: no overflow
+		}
+	}
+	if n > MaxNodes {
+		return fmt.Errorf("service: cluster of %d nodes exceeds limit %d", n, MaxNodes)
+	}
+	return nil
+}
+
+// checkModelCells rejects a job whose solve on spec's node classes would
+// exceed MaxModelCells. Invalid job fields are left to the job's own
+// validation.
+func checkModelCells(spec cluster.Spec, job workload.Job) error {
+	if job.InputMB <= 0 || job.BlockSizeMB <= 0 || job.NumReduces <= 0 {
+		return nil
+	}
+	classes := max(len(spec.Classes), 1)
+	tasks := math.Ceil(job.InputMB/job.BlockSizeMB) + 2*float64(job.NumReduces)
+	if cells := float64(2*classes+1) * tasks * tasks; cells > MaxModelCells {
+		return fmt.Errorf("service: a job of %.0f tasks on %d node classes needs %.3g model cells, limit %d; use a larger block size or fewer reducers",
+			tasks, classes, cells, MaxModelCells)
+	}
+	return nil
+}
 
 // Options configures a Service.
 type Options struct {
@@ -402,10 +452,6 @@ func (s *Service) release() { <-s.sem }
 // trigger for the serve-stale cache fallback.
 func (s *Service) saturated() bool { return len(s.sem) == cap(s.sem) }
 
-// Admission exposes the service's admission controller so transports can
-// make shed decisions before decoding bodies and lifecycle code can drain.
-func (s *Service) Admission() *admit.Controller { return s.admission }
-
 // StartDrain begins shutdown drain: every subsequent admission is shed with
 // a draining 503 and Draining/readiness flips, while in-flight requests run
 // to completion. Irreversible by design — drain precedes process exit.
@@ -526,6 +572,9 @@ func (r *PredictRequest) validate() error {
 		return err
 	}
 	if err := r.Job.Validate(); err != nil {
+		return err
+	}
+	if err := checkCeilings(r.Spec, r.Job); err != nil {
 		return err
 	}
 	if err := r.Faults.Validate(); err != nil {
@@ -697,6 +746,9 @@ func (r *SimulateRequest) validate(defaultReps int) error {
 	if err := r.Spec.Validate(); err != nil {
 		return err
 	}
+	if err := checkNodes(r.Spec); err != nil {
+		return err
+	}
 	if len(r.Jobs) == 0 {
 		return errors.New("service: simulate needs at least one job")
 	}
@@ -706,6 +758,9 @@ func (r *SimulateRequest) validate(defaultReps int) error {
 	for i, j := range r.Jobs {
 		if err := j.Validate(); err != nil {
 			return fmt.Errorf("service: job %d: %w", i, err)
+		}
+		if err := checkModelCells(r.Spec, j); err != nil {
+			return fmt.Errorf("%w (job %d)", err, i)
 		}
 	}
 	if err := r.Faults.Validate(); err != nil {
@@ -923,7 +978,10 @@ func (r *CompareRequest) validate(defaultReps int) error {
 	if err := r.Faults.Validate(); err != nil {
 		return err
 	}
-	return r.Job.Validate()
+	if err := r.Job.Validate(); err != nil {
+		return err
+	}
+	return checkCeilings(r.Spec, r.Job)
 }
 
 // CompareResponse reports both model estimates against the simulated truth.

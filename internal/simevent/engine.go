@@ -37,7 +37,7 @@ type slot struct {
 }
 
 // compactMinLen is the calendar size below which dead entries are left for
-// Run to skip: compaction of tiny calendars costs more than it saves.
+// RunContext to skip: compaction of tiny calendars costs more than it saves.
 const compactMinLen = 64
 
 // Engine is a single-threaded discrete-event simulator clock and calendar.
@@ -60,9 +60,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Len returns the number of calendar entries, including cancelled ones not
 // yet compacted or popped.
 func (e *Engine) Len() int { return len(e.cal) }
-
-// Pending returns the number of live (non-cancelled) scheduled events.
-func (e *Engine) Pending() int { return len(e.cal) - e.dead }
 
 // Reset returns the engine to its initial state (clock at 0, empty
 // calendar) while keeping its allocated capacity, so one engine can serve
@@ -133,25 +130,16 @@ func (e *Engine) At(t float64, fn func()) Timer {
 // After schedules fn after delay d (>= 0).
 func (e *Engine) After(d float64, fn func()) Timer { return e.At(e.now+d, fn) }
 
-// Run processes events until the calendar is empty or maxEvents events have
-// fired. It returns the number of events processed and an error if the event
-// budget was exhausted (guarding against runaway simulations). Cancelled
-// events are skipped without counting against the budget.
-func (e *Engine) Run(maxEvents int) (int, error) { return e.run(nil, maxEvents) }
-
-// RunContext is Run with cooperative cancellation: every 64k fired events it
-// polls ctx and aborts with ctx.Err() once the context is done, so a
-// canceled caller gets its goroutine back promptly instead of waiting out
-// the whole event budget.
+// RunContext processes events until the calendar is empty or maxEvents
+// events have fired. It returns the number of events processed and an error
+// if the event budget was exhausted (guarding against runaway simulations).
+// Cancelled events are skipped without counting against the budget. Every
+// 64k fired events it polls ctx and aborts with ctx.Err() once the context
+// is done, so a canceled caller gets its goroutine back promptly instead of
+// waiting out the whole event budget.
 func (e *Engine) RunContext(ctx context.Context, maxEvents int) (int, error) {
-	return e.run(ctx, maxEvents)
-}
-
-func (e *Engine) run(ctx context.Context, maxEvents int) (int, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err // already canceled: don't start at all
-		}
+	if err := ctx.Err(); err != nil {
+		return 0, err // already canceled: don't start at all
 	}
 	n := 0
 	for len(e.cal) > 0 {
@@ -178,7 +166,7 @@ func (e *Engine) run(ctx context.Context, maxEvents int) (int, error) {
 		if n > maxEvents {
 			return n, fmt.Errorf("simevent: exceeded event budget of %d", maxEvents)
 		}
-		if ctx != nil && n&0xFFFF == 0 {
+		if n&0xFFFF == 0 {
 			if err := ctx.Err(); err != nil {
 				return n, err
 			}

@@ -51,9 +51,6 @@ func (r *PSResource) Submit(work float64, done func()) {
 	r.reschedule()
 }
 
-// InService returns the number of tasks currently sharing the resource.
-func (r *PSResource) InService() int { return len(r.active) }
-
 // Clear drops every active task without firing its completion callback and
 // cancels the pending completion event — node-crash semantics: work in
 // progress is lost and nothing downstream of it runs. Service delivered so

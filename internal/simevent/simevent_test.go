@@ -1,11 +1,20 @@
 package simevent
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// Run is RunContext without cancellation.
+func (e *Engine) Run(maxEvents int) (int, error) {
+	return e.RunContext(context.Background(), maxEvents)
+}
+
+// Pending returns the number of live (non-cancelled) scheduled events.
+func (e *Engine) Pending() int { return len(e.cal) - e.dead }
 
 func TestEngineOrdersEvents(t *testing.T) {
 	eng := NewEngine()

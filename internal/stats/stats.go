@@ -1,12 +1,9 @@
 // Package stats provides small numeric helpers shared across the performance
-// model: means, medians, coefficients of variation, harmonic numbers and
-// relative errors. All functions are pure and operate on float64 slices.
+// model: means, variances, coefficients of variation and signed relative
+// errors. All functions are pure and operate on float64 slices.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -18,22 +15,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Median returns the median of xs (average of the two middle elements for
-// even lengths), or 0 for an empty slice. The input is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // Variance returns the population variance of xs, or 0 when len(xs) < 2.
@@ -63,24 +44,6 @@ func CV(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// Harmonic returns the n-th harmonic number H_n = sum_{i=1..n} 1/i.
-// Harmonic(0) is 0.
-func Harmonic(n int) float64 {
-	var h float64
-	for i := 1; i <= n; i++ {
-		h += 1 / float64(i)
-	}
-	return h
-}
-
-// RelError returns |estimate-actual|/actual, or 0 when actual is zero.
-func RelError(estimate, actual float64) float64 {
-	if actual == 0 {
-		return 0
-	}
-	return math.Abs(estimate-actual) / actual
-}
-
 // SignedRelError returns (estimate-actual)/actual; positive values indicate
 // overestimation. It returns 0 when actual is zero.
 func SignedRelError(estimate, actual float64) float64 {
@@ -88,52 +51,4 @@ func SignedRelError(estimate, actual float64) float64 {
 		return 0
 	}
 	return (estimate - actual) / actual
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

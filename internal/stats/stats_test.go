@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -244,4 +245,89 @@ func TestMedianProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// The helpers below are exercised only by this file: Max and Min are the
+// oracles of the property tests, and the rest keep their unit tests.
+
+// Median returns the median of xs (average of the two middle elements for
+// even lengths), or 0 for an empty slice. The input is not modified.
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	cp := make([]float64, len(xs))
+	copy(cp, xs)
+	sort.Float64s(cp)
+	n := len(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+// Harmonic returns the n-th harmonic number H_n = sum_{i=1..n} 1/i.
+// Harmonic(0) is 0.
+func Harmonic(n int) float64 {
+	var h float64
+	for i := 1; i <= n; i++ {
+		h += 1 / float64(i)
+	}
+	return h
+}
+
+// RelError returns |estimate-actual|/actual, or 0 when actual is zero.
+func RelError(estimate, actual float64) float64 {
+	if actual == 0 {
+		return 0
+	}
+	return math.Abs(estimate-actual) / actual
+}
+
+// Max returns the maximum of xs, or 0 for an empty slice.
+func Max(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Min returns the minimum of xs, or 0 for an empty slice.
+func Min(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Sum returns the sum of xs.
+func Sum(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// Clamp limits x to the closed interval [lo, hi].
+func Clamp(x, lo, hi float64) float64 {
+	if x < lo {
+		return lo
+	}
+	if x > hi {
+		return hi
+	}
+	return x
 }

@@ -41,16 +41,6 @@ type DAG struct {
 // NumStages returns the stage count.
 func (d *DAG) NumStages() int { return len(d.Stages) }
 
-// Index returns the declaration index of a stage name, or -1.
-func (d *DAG) Index(name string) int {
-	for i, s := range d.Stages {
-		if s == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Chain builds a linear DAG: each stage depends on the previous one.
 func Chain(stages ...string) *DAG {
 	d := &DAG{Stages: stages}

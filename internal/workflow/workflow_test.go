@@ -16,6 +16,16 @@ func diamond() *DAG {
 	}
 }
 
+// Index returns the declaration index of a stage name, or -1.
+func (d *DAG) Index(name string) int {
+	for i, s := range d.Stages {
+		if s == name {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestValidateRejectsMalformedDAGs(t *testing.T) {
 	cases := []struct {
 		name string

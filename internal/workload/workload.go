@@ -227,18 +227,12 @@ type Demands struct {
 	Network float64 // seconds of cluster-network transfer at nominal bandwidth
 }
 
-// Total returns the uncontended duration of the task.
-func (d Demands) Total() float64 { return d.CPU + d.Disk + d.Network }
-
-// TotalScaled is Total with the CPU component scaled by cpuFactor — the
-// cluster's mean inverse compute speed when averaging over heterogeneous
-// hardware. TotalScaled(1) is bit-identical to Total.
+// TotalScaled returns the uncontended duration of the task with the CPU
+// component scaled by cpuFactor — the cluster's mean inverse compute speed
+// when averaging over heterogeneous hardware (1 on uniform hardware).
 func (d Demands) TotalScaled(cpuFactor float64) float64 {
 	return d.CPU*cpuFactor + d.Disk + d.Network
 }
-
-// CPUDisk returns the node-local portion (the paper's CPU&Memory center).
-func (d Demands) CPUDisk() float64 { return d.CPU + d.Disk }
 
 // MapDemands returns the service demands of one map task over a split of
 // splitMB, for hardware with the given disk bandwidth.

@@ -137,11 +137,8 @@ func TestDemandsPositiveAndComposition(t *testing.T) {
 		if d.CPU < 0 || d.Disk < 0 || d.Network < 0 {
 			t.Errorf("%s has negative demand: %+v", name, d)
 		}
-		if d.Total() <= 0 {
+		if d.TotalScaled(1) <= 0 {
 			t.Errorf("%s has zero total", name)
-		}
-		if got := d.CPUDisk(); got != d.CPU+d.Disk {
-			t.Errorf("%s CPUDisk = %v", name, got)
 		}
 	}
 	if md.Network != 0 {

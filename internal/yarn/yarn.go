@@ -87,11 +87,6 @@ type Request struct {
 	allocated int
 }
 
-// State returns the request's lifecycle state: pending until submitted,
-// scheduled while waiting at the RM, assigned once every container has been
-// granted, completed after Complete.
-func (r *Request) State() State { return r.state }
-
 // Remaining returns how many containers are still to be allocated.
 func (r *Request) Remaining() int { return r.Count - r.allocated }
 
@@ -313,9 +308,6 @@ func (rm *RM) NodeUp(node int) {
 	rm.requestSchedule()
 }
 
-// NodeIsUp reports whether the node is schedulable.
-func (rm *RM) NodeIsUp(node int) bool { return !rm.nodes[node].down }
-
 // requestSchedule coalesces scheduling into a single deferred event so that
 // all requests arriving at the same instant are considered together — the
 // way real YARN accumulates asks between NM heartbeats. Without this, a
@@ -331,9 +323,6 @@ func (rm *RM) requestSchedule() {
 		rm.Schedule()
 	})
 }
-
-// AvailableOn returns the free resources of a node (for tests/inspection).
-func (rm *RM) AvailableOn(node int) cluster.Resource { return rm.nodes[node].available }
 
 // Schedule runs one allocation pass under the configured policy, priority
 // descending within an application, preferring node-local placements and
@@ -470,6 +459,3 @@ func (rm *RM) pickNode(req *Request) (node int, local bool) {
 	}
 	return best, false
 }
-
-// Complete marks a request's lifecycle finished (assigned -> completed).
-func (r *Request) Complete() { r.state = StateCompleted }

@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,10 +20,21 @@ func testSpec(nodes int) cluster.Spec {
 	}
 }
 
+// State returns the request's lifecycle state: pending until submitted,
+// scheduled while waiting at the RM, assigned once every container has been
+// granted, completed after Complete.
+func (r *Request) State() State { return r.state }
+
+// Complete marks a request's lifecycle finished (assigned -> completed).
+func (r *Request) Complete() { r.state = StateCompleted }
+
+// AvailableOn returns the free resources of a node.
+func (rm *RM) AvailableOn(node int) cluster.Resource { return rm.nodes[node].available }
+
 // drain runs the engine to completion.
 func drain(t *testing.T, eng *simevent.Engine) {
 	t.Helper()
-	if _, err := eng.Run(100000); err != nil {
+	if _, err := eng.RunContext(context.Background(), 100000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -348,7 +360,7 @@ func TestRMHeterogeneousCapacities(t *testing.T) {
 		Size: cluster.Resource{MemoryMB: 1024, VCores: 1}, Type: TypeMap}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(1000); err != nil {
+	if _, err := eng.RunContext(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 6 {
