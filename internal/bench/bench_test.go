@@ -283,6 +283,49 @@ func TestErrorBands(t *testing.T) {
 	}
 }
 
+// TestMultiJobErrorGuards bounds every point of figs. 11, 13 and 14, the
+// figures TestErrorBands leaves out. Each estimator's signed error must stay
+// inside the range EXPERIMENTS.md records for that figure, widened by a
+// margin of 5 percentage points on each side. The recorded ranges include
+// the worst points of the report: fig11@6 (fork/join −24.8%, Tripathi
+// −18.7%) and fig13@6 (Tripathi +29.2%).
+func TestMultiJobErrorGuards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed sweep in -short mode")
+	}
+	const margin = 0.05
+	recorded := map[string]struct{ fjLo, fjHi, tpLo, tpHi float64 }{
+		"fig11": {-0.248, 0.078, -0.187, 0.183},
+		"fig13": {0.142, 0.245, 0.239, 0.292},
+		"fig14": {0.021, 0.227, 0.104, 0.247},
+	}
+	ran := 0
+	for _, s := range FigureSpecs() {
+		r, ok := recorded[s.ID]
+		if !ok {
+			continue
+		}
+		ran++
+		fig, err := RunFigure(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range fig.Points {
+			if e := p.FJErr(); e < r.fjLo-margin || e > r.fjHi+margin {
+				t.Errorf("%s %s=%d: fork/join error %+.1f%% outside guard [%+.1f%%, %+.1f%%]",
+					s.ID, s.XName, p.X, 100*e, 100*(r.fjLo-margin), 100*(r.fjHi+margin))
+			}
+			if e := p.TPErr(); e < r.tpLo-margin || e > r.tpHi+margin {
+				t.Errorf("%s %s=%d: tripathi error %+.1f%% outside guard [%+.1f%%, %+.1f%%]",
+					s.ID, s.XName, p.X, 100*e, 100*(r.tpLo-margin), 100*(r.tpHi+margin))
+			}
+		}
+	}
+	if ran != len(recorded) {
+		t.Errorf("guarded %d of %d figures", ran, len(recorded))
+	}
+}
+
 func TestMultiJobShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed sweep in -short mode")

@@ -589,6 +589,11 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 				return err
 			}
 			total += cfg.Job.Profile.AMStartup
+			if math.IsInf(total, 0) || math.IsNaN(total) {
+				// An extreme history CV can push an estimator past the
+				// float64 range; report it rather than serve the number.
+				return fmt.Errorf("core: %v estimate is not finite (%v)", est, total)
+			}
 			stop := math.Abs(total-pred.ResponseTime) <= cfg.Epsilon
 			pred.ResponseTime = total
 			pred.Iterations = iter

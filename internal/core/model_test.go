@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"hadoop2perf/internal/cluster"
@@ -34,6 +35,28 @@ func TestPredictValidation(t *testing.T) {
 	}
 	if _, err := Predict(Config{Spec: cluster.Default(4), Job: workload.Job{}}); err == nil {
 		t.Error("invalid job accepted")
+	}
+}
+
+// A history CV wide enough to overflow an estimator is an error, never a
+// non-finite response time: fork/join's total overflows to +Inf at CV 1e200,
+// and Tripathi finds no finite fit. The paper-literal rule ignores CVs.
+func TestPredictNonFiniteEstimateIsError(t *testing.T) {
+	wide := map[timeline.Class]ClassStats{
+		timeline.ClassMap:         {CV: 1e200},
+		timeline.ClassShuffleSort: {CV: 1e200},
+		timeline.ClassMerge:       {CV: 1e200},
+	}
+	for _, est := range []Estimator{EstimatorForkJoin, EstimatorTripathi, EstimatorPaperLiteral} {
+		p, err := Predict(Config{Spec: cluster.Default(2), Job: job(t, 512, 2), History: wide, Estimator: est})
+		switch {
+		case est == EstimatorPaperLiteral && err != nil:
+			t.Errorf("%v: %v", est, err)
+		case est != EstimatorPaperLiteral && err == nil:
+			t.Errorf("%v: no error, response time %v", est, p.ResponseTime)
+		case err == nil && !(p.ResponseTime > 0 && !math.IsInf(p.ResponseTime, 0)):
+			t.Errorf("%v: response time %v", est, p.ResponseTime)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -872,6 +873,14 @@ func (j *jobRun) nodeLost(n int) {
 		}
 		r.dead = true
 		j.reducers[id] = nil
+		if r.shuffleEnd {
+			// The killed attempt's shuffle-sort already finished and was
+			// recorded; a killed attempt leaves no records, and the
+			// restarted reducer records its own.
+			if i := slices.Index(j.record.Tasks, r.shuffleRec); i >= 0 {
+				j.record.Tasks = slices.Delete(j.record.Tasks, i, i+1)
+			}
+		}
 		s.stats.TasksKilled++
 		s.stats.TasksReexecuted++
 		j.pendingReds = append(j.pendingReds, id)

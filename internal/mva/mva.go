@@ -130,55 +130,64 @@ type OverlapResult struct {
 // OverlapResult alias solver-owned memory and are valid until the next Step
 // call; callers that retain them across steps must copy.
 type OverlapSolver struct {
-	resFlat  []float64 // n×k residence matrix backing, current iterate
-	nextFlat []float64 // n×k residence matrix backing, next iterate
-	res      [][]float64
-	next     [][]float64
+	resBuf   []float64   // backing of the two residence matrices
+	resFlat  []float64   // n×k residence matrix, current iterate
+	nextFlat []float64   // n×k residence matrix, next iterate
+	rows     [][]float64 // the result's view of resFlat, one row per task
 	resp     []float64
 	servers  []float64
 	rhoC     []float64 // k×n center-major visit probabilities
+	arr      []float64 // one center's arrival sums, aligned with its live rows
 	rowDirty []bool    // rows whose residence changed on the last sweep
+	rowsC    []int32   // k×n center-major task rows: live (demand ≠ 0) first, then zero rows
+	nLive    []int32   // per-center count of live rows at the front of rowsC
 	acc      Aitken    // Δ² accelerator scratch (Accelerate inputs only)
 	n, k     int
 }
 
 // ensure sizes the scratch for n tasks over k centers, reusing capacity.
+// The scratch takes five allocations: the two residence matrices share one
+// array — and nothing else does, so a Warm that aliases the previous
+// result is read only from residence memory — the other float scratch
+// shares a second, the row lists and their counts a third.
 func (s *OverlapSolver) ensure(n, k int) {
 	if s.n == n && s.k == k {
 		return
 	}
 	s.n, s.k = n, k
 	need := n * k
-	if cap(s.resFlat) < need {
-		s.resFlat = make([]float64, need)
-		s.nextFlat = make([]float64, need)
-		s.rhoC = make([]float64, need)
+	if cap(s.resBuf) < 2*need {
+		s.resBuf = make([]float64, 2*need)
 	}
-	s.resFlat = s.resFlat[:need]
-	s.nextFlat = s.nextFlat[:need]
-	s.rhoC = s.rhoC[:need]
+	s.resFlat, s.nextFlat = s.resBuf[:need:need], s.resBuf[need:2*need:2*need]
+	// rhoC and rowsC lead their arrays and keep the full capacity, so the
+	// next resize can reuse it.
+	floats := need + 2*n + k
+	if cap(s.rhoC) < floats {
+		s.rhoC = make([]float64, floats)
+	}
+	f := s.rhoC[:floats]
+	s.rhoC, s.resp, s.arr, s.servers = f[:need], f[need:need+n:need+n], f[need+n:need+2*n:need+2*n], f[need+2*n:]
+	if cap(s.rowsC) < need+k {
+		s.rowsC = make([]int32, need+k)
+	}
+	idx := s.rowsC[:need+k]
+	s.rowsC, s.nLive = idx[:need], idx[need:]
 	if cap(s.rowDirty) < n {
 		s.rowDirty = make([]bool, n)
+		s.rows = make([][]float64, n)
 	}
 	s.rowDirty = s.rowDirty[:n]
-	if cap(s.res) < n {
-		s.res = make([][]float64, n)
-		s.next = make([][]float64, n)
+	s.rows = s.rows[:n]
+}
+
+// result views the current iterate as an OverlapResult.
+func (s *OverlapSolver) result(it int) OverlapResult {
+	k := s.k
+	for i := range s.rows {
+		s.rows[i] = s.resFlat[i*k : (i+1)*k : (i+1)*k]
 	}
-	s.res = s.res[:n]
-	s.next = s.next[:n]
-	for i := 0; i < n; i++ {
-		s.res[i] = s.resFlat[i*k : (i+1)*k : (i+1)*k]
-		s.next[i] = s.nextFlat[i*k : (i+1)*k : (i+1)*k]
-	}
-	if cap(s.resp) < n {
-		s.resp = make([]float64, n)
-	}
-	s.resp = s.resp[:n]
-	if cap(s.servers) < k {
-		s.servers = make([]float64, k)
-	}
-	s.servers = s.servers[:k]
+	return OverlapResult{Residence: s.rows, Response: s.resp, Iterations: it + 1}
 }
 
 // Step solves the overlap-weighted residence-time fixed point
@@ -199,8 +208,7 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 	if err != nil {
 		return OverlapResult{}, err
 	}
-	it := s.sweepFused(&in, tol, maxIter)
-	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+	return s.result(s.sweepFused(&in, tol, maxIter)), nil
 }
 
 // prepare validates in, sizes the scratch and loads the starting iterate
@@ -248,8 +256,10 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 
 	// Initialize residence = demand, or from the warm matrix where it
 	// supplies a valid (≥ demand, finite) value. Note the warm rows may
-	// alias s.res itself (the previous Step's result): the element-wise
-	// max below is alias-safe because entry (i,c) only reads entry (i,c).
+	// alias the previous Step's result: the element-wise max below is
+	// alias-safe because entry (i,c) only reads entry (i,c), or — after a
+	// change of task count — the same or a later position of the residence
+	// array it writes from the front.
 	for i := 0; i < n; i++ {
 		var row []float64
 		if i < len(in.Warm) && len(in.Warm[i]) == k {
@@ -265,13 +275,31 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 			if d == 0 {
 				v = 0
 			}
-			s.res[i][c] = v
+			s.resFlat[i*k+c] = v
 			tot += v
 		}
 		if demTot <= 0 {
 			return 0, 0, fmt.Errorf("mva: task %d has zero total demand", i)
 		}
 		s.resp[i] = tot
+	}
+
+	// Demands are fixed within a Step, so each center's live and zero rows
+	// are listed once here: live rows ascending at the front of the
+	// center's segment of rowsC, zero rows filling it from the back.
+	for c := 0; c < k; c++ {
+		rows := s.rowsC[c*n : (c+1)*n]
+		live, zero := 0, n
+		for i := 0; i < n; i++ {
+			if in.Tasks[i].Demands[c] != 0 {
+				rows[live] = int32(i)
+				live++
+			} else {
+				zero--
+				rows[zero] = int32(i)
+			}
+		}
+		s.nLive[c] = int32(live)
 	}
 
 	if in.Accelerate {
@@ -286,9 +314,9 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 
 // sweepFused is the struct-of-arrays sweep: the caller's fused weight rows
 // are read in place, ρ is stored center-major so each center's arrival sums
-// read two contiguous arrays, and the inner loop is a pure branch-free dot
-// product split over two accumulators (even/odd j) to break the add-latency
-// dependency chain.
+// read two contiguous arrays, and each center's sums over its live rows are
+// one dotRows call — two accumulators per row (even/odd j), the same bits
+// on every architecture.
 func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) int {
 	n, k := s.n, s.k
 	w := in.Weights
@@ -307,76 +335,31 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 			if !s.rowDirty[j] {
 				continue
 			}
-			row := s.res[j]
+			row := s.resFlat[j*k : (j+1)*k]
 			inv := s.resp[j]
 			for c := 0; c < k; c++ {
 				s.rhoC[c*n+j] = row[c] / inv
 			}
 		}
 		for c := 0; c < k; c++ {
-			rc := s.rhoC[c*n : (c+1)*n]
-			base := c * n
-			// Task rows are independent within a center, so the dot
-			// products run two rows at a time — four accumulator chains
-			// hide FP-add latency. Each row keeps its own even/odd
-			// accumulation order, so results are bit-identical to the
-			// one-row-at-a-time walk.
-			i := 0
-			for ; i+1 < n; i += 2 {
-				d0 := in.Tasks[i].Demands[c]
-				d1 := in.Tasks[i+1].Demands[c]
-				if d0 == 0 || d1 == 0 {
-					if d0 == 0 {
-						s.next[i][c] = 0
-					} else {
-						s.next[i][c] = d0 * s.rowSlowdown(w, base, i, c, rc)
-					}
-					if d1 == 0 {
-						s.next[i+1][c] = 0
-					} else {
-						s.next[i+1][c] = d1 * s.rowSlowdown(w, base, i+1, c, rc)
-					}
-					continue
+			rows := s.rowsC[c*n : (c+1)*n]
+			live := rows[:s.nLive[c]]
+			dotRows(w[c*n*n:(c+1)*n*n], n, s.rhoC[c*n:(c+1)*n], live, s.arr)
+			for t, i := range live {
+				slowdown := (1 + s.arr[t]) / s.servers[c]
+				if slowdown < 1 {
+					slowdown = 1
 				}
-				w0 := w[(base+i)*n : (base+i+1)*n]
-				w1 := w[(base+i+1)*n : (base+i+2)*n]
-				var a0, a1, b0, b1 float64
-				var j int
-				for ; j+1 < n; j += 2 {
-					rj, rj1 := rc[j], rc[j+1]
-					a0 += w0[j] * rj
-					a1 += w0[j+1] * rj1
-					b0 += w1[j] * rj
-					b1 += w1[j+1] * rj1
-				}
-				if j < n {
-					rj := rc[j]
-					a0 += w0[j] * rj
-					b0 += w1[j] * rj
-				}
-				s0 := (1 + (a0 + a1)) / s.servers[c]
-				if s0 < 1 {
-					s0 = 1
-				}
-				s.next[i][c] = d0 * s0
-				s1 := (1 + (b0 + b1)) / s.servers[c]
-				if s1 < 1 {
-					s1 = 1
-				}
-				s.next[i+1][c] = d1 * s1
+				s.nextFlat[int(i)*k+c] = in.Tasks[i].Demands[c] * slowdown
 			}
-			if i < n {
-				if d := in.Tasks[i].Demands[c]; d == 0 {
-					s.next[i][c] = 0
-				} else {
-					s.next[i][c] = d * s.rowSlowdown(w, base, i, c, rc)
-				}
+			for _, i := range rows[len(live):] {
+				s.nextFlat[int(i)*k+c] = 0
 			}
 		}
 		for i := 0; i < n; i++ {
 			var tot float64
 			changed := false
-			nextRow, resRow := s.next[i], s.res[i]
+			nextRow, resRow := s.nextFlat[i*k:(i+1)*k], s.resFlat[i*k:(i+1)*k]
 			for c := 0; c < k; c++ {
 				tot += nextRow[c]
 				if nextRow[c] != resRow[c] {
@@ -389,7 +372,6 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 			s.resp[i] = tot
 			s.rowDirty[i] = changed
 		}
-		s.res, s.next = s.next, s.res
 		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
 		if maxDelta < tol {
 			break
@@ -402,7 +384,7 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 				for i := 0; i < n; i++ {
 					tot := 0.0
 					for c := 0; c < k; c++ {
-						tot += s.res[i][c]
+						tot += s.resFlat[i*k+c]
 					}
 					s.resp[i] = tot
 					s.rowDirty[i] = true
@@ -411,26 +393,4 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 		}
 	}
 	return it
-}
-
-// rowSlowdown computes one task row's contention slowdown at center c —
-// the single-row tail of the paired dot-product walk in sweepFused, with
-// the identical even/odd accumulation order.
-func (s *OverlapSolver) rowSlowdown(w []float64, base, i, c int, rc []float64) float64 {
-	n := s.n
-	wRow := w[(base+i)*n : (base+i+1)*n]
-	var a0, a1 float64
-	var j int
-	for ; j+1 < n; j += 2 {
-		a0 += wRow[j] * rc[j]
-		a1 += wRow[j+1] * rc[j+1]
-	}
-	if j < n {
-		a0 += wRow[j] * rc[j]
-	}
-	slowdown := (1 + (a0 + a1)) / s.servers[c]
-	if slowdown < 1 {
-		slowdown = 1
-	}
-	return slowdown
 }

@@ -338,6 +338,67 @@ func TestOverlapSolverWarmAliasPrevious(t *testing.T) {
 	}
 }
 
+// A previous result may seed a Step with fewer tasks: the solver reuses its
+// residence array, and the seed must read exactly as a copied one does.
+func TestOverlapSolverWarmAliasShrink(t *testing.T) {
+	for _, sizes := range [][2]int{{16, 10}, {16, 6}, {15, 14}, {9, 3}} {
+		var s OverlapSolver
+		first, err := s.Step(contendedInput(sizes[0]).fused())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := contendedInput(sizes[1]).fused()
+		in.Warm = first.Residence[:sizes[1]] // aliases s's internal state
+		var copied [][]float64
+		for _, row := range in.Warm {
+			copied = append(copied, append([]float64(nil), row...))
+		}
+		got, err := s.Step(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Warm = copied
+		var fresh OverlapSolver
+		want, err := fresh.Step(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Iterations != want.Iterations {
+			t.Errorf("%d→%d tasks: %d sweeps, copied seed %d", sizes[0], sizes[1], got.Iterations, want.Iterations)
+		}
+		for i := range want.Response {
+			if math.Float64bits(got.Response[i]) != math.Float64bits(want.Response[i]) {
+				t.Errorf("%d→%d tasks, task %d: %v, copied seed %v", sizes[0], sizes[1], i, got.Response[i], want.Response[i])
+			}
+		}
+	}
+}
+
+// Once a solver has seen a shape, Steps of that shape — warm from its own
+// result or cold, with zero-demand cells in the row lists — allocate
+// nothing.
+func TestOverlapSolverWarmStepAllocatesNothing(t *testing.T) {
+	in := randomOverlap(rand.New(rand.NewSource(3)), 21, 4, 2).fused()
+	var s OverlapSolver
+	res, err := s.Step(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		in.Warm = res.Residence
+		if res, err = s.Step(in); err != nil {
+			t.Fatal(err)
+		}
+		in.Warm = nil
+		if _, err = s.Step(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed-up Steps allocate %v times, want 0", allocs)
+	}
+}
+
 // randomOverlap draws a contended overlap input: n tasks over k centers with
 // random demands (a quarter of multi-center tasks skip one center), random
 // α/β factors and 1–4 servers per center.
@@ -387,8 +448,7 @@ func legacyStep(in abInput) (OverlapResult, error) {
 	if err != nil {
 		return OverlapResult{}, err
 	}
-	it := s.sweepLegacy(&in, tol, maxIter)
-	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+	return s.result(s.sweepLegacy(&in, tol, maxIter)), nil
 }
 
 // sweepLegacy is the historical element-wise sweep the fused kernel
@@ -403,14 +463,14 @@ func (s *OverlapSolver) sweepLegacy(in *abInput, tol float64, maxIter int) int {
 		maxDelta := 0.0
 		for j := 0; j < n; j++ {
 			for c := 0; c < k; c++ {
-				rho[j*k+c] = s.res[j][c] / s.resp[j]
+				rho[j*k+c] = s.resFlat[j*k+c] / s.resp[j]
 			}
 		}
 		for i := 0; i < n; i++ {
 			for c := 0; c < k; c++ {
 				d := in.Tasks[i].Demands[c]
 				if d == 0 {
-					s.next[i][c] = 0
+					s.nextFlat[i*k+c] = 0
 					continue
 				}
 				alphaRow := in.Alpha[c][i]
@@ -427,20 +487,19 @@ func (s *OverlapSolver) sweepLegacy(in *abInput, tol float64, maxIter int) int {
 				if slowdown < 1 {
 					slowdown = 1
 				}
-				s.next[i][c] = d * slowdown
+				s.nextFlat[i*k+c] = d * slowdown
 			}
 		}
 		for i := 0; i < n; i++ {
 			var tot float64
 			for c := 0; c < k; c++ {
-				tot += s.next[i][c]
+				tot += s.nextFlat[i*k+c]
 			}
 			if delta := math.Abs(tot - s.resp[i]); delta > maxDelta {
 				maxDelta = delta
 			}
 			s.resp[i] = tot
 		}
-		s.res, s.next = s.next, s.res
 		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
 		if maxDelta < tol {
 			break
@@ -450,7 +509,7 @@ func (s *OverlapSolver) sweepLegacy(in *abInput, tol float64, maxIter int) int {
 				for i := 0; i < n; i++ {
 					tot := 0.0
 					for c := 0; c < k; c++ {
-						tot += s.res[i][c]
+						tot += s.resFlat[i*k+c]
 					}
 					s.resp[i] = tot
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -383,6 +384,40 @@ func TestCalibrateValidationOverWire(t *testing.T) {
 		`{"cluster":{"nodes":2},"job":{"inputMB":512},"profile":"ghost"}`)
 	if status != http.StatusBadRequest {
 		t.Errorf("simulate with profile: status = %d body = %v", status, body)
+	}
+}
+
+// A CV floor past trace.MaxCVFloor is a structured 400 at calibrate time:
+// stored, it drove the fork/join estimate to +Inf (a 500 when encoded) and
+// left Tripathi no finite fit. At the ceiling, both estimators answer a
+// finite 200.
+func TestCalibrateCVFloorCeiling(t *testing.T) {
+	_, ts := newTestServer(t)
+	withFloor := func(name, floor string) string {
+		body := calibrateBody(t, name)
+		return body[:len(body)-1] + `,"cvFloor":` + floor + `}`
+	}
+	for _, floor := range []string{"1e200", "10.5", "-1"} {
+		status, body := postJSON(t, ts.URL+"/v1/calibrate", withFloor("huge", floor))
+		if status != http.StatusBadRequest {
+			t.Errorf("cvFloor %s: status = %d body = %v", floor, status, body)
+		} else if msg, _ := body["error"].(string); !strings.Contains(msg, "CV floor") {
+			t.Errorf("cvFloor %s: error %q does not name the CV floor", floor, msg)
+		}
+	}
+	if status, body := postJSON(t, ts.URL+"/v1/calibrate", withFloor("wide", "10")); status != http.StatusOK {
+		t.Fatalf("cvFloor 10: status = %d body = %v", status, body)
+	}
+	for _, est := range []string{"fork/join", "tripathi"} {
+		status, body := postJSON(t, ts.URL+"/v1/predict",
+			`{"cluster":{"nodes":2},"job":{"inputMB":512,"reduces":2},"profile":"wide","estimator":"`+est+`"}`)
+		if status != http.StatusOK {
+			t.Errorf("%s at the ceiling: status = %d body = %v", est, status, body)
+			continue
+		}
+		if rt, _ := body["responseTime"].(float64); !(rt > 0) || math.IsInf(rt, 0) {
+			t.Errorf("%s at the ceiling: responseTime = %v", est, body["responseTime"])
+		}
 	}
 }
 

@@ -37,9 +37,17 @@ type FitOptions struct {
 	MinSamples int
 	// CVFloor floors each class's fitted coefficient of variation. Traces of
 	// a few near-identical executions under-disperse; a floor keeps the
-	// estimators' variability terms alive (0 keeps the observed CV).
+	// estimators' variability terms alive (0 keeps the observed CV). Values
+	// above MaxCVFloor are rejected.
 	CVFloor float64
 }
+
+// MaxCVFloor bounds FitOptions.CVFloor. The floor only lifts
+// under-dispersed classes, so it needs no range beyond a few units. Both
+// tree estimators answer finite at 10, while a floor near 1e10 leaves the
+// Tripathi estimator no finite hyperexponential fit and one near 1e150
+// overflows the fork/join estimate.
+const MaxCVFloor = 10
 
 func (o *FitOptions) validate() error {
 	if o.TrimFraction < 0 || o.TrimFraction > MaxTrimFraction {
@@ -51,8 +59,8 @@ func (o *FitOptions) validate() error {
 	if o.MinSamples == 0 {
 		o.MinSamples = DefaultMinSamples
 	}
-	if o.CVFloor < 0 {
-		return fmt.Errorf("trace: negative CV floor %v", o.CVFloor)
+	if !(o.CVFloor >= 0 && o.CVFloor <= MaxCVFloor) {
+		return fmt.Errorf("trace: CV floor %v outside [0, %v]", o.CVFloor, MaxCVFloor)
 	}
 	return nil
 }

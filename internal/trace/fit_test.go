@@ -108,6 +108,13 @@ func TestFitCVFloor(t *testing.T) {
 	if cv := fit.History[timeline.ClassMap].CV; cv != 0.2 {
 		t.Errorf("CV = %v, want floored 0.2", cv)
 	}
+	// The ceiling itself is a valid floor.
+	if fit, err = Fit(res, FitOptions{CVFloor: MaxCVFloor}); err != nil {
+		t.Fatal(err)
+	}
+	if cv := fit.History[timeline.ClassMap].CV; cv != MaxCVFloor {
+		t.Errorf("CV = %v, want floored %v", cv, MaxCVFloor)
+	}
 }
 
 func TestFitMinSamples(t *testing.T) {
@@ -127,6 +134,10 @@ func TestFitRejectsBadOptions(t *testing.T) {
 		{TrimFraction: 0.5},
 		{MinSamples: -1},
 		{CVFloor: -1},
+		{CVFloor: MaxCVFloor * 1.01},
+		{CVFloor: 1e200},
+		{CVFloor: math.Inf(1)},
+		{CVFloor: math.NaN()},
 	} {
 		if _, err := Fit(res, opts); err == nil {
 			t.Errorf("options %+v accepted", opts)
