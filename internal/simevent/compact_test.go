@@ -5,8 +5,9 @@ import "testing"
 // Cancelled timers must not accumulate in the calendar: the engine sweeps
 // dead entries once they exceed half the calendar, so queue growth stays
 // bounded by ~2x the live event count no matter how many timers are
-// cancelled (the reschedule-heavy PSResource pattern cancels one timer per
-// state change).
+// cancelled. PSResource moves its pending completion in place
+// (Reschedule), so in the simulator only a node crash (PSResource.Clear)
+// cancels; Cancel and compaction stay public engine behaviour.
 func TestCancelledTimersCompacted(t *testing.T) {
 	eng := NewEngine()
 	// One long-lived live event so the calendar is never trivially empty.

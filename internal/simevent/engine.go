@@ -6,11 +6,15 @@
 //
 // The calendar is engineered for the simulator hot path: scheduled events
 // live in a value slice managed by a free list (one arena slot per pending
-// event, no per-event heap allocation), the binary heap orders lightweight
-// index entries, and cancelled events are compacted away once they exceed
-// half the calendar instead of lingering until popped. Engines are reusable
-// via Reset, so callers running many simulations (median-of-seeds, planner
-// sweeps) can pool them.
+// event, reused once the event fires), the binary heap orders lightweight
+// index entries, and each slot knows its heap position, so Reschedule moves
+// a pending event in place instead of cancelling it and pushing a new one.
+// Processor-sharing resources re-key their one pending completion that way
+// on every state change; only a node crash (PSResource.Clear) cancels.
+// Cancelled events are compacted away once they exceed half the calendar
+// instead of lingering until popped. Engines are reusable via Reset, so
+// callers running many simulations (median-of-seeds, planner sweeps) can
+// pool them.
 package simevent
 
 import (
@@ -29,9 +33,11 @@ type entry struct {
 
 // slot is one arena cell. gen guards Timer handles against slot reuse: a
 // slot is freed (and its generation bumped) only when its calendar entry is
-// removed, so every pending event owns exactly one slot.
+// removed, so every pending event owns exactly one slot. pos is the index
+// of that entry in the heap, kept current by every move.
 type slot struct {
 	fn   func()
+	pos  int32
 	gen  uint32
 	live bool
 }
@@ -127,6 +133,34 @@ func (e *Engine) At(t float64, fn func()) Timer {
 	return Timer{eng: e, slot: idx, gen: s.gen}
 }
 
+// Reschedule moves tm's pending event to absolute time t (>= Now) and makes
+// it fire fn, keeping the calendar entry and the handle. The event takes a
+// fresh sequence number, so it fires exactly where tm.Cancel() followed by
+// At(t, fn) would put it: (time, seq) totally orders the live events, and
+// the move gives them the same keys. If tm already fired or was cancelled
+// (or is the zero Timer), Reschedule is At(t, fn).
+func (e *Engine) Reschedule(tm Timer, t float64, fn func()) Timer {
+	if tm.eng != e {
+		return e.At(t, fn)
+	}
+	s := &e.slots[tm.slot]
+	if s.gen != tm.gen || !s.live {
+		return e.At(t, fn)
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("simevent: scheduling at %v before now %v", t, e.now))
+	}
+	s.fn = fn
+	i := int(s.pos)
+	e.cal[i].time = t
+	e.cal[i].seq = e.seq
+	e.seq++
+	if e.siftUp(i) == i {
+		e.siftDown(i)
+	}
+	return tm
+}
+
 // After schedules fn after delay d (>= 0).
 func (e *Engine) After(d float64, fn func()) Timer { return e.At(e.now+d, fn) }
 
@@ -148,6 +182,7 @@ func (e *Engine) RunContext(ctx context.Context, maxEvents int) (int, error) {
 		e.cal[0] = e.cal[last]
 		e.cal = e.cal[:last]
 		if last > 0 {
+			e.slots[e.cal[0].slot].pos = 0
 			e.siftDown(0)
 		}
 		s := &e.slots[top.slot]
@@ -185,6 +220,7 @@ func (e *Engine) compact() {
 		s := &e.slots[en.slot]
 		if s.live {
 			e.cal[w] = en
+			s.pos = int32(w)
 			w++
 			continue
 		}
@@ -208,15 +244,25 @@ func (e *Engine) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (e *Engine) siftUp(i int) {
+// swap exchanges two heap entries and records their new positions.
+func (e *Engine) swap(i, j int) {
+	e.cal[i], e.cal[j] = e.cal[j], e.cal[i]
+	e.slots[e.cal[i].slot].pos = int32(i)
+	e.slots[e.cal[j].slot].pos = int32(j)
+}
+
+// siftUp moves entry i toward the root and returns where it stopped.
+func (e *Engine) siftUp(i int) int {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !e.less(i, parent) {
-			return
+			break
 		}
-		e.cal[i], e.cal[parent] = e.cal[parent], e.cal[i]
+		e.swap(i, parent)
 		i = parent
 	}
+	e.slots[e.cal[i].slot].pos = int32(i)
+	return i
 }
 
 func (e *Engine) siftDown(i int) {
@@ -233,7 +279,7 @@ func (e *Engine) siftDown(i int) {
 		if min == i {
 			return
 		}
-		e.cal[i], e.cal[min] = e.cal[min], e.cal[i]
+		e.swap(i, min)
 		i = min
 	}
 }

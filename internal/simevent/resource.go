@@ -1,6 +1,9 @@
 package simevent
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PSResource is a processor-sharing resource with a fixed capacity measured
 // in "work units per second" (e.g. a node CPU with capacity c executes up to
@@ -20,6 +23,7 @@ type PSResource struct {
 	fired    []func() // scratch for complete(), reused across events
 	lastUpd  float64
 	pending  Timer
+	onDone   func() // r.complete, bound once: a method value allocates
 	// busyIntegral accumulates utilization*time for reporting.
 	busyIntegral float64
 }
@@ -35,20 +39,37 @@ func NewPSResource(eng *Engine, name string, capacity float64) *PSResource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("simevent: PS resource %q needs positive capacity", name))
 	}
-	return &PSResource{eng: eng, name: name, capacity: capacity}
+	r := &PSResource{eng: eng, name: name, capacity: capacity}
+	r.onDone = r.complete
+	return r
 }
 
 // Submit enqueues work seconds of demand; done fires when the work
 // completes under sharing. Zero or negative work completes immediately at the
 // current time (via an immediate event, preserving event ordering).
+//
+// One pass over the active tasks applies the service delivered since the
+// last event and finds the least remaining work; the pending completion is
+// then re-keyed in place for the new task count.
 func (r *PSResource) Submit(work float64, done func()) {
 	if work <= 0 {
 		r.eng.After(0, done)
 		return
 	}
-	r.advance()
+	served := r.advanceClock()
+	minRem := work
+	for i := range r.active {
+		rem := r.active[i].remaining - served
+		if rem < 0 {
+			rem = 0
+		}
+		r.active[i].remaining = rem
+		if rem < minRem {
+			minRem = rem
+		}
+	}
 	r.active = append(r.active, psTask{remaining: work, done: done})
-	r.reschedule()
+	r.schedule(minRem)
 }
 
 // Clear drops every active task without firing its completion callback and
@@ -57,21 +78,19 @@ func (r *PSResource) Submit(work float64, done func()) {
 // far stays in the utilization integral (BusyTime); the resource itself
 // remains usable (a repaired node restarts empty).
 func (r *PSResource) Clear() {
-	r.advance()
-	for i := range r.active {
-		r.active[i].done = nil
-	}
+	r.advanceClock()
+	clear(r.active)
 	r.active = r.active[:0]
 	r.pending.Cancel()
 	r.pending = Timer{}
 }
 
 // BusyTime returns the accumulated utilization integral (work-seconds
-// completed); BusyTime/elapsed gives average utilization in work units.
+// completed); BusyTime/elapsed gives average utilization in work units. It
+// only reads: the service since the last event is added to the result, not
+// to the resource, so polling it leaves the run unchanged.
 func (r *PSResource) BusyTime() float64 {
-	r.advance()
-	r.reschedule()
-	return r.busyIntegral
+	return r.busyIntegral + r.served(r.eng.Now())*float64(len(r.active))
 }
 
 // rate returns the per-task service rate under processor sharing.
@@ -87,62 +106,67 @@ func (r *PSResource) rate() float64 {
 	return rate
 }
 
-// advance applies elapsed service since lastUpd to all active tasks.
-func (r *PSResource) advance() {
-	now := r.eng.Now()
+// served returns the work each active task has received between the last
+// update and now: rate × elapsed, or 0 when no time passed or nothing is
+// active. Subtracting or adding that 0 leaves every value bit for bit as it
+// was, so callers apply it unconditionally.
+func (r *PSResource) served(now float64) float64 {
 	dt := now - r.lastUpd
-	r.lastUpd = now
 	if dt <= 0 || len(r.active) == 0 {
-		return
+		return 0
 	}
-	rt := r.rate()
-	served := rt * dt
-	r.busyIntegral += served * float64(len(r.active))
-	for i := range r.active {
-		r.active[i].remaining -= served
-		if r.active[i].remaining < 0 {
-			r.active[i].remaining = 0
-		}
-	}
+	return r.rate() * dt
 }
 
-// reschedule cancels the pending completion event and schedules the next one.
-func (r *PSResource) reschedule() {
-	r.pending.Cancel()
+// advanceClock moves the last update to now, credits the service delivered
+// since the previous one to the utilization integral, and returns the work
+// each active task received, which the caller subtracts from every task.
+func (r *PSResource) advanceClock() float64 {
+	now := r.eng.Now()
+	served := r.served(now)
+	r.lastUpd = now
+	r.busyIntegral += served * float64(len(r.active))
+	return served
+}
+
+// schedule moves the pending completion to when the task with minRem work
+// left finishes at the current task count's rate. Nothing is scheduled for
+// an idle resource.
+func (r *PSResource) schedule(minRem float64) {
 	if len(r.active) == 0 {
 		return
 	}
-	rt := r.rate()
-	minRem := -1.0
-	for i := range r.active {
-		if minRem < 0 || r.active[i].remaining < minRem {
-			minRem = r.active[i].remaining
-		}
-	}
-	eta := minRem / rt
-	r.pending = r.eng.After(eta, r.complete)
+	r.pending = r.eng.Reschedule(r.pending, r.eng.Now()+minRem/r.rate(), r.onDone)
 }
 
 // complete fires the callbacks of every task that has (numerically) finished,
-// in submission order.
+// in submission order. One pass applies the elapsed service, drops the
+// finished tasks and finds the least remaining work of the rest.
 func (r *PSResource) complete() {
-	r.advance()
 	const eps = 1e-9
+	served := r.advanceClock()
 	r.fired = r.fired[:0]
+	minRem := math.Inf(1)
 	w := 0
 	for i := range r.active {
-		if r.active[i].remaining <= eps {
-			r.fired = append(r.fired, r.active[i].done)
+		t := r.active[i]
+		rem := t.remaining - served
+		if rem < 0 {
+			rem = 0
+		}
+		if rem <= eps {
+			r.fired = append(r.fired, t.done)
 			continue
 		}
-		r.active[w] = r.active[i]
+		if rem < minRem {
+			minRem = rem
+		}
+		r.active[w] = psTask{remaining: rem, done: t.done}
 		w++
 	}
-	for i := w; i < len(r.active); i++ {
-		r.active[i].done = nil // release completed closures
-	}
+	clear(r.active[w:]) // release completed closures
 	r.active = r.active[:w]
-	r.reschedule()
+	r.schedule(minRem)
 	for _, fn := range r.fired {
 		fn()
 	}

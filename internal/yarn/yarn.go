@@ -17,7 +17,7 @@ package yarn
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/simevent"
@@ -264,7 +264,13 @@ func (rm *RM) Submit(app *App, req *Request) error {
 	}
 	req.app = app
 	req.state = StateScheduled
-	app.requests = append(app.requests, req)
+	// Keep requests in the order a stable sort by descending priority
+	// gives: after the last request of equal or higher priority.
+	at := len(app.requests)
+	for at > 0 && app.requests[at-1].Priority < req.Priority {
+		at--
+	}
+	app.requests = slices.Insert(app.requests, at, req)
 	rm.requestSchedule()
 	return nil
 }
@@ -351,7 +357,7 @@ func (rm *RM) scheduleFIFO() {
 		if app.done {
 			continue
 		}
-		for _, req := range sortedRequests(app) {
+		for _, req := range app.requests {
 			for req.Remaining() > 0 {
 				if !rm.allocateOne(app, req) {
 					break
@@ -375,7 +381,7 @@ func (rm *RM) scheduleFair() {
 			if app.done {
 				continue
 			}
-			for _, req := range sortedRequests(app) {
+			for _, req := range app.requests {
 				if req.Remaining() > 0 && rm.allocateOne(app, req) {
 					progress = true
 					break
@@ -389,20 +395,10 @@ func (rm *RM) scheduleFair() {
 	}
 }
 
-func sortedRequests(app *App) []*Request {
-	reqs := append([]*Request(nil), app.requests...)
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Priority > reqs[j].Priority })
-	return reqs
-}
-
+// compact drops the fully allocated requests in place, keeping the
+// priority order.
 func (rm *RM) compact(app *App) {
-	var live []*Request
-	for _, r := range app.requests {
-		if r.Remaining() > 0 {
-			live = append(live, r)
-		}
-	}
-	app.requests = live
+	app.requests = slices.DeleteFunc(app.requests, func(r *Request) bool { return r.Remaining() <= 0 })
 }
 
 // allocateOne grants a single container for req; it reports false when no

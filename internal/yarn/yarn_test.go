@@ -2,6 +2,7 @@ package yarn
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -372,5 +373,28 @@ func TestRMHeterogeneousCapacities(t *testing.T) {
 	}
 	if perNode[0] != 4 || perNode[1] != 1 || perNode[2] != 1 {
 		t.Errorf("per-node allocation = %v, want map[0:4 1:1 2:1]", perNode)
+	}
+}
+
+// Submit keeps an application's requests in the order a stable sort by
+// descending priority gives, which is the order every scheduling pass
+// serves them in.
+func TestSubmitKeepsStablePriorityOrder(t *testing.T) {
+	spec := testSpec(1)
+	rm, _ := NewRM(simevent.NewEngine(), spec)
+	app := &App{ID: 1, OnAllocate: func(*Container) {}}
+	_ = rm.Register(app)
+	var submitted []*Request
+	for i, prio := range []int{10, 20, 10, 15, 20, 5, 20, 10, 15, 30, 5, 20} {
+		req := &Request{Priority: prio, Count: 1 + i, Size: spec.MapContainer, Type: TypeMap}
+		if err := rm.Submit(app, req); err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, req)
+		want := slices.Clone(submitted)
+		slices.SortStableFunc(want, func(a, b *Request) int { return b.Priority - a.Priority })
+		if !slices.Equal(app.requests, want) {
+			t.Fatalf("after %d submissions the requests are out of stable priority order", i+1)
+		}
 	}
 }
