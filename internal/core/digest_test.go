@@ -15,12 +15,18 @@ import (
 	"hadoop2perf/internal/workload"
 )
 
-// predictDigest is the SHA-256 of digestPredictions' output. It pins every
-// answer bit and every counter of a stratified config set; any change to the
-// model's arithmetic or iteration order moves it. Refresh it only for a
-// change that is meant to move predictions, and say so where the change is
-// recorded.
-const predictDigest = "922903e3b100abfbc2da4dc917561afc95b2d5413b03b18ffb16cb79fb2dcba4"
+// predictDigest is the SHA-256 of digestPredictions' output, solved lumped
+// (one MVA row per cell, cells.go). It pins every answer bit and every
+// counter of a stratified config set; any change to the model's arithmetic
+// or iteration order moves it. Refresh it only for a change that is meant
+// to move predictions, and say so where the change is recorded.
+const predictDigest = "007f29b6951aa6a124b598f5647fb600398ef7e87397672d737a02c3b3a58b37"
+
+// elementwiseDigest is the digest of the element-wise model: every round
+// solved with the identity partition, one MVA row per task. It is the
+// digest the model had before cells were lumped, and must never move with
+// a change to the lumping.
+const elementwiseDigest = "922903e3b100abfbc2da4dc917561afc95b2d5413b03b18ffb16cb79fb2dcba4"
 
 // digestConfigs is the stratified set: flat and 2-class clusters, one and
 // four jobs, a fault plan, a partial and a full history, two node counts.
@@ -94,22 +100,25 @@ func digestPrediction(h hash.Hash, p Prediction) {
 // digestPredictions solves every digest config cold per estimator,
 // through one PredictEach over all estimators, and on one shared warm
 // Predictor, then walks a node axis on that Predictor, and hashes every
-// result in that order.
-func digestPredictions(t *testing.T) string {
+// result in that order. Every Predictor it uses solves element-wise when
+// identity is set.
+func digestPredictions(t *testing.T, identity bool) string {
 	t.Helper()
 	h := sha256.New()
-	var warm Predictor
+	warm := Predictor{identityCells: identity}
 	for i, cfg := range digestConfigs(t) {
 		for _, est := range allEstimators {
 			c := cfg
 			c.Estimator = est
-			p, err := Predict(c)
+			cold := Predictor{identityCells: identity}
+			p, err := cold.Predict(c)
 			if err != nil {
 				t.Fatalf("config %d %s: %v", i, est, err)
 			}
 			digestPrediction(h, p)
 		}
-		each, err := PredictEach(context.Background(), cfg, allEstimators...)
+		joint := Predictor{identityCells: identity}
+		each, err := joint.PredictEach(context.Background(), cfg, allEstimators...)
 		if err != nil {
 			t.Fatalf("config %d each: %v", i, err)
 		}
@@ -150,7 +159,16 @@ func digestPredictions(t *testing.T) string {
 // an optimization of the outer round must leave every answer and counter
 // exactly as it was.
 func TestPredictDigest(t *testing.T) {
-	if got := digestPredictions(t); got != predictDigest {
+	if got := digestPredictions(t, false); got != predictDigest {
 		t.Errorf("prediction digest %s, want %s", got, predictDigest)
+	}
+}
+
+// TestElementwiseDigest pins the identity partition to the element-wise
+// model's digest: solving one row per task through the lumped code path is
+// the element-wise model, bit for bit.
+func TestElementwiseDigest(t *testing.T) {
+	if got := digestPredictions(t, true); got != elementwiseDigest {
+		t.Errorf("element-wise digest %s, want %s", got, elementwiseDigest)
 	}
 }

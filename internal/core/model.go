@@ -204,6 +204,10 @@ type Prediction struct {
 	// all outer iterations — with Iterations, the observable cost of the
 	// prediction (surfaced by the service's /v1/metrics).
 	InnerIterations int
+	// Cells is the number of MVA rows the final round solved: one per cell
+	// of interchangeable tasks (see cells.go). It equals the task count when
+	// the round was solved element-wise.
+	Cells int
 	// MaxEvaluations counts the Tripathi estimator's P-node evaluations and
 	// MaxIntegrations the closed-form max-moment solves (dist.MaxMoments
 	// calls) they cost, both totaled across all outer iterations; a P node
@@ -282,10 +286,30 @@ type Predictor struct {
 	laneWins []laneWindow
 	respBy   [numClasses][]float64
 
+	// Cells of the current round (cells.go), a representative's Network
+	// and CPU weight rows before they are summed per cell, the
+	// representatives' demand and warm rows handed to the solver, and the
+	// solver's answer copied back to tasks (flat-backed rows and
+	// responses).
+	cells    cells
+	wNet     []float64
+	wCPU     []float64
+	cellDem  []mva.TaskDemand
+	cellWarm [][]float64
+	taskRes  []float64
+	taskRows [][]float64
+	taskResp []float64
+
+	// identityCells forces the all-singleton partition (the element-wise
+	// model) and roundHook, when set, sees every round's timeline before
+	// the MVA step; both are test seams.
+	identityCells bool
+	roundHook     func(tl *timeline.Timeline, otherJobs int)
+
 	// Warm-start state (warm.go): a small pool of converged solutions
 	// PredictWarm seeds from, scratch for viewing a pooled flat residence
 	// matrix as solver rows, and the final MVA step of the last prediction
-	// (aliases solver scratch; consumed by PredictWarm's recorder).
+	// (per task, Predictor scratch; consumed by PredictWarm's recorder).
 	warm     warmPool
 	seedRows [][]float64
 	lastStep mva.OverlapResult
@@ -340,11 +364,11 @@ func (h *hwView) init(spec cluster.Spec) {
 	h.nodes = spec.TotalNodes()
 	k := len(h.classes)
 	h.nc = 2*k + 1
-	h.mapsPer = resizeInts(h.mapsPer, k)
-	h.redsPer = resizeInts(h.redsPer, k)
-	h.invWMap = resizeFloats(h.invWMap, k)
-	h.invWRed = resizeFloats(h.invWRed, k)
-	h.classOf = resizeInts(h.classOf, h.nodes)
+	h.mapsPer = resize(h.mapsPer, k)
+	h.redsPer = resize(h.redsPer, k)
+	h.invWMap = resize(h.invWMap, k)
+	h.invWRed = resize(h.invWRed, k)
+	h.classOf = resize(h.classOf, h.nodes)
 
 	totalMaps, totalReds := 0, 0
 	node := 0
@@ -383,16 +407,10 @@ func (h *hwView) servers(buf []float64) []float64 {
 	return append(buf, fabric)
 }
 
-func resizeInts(s []int, n int) []int {
+// resize returns s with length n, reusing its capacity.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -533,30 +551,47 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 		if err != nil {
 			return err
 		}
-		// A4: overlap factors, fused into the MVA step's weights.
-		weights := p.overlapFactors(tl, cfg.NumJobs-1)
-		taskDemands := p.demandsFor(cfg, tl, classes)
-		p.servers = p.hw.servers(p.servers)
-		in := mva.OverlapInput{
-			Tasks:      taskDemands,
-			Weights:    weights,
-			Servers:    p.servers,
-			Warm:       warm,
-			Accelerate: fast,
-		}
+		// A4: cells of interchangeable tasks (cells.go), then the overlap
+		// factors fused into the MVA step's weights, one row per cell.
+		n := len(tl.Tasks)
+		laneOf, wins := p.laneWindows(tl)
+		taskDemands := p.demandsFor(&cfg, tl, classes)
 		if iter == 1 && seed != nil {
-			warm = p.warmResidenceRows(seed, len(tl.Tasks), p.hw.nc)
-			in.Warm = warm
+			warm = p.warmResidenceRows(seed, n, p.hw.nc)
 			warmStarted = warm != nil
 		}
-		// A5: overlap-weighted MVA step.
-		step, err := p.solver.Step(in)
+		if p.identityCells {
+			p.cells.identity(n)
+		} else {
+			p.cells.find(tl, &p.hw, laneOf, wins, taskDemands)
+			if warm != nil && !p.cells.constant(warm, p.hw.nc) {
+				// A seed that tells members of a cell apart is not a lumped
+				// state: solve this round element-wise.
+				p.cells.identity(n)
+			}
+		}
+		p.weights = p.overlapFactors(tl, cfg.NumJobs-1, &p.cells, p.weights)
+		p.servers = p.hw.servers(p.servers)
+		cellDem, cellWarm := p.cellRows(taskDemands, warm)
+		in := mva.OverlapInput{
+			Tasks:      cellDem,
+			Weights:    p.weights,
+			Servers:    p.servers,
+			Warm:       cellWarm,
+			Accelerate: fast,
+		}
+		if p.roundHook != nil {
+			p.roundHook(tl, cfg.NumJobs-1)
+		}
+		// A5: overlap-weighted MVA step on the cells, copied back to tasks.
+		cellStep, err := p.solver.Step(in)
 		if err != nil {
 			return err
 		}
-		inner += step.Iterations
+		step := p.expand(cellStep, p.hw.nc)
+		inner += cellStep.Iterations
 		// Retain the latest MVA state for warm-start recording (PredictWarm);
-		// the matrices alias solver scratch, valid until the next Step.
+		// the matrices are Predictor scratch, valid until the next round.
 		p.lastStep = step
 		if fast {
 			// Chain the inner fixed point: the next outer iteration's MVA
@@ -598,6 +633,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 			pred.ResponseTime = total
 			pred.Iterations = iter
 			pred.InnerIterations = inner
+			pred.Cells = p.cells.count()
 			pred.WarmStarted = warmStarted
 			if est == EstimatorTripathi {
 				pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
@@ -793,8 +829,8 @@ func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classD
 	// over that share (at least one lane per node). Each node's lane count
 	// comes from its hardware class — bigger nodes host more lanes.
 	hw := &p.hw
-	p.mapSlotsBy = resizeInts(p.mapSlotsBy, hw.nodes)
-	p.redSlotsBy = resizeInts(p.redSlotsBy, hw.nodes)
+	p.mapSlotsBy = resize(p.mapSlotsBy, hw.nodes)
+	p.redSlotsBy = resize(p.redSlotsBy, hw.nodes)
 	for n := 0; n < hw.nodes; n++ {
 		cls := hw.classOf[n]
 		ms := hw.mapsPer[cls] / cfg.NumJobs
@@ -862,8 +898,8 @@ func (p *Predictor) durationScales(cfg Config, classes map[timeline.Class]*class
 	mgCD := classes[timeline.ClassMerge]
 	mapAvg := mapCD.demandTotal()
 	redAvg := ssCD.demCPU + ssCD.demDisk + mgCD.demCPU + mgCD.demDisk // node-local parts
-	p.mapScale = resizeFloats(p.mapScale, hw.nodes)
-	p.redScale = resizeFloats(p.redScale, hw.nodes)
+	p.mapScale = resize(p.mapScale, hw.nodes)
+	p.redScale = resize(p.redScale, hw.nodes)
 	lastCls := -1
 	sm, sr := 1.0, 1.0
 	for n := 0; n < hw.nodes; n++ {
@@ -912,12 +948,15 @@ const (
 const numClasses = 3
 
 // overlapFactors computes the intra-job (α) and inter-job (β) overlap
-// factors per center and writes them fused into the MVA step's weights
-// (mva.OverlapInput.Weights): W[c][i][j] = α^c_ij + (N−1)·β^c_ij off the
-// diagonal and (N−1)·β^c_ii on it, with N−1 = otherJobs. Task i has demand
+// factors per center and writes them fused and lumped into the MVA step's
+// weights (mva.OverlapInput.Weights), reusing out's capacity. The fused
+// weight of tasks i and j is W[c][i][j] = α^c_ij + (N−1)·β^c_ij off the
+// diagonal and (N−1)·β^c_ii on it, with N−1 = otherJobs; cell g's row holds
+// L[c][g][h] = Σ_{j∈h} W[c][i_g][j] for its first member i_g, summed in
+// ascending j, so the identity partition writes W itself. Task i has demand
 // only at its own class's CPU and Disk centers and the Network center, so
-// only those three rows of i are written; the solver never reads the rest,
-// and nothing needs clearing.
+// only those three rows of a cell are written; the solver never reads the
+// rest. laneWindows must have run on tl.
 //
 // α^k_ij is the fraction of task i's execution that overlaps task j's, masked
 // by center visibility: the CPU&Memory center is per-node, so only
@@ -932,18 +971,29 @@ const numClasses = 3
 // other job's tasks spread over nodes in proportion to their share of the
 // container pool, which for a flat spec reduces to the paper's uniform
 // 1/numNodes.
-func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float64 {
+func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, cl *cells, out []float64) []float64 {
 	hw := &p.hw
 	n := len(tl.Tasks)
-	p.weights = resizeFloats(p.weights, hw.nc*n*n)
-	row := func(c, i int) []float64 { return p.weights[(c*n+i)*n : (c*n+i+1)*n] }
+	g := cl.count()
+	out = resize(out, hw.nc*g*g)
+	row := func(c, k int) []float64 { return out[(c*g+k)*g : (c*g+k+1)*g] }
 	n1 := float64(otherJobs)
-	laneOf, wins := p.laneWindows(tl)
+	laneOf, wins, of := p.laneOf, p.laneWins, cl.of
 	netC := hw.netCenter()
-	for i := 0; i < n; i++ {
+	// A representative's element-wise rows are built whole, then summed
+	// per cell. Under the identity partition the sums are the rows
+	// themselves, so they are built in place. The Disk row always equals
+	// the CPU row.
+	p.wNet, p.wCPU = resize(p.wNet, n), resize(p.wCPU, n)
+	for k, rep := range cl.rep {
+		i := int(rep)
 		ti := tl.Tasks[i]
 		ci := hw.classOf[ti.Node]
-		wNet, wCPU, wDisk := row(netC, i), row(hw.cpuCenter(ci), i), row(hw.diskCenter(ci), i)
+		lNet, lCPU, lDisk := row(netC, k), row(hw.cpuCenter(ci), k), row(hw.diskCenter(ci), k)
+		wNet, wCPU := p.wNet, p.wCPU
+		if g == n {
+			wNet, wCPU = lNet, lCPU
+		}
 		di := ti.Duration()
 		li := laneOf[i]
 		// The twin of task j draws its node from j's container pool; node(i)
@@ -957,7 +1007,6 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float
 		}
 		wNet[i] = n1 * 1
 		wCPU[i] = n1 * (1 / selfW)
-		wDisk[i] = wCPU[i]
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
@@ -1001,10 +1050,51 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float
 				}
 			}
 			wCPU[j] = lov + n1*(ov/invW)
-			wDisk[j] = wCPU[j]
+		}
+		if g != n {
+			clear(lNet)
+			clear(lCPU)
+			for j, h := range of {
+				lNet[h] += wNet[j]
+				lCPU[h] += wCPU[j]
+			}
+		}
+		copy(lDisk, lCPU)
+	}
+	return out
+}
+
+// cellRows returns the first members' demand rows and warm seed rows, one
+// per cell. First members ascend, so the seed rows stop where warm does.
+func (p *Predictor) cellRows(dem []mva.TaskDemand, warm [][]float64) ([]mva.TaskDemand, [][]float64) {
+	p.cellDem, p.cellWarm = p.cellDem[:0], p.cellWarm[:0]
+	for _, i := range p.cells.rep {
+		p.cellDem = append(p.cellDem, dem[i])
+		if int(i) < len(warm) {
+			p.cellWarm = append(p.cellWarm, warm[i])
 		}
 	}
-	return p.weights
+	return p.cellDem, p.cellWarm
+}
+
+// expand copies a cell-level MVA result back to the round's tasks: every
+// member gets its cell's residence row and response. The result is
+// Predictor scratch, valid until the next round's expand.
+func (p *Predictor) expand(step mva.OverlapResult, nc int) mva.OverlapResult {
+	n := len(p.cells.of)
+	p.taskRes = resize(p.taskRes, n*nc)
+	p.taskResp = resize(p.taskResp, n)
+	if cap(p.taskRows) < n {
+		p.taskRows = make([][]float64, n)
+	}
+	p.taskRows = p.taskRows[:n]
+	for i, g := range p.cells.of {
+		row := p.taskRes[i*nc : (i+1)*nc : (i+1)*nc]
+		copy(row, step.Residence[g])
+		p.taskRows[i] = row
+		p.taskResp[i] = step.Response[g]
+	}
+	return mva.OverlapResult{Residence: p.taskRows, Response: p.taskResp, Iterations: step.Iterations}
 }
 
 // laneWindow is the busy envelope of one container lane: reduce subtasks
@@ -1036,7 +1126,7 @@ func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []lan
 		p.laneWins = make([]laneWindow, lanes)
 	}
 	p.laneWins = p.laneWins[:lanes]
-	p.laneOf = resizeInts(p.laneOf, len(tl.Tasks))
+	p.laneOf = resize(p.laneOf, len(tl.Tasks))
 	for i, t := range tl.Tasks {
 		l := t.Lane
 		if t.Class != timeline.ClassMap {
@@ -1070,7 +1160,7 @@ func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []lan
 // class so a partial profile keeps class-pricing the phases it does not
 // cover. infl scales the result by the class's fault effective-demand
 // factor (history demands were already scaled in initialize).
-func taskDemandOn(cfg Config, h *hwView, t timeline.Placed, classes map[timeline.Class]*classData, infl fault.Inflation) (cpu, disk, net float64) {
+func taskDemandOn(cfg *Config, h *hwView, t *timeline.Placed, classes map[timeline.Class]*classData, infl fault.Inflation) (cpu, disk, net float64) {
 	if _, ok := cfg.History[t.Class]; ok {
 		cd := classes[t.Class]
 		return cd.demCPU, cd.demDisk, cd.demNetwork
@@ -1095,7 +1185,7 @@ func taskDemandOn(cfg Config, h *hwView, t timeline.Placed, classes map[timeline
 // is zero except at its own class's CPU/Disk centers and the shared Network
 // center. The returned slice is predictor-owned scratch, valid until the
 // next call.
-func (p *Predictor) demandsFor(cfg Config, tl *timeline.Timeline, classes map[timeline.Class]*classData) []mva.TaskDemand {
+func (p *Predictor) demandsFor(cfg *Config, tl *timeline.Timeline, classes map[timeline.Class]*classData) []mva.TaskDemand {
 	hw := &p.hw
 	n := len(tl.Tasks)
 	nc := hw.nc
@@ -1114,7 +1204,8 @@ func (p *Predictor) demandsFor(cfg Config, tl *timeline.Timeline, classes map[ti
 	}
 	out := p.demands[:n]
 	netC := hw.netCenter()
-	for i, t := range tl.Tasks {
+	for i := range tl.Tasks {
+		t := &tl.Tasks[i]
 		cpu, disk, net := taskDemandOn(cfg, hw, t, classes, p.infl)
 		d := out[i].Demands
 		clear(d)
@@ -1152,7 +1243,7 @@ func (p *Predictor) indexResponses(tl *timeline.Timeline, taskResp []float64) {
 		size[t.Class] = max(size[t.Class], t.ID+1)
 	}
 	for cls := range p.respBy {
-		p.respBy[cls] = resizeFloats(p.respBy[cls], size[cls])
+		p.respBy[cls] = resize(p.respBy[cls], size[cls])
 		clear(p.respBy[cls])
 	}
 	for i, t := range tl.Tasks {

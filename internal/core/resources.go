@@ -55,8 +55,9 @@ func EstimateResources(cfg Config) (ResourceEstimate, Prediction, error) {
 	h.init(cfg.Spec)
 	infl := faultFactors(cfg, &h)
 	classes := initialize(cfg, &h, infl)
-	for _, t := range pred.Timeline.Tasks {
-		cpu, disk, net := taskDemandOn(cfg, &h, t, classes, infl)
+	for i := range pred.Timeline.Tasks {
+		t := &pred.Timeline.Tasks[i]
+		cpu, disk, net := taskDemandOn(&cfg, &h, t, classes, infl)
 		est.PerClass[t.Class] = est.PerClass[t.Class].add(cpu, disk, net)
 		est.Total = est.Total.add(cpu, disk, net)
 	}

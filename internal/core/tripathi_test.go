@@ -16,7 +16,9 @@ import (
 // the work: integrations equal the distinct unordered operand pairs of each
 // prediction. One Predictor serves every point in
 // turn, so a memo entry surviving into the next prediction would show as a
-// lower integration count.
+// lower integration count. The pins are of the lumped solve (cells.go):
+// members of a cell get bit-equal leaf responses, so their operand pairs
+// repeat and the memo answers more of them.
 func TestTripathiFigureSubsetBitExact(t *testing.T) {
 	cases := []struct {
 		name            string
@@ -31,8 +33,8 @@ func TestTripathiFigureSubsetBitExact(t *testing.T) {
 		{"fig10@8", 8, 1, 1024, 128, 0x1.d4e5d426c097p+05, 2, 2, 42, 9},
 		{"fig11@6", 6, 4, 1024, 128, 0x1.b90eef6469404p+05, 23, 966, 414, 314},
 		{"fig12@8", 8, 1, 5 * 1024, 128, 0x1.ff4ee1f049279p+06, 2, 26, 106, 12},
-		{"fig13@4", 4, 4, 5 * 1024, 128, 0x1.81b843013be22p+08, 31, 1519, 1395, 699},
-		{"fig15@6", 6, 1, 5 * 1024, 64, 0x1.b2163f08fd96dp+06, 13, 195, 1170, 491},
+		{"fig13@4", 4, 4, 5 * 1024, 128, 0x1.81b843013be36p+08, 31, 1519, 1395, 653},
+		{"fig15@6", 6, 1, 5 * 1024, 64, 0x1.b2163f08fd952p+06, 13, 195, 1170, 491},
 	}
 	p := NewPredictor()
 	for _, tc := range cases {

@@ -160,7 +160,9 @@ func digestRuns(t *testing.T) string {
 // TestRunDigest pins the simulator's output bit for bit over the digest
 // set: an optimization of the event calendar, the processor-sharing
 // resources or the scheduler must leave every simulated time, event count
-// and fault counter exactly as it was.
+// and fault counter exactly as it was. The pin is amd64-only: under
+// GOARCH=386 the simulated times drift in their low bits, so the test
+// holds on amd64 and CI runs no 386 build of this package.
 func TestRunDigest(t *testing.T) {
 	if got := digestRuns(t); got != runDigest {
 		t.Errorf("run digest %s, want %s", got, runDigest)

@@ -42,11 +42,60 @@ import (
 	"hadoop2perf/internal/yarn"
 )
 
-// enginePool recycles discrete-event engines across runs: a reset engine
-// keeps its calendar and arena capacity, so repeated simulations (median of
-// seeds, planner sweeps, concurrent service traffic) skip the warm-up
-// allocations of a cold calendar.
-var enginePool = sync.Pool{New: func() any { return simevent.NewEngine() }}
+// runState is what a run borrows from statePool: the discrete-event engine,
+// the per-node CPU and disk and the fabric processor-sharing resources, and
+// the free list of fetch records. A reset engine keeps its calendar and
+// arena capacity and a reset resource its task slice, so repeated
+// simulations (median of seeds, planner sweeps, concurrent service traffic)
+// skip the warm-up allocations of a cold run.
+type runState struct {
+	eng       *simevent.Engine
+	cpu, disk []*simevent.PSResource
+	net       *simevent.PSResource
+	fetches   *fetchRun // free list
+}
+
+var statePool = sync.Pool{New: func() any { return &runState{eng: simevent.NewEngine()} }}
+
+// resources readies the run's resources: one CPU and one disk per node with
+// the node's class counts, and a fabric of the given capacity. Resources of
+// an earlier run are reset, new ones built only past their count.
+func (st *runState) resources(classes []cluster.NodeClass, fabric float64) {
+	i := 0
+	for _, class := range classes {
+		for n := 0; n < class.Count; n++ {
+			if i == len(st.cpu) {
+				st.cpu = append(st.cpu, simevent.NewPSResource(st.eng, fmt.Sprintf("cpu%d", i), float64(class.CPUs)))
+				st.disk = append(st.disk, simevent.NewPSResource(st.eng, fmt.Sprintf("disk%d", i), float64(class.Disks)))
+			} else {
+				st.cpu[i].Reset(float64(class.CPUs))
+				st.disk[i].Reset(float64(class.Disks))
+			}
+			i++
+		}
+	}
+	if st.net == nil {
+		st.net = simevent.NewPSResource(st.eng, "net", fabric)
+	} else {
+		st.net.Reset(fabric)
+	}
+}
+
+// release drops the run's pending work and returns the state to the pool.
+// It clears before Put (not after Get): a failed run leaves calendar and
+// resource closures pinning the whole sim graph, which must not survive in
+// the pool.
+func (st *runState) release() {
+	for i := range st.cpu {
+		st.cpu[i].Clear()
+		st.disk[i].Clear()
+	}
+	if st.net != nil {
+		st.net.Clear()
+	}
+	st.eng.Reset()
+	statePool.Put(st)
+}
 
 // maxEvents bounds a single simulation run (overridable via Config.MaxEvents).
 const maxEvents = 20_000_000
@@ -211,15 +260,9 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, errors.New("mrsim: MaxEvents must be nonnegative")
 	}
 
-	eng := enginePool.Get().(*simevent.Engine)
-	// Reset before Put (not after Get): a failed run leaves calendar
-	// closures pinning the whole sim graph, which must not survive in the
-	// pool.
-	defer func() {
-		eng.Reset()
-		enginePool.Put(eng)
-	}()
-	s, err := newSim(cfg, eng)
+	st := statePool.Get().(*runState)
+	defer st.release()
+	s, err := newSim(cfg, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -268,6 +311,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 // sim is the mutable simulation state.
 type sim struct {
 	cfg      Config
+	st       *runState // pooled engine, resources and fetch records
 	eng      *simevent.Engine
 	rm       *yarn.RM
 	numNodes int
@@ -302,29 +346,27 @@ type sim struct {
 	maxFail int
 }
 
-func newSim(cfg Config, eng *simevent.Engine) (*sim, error) {
-	rm, err := yarn.NewRM(eng, cfg.Spec)
+func newSim(cfg Config, st *runState) (*sim, error) {
+	rm, err := yarn.NewRM(st.eng, cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
 	rm.Policy = cfg.Scheduler
 	s := &sim{
 		cfg:      cfg,
-		eng:      eng,
+		st:       st,
+		eng:      st.eng,
 		rm:       rm,
 		numNodes: cfg.Spec.TotalNodes(),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	i := 0
-	for _, class := range cfg.Spec.ClassView() {
+	classes := cfg.Spec.ClassView()
+	for _, class := range classes {
 		sp := class.SpeedFactor()
 		for n := 0; n < class.Count; n++ {
-			s.cpu = append(s.cpu, simevent.NewPSResource(eng, fmt.Sprintf("cpu%d", i), float64(class.CPUs)))
-			s.disk = append(s.disk, simevent.NewPSResource(eng, fmt.Sprintf("disk%d", i), float64(class.Disks)))
 			s.diskMBps = append(s.diskMBps, class.DiskMBps)
 			s.netMBps = append(s.netMBps, class.NetworkMBps)
 			s.speed = append(s.speed, sp)
-			i++
 		}
 	}
 	// Cluster fabric bisection: capacity grows with node count, at least one
@@ -333,7 +375,8 @@ func newSim(cfg Config, eng *simevent.Engine) (*sim, error) {
 	if fabric < 1 {
 		fabric = 1
 	}
-	s.net = simevent.NewPSResource(eng, "net", fabric)
+	st.resources(classes, fabric)
+	s.cpu, s.disk, s.net = st.cpu[:s.numNodes], st.disk[:s.numNodes], st.net
 
 	if fault.Active(cfg.Faults, cfg.Spec) {
 		s.stats = &FaultStats{}
@@ -1101,32 +1144,75 @@ func (r *reducerRun) fetch(split, node int) {
 	job := r.job.job
 	partMB := job.SplitMB(split) * job.Profile.MapOutputRatio / float64(job.NumReduces)
 	f := s.jitter(job.Profile.TaskJitterCV)
-	netWork := partMB / s.netMBps[r.node] * f
-	diskWork := partMB / s.diskMBps[r.node] * f * r.sf
-	cpuWork := partMB * (job.Profile.ShuffleCPUPerMB + job.Profile.SortCPUPerMB) / s.speed[r.node] * f * r.sf
-
-	afterNet := func() {
-		if r.dead {
-			return
-		}
-		s.disk[r.node].Submit(diskWork, func() {
-			if r.dead {
-				return
-			}
-			s.cpu[r.node].Submit(cpuWork, func() {
-				if r.dead {
-					return
-				}
-				r.inFlight--
-				r.maybeFinishShuffle()
-			})
-		})
-	}
+	fr := s.st.newFetch()
+	fr.r = r
+	fr.diskWork = partMB / s.diskMBps[r.node] * f * r.sf
+	fr.cpuWork = partMB * (job.Profile.ShuffleCPUPerMB + job.Profile.SortCPUPerMB) / s.speed[r.node] * f * r.sf
 	if node == r.node {
-		afterNet() // map output is local; no network hop
+		fr.afterNet() // map output is local; no network hop
 		return
 	}
-	s.net.Submit(netWork, afterNet)
+	s.net.Submit(partMB/s.netMBps[r.node]*f, fr.onNet)
+}
+
+// fetchRun is one map-output fetch in flight: after the network hop its
+// partition spills to the reducer node's disk, then sorts on its CPU. The
+// continuations are method values bound once when the record is built, and
+// records return to the run state's free list after their last step, so a
+// fetch allocates nothing once the list is warm.
+type fetchRun struct {
+	r                    *reducerRun
+	diskWork, cpuWork    float64
+	onNet, onDisk, onCPU func()
+	next                 *fetchRun // free list
+}
+
+// newFetch takes a record from the free list, or builds one.
+func (st *runState) newFetch() *fetchRun {
+	fr := st.fetches
+	if fr == nil {
+		fr = &fetchRun{}
+		fr.onNet, fr.onDisk, fr.onCPU = fr.afterNet, fr.afterDisk, fr.afterCPU
+		return fr
+	}
+	st.fetches, fr.next = fr.next, nil
+	return fr
+}
+
+// free returns the record to the free list; its reducer is dropped so the
+// list pins no run.
+func (fr *fetchRun) free() {
+	st := fr.r.job.sim.st
+	fr.r = nil
+	fr.next, st.fetches = st.fetches, fr
+}
+
+func (fr *fetchRun) afterNet() {
+	r := fr.r
+	if r.dead {
+		fr.free()
+		return
+	}
+	r.job.sim.disk[r.node].Submit(fr.diskWork, fr.onDisk)
+}
+
+func (fr *fetchRun) afterDisk() {
+	r := fr.r
+	if r.dead {
+		fr.free()
+		return
+	}
+	r.job.sim.cpu[r.node].Submit(fr.cpuWork, fr.onCPU)
+}
+
+func (fr *fetchRun) afterCPU() {
+	r := fr.r
+	fr.free()
+	if r.dead {
+		return
+	}
+	r.inFlight--
+	r.maybeFinishShuffle()
 }
 
 // maybeFinishShuffle closes the shuffle-sort subtask once all map partitions

@@ -29,10 +29,14 @@ type Aitken struct {
 	phase  int
 }
 
-// Init sizes the accelerator for n-component iterates and resets its phase.
+// Init sizes the accelerator for n-component iterates, reusing its
+// capacity, and resets its phase. The first two Observe calls overwrite
+// what the buffers held.
 func (a *Aitken) Init(n int) {
-	a.x0 = make([]float64, n)
-	a.x1 = make([]float64, n)
+	if cap(a.x0) < n {
+		a.x0, a.x1 = make([]float64, n), make([]float64, n)
+	}
+	a.x0, a.x1 = a.x0[:n], a.x1[:n]
 	a.phase = 0
 }
 

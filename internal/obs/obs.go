@@ -81,6 +81,10 @@ const (
 	// request's model runs; CounterInnerIterations the inner MVA sweeps.
 	CounterOuterIterations
 	CounterInnerIterations // see CounterOuterIterations
+	// CounterCells accumulates the MVA rows of each model run's final
+	// round: one per cell of interchangeable tasks (the task count when a
+	// run solved element-wise).
+	CounterCells
 	// CounterPlanCandidates is the number of candidates a plan evaluated.
 	CounterPlanCandidates
 	// NumCounters is the fixed-counter count (array sizing).
@@ -90,7 +94,7 @@ const (
 // counterNames are the stable wire/log names of the fixed counters.
 var counterNames = [NumCounters]string{
 	"cacheHits", "cacheMisses", "predicts", "warmStarted",
-	"outerIterations", "innerIterations", "planCandidates",
+	"outerIterations", "innerIterations", "cells", "planCandidates",
 }
 
 // String returns the counter's stable name (timings key, log attribute).

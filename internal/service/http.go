@@ -392,7 +392,7 @@ func traceMiddleware(s *Service, cfg ServerConfig, next http.Handler) http.Handl
 		// model iteration counts) ride the same line, in a fixed order.
 		for _, k := range []string{
 			"cacheHits", "cacheMisses", "predicts", "warmStarted",
-			"outerIterations", "innerIterations", "planCandidates",
+			"outerIterations", "innerIterations", "cells", "planCandidates",
 		} {
 			if v, ok := snap.Counts[k]; ok {
 				attrs = append(attrs, k, v)

@@ -527,12 +527,13 @@ func TestPredictEvalChainCounters(t *testing.T) {
 	if m.CacheMisses != int64(len(got)) || m.CacheHits != 0 {
 		t.Errorf("walk: misses=%d hits=%d, want %d/0", m.CacheMisses, m.CacheHits, len(got))
 	}
-	var wantInner, wantOuter, wantWarm int64
+	var wantInner, wantOuter, wantWarm, wantCells int64
 	for i, pr := range got {
 		if pr.Cached {
 			t.Errorf("req %d: fresh walk reported cached", i)
 		}
 		wantInner += int64(pr.Prediction.InnerIterations)
+		wantCells += int64(pr.Prediction.Cells)
 		wantOuter += int64(pr.Prediction.Iterations)
 		if pr.Prediction.WarmStarted {
 			wantWarm++
@@ -551,6 +552,9 @@ func TestPredictEvalChainCounters(t *testing.T) {
 			tr.Counter(obs.CounterInnerIterations), tr.Counter(obs.CounterOuterIterations),
 			tr.Counter(obs.CounterPredicts), tr.Counter(obs.CounterWarmStarted),
 			wantInner, wantOuter, len(got), wantWarm)
+	}
+	if c := tr.Counter(obs.CounterCells); wantCells == 0 || c != wantCells {
+		t.Errorf("trace cells counter %d, want %d (sum of per-prediction cells)", c, wantCells)
 	}
 
 	// Replay: every entry must come from the cache with counters frozen.

@@ -701,6 +701,7 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chain *co
 		tr.AddCounter(obs.CounterPredicts, 1)
 		tr.AddCounter(obs.CounterOuterIterations, int64(pred.Iterations))
 		tr.AddCounter(obs.CounterInnerIterations, int64(pred.InnerIterations))
+		tr.AddCounter(obs.CounterCells, int64(pred.Cells))
 		if pred.WarmStarted {
 			tr.AddCounter(obs.CounterWarmStarted, 1)
 		}

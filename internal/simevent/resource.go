@@ -44,6 +44,24 @@ func NewPSResource(eng *Engine, name string, capacity float64) *PSResource {
 	return r
 }
 
+// Reset readies the resource for a new run on its engine, after
+// Engine.Reset: no active task, no pending completion, the clock and the
+// utilization integral at 0, and the given capacity (> 0). The task slice
+// keeps its capacity, so a pooled resource re-grows nothing.
+func (r *PSResource) Reset(capacity float64) {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("simevent: PS resource %q needs positive capacity", r.name))
+	}
+	clear(r.active)
+	r.active = r.active[:0]
+	clear(r.fired)
+	r.fired = r.fired[:0]
+	r.capacity = capacity
+	r.lastUpd = 0
+	r.pending = Timer{}
+	r.busyIntegral = 0
+}
+
 // Submit enqueues work seconds of demand; done fires when the work
 // completes under sharing. Zero or negative work completes immediately at the
 // current time (via an immediate event, preserving event ordering).

@@ -59,3 +59,48 @@ func TestPSCycleAllocatesNothing(t *testing.T) {
 		t.Errorf("Submit/complete cycle allocates %v times, want 0", allocs)
 	}
 }
+
+// A reset resource on a reset engine runs a new workload exactly as a fresh
+// one does, even when the previous run was cut off with work in flight.
+func TestPSResetMatchesFresh(t *testing.T) {
+	workload := func(eng *Engine, r *PSResource, seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		done := make([]float64, 30)
+		for i := range done {
+			i := i
+			work := 0.01 + 20*rng.Float64()
+			eng.At(50*rng.Float64(), func() { r.Submit(work, func() { done[i] = eng.Now() }) })
+		}
+		return done
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		fresh := NewEngine()
+		fr := NewPSResource(fresh, "x", 3)
+		want := workload(fresh, fr, seed)
+		if _, err := fresh.Run(100_000); err != nil {
+			t.Fatal(err)
+		}
+
+		eng := NewEngine()
+		r := NewPSResource(eng, "x", 1)
+		workload(eng, r, seed+100)
+		if _, err := eng.Run(25); err == nil {
+			t.Fatal("the first run was meant to stop with work in flight")
+		}
+		r.Clear()
+		eng.Reset()
+		r.Reset(3)
+		got := workload(eng, r, seed)
+		if _, err := eng.Run(100_000); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("seed %d: task %d done at %v after reset, %v fresh", seed, i, got[i], want[i])
+			}
+		}
+		if r.BusyTime() != fr.BusyTime() {
+			t.Errorf("seed %d: busy time %v after reset, %v fresh", seed, r.BusyTime(), fr.BusyTime())
+		}
+	}
+}
