@@ -157,8 +157,8 @@ func BenchmarkSimulatorLarge(b *testing.B) {
 // calls — the shape the planner produces. The light sweep (1 reducer, 1
 // job) pins the allocation-lean fast path; the contended sweep (4 reducers,
 // 4 concurrent jobs — dozens of outer rounds per point cold) pins the
-// warm-start win: outerIters/op and innerIters/op make the convergence
-// work visible, cold vs warm.
+// chained solve's win: outerIters/op and innerIters/op make the
+// convergence work visible, cold Predict vs the chained PredictBatch.
 func BenchmarkPredictBatch(b *testing.B) {
 	job, err := workload.NewJob(0, 2*1024, 128, 1, workload.WordCount())
 	if err != nil {
@@ -195,16 +195,11 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for n := 2; n <= 17; n++ {
 		contended = append(contended, ModelConfig{Spec: DefaultCluster(n), Job: heavy, NumJobs: 4})
 	}
-	runContended := func(b *testing.B, mutate func(*ModelConfig)) {
+	runContended := func(b *testing.B, solve func([]ModelConfig) ([]Prediction, error)) {
 		b.ReportAllocs()
 		var outer, inner int64
 		for i := 0; i < b.N; i++ {
-			cfgs := make([]ModelConfig, len(contended))
-			copy(cfgs, contended)
-			for j := range cfgs {
-				mutate(&cfgs[j])
-			}
-			preds, err := PredictBatch(cfgs)
+			preds, err := solve(contended)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -217,10 +212,20 @@ func BenchmarkPredictBatch(b *testing.B) {
 		b.ReportMetric(float64(inner)/float64(b.N), "innerIters/op")
 	}
 	b.Run("contended-cold", func(b *testing.B) {
-		runContended(b, func(c *ModelConfig) { c.ColdStart = true })
+		runContended(b, func(cfgs []ModelConfig) ([]Prediction, error) {
+			preds := make([]Prediction, len(cfgs))
+			for j, cfg := range cfgs {
+				p, err := Predict(cfg)
+				if err != nil {
+					return nil, err
+				}
+				preds[j] = p
+			}
+			return preds, nil
+		})
 	})
 	b.Run("contended-warm", func(b *testing.B) {
-		runContended(b, func(c *ModelConfig) {})
+		runContended(b, PredictBatch)
 	})
 }
 
@@ -228,7 +233,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 // mixing cache hits and misses — the contention profile of production
 // traffic. Before the N-way sharded cache, every request (hit or miss)
 // serialized on one LRU mutex; this benchmark (run under -race in CI) pins
-// the sharded layout and hunts data races in warm-start reuse.
+// the sharded layout and hunts data races in pooled Predictor reuse.
 func BenchmarkServiceParallel(b *testing.B) {
 	svc := NewService(ServiceOptions{CacheSize: 4096})
 	h := NewServiceHandler(svc, 30*time.Second)
@@ -270,11 +275,11 @@ func BenchmarkServiceParallel(b *testing.B) {
 // representative deadline query — "how many nodes does this 1 GB job need
 // to finish in time?" over a 64-point node axis — answered by the
 // exhaustive grid vs. the monotone search (bisection + dominance pruning,
-// its sequential probes threading a warm-start chain). Each iteration uses
+// its sequential probes solving chained). Each iteration uses
 // a cold cache, so ns/op measures real model work; the predicts/op metric
 // counts actual model executions. The -4jobs pair asks the same question
 // for 4 concurrent jobs — the contended regime where each model run spends
-// dozens of outer rounds and the warm chain's savings dominate.
+// dozens of outer rounds and the chained solve's savings dominate.
 func BenchmarkPlanDeadline(b *testing.B) {
 	nodes := make([]int, 64)
 	for i := range nodes {
@@ -343,9 +348,10 @@ func BenchmarkPlanDeadline(b *testing.B) {
 }
 
 // BenchmarkServicePlanParallel drives concurrent deadline plans against
-// one service: every query runs bisection walks on pooled warm chains, so
-// this is the -race CI step's coverage of the planner's warm-chain
-// evaluation under BenchmarkServiceParallel-style concurrent traffic.
+// one service: every query runs bisection walks whose chained solves borrow
+// pooled Predictors, so this is the -race CI step's coverage of the
+// planner's chained evaluation under BenchmarkServiceParallel-style
+// concurrent traffic.
 func BenchmarkServicePlanParallel(b *testing.B) {
 	job, err := workload.NewJob(0, 1024, 128, 1, workload.WordCount())
 	if err != nil {
@@ -361,7 +367,7 @@ func BenchmarkServicePlanParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			// Rotate deadlines and populations so plans mix cache hits
-			// with fresh warm-chain walks.
+			// with fresh chained walks.
 			g := seq.Add(1)
 			req := PlanRequest{
 				Spec: DefaultCluster(4), Job: job, NumJobs: 1 + int(g)%3,

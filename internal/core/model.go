@@ -137,10 +137,6 @@ type Config struct {
 	Epsilon float64
 	// MaxIterations bounds the outer loop (default 200).
 	MaxIterations int
-	// ColdStart forces the cold A1 initialization even on the warm-start
-	// paths (PredictWarm, PredictBatch): with it set, every evaluation is
-	// bit-identical to a plain Predict call.
-	ColdStart bool
 	// TripathiCVFloor floors leaf CVs for the Tripathi estimator, which
 	// assumes exponential-family task times (default 0.15).
 	TripathiCVFloor float64
@@ -215,10 +211,6 @@ type Prediction struct {
 	// is answered from a memo. Both are zero for the other estimators.
 	MaxEvaluations  int
 	MaxIntegrations int
-	// WarmStarted reports whether this prediction was seeded from a
-	// previously converged neighbor (PredictWarm) instead of the cold A1
-	// initialization.
-	WarmStarted bool
 	// ClassResponse is the final per-class mean task response time.
 	ClassResponse map[timeline.Class]float64
 	// Timeline and Tree are the final iteration's artifacts (inspection,
@@ -305,14 +297,6 @@ type Predictor struct {
 	// the MVA step; both are test seams.
 	identityCells bool
 	roundHook     func(tl *timeline.Timeline, otherJobs int)
-
-	// Warm-start state (warm.go): a small pool of converged solutions
-	// PredictWarm seeds from, scratch for viewing a pooled flat residence
-	// matrix as solver rows, and the final MVA step of the last prediction
-	// (per task, Predictor scratch; consumed by PredictWarm's recorder).
-	warm     warmPool
-	seedRows [][]float64
-	lastStep mva.OverlapResult
 
 	// infl is the fault effective-demand correction of the current
 	// prediction (the identity without a fault scenario).
@@ -425,12 +409,10 @@ func Predict(cfg Config) (Prediction, error) {
 }
 
 // PredictBatch evaluates a batch of configurations in order through one
-// shared evaluator: each entry is warm-started from its nearest
-// already-solved neighbor and, once converged, seeds the entries after it
-// (see Predictor.PredictBatch). Results match per-config Predict calls
-// within the warm-start tolerance (1e-6 relative, property-tested); set
-// Config.ColdStart for bit-identical cold runs. The first failing config
-// aborts the batch with its index wrapped in the error.
+// shared evaluator, each through the chained solve (see
+// Predictor.PredictBatch). Results match per-config Predict calls within
+// the chained-solve tolerance (1e-6 relative, property-tested). The first
+// failing config aborts the batch with its index wrapped in the error.
 func PredictBatch(cfgs []Config) ([]Prediction, error) {
 	return NewPredictor().PredictBatch(cfgs)
 }
@@ -438,16 +420,16 @@ func PredictBatch(cfgs []Config) ([]Prediction, error) {
 // Predict runs the model to convergence from the cold A1 initialization —
 // the paper's algorithm verbatim, bit-stable across releases (pinned by the
 // homogeneous-equivalence goldens). See PredictWarm for the accelerated
-// warm-start path.
+// chained solve.
 func (p *Predictor) Predict(cfg Config) (Prediction, error) {
-	return p.predictOne(nil, cfg, nil, false)
+	return p.predictOne(nil, cfg, false)
 }
 
 // PredictContext is Predict honoring ctx: the outer fixed-point loop checks
 // for cancellation between iterations, so a canceled request stops paying
 // for convergence it no longer wants.
 func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
-	return p.predictOne(ctx, cfg, nil, false)
+	return p.predictOne(ctx, cfg, false)
 }
 
 // PredictEach runs one cold prediction of cfg per estimator in ests
@@ -472,16 +454,16 @@ func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Predicti
 // repeated estimator are errors.
 func (p *Predictor) PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
 	out := make([]Prediction, len(ests))
-	if err := p.predict(ctx, cfg, nil, false, ests, out); err != nil {
+	if err := p.predict(ctx, cfg, false, ests, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // predictOne is predict for the one estimator cfg.Estimator.
-func (p *Predictor) predictOne(ctx context.Context, cfg Config, seed *warmEntry, fast bool) (Prediction, error) {
+func (p *Predictor) predictOne(ctx context.Context, cfg Config, fast bool) (Prediction, error) {
 	var out [1]Prediction
-	if err := p.predict(ctx, cfg, seed, fast, []Estimator{cfg.Estimator}, out[:]); err != nil {
+	if err := p.predict(ctx, cfg, fast, []Estimator{cfg.Estimator}, out[:]); err != nil {
 		return Prediction{}, err
 	}
 	return out[0], nil
@@ -489,21 +471,18 @@ func (p *Predictor) predictOne(ctx context.Context, cfg Config, seed *warmEntry,
 
 // predict runs the model to convergence once for every estimator in ests,
 // writing out[i] for ests[i] (see PredictEach: the estimators share one
-// trajectory). A non-nil seed warm-starts the first MVA step from a
-// previously converged neighbor's residence matrix; fast additionally
-// chains the inner MVA state across outer iterations and enables inner
-// Aitken acceleration. The *outer* class-response trajectory is
-// deliberately never seeded from a neighbor: the timeline's discrete
-// placement gives the outer fixed point multiple self-consistent basins,
-// and seeding across a parity boundary was observed to land in the
-// neighbor's basin (tens of percent off the cold answer). Inner seeding is
-// basin-safe — the overlap fixed point is a smooth contraction solved to
-// 1e-10, so the outer trajectory tracks the cold one bit-for-bit up to
-// inner-tolerance noise. With seed == nil and fast == false the iteration
-// is exactly the historical cold path. A non-nil ctx is checked between
-// outer iterations — cancellation costs at most one more round; nil skips
-// the check so un-contexted callers pay nothing.
-func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fast bool, ests []Estimator, out []Prediction) error {
+// trajectory). fast chains the inner MVA state across outer iterations
+// and enables inner Aitken acceleration (PredictWarm): each round's MVA
+// step starts from the previous round's residence. The first round always
+// starts cold, and the outer class-response trajectory is never seeded —
+// the timeline's discrete placement gives the outer fixed point multiple
+// self-consistent basins. Inner chaining is basin-safe: the overlap fixed
+// point is a smooth contraction solved to 1e-10, so the outer trajectory
+// tracks the cold one up to inner-tolerance noise. With fast == false the
+// iteration is exactly the historical cold path. A non-nil ctx is checked
+// between outer iterations — cancellation costs at most one more round; nil
+// skips the check so un-contexted callers pay nothing.
+func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []Estimator, out []Prediction) error {
 	if len(ests) == 0 {
 		return errors.New("core: no estimator to predict with")
 	}
@@ -522,11 +501,9 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 	var (
 		tl   *timeline.Timeline
 		tree *ptree.Node
-		warm [][]float64 // inner warm seed for the next MVA step
-		// inner totals the MVA sweeps so far; warmStarted records whether
-		// the first step was seeded.
-		inner       int
-		warmStarted bool
+		warm [][]float64 // inner seed for the next MVA step (fast only)
+		// inner totals the MVA sweeps so far.
+		inner int
 	)
 	// Until an estimator stops, its entry's ResponseTime is the previous
 	// round's total (the ε-test's reference), +Inf before the first round.
@@ -556,17 +533,14 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 		n := len(tl.Tasks)
 		laneOf, wins := p.laneWindows(tl)
 		taskDemands := p.demandsFor(&cfg, tl, classes)
-		if iter == 1 && seed != nil {
-			warm = p.warmResidenceRows(seed, n, p.hw.nc)
-			warmStarted = warm != nil
-		}
 		if p.identityCells {
 			p.cells.identity(n)
 		} else {
 			p.cells.find(tl, &p.hw, laneOf, wins, taskDemands)
 			if warm != nil && !p.cells.constant(warm, p.hw.nc) {
-				// A seed that tells members of a cell apart is not a lumped
-				// state: solve this round element-wise.
+				// A chained seed that tells members of a cell apart (the
+				// cells changed since the round it came from) is not a
+				// lumped state: solve this round element-wise.
 				p.cells.identity(n)
 			}
 		}
@@ -590,9 +564,6 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 		}
 		step := p.expand(cellStep, p.hw.nc)
 		inner += cellStep.Iterations
-		// Retain the latest MVA state for warm-start recording (PredictWarm);
-		// the matrices are Predictor scratch, valid until the next round.
-		p.lastStep = step
 		if fast {
 			// Chain the inner fixed point: the next outer iteration's MVA
 			// step starts from this one's converged residence (the demands
@@ -634,7 +605,6 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 			pred.Iterations = iter
 			pred.InnerIterations = inner
 			pred.Cells = p.cells.count()
-			pred.WarmStarted = warmStarted
 			if est == EstimatorTripathi {
 				pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
 			}

@@ -105,10 +105,10 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// PredictBatch warm-starts each entry from its already-solved neighbors, so
-// results match per-config cold Predict calls within the warm-start
-// tolerance (1e-6 relative, the contract of warm_test.go) rather than
-// bit-exactly; Config.ColdStart restores exact equality.
+// PredictBatch solves each entry chained, so results match per-config cold
+// Predict calls within the chained-solve tolerance (1e-6 relative, the
+// contract of warm_test.go) rather than bit-exactly, and per-config
+// PredictWarm calls bit for bit.
 func TestPredictBatchMatchesIndividual(t *testing.T) {
 	job, err := workload.NewJob(0, 2*1024, 128, 4, workload.WordCount())
 	if err != nil {
@@ -136,27 +136,13 @@ func TestPredictBatchMatchesIndividual(t *testing.T) {
 		}
 	}
 
-	// The escape hatch: cold-started batches are bit-identical to Predict.
-	cold := make([]Config, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg.ColdStart = true
-		cold[i] = cfg
-	}
-	coldBatch, err := PredictBatch(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		one, err := Predict(cfg)
+		one, err := NewPredictor().PredictWarm(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if coldBatch[i].ResponseTime != one.ResponseTime {
-			t.Errorf("cold config %d (n=%d): batch %v != individual %v",
-				i, cfg.Spec.NumNodes, coldBatch[i].ResponseTime, one.ResponseTime)
-		}
-		if coldBatch[i].WarmStarted {
-			t.Errorf("cold config %d reported WarmStarted", i)
+		if d := samePrediction(batch[i], one); d != "" {
+			t.Errorf("config %d (n=%d): batch vs individual PredictWarm: %s", i, cfg.Spec.NumNodes, d)
 		}
 	}
 }
@@ -220,11 +206,10 @@ func TestPredictMonotoneInNodes(t *testing.T) {
 
 // TestSweepBudget is the deterministic sweep-count gate of the batch
 // path, on the contended 16-point sweep the benchmarks use (4 competing
-// jobs, 4 reducers, nodes 2..17): PredictBatch's warm chaining must spend
-// at most half the inner sweeps of per-config cold evaluation (the
-// warm-start win the batch path exists for; measured ratio ≈ 3.7x, gated
-// at 2x). The model is deterministic, so this is an exact gate, not a
-// statistical one.
+// jobs, 4 reducers, nodes 2..17): PredictBatch's chained solves must
+// spend at most half the inner sweeps of per-config cold evaluation (the
+// win the batch path exists for; gated at 2x). The model is deterministic,
+// so this is an exact gate, not a statistical one.
 func TestSweepBudget(t *testing.T) {
 	job, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 	"hadoop2perf/internal/workload"
 )
 
-// warmTol is the warm-start correctness contract: a warm-started prediction
-// matches its cold-started twin within this relative tolerance.
+// warmTol is the chained-solve correctness contract: a PredictWarm
+// prediction matches its cold twin within this relative tolerance.
 const warmTol = 1e-6
 
 // randomJob draws a random job over the built-in profiles.
@@ -52,10 +52,10 @@ func randomTwoClassSpec(rng *rand.Rand, fast, slow int) cluster.Spec {
 	return spec
 }
 
-// TestPredictWarmMatchesColdProperty is the tentpole's correctness
+// TestPredictWarmMatchesColdProperty is the chained solve's correctness
 // contract: on randomized specs — flat and heterogeneous (K=2) — a
-// prediction warm-started from a solved neighbor matches the cold-started
-// one within 1e-6 relative, for the response time and every class response.
+// PredictWarm prediction, made on a Predictor that just solved a
+// neighbor, matches the cold one within 1e-6 relative.
 func TestPredictWarmMatchesColdProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	trials := 40
@@ -94,9 +94,6 @@ func TestPredictWarmMatchesColdProperty(t *testing.T) {
 		warm, err := p.PredictWarm(target)
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
-		}
-		if !warm.WarmStarted {
-			t.Errorf("trial %d: second prediction was not warm-started", trial)
 		}
 		// The contract covers the *result* (the job response time). The
 		// per-class responses are internal outer-loop state that the ε-test
@@ -190,8 +187,8 @@ func TestIterationAccounting(t *testing.T) {
 		t.Error("starved run reported no inner sweeps")
 	}
 
-	// Warm accounting: a warm repeat of the same config reports WarmStarted
-	// and materially fewer inner MVA sweeps than the cold run.
+	// Chained accounting: a chained repeat of the same config spends
+	// materially fewer inner MVA sweeps than the cold run.
 	p := NewPredictor()
 	if _, err := p.PredictWarm(cfg); err != nil {
 		t.Fatal(err)
@@ -200,45 +197,112 @@ func TestIterationAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rerun.WarmStarted || rerun.InnerIterations >= ok.InnerIterations {
-		t.Errorf("warm rerun: WarmStarted=%v InnerIterations=%d (cold %d)",
-			rerun.WarmStarted, rerun.InnerIterations, ok.InnerIterations)
+	if rerun.InnerIterations >= ok.InnerIterations {
+		t.Errorf("chained rerun: InnerIterations=%d (cold %d)",
+			rerun.InnerIterations, ok.InnerIterations)
 	}
 }
 
-// The warm pool is keyed on the full job/hardware/history signature:
-// predictions of a *different* job must never seed from it.
-func TestPredictWarmSignatureIsolation(t *testing.T) {
-	jobA, err := workload.NewJob(0, 1024, 128, 2, workload.WordCount())
+// warmAxisConfigs is a node axis of 4..9 nodes for each shape of the
+// digest set — a flat cluster, a 2-class cluster and four concurrent jobs —
+// plus one 4-node axis that changes the job and the history instead.
+func warmAxisConfigs(t *testing.T) [][]Config {
+	t.Helper()
+	job, err := workload.NewJob(0, 2048, 128, 4, workload.WordCount())
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobB, err := workload.NewJob(0, 1024, 128, 2, workload.TeraSort())
+	var flat, twoClass, fourJobs []Config
+	for n := 4; n <= 9; n++ {
+		flat = append(flat, Config{Spec: cluster.Default(n), Job: job})
+		twoClass = append(twoClass, Config{Spec: twoClassSpec(2, n-2), Job: job})
+		fourJobs = append(fourJobs, Config{Spec: cluster.Default(n), Job: job, NumJobs: 4})
+	}
+	wc, err := workload.NewJob(0, 1024, 128, 2, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := workload.NewJob(0, 1024, 128, 2, workload.TeraSort())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := map[timeline.Class]ClassStats{
+		timeline.ClassMap: {MeanCPU: 10, MeanDisk: 2, MeanResponse: 13},
+	}
+	jobs := []Config{
+		{Spec: cluster.Default(4), Job: wc},
+		{Spec: cluster.Default(4), Job: ts},
+		{Spec: cluster.Default(4), Job: wc, History: hist},
+	}
+	return [][]Config{flat, twoClass, fourJobs, jobs}
+}
+
+// TestPredictWarmReproducible pins that PredictWarm is a function of its
+// Config: on one Predictor, an axis walked upward, then downward, and then
+// on a fresh Predictor gives the same bits every time — response,
+// counters, cells and class responses. No earlier solve, of another node
+// count, job or history, leaks into the answer.
+func TestPredictWarmReproducible(t *testing.T) {
+	for _, axis := range warmAxisConfigs(t) {
+		p := NewPredictor()
+		up := make([]Prediction, len(axis))
+		for i, cfg := range axis {
+			pred, err := p.PredictWarm(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			up[i] = pred
+		}
+		check := func(walk string, i int, got Prediction) {
+			t.Helper()
+			if d := samePrediction(got, up[i]); d != "" {
+				t.Errorf("%s, %s job, %d nodes, NumJobs %d, history %v: %s", walk, axis[i].Job.Profile.Name,
+					axis[i].Spec.TotalNodes(), axis[i].NumJobs, axis[i].History != nil, d)
+			}
+		}
+		for i := len(axis) - 1; i >= 0; i-- {
+			pred, err := p.PredictWarm(axis[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("downward", i, pred)
+		}
+		for i, cfg := range axis {
+			pred, err := NewPredictor().PredictWarm(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("fresh Predictor", i, pred)
+		}
+	}
+}
+
+// TestWarmChainStaysLumped walks the 20 GB, 4-16-node sweep with the
+// chained solve: a chained round starts from the previous round's lumped
+// residence, so every config's final round solves as many rows as the cold
+// solve's does, never falling back to one row per task.
+func TestWarmChainStaysLumped(t *testing.T) {
+	job, err := workload.NewJob(0, 20*1024, 128, 1, workload.WordCount())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPredictor()
-	if _, err := p.PredictWarm(Config{Spec: cluster.Default(4), Job: jobA}); err != nil {
-		t.Fatal(err)
-	}
-	pred, err := p.PredictWarm(Config{Spec: cluster.Default(4), Job: jobB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.WarmStarted {
-		t.Error("terasort prediction warm-started from a wordcount solution")
-	}
-
-	// A history-seeded config must not share entries with the static one.
-	hist := map[timeline.Class]ClassStats{
-		timeline.ClassMap: {MeanCPU: 10, MeanDisk: 2, MeanResponse: 13},
-	}
-	withHist, err := p.PredictWarm(Config{Spec: cluster.Default(4), Job: jobA, History: hist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withHist.WarmStarted {
-		t.Error("history-seeded prediction warm-started from the static solution")
+	for _, jobs := range []int{1, 4} {
+		for n := 4; n <= 16; n++ {
+			cfg := Config{Spec: cluster.Default(n), Job: job, NumJobs: jobs}
+			warm, err := p.PredictWarm(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Predict(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Cells != cold.Cells {
+				t.Errorf("%d nodes, %d jobs: chained final round solved %d rows, cold %d",
+					n, jobs, warm.Cells, cold.Cells)
+			}
+		}
 	}
 }
 

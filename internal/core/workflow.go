@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/ptree"
@@ -12,7 +13,7 @@ import (
 
 // This file evaluates DAG workflows of dependent jobs analytically:
 // ComposeWorkflow solves stages in topological order through a per-stage
-// solver (a Predictor warm-chains them; the service passes its cached
+// solver (a Predictor solves them chained; the service passes its cached
 // predict), stages sharing a wave and a cluster are priced as a closed
 // multi-job population (the paper's N-concurrent-jobs methodology applied
 // per wave), and the stage durations compose into a critical-path response
@@ -39,12 +40,11 @@ type WorkflowStageResult struct {
 	// Concurrency is the closed-network population the stage was evaluated
 	// at (1 + co-scheduled same-cluster stages of its wave).
 	Concurrency int
-	// Iterations, InnerIterations, Converged and WarmStarted mirror the
-	// stage's Prediction bookkeeping.
+	// Iterations, InnerIterations and Converged mirror the stage's
+	// Prediction bookkeeping.
 	Iterations      int
 	InnerIterations int  // see Iterations
 	Converged       bool // see Iterations
-	WarmStarted     bool // see Iterations
 }
 
 // WorkflowPrediction is the analytic evaluation of a workflow DAG.
@@ -100,6 +100,38 @@ func specSig(s *cluster.Spec) uint64 {
 	return h.sum
 }
 
+// sigHasher is a minimal FNV-1a accumulator for specSig.
+type sigHasher struct{ sum uint64 }
+
+func newSigHasher() sigHasher { return sigHasher{sum: 14695981039346656037} }
+
+func (h *sigHasher) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.sum ^= v & 0xff
+		h.sum *= 1099511628211
+		v >>= 8
+	}
+}
+
+func (h *sigHasher) f64(v float64) { h.u64(math.Float64bits(v)) }
+func (h *sigHasher) i(v int)       { h.u64(uint64(int64(v))) }
+
+func (h *sigHasher) b(v bool) {
+	if v {
+		h.u64(1)
+	} else {
+		h.u64(0)
+	}
+}
+
+func (h *sigHasher) str(s string) {
+	h.i(len(s))
+	for i := 0; i < len(s); i++ {
+		h.sum ^= uint64(s[i])
+		h.sum *= 1099511628211
+	}
+}
+
 // WorkflowConcurrency returns each stage's effective closed-network
 // population: stages sharing a wave contend only when they run on the same
 // cluster (equal specs), so a stage with stage-local sizing keeps
@@ -124,12 +156,12 @@ func PredictWorkflow(dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, erro
 
 // PredictWorkflowContext evaluates every stage of the DAG, honoring ctx
 // between stage evaluations and outer iterations, in deterministic
-// topological order on this Predictor — warm-start chaining each stage's
-// fixed point from its solved neighbors — and composes the critical-path
+// topological order on this Predictor — each stage of a multi-stage DAG
+// through the chained solve (PredictWarm) — and composes the critical-path
 // response (see ComposeWorkflow). A single-stage workflow takes the
 // bit-exact cold path, so a trivial DAG predicts exactly what Predict does;
-// multi-stage chains stay within the warm-start contract (1e-6 relative per
-// stage) of composing cold predictions.
+// multi-stage workflows stay within the chained-solve contract (1e-6
+// relative per stage) of composing cold predictions.
 func (p *Predictor) PredictWorkflowContext(ctx context.Context, dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, error) {
 	return ComposeWorkflow(dag, cfgs, func(_ int, cfg Config, warm bool) (Prediction, error) {
 		if warm {
@@ -146,9 +178,9 @@ func (p *Predictor) PredictWorkflowContext(ctx context.Context, dag *workflow.DA
 // per stage, in DAG declaration order; each stage's NumJobs is raised to
 // its wave population when lower (stages co-scheduled on the same cluster
 // contend as a closed multi-job network) before solve sees it. solve's warm
-// argument is false for a single-stage workflow — it has no neighbor to
-// chain from, so it must solve cold and stay bit-identical to the
-// equivalent single-job prediction — and true otherwise.
+// argument asks for the chained solve (PredictWarm). It is false for a
+// single-stage workflow, which must solve cold and stay bit-identical to
+// the equivalent single-job prediction, and true otherwise.
 func ComposeWorkflow(dag *workflow.DAG, cfgs []Config, solve func(i int, cfg Config, warm bool) (Prediction, error)) (WorkflowPrediction, error) {
 	if err := dag.Validate(); err != nil {
 		return WorkflowPrediction{}, err
@@ -188,7 +220,6 @@ func ComposeWorkflow(dag *workflow.DAG, cfgs []Config, solve func(i int, cfg Con
 			Iterations:      pred.Iterations,
 			InnerIterations: pred.InnerIterations,
 			Converged:       pred.Converged,
-			WarmStarted:     pred.WarmStarted,
 		}
 		out.Iterations += pred.Iterations
 		out.InnerIterations += pred.InnerIterations

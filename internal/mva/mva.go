@@ -101,7 +101,7 @@ type OverlapInput struct {
 	// Warm optionally seeds the fixed point with a prior residence matrix
 	// (one row of per-center residence times per task) instead of the cold
 	// residence=demand start — e.g. the previous outer iteration's converged
-	// Residence, or a neighboring configuration's. Entries are clamped from
+	// Residence. Entries are clamped from
 	// below by the task demand (a valid residence never undercuts it, since
 	// the slowdown factor is ≥ 1); a misshapen or non-finite row falls back
 	// to the cold start for that task. Warm may alias the solver's own
@@ -127,8 +127,8 @@ type OverlapResult struct {
 // OverlapSolver runs overlap-weighted residence-time steps with reusable
 // scratch buffers: the residence matrices are double-buffered over flat
 // backing arrays, so repeated Step calls — the outer loop of the paper's
-// model iterates the step to a fixed point, and a warm chain of predictions
-// solves many steps of the same shape — allocate nothing once warmed up.
+// model iterates the step to a fixed point, and a run of predictions solves
+// many steps of the same shape — allocate nothing once warmed up.
 //
 // A solver is not safe for concurrent use. The matrices inside the returned
 // OverlapResult alias solver-owned memory and are valid until the next Step

@@ -75,8 +75,6 @@ const (
 	CounterCacheMisses         // see CounterCacheHits
 	// CounterPredicts counts computed (non-cached) model runs.
 	CounterPredicts
-	// CounterWarmStarted counts model runs seeded from a warm-start neighbor.
-	CounterWarmStarted
 	// CounterOuterIterations accumulates outer damped rounds across the
 	// request's model runs; CounterInnerIterations the inner MVA sweeps.
 	CounterOuterIterations
@@ -93,7 +91,7 @@ const (
 
 // counterNames are the stable wire/log names of the fixed counters.
 var counterNames = [NumCounters]string{
-	"cacheHits", "cacheMisses", "predicts", "warmStarted",
+	"cacheHits", "cacheMisses", "predicts",
 	"outerIterations", "innerIterations", "cells", "planCandidates",
 }
 

@@ -149,8 +149,8 @@ func TestPlanClassMixDeadlineSearch(t *testing.T) {
 				t.Fatalf("%s deadline %v: best disagreement: grid %+v search %+v", name, deadline, gridResp.Best, searchResp.Best)
 			}
 			if gridResp.Best != nil {
-				// Response times agree within the warm-start tolerance: the
-				// search's axis chains warm-start their model runs (1e-6
+				// Response times agree within the chained-solve tolerance:
+				// the search's axis walks solve their misses chained (1e-6
 				// relative core contract; observed ~1e-13).
 				g, s := gridResp.Best, searchResp.Best
 				rel := math.Abs(g.ResponseTime-s.ResponseTime) / g.ResponseTime

@@ -57,7 +57,7 @@ type ServerConfig struct {
 	RateBurst int
 	// AccessLog, when non-nil, receives one structured line per handled
 	// request (request ID, method, path, status, duration, and the trace's
-	// cache/warm-start/iteration counters) plus a Warn line with the full
+	// cache/iteration counters) plus a Warn line with the full
 	// per-stage breakdown for requests slower than SlowRequestThreshold and
 	// for rate-limited rejections. Nil disables access logging entirely, so
 	// library users and benchmarks pay no logging cost.
@@ -388,10 +388,10 @@ func traceMiddleware(s *Service, cfg ServerConfig, next http.Handler) http.Handl
 			"durationMs", float64(d.Microseconds()) / 1e3,
 		}
 		snap := tw.trace.Snapshot()
-		// The trace's request-scoped counters (cache hit/miss, warm starts,
-		// model iteration counts) ride the same line, in a fixed order.
+		// The trace's request-scoped counters (cache hit/miss, model
+		// iteration counts) ride the same line, in a fixed order.
 		for _, k := range []string{
-			"cacheHits", "cacheMisses", "predicts", "warmStarted",
+			"cacheHits", "cacheMisses", "predicts",
 			"outerIterations", "innerIterations", "cells", "planCandidates",
 		} {
 			if v, ok := snap.Counts[k]; ok {

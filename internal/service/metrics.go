@@ -51,7 +51,6 @@ func writePrometheus(w io.Writer, m Metrics) error {
 		{"mrserved_profiles_active", "Live (unexpired) calibrated profiles in the registry.", "gauge", "", float64(m.ProfilesActive)},
 		{"mrserved_model_iterations_total", "Model fixed-point iterations spent by computed predictions, by loop (outer damped rounds vs inner MVA sweeps).", "counter", `loop="outer"`, float64(m.ModelOuterIterations)},
 		{"mrserved_model_iterations_total", "", "", `loop="inner"`, float64(m.ModelInnerIterations)},
-		{"mrserved_warm_predictions_total", "Computed predictions seeded from a retained warm-start neighbor.", "counter", "", float64(m.WarmPredictions)},
 		{"mrserved_workflow_requests_total", "Predict/plan requests that carried a workflow block (also counted in their kind).", "counter", "", float64(m.WorkflowRequests)},
 		{"mrserved_rate_limited_total", "Requests rejected with 429 by the per-client token-bucket limiter.", "counter", "", float64(m.RateLimited)},
 		{"mrserved_admission_queued_cost", "Outstanding admitted cost units (queued + executing) in the admission controller.", "gauge", "", float64(m.Admission.QueuedCost)},

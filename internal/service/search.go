@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"hadoop2perf/internal/core"
 )
 
 // This file implements the planner's deadline fast path: instead of
@@ -42,10 +40,10 @@ const minSearchAxis = 6
 // (larger-cluster) response may exceed an earlier one by at most this
 // fraction before the search declares the axis non-monotone. Tight enough
 // to catch real spikes (≥0.1%), loose enough to ignore float noise — and,
-// since the axis walk threads a warm-start chain through the model, the
-// warm-vs-cold deviation as well: two compared points can deviate in
-// opposite directions (one a cold cached value, one warm-computed), so the
-// slack is twice the 1e-6-relative core warm contract.
+// since the axis walk solves its misses chained, the chained-vs-cold
+// deviation as well: two compared points can deviate in opposite
+// directions (one a cold cached value, one chained), so the slack is twice
+// the 1e-6-relative core chained-solve contract.
 const monoTol = 2e-6
 
 // useSearch reports whether the deadline fast path applies: a deadline
@@ -97,11 +95,10 @@ type axisEval func(i int) (rt float64, cached bool, err error)
 // under a deadline. nodes must be sorted ascending; weights carries each
 // point's price weight (Σ count×price, node count when unpriced) — the
 // cost objective is weights[i]·rt(i). eval serves the sequential
-// bisection/sweep probes (and may thread single-owner warm-start state);
-// parEval must be safe for concurrent use — it drives the exhaustive
-// fallback's fan-out. It returns every evaluated point as a candidate
-// (feasible points above the frontier, infeasible bisection probes below
-// it) plus the count of pruned points.
+// bisection/sweep probes; parEval must be safe for concurrent use — it
+// drives the exhaustive fallback's fan-out. It returns every evaluated
+// point as a candidate (feasible points above the frontier, infeasible
+// bisection probes below it) plus the count of pruned points.
 //
 // Exactness: under monotone response times, the returned set provably
 // contains the axis's cheapest feasible candidate — a pruned point i either
@@ -272,12 +269,10 @@ func exhaustiveAxis(nodes []int, eval axisEval) axisOutcome {
 // workflow makespan is a max/sum composition of per-stage responses, each
 // non-increasing in cluster size, so the same premise carries over.
 //
-// Each bisecting unit threads a warm-start chain through its walk: one
-// pooled evaluator is borrowed for the axis, and every miss it computes
-// seeds the next (bisection visits neighboring node counts by
-// construction, exactly the locality PredictWarm exploits). The
-// exhaustive paths keep the parallel fan-out without a walk — their
-// concurrency is worth more than the warm locality.
+// Each bisecting unit's sequential probes solve their misses chained
+// (PredictWarm: the inner MVA state carried across outer rounds), which
+// costs about half the inner sweeps of a cold solve. The exhaustive paths
+// — the fallback fan-out included — solve cold, bit-identical to the grid.
 func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nodeChoice, units []planUnit) (PlanResponse, error) {
 	sorted := append([]nodeChoice(nil), choices...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].nodes < sorted[b].nodes })
@@ -289,12 +284,12 @@ func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nod
 	}
 	chain := chainOrdered(sorted)
 
-	// at evaluates unit u along the sorted axis, on walk when non-nil.
-	at := func(u *planUnit, walk *core.Predictor) axisEval {
+	// at evaluates unit u along the sorted axis, chained or cold.
+	at := func(u *planUnit, chained bool) axisEval {
 		return func(i int) (float64, bool, error) {
 			c := u.proto
 			c.Nodes, c.ClassCounts = sorted[i].nodes, sorted[i].counts
-			c, err := u.eval(c, walk)
+			c, err := u.eval(c, chained)
 			return c.ResponseTime, c.Cached, err
 		}
 	}
@@ -305,11 +300,9 @@ func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nod
 		go func(u *planUnit, out *axisOutcome) {
 			defer wg.Done()
 			if u.bisect && chain {
-				warm := s.predictors.Get().(*core.Predictor)
-				*out = searchNodeAxis(totals, weights, req.DeadlineSec, at(u, warm), at(u, nil))
-				s.predictors.Put(warm)
+				*out = searchNodeAxis(totals, weights, req.DeadlineSec, at(u, true), at(u, false))
 			} else {
-				*out = exhaustiveAxis(totals, at(u, nil))
+				*out = exhaustiveAxis(totals, at(u, false))
 			}
 		}(&units[ui], &outcomes[ui])
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"hadoop2perf/internal/cluster"
-	"hadoop2perf/internal/core"
 	"hadoop2perf/internal/obs"
 	"hadoop2perf/internal/workload"
 )
@@ -401,8 +400,8 @@ func TestPlanSearchMatchesGridProperty(t *testing.T) {
 				continue
 			}
 			// Same objective value: cost, speed, feasibility — within the
-			// warm-start tolerance: the search threads warm-start chains
-			// through its axis walks, so its predictions may differ from the
+			// chained-solve tolerance: the search's axis walks solve their
+			// misses chained, so its predictions may differ from the
 			// grid's cold ones by up to 1e-6 relative (the core contract;
 			// observed deviations are ~1e-13). Identity may additionally
 			// differ on exact cost+response ties across combos.
@@ -495,11 +494,11 @@ func TestPlanExhaustiveFlagForcesGrid(t *testing.T) {
 	}
 }
 
-// A chained predictEval walk — the planner's warm axis path — accounts
+// A chained predictEval walk — the planner's bisection path — accounts
 // each miss exactly once: the service counters and the request trace
 // accrue the sum of the per-prediction inner/outer counts, and an
-// identical replay on a fresh chain is served entirely from the cache
-// with every counter frozen.
+// identical replay is served entirely from the cache with every counter
+// frozen.
 func TestPredictEvalChainCounters(t *testing.T) {
 	job, err := workload.NewJob(0, 2*1024, 128, 1, workload.WordCount())
 	if err != nil {
@@ -508,11 +507,9 @@ func TestPredictEvalChainCounters(t *testing.T) {
 	s := New(Options{Workers: 4})
 	walk := func(tr *obs.Trace) []PredictResponse {
 		ctx := obs.WithTrace(context.Background(), tr)
-		chain := s.predictors.Get().(*core.Predictor)
-		defer s.predictors.Put(chain)
 		var out []PredictResponse
 		for _, n := range []int{4, 6, 8, 10, 12} {
-			pr, err := s.predictEval(ctx, PredictRequest{Spec: cluster.Default(n), Job: job, NumJobs: 3}, chain)
+			pr, err := s.predictEval(ctx, PredictRequest{Spec: cluster.Default(n), Job: job, NumJobs: 3}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,7 +524,7 @@ func TestPredictEvalChainCounters(t *testing.T) {
 	if m.CacheMisses != int64(len(got)) || m.CacheHits != 0 {
 		t.Errorf("walk: misses=%d hits=%d, want %d/0", m.CacheMisses, m.CacheHits, len(got))
 	}
-	var wantInner, wantOuter, wantWarm, wantCells int64
+	var wantInner, wantOuter, wantCells int64
 	for i, pr := range got {
 		if pr.Cached {
 			t.Errorf("req %d: fresh walk reported cached", i)
@@ -535,23 +532,16 @@ func TestPredictEvalChainCounters(t *testing.T) {
 		wantInner += int64(pr.Prediction.InnerIterations)
 		wantCells += int64(pr.Prediction.Cells)
 		wantOuter += int64(pr.Prediction.Iterations)
-		if pr.Prediction.WarmStarted {
-			wantWarm++
-		}
 	}
-	if wantWarm == 0 {
-		t.Error("no prediction on the chain warm-started")
-	}
-	if m.ModelInnerIterations != wantInner || m.ModelOuterIterations != wantOuter || m.WarmPredictions != wantWarm {
-		t.Errorf("service counters inner=%d outer=%d warm=%d, want %d/%d/%d (sum of per-prediction counts)",
-			m.ModelInnerIterations, m.ModelOuterIterations, m.WarmPredictions, wantInner, wantOuter, wantWarm)
+	if m.ModelInnerIterations != wantInner || m.ModelOuterIterations != wantOuter {
+		t.Errorf("service counters inner=%d outer=%d, want %d/%d (sum of per-prediction counts)",
+			m.ModelInnerIterations, m.ModelOuterIterations, wantInner, wantOuter)
 	}
 	if tr.Counter(obs.CounterInnerIterations) != wantInner || tr.Counter(obs.CounterOuterIterations) != wantOuter ||
-		tr.Counter(obs.CounterPredicts) != int64(len(got)) || tr.Counter(obs.CounterWarmStarted) != wantWarm {
-		t.Errorf("trace counters inner=%d outer=%d predicts=%d warm=%d, want %d/%d/%d/%d",
+		tr.Counter(obs.CounterPredicts) != int64(len(got)) {
+		t.Errorf("trace counters inner=%d outer=%d predicts=%d, want %d/%d/%d",
 			tr.Counter(obs.CounterInnerIterations), tr.Counter(obs.CounterOuterIterations),
-			tr.Counter(obs.CounterPredicts), tr.Counter(obs.CounterWarmStarted),
-			wantInner, wantOuter, len(got), wantWarm)
+			tr.Counter(obs.CounterPredicts), wantInner, wantOuter, len(got))
 	}
 	if c := tr.Counter(obs.CounterCells); wantCells == 0 || c != wantCells {
 		t.Errorf("trace cells counter %d, want %d (sum of per-prediction cells)", c, wantCells)
@@ -582,7 +572,7 @@ func TestPredictEvalChainCounters(t *testing.T) {
 }
 
 // Concurrent deadline plans over overlapping axes hammer the pooled
-// warm chains, the bisection and the sharded cache from many
+// Predictors, the bisection and the sharded cache from many
 // goroutines at once — the -race CI step runs this to hunt data races in
 // the planner's evaluation path.
 func TestPlanSearchConcurrent(t *testing.T) {

@@ -211,13 +211,10 @@ type Metrics struct {
 	// ModelOuterIterations accumulates the outer damped rounds of every
 	// computed (non-cached) model prediction; ModelInnerIterations the inner
 	// MVA fixed-point sweeps. Together with CacheMisses they make the
-	// convergence cost of production traffic observable — the warm-start
-	// win shows up here as fewer iterations per miss.
+	// convergence cost of production traffic observable — the chained
+	// solve's win shows up here as fewer inner sweeps per miss.
 	ModelOuterIterations int64 `json:"modelOuterIterations"`
 	ModelInnerIterations int64 `json:"modelInnerIterations"` // see ModelOuterIterations
-	// WarmPredictions counts computed predictions that were seeded from a
-	// retained warm-start neighbor (the planner's axis chains).
-	WarmPredictions int64 `json:"warmPredictions"`
 	// RateLimited counts requests rejected with HTTP 429 by the per-client
 	// token-bucket limiter (0 when rate limiting is disabled).
 	RateLimited int64 `json:"rateLimited"`
@@ -297,7 +294,6 @@ type Service struct {
 	simRuns       atomic.Int64
 	outerIters    atomic.Int64
 	innerIters    atomic.Int64
-	warmPredicts  atomic.Int64
 	rateLimited   atomic.Int64
 	simFaults     atomic.Int64
 	simReexec     atomic.Int64
@@ -396,7 +392,6 @@ func (s *Service) Metrics() Metrics {
 
 		ModelOuterIterations: s.outerIters.Load(),
 		ModelInnerIterations: s.innerIters.Load(),
-		WarmPredictions:      s.warmPredicts.Load(),
 		RateLimited:          s.rateLimited.Load(),
 		WorkflowRequests:     s.workflowReqs.Load(),
 		SimFaultsInjected:    s.simFaults.Load(),
@@ -654,18 +649,15 @@ func (s *Service) resolveProfile(ctx context.Context, name string, resolved **ca
 // candidates through it so /v1/metrics keeps counting client calls, not
 // internal fan-out.
 func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictResponse, error) {
-	return s.predictEval(ctx, req, nil)
+	return s.predictEval(ctx, req, false)
 }
 
 // predictEval serves one model evaluation through the cache/singleflight
-// path. chain, when non-nil, is a caller-owned warm-start evaluator used to
-// compute misses via PredictWarm instead of a pooled cold Predict — the
-// planner's axis walks thread one chain through their neighboring
-// evaluations. A chain is not safe for concurrent use; callers must
-// serialize their own calls (warm results stay within 1e-6 relative of
-// cold ones, the core warm-start contract, so chained and cold computations
-// are interchangeable cache citizens).
-func (s *Service) predictEval(ctx context.Context, req PredictRequest, chain *core.Predictor) (PredictResponse, error) {
+// path. chained computes a miss with the chained solve (PredictWarm)
+// instead of the cold Predict — the planner's bisecting axis walks ask for
+// it. Chained results stay within 1e-6 relative of cold ones (the core
+// chained-solve contract), so the two are interchangeable cache citizens.
+func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained bool) (PredictResponse, error) {
 	if err := req.validate(); err != nil {
 		return PredictResponse{}, invalid(err)
 	}
@@ -682,29 +674,23 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chain *co
 		solveStart := time.Now()
 		var pred core.Prediction
 		var err error
-		if chain != nil {
-			pred, err = chain.PredictWarmContext(ctx, cfg)
+		p := s.predictors.Get().(*core.Predictor)
+		if chained {
+			pred, err = p.PredictWarmContext(ctx, cfg)
 		} else {
-			p := s.predictors.Get().(*core.Predictor)
 			pred, err = p.PredictContext(ctx, cfg)
-			s.predictors.Put(p)
 		}
+		s.predictors.Put(p)
 		s.endSpan(tr, obs.StageModelSolve, solveStart)
 		if err != nil {
 			return nil, err
 		}
 		s.outerIters.Add(int64(pred.Iterations))
 		s.innerIters.Add(int64(pred.InnerIterations))
-		if pred.WarmStarted {
-			s.warmPredicts.Add(1)
-		}
 		tr.AddCounter(obs.CounterPredicts, 1)
 		tr.AddCounter(obs.CounterOuterIterations, int64(pred.Iterations))
 		tr.AddCounter(obs.CounterInnerIterations, int64(pred.InnerIterations))
 		tr.AddCounter(obs.CounterCells, int64(pred.Cells))
-		if pred.WarmStarted {
-			tr.AddCounter(obs.CounterWarmStarted, 1)
-		}
 		return pred, nil
 	})
 	if err != nil {

@@ -207,9 +207,9 @@ func (rw *resolvedWorkflow) stagesAt(spec cluster.Spec) ([]PredictRequest, error
 // core.ComposeWorkflow, with each stage served by the per-stage predictEval
 // path — each stage's cache key identical to the equivalent single-job
 // predict, so a K-identical-stage chain costs one model run plus K-1 hits.
-// chain warm-chains the stage misses when the composition asks for warm
-// solves; a one-stage workflow solves on the pooled cold path.
-func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest, chain *core.Predictor) (*workflowOutcome, error) {
+// A stage miss solves chained when the composition asks for it (a
+// multi-stage workflow) and cold otherwise.
+func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest) (*workflowOutcome, error) {
 	cfgs := make([]core.Config, len(stageReqs))
 	for i := range stageReqs {
 		cfgs[i] = stageReqs[i].config()
@@ -218,11 +218,7 @@ func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs
 	wp, err := core.ComposeWorkflow(dag, cfgs, func(i int, _ core.Config, warm bool) (core.Prediction, error) {
 		// stagesAt priced each stage at its wave population already, so the
 		// composition's config is stageReqs[i]'s own.
-		walk := chain
-		if !warm {
-			walk = nil
-		}
-		pr, err := s.predictEval(ctx, stageReqs[i], walk)
+		pr, err := s.predictEval(ctx, stageReqs[i], warm)
 		if err != nil {
 			return core.Prediction{}, err
 		}
@@ -245,7 +241,6 @@ func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs
 		r := &stages[i]
 		r.Name, r.ResponseTime, r.Concurrency = st.Name, st.ResponseTime, st.Concurrency
 		r.Start, r.Finish, r.Slack, r.Critical = st.Start, st.Finish, st.Slack, st.Critical
-		out.pred.WarmStarted = out.pred.WarmStarted || st.WarmStarted
 	}
 	if wp.Tree != nil {
 		out.report.Tree = wp.Tree.String()
@@ -255,17 +250,10 @@ func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs
 
 // workflowEvalCached serves one composed workflow through the cache and
 // singleflight under its workflow-level key (the per-stage evaluations
-// inside keep their own keys either way). walk, when non-nil, is a
-// caller-owned warm chain for the stage misses; nil borrows a pooled chain
-// for the evaluation.
-func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest, walk *core.Predictor) (*workflowOutcome, bool, bool, error) {
+// inside keep their own keys either way).
+func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest) (*workflowOutcome, bool, bool, error) {
 	v, cached, stale, err := s.cachedCompute(ctx, workflowPredictKey(dag, stageReqs), func() (any, error) {
-		chain := walk
-		if chain == nil {
-			chain = s.predictors.Get().(*core.Predictor)
-			defer s.predictors.Put(chain)
-		}
-		return s.workflowEval(ctx, dag, stageReqs, chain)
+		return s.workflowEval(ctx, dag, stageReqs)
 	})
 	if err != nil {
 		return nil, false, false, err
@@ -284,7 +272,7 @@ func (s *Service) predictWorkflow(ctx context.Context, req PredictRequest) (Pred
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs, nil)
+	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs)
 	if err != nil {
 		return PredictResponse{}, err
 	}
@@ -293,14 +281,13 @@ func (s *Service) predictWorkflow(ctx context.Context, req PredictRequest) (Pred
 
 // evalWorkflowCandidate is a workflow plan's unit evaluation: the
 // candidate's response is the workflow predict at its cluster, served from
-// the same cache entry. walk, when non-nil, warm-chains the stage misses
-// along a search walk.
-func (s *Service) evalWorkflowCandidate(ctx context.Context, req *PlanRequest, rw *resolvedWorkflow, c PlanCandidate, walk *core.Predictor) (PlanCandidate, error) {
+// the same cache entry.
+func (s *Service) evalWorkflowCandidate(ctx context.Context, req *PlanRequest, rw *resolvedWorkflow, c PlanCandidate) (PlanCandidate, error) {
 	stageReqs, err := rw.stagesAt(candidateSpec(req, nodeChoice{nodes: c.Nodes, counts: c.ClassCounts}))
 	if err != nil {
 		return c, err
 	}
-	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs, walk)
+	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs)
 	if err != nil {
 		return c, err
 	}

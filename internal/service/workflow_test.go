@@ -214,8 +214,8 @@ func TestWorkflowEdgesDistinguishCacheKeys(t *testing.T) {
 
 // TestWorkflowPlanSearchModelRuns is the PR's efficiency gate: a deadline
 // plan over a 20-stage identical chain must cost no more than 3x the model
-// runs of the same plan for a single job — per-stage cache sharing and the
-// warm chain do the work, not 20x the solves.
+// runs of the same plan for a single job — per-stage cache sharing does the
+// work, not 20x the solves.
 func TestWorkflowPlanSearchModelRuns(t *testing.T) {
 	nodesAxis := []int{2, 3, 4, 6, 8, 12}
 	job := testJob(t, 1024, 1)
@@ -527,7 +527,7 @@ func TestWorkflowPlanResolvesProfileOnce(t *testing.T) {
 // TestWorkflowPlanCandidateIsPredict: a workflow plan candidate is the
 // workflow predict at the candidate's cluster — the same bits, and the
 // predict is a hit on the entry the plan filled — on the grid and on the
-// search's warm walk alike.
+// search's chained walk alike.
 func TestWorkflowPlanCandidateIsPredict(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
