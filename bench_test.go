@@ -747,6 +747,25 @@ func BenchmarkServicePredict(b *testing.B) {
 	})
 }
 
+// BenchmarkServiceCompare prices one cold /v1/compare (median of five
+// simulator seeds plus the joint fork/join + Tripathi solve) on the job of
+// BenchmarkServicePredict/cold. The ratio of the two is the evidence for
+// pricing compare as an expensive admission class, not a cheap one.
+func BenchmarkServiceCompare(b *testing.B) {
+	job, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := NewService(ServiceOptions{Workers: 1, CacheSize: 4})
+	for i := 0; i < b.N; i++ {
+		// A fresh seed per iteration: a distinct simulator cache key.
+		req := CompareRequest{Spec: DefaultCluster(4), Job: job, Seed: int64(i) * 100}
+		if _, err := svc.Compare(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServicePlan measures a model-backed what-if sweep (8 cluster
 // sizes) through the parallel planner: cold pays 8 model runs, cached is 8
 // key hashes + LRU hits.

@@ -15,8 +15,11 @@
 //	    start an in-process server sized to overload quickly, then assert
 //	    the resilience contract end to end: sheds are fast (<10ms) and
 //	    carry Retry-After, accepted p99 under 2x-capacity load stays
-//	    within 3x the uncontended p99, the simulator circuit breaker
-//	    trips and recovers, and drain leaves no goroutines behind.
+//	    within 3x the uncontended p99, a burst of heavy comparisons is
+//	    shed rather than queued in front of a predict stream (whose
+//	    accepted p99 stays within 3x its uncontended p99), the simulator
+//	    circuit breaker trips and recovers, and drain leaves no goroutines
+//	    behind.
 //	    Exits non-zero on any violation; CI runs this as the soak gate.
 package main
 
@@ -49,7 +52,7 @@ func main() {
 		rate      = flag.Float64("rate", 100, "open-loop arrival rate in req/s")
 		duration  = flag.Duration("duration", 20*time.Second, "load duration (selfcheck: overload-phase duration)")
 		expEvery  = flag.Int("expensive-every", 5, "every Nth request is an expensive simulate (others are cheap predicts)")
-		retries   = flag.Int("max-retries", 3, "retry budget per request after a 429/503 shed (0 = never retry)")
+		retries   = flag.Int("max-retries", 3, "retry budget per request after a 503 shed (0 = never retry)")
 		deadline  = flag.Int("deadline-ms", 0, "client deadline sent as X-Deadline-Ms on every request (0 = none)")
 		jsonOut   = flag.Bool("json", false, "print the report as JSON instead of text")
 		selfcheck = flag.Bool("selfcheck", false, "run the in-process resilience soak and exit non-zero on violations")
@@ -92,7 +95,10 @@ type bench struct {
 	expensiveEvery int
 	maxRetries     int
 	deadlineMS     int
-	col            *collector
+	// freshKeys makes every predict body distinct, so each one is a cache
+	// miss that needs a worker slot.
+	freshKeys bool
+	col       *collector
 
 	mu  sync.Mutex
 	seq int
@@ -149,7 +155,7 @@ func (b *bench) issue(n int) {
 			b.col.fail(err)
 			return
 		}
-		if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
+		if status != http.StatusServiceUnavailable {
 			b.col.final(status, lat, resp, attempts)
 			return
 		}
@@ -173,7 +179,8 @@ func (b *bench) issue(n int) {
 }
 
 // request builds the nth request: every expensiveEvery-th is a simulate,
-// the rest are predicts, with sizes cycled so cache keys differ.
+// the rest are predicts, with sizes cycled so cache keys differ (and never
+// repeat under freshKeys).
 func (b *bench) request(n int) (path, body string) {
 	if b.expensiveEvery > 0 && n%b.expensiveEvery == 0 {
 		// Sized so the discrete-event run costs tens of milliseconds of wall
@@ -182,9 +189,12 @@ func (b *bench) request(n int) (path, body string) {
 			`{"cluster":{"nodes":32},"job":{"inputMB":%d},"reps":2,"seed":%d}`,
 			65536+(n%16)*1024, n)
 	}
+	inputMB := 128 + (n%32)*32
+	if b.freshKeys {
+		inputMB = 4096 + n // above every cycled size
+	}
 	return "/v1/predict", fmt.Sprintf(
-		`{"cluster":{"nodes":%d},"job":{"inputMB":%d}}`,
-		4+n%8, 128+(n%32)*32)
+		`{"cluster":{"nodes":%d},"job":{"inputMB":%d}}`, 4+n%8, inputMB)
 }
 
 func (b *bench) post(path, body string) (int, http.Header, []byte, error) {
@@ -445,7 +455,7 @@ func runSelfcheck(overloadFor time.Duration) error {
 			switch {
 			case err != nil:
 				b.col.fail(err)
-			case status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests:
+			case status == http.StatusServiceUnavailable:
 				b.col.shed(status, lat, hdr.Get("Retry-After") != "")
 			default:
 				_ = resp
@@ -468,7 +478,7 @@ func runSelfcheck(overloadFor time.Duration) error {
 	// Client-observed shed latency includes scheduler hops behind CPU-bound
 	// simulations, so the median carries the fast-path claim here; the tail
 	// of the rejection *decision* is asserted server-side below, and an
-	// end-to-end <10ms tail is asserted on the idle drain path in phase 4.
+	// end-to-end <10ms tail is asserted on the idle drain path in phase 5.
 	check(over.ShedP50Ms < 10, "overload: shed p50 %.2fms (want < 10ms)", over.ShedP50Ms)
 	check(over.Accepted > 0, "overload: no requests accepted")
 	effBase := baseP99
@@ -486,10 +496,56 @@ func runSelfcheck(overloadFor time.Duration) error {
 	}
 	log.Printf("phase 2 report:\n%s", over)
 
-	// Phase 3: breaker trip and recovery. Impossible client deadlines force
+	// Phase 3: compare burst. A comparison runs the simulator's seeds plus
+	// the joint model solve, several predict-misses' worth of work, and is
+	// priced as such: a burst of heavy ones fills the admission bound and is
+	// shed, instead of queueing for the worker slots in front of a stream of
+	// predict misses running beside it.
+	log.Printf("phase 3: compare burst beside a predict stream")
+	b.expensiveEvery, b.freshKeys = 0, true
+	b.col = newCollector()
+	for i := 0; i < 20; i++ {
+		b.issue(b.next())
+	}
+	predictBase := b.col.report()
+	check(predictBase.Accepted == 20, "compare burst: %d/20 uncontended predicts accepted", predictBase.Accepted)
+	b.col = newCollector()
+	burst := newCollector()
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			status, hdr, _, err := b.post("/v1/compare", fmt.Sprintf(
+				`{"cluster":{"nodes":32},"job":{"inputMB":65536},"reps":2,"seed":%d}`, b.next()))
+			switch {
+			case err != nil:
+				burst.fail(err)
+			case status == http.StatusServiceUnavailable:
+				burst.shed(status, time.Since(start), hdr.Get("Retry-After") != "")
+			default:
+				burst.final(status, time.Since(start), nil, 0)
+			}
+		}()
+	}
+	b.run(2*time.Second, 100)
+	wg.Wait()
+	cmp, stream := burst.report(), b.col.report()
+	predictP99 := max(predictBase.AcceptedP99Ms, 10) // phase 2's noise floor
+	check(stream.Accepted > 0, "compare burst: no predicts accepted")
+	check(stream.AcceptedP99Ms <= 3*predictP99,
+		"compare burst: accepted predict p99 %.2fms exceeds 3x uncontended p99 %.2fms", stream.AcceptedP99Ms, predictP99)
+	check(cmp.ShedMissingHint+stream.ShedMissingHint == 0,
+		"compare burst: %d shed responses missing Retry-After", cmp.ShedMissingHint+stream.ShedMissingHint)
+	check(cmp.TransportFailures+stream.TransportFailures == 0,
+		"compare burst: %d transport failures", cmp.TransportFailures+stream.TransportFailures)
+	log.Printf("phase 3 compares:\n%s", cmp)
+	log.Printf("phase 3 predict stream:\n%s", stream)
+
+	// Phase 4: breaker trip and recovery. Impossible client deadlines force
 	// consecutive simulator timeouts; while open, simulate answers degrade to
 	// the model fallback; after the cooldown a clean run closes the breaker.
-	log.Printf("phase 3: breaker trip and recovery")
+	log.Printf("phase 4: breaker trip and recovery")
 	b.deadlineMS = 1
 	for i := 0; i < 2; i++ {
 		n := b.next()
@@ -524,9 +580,9 @@ func runSelfcheck(overloadFor time.Duration) error {
 	check(err == nil, "metrics after recovery: %v", err)
 	check(m.BreakerStateCode == 0, "breaker state after recovery = %s (want closed)", m.BreakerState)
 
-	// Phase 4: drain. Readiness flips, new work is shed with reason
+	// Phase 5: drain. Readiness flips, new work is shed with reason
 	// draining, and shutdown leaves no goroutines behind.
-	log.Printf("phase 4: drain and goroutine-leak check")
+	log.Printf("phase 5: drain and goroutine-leak check")
 	svc.StartDrain()
 	resp, err := b.client.Get(srv.URL + "/readyz")
 	if check(err == nil, "readyz: %v", err); err == nil {

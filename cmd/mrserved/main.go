@@ -51,14 +51,12 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size (model/simulator executions in flight)")
 		cacheSize  = flag.Int("cache-size", service.DefaultCacheSize, "LRU cache entries")
 		simReps    = flag.Int("sim-reps", service.DefaultSimReps, "default median-of-seeds repetitions")
-		timeout    = flag.Duration("timeout", 0, "uniform per-request handling timeout (0 = per-kind defaults: 10s predict/compare, 30s simulate/plan/calibrate)")
+		timeout    = flag.Duration("timeout", 0, "uniform per-request handling timeout (0 = per-kind defaults: 10s predict, 30s simulate/compare/plan/calibrate)")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "cache-entry freshness lifetime; expired entries are recomputed, or served stale under pool saturation (0 = never expire)")
 		drainWait  = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests after SIGTERM/SIGINT before forced exit")
 		drainHold  = flag.Duration("drain-notice", time.Second, "how long the listener stays open (answering /readyz 503 draining, shedding POSTs) after SIGTERM/SIGINT before new connections are refused, so load balancers observe the flip")
 		profileTTL = flag.Duration("profile-ttl", service.DefaultProfileTTL, "default calibrated-profile lifetime")
 		pprofAddr  = flag.String("pprof-addr", "127.0.0.1:6060", "loopback /debug/pprof listener (empty = disabled)")
-		rateLimit  = flag.Float64("rate-limit", 0, "per-client request rate over /v1/* in req/s (429 + Retry-After past it; 0 = unlimited)")
-		rateBurst  = flag.Int("rate-burst", 0, "per-client burst depth (default 2x -rate-limit)")
 		logFormat  = flag.String("log-format", obs.LogFormatText, "structured access-log format: text or json")
 		slowReq    = flag.Duration("slow-request-threshold", 10*time.Second, "latency past which a request logs at Warn with its per-stage breakdown")
 	)
@@ -97,8 +95,6 @@ func main() {
 		Addr: *addr,
 		Handler: service.NewHandler(svc, service.ServerConfig{
 			Timeout:              *timeout,
-			RateLimit:            *rateLimit,
-			RateBurst:            *rateBurst,
 			AccessLog:            accessLog,
 			SlowRequestThreshold: *slowReq,
 		}),

@@ -89,7 +89,7 @@ type (
 	// ServiceOptions configures a Service.
 	ServiceOptions = service.Options
 	// ServerConfig tunes the HTTP layer of NewServiceHandlerConfig:
-	// timeouts, body caps and per-client rate limits.
+	// timeouts, body caps and access logging.
 	ServerConfig = service.ServerConfig
 	// ServiceMetrics is a snapshot of service counters.
 	ServiceMetrics = service.Metrics
@@ -247,16 +247,16 @@ func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 
 // NewServiceHandler exposes a Service as the mrserved HTTP API (/healthz,
 // /readyz, /v1/metrics, /v1/predict, /v1/simulate, /v1/compare, /v1/plan).
-// A zero timeout selects the per-kind defaults (10s for predict/compare,
-// 30s for simulate/plan/calibrate); clients may shrink a request's budget
+// A zero timeout selects the per-kind defaults (10s for predict, 30s for
+// simulate/compare/plan/calibrate); clients may shrink a request's budget
 // with an X-Deadline-Ms header or a timeoutSec body field.
 func NewServiceHandler(s *Service, timeout time.Duration) http.Handler {
 	return service.NewHandler(s, service.ServerConfig{Timeout: timeout})
 }
 
 // NewServiceHandlerConfig is NewServiceHandler with full HTTP-layer tuning:
-// body caps and per-client token-bucket rate limiting (429 + Retry-After
-// past ServerConfig.RateLimit req/s per client IP).
+// body caps, the access log and its slow-request threshold. Overload is
+// shed by the Service's admission controller (503 + Retry-After), not here.
 func NewServiceHandlerConfig(s *Service, cfg ServerConfig) http.Handler {
 	return service.NewHandler(s, cfg)
 }

@@ -1,19 +1,22 @@
 // Package admit is the overload-resilience layer of the serving path:
-// a cost-classed admission controller that bounds the work queued in front
-// of a worker pool and sheds excess load *before* it consumes resources,
+// a cost-classed admission controller that owns the worker pool's
+// concurrency budget and sheds excess load *before* it consumes resources,
 // plus a consecutive-timeout circuit breaker (breaker.go) that lets
 // degraded fallbacks take over when a backend stops answering in time.
 //
-// The controller is deliberately not a queue: requests still block on the
-// worker pool's semaphore, which preserves FIFO-ish fairness and context
-// cancellation for free. What the controller adds is *accounting* — every
-// admitted request carries a cost (cheap model solves vs. expensive
-// simulations), the total outstanding cost is bounded, and an exponentially
-// weighted estimate of per-cost-unit service time prices the queue: a
-// request whose estimated wait already exceeds its remaining deadline is
-// rejected in microseconds with a structured, Retry-After-carrying error
-// instead of timing out a worker slot later. Both shed paths answer fast by
-// construction — no lock is held across any computation.
+// The controller is the one overload gate. Admit prices a request on
+// arrival: every admitted request carries a cost (cheap model solves vs.
+// expensive simulations and plan sweeps), the total outstanding cost is
+// bounded, and an exponentially weighted estimate of per-cost-unit service
+// time prices the queue, so a request whose estimated wait already exceeds
+// its remaining deadline is rejected in microseconds with a structured,
+// Retry-After-carrying error instead of timing out a worker slot later.
+// Acquire and Release then hand out the Capacity worker slots to admitted
+// work that actually computes; a caller that never computes (a cache hit)
+// never takes one. Slot waits block on a channel, which keeps FIFO-ish
+// fairness and context cancellation, and Saturated reports when every slot
+// is busy. Both shed paths answer fast by construction — no lock is held
+// across any computation.
 //
 // The package is dependency-free and safe for concurrent use.
 package admit
@@ -34,10 +37,10 @@ type Class int
 // The cost classes, cheapest first.
 const (
 	// ClassCheap covers requests dominated by one analytic model solve
-	// (predict, compare's model side): milliseconds of CPU.
+	// (predict): milliseconds of CPU.
 	ClassCheap Class = iota
 	// ClassExpensive covers requests that run the discrete-event simulator
-	// or fan out over a plan grid: seconds of CPU.
+	// (simulate, compare) or fan out over a plan grid: seconds of CPU.
 	ClassExpensive
 	numClasses
 )
@@ -55,9 +58,9 @@ func (c Class) String() string {
 
 // Default controller tuning.
 const (
-	// DefaultCheapCost and DefaultExpensiveCost are the per-class cost
-	// units. The ratio (not the absolute values) is what matters: one
-	// simulation displaces eight model solves.
+	// DefaultCheapCost and DefaultExpensiveCost are the fixed per-class
+	// cost units. The ratio (not the absolute values) is what matters: one
+	// simulation, plan sweep or comparison displaces eight model solves.
 	DefaultCheapCost     = 1
 	DefaultExpensiveCost = 8
 	// DefaultQueueFactor sizes the default admission bound: MaxQueueCost =
@@ -126,26 +129,29 @@ func errorsAs(err error, target **ShedError) bool {
 
 // Config tunes a Controller.
 type Config struct {
-	// Capacity is the worker-pool size the controller fronts (required,
-	// > 0): the divisor of queue-wait estimates.
+	// Capacity is the worker-pool size (required, > 0): the number of
+	// slots Acquire hands out and the divisor of queue-wait estimates.
 	Capacity int
 	// MaxQueueCost bounds the total outstanding (queued + executing) cost
 	// units; 0 defaults to DefaultQueueFactor × Capacity.
 	MaxQueueCost int
-	// CheapCost and ExpensiveCost override the per-class cost units
-	// (0 keeps the defaults).
-	CheapCost     int
-	ExpensiveCost int // see CheapCost
 	// Now is an injectable clock for tests (nil = time.Now).
 	Now func() time.Time
 }
 
-// Controller makes admission decisions for a worker pool. Create one with
-// NewController; all methods are safe for concurrent use.
+// classCost is the cost in units of one request of each class.
+var classCost = [numClasses]int64{
+	ClassCheap:     DefaultCheapCost,
+	ClassExpensive: DefaultExpensiveCost,
+}
+
+// Controller makes admission decisions for a worker pool and owns its
+// slots. Create one with NewController; all methods are safe for
+// concurrent use.
 type Controller struct {
 	capacity  int
 	maxCost   int64
-	costs     [numClasses]int64
+	slots     chan struct{} // one token per busy worker
 	now       func() time.Time
 	draining  atomic.Bool
 	queued    atomic.Int64 // outstanding cost units (queued + executing)
@@ -164,23 +170,15 @@ func NewController(cfg Config) *Controller {
 	if cfg.MaxQueueCost <= 0 {
 		cfg.MaxQueueCost = DefaultQueueFactor * cfg.Capacity
 	}
-	if cfg.CheapCost <= 0 {
-		cfg.CheapCost = DefaultCheapCost
-	}
-	if cfg.ExpensiveCost <= 0 {
-		cfg.ExpensiveCost = DefaultExpensiveCost
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	c := &Controller{
+	return &Controller{
 		capacity: cfg.Capacity,
 		maxCost:  int64(cfg.MaxQueueCost),
+		slots:    make(chan struct{}, cfg.Capacity),
 		now:      cfg.Now,
 	}
-	c.costs[ClassCheap] = int64(cfg.CheapCost)
-	c.costs[ClassExpensive] = int64(cfg.ExpensiveCost)
-	return c
 }
 
 // Ticket is one admitted request's reservation. Release it exactly once
@@ -204,7 +202,7 @@ func (c *Controller) Admit(ctx context.Context, class Class) (*Ticket, error) {
 	if class < 0 || class >= numClasses {
 		class = ClassExpensive
 	}
-	cost := c.costs[class]
+	cost := classCost[class]
 	if c.draining.Load() {
 		c.shedDrain.Add(1)
 		return nil, &ShedError{Reason: ReasonDraining, RetryAfter: maxRetryAfter}
@@ -247,6 +245,34 @@ func (t *Ticket) Done() {
 		t.c.observeUnitSeconds(elapsed / float64(t.cost))
 	}
 }
+
+// Acquire takes one of the Capacity worker slots, blocking until one frees
+// or ctx ends (then it returns ctx.Err()), and reports how long it waited:
+// zero, without reading the clock, when a slot was free. A free slot is
+// taken even under an ended ctx. Every successful Acquire must be paired
+// with one Release. Admission and slots are separate steps so a request
+// that needs no computation (a cache hit) never waits for a slot.
+func (c *Controller) Acquire(ctx context.Context) (time.Duration, error) {
+	select {
+	case c.slots <- struct{}{}:
+		return 0, nil
+	default:
+	}
+	start := c.now()
+	select {
+	case c.slots <- struct{}{}:
+		return c.now().Sub(start), nil
+	case <-ctx.Done():
+		return c.now().Sub(start), ctx.Err()
+	}
+}
+
+// Release returns a slot taken by Acquire.
+func (c *Controller) Release() { <-c.slots }
+
+// Saturated reports whether every worker slot is busy right now — the
+// trigger for the service's serve-stale cache fallback.
+func (c *Controller) Saturated() bool { return len(c.slots) == cap(c.slots) }
 
 // estWait estimates how long a newly queued request waits for a worker:
 // the outstanding cost ahead of it, beyond what the pool is already

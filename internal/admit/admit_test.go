@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -174,6 +175,73 @@ func TestOverloaded(t *testing.T) {
 	tk.Done()
 	if c.Overloaded() {
 		t.Fatal("controller reports overloaded after Done")
+	}
+}
+
+// TestAcquireSlots: the controller hands out exactly Capacity worker slots
+// (a free one with zero wait), a waiter gives up when its ctx ends and
+// reports its wait, a free slot is taken even under an ended ctx, and
+// Saturated tracks the busy count.
+func TestAcquireSlots(t *testing.T) {
+	c := NewController(Config{Capacity: 2})
+	for i := range 2 {
+		if c.Saturated() {
+			t.Fatalf("saturated with %d of 2 slots busy", i)
+		}
+		if wait, err := c.Acquire(context.Background()); err != nil || wait != 0 {
+			t.Fatalf("Acquire #%d = %v, %v; want a free slot at once", i, wait, err)
+		}
+	}
+	if !c.Saturated() {
+		t.Fatal("both slots busy, yet not saturated")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if wait, err := c.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) || wait <= 0 {
+		t.Fatalf("Acquire on a full pool = %v, %v; want a positive wait and deadline exceeded", wait, err)
+	}
+	c.Release()
+	if c.Saturated() {
+		t.Fatal("saturated after Release")
+	}
+	if _, err := c.Acquire(ctx); err != nil {
+		t.Fatalf("Acquire of a free slot under an ended ctx: %v", err)
+	}
+	// Slots are independent of admission cost: none was reserved.
+	if got := c.Snapshot().QueuedCost; got != 0 {
+		t.Fatalf("queued cost = %d, want 0", got)
+	}
+}
+
+// TestAcquireBoundsConcurrency: however many goroutines contend, no more
+// than Capacity hold a slot at once.
+func TestAcquireBoundsConcurrency(t *testing.T) {
+	const capacity = 3
+	c := NewController(Config{Capacity: capacity})
+	var busy, peak atomic.Int64
+	var wg sync.WaitGroup
+	for range 32 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Acquire(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+			n := busy.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			busy.Add(-1)
+			c.Release()
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p < 1 || p > capacity {
+		t.Fatalf("peak slot holders = %d, want 1..%d", p, capacity)
+	}
+	if c.Saturated() {
+		t.Fatal("saturated after every slot was released")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,8 +32,8 @@ import (
 type ServerConfig struct {
 	// Timeout bounds one request's handling, including queueing for a pool
 	// slot. Zero (the default) selects per-kind budgets: 10s for the cheap
-	// model-backed endpoints (predict, compare) and 30s for the expensive
-	// simulator/plan-backed ones (simulate, plan, calibrate). A positive
+	// model-backed predict and 30s for the expensive simulator/plan-backed
+	// endpoints (simulate, compare, plan, calibrate). A positive
 	// value applies uniformly to every kind. Either way a client-supplied
 	// budget — the X-Deadline-Ms header or the body's timeoutSec field —
 	// overrides the server default, clamped to 5 minutes.
@@ -45,21 +44,11 @@ type ServerConfig struct {
 	// 16 MiB): trace documents carry per-task records and outgrow the
 	// request-sized default long before they stop being reasonable inputs.
 	CalibrateMaxBodyBytes int64
-	// RateLimit is the per-client sustained request rate over the /v1/*
-	// endpoints, in requests per second (token bucket keyed on the client
-	// IP). Zero disables rate limiting. Rejected requests get HTTP 429 with
-	// a Retry-After header and count into mrserved_rate_limited_total;
-	// /healthz is never limited so liveness probes cannot be starved.
-	RateLimit float64
-	// RateBurst is the token-bucket depth — how many requests a client may
-	// issue back to back before the sustained rate applies (default
-	// max(1, 2×RateLimit)).
-	RateBurst int
 	// AccessLog, when non-nil, receives one structured line per handled
 	// request (request ID, method, path, status, duration, and the trace's
 	// cache/iteration counters) plus a Warn line with the full
-	// per-stage breakdown for requests slower than SlowRequestThreshold and
-	// for rate-limited rejections. Nil disables access logging entirely, so
+	// per-stage breakdown for requests slower than SlowRequestThreshold.
+	// Nil disables access logging entirely, so
 	// library users and benchmarks pay no logging cost.
 	AccessLog *slog.Logger
 	// SlowRequestThreshold is the latency past which a request logs at Warn
@@ -128,15 +117,7 @@ const (
 // docs/API.md is the complete wire reference.
 func NewHandler(s *Service, cfg ServerConfig) http.Handler {
 	cfg.applyDefaults()
-	var h http.Handler = recoverMiddleware(cfg, newMux(s, cfg))
-	if cfg.RateLimit > 0 {
-		burst := cfg.RateBurst
-		if burst <= 0 {
-			burst = int(math.Max(1, 2*cfg.RateLimit))
-		}
-		h = rateLimitMiddleware(s, newRateLimiter(cfg.RateLimit, burst), cfg, h)
-	}
-	return traceMiddleware(s, cfg, h)
+	return traceMiddleware(s, cfg, recoverMiddleware(cfg, newMux(s, cfg)))
 }
 
 // applyDefaults fills the zero ServerConfig fields. Timeout deliberately
@@ -155,7 +136,7 @@ func (cfg *ServerConfig) applyDefaults() {
 }
 
 // newMux registers the route handlers (cfg must already have its defaults
-// applied); NewHandler wraps the result in the trace and rate-limit
+// applied); NewHandler wraps the result in the trace and recover
 // middleware.
 func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 	started := time.Now()
@@ -255,7 +236,7 @@ func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 		}
 		return out, nil
 	}))
-	mux.HandleFunc(routeCompare, jsonEndpoint(s, cfg, admit.ClassCheap, func(ctx context.Context, req compareWire) (any, error) {
+	mux.HandleFunc(routeCompare, jsonEndpoint(s, cfg, admit.ClassExpensive, func(ctx context.Context, req compareWire) (any, error) {
 		cr, err := req.toRequest()
 		if err != nil {
 			return nil, err
@@ -408,37 +389,6 @@ func traceMiddleware(s *Service, cfg ServerConfig, next http.Handler) http.Handl
 			return
 		}
 		cfg.AccessLog.Info("request", attrs...)
-	})
-}
-
-// rateLimitMiddleware rejects over-limit /v1/* requests with 429 +
-// Retry-After before any body is read or pool slot taken. /healthz (and any
-// future non-/v1 path) bypasses the limiter: liveness probes must not
-// compete with traffic for tokens. Rejections are logged with the rejected
-// client key and request ID, so shed load stays attributable.
-func rateLimitMiddleware(s *Service, limiter *rateLimiter, cfg ServerConfig, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
-			key := clientKey(r.RemoteAddr)
-			if ok, retry := limiter.allow(key); !ok {
-				s.rateLimited.Add(1)
-				secs := int(math.Ceil(retry.Seconds()))
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				if cfg.AccessLog != nil {
-					cfg.AccessLog.Warn("rate limited",
-						"requestId", traceOf(w).RequestID(),
-						"client", key,
-						"path", r.URL.Path,
-						"retryAfterSec", secs)
-				}
-				writeError(w, r, http.StatusTooManyRequests, errors.New("rate limit exceeded; retry later"))
-				return
-			}
-		}
-		next.ServeHTTP(w, r)
 	})
 }
 
@@ -671,7 +621,7 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 
 // errorWire is the structured error envelope: every error response carries
 // "error" (and "requestId" via writeJSON's splice); retryable rejections
-// (429, 503, 504) also carry the machine-readable shed reason and the
+// (503, 504) also carry the machine-readable shed reason and the
 // Retry-After hint mirrored into the body, so clients behind proxies that
 // strip headers still see it.
 type errorWire struct {
@@ -684,7 +634,7 @@ type errorWire struct {
 }
 
 // writeError renders one structured error body, attaching Retry-After to
-// every retryable status (429/503/504; a default of 1s when no layer
+// every retryable status (503/504; a default of 1s when no layer
 // supplied a better estimate) and the shed reason for admission rejections.
 func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	body := errorWire{Error: err.Error()}
@@ -697,7 +647,7 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
 	switch status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+	case http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		if w.Header().Get("Retry-After") == "" {
 			w.Header().Set("Retry-After", "1")
 		}

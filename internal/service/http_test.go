@@ -253,10 +253,10 @@ func TestRequestTimeout(t *testing.T) {
 	// A handler with a microscopic budget over a saturated single-worker
 	// pool must answer 504, not hang.
 	svc := New(Options{Workers: 1})
-	if err := svc.acquire(t.Context()); err != nil {
+	if _, err := svc.admission.Acquire(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	defer svc.release()
+	defer svc.admission.Release()
 	ts := httptest.NewServer(NewHandler(svc, ServerConfig{Timeout: 50 * time.Millisecond}))
 	defer ts.Close()
 
@@ -432,8 +432,8 @@ func Routes() []string {
 
 // TestRoutesRegistered binds Routes() to the mux: every advertised pattern
 // must resolve to a registered handler under its own method and path. It
-// inspects the inner mux directly — NewHandler wraps it in the trace (and
-// optionally rate-limit) middleware.
+// inspects the inner mux directly — NewHandler wraps it in the trace and
+// recover middleware.
 func TestRoutesRegistered(t *testing.T) {
 	cfg := ServerConfig{}
 	cfg.applyDefaults()

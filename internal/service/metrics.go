@@ -52,7 +52,6 @@ func writePrometheus(w io.Writer, m Metrics) error {
 		{"mrserved_model_iterations_total", "Model fixed-point iterations spent by computed predictions, by loop (outer damped rounds vs inner MVA sweeps).", "counter", `loop="outer"`, float64(m.ModelOuterIterations)},
 		{"mrserved_model_iterations_total", "", "", `loop="inner"`, float64(m.ModelInnerIterations)},
 		{"mrserved_workflow_requests_total", "Predict/plan requests that carried a workflow block (also counted in their kind).", "counter", "", float64(m.WorkflowRequests)},
-		{"mrserved_rate_limited_total", "Requests rejected with 429 by the per-client token-bucket limiter.", "counter", "", float64(m.RateLimited)},
 		{"mrserved_admission_queued_cost", "Outstanding admitted cost units (queued + executing) in the admission controller.", "gauge", "", float64(m.Admission.QueuedCost)},
 		{"mrserved_admission_queue_limit", "Admission bound in cost units; reaching it sheds with queue_full.", "gauge", "", float64(m.Admission.MaxQueueCost)},
 		{"mrserved_admission_est_wait_seconds", "Estimated queue wait for a newly admitted request at the observed per-unit service time.", "gauge", "", m.Admission.EstWaitSeconds},

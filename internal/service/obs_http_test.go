@@ -233,65 +233,44 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
-// TestRateLimited429Logging: shed load is attributable — the 429 response
-// carries the request ID, and the log line names the rejected client key
-// with the same ID.
-func TestRateLimited429Logging(t *testing.T) {
+// TestQueueFull503Logging: shed load is attributable — a queue_full 503
+// carries the request ID, and its access-log line names the same ID with
+// status 503.
+func TestQueueFull503Logging(t *testing.T) {
 	var buf bytes.Buffer
 	logger, err := obs.NewLogger(&buf, obs.LogFormatJSON, slog.LevelInfo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Options{Workers: 1, CacheSize: 4})
-	h := NewHandler(svc, ServerConfig{
-		Timeout: 30 * time.Second, RateLimit: 0.001, RateBurst: 1, AccessLog: logger,
-	})
+	// A bound below one expensive request's cost sheds every simulate.
+	svc := New(Options{Workers: 1, CacheSize: 4, AdmitMaxQueueCost: 1})
+	h := NewHandler(svc, ServerConfig{Timeout: 30 * time.Second, AccessLog: logger})
 
-	do := func(id string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/predict",
-			strings.NewReader(`{"cluster":{"nodes":2},"job":{"inputMB":256}}`))
-		req.RemoteAddr = "10.7.7.7:1234"
-		if id != "" {
-			req.Header.Set(RequestIDHeader, id)
-		}
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		return w
-	}
-	do("")                   // consumes the single burst token
-	w := do("shed-load-911") // rejected
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("second request code = %d, want 429", w.Code)
+	req := httptest.NewRequest(http.MethodPost, "/v1/simulate",
+		strings.NewReader(`{"cluster":{"nodes":2},"job":{"inputMB":256},"reps":1}`))
+	req.Header.Set(RequestIDHeader, "shed-load-911")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("code = %d, want 503", w.Code)
 	}
 	var out map[string]any
 	if err := json.NewDecoder(w.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out["requestId"] != "shed-load-911" {
-		t.Errorf("429 body requestId = %v", out["requestId"])
+	if out["requestId"] != "shed-load-911" || out["reason"] != "queue_full" {
+		t.Errorf("503 body requestId = %v reason = %v", out["requestId"], out["reason"])
 	}
 	if got := w.Header().Get(RequestIDHeader); got != "shed-load-911" {
-		t.Errorf("429 header requestId = %q", got)
+		t.Errorf("503 header requestId = %q", got)
 	}
 
-	var rateLine map[string]any
-	for _, raw := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var line map[string]any
-		if err := json.Unmarshal([]byte(raw), &line); err != nil {
-			t.Fatalf("log line %q: %v", raw, err)
-		}
-		if line["msg"] == "rate limited" {
-			rateLine = line
-		}
+	var line map[string]any
+	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &line); err != nil {
+		t.Fatalf("access log %q: %v", buf.String(), err)
 	}
-	if rateLine == nil {
-		t.Fatalf("no rate-limited log line in %q", buf.String())
-	}
-	if rateLine["requestId"] != "shed-load-911" {
-		t.Errorf("rate-limited line requestId = %v", rateLine["requestId"])
-	}
-	if rateLine["client"] != "10.7.7.7" {
-		t.Errorf("rate-limited line client = %v, want the rejected client key", rateLine["client"])
+	if line["requestId"] != "shed-load-911" || line["status"] != float64(http.StatusServiceUnavailable) {
+		t.Errorf("access-log line = %v, want requestId shed-load-911 and status 503", line)
 	}
 }
 

@@ -213,7 +213,7 @@ func (s *Service) Calibrate(ctx context.Context, req CalibrateRequest) (Calibrat
 		return CalibrateResponse{}, err
 	}
 	fit, err := trace.Fit(req.Result, req.Fit)
-	s.release()
+	s.admission.Release()
 	if err != nil {
 		return CalibrateResponse{}, invalid(err)
 	}

@@ -16,8 +16,7 @@ import (
 )
 
 // TestErrorEnvelopeContract pins the wire shape of every load-rejection
-// status: 429 (rate limit), 503 (admission shed), and 504 (deadline) all
-// carry the structured JSON envelope — error text, requestId echoing the
+// status: 503 (admission shed) and 504 (deadline) both carry the structured JSON envelope — error text, requestId echoing the
 // response header, a numeric retryAfterSec — plus a Retry-After header of
 // at least one second.
 func TestErrorEnvelopeContract(t *testing.T) {
@@ -33,13 +32,6 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		wantReason string
 		fire       func(t *testing.T) *http.Response
 	}{
-		{"rate limited", http.StatusTooManyRequests, "", func(t *testing.T) *http.Response {
-			svc := New(Options{Workers: 2})
-			ts := httptest.NewServer(NewHandler(svc, ServerConfig{RateLimit: 0.01, RateBurst: 1}))
-			t.Cleanup(ts.Close)
-			mustPost(t, ts.URL+"/v1/predict", predict).Body.Close() // burn the burst token
-			return mustPost(t, ts.URL+"/v1/predict", predict)
-		}},
 		{"queue full", http.StatusServiceUnavailable, admit.ReasonQueueFull, func(t *testing.T) *http.Response {
 			// A bound below one expensive request's cost sheds the very
 			// first simulate with no concurrency choreography.
@@ -143,7 +135,9 @@ func TestServeStaleUnderSaturation(t *testing.T) {
 	// Past the TTL again, but now with the only worker occupied: the
 	// expired entry is served with Stale=true instead of queueing.
 	time.Sleep(ttl + 20*time.Millisecond)
-	s.sem <- struct{}{} // saturate the pool
+	if _, err := s.admission.Acquire(ctx); err != nil { // saturate the pool
+		t.Fatal(err)
+	}
 	stale, err := s.Predict(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +148,7 @@ func TestServeStaleUnderSaturation(t *testing.T) {
 	if stale.Prediction.ResponseTime != idle.Prediction.ResponseTime {
 		t.Errorf("stale answer drifted: %v vs %v", stale.Prediction.ResponseTime, idle.Prediction.ResponseTime)
 	}
-	<-s.sem
+	s.admission.Release()
 
 	// Capacity is back: the same key recomputes fresh and repopulates.
 	again, err := s.Predict(ctx, req)
@@ -167,6 +161,50 @@ func TestServeStaleUnderSaturation(t *testing.T) {
 
 	if m := s.Metrics(); m.StaleServed != 1 {
 		t.Errorf("StaleServed = %d, want 1", m.StaleServed)
+	}
+}
+
+// TestCacheHitsNeverWaitForSlots pins the lazy-slot contract: a worker
+// slot is taken inside the compute, on a miss only. With every slot held
+// through the admission controller, a cached /v1/predict still answers 200
+// from the cache, while a miss waits for a slot until its 50 ms budget
+// runs out and answers 504.
+func TestCacheHitsNeverWaitForSlots(t *testing.T) {
+	svc := New(Options{Workers: 2, CacheSize: 8})
+	ts := httptest.NewServer(NewHandler(svc, ServerConfig{}))
+	t.Cleanup(ts.Close)
+	hit := `{"cluster":{"nodes":2},"job":{"inputMB":256}}`
+	if status, body := postJSON(t, ts.URL+"/v1/predict", hit); status != http.StatusOK {
+		t.Fatalf("priming predict = %d %v", status, body)
+	}
+	for range 2 {
+		if _, err := svc.admission.Acquire(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+		defer svc.admission.Release()
+	}
+	if !svc.admission.Saturated() {
+		t.Fatal("every slot held, yet the controller is not saturated")
+	}
+
+	status, body := postJSON(t, ts.URL+"/v1/predict", hit)
+	if status != http.StatusOK || body["cached"] != true {
+		t.Errorf("cached predict under saturation = %d %v, want 200 cached", status, body)
+	}
+
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict",
+		strings.NewReader(`{"cluster":{"nodes":3},"job":{"inputMB":256}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(DeadlineHeader, "50")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("miss under saturation = %d, want 504", resp.StatusCode)
 	}
 }
 

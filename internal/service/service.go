@@ -112,8 +112,8 @@ func checkModelCells(spec cluster.Spec, job workload.Job) error {
 
 // Options configures a Service.
 type Options struct {
-	// Workers bounds concurrently executing model/simulator jobs
-	// (default: GOMAXPROCS).
+	// Workers bounds concurrently executing model/simulator jobs: the
+	// admission controller's slot count (default: GOMAXPROCS).
 	Workers int
 	// CacheSize is the LRU entry capacity (default 1024).
 	CacheSize int
@@ -215,9 +215,6 @@ type Metrics struct {
 	// solve's win shows up here as fewer inner sweeps per miss.
 	ModelOuterIterations int64 `json:"modelOuterIterations"`
 	ModelInnerIterations int64 `json:"modelInnerIterations"` // see ModelOuterIterations
-	// RateLimited counts requests rejected with HTTP 429 by the per-client
-	// token-bucket limiter (0 when rate limiting is disabled).
-	RateLimited int64 `json:"rateLimited"`
 	// WorkflowRequests counts predict/plan requests that carried a workflow
 	// block (also included in PredictRequests/PlanRequests).
 	WorkflowRequests int64 `json:"workflowRequests"`
@@ -260,7 +257,6 @@ type Metrics struct {
 // goroutines; create one with New.
 type Service struct {
 	opts   Options
-	sem    chan struct{}
 	cache  *shardedCache
 	flight *shardedFlight
 	// profiles is the versioned registry of calibrated (trace-fitted)
@@ -277,9 +273,9 @@ type Service struct {
 	// once in New and read-only afterwards, so recording needs no locks.
 	reqHist   [numKinds]*obs.Histogram
 	stageHist [obs.NumStages]*obs.Histogram
-	// admission is the bounded cost-classed admission controller fronting
-	// the worker pool; breaker the consecutive-timeout circuit breaker
-	// guarding simulator-backed paths.
+	// admission is the bounded cost-classed admission controller, the one
+	// owner of the worker slots; breaker the consecutive-timeout circuit
+	// breaker guarding simulator-backed paths.
 	admission *admit.Controller
 	breaker   *admit.Breaker
 
@@ -294,7 +290,6 @@ type Service struct {
 	simRuns       atomic.Int64
 	outerIters    atomic.Int64
 	innerIters    atomic.Int64
-	rateLimited   atomic.Int64
 	simFaults     atomic.Int64
 	simReexec     atomic.Int64
 	workflowReqs  atomic.Int64
@@ -332,7 +327,6 @@ func New(opts Options) *Service {
 	opts.applyDefaults()
 	s := &Service{
 		opts:       opts,
-		sem:        make(chan struct{}, opts.Workers),
 		cache:      newShardedCache(opts.CacheSize, opts.CacheTTL),
 		flight:     newShardedFlight(),
 		profiles:   newProfileRegistry(opts.MaxProfiles, opts.ProfileTTL),
@@ -392,7 +386,6 @@ func (s *Service) Metrics() Metrics {
 
 		ModelOuterIterations: s.outerIters.Load(),
 		ModelInnerIterations: s.innerIters.Load(),
-		RateLimited:          s.rateLimited.Load(),
 		WorkflowRequests:     s.workflowReqs.Load(),
 		SimFaultsInjected:    s.simFaults.Load(),
 		SimTasksReexecuted:   s.simReexec.Load(),
@@ -420,32 +413,15 @@ func (s *Service) Metrics() Metrics {
 	return m
 }
 
-// acquire takes a worker-pool slot, honoring cancellation while queued.
-// The wait is recorded as the request's queue_wait stage.
+// acquire takes a worker slot from the admission controller, honoring
+// cancellation while queued; the wait is the request's queue_wait stage.
+// Pair it with s.admission.Release.
 func (s *Service) acquire(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		// A slot was free: record the zero-length wait without paying two
-		// clock reads on the common uncontended path.
-		obs.FromContext(ctx).Add(obs.StageQueueWait, 0)
-		s.stageHist[obs.StageQueueWait].Observe(0)
-		return nil
-	default:
-	}
-	defer s.endSpan(obs.FromContext(ctx), obs.StageQueueWait, time.Now())
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	wait, err := s.admission.Acquire(ctx)
+	obs.FromContext(ctx).Add(obs.StageQueueWait, wait)
+	s.stageHist[obs.StageQueueWait].Observe(wait.Seconds())
+	return err
 }
-
-func (s *Service) release() { <-s.sem }
-
-// saturated reports whether every worker-pool slot is busy right now — the
-// trigger for the serve-stale cache fallback.
-func (s *Service) saturated() bool { return len(s.sem) == cap(s.sem) }
 
 // StartDrain begins shutdown drain: every subsequent admission is shed with
 // a draining 503 and Draining/readiness flips, while in-flight requests run
@@ -467,9 +443,9 @@ var errBreakerOpen = errors.New("service: simulator circuit breaker open")
 
 // cachedCompute serves one request through the LRU + singleflight path:
 // cache hit, or join an in-flight identical computation, or compute and
-// populate the cache. compute is responsible for its own worker-pool usage
-// (acquire/release) so that uninterruptible work can keep its slot past a
-// caller's cancellation.
+// populate the cache. compute takes its own worker slot (acquire, then
+// s.admission.Release) so that a hit never waits for one and
+// uninterruptible work can keep its slot past a caller's cancellation.
 //
 // When entries carry a TTL (Options.CacheTTL > 0) and the worker pool is
 // saturated, an expired-but-resident entry is served immediately with
@@ -486,7 +462,7 @@ func (s *Service) cachedCompute(ctx context.Context, key string, compute func() 
 		tr.AddCounter(obs.CounterCacheHits, 1)
 		return v, true, false, nil
 	}
-	if s.opts.CacheTTL > 0 && s.saturated() {
+	if s.opts.CacheTTL > 0 && s.admission.Saturated() {
 		if v, ok := s.cache.getStale(key); ok {
 			s.staleServed.Add(1)
 			s.hits.Add(1)
@@ -668,7 +644,7 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained b
 		if err := s.acquire(ctx); err != nil {
 			return nil, err
 		}
-		defer s.release()
+		defer s.admission.Release()
 		cfg := req.config()
 		tr := obs.FromContext(ctx)
 		solveStart := time.Now()
@@ -883,7 +859,7 @@ func (s *Service) runSim(ctx context.Context, req SimulateRequest) (simOutcome, 
 	if err := s.acquire(ctx); err != nil {
 		return simOutcome{}, err
 	}
-	defer s.release()
+	defer s.admission.Release()
 	s.inFlightSims.Add(1)
 	defer s.inFlightSims.Add(-1)
 	defer s.endSpan(obs.FromContext(ctx), obs.StageSimulate, time.Now())
@@ -1068,7 +1044,7 @@ func (s *Service) runCompare(ctx context.Context, req CompareRequest) (CompareRe
 	if err := s.acquire(ctx); err != nil {
 		return CompareResponse{}, err
 	}
-	defer s.release()
+	defer s.admission.Release()
 	cfg := core.Config{Spec: req.Spec, Job: req.Job, NumJobs: req.NumJobs, Faults: req.Faults}
 	if req.resolved != nil {
 		cfg.History = req.resolved.history

@@ -201,10 +201,10 @@ func TestPredictHonorsCancellation(t *testing.T) {
 	// A single-worker pool with its slot held: a canceled caller must
 	// return promptly with ctx.Err() instead of queueing forever.
 	s := New(Options{Workers: 1})
-	if err := s.acquire(context.Background()); err != nil {
+	if _, err := s.admission.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.release()
+	defer s.admission.Release()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
