@@ -321,7 +321,7 @@ func BenchmarkPlanDeadline(b *testing.B) {
 		run := func(b *testing.B, exhaustive bool) {
 			b.ReportAllocs()
 			var best *PlanCandidate
-			var predicts int64
+			var predicts, rounds, reused int64
 			for i := 0; i < b.N; i++ {
 				svc := NewService(ServiceOptions{}) // cold cache per query
 				req := base
@@ -335,9 +335,17 @@ func BenchmarkPlanDeadline(b *testing.B) {
 					b.Fatal("no feasible plan")
 				}
 				best = resp.Best
-				predicts += svc.Metrics().CacheMisses
+				m := svc.Metrics()
+				predicts += m.CacheMisses
+				rounds += m.ModelOuterIterations
+				reused += m.ModelReusedRounds
 			}
 			b.ReportMetric(float64(predicts)/float64(b.N), "predicts/op")
+			// The share of the rounds after each solve's first that reused
+			// the first round's structure.
+			if later := rounds - predicts; later > 0 {
+				b.ReportMetric(float64(reused)/float64(later), "reused/later")
+			}
 			if best.Nodes <= 0 {
 				b.Fatal("bogus best")
 			}

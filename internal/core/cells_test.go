@@ -9,6 +9,7 @@ import (
 
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/fault"
+	"hadoop2perf/internal/ptree"
 	"hadoop2perf/internal/timeline"
 	"hadoop2perf/internal/workload"
 )
@@ -95,7 +96,7 @@ func lumpedMatchesElementwise(t testing.TB, cfg Config) (cellRows, taskRows int)
 	t.Helper()
 	var lumped Predictor
 	var hookErr error
-	lumped.roundHook = func(tl *timeline.Timeline, otherJobs int) {
+	lumped.roundHook = func(tl *timeline.Timeline, _ *ptree.Node, otherJobs int) {
 		cellRows += lumped.cells.count()
 		taskRows += len(tl.Tasks)
 		if hookErr == nil {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/dist"
@@ -200,6 +201,15 @@ type Prediction struct {
 	// all outer iterations — with Iterations, the observable cost of the
 	// prediction (surfaced by the service's /v1/metrics).
 	InnerIterations int
+	// ReusedRounds counts the outer rounds that rebuilt none of the
+	// round's structure: the timeline re-timed round 1's placement with
+	// every task in its lane and order (timeline.Builder.Retime), the
+	// precedence tree was refreshed in place (ptree.Builder.Refresh) and
+	// the demand rows were kept. RebuiltRounds counts the others, round 1
+	// among them; the two sum to Iterations. Both rebuilt and reused rounds
+	// give the same bits.
+	ReusedRounds  int
+	RebuiltRounds int
 	// Cells is the number of MVA rows the final round solved: one per cell
 	// of interchangeable tasks (see cells.go). It equals the task count when
 	// the round was solved element-wise.
@@ -230,13 +240,19 @@ type classData struct {
 
 func (c *classData) demandTotal() float64 { return c.demCPU + c.demDisk + c.demNetwork }
 
+// classTable is the working state of every task class, indexed by
+// timeline.Class.
+type classTable [numClasses]classData
+
 // Predictor is a reusable, allocation-lean model evaluator: the O(T²) fused
-// overlap weights, the MVA solver scratch, the timeline builder and its
-// inputs and the per-iteration lookup tables live on the Predictor and are
-// recycled across iterations and across predictions, so evaluating many
-// configurations — the planner's node-axis sweeps, batched figure
-// reproduction — stops churning the garbage collector. Each outer round
-// allocates only the timeline and the precedence tree it returns.
+// overlap weights, the MVA solver scratch, the round's timeline and
+// precedence tree with their builders, and the per-iteration lookup tables
+// live on the Predictor and are recycled across iterations and across
+// predictions, so evaluating many configurations — the planner's node-axis
+// sweeps, batched figure reproduction — stops churning the garbage
+// collector. Once its scratch has grown, an outer round allocates nothing;
+// a prediction allocates its setup and, per round an estimator stops on, a
+// copy of that round's timeline and tree for the Prediction.
 //
 // A Predictor is not safe for concurrent use; pool Predictors (one per
 // worker) to serve parallel predictions. Results are bit-identical to the
@@ -257,9 +273,14 @@ type Predictor struct {
 	demFlat []float64
 	demC    int
 
-	// Algorithm-1 builder and inputs (the builder copies what it keeps into
-	// the returned timeline; safe to reuse).
+	// Algorithm-1 builder, the round's timeline it writes into, and its
+	// input: the lane layout and duration scales (tlIn, set once per
+	// prediction) and the task durations (maps, reduces, set per round). The
+	// precedence-tree builder holds the round's tree.
 	tlb        timeline.Builder
+	tl         timeline.Timeline
+	ptb        ptree.Builder
+	tlIn       timeline.Input
 	maps       []timeline.MapTask
 	reduces    []timeline.ReduceTask
 	mapSlotsBy []int
@@ -277,6 +298,10 @@ type Predictor struct {
 	laneOf   []int
 	laneWins []laneWindow
 	respBy   [numClasses][]float64
+	// A4's overlaps of the current representative with each lane
+	// (overlapFactors).
+	laneOv []float64
+	laneAt []int32
 
 	// Cells of the current round (cells.go), a representative's Network
 	// and CPU weight rows before they are summed per cell, the
@@ -293,14 +318,18 @@ type Predictor struct {
 	taskResp []float64
 
 	// identityCells forces the all-singleton partition (the element-wise
-	// model) and roundHook, when set, sees every round's timeline before
-	// the MVA step; both are test seams.
+	// model), rebuildRounds builds every round's timeline, tree and demand
+	// rows from scratch, and roundHook, when set, sees every round's
+	// timeline and tree before the MVA step; all three are test seams.
 	identityCells bool
-	roundHook     func(tl *timeline.Timeline, otherJobs int)
+	rebuildRounds bool
+	roundHook     func(tl *timeline.Timeline, tree *ptree.Node, otherJobs int)
 
 	// infl is the fault effective-demand correction of the current
-	// prediction (the identity without a fault scenario).
-	infl fault.Inflation
+	// prediction (the identity without a fault scenario), classes its
+	// per-class working state.
+	infl    fault.Inflation
+	classes classTable
 
 	// trip is the A6 Tripathi evaluation state of the current prediction.
 	trip tripathiEval
@@ -499,11 +528,15 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 	}
 
 	var (
-		tl   *timeline.Timeline
+		tl   = &p.tl
 		tree *ptree.Node
 		warm [][]float64 // inner seed for the next MVA step (fast only)
-		// inner totals the MVA sweeps so far.
-		inner int
+		// inner totals the MVA sweeps so far, reused the rounds that
+		// rebuilt no structure.
+		inner, reused int
+		// kept is the copy of the round's timeline and tree handed to the
+		// estimators that stop on it.
+		kept roundCopy
 	)
 	// Until an estimator stops, its entry's ResponseTime is the previous
 	// round's total (the ε-test's reference), +Inf before the first round.
@@ -518,21 +551,43 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 				return err
 			}
 		}
-		// A2: timeline from current class response times.
-		tl, err = p.buildTimeline(cfg, classes)
+		// A2: timeline from current class response times; A3: its
+		// precedence tree. Round 1 builds both. A later round re-times the
+		// recorded placement and refreshes the tree in place, paying only
+		// for the arithmetic when the structure repeats; either way the
+		// bits are a fresh build's.
+		tlIn := p.timelineInput(cfg, classes)
+		full := iter == 1 || p.rebuildRounds
+		repeated, treeKept := false, false
+		if full {
+			err = p.tlb.BuildInto(tlIn, tl)
+		} else {
+			repeated, err = p.tlb.Retime(tlIn, tl)
+		}
 		if err != nil {
 			return err
 		}
-		// A3: precedence tree.
-		tree, err = ptree.Build(tl)
+		if full {
+			tree, err = p.ptb.Build(tl)
+		} else {
+			tree, treeKept, err = p.ptb.Refresh(tl)
+		}
 		if err != nil {
 			return err
+		}
+		// A task's demand row depends only on its class, ID and node, which
+		// a repeated placement keeps at every position.
+		n := len(tl.Tasks)
+		if !repeated {
+			p.demandsFor(&cfg, tl, classes)
+		}
+		taskDemands := p.demands[:n]
+		if repeated && treeKept {
+			reused++
 		}
 		// A4: cells of interchangeable tasks (cells.go), then the overlap
 		// factors fused into the MVA step's weights, one row per cell.
-		n := len(tl.Tasks)
 		laneOf, wins := p.laneWindows(tl)
-		taskDemands := p.demandsFor(&cfg, tl, classes)
 		if p.identityCells {
 			p.cells.identity(n)
 		} else {
@@ -555,7 +610,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 			Accelerate: fast,
 		}
 		if p.roundHook != nil {
-			p.roundHook(tl, cfg.NumJobs-1)
+			p.roundHook(tl, tree, cfg.NumJobs-1)
 		}
 		// A5: overlap-weighted MVA step on the cells, copied back to tasks.
 		cellStep, err := p.solver.Step(in)
@@ -574,13 +629,13 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 		// Aggregate per class with damping.
 		var newResp [numClasses]float64
 		classMeans(tl, step.Response, &newResp)
-		for cls, cd := range classes {
+		for cls := range classes {
 			nr := newResp[cls]
 			if nr <= 0 {
 				continue
 			}
+			cd := &classes[cls]
 			cd.response = DefaultDamping*cd.response + (1-DefaultDamping)*nr
-			classes[cls] = cd
 		}
 		// A6: job response from the tree + convergence test, per estimator
 		// still iterating.
@@ -604,41 +659,60 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 			pred.ResponseTime = total
 			pred.Iterations = iter
 			pred.InnerIterations = inner
+			pred.ReusedRounds, pred.RebuiltRounds = reused, iter-reused
 			pred.Cells = p.cells.count()
 			if est == EstimatorTripathi {
 				pred.MaxEvaluations, pred.MaxIntegrations = p.trip.evals, p.trip.integrations
 			}
 			if stop {
 				pred.Converged = true
-				finish(pred, classes, tl, tree)
+				finish(pred, classes, &kept, iter, tl, &p.ptb)
 				running--
 			}
 		}
 	}
 	for i := range out {
 		if !out[i].Converged {
-			finish(&out[i], classes, tl, tree)
+			finish(&out[i], classes, &kept, out[i].Iterations, tl, &p.ptb)
 		}
 	}
 	return nil
 }
 
 // finish records the iteration state an estimator stops with: the class
-// responses (copied — the loop may run on for other estimators) and the
-// round's timeline and tree (fresh per round, so safe to share).
-func finish(pred *Prediction, classes map[timeline.Class]*classData, tl *timeline.Timeline, tree *ptree.Node) {
+// responses (copied — the loop may run on for other estimators) and a copy
+// of round iter's timeline and tree, which the next round overwrites.
+func finish(pred *Prediction, classes *classTable, kept *roundCopy, iter int, tl *timeline.Timeline, tb *ptree.Builder) {
 	pred.ClassResponse = map[timeline.Class]float64{}
 	for cls, cd := range classes {
-		pred.ClassResponse[cls] = cd.response
+		pred.ClassResponse[timeline.Class(cls)] = cd.response
 	}
-	pred.Timeline = tl
-	pred.Tree = tree
+	pred.Timeline, pred.Tree = kept.of(iter, tl, tb)
+}
+
+// roundCopy is a self-contained copy of one round's timeline and tree,
+// shared by the estimators that stop on that round.
+type roundCopy struct {
+	iter int
+	tl   *timeline.Timeline
+	tree *ptree.Node
+}
+
+// of returns the copy of round iter, whose timeline is tl and whose tree
+// tb holds, making it on first use.
+func (c *roundCopy) of(iter int, tl *timeline.Timeline, tb *ptree.Builder) (*timeline.Timeline, *ptree.Node) {
+	if c.tl == nil || c.iter != iter {
+		cp := *tl
+		cp.Tasks = slices.Clone(tl.Tasks)
+		c.iter, c.tl, c.tree = iter, &cp, tb.Snapshot()
+	}
+	return c.tl, c.tree
 }
 
 // beginPredict validates and normalizes a configuration and initializes the
 // per-run hardware view, fault inflation and class working state — the
 // prologue of the outer loop. The returned Config has defaults applied.
-func (p *Predictor) beginPredict(cfg Config) (Config, map[timeline.Class]*classData, error) {
+func (p *Predictor) beginPredict(cfg Config) (Config, *classTable, error) {
 	if err := cfg.validateTuning(); err != nil {
 		return cfg, nil, err
 	}
@@ -658,7 +732,9 @@ func (p *Predictor) beginPredict(cfg Config) (Config, map[timeline.Class]*classD
 	p.hw.init(cfg.Spec)
 	p.infl = faultFactors(cfg, &p.hw)
 	p.trip.reset()
-	return cfg, initialize(cfg, &p.hw, p.infl), nil
+	p.classes = initialize(cfg, &p.hw, p.infl)
+	p.laneLayout(cfg, &p.classes)
+	return cfg, &p.classes, nil
 }
 
 // schedulingLatency is the per-container YARN control-loop cost the model
@@ -675,16 +751,17 @@ const schedulingLatency = 0.5
 // demand vector by its effective-demand factor and widens the class CVs by
 // the straggler mixture's dispersion; the identity correction changes no
 // bits.
-func initialize(cfg Config, h *hwView, infl fault.Inflation) map[timeline.Class]*classData {
+func initialize(cfg Config, h *hwView, infl fault.Inflation) classTable {
 	md := cfg.Job.MapDemands(cfg.Job.BlockSizeMB, h.avgDisk)
 	ss := cfg.Job.ShuffleSortDemands(h.avgNet, h.avgDisk)
 	mg := cfg.Job.MergeDemands(h.avgDisk)
-	classes := map[timeline.Class]*classData{
+	classes := classTable{
 		timeline.ClassMap:         {demCPU: md.CPU*h.avgInvSpeed + schedulingLatency, demDisk: md.Disk, demNetwork: md.Network},
 		timeline.ClassShuffleSort: {demCPU: ss.CPU*h.avgInvSpeed + schedulingLatency, demDisk: ss.Disk, demNetwork: ss.Network},
 		timeline.ClassMerge:       {demCPU: mg.CPU * h.avgInvSpeed, demDisk: mg.Disk, demNetwork: mg.Network},
 	}
-	for cls, cd := range classes {
+	for i := range classes {
+		cls, cd := timeline.Class(i), &classes[i]
 		if h, ok := cfg.History[cls]; ok {
 			if h.MeanCPU > 0 {
 				cd.demCPU = h.MeanCPU
@@ -713,7 +790,6 @@ func initialize(cfg Config, h *hwView, infl fault.Inflation) map[timeline.Class]
 			// 1+cv'² = (1+cv²)(1+cv_f²).
 			cd.cv = math.Sqrt((1+cd.cv*cd.cv)*(1+infl.FactorCV*infl.FactorCV) - 1)
 		}
-		classes[cls] = cd
 	}
 	return classes
 }
@@ -770,34 +846,13 @@ func leafCVFor(cfg Config, cls timeline.Class) float64 {
 	return cv
 }
 
-// buildTimeline converts class responses into Algorithm 1 inputs. The
-// shuffle-sort response is split into a node-local base and a network share
-// that Algorithm 1 redistributes per remote map (sd/|R|). The input slices
-// are predictor-owned scratch: the timeline builder copies what it keeps.
-func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classData) (*timeline.Timeline, error) {
-	m := cfg.Job.NumMaps()
-	r := cfg.Job.NumReduces
-	mapResp := classes[timeline.ClassMap].response
-	ssResp := classes[timeline.ClassShuffleSort].response
-	mgResp := classes[timeline.ClassMerge].response
-
-	ssd := classes[timeline.ClassShuffleSort]
-	netFrac := 0.0
-	if tot := ssd.demandTotal(); tot > 0 {
-		netFrac = ssd.demNetwork / tot
-	}
-	ssBase := ssResp * (1 - netFrac)
-	// Each map's shuffle contribution: if every map were remote the shares
-	// would reassemble the full network part of the shuffle-sort response.
-	sd := 0.0
-	if m > 0 {
-		sd = ssResp * netFrac * float64(r) / float64(m)
-	}
-
-	// With N identical concurrent jobs the root queue's fair ordering gives
-	// each job ~1/N of the container capacity; the per-job timeline is built
-	// over that share (at least one lane per node). Each node's lane count
-	// comes from its hardware class — bigger nodes host more lanes.
+// laneLayout sets the part of Algorithm 1's input that holds for a whole
+// prediction: the lanes of every node and the per-node duration scales.
+// With N identical concurrent jobs the root queue's fair ordering gives
+// each job ~1/N of the container capacity; the per-job timeline is built
+// over that share (at least one lane per node). Each node's lane count
+// comes from its hardware class — bigger nodes host more lanes.
+func (p *Predictor) laneLayout(cfg Config, classes *classTable) {
 	hw := &p.hw
 	p.mapSlotsBy = resize(p.mapSlotsBy, hw.nodes)
 	p.redSlotsBy = resize(p.redSlotsBy, hw.nodes)
@@ -814,6 +869,39 @@ func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classD
 		p.mapSlotsBy[n] = ms
 		p.redSlotsBy[n] = rs
 	}
+	p.tlIn = timeline.Input{
+		NumNodes:          hw.nodes,
+		MapSlotsByNode:    p.mapSlotsBy,
+		ReduceSlotsByNode: p.redSlotsBy,
+		SlowStart:         cfg.Job.SlowStart,
+	}
+	p.tlIn.MapDurationScaleByNode, p.tlIn.ReduceDurationScaleByNode = p.durationScales(cfg, classes)
+}
+
+// timelineInput converts class responses into Algorithm 1 inputs over the
+// prediction's lane layout. The shuffle-sort response is split into a
+// node-local base and a network share that Algorithm 1 redistributes per
+// remote map (sd/|R|). The task slices are predictor-owned scratch.
+func (p *Predictor) timelineInput(cfg Config, classes *classTable) timeline.Input {
+	m := cfg.Job.NumMaps()
+	r := cfg.Job.NumReduces
+	mapResp := classes[timeline.ClassMap].response
+	ssResp := classes[timeline.ClassShuffleSort].response
+	mgResp := classes[timeline.ClassMerge].response
+
+	ssd := &classes[timeline.ClassShuffleSort]
+	netFrac := 0.0
+	if tot := ssd.demandTotal(); tot > 0 {
+		netFrac = ssd.demNetwork / tot
+	}
+	ssBase := ssResp * (1 - netFrac)
+	// Each map's shuffle contribution: if every map were remote the shares
+	// would reassemble the full network part of the shuffle-sort response.
+	sd := 0.0
+	if m > 0 {
+		sd = ssResp * netFrac * float64(r) / float64(m)
+	}
+
 	p.maps = p.maps[:0]
 	p.reduces = p.reduces[:0]
 	for i := 0; i < m; i++ {
@@ -824,16 +912,9 @@ func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classD
 			ID: i, ShuffleSortBase: ssBase, MergeDuration: mgResp,
 		})
 	}
-	in := timeline.Input{
-		NumNodes:          hw.nodes,
-		MapSlotsByNode:    p.mapSlotsBy,
-		ReduceSlotsByNode: p.redSlotsBy,
-		Maps:              p.maps,
-		Reduces:           p.reduces,
-		SlowStart:         cfg.Job.SlowStart,
-	}
-	in.MapDurationScaleByNode, in.ReduceDurationScaleByNode = p.durationScales(cfg, classes)
-	return p.tlb.Build(in)
+	in := p.tlIn
+	in.Maps, in.Reduces = p.maps, p.reduces
+	return in
 }
 
 // durationScales derives Algorithm 1's per-node duration-scale vectors for
@@ -851,7 +932,7 @@ func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classD
 // trace) keeps scaling the statically-initialized phases. Homogeneous
 // clusters — and full histories — return nil vectors (the exact pre-class
 // path).
-func (p *Predictor) durationScales(cfg Config, classes map[timeline.Class]*classData) (mapScales, redScales []float64) {
+func (p *Predictor) durationScales(cfg Config, classes *classTable) (mapScales, redScales []float64) {
 	hw := &p.hw
 	_, mapHist := cfg.History[timeline.ClassMap]
 	_, ssHist := cfg.History[timeline.ClassShuffleSort]
@@ -863,9 +944,9 @@ func (p *Predictor) durationScales(cfg Config, classes map[timeline.Class]*class
 	if (!scaleMaps && !scaleReds) || len(hw.classes) <= 1 {
 		return nil, nil
 	}
-	mapCD := classes[timeline.ClassMap]
-	ssCD := classes[timeline.ClassShuffleSort]
-	mgCD := classes[timeline.ClassMerge]
+	mapCD := &classes[timeline.ClassMap]
+	ssCD := &classes[timeline.ClassShuffleSort]
+	mgCD := &classes[timeline.ClassMerge]
 	mapAvg := mapCD.demandTotal()
 	redAvg := ssCD.demCPU + ssCD.demDisk + mgCD.demCPU + mgCD.demDisk // node-local parts
 	p.mapScale = resize(p.mapScale, hw.nodes)
@@ -955,6 +1036,11 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, cl *cel
 	// themselves, so they are built in place. The Disk row always equals
 	// the CPU row.
 	p.wNet, p.wCPU = resize(p.wNet, n), resize(p.wCPU, n)
+	// laneOv[l] is Overlap(rep, lane l's envelope)/d_rep, computed at the
+	// first task of lane l the representative meets and marked there with
+	// the representative's number + 1 in laneAt.
+	p.laneOv, p.laneAt = resize(p.laneOv, len(wins)), resize(p.laneAt, len(wins))
+	clear(p.laneAt)
 	for k, rep := range cl.rep {
 		i := int(rep)
 		ti := tl.Tasks[i]
@@ -1015,7 +1101,10 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, cl *cel
 				if lj := laneOf[j]; lj != li {
 					lov = ov
 					if w := &wins[lj]; w.total > 0 && di > 0 {
-						lov = timeline.Overlap(ti, w.placed) / di * (tj.Duration() / w.total)
+						if p.laneAt[lj] != int32(k+1) {
+							p.laneOv[lj], p.laneAt[lj] = timeline.Overlap(ti, w.placed)/di, int32(k+1)
+						}
+						lov = p.laneOv[lj] * (tj.Duration() / w.total)
 					}
 				}
 			}
@@ -1130,9 +1219,9 @@ func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []lan
 // class so a partial profile keeps class-pricing the phases it does not
 // cover. infl scales the result by the class's fault effective-demand
 // factor (history demands were already scaled in initialize).
-func taskDemandOn(cfg *Config, h *hwView, t *timeline.Placed, classes map[timeline.Class]*classData, infl fault.Inflation) (cpu, disk, net float64) {
+func taskDemandOn(cfg *Config, h *hwView, t *timeline.Placed, classes *classTable, infl fault.Inflation) (cpu, disk, net float64) {
 	if _, ok := cfg.History[t.Class]; ok {
-		cd := classes[t.Class]
+		cd := &classes[t.Class]
 		return cd.demCPU, cd.demDisk, cd.demNetwork
 	}
 	c := h.classes[h.classOf[t.Node]]
@@ -1151,11 +1240,10 @@ func taskDemandOn(cfg *Config, h *hwView, t *timeline.Placed, classes map[timeli
 	}
 }
 
-// demandsFor maps placed tasks to center demands: each task's demand vector
-// is zero except at its own class's CPU/Disk centers and the shared Network
-// center. The returned slice is predictor-owned scratch, valid until the
-// next call.
-func (p *Predictor) demandsFor(cfg *Config, tl *timeline.Timeline, classes map[timeline.Class]*classData) []mva.TaskDemand {
+// demandsFor maps placed tasks to center demands in p.demands: each task's
+// demand vector is zero except at its own class's CPU/Disk centers and the
+// shared Network center.
+func (p *Predictor) demandsFor(cfg *Config, tl *timeline.Timeline, classes *classTable) {
 	hw := &p.hw
 	n := len(tl.Tasks)
 	nc := hw.nc
@@ -1184,7 +1272,6 @@ func (p *Predictor) demandsFor(cfg *Config, tl *timeline.Timeline, classes map[t
 		d[hw.diskCenter(ci)] = disk
 		d[netC] = net
 	}
-	return out
 }
 
 // classMeans averages per-task responses back into class responses,
@@ -1224,7 +1311,7 @@ func (p *Predictor) indexResponses(tl *timeline.Timeline, taskResp []float64) {
 // estimate computes the job response time from the precedence tree using
 // estimator est; leaf response times come from the MVA step (per task, as
 // indexed by indexResponses), leaf CVs from the class data.
-func (p *Predictor) estimate(cfg *Config, est Estimator, tree *ptree.Node, classes map[timeline.Class]*classData) (float64, error) {
+func (p *Predictor) estimate(cfg *Config, est Estimator, tree *ptree.Node, classes *classTable) (float64, error) {
 	respBy := &p.respBy
 	leaf := func(t *timeline.Placed) (mean, cv float64, err error) {
 		var m float64

@@ -242,12 +242,15 @@ func TestSweepBudget(t *testing.T) {
 	}
 }
 
-// A cold Predict on a reused Predictor allocates a small fixed amount per
-// prediction (the class state and the result's maps) plus, per outer round,
-// only the timeline and precedence tree the round returns (two allocations
-// each): the overlap weights, lane and response tables, timeline scratch
-// and MVA buffers are all reused.
+// A cold Predict on a reused Predictor allocates a fixed amount per
+// prediction, whatever its round count: the result's class-response map
+// and its copy of the final timeline and tree (seven allocations in all
+// when this was written). The rounds themselves allocate nothing: the
+// timeline, tree, overlap weights, lane and response tables and MVA
+// buffers are all reused, so the budget is less than one allocation per
+// round.
 func TestPredictAllocBudget(t *testing.T) {
+	const budget = 10
 	for _, jobs := range []int{1, 4} {
 		j, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 		if err != nil {
@@ -259,7 +262,7 @@ func TestPredictAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pred.Iterations < 10 {
+		if pred.Iterations <= budget {
 			t.Fatalf("jobs=%d: %d outer rounds; too few to expose per-round allocations", jobs, pred.Iterations)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
@@ -267,7 +270,7 @@ func TestPredictAllocBudget(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		if budget := 16 + 6*pred.Iterations; allocs > float64(budget) {
+		if allocs > budget {
 			t.Errorf("jobs=%d: %.0f allocations over %d rounds, budget %d", jobs, allocs, pred.Iterations, budget)
 		}
 	}

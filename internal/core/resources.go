@@ -57,7 +57,7 @@ func EstimateResources(cfg Config) (ResourceEstimate, Prediction, error) {
 	classes := initialize(cfg, &h, infl)
 	for i := range pred.Timeline.Tasks {
 		t := &pred.Timeline.Tasks[i]
-		cpu, disk, net := taskDemandOn(&cfg, &h, t, classes, infl)
+		cpu, disk, net := taskDemandOn(&cfg, &h, t, &classes, infl)
 		est.PerClass[t.Class] = est.PerClass[t.Class].add(cpu, disk, net)
 		est.Total = est.Total.add(cpu, disk, net)
 	}

@@ -41,10 +41,10 @@ func (a *Aitken) Init(n int) {
 }
 
 // Observe feeds the current iterate (flat, same length as Init); on every
-// third call it writes the extrapolated components back into cur. floor(i)
+// third call it writes the extrapolated components back into cur. floor[i]
 // is the smallest admissible value of component i. Extrapolated reports
 // whether this call changed cur.
-func (a *Aitken) Observe(cur []float64, floor func(int) float64) (extrapolated bool) {
+func (a *Aitken) Observe(cur, floor []float64) (extrapolated bool) {
 	switch a.phase {
 	case 0:
 		copy(a.x0, cur)
@@ -61,7 +61,7 @@ func (a *Aitken) Observe(cur []float64, floor func(int) float64) (extrapolated b
 				continue // stalled or already converged component
 			}
 			x := x2 - d2*d2/den
-			if math.IsNaN(x) || math.IsInf(x, 0) || x < floor(i) || math.Abs(x-x2) > 8*math.Abs(d2) {
+			if math.IsNaN(x) || math.IsInf(x, 0) || x < floor[i] || math.Abs(x-x2) > 8*math.Abs(d2) {
 				continue // safeguard: keep the plain iterate
 			}
 			cur[i] = x
@@ -137,6 +137,7 @@ type OverlapSolver struct {
 	resBuf   []float64   // backing of the two residence matrices
 	resFlat  []float64   // n×k residence matrix, current iterate
 	nextFlat []float64   // n×k residence matrix, next iterate
+	dem      []float64   // n×k demand matrix, the Step's Tasks flattened
 	rows     [][]float64 // the result's view of resFlat, one row per task
 	resp     []float64
 	servers  []float64
@@ -166,12 +167,13 @@ func (s *OverlapSolver) ensure(n, k int) {
 	s.resFlat, s.nextFlat = s.resBuf[:need:need], s.resBuf[need:2*need:2*need]
 	// rhoC and rowsC lead their arrays and keep the full capacity, so the
 	// next resize can reuse it.
-	floats := need + 2*n + k
+	floats := 2*need + 2*n + k
 	if cap(s.rhoC) < floats {
 		s.rhoC = make([]float64, floats)
 	}
 	f := s.rhoC[:floats]
-	s.rhoC, s.resp, s.arr, s.servers = f[:need], f[need:need+n:need+n], f[need+n:need+2*n:need+2*n], f[need+2*n:]
+	s.rhoC, s.dem, f = f[:need], f[need:2*need:2*need], f[2*need:]
+	s.resp, s.arr, s.servers = f[:n:n], f[n:2*n:2*n], f[2*n:]
 	if cap(s.rowsC) < need+k {
 		s.rowsC = make([]int32, need+k)
 	}
@@ -271,6 +273,7 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 		}
 		tot, demTot := 0.0, 0.0
 		for c, d := range in.Tasks[i].Demands {
+			s.dem[i*k+c] = d
 			demTot += d
 			v := d
 			if row != nil && d > 0 && row[c] > d && !math.IsInf(row[c], 0) && !math.IsNaN(row[c]) {
@@ -290,17 +293,21 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 
 	// Demands are fixed within a Step, so each center's live and zero rows
 	// are listed once here: live rows ascending at the front of the
-	// center's segment of rowsC, zero rows filling it from the back.
+	// center's segment of rowsC, zero rows filling it from the back. A zero
+	// row's residence is 0 in both matrices for the whole Step (the warm
+	// load above wrote the current one; every Warm row has been read), so
+	// the sweeps never write it.
 	for c := 0; c < k; c++ {
 		rows := s.rowsC[c*n : (c+1)*n]
 		live, zero := 0, n
 		for i := 0; i < n; i++ {
-			if in.Tasks[i].Demands[c] != 0 {
+			if s.dem[i*k+c] != 0 {
 				rows[live] = int32(i)
 				live++
 			} else {
 				zero--
 				rows[zero] = int32(i)
+				s.nextFlat[i*k+c] = 0
 			}
 		}
 		s.nLive[c] = int32(live)
@@ -320,7 +327,8 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 // are read in place, ρ is stored center-major so each center's arrival sums
 // read two contiguous arrays, and each center's sums over its live rows are
 // one dotRows call — two accumulators per row (even/odd j), the same bits
-// on every architecture.
+// on every architecture. Zero rows stay 0 (see prepare): an Aitken step
+// leaves their constant components alone.
 func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) int {
 	n, k := s.n, s.k
 	w := in.Weights
@@ -346,18 +354,14 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 			}
 		}
 		for c := 0; c < k; c++ {
-			rows := s.rowsC[c*n : (c+1)*n]
-			live := rows[:s.nLive[c]]
+			live := s.rowsC[c*n : c*n+int(s.nLive[c])]
 			dotRows(w[c*n*n:(c+1)*n*n], n, s.rhoC[c*n:(c+1)*n], live, s.arr)
 			for t, i := range live {
 				slowdown := (1 + s.arr[t]) / s.servers[c]
 				if slowdown < 1 {
 					slowdown = 1
 				}
-				s.nextFlat[int(i)*k+c] = in.Tasks[i].Demands[c] * slowdown
-			}
-			for _, i := range rows[len(live):] {
-				s.nextFlat[int(i)*k+c] = 0
+				s.nextFlat[int(i)*k+c] = s.dem[int(i)*k+c] * slowdown
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -381,7 +385,7 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 			break
 		}
 		if in.Accelerate {
-			if s.acc.Observe(s.resFlat, func(idx int) float64 { return in.Tasks[idx/k].Demands[idx%k] }) {
+			if s.acc.Observe(s.resFlat, s.dem) {
 				// The extrapolated matrix changed the row sums the next
 				// sweep's visit probabilities divide by — and every row, so
 				// the dirty bitmap resets.

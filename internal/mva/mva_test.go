@@ -505,7 +505,7 @@ func (s *OverlapSolver) sweepLegacy(in *abInput, tol float64, maxIter int) int {
 			break
 		}
 		if in.Accelerate {
-			if s.acc.Observe(s.resFlat, func(idx int) float64 { return in.Tasks[idx/k].Demands[idx%k] }) {
+			if s.acc.Observe(s.resFlat, s.dem) {
 				for i := 0; i < n; i++ {
 					tot := 0.0
 					for c := 0; c < k; c++ {

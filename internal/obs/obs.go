@@ -83,6 +83,11 @@ const (
 	// round: one per cell of interchangeable tasks (the task count when a
 	// run solved element-wise).
 	CounterCells
+	// CounterReusedRounds accumulates the outer rounds that rebuilt none of
+	// their structure (core.Prediction.ReusedRounds), CounterRebuiltRounds
+	// the others.
+	CounterReusedRounds
+	CounterRebuiltRounds // see CounterReusedRounds
 	// CounterPlanCandidates is the number of candidates a plan evaluated.
 	CounterPlanCandidates
 	// NumCounters is the fixed-counter count (array sizing).
@@ -92,7 +97,8 @@ const (
 // counterNames are the stable wire/log names of the fixed counters.
 var counterNames = [NumCounters]string{
 	"cacheHits", "cacheMisses", "predicts",
-	"outerIterations", "innerIterations", "cells", "planCandidates",
+	"outerIterations", "innerIterations", "cells", "reusedRounds", "rebuiltRounds",
+	"planCandidates",
 }
 
 // String returns the counter's stable name (timings key, log attribute).

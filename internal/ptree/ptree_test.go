@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -320,5 +321,139 @@ func TestBuildAllocBudget(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("Build allocated %.0f, budget 2", allocs)
+	}
+}
+
+// leaves lists a tree's leaf tasks left to right.
+func leaves(n *Node) []timeline.Placed {
+	var out []timeline.Placed
+	n.Walk(func(n *Node) {
+		if n.Op == Leaf {
+			out = append(out, *n.Task)
+		}
+	})
+	return out
+}
+
+// sameTree reports how got differs from want: shape, and every leaf's task
+// with its times compared by their bits.
+func sameTree(got, want *Node) error {
+	if g, w := got.String(), want.String(); g != w {
+		return fmt.Errorf("tree %s, want %s", g, w)
+	}
+	gl, wl := leaves(got), leaves(want)
+	for i := range wl {
+		g, w := gl[i], wl[i]
+		if g.Class != w.Class || g.ID != w.ID || g.Node != w.Node || g.Lane != w.Lane ||
+			math.Float64bits(g.Start) != math.Float64bits(w.Start) || math.Float64bits(g.End) != math.Float64bits(w.End) {
+			return fmt.Errorf("leaf %d: %+v, want %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// randomTimeline draws n tasks whose times come from a small grid, so many
+// tasks tie in (Start, End) and the unstable sort's choices matter.
+func randomTimeline(rng *rand.Rand, n int) *timeline.Timeline {
+	tl := &timeline.Timeline{}
+	for i := 0; i < n; i++ {
+		start := float64(rng.Intn(6)) * 10
+		tl.Tasks = append(tl.Tasks, timeline.Placed{
+			Class: timeline.Class(rng.Intn(3)), ID: i, Node: rng.Intn(4), Lane: rng.Intn(8),
+			Start: start, End: start + float64(1+rng.Intn(3))*10,
+		})
+	}
+	return tl
+}
+
+// retime moves a timeline's times the way a model round does: every time
+// scaled by one factor (which keeps the order and the ties), one task
+// nudged, or nothing changed.
+func retime(rng *rand.Rand, tl *timeline.Timeline) {
+	switch rng.Intn(3) {
+	case 0:
+		f := 0.5 + rng.Float64()
+		for i := range tl.Tasks {
+			tl.Tasks[i].Start *= f
+			tl.Tasks[i].End *= f
+		}
+	case 1:
+		t := &tl.Tasks[rng.Intn(len(tl.Tasks))]
+		t.End += float64(rng.Intn(3)) * 5
+	}
+}
+
+// The Builder's trees are Build's, leaf for leaf: built from scratch, and
+// refreshed over rounds of moved times, whether the last tree is reused or
+// not. The rounds reach both.
+func TestBuilderMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var b Builder
+	var reused, rebuilt int
+	for trial := 0; trial < 400; trial++ {
+		tl := randomTimeline(rng, 1+rng.Intn(60))
+		for round := 0; round < 5; round++ {
+			want, err := Build(tl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got *Node
+			if round == 0 {
+				got, err = b.Build(tl)
+			} else {
+				var ok bool
+				got, ok, err = b.Refresh(tl)
+				if ok {
+					reused++
+				} else {
+					rebuilt++
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameTree(got, want); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
+			retime(rng, tl)
+		}
+	}
+	if reused < 300 || rebuilt < 100 {
+		t.Errorf("%d refreshes reused the tree and %d rebuilt it; the rounds do not reach both", reused, rebuilt)
+	}
+}
+
+// A warmed Builder allocates nothing, reused tree or not; a snapshot shares
+// no memory with the Builder's tree.
+func TestBuilderAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tl := randomTimeline(rng, 40)
+	var b Builder
+	tree, err := b.Build(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := b.Snapshot()
+	if err := sameTree(keep, tree); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		retime(rng, tl)
+		if _, _, err := b.Refresh(tl); err != nil {
+			t.Error(err)
+		}
+		if _, err := b.Build(tl); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed Builder allocated %.0f per round", allocs)
+	}
+	want, err := Build(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameTree(keep, want); err == nil {
+		t.Error("the snapshot follows the Builder's later rounds")
 	}
 }

@@ -373,7 +373,8 @@ func traceMiddleware(s *Service, cfg ServerConfig, next http.Handler) http.Handl
 		// iteration counts) ride the same line, in a fixed order.
 		for _, k := range []string{
 			"cacheHits", "cacheMisses", "predicts",
-			"outerIterations", "innerIterations", "cells", "planCandidates",
+			"outerIterations", "innerIterations", "cells", "reusedRounds", "rebuiltRounds",
+			"planCandidates",
 		} {
 			if v, ok := snap.Counts[k]; ok {
 				attrs = append(attrs, k, v)

@@ -293,20 +293,28 @@ func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nod
 			return c.ResponseTime, c.Cached, err
 		}
 	}
-	outcomes := make([]axisOutcome, len(units))
-	var wg sync.WaitGroup
-	for ui := range units {
-		wg.Add(1)
-		go func(u *planUnit, out *axisOutcome) {
-			defer wg.Done()
-			if u.bisect && chain {
-				*out = searchNodeAxis(totals, weights, req.DeadlineSec, at(u, true), at(u, false))
-			} else {
-				*out = exhaustiveAxis(totals, at(u, false))
-			}
-		}(&units[ui], &outcomes[ui])
+	search := func(u *planUnit) axisOutcome {
+		if u.bisect && chain {
+			return searchNodeAxis(totals, weights, req.DeadlineSec, at(u, true), at(u, false))
+		}
+		return exhaustiveAxis(totals, at(u, false))
 	}
-	wg.Wait()
+	outcomes := make([]axisOutcome, len(units))
+	if len(units) == 1 {
+		// A lone unit runs on the calling goroutine: a fresh one would
+		// grow its stack through the model on every query.
+		outcomes[0] = search(&units[0])
+	} else {
+		var wg sync.WaitGroup
+		for ui := range units {
+			wg.Add(1)
+			go func(u *planUnit, out *axisOutcome) {
+				defer wg.Done()
+				*out = search(u)
+			}(&units[ui], &outcomes[ui])
+		}
+		wg.Wait()
+	}
 
 	resp := PlanResponse{Strategy: StrategySearch}
 	for ui, out := range outcomes {

@@ -215,6 +215,9 @@ type Metrics struct {
 	// solve's win shows up here as fewer inner sweeps per miss.
 	ModelOuterIterations int64 `json:"modelOuterIterations"`
 	ModelInnerIterations int64 `json:"modelInnerIterations"` // see ModelOuterIterations
+	// ModelReusedRounds counts the outer rounds among ModelOuterIterations
+	// that rebuilt none of their structure (core.Prediction.ReusedRounds).
+	ModelReusedRounds int64 `json:"modelReusedRounds"`
 	// WorkflowRequests counts predict/plan requests that carried a workflow
 	// block (also included in PredictRequests/PlanRequests).
 	WorkflowRequests int64 `json:"workflowRequests"`
@@ -290,6 +293,7 @@ type Service struct {
 	simRuns       atomic.Int64
 	outerIters    atomic.Int64
 	innerIters    atomic.Int64
+	reusedRounds  atomic.Int64
 	simFaults     atomic.Int64
 	simReexec     atomic.Int64
 	workflowReqs  atomic.Int64
@@ -385,6 +389,7 @@ func (s *Service) Metrics() Metrics {
 		ProfilesActive:    s.profiles.liveCount(),
 
 		ModelOuterIterations: s.outerIters.Load(),
+		ModelReusedRounds:    s.reusedRounds.Load(),
 		ModelInnerIterations: s.innerIters.Load(),
 		WorkflowRequests:     s.workflowReqs.Load(),
 		SimFaultsInjected:    s.simFaults.Load(),
@@ -663,10 +668,13 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained b
 		}
 		s.outerIters.Add(int64(pred.Iterations))
 		s.innerIters.Add(int64(pred.InnerIterations))
+		s.reusedRounds.Add(int64(pred.ReusedRounds))
 		tr.AddCounter(obs.CounterPredicts, 1)
 		tr.AddCounter(obs.CounterOuterIterations, int64(pred.Iterations))
 		tr.AddCounter(obs.CounterInnerIterations, int64(pred.InnerIterations))
 		tr.AddCounter(obs.CounterCells, int64(pred.Cells))
+		tr.AddCounter(obs.CounterReusedRounds, int64(pred.ReusedRounds))
+		tr.AddCounter(obs.CounterRebuiltRounds, int64(pred.RebuiltRounds))
 		return pred, nil
 	})
 	if err != nil {

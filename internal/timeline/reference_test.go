@@ -307,3 +307,227 @@ func TestFirstWaveStoresOnlyUsedLanes(t *testing.T) {
 		t.Errorf("after the guard tripped %d map lanes are stored, want all %d", got, 65*8)
 	}
 }
+
+// retimed returns in with new times drawn from s and its shape kept: every
+// duration of a kind scaled by one factor (as the model's outer rounds move
+// a class's durations together), every duration redrawn, one duration
+// changed, or nothing changed; the slow-start rule and the duration scales
+// may change too.
+func (s *byteSource) retimed(in Input) Input {
+	out := in
+	out.Maps, out.Reduces = slices.Clone(in.Maps), slices.Clone(in.Reduces)
+	mode := s.next()
+	switch mode % 4 {
+	case 0:
+		fm, fs, fr, fg := s.factor(), s.factor(), s.factor(), s.factor()
+		for k := range out.Maps {
+			out.Maps[k].Duration *= fm
+			out.Maps[k].ShuffleDuration *= fs
+		}
+		for k := range out.Reduces {
+			out.Reduces[k].ShuffleSortBase *= fr
+			out.Reduces[k].MergeDuration *= fg
+		}
+	case 1:
+		for k := range out.Maps {
+			out.Maps[k].Duration, out.Maps[k].ShuffleDuration = s.duration(), s.duration()
+		}
+		for k := range out.Reduces {
+			out.Reduces[k].ShuffleSortBase, out.Reduces[k].MergeDuration = s.duration(), s.duration()
+		}
+	case 2:
+		if k := int(s.next()) % len(out.Maps); s.next()&1 == 0 || len(out.Reduces) == 0 {
+			out.Maps[k].Duration = s.duration()
+		} else {
+			out.Reduces[k%len(out.Reduces)].MergeDuration = s.duration()
+		}
+	}
+	if mode&4 != 0 {
+		out.SlowStart = !out.SlowStart
+	}
+	if mode&8 != 0 && out.MapDurationScaleByNode != nil {
+		out.MapDurationScaleByNode = slices.Clone(out.MapDurationScaleByNode)
+		out.MapDurationScaleByNode[int(s.next())%in.NumNodes] = s.duration()
+	}
+	return out
+}
+
+// factor is a multiplier near 1, as a damped outer round applies, or
+// exactly 1.
+func (s *byteSource) factor() float64 {
+	c := s.next()
+	if c < 64 {
+		return 1
+	}
+	return 0.75 + float64(c)/512
+}
+
+// checkRetime re-times in with b into dst and fails t unless the result
+// matches the reference bit for bit (or both reject in), and unless a
+// repeated placement really kept every task's identity, node and lane at
+// its position. It returns Retime's report.
+func checkRetime(t *testing.T, b *Builder, dst *Timeline, in Input) bool {
+	t.Helper()
+	prev := slices.Clone(dst.Tasks)
+	repeated, err := b.Retime(in, dst)
+	want, werr := refBuild(in)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("Retime error %v, reference error %v", err, werr)
+	}
+	if err != nil {
+		return false
+	}
+	if err := diffTimelines(dst, want); err != nil {
+		t.Fatalf("%v\ninput %+v", err, in)
+	}
+	if repeated {
+		for i, g := range dst.Tasks {
+			p := prev[i]
+			if g.Class != p.Class || g.ID != p.ID || g.Node != p.Node || g.Slot != p.Slot || g.Lane != p.Lane {
+				t.Fatalf("repeated placement moved task %d: %+v, was %+v", i, g, p)
+			}
+		}
+	}
+	return repeated
+}
+
+// Re-timing matches a fresh Build on random round sequences: each input is
+// built once, then re-timed through several rounds of moved durations,
+// with an occasional change of shape between them. The sequences reach
+// repeated placements, moved placements and the pool scan.
+func TestRetimeMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var b Builder
+	var dst Timeline
+	var repeated, moved, scanned int
+	for trial := 0; trial < 1500; trial++ {
+		data := make([]byte, 64+rng.Intn(512))
+		rng.Read(data)
+		src := byteSource(data)
+		in := src.input()
+		if err := b.BuildInto(in, &dst); err != nil {
+			continue
+		}
+		for round := 0; round < 4; round++ {
+			if src.next() == 255 {
+				in = src.input()
+			} else {
+				in = src.retimed(in)
+			}
+			if checkRetime(t, &b, &dst, in) {
+				repeated++
+			} else {
+				moved++
+			}
+			if len(in.Maps) > b.mapSlots.total {
+				scanned++
+			}
+		}
+	}
+	t.Logf("%d rounds repeated, %d moved or rebuilt, %d scanned", repeated, moved, scanned)
+	for name, n := range map[string]int{"repeated": repeated, "moved or rebuilt": moved, "scanned": scanned} {
+		if n < 200 {
+			t.Errorf("only %d rounds are %s", n, name)
+		}
+	}
+}
+
+// FuzzRetimeMatchesBuild decodes an input and a run of rounds from the
+// bytes: the first is built, each later one re-timed with the same
+// Builder, and each must match the reference bit for bit.
+func FuzzRetimeMatchesBuild(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 64, 7, 3, 27, 4, 1, 0, 0, 200, 200, 200, 200}) // 65 nodes × 8 lanes, one class-wise round
+	f.Add([]byte{2, 2, 0, 0, 1, 0, 7, 3, 2, 1, 39, 7, 200, 1})     // per-node lanes, more maps than lanes
+	f.Add([]byte{8, 3, 1, 0, 20, 3, 6, 0, 2, 5, 1})                // 1e-13 maps trip the guard
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := byteSource(data)
+		var b Builder
+		var dst Timeline
+		in := src.input()
+		if err := b.BuildInto(in, &dst); err != nil {
+			return
+		}
+		for round := 0; round < 3; round++ {
+			if src.next() == 255 {
+				in = src.input()
+			} else {
+				in = src.retimed(in)
+			}
+			checkRetime(t, &b, &dst, in)
+		}
+	})
+}
+
+// A re-timed round of a warmed Builder allocates nothing.
+func TestRetimeAllocatesNothing(t *testing.T) {
+	in := Input{NumNodes: 8, MapSlotsPerNode: 8, ReduceSlotsPerNode: 4, SlowStart: true}
+	for i := 0; i < 160; i++ {
+		in.Maps = append(in.Maps, MapTask{ID: i, Duration: 30, ShuffleDuration: 1})
+	}
+	for i := 0; i < 8; i++ {
+		in.Reduces = append(in.Reduces, ReduceTask{ID: i, ShuffleSortBase: 10, MergeDuration: 50})
+	}
+	var b Builder
+	var dst Timeline
+	if err := b.BuildInto(in, &dst); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		in.Maps[0].Duration += 0.5
+		if _, err := b.Retime(in, &dst); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Retime allocated %.0f per round", allocs)
+	}
+}
+
+// Retime rejects what Build rejects, with Build's error, whether or not
+// the input has the recorded shape: bad times of that shape, and another
+// shape whose IDs match the recorded tasks position by position but
+// repeat within a class.
+func TestRetimeRejectsWhatBuildRejects(t *testing.T) {
+	in := Input{NumNodes: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, SlowStart: true,
+		Maps:    []MapTask{{ID: 0, Duration: 3, ShuffleDuration: 1}, {ID: 1, Duration: 4, ShuffleDuration: 1}},
+		Reduces: []ReduceTask{{ID: 0, ShuffleSortBase: 2, MergeDuration: 5}},
+	}
+	nan := in
+	nan.Maps = slices.Clone(in.Maps)
+	nan.Maps[1].Duration = math.NaN()
+	scale := in
+	scale.MapDurationScaleByNode = []float64{1, -1}
+	dup := in
+	dup.Maps = []MapTask{{ID: 0, Duration: 3}, {ID: 1, Duration: 4}, {ID: 0, Duration: 3}, {ID: 0, Duration: 3}}
+	dup.Reduces = nil
+	for name, bad := range map[string]Input{"NaN duration": nan, "negative scale": scale, "repeated IDs": dup} {
+		var b Builder
+		var dst Timeline
+		if err := b.BuildInto(in, &dst); err != nil {
+			t.Fatal(err)
+		}
+		want := bad.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepts the input", name)
+		}
+		if _, err := b.Retime(bad, &dst); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Retime error %v, want %v", name, err, want)
+		}
+		if err := checkRetimeOK(&b, &dst, in); err != nil {
+			t.Errorf("%s: after the rejected round: %v", name, err)
+		}
+	}
+}
+
+// checkRetimeOK re-times in and compares it with the reference.
+func checkRetimeOK(b *Builder, dst *Timeline, in Input) error {
+	if _, err := b.Retime(in, dst); err != nil {
+		return err
+	}
+	want, err := refBuild(in)
+	if err != nil {
+		return err
+	}
+	return diffTimelines(dst, want)
+}

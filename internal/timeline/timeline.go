@@ -182,10 +182,7 @@ func (in Input) Validate() error {
 	if err := validateSlots("Reduce", in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode); err != nil {
 		return err
 	}
-	if err := validateScales("Map", in.NumNodes, in.MapDurationScaleByNode); err != nil {
-		return err
-	}
-	if err := validateScales("Reduce", in.NumNodes, in.ReduceDurationScaleByNode); err != nil {
+	if err := in.validateScales(); err != nil {
 		return err
 	}
 	if len(in.Maps) == 0 {
@@ -197,6 +194,19 @@ func (in Input) Validate() error {
 	if err := checkIDs("reduce", len(in.Reduces), func(k int) int { return in.Reduces[k].ID }); err != nil {
 		return err
 	}
+	return in.validateDurations()
+}
+
+// validateScales checks both per-node duration-scale vectors.
+func (in *Input) validateScales() error {
+	if err := validateScales("Map", in.NumNodes, in.MapDurationScaleByNode); err != nil {
+		return err
+	}
+	return validateScales("Reduce", in.NumNodes, in.ReduceDurationScaleByNode)
+}
+
+// validateDurations checks every task's durations.
+func (in *Input) validateDurations() error {
 	// NaN fails every comparison, so each bound is written to reject it.
 	for _, m := range in.Maps {
 		if !(m.Duration > 0) || math.IsInf(m.Duration, 1) {
@@ -279,28 +289,50 @@ const tieEps = 1e-12
 // at or before tieEps (or at NaN) trips the guard: the remaining lanes are
 // stored and the scan runs for the rest of the Build, as it does once
 // every lane is touched.
+//
+// A stored lane keeps its node and lane across rewind, which starts a build
+// of the same layout: only the first stored lanes are in use, and the rest
+// are handed out again, in the same order, without being laid out anew.
 type slotPool struct {
-	slots    []slot // stored lanes: a prefix of the lane-major order
+	slots    []slot // laid-out lanes: a prefix of the lane-major order
+	stored   int    // lanes of slots in use by the current build
 	assigned []int  // per node
 	byNode   []int  // per-node lane counts; nil when uniform
 	total    int    // lanes in the pool
-	// nextLane, nextNode is the lane-major position the next stored lane is
-	// searched from.
+	// nextLane, nextNode is the lane-major position the next laid-out lane
+	// is searched from.
 	nextLane, nextNode int
 }
 
 // Builder runs Algorithm 1 with scratch it keeps between calls: both lane
-// pools, their per-node occupancy and the map→node table. Only the returned
-// Timeline and its Tasks are allocated per Build once the scratch has grown
-// to the input's shape. The zero Builder is ready to use; a Builder is not
-// safe for concurrent use.
+// pools, their per-node occupancy, the map→node table and the last build's
+// placement. The zero Builder is ready to use; a Builder is not safe for
+// concurrent use.
 //
 // Placement is O(1) per task while a pool's first wave lasts (see
 // slotPool) and a scan over the pool's lanes after it, so a Build over a
 // large cluster with few tasks never touches the lanes it does not use.
+//
+// Every build records its input's shape (node count, lane layout, task
+// counts and IDs), each task's lane and the sorted order. Retime builds an
+// input of the recorded shape without revalidating or laying out that
+// shape again, and keeps the recorded order when the new times still sort
+// in it; its placements are made by the same code as Build's, so its
+// timeline is Build's bit for bit.
 type Builder struct {
 	mapSlots, redSlots slotPool
 	nodeOfMap          []int // node of in.Maps[k], by position
+
+	// placed holds the last build's tasks in placement order: the maps,
+	// then each reduce's shuffle-sort and merge. order is the placed index
+	// of each task in the timeline's (Start, Class, ID) order.
+	placed []Placed
+	order  []int32
+	// The recorded shape; the task IDs are those of placed.
+	built          bool
+	nodes, maps    int
+	mapPer, redPer int
+	mapBy, redBy   []int
 }
 
 // Build runs Algorithm 1 with a fresh Builder.
@@ -310,20 +342,125 @@ func Build(in Input) (*Timeline, error) {
 }
 
 // Build runs Algorithm 1 and splits each reduce into its shuffle-sort and
-// merge subtasks. The returned Timeline shares no memory with the Builder.
+// merge subtasks. The returned Timeline shares no memory with the Builder;
+// it and its Tasks are the only allocations once the Builder's scratch has
+// grown to the input's shape.
 func (b *Builder) Build(in Input) (*Timeline, error) {
-	if err := in.Validate(); err != nil {
+	tl := &Timeline{}
+	if err := b.BuildInto(in, tl); err != nil {
 		return nil, err
 	}
-	tl := &Timeline{Tasks: make([]Placed, 0, len(in.Maps)+2*len(in.Reduces))}
+	return tl, nil
+}
+
+// BuildInto is Build writing into dst, whose Tasks it reuses when their
+// capacity suffices; on an error dst is left as it was.
+func (b *Builder) BuildInto(in Input, dst *Timeline) error {
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	b.mapSlots.reset(in.NumNodes, in.MapSlotsPerNode, in.MapSlotsByNode)
+	b.redSlots.reset(in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode)
+	b.place(&in, dst)
+	b.order = resize(b.order, len(b.placed))
+	for i := range b.order {
+		b.order[i] = int32(i)
+	}
+	b.sortOrder()
+	b.write(dst)
+	b.built = true
+	b.nodes, b.maps, b.mapPer, b.redPer = in.NumNodes, len(in.Maps), in.MapSlotsPerNode, in.ReduceSlotsPerNode
+	b.mapBy = recordLanes(b.mapBy, in.MapSlotsByNode)
+	b.redBy = recordLanes(b.redBy, in.ReduceSlotsByNode)
+	return nil
+}
+
+// Retime is BuildInto for a round whose durations moved but whose shape
+// may not have: when in has the shape of the Builder's last build, the
+// shape's validation and lane layout are skipped and the last sorted order
+// is kept if the new times still sort in it. repeated reports that every
+// task kept its lane and its place in the order, so the timeline differs
+// from the last one only in its times. Any other input is built in full.
+func (b *Builder) Retime(in Input, dst *Timeline) (repeated bool, err error) {
+	if !b.sameShape(&in) {
+		return false, b.BuildInto(in, dst)
+	}
+	// The recorded shape passed Validate, so only the times can fail, and
+	// Validate checks them in this order.
+	if err := in.validateScales(); err != nil {
+		return false, err
+	}
+	if err := in.validateDurations(); err != nil {
+		return false, err
+	}
+	b.mapSlots.rewind(in.MapSlotsByNode)
+	b.redSlots.rewind(in.ReduceSlotsByNode)
+	repeated = b.place(&in, dst)
+	if !slices.IsSortedFunc(b.order, b.compare) {
+		b.sortOrder()
+		repeated = false
+	}
+	b.write(dst)
+	return repeated, nil
+}
+
+// sameShape reports whether in has the shape of the last build: the node
+// count, the lane layout of both pools, the task counts and the task IDs.
+func (b *Builder) sameShape(in *Input) bool {
+	m := len(in.Maps)
+	if !b.built || in.NumNodes != b.nodes || m != b.maps || m+2*len(in.Reduces) != len(b.placed) ||
+		!sameLanes(in.MapSlotsPerNode, in.MapSlotsByNode, b.mapPer, b.mapBy) ||
+		!sameLanes(in.ReduceSlotsPerNode, in.ReduceSlotsByNode, b.redPer, b.redBy) {
+		return false
+	}
+	for k := range in.Maps {
+		if in.Maps[k].ID != b.placed[k].ID {
+			return false
+		}
+	}
+	for r := range in.Reduces {
+		if in.Reduces[r].ID != b.placed[m+2*r].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// recordLanes copies a per-node lane vector into buf, keeping nil as nil.
+func recordLanes(buf, byNode []int) []int {
+	if byNode == nil {
+		return nil
+	}
+	return append(buf[:0], byNode...)
+}
+
+// sameLanes compares a pool's lane configuration with a recorded one.
+func sameLanes(perNode int, byNode []int, recPer int, recBy []int) bool {
+	if (byNode == nil) != (recBy == nil) {
+		return false
+	}
+	return slices.Equal(byNode, recBy) && (byNode != nil || perNode == recPer)
+}
+
+// place lays the tasks out into b.placed in placement order and sets dst's
+// Border, LastMapEnd and Makespan. The pools must be reset or rewound. It
+// reports whether every task landed in the lane b.placed held for it.
+func (b *Builder) place(in *Input, dst *Timeline) (kept bool) {
+	n := len(in.Maps) + 2*len(in.Reduces)
+	kept = len(b.placed) == n
+	b.placed = resize(b.placed, n)
+	put := func(u int, t Placed) {
+		if t.Lane != b.placed[u].Lane {
+			kept = false
+		}
+		b.placed[u] = t
+	}
+	var lastMapEnd, makespan float64
 
 	// Map container lanes (priority 20: placed first).
 	mapSlots := &b.mapSlots
-	mapSlots.reset(in.NumNodes, in.MapSlotsPerNode, in.MapSlotsByNode)
-	if cap(b.nodeOfMap) < len(in.Maps) {
-		b.nodeOfMap = make([]int, len(in.Maps))
-	}
-	nodeOfMap := b.nodeOfMap[:len(in.Maps)]
+	b.nodeOfMap = resize(b.nodeOfMap, len(in.Maps))
+	nodeOfMap := b.nodeOfMap
 	firstMapEnd := math.Inf(1)
 	scaleOn := func(scales []float64, node int) float64 {
 		if scales == nil {
@@ -338,38 +475,34 @@ func (b *Builder) Build(in Input) (*Timeline, error) {
 		end := start + m.Duration*scaleOn(in.MapDurationScaleByNode, s.node)
 		mapSlots.setFree(i, end)
 		nodeOfMap[k] = s.node
-		tl.Tasks = append(tl.Tasks, Placed{
-			Class: ClassMap, ID: m.ID, Node: s.node, Slot: s.lane, Lane: i, Start: start, End: end,
-		})
+		put(k, Placed{Class: ClassMap, ID: m.ID, Node: s.node, Slot: s.lane, Lane: i, Start: start, End: end})
 		if end < firstMapEnd {
 			firstMapEnd = end
 		}
-		if end > tl.LastMapEnd {
-			tl.LastMapEnd = end
+		if end > lastMapEnd {
+			lastMapEnd = end
 		}
 	}
 
 	// Border (lines 7-11): slow start = end of the first map; otherwise the
 	// end of the last map.
+	border := lastMapEnd
 	if in.SlowStart {
-		tl.Border = firstMapEnd
-	} else {
-		tl.Border = tl.LastMapEnd
+		border = firstMapEnd
 	}
 
 	// Reduce container lanes (priority 10: placed after all maps).
 	redSlots := &b.redSlots
-	redSlots.reset(in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode)
 	nR := len(in.Reduces)
-	for _, r := range in.Reduces {
+	for r, rt := range in.Reduces {
 		i := redSlots.earliest()
 		s := redSlots.slots[i]
-		start := math.Max(s.free, tl.Border)
+		start := math.Max(s.free, border)
 		redScale := scaleOn(in.ReduceDurationScaleByNode, s.node)
 		// Remote-shuffle inflation (lines 14-18): every map on a different
 		// node contributes sd/|R|. The node-local base scales with the
 		// hosting node; the remote shares ride the shared network and do not.
-		ssDur := r.ShuffleSortBase * redScale
+		ssDur := rt.ShuffleSortBase * redScale
 		for k, m := range in.Maps {
 			if nodeOfMap[k] != s.node {
 				ssDur += m.ShuffleDuration / float64(nR)
@@ -377,40 +510,57 @@ func (b *Builder) Build(in Input) (*Timeline, error) {
 		}
 		ssEnd := start + ssDur
 		// A shuffle cannot complete before the last map output exists.
-		if ssEnd < tl.LastMapEnd {
-			ssEnd = tl.LastMapEnd
+		if ssEnd < lastMapEnd {
+			ssEnd = lastMapEnd
 		}
-		mergeEnd := ssEnd + r.MergeDuration*redScale
+		mergeEnd := ssEnd + rt.MergeDuration*redScale
 		redSlots.setFree(i, mergeEnd)
-		tl.Tasks = append(tl.Tasks, Placed{
-			Class: ClassShuffleSort, ID: r.ID, Node: s.node, Slot: s.lane, Lane: i, Start: start, End: ssEnd,
-		})
-		tl.Tasks = append(tl.Tasks, Placed{
-			Class: ClassMerge, ID: r.ID, Node: s.node, Slot: s.lane, Lane: i, Start: ssEnd, End: mergeEnd,
-		})
+		u := len(in.Maps) + 2*r
+		put(u, Placed{Class: ClassShuffleSort, ID: rt.ID, Node: s.node, Slot: s.lane, Lane: i, Start: start, End: ssEnd})
+		put(u+1, Placed{Class: ClassMerge, ID: rt.ID, Node: s.node, Slot: s.lane, Lane: i, Start: ssEnd, End: mergeEnd})
 	}
 
-	for _, t := range tl.Tasks {
-		if t.End > tl.Makespan {
-			tl.Makespan = t.End
+	for _, t := range b.placed {
+		if t.End > makespan {
+			makespan = t.End
 		}
 	}
-	// (Start, Class, ID) is a total order — IDs are unique per class — so
-	// the sorted order does not depend on the sort algorithm.
-	slices.SortFunc(tl.Tasks, func(a, b Placed) int {
-		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Class, b.Class), cmp.Compare(a.ID, b.ID))
-	})
-	return tl, nil
+	dst.Border, dst.LastMapEnd, dst.Makespan = border, lastMapEnd, makespan
+	return kept
+}
+
+// compare orders placed tasks by (Start, Class, ID), a total order — IDs
+// are unique per class — so the sorted order does not depend on the sort
+// algorithm.
+func (b *Builder) compare(x, y int32) int {
+	p, q := &b.placed[x], &b.placed[y]
+	return cmp.Or(cmp.Compare(p.Start, q.Start), cmp.Compare(p.Class, q.Class), cmp.Compare(p.ID, q.ID))
+}
+
+// sortOrder sorts b.order by compare.
+func (b *Builder) sortOrder() { slices.SortFunc(b.order, b.compare) }
+
+// write copies the placed tasks into dst.Tasks in b.order.
+func (b *Builder) write(dst *Timeline) {
+	dst.Tasks = resize(dst.Tasks, len(b.order))
+	for p, u := range b.order {
+		dst.Tasks[p] = b.placed[u]
+	}
+}
+
+// resize returns s with length n, reusing its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // reset empties the lane pool in O(nodes): perNode lanes on every node, or
 // byNode[n] lanes on node n when a per-node vector is given, all free at 0
 // with no occupancy. No lane is stored until earliest hands it out.
 func (p *slotPool) reset(nodes, perNode int, byNode []int) {
-	if cap(p.assigned) < nodes {
-		p.assigned = make([]int, nodes)
-	}
-	p.assigned = p.assigned[:nodes]
+	p.assigned = resize(p.assigned, nodes)
 	clear(p.assigned)
 	p.byNode = byNode
 	p.total = nodes * perNode
@@ -421,14 +571,29 @@ func (p *slotPool) reset(nodes, perNode int, byNode []int) {
 		}
 	}
 	p.slots = p.slots[:0]
+	p.stored = 0
 	p.nextLane, p.nextNode = 0, 0
 }
 
-// grow stores the next lane in lane-major order. For a uniform vector the
-// order is the homogeneous layout, so placement, and therefore
+// rewind empties the pool for a build of the layout it was reset to;
+// byNode is that layout's per-node vector (equal to the one reset saw). The
+// laid-out lanes are kept.
+func (p *slotPool) rewind(byNode []int) {
+	clear(p.assigned)
+	p.byNode = byNode
+	p.stored = 0
+}
+
+// grow stores the next lane in lane-major order, free at 0. For a uniform
+// vector the order is the homogeneous layout, so placement, and therefore
 // predictions, stay bit-for-bit reproducible. The caller guarantees an
 // unstored lane remains.
 func (p *slotPool) grow() {
+	if p.stored < len(p.slots) {
+		p.slots[p.stored].free = 0
+		p.stored++
+		return
+	}
 	for {
 		n, lane := p.nextNode, p.nextLane
 		if p.nextNode++; p.nextNode == len(p.assigned) {
@@ -436,6 +601,7 @@ func (p *slotPool) grow() {
 		}
 		if p.byNode == nil || lane < p.byNode[n] {
 			p.slots = append(p.slots, slot{node: n, lane: lane})
+			p.stored++
 			return
 		}
 	}
@@ -447,7 +613,7 @@ func (p *slotPool) grow() {
 func (p *slotPool) setFree(i int, t float64) {
 	p.slots[i].free = t
 	if !(t > tieEps) {
-		for len(p.slots) < p.total {
+		for p.stored < p.total {
 			p.grow()
 		}
 	}
@@ -460,9 +626,9 @@ func (p *slotPool) setFree(i int, t float64) {
 // slotPool); otherwise every lane is scanned.
 func (p *slotPool) earliest() int {
 	best := 0
-	if len(p.slots) < p.total {
+	if p.stored < p.total {
 		p.grow()
-		best = len(p.slots) - 1
+		best = p.stored - 1
 	} else {
 		for i := 1; i < len(p.slots); i++ {
 			s, b := &p.slots[i], &p.slots[best]
