@@ -1,6 +1,6 @@
 // Command mrserved serves the hadoop2perf performance model over HTTP: a
-// long-lived prediction service with a bounded worker pool, an LRU +
-// singleflight cache, and a parallel what-if planner for capacity-planning
+// long-lived prediction service with a bounded worker pool, one sharded
+// result table (LRU cache plus in-flight deduplication), and a parallel what-if planner for capacity-planning
 // and deadline queries.
 //
 // Endpoints (all bodies JSON; docs/API.md is the complete wire reference):

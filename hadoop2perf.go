@@ -83,7 +83,7 @@ type (
 	// ResourceEstimate holds predicted per-job resource consumption.
 	ResourceEstimate = core.ResourceEstimate
 	// Service is the concurrent prediction engine behind cmd/mrserved: a
-	// bounded worker pool, an LRU + singleflight cache, and a parallel
+	// bounded worker pool, one sharded result table, and a parallel
 	// what-if planner.
 	Service = service.Service
 	// ServiceOptions configures a Service.
@@ -246,7 +246,8 @@ func FitTrace(res SimResult, opts FitOptions) (FitResult, error) { return trace.
 func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 
 // NewServiceHandler exposes a Service as the mrserved HTTP API (/healthz,
-// /readyz, /v1/metrics, /v1/predict, /v1/simulate, /v1/compare, /v1/plan).
+// /readyz, /v1/metrics, /v1/profiles, /v1/predict, /v1/simulate,
+// /v1/compare, /v1/plan, /v1/calibrate).
 // A zero timeout selects the per-kind defaults (10s for predict, 30s for
 // simulate/compare/plan/calibrate); clients may shrink a request's budget
 // with an X-Deadline-Ms header or a timeoutSec body field.

@@ -97,10 +97,16 @@ func (e *Estimator) UnmarshalText(b []byte) error {
 
 // Defaults for Config fields left zero.
 const (
-	DefaultEpsilon         = 1e-7
-	DefaultMaxIterations   = 200
+	DefaultEpsilon       = 1e-7
+	DefaultMaxIterations = 200
+	// DefaultTripathiCVFloor floors leaf CVs for the Tripathi estimator,
+	// which assumes exponential-family task times.
 	DefaultTripathiCVFloor = 0.15
-	// DefaultPAttenuation: see Config.PAttenuation.
+	// DefaultPAttenuation is the per-level CV attenuation of the fork/join P
+	// rule: the max of two variables disperses less than its inputs, so each
+	// synchronization level carries cv*DefaultPAttenuation upward. 1 would
+	// mean no attenuation (error grows linearly with P-depth); values below
+	// 1 bound the compounding.
 	DefaultPAttenuation = 0.85
 	// DefaultLeafCV is used when no history trace supplies per-class CVs; it
 	// reflects task-time dispersion of a lightly-jittered Hadoop task.
@@ -138,15 +144,6 @@ type Config struct {
 	Epsilon float64
 	// MaxIterations bounds the outer loop (default 200).
 	MaxIterations int
-	// TripathiCVFloor floors leaf CVs for the Tripathi estimator, which
-	// assumes exponential-family task times (default 0.15).
-	TripathiCVFloor float64
-	// PAttenuation is the per-level CV attenuation of the fork/join P rule:
-	// the max of two variables disperses less than its inputs, so each
-	// synchronization level carries cv*PAttenuation upward. 1 means no
-	// attenuation (error grows linearly with P-depth); values below 1 bound
-	// the compounding. Default 0.85.
-	PAttenuation float64
 	// History optionally initializes per-class demands, responses and CVs
 	// from a parsed job-history trace (§4.2.1, first approach). When nil, the
 	// Herodotou static model provides initialization (second approach).
@@ -170,12 +167,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = DefaultMaxIterations
-	}
-	if c.TripathiCVFloor <= 0 {
-		c.TripathiCVFloor = DefaultTripathiCVFloor
-	}
-	if c.PAttenuation <= 0 {
-		c.PAttenuation = DefaultPAttenuation
 	}
 }
 
@@ -645,7 +636,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 			if pred.Converged {
 				continue
 			}
-			total, err := p.estimate(&cfg, est, tree, classes)
+			total, err := p.estimate(est, tree, classes)
 			if err != nil {
 				return err
 			}
@@ -1311,7 +1302,7 @@ func (p *Predictor) indexResponses(tl *timeline.Timeline, taskResp []float64) {
 // estimate computes the job response time from the precedence tree using
 // estimator est; leaf response times come from the MVA step (per task, as
 // indexed by indexResponses), leaf CVs from the class data.
-func (p *Predictor) estimate(cfg *Config, est Estimator, tree *ptree.Node, classes *classTable) (float64, error) {
+func (p *Predictor) estimate(est Estimator, tree *ptree.Node, classes *classTable) (float64, error) {
 	respBy := &p.respBy
 	leaf := func(t *timeline.Placed) (mean, cv float64, err error) {
 		var m float64
@@ -1333,7 +1324,7 @@ func (p *Predictor) estimate(cfg *Config, est Estimator, tree *ptree.Node, class
 
 	switch est {
 	case EstimatorTripathi:
-		d, err := p.trip.eval(tree, leaf, cfg.TripathiCVFloor)
+		d, err := p.trip.eval(tree, leaf, DefaultTripathiCVFloor)
 		if err != nil {
 			return 0, err
 		}
@@ -1342,7 +1333,7 @@ func (p *Predictor) estimate(cfg *Config, est Estimator, tree *ptree.Node, class
 		m, _, err := evalForkJoin(tree, leaf, true, 1)
 		return m, err
 	default:
-		m, _, err := evalForkJoin(tree, leaf, false, cfg.PAttenuation)
+		m, _, err := evalForkJoin(tree, leaf, false, DefaultPAttenuation)
 		return m, err
 	}
 }

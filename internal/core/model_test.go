@@ -232,7 +232,7 @@ func TestEpsilonAndIterationDefaults(t *testing.T) {
 	if cfg.Epsilon != DefaultEpsilon || cfg.MaxIterations != DefaultMaxIterations {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	if cfg.NumJobs != 1 || cfg.TripathiCVFloor != DefaultTripathiCVFloor || cfg.PAttenuation != DefaultPAttenuation {
+	if cfg.NumJobs != 1 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }

@@ -2,7 +2,7 @@
 // Lundstrom [5], Liang & Tripathi [4]) of the paper's Mean Value Analysis:
 // the queueing delay of a task at a center is proportional to the overlap
 // between tasks (α for tasks of the same job, β across jobs), and the
-// safeguarded Aitken accelerator shared by the model's fixed-point loops.
+// safeguarded Aitken accelerator of the chained solve's inner loop.
 // With every pair fully overlapping it reduces to Schweitzer–Bard
 // approximate MVA (checked against it in the tests).
 package mva
@@ -13,14 +13,14 @@ import (
 	"math"
 )
 
-// Aitken is the shared safeguarded Δ² accelerator behind the model's
-// fixed-point loops (the overlap solver and core's outer class-response
-// iteration): it records two plain iterates (x0, x1), and on the third (x2)
-// extrapolates each component's geometric tail — x* = x2 − (Δx1)²/(Δ²x0) —
-// wherever the safeguards hold: a non-degenerate second difference, a
-// bounded step (≤ 8·|Δx1|, so a near-stalled denominator cannot fling the
-// iterate), a finite result and a caller-supplied component floor. Components failing any check keep the
-// plain iterate — the "safeguarded fallback to plain damping". Convergence
+// Aitken is the safeguarded Δ² accelerator of the overlap solver's inner
+// sweeps, which only the chained solve (core's PredictWarm) enables: it
+// records two plain iterates (x0, x1), and on the third (x2) extrapolates
+// each component's geometric tail — x* = x2 − (Δx1)²/(Δ²x0) — wherever the
+// safeguards hold: a non-degenerate second difference, a bounded step
+// (≤ 8·|Δx1|, so a near-stalled denominator cannot fling the iterate), a
+// finite result and a caller-supplied component floor. Components failing
+// any check keep the plain iterate — the "safeguarded fallback to plain damping". Convergence
 // must always be declared on plain sweep deltas, never on an extrapolated
 // one: callers Observe *after* their tolerance check. The zero Aitken is
 // not ready; call Init first.

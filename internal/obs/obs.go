@@ -33,7 +33,7 @@ const (
 	StageAdmission Stage = iota
 	// StageQueueWait is time spent waiting for a worker-pool slot.
 	StageQueueWait
-	// StageCacheLookup is the canonical-key LRU probe.
+	// StageCacheLookup is the canonical-key result-table lookup.
 	StageCacheLookup
 	// StageProfileResolve is calibrated-profile registry resolution.
 	StageProfileResolve
@@ -69,8 +69,8 @@ type Counter int
 
 // The fixed counters, in the order access-log lines report them.
 const (
-	// CounterCacheHits counts requests served from the LRU or a shared
-	// singleflight result; CounterCacheMisses counts actual computations.
+	// CounterCacheHits counts requests served from a stored result or a
+	// shared in-flight one; CounterCacheMisses counts actual computations.
 	CounterCacheHits   Counter = iota
 	CounterCacheMisses         // see CounterCacheHits
 	// CounterPredicts counts computed (non-cached) model runs.

@@ -269,7 +269,7 @@ func TestRequestTimeout(t *testing.T) {
 
 // calibrateBody builds a /v1/calibrate request body embedding a freshly
 // simulated trace document under the given profile name.
-func calibrateBody(t *testing.T, name string) string {
+func calibrateBody(t testing.TB, name string) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.Write(&buf, simTrace(t, 512, 1)); err != nil {

@@ -402,7 +402,7 @@ func nodeChoices(req *PlanRequest) []nodeChoice {
 // Plan evaluates the what-if request and ranks the outcomes. Deadline
 // queries backed by the analytic model run the bisection + pruning search
 // (search.go); everything else evaluates the full grid in parallel. Each
-// candidate flows through the same cache/singleflight/pool path as a direct
+// candidate flows through the same result table and worker slots as a direct
 // Predict or Simulate call, so overlapping plans share work — a workflow
 // candidate is the workflow Predict at its cluster.
 func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {

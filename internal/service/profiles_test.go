@@ -17,7 +17,7 @@ import (
 
 // simTrace runs one simulation and returns its result, the raw material a
 // calibration ingests.
-func simTrace(t *testing.T, inputMB float64, seed int64) mrsim.Result {
+func simTrace(t testing.TB, inputMB float64, seed int64) mrsim.Result {
 	t.Helper()
 	res, err := mrsim.Run(mrsim.Config{
 		Spec: cluster.Default(2), Jobs: []workload.Job{testJob(t, inputMB, 2)}, Seed: seed,

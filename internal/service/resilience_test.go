@@ -262,6 +262,54 @@ func TestBreakerTripAndRecoverService(t *testing.T) {
 	}
 }
 
+// TestDegradedCompareNotCached: a comparison served while the breaker is
+// open is flagged Degraded and never cached, so a repeat is degraded afresh
+// and the first comparison after the cooldown runs a real simulation and is
+// the one that gets cached.
+func TestDegradedCompareNotCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed comparison in -short mode")
+	}
+	const cooldown = 60 * time.Millisecond
+	s := New(Options{Workers: 2, BreakerThreshold: 2, BreakerCooldown: cooldown})
+	spec := cluster.Default(2)
+	job := testJob(t, 512, 2)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for seed := int64(1); seed <= 2; seed++ {
+		s.Simulate(expired, SimulateRequest{Spec: spec, Jobs: []workload.Job{job}, Seed: seed, Reps: 1})
+	}
+	if m := s.Metrics(); m.BreakerStateCode != admit.StateOpen {
+		t.Fatalf("breaker %s after two timeouts, want open", m.BreakerState)
+	}
+
+	req := CompareRequest{Spec: spec, Job: job, Seed: 3, Reps: 1}
+	for i := range 2 {
+		resp, err := s.Compare(context.Background(), req)
+		if err != nil {
+			t.Fatalf("degraded compare %d: %v", i, err)
+		}
+		if !resp.Degraded || resp.Cached {
+			t.Fatalf("compare %d while open = degraded %v cached %v, want degraded and uncached", i, resp.Degraded, resp.Cached)
+		}
+	}
+	if m := s.Metrics(); m.CacheEntries != 1 {
+		// Only the degraded simulate's model fallback (a plain predict) is stored.
+		t.Errorf("cache entries = %d after degraded compares, want 1", m.CacheEntries)
+	}
+
+	time.Sleep(cooldown + 30*time.Millisecond)
+	for i, wantCached := range []bool{false, true} {
+		resp, err := s.Compare(context.Background(), req)
+		if err != nil {
+			t.Fatalf("recovery compare %d: %v", i, err)
+		}
+		if resp.Degraded || resp.Cached != wantCached {
+			t.Errorf("compare %d after cooldown = degraded %v cached %v, want real, cached %v", i, resp.Degraded, resp.Cached, wantCached)
+		}
+	}
+}
+
 // TestReadyzStates pins the liveness/readiness split: /healthz answers 200
 // through every state, while /readyz degrades to 503 with a status of
 // "overloaded" (admission queue at its bound) or "draining" (shutdown).

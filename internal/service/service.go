@@ -7,11 +7,11 @@
 //
 //   - a bounded worker pool caps concurrent model/simulator executions, so a
 //     burst of requests degrades into queueing instead of thrashing;
-//   - an LRU cache keyed on a canonical hash of the full request
+//   - a sharded result table keyed on a canonical hash of the full request
 //     (cluster spec, job, scheduler policy, estimator, job count) makes
-//     repeated predictions O(1);
-//   - a singleflight layer deduplicates concurrent identical requests, so a
-//     thundering herd computes once and shares the result.
+//     repeated predictions O(1), and lets concurrent identical requests
+//     join the one computation in flight, so a thundering herd computes
+//     once and shares the result.
 //
 // The what-if planner (planner.go) sweeps cluster size, block size,
 // reducer count and scheduler policy through the same pool and cache to
@@ -193,8 +193,8 @@ type Metrics struct {
 	CompareRequests   int64 `json:"compareRequests"`   // see PredictRequests
 	PlanRequests      int64 `json:"planRequests"`      // see PredictRequests
 	CalibrateRequests int64 `json:"calibrateRequests"` // see PredictRequests
-	// CacheHits counts requests served without computing (LRU hit or a
-	// shared singleflight result); CacheMisses counts actual computations.
+	// CacheHits counts requests served without computing (a stored result
+	// or a shared in-flight one); CacheMisses counts actual computations.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"` // see CacheHits
 	// HitRate is CacheHits / (CacheHits + CacheMisses), 0 when idle.
@@ -203,7 +203,7 @@ type Metrics struct {
 	InFlightSims int64 `json:"inFlightSims"`
 	// SimRuns counts completed simulator executions (each is Reps seeded runs).
 	SimRuns int64 `json:"simRuns"`
-	// CacheEntries is the current LRU population.
+	// CacheEntries is the current population of completed cache entries.
 	CacheEntries int `json:"cacheEntries"`
 	// ProfilesActive is the current count of live (unexpired) calibrated
 	// profiles in the registry.
@@ -259,9 +259,8 @@ type Metrics struct {
 // Service is a concurrent prediction engine. It is safe for use from many
 // goroutines; create one with New.
 type Service struct {
-	opts   Options
-	cache  *shardedCache
-	flight *shardedFlight
+	opts    Options
+	results *resultTable
 	// profiles is the versioned registry of calibrated (trace-fitted)
 	// per-class profiles referenced by request Profile fields.
 	profiles *profileRegistry
@@ -331,8 +330,7 @@ func New(opts Options) *Service {
 	opts.applyDefaults()
 	s := &Service{
 		opts:       opts,
-		cache:      newShardedCache(opts.CacheSize, opts.CacheTTL),
-		flight:     newShardedFlight(),
+		results:    newResultTable(opts.CacheSize, opts.CacheTTL),
 		profiles:   newProfileRegistry(opts.MaxProfiles, opts.ProfileTTL),
 		predictors: sync.Pool{New: func() any { return core.NewPredictor() }},
 		admission: admit.NewController(admit.Config{
@@ -343,6 +341,10 @@ func New(opts Options) *Service {
 			TripThreshold: opts.BreakerThreshold,
 			Cooldown:      opts.BreakerCooldown,
 		}),
+	}
+	s.results.saturated = s.admission.Saturated
+	s.results.lookedUp = func(ctx context.Context, start time.Time) {
+		s.endSpan(obs.FromContext(ctx), obs.StageCacheLookup, start)
 	}
 	for i := range s.reqHist {
 		s.reqHist[i] = obs.NewHistogram(obs.DefaultLatencyBuckets())
@@ -385,7 +387,7 @@ func (s *Service) Metrics() Metrics {
 		CacheMisses:       s.misses.Load(),
 		InFlightSims:      s.inFlightSims.Load(),
 		SimRuns:           s.simRuns.Load(),
-		CacheEntries:      s.cache.len(),
+		CacheEntries:      s.results.len(),
 		ProfilesActive:    s.profiles.liveCount(),
 
 		ModelOuterIterations: s.outerIters.Load(),
@@ -446,62 +448,31 @@ func (s *Service) Overloaded() bool { return s.admission.Overloaded() }
 // hits keep flowing while the breaker is open.
 var errBreakerOpen = errors.New("service: simulator circuit breaker open")
 
-// cachedCompute serves one request through the LRU + singleflight path:
-// cache hit, or join an in-flight identical computation, or compute and
-// populate the cache. compute takes its own worker slot (acquire, then
-// s.admission.Release) so that a hit never waits for one and
-// uninterruptible work can keep its slot past a caller's cancellation.
-//
-// When entries carry a TTL (Options.CacheTTL > 0) and the worker pool is
-// saturated, an expired-but-resident entry is served immediately with
-// stale=true instead of queueing a recompute — an old answer beats an
-// overloaded queue. Stale serves never happen while the pool has capacity
-// (the entry just recomputes) and never with TTL zero.
-func (s *Service) cachedCompute(ctx context.Context, key string, compute func() (any, error)) (v any, cached, stale bool, err error) {
-	tr := obs.FromContext(ctx)
-	lookupStart := time.Now()
-	v, ok := s.cache.get(key)
-	s.endSpan(tr, obs.StageCacheLookup, lookupStart)
-	if ok {
-		s.hits.Add(1)
-		tr.AddCounter(obs.CounterCacheHits, 1)
-		return v, true, false, nil
-	}
-	if s.opts.CacheTTL > 0 && s.admission.Saturated() {
-		if v, ok := s.cache.getStale(key); ok {
-			s.staleServed.Add(1)
-			s.hits.Add(1)
-			tr.AddCounter(obs.CounterCacheHits, 1)
-			return v, true, true, nil
-		}
-	}
-	// The leader rechecks the cache before computing: it may have lost a
-	// race with a previous leader that populated the entry between this
-	// caller's lookup and its turn at the flight group.
-	fromCache := false
-	v, err, shared := s.flight.do(ctx, key, func() (any, error) {
-		if v, ok := s.cache.get(key); ok {
-			fromCache = true
-			return v, nil
-		}
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		s.cache.add(key, v)
-		return v, nil
-	})
+// cachedCompute serves one request through the result table (see
+// resultTable.do) and counts how: a live entry, an expired one served under
+// saturation (stale) and a shared in-flight result are hits; a computed and
+// stored value is a miss; a value compute marked not cacheable is neither.
+// compute takes its own worker slot (acquire, then s.admission.Release) so
+// that a hit never waits for one and uninterruptible work can keep its slot
+// past a caller's cancellation.
+func (s *Service) cachedCompute(ctx context.Context, key string, compute func() (any, bool, error)) (v any, cached, stale bool, err error) {
+	v, how, err := s.results.do(ctx, key, compute)
 	if err != nil {
 		return nil, false, false, err
 	}
-	if shared || fromCache {
-		s.hits.Add(1)
-		tr.AddCounter(obs.CounterCacheHits, 1)
-	} else {
+	tr := obs.FromContext(ctx)
+	switch how {
+	case computed:
 		s.misses.Add(1)
 		tr.AddCounter(obs.CounterCacheMisses, 1)
+	case staleHit:
+		s.staleServed.Add(1)
+		fallthrough
+	case hit:
+		s.hits.Add(1)
+		tr.AddCounter(obs.CounterCacheHits, 1)
 	}
-	return v, shared || fromCache, false, nil
+	return v, how == hit || how == staleHit, how == staleHit, nil
 }
 
 // PredictRequest asks for one analytic model evaluation.
@@ -581,7 +552,7 @@ type PredictResponse struct {
 	// Prediction is the model output (response time, iterations, artifacts).
 	Prediction core.Prediction
 	// Cached reports whether the response was served without a fresh model
-	// run (LRU hit or shared in-flight computation).
+	// run (a stored result or a shared in-flight computation).
 	Cached bool
 	// Stale reports that the answer came from an expired cache entry served
 	// under pool saturation (see Options.CacheTTL); always false in healthy
@@ -633,11 +604,11 @@ func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictRespo
 	return s.predictEval(ctx, req, false)
 }
 
-// predictEval serves one model evaluation through the cache/singleflight
-// path. chained computes a miss with the chained solve (PredictWarm)
-// instead of the cold Predict — the planner's bisecting axis walks ask for
-// it. Chained results stay within 1e-6 relative of cold ones (the core
-// chained-solve contract), so the two are interchangeable cache citizens.
+// predictEval serves one model evaluation through the result table.
+// chained computes a miss with the chained solve (PredictWarm) instead of
+// the cold Predict — the planner's bisecting axis walks ask for it. Chained
+// results stay within 1e-6 relative of cold ones (the core chained-solve
+// contract), so the two are interchangeable cache citizens.
 func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained bool) (PredictResponse, error) {
 	if err := req.validate(); err != nil {
 		return PredictResponse{}, invalid(err)
@@ -645,9 +616,9 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained b
 	if err := s.resolveProfile(ctx, req.Profile, &req.resolved); err != nil {
 		return PredictResponse{}, err
 	}
-	v, cached, stale, err := s.cachedCompute(ctx, predictKey(req), func() (any, error) {
+	v, cached, stale, err := s.cachedCompute(ctx, predictKey(req), func() (any, bool, error) {
 		if err := s.acquire(ctx); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		defer s.admission.Release()
 		cfg := req.config()
@@ -664,7 +635,7 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained b
 		s.predictors.Put(p)
 		s.endSpan(tr, obs.StageModelSolve, solveStart)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		s.outerIters.Add(int64(pred.Iterations))
 		s.innerIters.Add(int64(pred.InnerIterations))
@@ -675,7 +646,7 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained b
 		tr.AddCounter(obs.CounterCells, int64(pred.Cells))
 		tr.AddCounter(obs.CounterReusedRounds, int64(pred.ReusedRounds))
 		tr.AddCounter(obs.CounterRebuiltRounds, int64(pred.RebuiltRounds))
-		return pred, nil
+		return pred, true, nil
 	})
 	if err != nil {
 		return PredictResponse{}, err
@@ -808,9 +779,9 @@ func (s *Service) simulate(ctx context.Context, req SimulateRequest) (SimulateRe
 	if err := req.validate(s.opts.SimReps); err != nil {
 		return SimulateResponse{}, invalid(err)
 	}
-	v, cached, stale, err := s.cachedCompute(ctx, simulateKey(req), func() (any, error) {
+	v, cached, stale, err := s.cachedCompute(ctx, simulateKey(req), func() (any, bool, error) {
 		if !s.breaker.Allow() {
-			return nil, errBreakerOpen
+			return nil, false, errBreakerOpen
 		}
 		o, err := s.runSim(ctx, req)
 		switch {
@@ -819,7 +790,7 @@ func (s *Service) simulate(ctx context.Context, req SimulateRequest) (SimulateRe
 		case errors.Is(err, context.DeadlineExceeded):
 			s.breaker.Timeout()
 		}
-		return o, err
+		return o, true, err
 	})
 	if errors.Is(err, errBreakerOpen) {
 		return s.degradedSimulate(ctx, req)
@@ -861,7 +832,7 @@ func (s *Service) degradedSimulate(ctx context.Context, req SimulateRequest) (Si
 // runSim executes the seeded simulation batch under a worker-pool slot,
 // synchronously: mrsim threads ctx into the event loop, so a canceled caller
 // aborts the engine instead of orphaning a multi-second run. A leader that
-// dies of its own cancellation is safe — waiting singleflight followers
+// dies of its own cancellation is safe — callers waiting on its result
 // retry as the new leader (TestFlightFollowerSurvivesLeaderCancel).
 func (s *Service) runSim(ctx context.Context, req SimulateRequest) (simOutcome, error) {
 	if err := s.acquire(ctx); err != nil {
@@ -980,13 +951,6 @@ type CompareResponse struct {
 	ProfileVersion int64 // see Profile
 }
 
-// errDegraded carries a degraded CompareResponse out of the compute closure
-// as an error, so cachedCompute never caches it: the next comparison after
-// the breaker closes recomputes against a real simulation.
-type errDegraded struct{ resp CompareResponse }
-
-func (errDegraded) Error() string { return "service: degraded comparison (not cached)" }
-
 // Compare validates both model variants against a simulated execution.
 func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareResponse, error) {
 	s.compareReqs.Add(1)
@@ -996,30 +960,17 @@ func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareRespo
 	if err := s.resolveProfile(ctx, req.Profile, &req.resolved); err != nil {
 		return CompareResponse{}, err
 	}
-	v, cached, stale, err := s.cachedCompute(ctx, compareKey(req), func() (any, error) {
+	v, cached, stale, err := s.cachedCompute(ctx, compareKey(req), func() (any, bool, error) {
 		resp, err := s.runCompare(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Degraded {
-			// Surface the degraded comparison as an error so it skips the
-			// cache; Compare unwraps it below.
-			return nil, errDegraded{resp}
-		}
-		return resp, nil
+		// A degraded comparison is served but not cached: the next one
+		// after the breaker closes recomputes against a real simulation.
+		return resp, !resp.Degraded, err
 	})
-	var out CompareResponse
-	var deg errDegraded
-	switch {
-	case err == nil:
-		out = v.(CompareResponse)
-		out.Cached = cached
-		out.Stale = stale
-	case errors.As(err, &deg):
-		out = deg.resp
-	default:
+	if err != nil {
 		return CompareResponse{}, err
 	}
+	out := v.(CompareResponse)
+	out.Cached, out.Stale = cached, stale
 	if req.resolved != nil {
 		out.Profile = req.resolved.info.Name
 		out.ProfileVersion = req.resolved.info.Version
@@ -1038,8 +989,8 @@ func (s *Service) runCompare(ctx context.Context, req CompareRequest) (CompareRe
 	if req.NumJobs > 1 {
 		pol = yarn.PolicyFair
 	}
-	// The inner simulation goes through the shared cache/singleflight path
-	// under its own key: a Compare after (or concurrent with) a Simulate of
+	// The inner simulation goes through the shared result table under its
+	// own key: a Compare after (or concurrent with) a Simulate of
 	// the same configuration reuses its run, and vice versa.
 	sim, err := s.simulate(ctx, SimulateRequest{
 		Spec: req.Spec, Jobs: jobs, Seed: req.Seed, Reps: req.Reps, Policy: pol,

@@ -14,7 +14,7 @@ import (
 	"hadoop2perf/internal/yarn"
 )
 
-func testJob(t *testing.T, inputMB float64, reduces int) workload.Job {
+func testJob(t testing.TB, inputMB float64, reduces int) workload.Job {
 	t.Helper()
 	job, err := workload.NewJob(0, inputMB, 128, reduces, workload.WordCount())
 	if err != nil {
@@ -292,7 +292,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	a, b, c3 := keys[0], keys[1], keys[2]
-	c := newShardedCache(2*cacheShards, 0) // two entries per shard
+	c := newResultTable(2*cacheShards, 0) // two entries per shard
 	c.add(a, 1)
 	c.add(b, 2)
 	if _, ok := c.get(a); !ok { // refresh a
@@ -307,12 +307,12 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// The sharded cache must bound its total population near the requested
+// The result table must bound its total population near the requested
 // capacity (per-shard slices, rounded up) while keys spread over shards,
 // and hits must keep returning the stored values.
 func TestShardedCacheCapacityAndSpread(t *testing.T) {
 	const max = 64
-	c := newShardedCache(max, 0)
+	c := newResultTable(max, 0)
 	for i := 0; i < 10*max; i++ {
 		c.add(fmt.Sprintf("key-%d", i), i)
 	}
@@ -335,7 +335,7 @@ func TestShardedCacheCapacityAndSpread(t *testing.T) {
 // TestFlightFollowerSurvivesLeaderCancel: a waiter must not inherit the
 // leader's context cancellation — it retries as the new leader.
 func TestFlightFollowerSurvivesLeaderCancel(t *testing.T) {
-	g := newShardedFlight()
+	g := newResultTable(cacheShards, 0)
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderStarted := make(chan struct{})
 	leaderRelease := make(chan struct{})
@@ -344,10 +344,10 @@ func TestFlightFollowerSurvivesLeaderCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err, _ := g.do(leaderCtx, "k", func() (any, error) {
+		_, _, err := g.do(leaderCtx, "k", func() (any, bool, error) {
 			close(leaderStarted)
 			<-leaderRelease
-			return nil, leaderCtx.Err() // leader dies of its own cancellation
+			return nil, false, leaderCtx.Err() // leader dies of its own cancellation
 		})
 		if err == nil {
 			t.Error("leader expected its own cancellation error")
@@ -361,8 +361,8 @@ func TestFlightFollowerSurvivesLeaderCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		followerVal, followerErr, _ = g.do(context.Background(), "k", func() (any, error) {
-			return "recomputed", nil
+		followerVal, _, followerErr = g.do(context.Background(), "k", func() (any, bool, error) {
+			return "recomputed", true, nil
 		})
 		close(followerDone)
 	}()

@@ -60,3 +60,51 @@ func FuzzPredictBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCalibrateBody drives POST /v1/calibrate, the endpoint with the
+// largest untrusted body (a whole trace document), through the full
+// handler. The oracle:
+//   - no panic and no 500;
+//   - every non-200 answer carries the structured error body;
+//   - a body that does not decode as a calibrate request gets a 400;
+//   - a 200 reports, for every fitted class, a finite, positive
+//     meanResponse and a finite cv ≥ 0.
+func FuzzCalibrateBody(f *testing.F) {
+	f.Add([]byte(calibrateBody(f, "prod-wc")))
+	f.Add([]byte(`{"name":"x","trace":{"version":1,"result":{}}}`))
+	f.Add([]byte(`{"name":"x","trace":null,"trimFraction":0.4,"minSamples":1,"cvFloor":0.5}`))
+	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/calibrate", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+
+		var req calibrateWire
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		decodable := dec.Decode(&req) == nil
+
+		switch st := w.Code; st {
+		case http.StatusOK:
+			var out calibrateResultWire
+			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+				t.Fatalf("200 without a calibrate result (%v): %s", err, w.Body.Bytes())
+			}
+			for cls, c := range out.Classes {
+				if !(c.MeanResponse > 0) || math.IsInf(c.MeanResponse, 0) || !(c.CV >= 0) || math.IsInf(c.CV, 0) {
+					t.Fatalf("200 with %s meanResponse %v cv %v for %q", cls, c.MeanResponse, c.CV, body)
+				}
+			}
+		case http.StatusBadRequest, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			if !decodable && st != http.StatusBadRequest {
+				t.Fatalf("undecodable body answered %d, want 400: %q", st, body)
+			}
+			var e errorWire
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%d without the structured error body (%v): %s", st, err, w.Body.Bytes())
+			}
+		default:
+			t.Fatalf("status %d for %q: %s", st, body, w.Body.Bytes())
+		}
+	})
+}

@@ -13,8 +13,8 @@ import (
 )
 
 // This file serves DAG workflows: a request-level workflow block names job
-// stages and precedence edges, each stage rides the same per-stage cache/
-// singleflight/predictor path as a plain predict (so a workflow stage and
+// stages and precedence edges, each stage rides the same per-stage result
+// table and predictor path as a plain predict (so a workflow stage and
 // an identical single-job request share one cache entry), and the composed
 // critical-path result is cached under its own workflow key. Plans sweep
 // the shared cluster axis with the composed makespan as the objective.
@@ -248,12 +248,13 @@ func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs
 	return out, nil
 }
 
-// workflowEvalCached serves one composed workflow through the cache and
-// singleflight under its workflow-level key (the per-stage evaluations
+// workflowEvalCached serves one composed workflow through the result table
+// under its workflow-level key (the per-stage evaluations
 // inside keep their own keys either way).
 func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest) (*workflowOutcome, bool, bool, error) {
-	v, cached, stale, err := s.cachedCompute(ctx, workflowPredictKey(dag, stageReqs), func() (any, error) {
-		return s.workflowEval(ctx, dag, stageReqs)
+	v, cached, stale, err := s.cachedCompute(ctx, workflowPredictKey(dag, stageReqs), func() (any, bool, error) {
+		o, err := s.workflowEval(ctx, dag, stageReqs)
+		return o, true, err
 	})
 	if err != nil {
 		return nil, false, false, err

@@ -210,15 +210,21 @@ func fitClass(cs *classSamples, opts FitOptions) (FittedClass, error) {
 	if cv < opts.CVFloor {
 		cv = opts.CVFloor
 	}
-	return FittedClass{
-		Stats: core.ClassStats{
-			MeanResponse: stats.Mean(durs),
-			CV:           cv,
-			MeanCPU:      stats.Mean(pick(cs.cpu)),
-			MeanDisk:     stats.Mean(pick(cs.disk)),
-			MeanNetwork:  stats.Mean(pick(cs.network)),
-		},
-		Samples: len(kept),
-		Trimmed: n - len(kept),
-	}, nil
+	st := core.ClassStats{
+		MeanResponse: stats.Mean(durs),
+		CV:           cv,
+		MeanCPU:      stats.Mean(pick(cs.cpu)),
+		MeanDisk:     stats.Mean(pick(cs.disk)),
+		MeanNetwork:  stats.Mean(pick(cs.network)),
+	}
+	// Finite records can still sum past the float range, and tasks that all
+	// took no time leave a zero mean response, which the model reads as
+	// "derive from demands": neither calibrates anything.
+	if !finite(st.MeanResponse, st.CV, st.MeanCPU, st.MeanDisk, st.MeanNetwork) {
+		return FittedClass{}, errors.New("fitted statistics overflow the float range")
+	}
+	if st.MeanResponse <= 0 {
+		return FittedClass{}, fmt.Errorf("%d kept tasks have zero mean duration", len(kept))
+	}
+	return FittedClass{Stats: st, Samples: len(kept), Trimmed: n - len(kept)}, nil
 }

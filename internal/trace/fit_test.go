@@ -159,6 +159,25 @@ func TestFitRejectsUnknownClassAndEmpty(t *testing.T) {
 	}
 }
 
+// TestFitRejectsUnusableStatistics: valid records whose class statistics
+// overflow, or whose kept tasks all took no time, calibrate nothing.
+func TestFitRejectsUnusableStatistics(t *testing.T) {
+	cases := map[string]mrsim.Result{
+		"zero duration":        syntheticResult(record(mrsim.ClassMap, 0, 0, 5, 1, 0)),
+		"overflowing duration": syntheticResult(record(mrsim.ClassMap, 0, 1e308, 5, 1, 0), record(mrsim.ClassMap, 1, 1e308, 5, 1, 0)),
+		"overflowing spread":   syntheticResult(record(mrsim.ClassMap, 0, 1e308, 5, 1, 0), record(mrsim.ClassMap, 1, 1, 5, 1, 0)),
+		"overflowing demand":   syntheticResult(record(mrsim.ClassMap, 0, 10, 1e308, 1, 0), record(mrsim.ClassMap, 1, 10, 1e308, 1, 0)),
+	}
+	for name, res := range cases {
+		if err := Validate(res); err != nil {
+			t.Fatalf("%s: the records themselves are invalid: %v", name, err)
+		}
+		if fit, err := Fit(res, FitOptions{}); err == nil {
+			t.Errorf("%s: fitted %+v", name, fit.History)
+		}
+	}
+}
+
 // TestFitRoundTripFromSimulation is the §4.2.1 closed loop: a trace written
 // by the simulator, serialized, re-read and fitted must reproduce the
 // simulated per-class duration means (and demand means) it was derived from.
