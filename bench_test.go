@@ -152,14 +152,13 @@ func BenchmarkSimulatorLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatch compares a cluster-size sweep evaluated through
-// one reusable Predictor (PredictBatch) against fresh per-config Predict
-// calls — the shape the planner produces. The light sweep (1 reducer, 1
-// job) pins the allocation-lean fast path; the contended sweep (4 reducers,
-// 4 concurrent jobs — dozens of outer rounds per point cold) pins the
-// chained solve's win: outerIters/op and innerIters/op make the
-// convergence work visible, cold Predict vs the chained PredictBatch.
-func BenchmarkPredictBatch(b *testing.B) {
+// BenchmarkPredictSweep evaluates a cluster-size sweep — the shape the
+// planner produces — through fresh per-config Predict calls and through
+// one reusable Predictor. The light sweep (1 reducer, 1 job) pins the
+// allocation-lean path; the contended sweep (4 reducers, 4 concurrent
+// jobs — dozens of outer rounds per point) pins the chained inner solve:
+// outerIters/op and innerIters/op make its convergence work visible.
+func BenchmarkPredictSweep(b *testing.B) {
 	job, err := workload.NewJob(0, 2*1024, 128, 1, workload.WordCount())
 	if err != nil {
 		b.Fatal(err)
@@ -178,11 +177,14 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batch", func(b *testing.B) {
+	b.Run("reused", func(b *testing.B) {
 		b.ReportAllocs()
+		p := NewPredictor()
 		for i := 0; i < b.N; i++ {
-			if _, err := PredictBatch(cfgs); err != nil {
-				b.Fatal(err)
+			for _, cfg := range cfgs {
+				if _, err := p.Predict(cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -191,41 +193,22 @@ func BenchmarkPredictBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var contended []ModelConfig
-	for n := 2; n <= 17; n++ {
-		contended = append(contended, ModelConfig{Spec: DefaultCluster(n), Job: heavy, NumJobs: 4})
-	}
-	runContended := func(b *testing.B, solve func([]ModelConfig) ([]Prediction, error)) {
+	b.Run("contended", func(b *testing.B) {
 		b.ReportAllocs()
+		p := NewPredictor()
 		var outer, inner int64
 		for i := 0; i < b.N; i++ {
-			preds, err := solve(contended)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range preds {
-				outer += int64(p.Iterations)
-				inner += int64(p.InnerIterations)
+			for n := 2; n <= 17; n++ {
+				pred, err := p.Predict(ModelConfig{Spec: DefaultCluster(n), Job: heavy, NumJobs: 4})
+				if err != nil {
+					b.Fatal(err)
+				}
+				outer += int64(pred.Iterations)
+				inner += int64(pred.InnerIterations)
 			}
 		}
 		b.ReportMetric(float64(outer)/float64(b.N), "outerIters/op")
 		b.ReportMetric(float64(inner)/float64(b.N), "innerIters/op")
-	}
-	b.Run("contended-cold", func(b *testing.B) {
-		runContended(b, func(cfgs []ModelConfig) ([]Prediction, error) {
-			preds := make([]Prediction, len(cfgs))
-			for j, cfg := range cfgs {
-				p, err := Predict(cfg)
-				if err != nil {
-					return nil, err
-				}
-				preds[j] = p
-			}
-			return preds, nil
-		})
-	})
-	b.Run("contended-warm", func(b *testing.B) {
-		runContended(b, PredictBatch)
 	})
 }
 

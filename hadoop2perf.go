@@ -165,29 +165,21 @@ func NewJob(id int, inputMB, blockSizeMB float64, reduces int, p Profile) (Job, 
 	return workload.NewJob(id, inputMB, blockSizeMB, reduces, p)
 }
 
-// Predict runs the analytic performance model (modified MVA, §4.2).
+// Predict runs the analytic performance model (modified MVA, §4.2). Each
+// outer round's inner MVA fixed point starts from the previous round's,
+// with Aitken acceleration; the answer depends only on cfg.
 func Predict(cfg ModelConfig) (Prediction, error) { return core.Predict(cfg) }
 
 // Predictor is a reusable, allocation-lean model evaluator (one goroutine
-// at a time); see NewPredictor. Its PredictWarm method is the chained
-// solve: each outer round's inner MVA fixed point starts from the previous
-// round's, with Aitken acceleration. Its answer depends only on the config,
-// never on what the Predictor solved before, and matches Predict within
-// 1e-6 relative.
+// at a time); see NewPredictor. Its Predict gives the bits of the
+// package-level Predict, never depending on what the Predictor solved
+// before.
 type Predictor = core.Predictor
 
 // NewPredictor returns a reusable model evaluator whose scratch buffers
 // survive across predictions — the fast path for evaluating many
 // configurations in a loop.
 func NewPredictor() *Predictor { return core.NewPredictor() }
-
-// PredictBatch evaluates many model configurations through one shared
-// evaluator, reusing the timeline/overlap scaffolding across entries and
-// solving each entry chained (see Predictor). Results are per-config
-// PredictWarm's, bit for bit, and match per-config Predict calls within
-// 1e-6 relative (the property-tested chained-solve contract), not
-// bit-exactly; call Predict per config for the bit-identical cold path.
-func PredictBatch(cfgs []ModelConfig) ([]Prediction, error) { return core.PredictBatch(cfgs) }
 
 // EstimateResources predicts per-class and total resource consumption and
 // cluster utilization for the configured job (the paper's §6 future work).
@@ -202,8 +194,8 @@ func WorkflowChain(stages ...string) *WorkflowDAG { return workflow.Chain(stages
 // PredictWorkflow evaluates a multi-job workflow analytically: stage i of
 // the DAG runs ModelConfig cfgs[i], stages are solved in topological order
 // (concurrent same-cluster stages priced at their wave's population), each
-// with the chained solve when the DAG has more than one stage, and the
-// per-stage times compose into the workflow's critical-path makespan.
+// by Predict, and the per-stage times compose into the workflow's
+// critical-path makespan.
 func PredictWorkflow(dag *WorkflowDAG, cfgs []ModelConfig) (WorkflowPrediction, error) {
 	return core.PredictWorkflow(dag, cfgs)
 }

@@ -177,11 +177,11 @@ func TestLumpedWarmChain(t *testing.T) {
 	for nodes := 4; nodes <= 10; nodes++ {
 		for _, jobs := range []int{1, 3} {
 			cfg := Config{Spec: cluster.Default(nodes), Job: job, NumJobs: jobs}
-			g, err := lumped.PredictWarm(cfg)
+			g, err := lumped.Predict(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := elem.PredictWarm(cfg)
+			w, err := elem.Predict(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,25 +229,37 @@ func FuzzLumpedMatchesElementwise(f *testing.F) {
 	f.Add(uint8(5), uint16(700), uint8(2), true, false, true)
 	f.Add(uint8(3), uint16(3000), uint8(3), true, true, true)
 	f.Fuzz(func(t *testing.T, nodes uint8, inputMB uint16, reduces uint8, twoClass, fourJobs, faults bool) {
-		n := 2 + int(nodes)%11
-		in := 128 + float64(inputMB%6144)
-		r := 1 + int(reduces)%4
-		jobs := 1
-		if fourJobs {
-			jobs, r = 4, 4
-		}
-		job, err := workload.NewJob(0, in, 128, r, workload.WordCount())
-		if err != nil {
-			t.Skip(err)
-		}
-		cfg := Config{Spec: cluster.Default(n), Job: job, NumJobs: jobs}
-		if twoClass {
-			fast := 1 + int(nodes)%(n-1)
-			cfg.Spec = twoClassSpec(fast, n-fast)
-		}
-		if faults {
-			cfg.Faults = &fault.Plan{StragglerProb: 0.1, StragglerAlpha: 2, Speculation: r%2 == 0}
+		cfg, ok := fuzzShape(nodes, inputMB, reduces, twoClass, fourJobs, faults)
+		if !ok {
+			t.Skip()
 		}
 		lumpedMatchesElementwise(t, cfg)
 	})
+}
+
+// fuzzShape maps fuzz inputs to a model config: 2–12 nodes, flat or
+// 2-class, 128 MB to 6 GB of WordCount input, 1–4 reducers (4 with four
+// jobs), with or without a straggler plan. ok is false when the job is
+// invalid.
+func fuzzShape(nodes uint8, inputMB uint16, reduces uint8, twoClass, fourJobs, faults bool) (cfg Config, ok bool) {
+	n := 2 + int(nodes)%11
+	in := 128 + float64(inputMB%6144)
+	r := 1 + int(reduces)%4
+	jobs := 1
+	if fourJobs {
+		jobs, r = 4, 4
+	}
+	job, err := workload.NewJob(0, in, 128, r, workload.WordCount())
+	if err != nil {
+		return Config{}, false
+	}
+	cfg = Config{Spec: cluster.Default(n), Job: job, NumJobs: jobs}
+	if twoClass {
+		fast := 1 + int(nodes)%(n-1)
+		cfg.Spec = twoClassSpec(fast, n-fast)
+	}
+	if faults {
+		cfg.Faults = &fault.Plan{StragglerProb: 0.1, StragglerAlpha: 2, Speculation: r%2 == 0}
+	}
+	return cfg, true
 }

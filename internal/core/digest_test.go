@@ -15,26 +15,27 @@ import (
 	"hadoop2perf/internal/workload"
 )
 
-// predictDigest is the SHA-256 of coldDigest's output, solved lumped (one
+// predictDigest is the SHA-256 of digestOf's output, solved lumped (one
 // MVA row per cell, cells.go). It pins every answer bit and every counter
-// of the cold solves of a stratified config set; any change to the model's
-// arithmetic or iteration order moves it. Refresh it only for a change that
-// is meant to move predictions, and say so where the change is recorded.
-const predictDigest = "cc89f6ecc88f832aa9c5d0a2d804667d4ae02a5884510a98deeacc7c060c9d44"
+// of the solves of a stratified config set and of a node-axis walk; any
+// change to the model's arithmetic or iteration order moves it. Refresh it
+// only for a change that is meant to move predictions, and say so where
+// the change is recorded.
+const predictDigest = "9943926c915dffcbb01fd0d4eb75743be63500751505fdb8661cc42dd57bf8b8"
 
-// elementwiseDigest is the cold digest of the element-wise model: every
-// round solved with the identity partition, one MVA row per task. It is the
-// digest the model had before cells were lumped, and must never move with
-// a change to the lumping.
-const elementwiseDigest = "2356fda3a0e9667a70093554a540423f282ae9e2dc21cbb72d572ef5ab5f88fa"
+// elementwiseDigest is predictDigest for the element-wise model: every
+// round solved with the identity partition, one MVA row per task. It must
+// never move with a change to the lumping.
+const elementwiseDigest = "fe809a76f2fb39a3e07cb6b35bf8f00dcdee1800b89e85d0429470da0c064f24"
 
-// warmDigest is the SHA-256 of warmDigestOf's output, solved lumped: the
-// chained solve (PredictWarm) of the same config set and of a node-axis
-// walk, all on one Predictor.
-const warmDigest = "20b1c30797816123c0656f65b5e366248bd1a95711a1b7650f3ba00bcce5a01a"
-
-// elementwiseWarmDigest is warmDigest for the element-wise model.
-const elementwiseWarmDigest = "1c986a84f2f2cf7d09e7c0f3d4f683292a304b42f5fbd480569b82f7270b1c6c"
+// coldDigest and elementwiseColdDigest are the digests, without the axis
+// walk, of the model before its inner MVA state was chained across outer
+// rounds, lumped and element-wise. The cold-inner oracle (coldPredict)
+// must reproduce them: it is that model, bit for bit.
+const (
+	coldDigest            = "cc89f6ecc88f832aa9c5d0a2d804667d4ae02a5884510a98deeacc7c060c9d44"
+	elementwiseColdDigest = "2356fda3a0e9667a70093554a540423f282ae9e2dc21cbb72d572ef5ab5f88fa"
+)
 
 // digestConfigs is the stratified set: flat and 2-class clusters, one and
 // four jobs, a fault plan, a partial and a full history, two node counts.
@@ -104,25 +105,39 @@ func digestPrediction(h hash.Hash, p Prediction) {
 	}
 }
 
-// coldDigest solves every digest config cold per estimator and through
-// one PredictEach over all estimators, and hashes every result in that
-// order. Every Predictor it uses solves element-wise when identity is set.
-func coldDigest(t *testing.T, identity bool) string {
+// digestOf solves every digest config per estimator and through one
+// PredictEach over all estimators, then, when walk is set, walks a node
+// axis on one Predictor, as the planner does, and hashes every result in
+// that order. Every Predictor it uses is a copy of seam, the zero
+// Predictor with test seams set.
+func digestOf(t *testing.T, seam Predictor, walk bool) string {
+	t.Helper()
+	return digestWith(t, func() *Predictor { p := seam; return &p }, walk)
+}
+
+// sharedDigestOf is digestOf with every solve on one Predictor, a copy of
+// seam, so each config is solved after all the ones before it.
+func sharedDigestOf(t *testing.T, seam Predictor, walk bool) string {
+	t.Helper()
+	return digestWith(t, func() *Predictor { return &seam }, walk)
+}
+
+// digestWith is digestOf with the Predictor of each solve, and of the
+// whole axis walk, taken from next.
+func digestWith(t *testing.T, next func() *Predictor, walk bool) string {
 	t.Helper()
 	h := sha256.New()
 	for i, cfg := range digestConfigs(t) {
 		for _, est := range allEstimators {
 			c := cfg
 			c.Estimator = est
-			cold := Predictor{identityCells: identity}
-			p, err := cold.Predict(c)
+			p, err := next().Predict(c)
 			if err != nil {
 				t.Fatalf("config %d %s: %v", i, est, err)
 			}
 			digestPrediction(h, p)
 		}
-		joint := Predictor{identityCells: identity}
-		each, err := joint.PredictEach(context.Background(), cfg, allEstimators...)
+		each, err := next().PredictEach(context.Background(), cfg, allEstimators...)
 		if err != nil {
 			t.Fatalf("config %d each: %v", i, err)
 		}
@@ -130,53 +145,40 @@ func coldDigest(t *testing.T, identity bool) string {
 			digestPrediction(h, p)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// warmDigestOf solves every digest config chained with the Tripathi
-// estimator, then a planner-style node-axis walk, all on one Predictor, and
-// hashes every result in that order. The Predictor solves element-wise when
-// identity is set.
-func warmDigestOf(t *testing.T, identity bool) string {
-	t.Helper()
-	h := sha256.New()
-	warm := Predictor{identityCells: identity}
-	for i, cfg := range digestConfigs(t) {
-		c := cfg
-		c.Estimator = EstimatorTripathi
-		p, err := warm.PredictWarm(c)
-		if err != nil {
-			t.Fatalf("config %d warm: %v", i, err)
-		}
-		digestPrediction(h, p)
+	if !walk {
+		return hex.EncodeToString(h.Sum(nil))
 	}
 	job, err := workload.NewJob(0, 2048, 128, 4, workload.WordCount())
 	if err != nil {
 		t.Fatal(err)
 	}
+	axis := next()
 	for nodes := 4; nodes <= 9; nodes++ {
-		p, err := warm.PredictWarm(Config{Spec: cluster.Default(nodes), Job: job, NumJobs: 2})
+		p, err := axis.Predict(Config{Spec: cluster.Default(nodes), Job: job, NumJobs: 2})
 		if err != nil {
-			t.Fatalf("warm walk at %d nodes: %v", nodes, err)
+			t.Fatalf("walk at %d nodes: %v", nodes, err)
 		}
 		digestPrediction(h, p)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestPredictDigest pins the cold model's output bit for bit over the
-// digest set: an optimization of the outer round must leave every answer
-// and counter exactly as it was.
+// TestPredictDigest pins the model's output bit for bit over the digest
+// set: an optimization of the outer round must leave every answer and
+// counter exactly as it was.
 func TestPredictDigest(t *testing.T) {
-	if got := coldDigest(t, false); got != predictDigest {
+	if got := digestOf(t, Predictor{}, true); got != predictDigest {
 		t.Errorf("prediction digest %s, want %s", got, predictDigest)
 	}
 }
 
-// TestPredictWarmDigest pins the chained solve bit for bit.
+// TestPredictWarmDigest pins that one Predictor, reused across the whole
+// digest set as a pooled Predictor is across requests, gives the digest
+// of fresh Predictors bit for bit: the chained inner state of one solve
+// never reaches the next.
 func TestPredictWarmDigest(t *testing.T) {
-	if got := warmDigestOf(t, false); got != warmDigest {
-		t.Errorf("chained digest %s, want %s", got, warmDigest)
+	if got := sharedDigestOf(t, Predictor{}, true); got != predictDigest {
+		t.Errorf("one-Predictor digest %s, want %s", got, predictDigest)
 	}
 }
 
@@ -184,15 +186,27 @@ func TestPredictWarmDigest(t *testing.T) {
 // model's digest: solving one row per task through the lumped code path is
 // the element-wise model, bit for bit.
 func TestElementwiseDigest(t *testing.T) {
-	if got := coldDigest(t, true); got != elementwiseDigest {
+	if got := digestOf(t, Predictor{identityCells: true}, true); got != elementwiseDigest {
 		t.Errorf("element-wise digest %s, want %s", got, elementwiseDigest)
 	}
 }
 
-// TestElementwiseWarmDigest pins the chained solve on the identity
+// TestElementwiseWarmDigest is TestPredictWarmDigest on the identity
 // partition.
 func TestElementwiseWarmDigest(t *testing.T) {
-	if got := warmDigestOf(t, true); got != elementwiseWarmDigest {
-		t.Errorf("element-wise chained digest %s, want %s", got, elementwiseWarmDigest)
+	if got := sharedDigestOf(t, Predictor{identityCells: true}, true); got != elementwiseDigest {
+		t.Errorf("element-wise one-Predictor digest %s, want %s", got, elementwiseDigest)
+	}
+}
+
+// TestColdOracleDigest pins the chained solve's oracle to the model it
+// replaced: solved with every round's inner MVA started cold, the digest
+// set gives the pre-chaining digests bit for bit, lumped and element-wise.
+func TestColdOracleDigest(t *testing.T) {
+	if got := digestOf(t, Predictor{coldInner: true}, false); got != coldDigest {
+		t.Errorf("cold-inner digest %s, want %s", got, coldDigest)
+	}
+	if got := digestOf(t, Predictor{identityCells: true, coldInner: true}, false); got != elementwiseColdDigest {
+		t.Errorf("element-wise cold-inner digest %s, want %s", got, elementwiseColdDigest)
 	}
 }

@@ -310,10 +310,13 @@ type Predictor struct {
 
 	// identityCells forces the all-singleton partition (the element-wise
 	// model), rebuildRounds builds every round's timeline, tree and demand
-	// rows from scratch, and roundHook, when set, sees every round's
-	// timeline and tree before the MVA step; all three are test seams.
+	// rows from scratch, coldInner starts every round's inner MVA cold
+	// without Aitken (the unchained solve), and roundHook, when set, sees
+	// every round's timeline and tree before the MVA step; all four are
+	// test seams.
 	identityCells bool
 	rebuildRounds bool
+	coldInner     bool
 	roundHook     func(tl *timeline.Timeline, tree *ptree.Node, otherJobs int)
 
 	// infl is the fault effective-demand correction of the current
@@ -428,31 +431,24 @@ func Predict(cfg Config) (Prediction, error) {
 	return p.Predict(cfg)
 }
 
-// PredictBatch evaluates a batch of configurations in order through one
-// shared evaluator, each through the chained solve (see
-// Predictor.PredictBatch). Results match per-config Predict calls within
-// the chained-solve tolerance (1e-6 relative, property-tested). The first
-// failing config aborts the batch with its index wrapped in the error.
-func PredictBatch(cfgs []Config) ([]Prediction, error) {
-	return NewPredictor().PredictBatch(cfgs)
-}
-
-// Predict runs the model to convergence from the cold A1 initialization —
-// the paper's algorithm verbatim, bit-stable across releases (pinned by the
-// homogeneous-equivalence goldens). See PredictWarm for the accelerated
-// chained solve.
+// Predict runs the model to convergence from the A1 initialization. The
+// outer loop is the paper's modified MVA; each round's inner overlap MVA
+// starts from the previous round's converged residence (round 1 starts
+// cold) and is accelerated with safeguarded Aitken extrapolation (see
+// predict). The answer is a function of cfg alone, whatever the Predictor
+// solved before; its bits are pinned by digest_test.go.
 func (p *Predictor) Predict(cfg Config) (Prediction, error) {
-	return p.predictOne(nil, cfg, false)
+	return p.predictOne(nil, cfg)
 }
 
 // PredictContext is Predict honoring ctx: the outer fixed-point loop checks
 // for cancellation between iterations, so a canceled request stops paying
 // for convergence it no longer wants.
 func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
-	return p.predictOne(ctx, cfg, false)
+	return p.predictOne(ctx, cfg)
 }
 
-// PredictEach runs one cold prediction of cfg per estimator in ests
+// PredictEach runs one prediction of cfg per estimator in ests
 // (cfg.Estimator is ignored) and returns them in the order of ests. See
 // Predictor.PredictEach.
 func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
@@ -460,7 +456,7 @@ func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Predicti
 	return p.PredictEach(ctx, cfg, ests...)
 }
 
-// PredictEach runs one cold prediction of cfg per estimator in ests
+// PredictEach runs one prediction of cfg per estimator in ests
 // (cfg.Estimator is ignored), all from a single outer loop, and returns
 // them in the order of ests. Each result is bit-identical to a Predict call
 // with that estimator, every counter included: the estimator does not steer
@@ -474,16 +470,16 @@ func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Predicti
 // repeated estimator are errors.
 func (p *Predictor) PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
 	out := make([]Prediction, len(ests))
-	if err := p.predict(ctx, cfg, false, ests, out); err != nil {
+	if err := p.predict(ctx, cfg, ests, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // predictOne is predict for the one estimator cfg.Estimator.
-func (p *Predictor) predictOne(ctx context.Context, cfg Config, fast bool) (Prediction, error) {
+func (p *Predictor) predictOne(ctx context.Context, cfg Config) (Prediction, error) {
 	var out [1]Prediction
-	if err := p.predict(ctx, cfg, fast, []Estimator{cfg.Estimator}, out[:]); err != nil {
+	if err := p.predict(ctx, cfg, []Estimator{cfg.Estimator}, out[:]); err != nil {
 		return Prediction{}, err
 	}
 	return out[0], nil
@@ -491,18 +487,18 @@ func (p *Predictor) predictOne(ctx context.Context, cfg Config, fast bool) (Pred
 
 // predict runs the model to convergence once for every estimator in ests,
 // writing out[i] for ests[i] (see PredictEach: the estimators share one
-// trajectory). fast chains the inner MVA state across outer iterations
-// and enables inner Aitken acceleration (PredictWarm): each round's MVA
-// step starts from the previous round's residence. The first round always
-// starts cold, and the outer class-response trajectory is never seeded —
-// the timeline's discrete placement gives the outer fixed point multiple
-// self-consistent basins. Inner chaining is basin-safe: the overlap fixed
-// point is a smooth contraction solved to 1e-10, so the outer trajectory
-// tracks the cold one up to inner-tolerance noise. With fast == false the
-// iteration is exactly the historical cold path. A non-nil ctx is checked
-// between outer iterations — cancellation costs at most one more round; nil
-// skips the check so un-contexted callers pay nothing.
-func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []Estimator, out []Prediction) error {
+// trajectory). The inner MVA state is chained across outer iterations:
+// each round's MVA step starts from the previous round's residence, with
+// inner Aitken acceleration. The first round always starts cold, and the
+// outer class-response trajectory is never seeded — the timeline's
+// discrete placement gives the outer fixed point multiple self-consistent
+// basins. Inner chaining is basin-safe: the overlap fixed point is a smooth
+// contraction solved to 1e-10, so the outer trajectory tracks the cold
+// restart's up to inner-tolerance noise (the coldInner test seam is that
+// restart, the oracle of chain_test.go). A non-nil ctx is checked between
+// outer iterations — cancellation costs at most one more round; nil skips
+// the check so un-contexted callers pay nothing.
+func (p *Predictor) predict(ctx context.Context, cfg Config, ests []Estimator, out []Prediction) error {
 	if len(ests) == 0 {
 		return errors.New("core: no estimator to predict with")
 	}
@@ -521,7 +517,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 	var (
 		tl   = &p.tl
 		tree *ptree.Node
-		warm [][]float64 // inner seed for the next MVA step (fast only)
+		warm [][]float64 // inner seed for the next MVA step
 		// inner totals the MVA sweeps so far, reused the rounds that
 		// rebuilt no structure.
 		inner, reused int
@@ -598,7 +594,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 			Weights:    p.weights,
 			Servers:    p.servers,
 			Warm:       cellWarm,
-			Accelerate: fast,
+			Accelerate: !p.coldInner,
 		}
 		if p.roundHook != nil {
 			p.roundHook(tl, tree, cfg.NumJobs-1)
@@ -610,7 +606,7 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, fast bool, ests []E
 		}
 		step := p.expand(cellStep, p.hw.nc)
 		inner += cellStep.Iterations
-		if fast {
+		if !p.coldInner {
 			// Chain the inner fixed point: the next outer iteration's MVA
 			// step starts from this one's converged residence (the demands
 			// and overlaps move only as far as the damped class responses

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"hadoop2perf/internal/cluster"
@@ -105,10 +104,10 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// PredictBatch solves each entry chained, so results match per-config cold
-// Predict calls within the chained-solve tolerance (1e-6 relative, the
-// contract of warm_test.go) rather than bit-exactly, and per-config
-// PredictWarm calls bit for bit.
+// A batch of configs solved in order on one Predictor, as a planner axis
+// or a pooled Predictor solves them, gives each config's answer as a fresh
+// Predictor does, bit for bit, and within chainTol of the cold-inner
+// oracle.
 func TestPredictBatchMatchesIndividual(t *testing.T) {
 	job, err := workload.NewJob(0, 2*1024, 128, 4, workload.WordCount())
 	if err != nil {
@@ -118,46 +117,29 @@ func TestPredictBatchMatchesIndividual(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8, 12} {
 		cfgs = append(cfgs, Config{Spec: cluster.Default(n), Job: job, NumJobs: 1})
 	}
-	batch, err := PredictBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(cfgs) {
-		t.Fatalf("batch returned %d predictions for %d configs", len(batch), len(cfgs))
-	}
+	p := NewPredictor()
+	batch := make([]Prediction, len(cfgs))
 	for i, cfg := range cfgs {
-		one, err := Predict(cfg)
-		if err != nil {
+		if batch[i], err = p.Predict(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if rel := math.Abs(batch[i].ResponseTime-one.ResponseTime) / one.ResponseTime; rel > 1e-6 {
-			t.Errorf("config %d (n=%d): batch %v vs individual %v (rel %.2e)",
-				i, cfg.Spec.NumNodes, batch[i].ResponseTime, one.ResponseTime, rel)
-		}
 	}
-
 	for i, cfg := range cfgs {
-		one, err := NewPredictor().PredictWarm(cfg)
+		one, err := NewPredictor().Predict(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := samePrediction(batch[i], one); d != "" {
-			t.Errorf("config %d (n=%d): batch vs individual PredictWarm: %s", i, cfg.Spec.NumNodes, d)
+			t.Errorf("config %d (n=%d): batch vs fresh Predictor: %s", i, cfg.Spec.NumNodes, d)
 		}
-	}
-}
-
-func TestPredictBatchPropagatesError(t *testing.T) {
-	job, err := workload.NewJob(0, 1024, 128, 2, workload.WordCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []Config{
-		{Spec: cluster.Default(4), Job: job},
-		{Spec: cluster.Default(0), Job: job}, // invalid
-	}
-	if _, err := PredictBatch(cfgs); err == nil {
-		t.Error("batch with invalid config succeeded")
+		cold, err := coldPredict(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel := relDiff(batch[i].ResponseTime, cold.ResponseTime); rel > chainTol {
+			t.Errorf("config %d (n=%d): batch %v vs cold oracle %v (rel %.2e)",
+				i, cfg.Spec.NumNodes, batch[i].ResponseTime, cold.ResponseTime, rel)
+		}
 	}
 }
 
@@ -204,45 +186,38 @@ func TestPredictMonotoneInNodes(t *testing.T) {
 	}
 }
 
-// TestSweepBudget is the deterministic sweep-count gate of the batch
-// path, on the contended 16-point sweep the benchmarks use (4 competing
-// jobs, 4 reducers, nodes 2..17): PredictBatch's chained solves must
-// spend at most half the inner sweeps of per-config cold evaluation (the
-// win the batch path exists for; gated at 2x). The model is deterministic,
-// so this is an exact gate, not a statistical one.
+// TestSweepBudget is the deterministic sweep-count gate of the chained
+// solve, on the contended 16-point sweep the benchmarks use (4 competing
+// jobs, 4 reducers, nodes 2..17), walked on one Predictor as the planner
+// walks an axis: it must spend at most half the inner sweeps of the
+// cold-inner oracle (the win chaining exists for; gated at 2x). The model
+// is deterministic, so this is an exact gate, not a statistical one.
 func TestSweepBudget(t *testing.T) {
 	job, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfgs []Config
+	var coldInner, warmInner int
+	p := NewPredictor()
 	for n := 2; n <= 17; n++ {
-		cfgs = append(cfgs, Config{Spec: cluster.Default(n), Job: job, NumJobs: 4})
-	}
-
-	var coldInner int
-	for _, cfg := range cfgs {
-		pred, err := Predict(cfg)
+		cfg := Config{Spec: cluster.Default(n), Job: job, NumJobs: 4}
+		cold, err := coldPredict(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldInner += pred.InnerIterations
-	}
-
-	warmPreds, err := PredictBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var warmInner int
-	for _, p := range warmPreds {
-		warmInner += p.InnerIterations
+		coldInner += cold.InnerIterations
+		warm, err := p.Predict(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmInner += warm.InnerIterations
 	}
 	if warmInner*2 > coldInner {
-		t.Errorf("warm batch spent %d inner sweeps, budget is half of cold's %d", warmInner, coldInner)
+		t.Errorf("chained sweep spent %d inner sweeps, budget is half of cold's %d", warmInner, coldInner)
 	}
 }
 
-// A cold Predict on a reused Predictor allocates a fixed amount per
+// A Predict on a reused Predictor allocates a fixed amount per
 // prediction, whatever its round count: the result's class-response map
 // and its copy of the final timeline and tree (seven allocations in all
 // when this was written). The rounds themselves allocate nothing: the

@@ -128,24 +128,20 @@ func randomReuseShape(t testing.TB, rng *rand.Rand) reuseShape {
 	return reuseShape{cfg: Config{Spec: spec, Job: job, NumJobs: jobs}, multiWave: job.NumMaps() > lanes}
 }
 
-// reuseMatchesRebuild solves cfg cold, chained and jointly over every
-// estimator on reuse, a Predictor that reuses round structure (and may
+// reuseMatchesRebuild solves cfg alone and jointly over every estimator
+// on reuse, a Predictor that reuses round structure (and may
 // have solved other shapes before), and on a fresh one that rebuilds it
 // every round, and fails t unless every round's timeline and tree and
 // every Prediction are bit-identical. It returns the reused and the later
-// (not first) rounds of the cold solve.
+// (not first) rounds of the lone solve.
 func reuseMatchesRebuild(t testing.TB, reuse *Predictor, cfg Config) (reused, later int) {
 	t.Helper()
-	for _, mode := range []string{"cold", "warm", "each"} {
+	for _, mode := range []string{"predict", "each"} {
 		rebuild := &Predictor{rebuildRounds: true}
 		got, want := logRounds(reuse), logRounds(rebuild)
 		solve := func(p *Predictor) ([]Prediction, error) {
-			switch mode {
-			case "cold":
+			if mode == "predict" {
 				pred, err := p.Predict(cfg)
-				return []Prediction{pred}, err
-			case "warm":
-				pred, err := p.PredictWarm(cfg)
 				return []Prediction{pred}, err
 			}
 			return p.PredictEach(context.Background(), cfg, allEstimators...)
@@ -174,7 +170,7 @@ func reuseMatchesRebuild(t testing.TB, reuse *Predictor, cfg Config) (reused, la
 					mode, k, g[k].ReusedRounds, g[k].RebuiltRounds, g[k].Iterations)
 			}
 		}
-		if mode == "cold" {
+		if mode == "predict" {
 			reused, later = g[0].ReusedRounds, g[0].Iterations-1
 		}
 	}
@@ -183,7 +179,7 @@ func reuseMatchesRebuild(t testing.TB, reuse *Predictor, cfg Config) (reused, la
 
 // Reusing a round's timeline placement, tree and demand rows changes no
 // bit of any round or answer, over randomized predict-miss-like shapes
-// solved cold, chained and jointly. The shapes cover flat and 2-class
+// solved alone and jointly. The shapes cover flat and 2-class
 // clusters, one and four jobs, and first-wave-only and multi-wave maps.
 func TestReuseMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))

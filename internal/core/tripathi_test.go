@@ -18,7 +18,10 @@ import (
 // turn, so a memo entry surviving into the next prediction would show as a
 // lower integration count. The pins are of the lumped solve (cells.go):
 // members of a cell get bit-equal leaf responses, so their operand pairs
-// repeat and the memo answers more of them.
+// repeat and the memo answers more of them. They were re-pinned when the
+// inner MVA state was chained across outer rounds: every response moved by
+// less than 3e-13 relative, the outer counts held, and the integration
+// counts moved where the memo, keyed on exact bits, met other low bits.
 func TestTripathiFigureSubsetBitExact(t *testing.T) {
 	cases := []struct {
 		name            string
@@ -28,13 +31,13 @@ func TestTripathiFigureSubsetBitExact(t *testing.T) {
 		iters, inner    int
 		evals, integral int
 	}{
-		{"fig10@4", 4, 1, 1024, 128, 0x1.24bcd3b1bcb01p+06, 2, 16, 26, 7},
-		{"fig10@6", 6, 1, 1024, 128, 0x1.b57c9206fa852p+05, 19, 152, 342, 65},
+		{"fig10@4", 4, 1, 1024, 128, 0x1.24bcd3b1bcb19p+06, 2, 6, 26, 10},
+		{"fig10@6", 6, 1, 1024, 128, 0x1.b57c9206fa874p+05, 19, 23, 342, 67},
 		{"fig10@8", 8, 1, 1024, 128, 0x1.d4e5d426c097p+05, 2, 2, 42, 9},
-		{"fig11@6", 6, 4, 1024, 128, 0x1.b90eef6469404p+05, 23, 966, 414, 314},
-		{"fig12@8", 8, 1, 5 * 1024, 128, 0x1.ff4ee1f049279p+06, 2, 26, 106, 12},
-		{"fig13@4", 4, 4, 5 * 1024, 128, 0x1.81b843013be36p+08, 31, 1519, 1395, 653},
-		{"fig15@6", 6, 1, 5 * 1024, 64, 0x1.b2163f08fd952p+06, 13, 195, 1170, 491},
+		{"fig11@6", 6, 4, 1024, 128, 0x1.b90eef6469a6p+05, 23, 112, 414, 314},
+		{"fig12@8", 8, 1, 5 * 1024, 128, 0x1.ff4ee1f0495d1p+06, 2, 8, 106, 12},
+		{"fig13@4", 4, 4, 5 * 1024, 128, 0x1.81b843013b8b4p+08, 31, 239, 1395, 649},
+		{"fig15@6", 6, 1, 5 * 1024, 64, 0x1.b2163f08fd3c7p+06, 13, 126, 1170, 491},
 	}
 	p := NewPredictor()
 	for _, tc := range cases {

@@ -13,11 +13,11 @@ import (
 
 // This file evaluates DAG workflows of dependent jobs analytically:
 // ComposeWorkflow solves stages in topological order through a per-stage
-// solver (a Predictor solves them chained; the service passes its cached
-// predict), stages sharing a wave and a cluster are priced as a closed
-// multi-job population (the paper's N-concurrent-jobs methodology applied
-// per wave), and the stage durations compose into a critical-path response
-// via internal/workflow's CPM schedule. The per-stage precedence trees stay
+// solver (a Predictor's Predict; the service passes its cached predict),
+// stages sharing a wave and a cluster are priced as a closed multi-job
+// population (the paper's N-concurrent-jobs methodology applied per wave),
+// and the stage durations compose into a critical-path response via
+// internal/workflow's CPM schedule. The per-stage precedence trees stay
 // intra-job; the cross-job structure surfaces as a stage-level S/P tree
 // (timeline.ClassStage leaves) built by ptree.FromIntervals.
 
@@ -154,19 +154,13 @@ func PredictWorkflow(dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, erro
 	return NewPredictor().PredictWorkflowContext(context.Background(), dag, cfgs)
 }
 
-// PredictWorkflowContext evaluates every stage of the DAG, honoring ctx
-// between stage evaluations and outer iterations, in deterministic
-// topological order on this Predictor — each stage of a multi-stage DAG
-// through the chained solve (PredictWarm) — and composes the critical-path
-// response (see ComposeWorkflow). A single-stage workflow takes the
-// bit-exact cold path, so a trivial DAG predicts exactly what Predict does;
-// multi-stage workflows stay within the chained-solve contract (1e-6
-// relative per stage) of composing cold predictions.
+// PredictWorkflowContext evaluates every stage of the DAG on this
+// Predictor, honoring ctx between stage evaluations and outer iterations,
+// in deterministic topological order, and composes the critical-path
+// response (see ComposeWorkflow). Each stage is a Predict call, so a
+// single-stage workflow predicts exactly what Predict does.
 func (p *Predictor) PredictWorkflowContext(ctx context.Context, dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, error) {
-	return ComposeWorkflow(dag, cfgs, func(_ int, cfg Config, warm bool) (Prediction, error) {
-		if warm {
-			return p.PredictWarmContext(ctx, cfg)
-		}
+	return ComposeWorkflow(dag, cfgs, func(_ int, cfg Config) (Prediction, error) {
 		return p.PredictContext(ctx, cfg)
 	})
 }
@@ -177,11 +171,8 @@ func (p *Predictor) PredictWorkflowContext(ctx context.Context, dag *workflow.DA
 // critical path and the stage-level S/P tree. cfgs holds one model Config
 // per stage, in DAG declaration order; each stage's NumJobs is raised to
 // its wave population when lower (stages co-scheduled on the same cluster
-// contend as a closed multi-job network) before solve sees it. solve's warm
-// argument asks for the chained solve (PredictWarm). It is false for a
-// single-stage workflow, which must solve cold and stay bit-identical to
-// the equivalent single-job prediction, and true otherwise.
-func ComposeWorkflow(dag *workflow.DAG, cfgs []Config, solve func(i int, cfg Config, warm bool) (Prediction, error)) (WorkflowPrediction, error) {
+// contend as a closed multi-job network) before solve sees it.
+func ComposeWorkflow(dag *workflow.DAG, cfgs []Config, solve func(i int, cfg Config) (Prediction, error)) (WorkflowPrediction, error) {
 	if err := dag.Validate(); err != nil {
 		return WorkflowPrediction{}, err
 	}
@@ -201,14 +192,13 @@ func ComposeWorkflow(dag *workflow.DAG, cfgs []Config, solve func(i int, cfg Con
 		Stages:    make([]WorkflowStageResult, dag.NumStages()),
 		Converged: true,
 	}
-	warm := dag.NumStages() > 1
 	durations := make([]float64, dag.NumStages())
 	for _, i := range order {
 		cfg := cfgs[i]
 		if cfg.NumJobs < conc[i] {
 			cfg.NumJobs = conc[i]
 		}
-		pred, err := solve(i, cfg, warm)
+		pred, err := solve(i, cfg)
 		if err != nil {
 			return WorkflowPrediction{}, fmt.Errorf("core: stage %q: %w", dag.Stages[i], err)
 		}

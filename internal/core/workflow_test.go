@@ -41,19 +41,15 @@ func TestPredictWorkflowValidation(t *testing.T) {
 	}
 }
 
-// TestComposeWorkflowWarmRule pins where the cold/warm rule lives: the
-// composition asks a one-stage DAG's solver for a cold solve and every
-// stage of a longer DAG for a warm one, in topological order, with each
-// stage's NumJobs raised to its wave population.
-func TestComposeWorkflowWarmRule(t *testing.T) {
+// TestComposeWorkflowSolveOrder pins the composition's calls: the solver
+// sees every stage once, in topological order, with each stage's NumJobs
+// raised to its wave population.
+func TestComposeWorkflowSolveOrder(t *testing.T) {
 	spec := cluster.Default(4)
-	type call struct {
-		stage, numJobs int
-		warm           bool
-	}
-	record := func(calls *[]call) func(int, Config, bool) (Prediction, error) {
-		return func(i int, cfg Config, warm bool) (Prediction, error) {
-			*calls = append(*calls, call{i, cfg.NumJobs, warm})
+	type call struct{ stage, numJobs int }
+	record := func(calls *[]call) func(int, Config) (Prediction, error) {
+		return func(i int, cfg Config) (Prediction, error) {
+			*calls = append(*calls, call{i, cfg.NumJobs})
 			return Prediction{ResponseTime: 10, Converged: true}, nil
 		}
 	}
@@ -63,8 +59,8 @@ func TestComposeWorkflowWarmRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(one) != 1 || one[0] != (call{0, 1, false}) {
-		t.Errorf("one-stage solves = %+v, want one cold solve of stage 0", one)
+	if len(one) != 1 || one[0] != (call{0, 1}) {
+		t.Errorf("one-stage solves = %+v, want one solve of stage 0", one)
 	}
 	if wf.ResponseTime != 10 || wf.Tree == nil {
 		t.Errorf("one-stage composition = %+v", wf)
@@ -80,7 +76,7 @@ func TestComposeWorkflowWarmRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []call{{1, 2, true}, {2, 2, true}, {0, 1, true}}
+	want := []call{{1, 2}, {2, 2}, {0, 1}}
 	if len(three) != len(want) {
 		t.Fatalf("three-stage solves = %+v, want %+v", three, want)
 	}
@@ -96,23 +92,24 @@ func TestComposeWorkflowWarmRule(t *testing.T) {
 
 // TestWorkflowChainComposesSequentialPredicts is the composition property:
 // a chain of K identical dependent jobs must predict the same total
-// response as K sequential single-job Predict calls composed — within the
-// chained-solve contract (1e-6 relative), and bit-identical for K=1.
+// response as K sequential single-job Predict calls composed — every stage
+// is that Predict call, so the chain is within the rounding of the
+// critical-path sum (1e-12 relative), and bit-identical for K=1.
 func TestWorkflowChainComposesSequentialPredicts(t *testing.T) {
 	spec := cluster.Default(4)
-	cold, err := Predict(wfConfigs(t, spec, 1)[0])
+	solo, err := Predict(wfConfigs(t, spec, 1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// K=1: a trivial DAG takes the exact cold path.
+	// K=1: a trivial DAG is exactly one Predict.
 	one, err := PredictWorkflow(&workflow.DAG{Stages: []string{"only"}}, wfConfigs(t, spec, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.ResponseTime != cold.ResponseTime {
-		t.Errorf("K=1 workflow %x, want bit-identical cold predict %x",
-			one.ResponseTime, cold.ResponseTime)
+	if one.ResponseTime != solo.ResponseTime {
+		t.Errorf("K=1 workflow %x, want bit-identical predict %x",
+			one.ResponseTime, solo.ResponseTime)
 	}
 	if len(one.CriticalPath) != 1 || one.CriticalPath[0] != "only" {
 		t.Errorf("K=1 critical path %v", one.CriticalPath)
@@ -127,9 +124,9 @@ func TestWorkflowChainComposesSequentialPredicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		want := float64(k) * cold.ResponseTime
-		if rel := math.Abs(wf.ResponseTime-want) / want; rel > 1e-6 {
-			t.Errorf("K=%d: chain response %v vs %d×cold %v: relative error %.2e > 1e-6",
+		want := float64(k) * solo.ResponseTime
+		if rel := math.Abs(wf.ResponseTime-want) / want; rel > 1e-12 {
+			t.Errorf("K=%d: chain response %v vs %d×predict %v: relative error %.2e > 1e-12",
 				k, wf.ResponseTime, k, want, rel)
 		}
 		// Every stage is critical in a chain.
@@ -164,10 +161,9 @@ func TestWorkflowDiamondWaves(t *testing.T) {
 	if c := wf.Stages[1].Concurrency; c != 2 {
 		t.Errorf("left stage concurrency %d, want 2", c)
 	}
-	// Both middle stages solve the same config chained, so the two agree
-	// (within the chained-solve contract of the cold answer at least).
-	if rel := math.Abs(wf.Stages[1].ResponseTime-wf.Stages[2].ResponseTime) /
-		wf.Stages[1].ResponseTime; rel > 1e-6 {
+	// Both middle stages are Predict calls on the same config, and Predict
+	// is a function of its config: the two agree bit for bit.
+	if wf.Stages[1].ResponseTime != wf.Stages[2].ResponseTime {
 		t.Errorf("identical middle stages priced differently: %v vs %v",
 			wf.Stages[1].ResponseTime, wf.Stages[2].ResponseTime)
 	}

@@ -2,7 +2,8 @@
 // Lundstrom [5], Liang & Tripathi [4]) of the paper's Mean Value Analysis:
 // the queueing delay of a task at a center is proportional to the overlap
 // between tasks (α for tasks of the same job, β across jobs), and the
-// safeguarded Aitken accelerator of the chained solve's inner loop.
+// safeguarded Aitken accelerator of its inner loop, which the model enables
+// on every step it seeds from the previous outer round's residence.
 // With every pair fully overlapping it reduces to Schweitzer–Bard
 // approximate MVA (checked against it in the tests).
 package mva
@@ -14,7 +15,8 @@ import (
 )
 
 // Aitken is the safeguarded Δ² accelerator of the overlap solver's inner
-// sweeps, which only the chained solve (core's PredictWarm) enables: it
+// sweeps, enabled by OverlapInput.Accelerate (core's model sets it on
+// every step; its tests run the unaccelerated cold start as the oracle): it
 // records two plain iterates (x0, x1), and on the third (x2) extrapolates
 // each component's geometric tail — x* = x2 − (Δx1)²/(Δ²x0) — wherever the
 // safeguards hold: a non-degenerate second difference, a bounded step

@@ -549,21 +549,15 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON renders one response body, splicing the request ID (and, under
 // ?debug=timings, the stage-timing block) into object payloads whenever the
-// request carries a trace. The traced path marshals the payload once into a
-// pooled buffer, hand-writes the indented envelope prefix and indents the
-// payload in a single pass — tracing must not tax the cache-hit fast path.
-// (Compact Encode + json.Indent into a pooled buffer beats Encoder.SetIndent,
-// which allocates a fresh internal indent buffer per encoder.)
+// request carries a trace. The body is rendered whole into a pooled buffer
+// before any header is written, so a payload that cannot be encoded (a
+// non-finite float) is answered with the structured error envelope and
+// status 500 instead of a half-sent body. The payload is marshalled once,
+// compact, then indented in a single pass behind a hand-written envelope
+// prefix — tracing must not tax the cache-hit fast path. (Compact Encode +
+// json.Indent into a pooled buffer beats Encoder.SetIndent, which
+// allocates a fresh internal indent buffer per encoder.)
 func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	tr := traceOf(w)
-	if tr == nil {
-		w.WriteHeader(status)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-		return
-	}
 	scratch := jsonBufPool.Get().(*bytes.Buffer)
 	out := jsonBufPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -572,52 +566,67 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 		jsonBufPool.Put(scratch)
 		jsonBufPool.Put(out)
 	}()
+	tr := traceOf(w)
+	if err := renderJSON(out, scratch, tr, r, v); err != nil {
+		scratch.Reset()
+		out.Reset()
+		status = http.StatusInternalServerError
+		// An errorWire and a trace snapshot hold only finite numbers, so
+		// the envelope always encodes.
+		_ = renderJSON(out, scratch, tr, r, errorWire{Error: err.Error()})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(out.Bytes())
+}
+
+// renderJSON writes v's indented body to out (scratch holds the compact
+// encoding), with the envelope of tr spliced into an object payload when
+// tr is non-nil.
+func renderJSON(out, scratch *bytes.Buffer, tr *obs.Trace, r *http.Request, v any) error {
 	if err := json.NewEncoder(scratch).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return err
 	}
 	payload := scratch.Bytes()
 	payload = payload[:len(payload)-1] // Encode appends '\n'
-	if len(payload) < 2 || payload[0] != '{' {
-		// Non-object payloads pass through without an envelope.
+	if tr == nil || len(payload) < 2 || payload[0] != '{' {
+		// Untraced and non-object payloads pass through without an
+		// envelope.
 		if err := json.Indent(out, payload, "", "  "); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return err
 		}
+		out.WriteByte('\n')
+		return nil
+	}
+	// The id is written unescaped: request IDs are generated hex or
+	// validated [0-9A-Za-z._-] (obs.ValidRequestID), so no JSON escaping
+	// can apply.
+	out.Grow(len(payload) + 64)
+	out.WriteString("{\n  \"requestId\": \"")
+	out.WriteString(tr.ID)
+	out.WriteByte('"')
+	if wantsTimings(r) {
+		t, err := json.MarshalIndent(tr.Snapshot(), "  ", "  ")
+		if err != nil {
+			return err
+		}
+		out.WriteString(",\n  \"timings\": ")
+		out.Write(t)
+	}
+	if len(payload) == 2 { // empty payload object: nothing to splice
+		out.WriteString("\n}")
 	} else {
-		// The id is written unescaped: request IDs are generated hex or
-		// validated [0-9A-Za-z._-] (obs.ValidRequestID), so no JSON escaping
-		// can apply.
-		out.Grow(len(payload) + 64)
-		out.WriteString("{\n  \"requestId\": \"")
-		out.WriteString(tr.ID)
-		out.WriteByte('"')
-		if wantsTimings(r) {
-			t, err := json.MarshalIndent(tr.Snapshot(), "  ", "  ")
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			out.WriteString(",\n  \"timings\": ")
-			out.Write(t)
+		out.WriteByte(',')
+		pos := out.Len()
+		if err := json.Indent(out, payload, "", "  "); err != nil {
+			return err
 		}
-		if len(payload) == 2 { // empty payload object: nothing to splice
-			out.WriteString("\n}")
-		} else {
-			out.WriteByte(',')
-			pos := out.Len()
-			if err := json.Indent(out, payload, "", "  "); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			// The payload's opening '{' — our prefix already opened the
-			// object, so it degrades to insignificant whitespace.
-			out.Bytes()[pos] = ' '
-		}
+		// The payload's opening '{' — our prefix already opened the
+		// object, so it degrades to insignificant whitespace.
+		out.Bytes()[pos] = ' '
 	}
 	out.WriteByte('\n')
-	w.WriteHeader(status)
-	_, _ = w.Write(out.Bytes())
+	return nil
 }
 
 // errorWire is the structured error envelope: every error response carries

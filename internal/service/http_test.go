@@ -237,6 +237,43 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestUnencodableBodyIsStructuredError posts a plan whose one class is
+// priced so high that the candidate cost overflows to +Inf, which JSON
+// cannot carry. The answer must still be the structured error envelope —
+// status 500, a JSON body naming the failure and the request ID — not a
+// plain-text error or a half-written body.
+func TestUnencodableBodyIsStructuredError(t *testing.T) {
+	_, ts := newTestServer(t)
+	req := `{"cluster":{"classes":[{"name":"gold","count":2,"capacity":{"memoryMB":32768,"vcores":32},
+		"cpus":6,"disks":1,"diskMBps":240,"networkMBps":110,"speed":1,"price":1e308}]},
+		"job":{"inputMB":512}}`
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("non-JSON error body %q", raw)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "unsupported value") {
+		t.Errorf("error = %v", body["error"])
+	}
+	if id, _ := body["requestId"].(string); id == "" || id != resp.Header.Get(RequestIDHeader) {
+		t.Errorf("requestId %v vs header %q", body["requestId"], resp.Header.Get(RequestIDHeader))
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/predict")

@@ -460,7 +460,7 @@ func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, erro
 		wg.Add(1)
 		go func(c *PlanCandidate, u *planUnit) {
 			defer wg.Done()
-			r, err := u.eval(*c, false)
+			r, err := u.eval(*c)
 			if err != nil {
 				c.Err = err.Error()
 				return
@@ -488,9 +488,8 @@ type planUnit struct {
 	// single-reducer (see search.go).
 	bisect bool
 	// eval returns c with its result filled in at its cluster (c.Nodes,
-	// c.ClassCounts). chained asks for the chained solve on a single-job
-	// model miss; a workflow unit's composition decides per stage instead.
-	eval func(c PlanCandidate, chained bool) (PlanCandidate, error)
+	// c.ClassCounts). It is safe for concurrent use.
+	eval func(c PlanCandidate) (PlanCandidate, error)
 }
 
 // planUnits expands the request's non-node axes into units, in grid order.
@@ -500,12 +499,12 @@ func (s *Service) planUnits(ctx context.Context, req *PlanRequest, rw *resolvedW
 		for _, st := range req.Workflow.Stages {
 			bisect = bisect && st.Job.NumReduces == 1
 		}
-		return []planUnit{{bisect: bisect, eval: func(c PlanCandidate, _ bool) (PlanCandidate, error) {
+		return []planUnit{{bisect: bisect, eval: func(c PlanCandidate) (PlanCandidate, error) {
 			return s.evalWorkflowCandidate(ctx, req, rw, c)
 		}}}
 	}
-	eval := func(c PlanCandidate, chained bool) (PlanCandidate, error) {
-		return s.evalCandidate(ctx, req, c, chained)
+	eval := func(c PlanCandidate) (PlanCandidate, error) {
+		return s.evalCandidate(ctx, req, c)
 	}
 	var units []planUnit
 	for _, b := range axisFloats(req.BlockSizesMB, req.Job.BlockSizeMB) {
@@ -550,17 +549,17 @@ func candidateSpec(req *PlanRequest, ch nodeChoice) cluster.Spec {
 }
 
 // evalCandidate evaluates one single-job grid point via the cached
-// Predict/Simulate paths; chained solves a model miss chained.
-func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCandidate, chained bool) (PlanCandidate, error) {
+// Predict/Simulate paths.
+func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCandidate) (PlanCandidate, error) {
 	spec := candidateSpec(req, nodeChoice{nodes: c.Nodes, counts: c.ClassCounts})
 	job := req.Job
 	job.BlockSizeMB = c.BlockSizeMB
 	job.NumReduces = c.Reducers
 	if !req.UseSimulator {
-		resp, err := s.predictEval(ctx, PredictRequest{
+		resp, err := s.predict(ctx, PredictRequest{
 			Spec: spec, Job: job, NumJobs: req.NumJobs, Estimator: req.Estimator,
 			Faults: req.Faults, Profile: req.Profile, resolved: req.resolved,
-		}, chained)
+		})
 		if err != nil {
 			return c, err
 		}

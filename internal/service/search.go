@@ -39,12 +39,10 @@ const minSearchAxis = 6
 // monoTol is the relative slack of the monotonicity verifier: a later
 // (larger-cluster) response may exceed an earlier one by at most this
 // fraction before the search declares the axis non-monotone. Tight enough
-// to catch real spikes (≥0.1%), loose enough to ignore float noise — and,
-// since the axis walk solves its misses chained, the chained-vs-cold
-// deviation as well: two compared points can deviate in opposite
-// directions (one a cold cached value, one chained), so the slack is twice
-// the 1e-6-relative core chained-solve contract.
-const monoTol = 2e-6
+// to catch real spikes (≥0.1%), loose enough to ignore float noise. Every
+// point comes from the one deterministic model solve, cached or not, so
+// the slack covers nothing else.
+const monoTol = 1e-9
 
 // useSearch reports whether the deadline fast path applies: a deadline
 // objective, model-backed evaluation (simulator results are noisy and
@@ -95,7 +93,7 @@ type axisEval func(i int) (rt float64, cached bool, err error)
 // under a deadline. nodes must be sorted ascending; weights carries each
 // point's price weight (Σ count×price, node count when unpriced) — the
 // cost objective is weights[i]·rt(i). eval serves the sequential
-// bisection/sweep probes; parEval must be safe for concurrent use — it
+// bisection/sweep probes and must be safe for concurrent use: it also
 // drives the exhaustive fallback's fan-out. It returns every evaluated
 // point as a candidate (feasible points above the frontier, infeasible
 // bisection probes below it) plus the count of pruned points.
@@ -106,7 +104,7 @@ type axisEval func(i int) (rt float64, cached bool, err error)
 // weights[i]·rt(i) ≥ weights[i]·rt(max) strictly above the incumbent best.
 // On any observed monotonicity violation the axis is re-evaluated
 // exhaustively instead.
-func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval, parEval axisEval) axisOutcome {
+func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval axisEval) axisOutcome {
 	n := len(nodes)
 	rt := make([]float64, n)
 	cached := make([]bool, n)
@@ -140,7 +138,7 @@ func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval, parE
 		}
 		return true
 	}
-	exhaustive := func() axisOutcome { return exhaustiveAxis(nodes, parEval) }
+	exhaustive := func() axisOutcome { return exhaustiveAxis(nodes, eval) }
 	collect := func() axisOutcome {
 		out := axisOutcome{exact: true}
 		for i := 0; i < n; i++ {
@@ -268,11 +266,6 @@ func exhaustiveAxis(nodes []int, eval axisEval) axisOutcome {
 // actually evaluates and falls back to exhaustive on any violation. A
 // workflow makespan is a max/sum composition of per-stage responses, each
 // non-increasing in cluster size, so the same premise carries over.
-//
-// Each bisecting unit's sequential probes solve their misses chained
-// (PredictWarm: the inner MVA state carried across outer rounds), which
-// costs about half the inner sweeps of a cold solve. The exhaustive paths
-// — the fallback fan-out included — solve cold, bit-identical to the grid.
 func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nodeChoice, units []planUnit) (PlanResponse, error) {
 	sorted := append([]nodeChoice(nil), choices...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].nodes < sorted[b].nodes })
@@ -284,20 +277,20 @@ func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nod
 	}
 	chain := chainOrdered(sorted)
 
-	// at evaluates unit u along the sorted axis, chained or cold.
-	at := func(u *planUnit, chained bool) axisEval {
+	// at evaluates unit u along the sorted axis.
+	at := func(u *planUnit) axisEval {
 		return func(i int) (float64, bool, error) {
 			c := u.proto
 			c.Nodes, c.ClassCounts = sorted[i].nodes, sorted[i].counts
-			c, err := u.eval(c, chained)
+			c, err := u.eval(c)
 			return c.ResponseTime, c.Cached, err
 		}
 	}
 	search := func(u *planUnit) axisOutcome {
 		if u.bisect && chain {
-			return searchNodeAxis(totals, weights, req.DeadlineSec, at(u, true), at(u, false))
+			return searchNodeAxis(totals, weights, req.DeadlineSec, at(u))
 		}
-		return exhaustiveAxis(totals, at(u, false))
+		return exhaustiveAxis(totals, at(u))
 	}
 	outcomes := make([]axisOutcome, len(units))
 	if len(units) == 1 {

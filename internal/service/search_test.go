@@ -90,7 +90,7 @@ func TestSearchNodeAxisMonotoneCurves(t *testing.T) {
 				perIdx[i].Add(1)
 				return rt[i], false, nil
 			}
-			out := searchNodeAxis(nodes, nodeWeights(nodes), d, eval, eval)
+			out := searchNodeAxis(nodes, nodeWeights(nodes), d, eval)
 			if !out.exact {
 				t.Fatalf("trial %d: fell back on a monotone curve", trial)
 			}
@@ -136,7 +136,7 @@ func TestSearchNodeAxisWalk(t *testing.T) {
 		order = append(order, i)
 		return rt[i], false, nil
 	}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), 45, eval, eval)
+	out := searchNodeAxis(nodes, nodeWeights(nodes), 45, eval)
 	if want := []int{7, 3, 5, 4, 6}; !slices.Equal(order, want) {
 		t.Errorf("evaluation order %v, want %v", order, want)
 	}
@@ -184,7 +184,7 @@ func FuzzSearchNodeAxis(f *testing.F) {
 			perIdx[i].Add(1)
 			return mono[i], false, nil
 		}
-		out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, eval, eval)
+		out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, eval)
 		if !out.exact {
 			t.Fatalf("fell back on non-increasing curve %v, deadline %v", mono, deadline)
 		}
@@ -201,7 +201,7 @@ func FuzzSearchNodeAxis(f *testing.F) {
 		}
 
 		se := &syntheticEval{rt: raw}
-		out = searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval)
+		out = searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval)
 		if len(out.cands)+out.pruned != n {
 			t.Fatalf("curve %v: %d candidates + %d pruned != %d axis points", raw, len(out.cands), out.pruned, n)
 		}
@@ -228,7 +228,7 @@ func TestSearchNodeAxisDetectsViolations(t *testing.T) {
 	}
 	for _, d := range []float64{40, 55, 70, 100} {
 		se := &syntheticEval{rt: rt}
-		out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval, se.eval)
+		out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval)
 		wc, wr, wok := bruteBest(nodes, rt, d)
 		gc, gr, gok := searchBest(out, d)
 		if wok != gok || (wok && (wc != gc || wr != gr)) {
@@ -248,7 +248,7 @@ func TestSearchNodeAxisFrontierGuard(t *testing.T) {
 	// Frontier by monotone bisection would land at index 4..; index 3 dips
 	// under the deadline (48 <= 50) right below an infeasible point.
 	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval)
+	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval)
 	wc, wr, wok := bruteBest(nodes, rt, deadline)
 	gc, gr, gok := searchBest(out, deadline)
 	if wok != gok || wc != gc || wr != gr {
@@ -261,7 +261,7 @@ func TestSearchNodeAxisAllInfeasible(t *testing.T) {
 	nodes := []int{2, 4, 6, 8, 10, 12}
 	rt := []float64{100, 90, 80, 70, 65, 61}
 	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), 60, se.eval, se.eval)
+	out := searchNodeAxis(nodes, nodeWeights(nodes), 60, se.eval)
 	if se.calls.Load() != 2 {
 		t.Errorf("infeasible axis used %d evaluations, want 2 (ceiling + midpoint guard)", se.calls.Load())
 	}
@@ -282,7 +282,7 @@ func TestSearchNodeAxisEndSpikeGuard(t *testing.T) {
 	rt := []float64{90, 80, 70, 60, 55, 52, 50, 75}
 	const deadline = 65.0
 	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval, se.eval)
+	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval)
 	wc, wr, wok := bruteBest(nodes, rt, deadline)
 	gc, gr, gok := searchBest(out, deadline)
 	if wok != gok || wc != gc || wr != gr {
@@ -494,7 +494,7 @@ func TestPlanExhaustiveFlagForcesGrid(t *testing.T) {
 	}
 }
 
-// A chained predictEval walk — the planner's bisection path — accounts
+// A predict walk along a node axis — the planner's bisection path — accounts
 // each miss exactly once: the service counters and the request trace
 // accrue the sum of the per-prediction inner/outer counts, and an
 // identical replay is served entirely from the cache with every counter
@@ -509,7 +509,7 @@ func TestPredictEvalChainCounters(t *testing.T) {
 		ctx := obs.WithTrace(context.Background(), tr)
 		var out []PredictResponse
 		for _, n := range []int{4, 6, 8, 10, 12} {
-			pr, err := s.predictEval(ctx, PredictRequest{Spec: cluster.Default(n), Job: job, NumJobs: 3}, true)
+			pr, err := s.predict(ctx, PredictRequest{Spec: cluster.Default(n), Job: job, NumJobs: 3})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -211,8 +211,7 @@ type Metrics struct {
 	// ModelOuterIterations accumulates the outer damped rounds of every
 	// computed (non-cached) model prediction; ModelInnerIterations the inner
 	// MVA fixed-point sweeps. Together with CacheMisses they make the
-	// convergence cost of production traffic observable — the chained
-	// solve's win shows up here as fewer inner sweeps per miss.
+	// convergence cost of production traffic observable.
 	ModelOuterIterations int64 `json:"modelOuterIterations"`
 	ModelInnerIterations int64 `json:"modelInnerIterations"` // see ModelOuterIterations
 	// ModelReusedRounds counts the outer rounds among ModelOuterIterations
@@ -599,17 +598,9 @@ func (s *Service) resolveProfile(ctx context.Context, name string, resolved **ca
 
 // predict is Predict without the API-call counter — the planner evaluates
 // candidates through it so /v1/metrics keeps counting client calls, not
-// internal fan-out.
+// internal fan-out. It serves one model evaluation through the result
+// table.
 func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictResponse, error) {
-	return s.predictEval(ctx, req, false)
-}
-
-// predictEval serves one model evaluation through the result table.
-// chained computes a miss with the chained solve (PredictWarm) instead of
-// the cold Predict — the planner's bisecting axis walks ask for it. Chained
-// results stay within 1e-6 relative of cold ones (the core chained-solve
-// contract), so the two are interchangeable cache citizens.
-func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained bool) (PredictResponse, error) {
 	if err := req.validate(); err != nil {
 		return PredictResponse{}, invalid(err)
 	}
@@ -624,14 +615,8 @@ func (s *Service) predictEval(ctx context.Context, req PredictRequest, chained b
 		cfg := req.config()
 		tr := obs.FromContext(ctx)
 		solveStart := time.Now()
-		var pred core.Prediction
-		var err error
 		p := s.predictors.Get().(*core.Predictor)
-		if chained {
-			pred, err = p.PredictWarmContext(ctx, cfg)
-		} else {
-			pred, err = p.PredictContext(ctx, cfg)
-		}
+		pred, err := p.PredictContext(ctx, cfg)
 		s.predictors.Put(p)
 		s.endSpan(tr, obs.StageModelSolve, solveStart)
 		if err != nil {

@@ -204,21 +204,19 @@ func (rw *resolvedWorkflow) stagesAt(spec cluster.Spec) ([]PredictRequest, error
 }
 
 // workflowEval composes one workflow evaluation through
-// core.ComposeWorkflow, with each stage served by the per-stage predictEval
-// path — each stage's cache key identical to the equivalent single-job
-// predict, so a K-identical-stage chain costs one model run plus K-1 hits.
-// A stage miss solves chained when the composition asks for it (a
-// multi-stage workflow) and cold otherwise.
+// core.ComposeWorkflow, with each stage served by the cached predict path
+// — each stage's cache key identical to the equivalent single-job predict,
+// so a K-identical-stage chain costs one model run plus K-1 hits.
 func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest) (*workflowOutcome, error) {
 	cfgs := make([]core.Config, len(stageReqs))
 	for i := range stageReqs {
 		cfgs[i] = stageReqs[i].config()
 	}
 	stages := make([]WorkflowStageReport, len(stageReqs))
-	wp, err := core.ComposeWorkflow(dag, cfgs, func(i int, _ core.Config, warm bool) (core.Prediction, error) {
+	wp, err := core.ComposeWorkflow(dag, cfgs, func(i int, _ core.Config) (core.Prediction, error) {
 		// stagesAt priced each stage at its wave population already, so the
 		// composition's config is stageReqs[i]'s own.
-		pr, err := s.predictEval(ctx, stageReqs[i], warm)
+		pr, err := s.predict(ctx, stageReqs[i])
 		if err != nil {
 			return core.Prediction{}, err
 		}
