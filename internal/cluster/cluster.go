@@ -75,9 +75,15 @@ type NodeClass struct {
 	RevocationRate float64 `json:"revocationRate,omitempty"`
 	// Price is the relative cost of one node-second of this class; the
 	// planner ranks candidates by price-weighted node-seconds. Zero means the
-	// default 1 (every class priced equally).
+	// default 1 (every class priced equally); at most MaxPrice.
 	Price float64 `json:"price,omitempty"`
 }
+
+// MaxPrice bounds NodeClass.Price. A cluster's PriceWeight is then at most
+// MaxPrice times its node count, so a plan cost, response time ×
+// PriceWeight, overflows to +Inf only where response time × node count
+// passes 1e302.
+const MaxPrice = 1e6
 
 // SpeedFactor returns the effective compute-speed multiplier (Speed, or 1
 // when unset).
@@ -116,8 +122,8 @@ func (c NodeClass) validate() error {
 		return fmt.Errorf("cluster: class %q: RevocationRate must be nonnegative", c.Name)
 	case c.RevocationRate > 0 && !c.Preemptible:
 		return fmt.Errorf("cluster: class %q: RevocationRate requires Preemptible", c.Name)
-	case c.Price < 0:
-		return fmt.Errorf("cluster: class %q: Price must be nonnegative", c.Name)
+	case !(c.Price >= 0 && c.Price <= MaxPrice): // NaN fails both
+		return fmt.Errorf("cluster: class %q: Price must be in [0, %g]", c.Name, MaxPrice)
 	}
 	return nil
 }

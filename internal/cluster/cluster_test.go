@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -274,6 +275,9 @@ func TestClassSpecValidateRejections(t *testing.T) {
 		{"zero disk bw", func(s *Spec) { s.Classes[1].DiskMBps = 0 }},
 		{"zero net bw", func(s *Spec) { s.Classes[1].NetworkMBps = 0 }},
 		{"negative speed", func(s *Spec) { s.Classes[0].Speed = -1 }},
+		{"negative price", func(s *Spec) { s.Classes[0].Price = -1 }},
+		{"price over MaxPrice", func(s *Spec) { s.Classes[1].Price = 1e308 }},
+		{"NaN price", func(s *Spec) { s.Classes[1].Price = math.NaN() }},
 		{"container exceeds class", func(s *Spec) { s.Classes[1].Capacity = Resource{MemoryMB: 2048, VCores: 2} }},
 		{"numNodes disagrees", func(s *Spec) { s.NumNodes = 4 }},
 	}
@@ -291,6 +295,12 @@ func TestClassSpecValidateRejections(t *testing.T) {
 	s.NumNodes = 5
 	if err := s.Validate(); err != nil {
 		t.Errorf("consistent NumNodes rejected: %v", err)
+	}
+	// The largest price is accepted.
+	s = twoClass()
+	s.Classes[0].Price, s.Classes[1].Price = MaxPrice, MaxPrice
+	if err := s.Validate(); err != nil {
+		t.Errorf("price MaxPrice rejected: %v", err)
 	}
 }
 

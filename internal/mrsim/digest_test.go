@@ -19,10 +19,59 @@ import (
 // time bit, every event count and every fault counter of the digest set;
 // any change to the simulator's arithmetic, event order or scheduling order
 // moves it. Refresh it only for a change that is meant to move simulated
-// times, and say so where the change is recorded. It is the amd64 digest:
-// a 386 build moves low bits of the simulated times, as it moves
-// TestSimHomogeneousEquivalence's goldens.
-const runDigest = "e9a3159240440387ae766bb9ceda6ef3580b1195db7fc1193b59df37f6ac259b"
+// times, and say so where the change is recorded; runEvents must then stay
+// as it is. It is the amd64 digest: a 386 build moves low bits of the
+// simulated times, as it moves TestSimHomogeneousEquivalence's goldens.
+const runDigest = "6c287dd872943a5edfbb6b7f7058b6646e3c2d580eb308664b24ca9f1aa4eb9a"
+
+// runEvents is every digest config's Result.Events, in digestRunConfigs
+// order: five seeds per figure point, then the fault, 2-class and workflow
+// configs of each seed. runDigest hashes the event counts together with the
+// time bits, so a change meant to move only low bits of the simulated times
+// re-pins runDigest; this table stays, and catches a change that also adds,
+// drops or merges an event (a completion fired in another event, a task
+// dispatched in another order).
+var runEvents = []int{
+	139, 139, 139, 139, 139, // fig10, 4 nodes
+	195, 196, 196, 196, 195, // fig10, 6 nodes
+	251, 251, 251, 251, 251, // fig10, 8 nodes
+	553, 553, 553, 553, 553, // fig11, 4 nodes
+	785, 785, 785, 785, 785, // fig11, 6 nodes
+	1001, 1001, 1001, 1001, 1001, // fig11, 8 nodes
+	620, 618, 623, 619, 619, // fig12, 4 nodes
+	869, 869, 869, 869, 869, // fig12, 6 nodes
+	1115, 1115, 1115, 1115, 1115, // fig12, 8 nodes
+	2487, 2477, 2480, 2486, 2485, // fig13, 4 nodes
+	3473, 3455, 3473, 3472, 3484, // fig13, 6 nodes
+	4473, 4471, 4459, 4453, 4488, // fig13, 8 nodes
+	1227, 1219, 1222, 1221, 1223, // fig15, 4 nodes
+	1706, 1705, 1710, 1711, 1717, // fig15, 6 nodes
+	2197, 2195, 2199, 2199, 2196, // fig15, 8 nodes
+	620, 618, 623, 619, 619, // fig14, 1 job
+	1243, 1243, 1239, 1247, 1243, // fig14, 2 jobs
+	1855, 1874, 1849, 1851, 1855, // fig14, 3 jobs
+	2487, 2477, 2480, 2486, 2485, // fig14, 4 jobs
+	413, 251, 192, // seed 1: faults, 2-class, diamond workflow
+	395, 227, 192, // seed 2: faults, 2-class, diamond workflow
+	477, 251, 192, // seed 3: faults, 2-class, diamond workflow
+}
+
+// TestRunEvents pins the event count of every digest config.
+func TestRunEvents(t *testing.T) {
+	cfgs := digestRunConfigs(t)
+	if len(cfgs) != len(runEvents) {
+		t.Fatalf("%d digest configs, %d pinned event counts", len(cfgs), len(runEvents))
+	}
+	for i, cfg := range cfgs {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if res.Events != runEvents[i] {
+			t.Errorf("config %d: %d events, want %d", i, res.Events, runEvents[i])
+		}
+	}
+}
 
 // digestRunConfigs is the digest set: the 19 points of the paper's §5.2
 // figures (figures 10–15, built as bench.RunPoint builds them) at seeds

@@ -237,17 +237,19 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestUnencodableBodyIsStructuredError posts a plan whose one class is
-// priced so high that the candidate cost overflows to +Inf, which JSON
-// cannot carry. The answer must still be the structured error envelope —
+// TestUnencodableBodyIsStructuredError has writeJSON render a payload with
+// a +Inf field, which JSON cannot carry, behind the same trace layer every
+// route has. The answer must still be the structured error envelope —
 // status 500, a JSON body naming the failure and the request ID — not a
 // plain-text error or a half-written body.
 func TestUnencodableBodyIsStructuredError(t *testing.T) {
-	_, ts := newTestServer(t)
-	req := `{"cluster":{"classes":[{"name":"gold","count":2,"capacity":{"memoryMB":32768,"vcores":32},
-		"cpus":6,"disks":1,"diskMBps":240,"networkMBps":110,"speed":1,"price":1e308}]},
-		"job":{"inputMB":512}}`
-	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(req))
+	svc := New(Options{Workers: 1})
+	unencodable := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, r, http.StatusOK, map[string]float64{"cost": math.Inf(1)})
+	})
+	ts := httptest.NewServer(traceMiddleware(svc, ServerConfig{}, unencodable))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +273,27 @@ func TestUnencodableBodyIsStructuredError(t *testing.T) {
 	}
 	if id, _ := body["requestId"].(string); id == "" || id != resp.Header.Get(RequestIDHeader) {
 		t.Errorf("requestId %v vs header %q", body["requestId"], resp.Header.Get(RequestIDHeader))
+	}
+}
+
+// TestHugePriceIsBadRequest posts a plan whose one class is priced at
+// 1e308, where every candidate's cost would overflow to +Inf. The price is
+// refused as a client error, a structured 400 naming the field, before any
+// model work: the service computes nothing.
+func TestHugePriceIsBadRequest(t *testing.T) {
+	svc, ts := newTestServer(t)
+	req := `{"cluster":{"classes":[{"name":"gold","count":2,"capacity":{"memoryMB":32768,"vcores":32},
+		"cpus":6,"disks":1,"diskMBps":240,"networkMBps":110,"speed":1,"price":1e308}]},
+		"job":{"inputMB":512}}`
+	status, body := postJSON(t, ts.URL+"/v1/plan", req)
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "Price") {
+		t.Errorf("status %d body %v, want 400 naming Price", status, body)
+	}
+	if id, _ := body["requestId"].(string); id == "" {
+		t.Errorf("no requestId in %v", body)
+	}
+	if m := svc.Metrics(); m.CacheMisses != 0 || m.ModelOuterIterations != 0 {
+		t.Errorf("refused plan computed: %d cache misses, %d outer rounds", m.CacheMisses, m.ModelOuterIterations)
 	}
 }
 

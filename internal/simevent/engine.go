@@ -11,6 +11,14 @@
 // a pending event in place instead of cancelling it and pushing a new one.
 // Processor-sharing resources re-key their one pending completion that way
 // on every state change; only a node crash (PSResource.Clear) cancels.
+//
+// A processor-sharing resource runs on a virtual clock: V is the service
+// each of its active tasks has received since the resource last went
+// empty, and a task submitted with work w carries the finish mark V + w in
+// a min-heap. An event advances V by rate × elapsed and looks only at the
+// heap's top, so it costs O(log n) for n active tasks. Ties go by the
+// completion tolerance: a completion event pops every mark within 1e-9 of
+// V and fires those tasks together, in submission order.
 // Cancelled events are compacted away once they exceed half the calendar
 // instead of lingering until popped. Engines are reusable via Reset, so
 // callers running many simulations (median-of-seeds, planner sweeps) can
