@@ -325,30 +325,6 @@ func (c *cells) sameLane(a, b int, wins []laneWindow) bool {
 	return true
 }
 
-// constant reports whether the seed rows are bit-constant on every cell: a
-// task and its cell's first member both have no usable row (past the end,
-// or of the wrong length k), or rows of equal bits.
-func (c *cells) constant(rows [][]float64, k int) bool {
-	row := func(i int32) []float64 {
-		if int(i) < len(rows) && len(rows[i]) == k {
-			return rows[i]
-		}
-		return nil
-	}
-	for i, g := range c.of {
-		a, b := row(int32(i)), row(c.rep[g])
-		if (a == nil) != (b == nil) {
-			return false
-		}
-		for x := range a {
-			if math.Float64bits(a[x]) != math.Float64bits(b[x]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // sigSeed starts every signature: mix maps (0, 0) to 0, so a signature
 // started from a field would confuse (0, x) with (x).
 const sigSeed = 0x243f6a8885a308d3

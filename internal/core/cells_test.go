@@ -196,29 +196,6 @@ func TestLumpedWarmChain(t *testing.T) {
 	}
 }
 
-// TestCellsConstant checks the warm-seed test: rows equal in every bit on
-// each cell pass, a differing low bit or a missing row fails.
-func TestCellsConstant(t *testing.T) {
-	c := cells{of: []int32{0, 1, 0, 1}, rep: []int32{0, 1}}
-	rows := [][]float64{{1, 2}, {3, 4}, {1, 2}, {3, 4}}
-	if !c.constant(rows, 2) {
-		t.Error("rows constant on the cells rejected")
-	}
-	if !c.constant(nil, 2) {
-		t.Error("no seed rejected")
-	}
-	rows[2] = []float64{1, math.Nextafter(2, 3)}
-	if c.constant(rows, 2) {
-		t.Error("rows differing in a low bit accepted")
-	}
-	if c.constant(rows[:3], 2) {
-		t.Error("a missing member row accepted")
-	}
-	if !c.constant([][]float64{{1, 2}, {3}, {1, 2}, {5}}, 2) {
-		t.Error("unusable rows on both a member and its first member rejected")
-	}
-}
-
 // FuzzLumpedMatchesElementwise draws a shape — flat or 2-class, 1 or 4
 // jobs, with or without a fault plan — and requires every lumped round's
 // cells to be bit-permutation-equitable and the lumped answers to match the

@@ -202,8 +202,10 @@ type Prediction struct {
 	ReusedRounds  int
 	RebuiltRounds int
 	// Cells is the number of MVA rows the final round solved: one per cell
-	// of interchangeable tasks (see cells.go). It equals the task count when
-	// the round was solved element-wise.
+	// of interchangeable tasks (see cells.go). Every round solves lumped, a
+	// chained one too, since it seeds each cell from its first member's
+	// row; the count equals the task count only when no two tasks share a
+	// cell.
 	Cells int
 	// MaxEvaluations counts the Tripathi estimator's P-node evaluations and
 	// MaxIntegrations the closed-form max-moment solves (dist.MaxMoments
@@ -579,12 +581,6 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, ests []Estimator, o
 			p.cells.identity(n)
 		} else {
 			p.cells.find(tl, &p.hw, laneOf, wins, taskDemands)
-			if warm != nil && !p.cells.constant(warm, p.hw.nc) {
-				// A chained seed that tells members of a cell apart (the
-				// cells changed since the round it came from) is not a
-				// lumped state: solve this round element-wise.
-				p.cells.identity(n)
-			}
 		}
 		p.weights = p.overlapFactors(tl, cfg.NumJobs-1, &p.cells, p.weights)
 		p.servers = p.hw.servers(p.servers)
@@ -1111,7 +1107,9 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, cl *cel
 }
 
 // cellRows returns the first members' demand rows and warm seed rows, one
-// per cell. First members ascend, so the seed rows stop where warm does.
+// per cell. First members ascend, so the seed rows stop where warm does. A
+// seed taken this way is constant on the cells even when they changed
+// since the round it came from, so a chained round always solves lumped.
 func (p *Predictor) cellRows(dem []mva.TaskDemand, warm [][]float64) ([]mva.TaskDemand, [][]float64) {
 	p.cellDem, p.cellWarm = p.cellDem[:0], p.cellWarm[:0]
 	for _, i := range p.cells.rep {
@@ -1381,22 +1379,25 @@ func evalForkJoin(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, 
 }
 
 // tripathiEval evaluates the precedence tree for the Tripathi estimator.
-// Its memo maps a P node's fitted operand pair to the fitted max, so each
-// distinct max is solved once per prediction, across all outer
-// rounds: dist.MaxMoments is a pure function of its operands and symmetric
-// in them to the last bit, so the memo is exact and its key unordered. The
-// memo lives for one prediction (reset by beginPredict) — pooled Predictors
-// never answer from another configuration's maxima.
+// Its memo maps a P node's fitted operand pair to the moments of their
+// max, so each distinct max is solved once per prediction, across all
+// outer rounds: dist.MaxMoments is a pure function of its operands and
+// symmetric in them to the last bit, so the memo is exact and its key
+// unordered. A hit refits the stored moments, which gives the bits of the
+// first fit. The memo lives for one prediction (reset by beginPredict) —
+// pooled Predictors never answer from another configuration's maxima.
 type tripathiEval struct {
-	memo map[maxOperands]dist.Distribution
+	memo map[maxOperands]moments
 	// evals and integrations total P-node evaluations and actual
 	// dist.MaxMoments calls since the last reset.
 	evals, integrations int
 }
 
-// maxOperands is a memo key: a P node's fitted operands, as dist.Fit
-// returns them (comparable values).
-type maxOperands struct{ a, b dist.Distribution }
+// maxOperands is a memo key: a P node's fitted operands.
+type maxOperands struct{ a, b dist.Law }
+
+// moments are a fitted max's mean and coefficient of variation.
+type moments struct{ mean, cv float64 }
 
 func (t *tripathiEval) reset() {
 	clear(t.memo)
@@ -1406,12 +1407,12 @@ func (t *tripathiEval) reset() {
 // eval evaluates the tree with distribution fitting: children are fitted as
 // Erlang/Hyperexponential by (mean, CV); S composes sums, P composes maxima
 // (closed-form moments).
-func (t *tripathiEval) eval(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, error), cvFloor float64) (dist.Distribution, error) {
+func (t *tripathiEval) eval(n *ptree.Node, leaf func(*timeline.Placed) (float64, float64, error), cvFloor float64) (dist.Law, error) {
 	switch n.Op {
 	case ptree.Leaf:
 		m, cv, err := leaf(n.Task)
 		if err != nil {
-			return nil, err
+			return dist.Law{}, err
 		}
 		if cv < cvFloor {
 			cv = cvFloor
@@ -1420,45 +1421,42 @@ func (t *tripathiEval) eval(n *ptree.Node, leaf func(*timeline.Placed) (float64,
 	case ptree.S, ptree.P:
 		dl, err := t.eval(n.Left, leaf, cvFloor)
 		if err != nil {
-			return nil, err
+			return dist.Law{}, err
 		}
 		dr, err := t.eval(n.Right, leaf, cvFloor)
 		if err != nil {
-			return nil, err
+			return dist.Law{}, err
 		}
 		if n.Op == ptree.S {
-			m, cv, err := dist.SumMoments([]dist.Distribution{dl, dr})
+			m, cv, err := dist.SumMoments(dl, dr)
 			if err != nil {
-				return nil, err
+				return dist.Law{}, err
 			}
 			return dist.Fit(m, cv)
 		}
 		return t.max(dl, dr)
 	}
-	return nil, errors.New("core: unknown tree operator")
+	return dist.Law{}, errors.New("core: unknown tree operator")
 }
 
 // max is a P node: the fitted maximum of two fitted operands, memoized.
-func (t *tripathiEval) max(dl, dr dist.Distribution) (dist.Distribution, error) {
+func (t *tripathiEval) max(dl, dr dist.Law) (dist.Law, error) {
 	t.evals++
-	if d, ok := t.memo[maxOperands{dl, dr}]; ok {
-		return d, nil
+	mc, ok := t.memo[maxOperands{dl, dr}]
+	if !ok {
+		mc, ok = t.memo[maxOperands{dr, dl}]
 	}
-	if d, ok := t.memo[maxOperands{dr, dl}]; ok {
-		return d, nil
+	if !ok {
+		t.integrations++
+		m, cv, err := dist.MaxMoments(dl, dr)
+		if err != nil {
+			return dist.Law{}, err
+		}
+		mc = moments{m, cv}
+		if t.memo == nil {
+			t.memo = make(map[maxOperands]moments)
+		}
+		t.memo[maxOperands{dl, dr}] = mc
 	}
-	t.integrations++
-	m, cv, err := dist.MaxMoments(dl, dr)
-	if err != nil {
-		return nil, err
-	}
-	d, err := dist.Fit(m, cv)
-	if err != nil {
-		return nil, err
-	}
-	if t.memo == nil {
-		t.memo = make(map[maxOperands]dist.Distribution)
-	}
-	t.memo[maxOperands{dl, dr}] = d
-	return d, nil
+	return dist.Fit(mc.mean, mc.cv)
 }

@@ -223,22 +223,26 @@ func TestSweepBudget(t *testing.T) {
 // when this was written). The rounds themselves allocate nothing: the
 // timeline, tree, overlap weights, lane and response tables and MVA
 // buffers are all reused, so the budget is less than one allocation per
-// round.
+// round. The Tripathi estimator keeps to the same budget: its fits are
+// values, and its memo map is cleared, not remade, between predictions.
 func TestPredictAllocBudget(t *testing.T) {
 	const budget = 10
-	for _, jobs := range []int{1, 4} {
+	for _, c := range []struct {
+		jobs int
+		est  Estimator
+	}{{1, EstimatorForkJoin}, {4, EstimatorForkJoin}, {4, EstimatorTripathi}} {
 		j, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Spec: cluster.Default(4), Job: j, NumJobs: jobs}
+		cfg := Config{Spec: cluster.Default(4), Job: j, NumJobs: c.jobs, Estimator: c.est}
 		var p Predictor
 		pred, err := p.Predict(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pred.Iterations <= budget {
-			t.Fatalf("jobs=%d: %d outer rounds; too few to expose per-round allocations", jobs, pred.Iterations)
+			t.Fatalf("%v, jobs=%d: %d outer rounds; too few to expose per-round allocations", c.est, c.jobs, pred.Iterations)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := p.Predict(cfg); err != nil {
@@ -246,7 +250,7 @@ func TestPredictAllocBudget(t *testing.T) {
 			}
 		})
 		if allocs > budget {
-			t.Errorf("jobs=%d: %.0f allocations over %d rounds, budget %d", jobs, allocs, pred.Iterations, budget)
+			t.Errorf("%v, jobs=%d: %.0f allocations over %d rounds, budget %d", c.est, c.jobs, allocs, pred.Iterations, budget)
 		}
 	}
 }

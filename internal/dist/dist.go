@@ -11,11 +11,13 @@
 //   - cv² = 1  → exponential (the degenerate case of both branches);
 //   - cv² > 1  → two-phase hyperexponential H₂ with balanced means.
 //
-// Either way a fit is a two-term mixture of Erlang laws, so both operators
-// have closed forms. Sum moments add (means and variances of independent
-// terms). Max moments follow from E[maxʳ] = E[Xʳ] + E[Yʳ] − E[minʳ], where
-// the minimum of two Erlang laws is the N-th event of their merged Poisson
-// process and N has a finite distribution (see MaxMoments).
+// Either way a fit is a two-term mixture of Erlang laws, held as one
+// comparable value (Law) that allocates nothing and can key a map, and
+// both operators have closed forms. Sum moments add (means and variances
+// of independent terms). Max moments follow from
+// E[maxʳ] = E[Xʳ] + E[Yʳ] − E[minʳ], where the minimum of two Erlang laws
+// is the N-th event of their merged Poisson process and N has a finite
+// distribution (see MaxMoments).
 package dist
 
 import (
@@ -24,14 +26,13 @@ import (
 	"math"
 )
 
-// Distribution is a nonnegative random variable fitted by Fit: a two-term
-// mixture of Erlang laws, known through its first two moments. The
-// interface is sealed; only this package's fits implement it.
-type Distribution interface {
-	Mean() float64
-	Variance() float64
-	// branches returns the two mixture terms.
-	branches() [2]branch
+// Law is a nonnegative random variable fitted by Fit: a two-term mixture
+// of Erlang laws, known through its first two moments. It is a comparable
+// value, so fits can key a map. The stage counts tell the two fitted
+// families apart: an H₂ has stages (1, 1), and a mixed Erlang (k−1, k) with
+// a common rate, k ≥ 2.
+type Law struct {
+	b [2]branch
 }
 
 // branch is one mixture term: Erlang(stages, rate) with probability weight.
@@ -51,26 +52,22 @@ const maxErlangStages = 400
 // coefficient of variation. It fails when the fitted parameters would not
 // be finite and positive: a cv so large that the H₂'s slow branch vanishes
 // in floating point, or a mean so small that the rates overflow.
-func Fit(mean, cv float64) (Distribution, error) {
+func Fit(mean, cv float64) (Law, error) {
 	switch {
 	case math.IsNaN(mean) || math.IsInf(mean, 0) || mean <= 0:
-		return nil, fmt.Errorf("dist: mean must be positive and finite, got %v", mean)
+		return Law{}, fmt.Errorf("dist: mean must be positive and finite, got %v", mean)
 	case math.IsNaN(cv) || math.IsInf(cv, 0) || cv <= 0:
-		return nil, fmt.Errorf("dist: cv must be positive and finite, got %v", cv)
+		return Law{}, fmt.Errorf("dist: cv must be positive and finite, got %v", cv)
 	}
 	cv2 := cv * cv
 	if cv2 >= 1 {
 		// Balanced-means H₂ (Morse): p₁/λ₁ = p₂/λ₂.
 		p1 := 0.5 * (1 + math.Sqrt((cv2-1)/(cv2+1)))
-		d := hyperExp2{
-			p1: p1,
-			l1: 2 * p1 / mean,
-			l2: 2 * (1 - p1) / mean,
+		l1, l2 := 2*p1/mean, 2*(1-p1)/mean
+		if !finitePositive(l1) || !finitePositive(l2) {
+			return Law{}, fmt.Errorf("dist: no finite hyperexponential fits mean %v, cv %v", mean, cv)
 		}
-		if !finitePositive(d.l1) || !finitePositive(d.l2) {
-			return nil, fmt.Errorf("dist: no finite hyperexponential fits mean %v, cv %v", mean, cv)
-		}
-		return d, nil
+		return Law{[2]branch{{p1, 1, l1}, {1 - p1, 1, l2}}}, nil
 	}
 	k := int(math.Ceil(1 / cv2))
 	if k > maxErlangStages {
@@ -91,68 +88,47 @@ func Fit(mean, cv float64) (Distribution, error) {
 	}
 	mu := (fk - p) / mean
 	if !finitePositive(mu) {
-		return nil, fmt.Errorf("dist: no finite Erlang mixture fits mean %v, cv %v", mean, cv)
+		return Law{}, fmt.Errorf("dist: no finite Erlang mixture fits mean %v, cv %v", mean, cv)
 	}
-	return mixedErlang{k: k, p: p, mu: mu}, nil
+	return Law{[2]branch{{p, k - 1, mu}, {1 - p, k, mu}}}, nil
 }
 
 func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
-// mixedErlang draws Erlang(k-1, mu) with probability p, else Erlang(k, mu).
-type mixedErlang struct {
-	k  int
-	p  float64
-	mu float64
+// hyperExp reports whether d is an H₂ rather than a mixed Erlang.
+func (d Law) hyperExp() bool { return d.b[1].stages == 1 }
+
+// Mean returns E[X].
+func (d Law) Mean() float64 {
+	x, y := d.b[0], d.b[1]
+	if d.hyperExp() {
+		return x.weight/x.rate + y.weight/y.rate
+	}
+	return (x.weight*float64(x.stages) + y.weight*float64(y.stages)) / x.rate
 }
 
-func (d mixedErlang) Mean() float64 {
-	return (d.p*float64(d.k-1) + (1-d.p)*float64(d.k)) / d.mu
-}
-
-func (d mixedErlang) Variance() float64 {
-	// E[X²] of Erlang(n, mu) is n(n+1)/mu².
-	k := float64(d.k)
-	m2 := (d.p*(k-1)*k + (1-d.p)*k*(k+1)) / (d.mu * d.mu)
+// Variance returns E[X²] − E[X]².
+func (d Law) Variance() float64 {
+	x, y := d.b[0], d.b[1]
+	var m2 float64
+	if d.hyperExp() {
+		m2 = 2*x.weight/(x.rate*x.rate) + 2*y.weight/(y.rate*y.rate)
+	} else {
+		// E[X²] of Erlang(n, mu) is n(n+1)/mu².
+		k := float64(y.stages)
+		m2 = (x.weight*(k-1)*k + y.weight*k*(k+1)) / (x.rate * x.rate)
+	}
 	m := d.Mean()
 	return m2 - m*m
 }
 
-func (d mixedErlang) branches() [2]branch {
-	return [2]branch{{d.p, d.k - 1, d.mu}, {1 - d.p, d.k, d.mu}}
-}
-
-// hyperExp2 is a two-phase hyperexponential: exp(l1) w.p. p1, exp(l2) w.p.
-// 1-p1.
-type hyperExp2 struct {
-	p1, l1, l2 float64
-}
-
-func (d hyperExp2) Mean() float64 { return d.p1/d.l1 + (1-d.p1)/d.l2 }
-
-func (d hyperExp2) Variance() float64 {
-	m2 := 2*d.p1/(d.l1*d.l1) + 2*(1-d.p1)/(d.l2*d.l2)
-	m := d.Mean()
-	return m2 - m*m
-}
-
-func (d hyperExp2) branches() [2]branch {
-	return [2]branch{{d.p1, 1, d.l1}, {1 - d.p1, 1, d.l2}}
-}
-
-// SumMoments returns the mean and cv of the sum of independent variables.
-func SumMoments(ds []Distribution) (mean, cv float64, err error) {
-	if len(ds) == 0 {
-		return 0, 0, errors.New("dist: SumMoments of no distributions")
-	}
-	var m, v float64
-	for _, d := range ds {
-		m += d.Mean()
-		v += d.Variance()
-	}
+// SumMoments returns the mean and cv of a + b for independent a and b.
+func SumMoments(a, b Law) (mean, cv float64, err error) {
+	m := a.Mean() + b.Mean()
 	if m <= 0 {
 		return 0, 0, errors.New("dist: sum has nonpositive mean")
 	}
-	return m, math.Sqrt(v) / m, nil
+	return m, math.Sqrt(a.Variance()+b.Variance()) / m, nil
 }
 
 // MaxMoments returns the mean and cv of max(a, b) for independent a and b,
@@ -168,8 +144,8 @@ func SumMoments(ds []Distribution) (mean, cv float64, err error) {
 // (2·maxErlangStages)²: no rate sum or squared moment overflows, and a term
 // too fast to register (its scaled rate +Inf) contributes zero. It fails
 // only when the mean overflows as it is scaled back.
-func MaxMoments(a, b Distribution) (mean, cv float64, err error) {
-	x, y := a.branches(), b.branches()
+func MaxMoments(a, b Law) (mean, cv float64, err error) {
+	x, y := a.b, b.b
 	if branchesLess(y, x) {
 		x, y = y, x
 	}

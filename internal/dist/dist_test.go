@@ -8,7 +8,7 @@ import (
 )
 
 // MustFit is Fit for statically-known parameters; it panics on error.
-func MustFit(mean, cv float64) Distribution {
+func MustFit(mean, cv float64) Law {
 	d, err := Fit(mean, cv)
 	if err != nil {
 		panic(err)
@@ -17,7 +17,7 @@ func MustFit(mean, cv float64) Distribution {
 }
 
 // cvOf is d's coefficient of variation (stddev / mean).
-func cvOf(d Distribution) float64 { return math.Sqrt(d.Variance()) / d.Mean() }
+func cvOf(d Law) float64 { return math.Sqrt(d.Variance()) / d.Mean() }
 
 func almost(t *testing.T, got, want, tol float64, what string) {
 	t.Helper()
@@ -51,7 +51,7 @@ func TestFitBranchesMatchMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for range 200 {
 		d := randomFit(rng)
-		m1, m2 := rawMoments(d.branches())
+		m1, m2 := rawMoments(d.b)
 		almost(t, m1, d.Mean(), 1e-12, "branch mean")
 		almost(t, m2-m1*m1, d.Variance(), 1e-9, "branch variance")
 	}
@@ -107,17 +107,13 @@ func TestMustFitPanics(t *testing.T) {
 func TestSumMoments(t *testing.T) {
 	a := MustFit(10, 0.3)
 	b := MustFit(20, 0.6)
-	m, cv, err := SumMoments([]Distribution{a, b})
+	m, cv, err := SumMoments(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, m, 30, 1e-9, "sum mean")
 	wantVar := a.Variance() + b.Variance()
 	almost(t, cv, math.Sqrt(wantVar)/30, 1e-9, "sum cv")
-
-	if _, _, err := SumMoments(nil); err == nil {
-		t.Error("empty sum accepted")
-	}
 }
 
 // TestMaxMomentsExponential checks the max of two independent exponentials
@@ -212,7 +208,7 @@ func TestMaxMomentsScaleInvariant(t *testing.T) {
 
 // checkMaxMoments fails unless mean and cv are finite, the cv nonnegative,
 // and max(E[a], E[b]) ≤ mean ≤ E[a] + E[b] to within rounding.
-func checkMaxMoments(t *testing.T, a, b Distribution, mean, cv float64) {
+func checkMaxMoments(t *testing.T, a, b Law, mean, cv float64) {
 	t.Helper()
 	if !finitePositive(mean) || math.IsNaN(cv) || math.IsInf(cv, 0) || cv < 0 {
 		t.Fatalf("max(%+v, %+v) = (%v, %v): want finite positive mean and finite cv ≥ 0", a, b, mean, cv)
@@ -226,7 +222,7 @@ func checkMaxMoments(t *testing.T, a, b Distribution, mean, cv float64) {
 
 // operandPairs spans the fitted shapes the Tripathi estimator combines:
 // Erlang mixtures of several stage counts, the exponential and H₂.
-var operandPairs = [][2]Distribution{
+var operandPairs = [][2]Law{
 	{MustFit(30, 0.2), MustFit(25, 0.4)},   // Erlang mixture × Erlang mixture
 	{MustFit(30, 0.15), MustFit(31, 0.15)}, // near-equal low-cv mixtures
 	{MustFit(12, 0.3), MustFit(40, 1.6)},   // Erlang mixture × H₂
@@ -238,21 +234,21 @@ var operandPairs = [][2]Distribution{
 // randomFit draws a fit with mean log-uniform over four decades, [1, 1e4],
 // and cv log-uniform over [0.02, 4]: Erlang mixtures from k = 2 to the
 // k = 400 clamp (every cv below 0.05), the exponential and H₂.
-func randomFit(rng *rand.Rand) Distribution {
+func randomFit(rng *rand.Rand) Law {
 	return MustFit(math.Pow(10, 4*rng.Float64()), 0.02*math.Pow(200, rng.Float64()))
 }
 
 // randomPairs returns n random operand pairs, a fifth of them one fit
 // twice.
-func randomPairs(seed int64, n int) [][2]Distribution {
+func randomPairs(seed int64, n int) [][2]Law {
 	rng := rand.New(rand.NewSource(seed))
-	prs := make([][2]Distribution, n)
+	prs := make([][2]Law, n)
 	for i := range prs {
 		a := randomFit(rng)
 		if i%5 == 0 {
-			prs[i] = [2]Distribution{a, a}
+			prs[i] = [2]Law{a, a}
 		} else {
-			prs[i] = [2]Distribution{a, randomFit(rng)}
+			prs[i] = [2]Law{a, randomFit(rng)}
 		}
 	}
 	return prs
@@ -280,17 +276,17 @@ func TestMaxMomentsMatchesOracle(t *testing.T) {
 	prs := append(randomPairs(1, 240), operandPairs...)
 	// The extremes, so that coverage does not hang on the draw.
 	prs = append(prs,
-		[2]Distribution{MustFit(1, 0.03), MustFit(1e4, 4)},
-		[2]Distribution{MustFit(1e4, 0.03), MustFit(1, 4)},
-		[2]Distribution{MustFit(1e4, 0.03), MustFit(1e4, 0.8)},
-		[2]Distribution{MustFit(1, 0.8), MustFit(1.2, 4)},
+		[2]Law{MustFit(1, 0.03), MustFit(1e4, 4)},
+		[2]Law{MustFit(1e4, 0.03), MustFit(1, 4)},
+		[2]Law{MustFit(1e4, 0.03), MustFit(1e4, 0.8)},
+		[2]Law{MustFit(1, 0.8), MustFit(1.2, 4)},
 	)
 	var stages [maxErlangStages + 1]bool
 	var maxCV, minMean, maxMean float64 = 0, math.Inf(1), 0
 	for i, pr := range prs {
 		for _, d := range pr {
-			if e, ok := d.(mixedErlang); ok {
-				stages[e.k] = true
+			if !d.hyperExp() {
+				stages[d.b[1].stages] = true
 			}
 			maxCV = math.Max(maxCV, cvOf(d))
 			minMean, maxMean = math.Min(minMean, d.Mean()), math.Max(maxMean, d.Mean())
@@ -318,7 +314,7 @@ const oracleMaxSteps = 1 << 14
 // computed P-node maxima before the closed form, on a finer grid that is
 // uniform in ln x: from 1e-6 of the smaller mean, below which the tail is 1
 // to within 1e-11, to where it falls under 1e-15.
-func oracleMaxMoments(a, b Distribution) (mean, cv float64) {
+func oracleMaxMoments(a, b Law) (mean, cv float64) {
 	fa, fb := cdfOf(a), cdfOf(b)
 	tail := func(x float64) float64 { return 1 - fa(x)*fb(x) }
 	lo := 1e-6 * math.Min(a.Mean(), b.Mean())
@@ -348,25 +344,20 @@ func oracleMaxMoments(a, b Distribution) (mean, cv float64) {
 	return m1, math.Sqrt(m2-m1*m1) / m1
 }
 
-// cdfOf returns the CDF of a fit.
-func cdfOf(d Distribution) func(float64) float64 {
-	return d.(interface{ CDF(float64) float64 }).CDF
-}
-
-// CDF evaluates P(X ≤ x): Erlang(n, mu) has the regularized lower
-// incomplete gamma P(n, mu·x) as its CDF.
-func (d mixedErlang) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
+// cdfOf returns the CDF of a fit, P(X ≤ x) = Σ weight·P(stages, rate·x):
+// Erlang(n, λ) has the regularized lower incomplete gamma P(n, λx) as its
+// CDF.
+func cdfOf(d Law) func(float64) float64 {
+	return func(x float64) float64 {
+		if x <= 0 {
+			return 0
+		}
+		var c float64
+		for _, b := range d.b {
+			c += b.weight * gammP(float64(b.stages), b.rate*x)
+		}
+		return c
 	}
-	return d.p*gammP(float64(d.k-1), d.mu*x) + (1-d.p)*gammP(float64(d.k), d.mu*x)
-}
-
-func (d hyperExp2) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 - d.p1*math.Exp(-d.l1*x) - (1-d.p1)*math.Exp(-d.l2*x)
 }
 
 // gammP is the regularized lower incomplete gamma function P(a, x) for
@@ -427,6 +418,8 @@ func gammQContinued(a, x float64) float64 {
 // requires MaxMoments to return an error or a finite positive mean and a
 // finite cv ≥ 0 within max(E[a], E[b]) ≤ mean ≤ E[a] + E[b]. Never NaN:
 // not when the rates sum past MaxFloat64, nor when they are 1e600 apart.
+// Both argument orders must give the same bits, or the same refusal: the
+// Tripathi memo keys operand pairs unordered.
 func FuzzFitMax(f *testing.F) {
 	f.Add(30.0, 0.2, 25.0, 0.4)
 	f.Add(1.0, 0.03, 1e4, 4.0)
@@ -445,6 +438,10 @@ func FuzzFitMax(f *testing.F) {
 			return
 		}
 		m, c, err := MaxMoments(a, b)
+		m2, c2, err2 := MaxMoments(b, a)
+		if (err == nil) != (err2 == nil) || math.Float64bits(m) != math.Float64bits(m2) || math.Float64bits(c) != math.Float64bits(c2) {
+			t.Fatalf("max(%+v, %+v) = (%x, %x, %v), max(b, a) = (%x, %x, %v)", a, b, m, c, err, m2, c2, err2)
+		}
 		if err != nil {
 			return
 		}

@@ -52,6 +52,7 @@ func writePrometheus(w io.Writer, m Metrics) error {
 		{"mrserved_model_iterations_total", "Model fixed-point iterations spent by computed predictions, by loop (outer damped rounds vs inner MVA sweeps).", "counter", `loop="outer"`, float64(m.ModelOuterIterations)},
 		{"mrserved_model_iterations_total", "", "", `loop="inner"`, float64(m.ModelInnerIterations)},
 		{"mrserved_model_reused_rounds_total", "Outer model rounds that re-timed the first round's placement and reused its tree and demand rows.", "counter", "", float64(m.ModelReusedRounds)},
+		{"mrserved_model_unconverged_total", "Computed predictions that stopped at the outer iteration cap before converging; served, never cached.", "counter", "", float64(m.ModelUnconverged)},
 		{"mrserved_workflow_requests_total", "Predict/plan requests that carried a workflow block (also counted in their kind).", "counter", "", float64(m.WorkflowRequests)},
 		{"mrserved_admission_queued_cost", "Outstanding admitted cost units (queued + executing) in the admission controller.", "gauge", "", float64(m.Admission.QueuedCost)},
 		{"mrserved_admission_queue_limit", "Admission bound in cost units; reaching it sheds with queue_full.", "gauge", "", float64(m.Admission.MaxQueueCost)},

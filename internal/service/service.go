@@ -217,6 +217,10 @@ type Metrics struct {
 	// ModelReusedRounds counts the outer rounds among ModelOuterIterations
 	// that rebuilt none of their structure (core.Prediction.ReusedRounds).
 	ModelReusedRounds int64 `json:"modelReusedRounds"`
+	// ModelUnconverged counts computed predictions that stopped at the
+	// outer iteration cap before their ε-test passed. Such an answer is
+	// served but never cached.
+	ModelUnconverged int64 `json:"modelUnconverged"`
 	// WorkflowRequests counts predict/plan requests that carried a workflow
 	// block (also included in PredictRequests/PlanRequests).
 	WorkflowRequests int64 `json:"workflowRequests"`
@@ -292,11 +296,17 @@ type Service struct {
 	outerIters    atomic.Int64
 	innerIters    atomic.Int64
 	reusedRounds  atomic.Int64
+	unconverged   atomic.Int64
 	simFaults     atomic.Int64
 	simReexec     atomic.Int64
 	workflowReqs  atomic.Int64
 	degradedResps atomic.Int64
 	staleServed   atomic.Int64
+
+	// maxIterations, when positive, caps the outer rounds of every model
+	// solve (core.Config.MaxIterations); a test seam that forces an
+	// unconverged answer.
+	maxIterations int
 }
 
 // Request-kind indices into the request-duration histograms, aligned with
@@ -391,6 +401,7 @@ func (s *Service) Metrics() Metrics {
 
 		ModelOuterIterations: s.outerIters.Load(),
 		ModelReusedRounds:    s.reusedRounds.Load(),
+		ModelUnconverged:     s.unconverged.Load(),
 		ModelInnerIterations: s.innerIters.Load(),
 		WorkflowRequests:     s.workflowReqs.Load(),
 		SimFaultsInjected:    s.simFaults.Load(),
@@ -599,7 +610,7 @@ func (s *Service) resolveProfile(ctx context.Context, name string, resolved **ca
 // predict is Predict without the API-call counter — the planner evaluates
 // candidates through it so /v1/metrics keeps counting client calls, not
 // internal fan-out. It serves one model evaluation through the result
-// table.
+// table, which keeps only a converged answer.
 func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictResponse, error) {
 	if err := req.validate(); err != nil {
 		return PredictResponse{}, invalid(err)
@@ -613,6 +624,7 @@ func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictRespo
 		}
 		defer s.admission.Release()
 		cfg := req.config()
+		cfg.MaxIterations = s.maxIterations
 		tr := obs.FromContext(ctx)
 		solveStart := time.Now()
 		p := s.predictors.Get().(*core.Predictor)
@@ -625,13 +637,16 @@ func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictRespo
 		s.outerIters.Add(int64(pred.Iterations))
 		s.innerIters.Add(int64(pred.InnerIterations))
 		s.reusedRounds.Add(int64(pred.ReusedRounds))
+		if !pred.Converged {
+			s.unconverged.Add(1)
+		}
 		tr.AddCounter(obs.CounterPredicts, 1)
 		tr.AddCounter(obs.CounterOuterIterations, int64(pred.Iterations))
 		tr.AddCounter(obs.CounterInnerIterations, int64(pred.InnerIterations))
 		tr.AddCounter(obs.CounterCells, int64(pred.Cells))
 		tr.AddCounter(obs.CounterReusedRounds, int64(pred.ReusedRounds))
 		tr.AddCounter(obs.CounterRebuiltRounds, int64(pred.RebuiltRounds))
-		return pred, true, nil
+		return pred, pred.Converged, nil
 	})
 	if err != nil {
 		return PredictResponse{}, err

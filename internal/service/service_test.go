@@ -59,6 +59,69 @@ func TestPredictCachesRepeatedRequests(t *testing.T) {
 	}
 }
 
+// TestUnconvergedPredictNotCached forces an unconverged answer through the
+// maxIterations seam: at fig11@6 (1 GB, 6 nodes, 4 jobs) the Tripathi solve
+// needs 23 outer rounds and fork/join 10, so a cap of 11 stops Tripathi
+// short. Its answer is served and counted but never stored, so asking twice
+// computes twice; the converged fork/join answer of the same point is
+// cached as before. A one-stage workflow capped at one round, which can
+// never pass the ε-test, is not cached either.
+func TestUnconvergedPredictNotCached(t *testing.T) {
+	ctx := context.Background()
+	s := New(Options{Workers: 1, CacheSize: 8})
+	s.maxIterations = 11
+	req := PredictRequest{Spec: cluster.Default(6), Job: testJob(t, 1024, 6), NumJobs: 4, Estimator: core.EstimatorTripathi}
+	for i := range 2 {
+		resp, err := s.Predict(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := resp.Prediction; resp.Cached || p.Converged || p.Iterations != 11 {
+			t.Errorf("ask %d: cached %v, converged %v after %d rounds; want a fresh unconverged 11-round answer",
+				i+1, resp.Cached, p.Converged, p.Iterations)
+		}
+	}
+	m := s.Metrics()
+	if m.ModelUnconverged != 2 || m.ModelOuterIterations != 22 || m.CacheMisses != 0 || m.CacheEntries != 0 {
+		t.Errorf("metrics: %d unconverged, %d outer rounds, %d misses, %d entries; want 2, 22, 0, 0",
+			m.ModelUnconverged, m.ModelOuterIterations, m.CacheMisses, m.CacheEntries)
+	}
+
+	req.Estimator = core.EstimatorForkJoin
+	for i, want := range []bool{false, true} {
+		resp, err := s.Predict(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Prediction.Converged || resp.Cached != want {
+			t.Errorf("fork/join ask %d: converged %v, cached %v; want converged, cached %v",
+				i+1, resp.Prediction.Converged, resp.Cached, want)
+		}
+	}
+	if m := s.Metrics(); m.ModelUnconverged != 2 || m.CacheEntries != 1 {
+		t.Errorf("after fork/join: %d unconverged, %d entries; want 2, 1", m.ModelUnconverged, m.CacheEntries)
+	}
+
+	s = New(Options{Workers: 1, CacheSize: 8})
+	s.maxIterations = 1
+	wf := PredictRequest{Spec: cluster.Default(4), Workflow: &Workflow{
+		Stages: []WorkflowStage{{Name: "only", Job: testJob(t, 1024, 4)}},
+	}}
+	for i := range 2 {
+		resp, err := s.Predict(ctx, wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.Prediction.Converged || resp.Workflow.Stages[0].Cached {
+			t.Errorf("workflow ask %d: cached %v (stage %v), converged %v; want a fresh unconverged answer",
+				i+1, resp.Cached, resp.Workflow.Stages[0].Cached, resp.Prediction.Converged)
+		}
+	}
+	if m := s.Metrics(); m.ModelUnconverged != 2 || m.CacheEntries != 0 {
+		t.Errorf("workflow: %d unconverged, %d entries; want 2, 0", m.ModelUnconverged, m.CacheEntries)
+	}
+}
+
 func TestPredictKeyDistinguishesRequests(t *testing.T) {
 	base := PredictRequest{Spec: cluster.Default(4), Job: testJob(t, 1024, 4), NumJobs: 1}
 	variants := []PredictRequest{base}

@@ -26,37 +26,93 @@ func FuzzPredictBody(f *testing.F) {
 	f.Add([]byte(`{"cluster":{"nodes":4},"workflow":{"stages":[{"name":"a","job":{"inputMB":512}},{"name":"b","job":{"inputMB":512,"reduces":2}}],"edges":[{"from":"a","to":"b"}]}}`))
 	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-		r.Header.Set(DeadlineHeader, "200")
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
+		out, ok := serveBody(t, h, "/v1/predict", "200", body, &predictWire{})
+		if !ok {
+			return
+		}
+		var res struct {
+			ResponseTime *float64 `json:"responseTime"`
+		}
+		if err := json.Unmarshal(out, &res); err != nil || res.ResponseTime == nil {
+			t.Fatalf("200 without a responseTime (%v): %s", err, out)
+		}
+		if rt := *res.ResponseTime; !(rt > 0) || math.IsInf(rt, 0) {
+			t.Fatalf("200 with responseTime %v for %q", rt, body)
+		}
+	})
+}
 
-		var req predictWire
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		decodable := dec.Decode(&req) == nil
+// serveBody POSTs body to path through h, with X-Deadline-Ms set to
+// deadline unless it is empty, and checks the oracle every wire-body
+// target shares: no panic and no 500; a refusal is a 400, or a 503/504
+// from admission or the deadline, and carries the structured error body;
+// a body that does not decode into req (unknown fields refused) gets a
+// 400. It returns a 200's body and true, or false after a refusal.
+func serveBody(t *testing.T, h http.Handler, path, deadline string, body []byte, req any) ([]byte, bool) {
+	t.Helper()
+	r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	if deadline != "" {
+		r.Header.Set(DeadlineHeader, deadline)
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
 
-		switch st := w.Code; st {
-		case http.StatusOK:
-			var out struct {
-				ResponseTime *float64 `json:"responseTime"`
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	decodable := dec.Decode(req) == nil
+
+	switch st := w.Code; st {
+	case http.StatusOK:
+		return w.Body.Bytes(), true
+	case http.StatusBadRequest, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		if !decodable && st != http.StatusBadRequest {
+			t.Fatalf("undecodable body answered %d, want 400: %q", st, body)
+		}
+		var e errorWire
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("%d without the structured error body (%v): %s", st, err, w.Body.Bytes())
+		}
+	default:
+		t.Fatalf("status %d for %q: %s", st, body, w.Body.Bytes())
+	}
+	return nil, false
+}
+
+// FuzzCompareBody drives POST /v1/compare, the one wire route that runs the
+// Tripathi estimator beside the simulator, through the full handler on
+// FuzzPredictBody's oracle, with X-Deadline-Ms 200. A 200 carries a finite,
+// positive Simulated, ForkJoin and Tripathi and finite signed errors.
+func FuzzCompareBody(f *testing.F) {
+	for _, tc := range goldenHTTPCases {
+		if tc.path == "/v1/compare" {
+			f.Add([]byte(tc.body))
+		}
+	}
+	f.Add([]byte(`{"cluster":{"nodes":2},"job":{"inputMB":512,"reduces":2},"numJobs":2,"seed":5,"reps":2,
+		"faults":{"nodeMTTFSec":600,"repairDelaySec":30,"stragglerProb":0.1,"stragglerAlpha":2,"speculation":true}}`))
+	f.Add([]byte(`{"cluster":{"classes":[
+		{"name":"fast","count":2,"capacity":{"memoryMB":32768,"vcores":32},"cpus":6,"disks":1,"diskMBps":240,"networkMBps":110,"speed":1},
+		{"name":"slow","count":2,"capacity":{"memoryMB":32768,"vcores":32},"cpus":6,"disks":1,"diskMBps":140,"networkMBps":110,"speed":0.5}
+	]},"job":{"inputMB":512,"reduces":2},"seed":2,"reps":2}`))
+	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		out, ok := serveBody(t, h, "/v1/compare", "200", body, &compareWire{})
+		if !ok {
+			return
+		}
+		var res CompareResponse
+		if err := json.Unmarshal(out, &res); err != nil {
+			t.Fatalf("200 without a compare result (%v): %s", err, out)
+		}
+		for _, v := range []float64{res.Simulated, res.ForkJoin, res.Tripathi} {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("200 with a response time of %v for %q: %s", v, body, out)
 			}
-			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil || out.ResponseTime == nil {
-				t.Fatalf("200 without a responseTime (%v): %s", err, w.Body.Bytes())
+		}
+		for _, e := range []float64{res.ForkJoinErr, res.TripathiErr} {
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				t.Fatalf("200 with a relative error of %v for %q: %s", e, body, out)
 			}
-			if rt := *out.ResponseTime; !(rt > 0) || math.IsInf(rt, 0) {
-				t.Fatalf("200 with responseTime %v for %q", rt, body)
-			}
-		case http.StatusBadRequest, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			if !decodable && st != http.StatusBadRequest {
-				t.Fatalf("undecodable body answered %d, want 400: %q", st, body)
-			}
-			var e errorWire
-			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
-				t.Fatalf("%d without the structured error body (%v): %s", st, err, w.Body.Bytes())
-			}
-		default:
-			t.Fatalf("status %d for %q: %s", st, body, w.Body.Bytes())
 		}
 	})
 }
@@ -75,36 +131,18 @@ func FuzzCalibrateBody(f *testing.F) {
 	f.Add([]byte(`{"name":"x","trace":null,"trimFraction":0.4,"minSamples":1,"cvFloor":0.5}`))
 	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := httptest.NewRequest(http.MethodPost, "/v1/calibrate", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-
-		var req calibrateWire
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		decodable := dec.Decode(&req) == nil
-
-		switch st := w.Code; st {
-		case http.StatusOK:
-			var out calibrateResultWire
-			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
-				t.Fatalf("200 without a calibrate result (%v): %s", err, w.Body.Bytes())
+		out, ok := serveBody(t, h, "/v1/calibrate", "", body, &calibrateWire{})
+		if !ok {
+			return
+		}
+		var res calibrateResultWire
+		if err := json.Unmarshal(out, &res); err != nil {
+			t.Fatalf("200 without a calibrate result (%v): %s", err, out)
+		}
+		for cls, c := range res.Classes {
+			if !(c.MeanResponse > 0) || math.IsInf(c.MeanResponse, 0) || !(c.CV >= 0) || math.IsInf(c.CV, 0) {
+				t.Fatalf("200 with %s meanResponse %v cv %v for %q", cls, c.MeanResponse, c.CV, body)
 			}
-			for cls, c := range out.Classes {
-				if !(c.MeanResponse > 0) || math.IsInf(c.MeanResponse, 0) || !(c.CV >= 0) || math.IsInf(c.CV, 0) {
-					t.Fatalf("200 with %s meanResponse %v cv %v for %q", cls, c.MeanResponse, c.CV, body)
-				}
-			}
-		case http.StatusBadRequest, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			if !decodable && st != http.StatusBadRequest {
-				t.Fatalf("undecodable body answered %d, want 400: %q", st, body)
-			}
-			var e errorWire
-			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
-				t.Fatalf("%d without the structured error body (%v): %s", st, err, w.Body.Bytes())
-			}
-		default:
-			t.Fatalf("status %d for %q: %s", st, body, w.Body.Bytes())
 		}
 	})
 }

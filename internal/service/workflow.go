@@ -248,11 +248,15 @@ func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs
 
 // workflowEvalCached serves one composed workflow through the result table
 // under its workflow-level key (the per-stage evaluations
-// inside keep their own keys either way).
+// inside keep their own keys either way). It keeps only an outcome whose
+// every stage converged.
 func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest) (*workflowOutcome, bool, bool, error) {
 	v, cached, stale, err := s.cachedCompute(ctx, workflowPredictKey(dag, stageReqs), func() (any, bool, error) {
 		o, err := s.workflowEval(ctx, dag, stageReqs)
-		return o, true, err
+		if err != nil {
+			return nil, false, err
+		}
+		return o, o.pred.Converged, nil
 	})
 	if err != nil {
 		return nil, false, false, err
