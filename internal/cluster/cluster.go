@@ -11,6 +11,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Resource is a YARN-style resource vector (memory in MB, virtual cores).
@@ -180,6 +181,21 @@ func Default(numNodes int) Spec {
 		DiskMBps:        240,
 		NetworkMBps:     110,
 	}
+}
+
+// Equal reports whether s and o describe the same cluster, field for
+// field: == on the scalars and on each class. Float fields compare by
+// value, so −0 and +0 are equal.
+func (s Spec) Equal(o Spec) bool {
+	return s.NumNodes == o.NumNodes &&
+		s.NodeCapacity == o.NodeCapacity &&
+		s.MapContainer == o.MapContainer &&
+		s.ReduceContainer == o.ReduceContainer &&
+		s.CPUPerNode == o.CPUPerNode &&
+		s.DiskPerNode == o.DiskPerNode &&
+		s.DiskMBps == o.DiskMBps &&
+		s.NetworkMBps == o.NetworkMBps &&
+		slices.Equal(s.Classes, o.Classes)
 }
 
 // Heterogeneous reports whether the spec uses the class form.

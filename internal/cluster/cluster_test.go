@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -381,3 +382,66 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 func bytesContains(b []byte, sub string) bool { return strings.Contains(string(b), sub) }
+
+// perturb changes one leaf field of v (the first, for a struct) so that
+// == no longer holds.
+func perturb(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Struct:
+		perturb(v.Field(0))
+	default:
+		panic("perturb: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestSpecEqual changes every field of a flat spec and of each node class
+// in turn, so a field added to Spec or NodeClass without a comparison in
+// Equal fails here. Class slices compare by content, and −0 equals +0.
+func TestSpecEqual(t *testing.T) {
+	for _, base := range []Spec{Default(4), twoClass()} {
+		same := base
+		same.Classes = slices.Clone(base.Classes)
+		if !base.Equal(same) {
+			t.Errorf("%+v differs from its copy", base)
+		}
+		for i := range reflect.TypeFor[Spec]().NumField() {
+			name := reflect.TypeFor[Spec]().Field(i).Name
+			if name == "Classes" {
+				continue
+			}
+			o := base
+			perturb(reflect.ValueOf(&o).Elem().Field(i))
+			if base.Equal(o) || o.Equal(base) {
+				t.Errorf("specs differing in %s compare equal", name)
+			}
+		}
+	}
+	base := twoClass()
+	for i := range reflect.TypeFor[NodeClass]().NumField() {
+		o := base
+		o.Classes = slices.Clone(base.Classes)
+		perturb(reflect.ValueOf(&o.Classes[1]).Elem().Field(i))
+		if base.Equal(o) {
+			t.Errorf("specs differing in class field %s compare equal", reflect.TypeFor[NodeClass]().Field(i).Name)
+		}
+	}
+	o := base
+	o.Classes = base.Classes[:1]
+	if base.Equal(o) {
+		t.Error("specs with different class counts compare equal")
+	}
+	o.Classes = slices.Clone(base.Classes)
+	o.Classes[1].Speed = math.Copysign(0, -1)
+	base.Classes[1].Speed = 0
+	if !base.Equal(o) {
+		t.Error("−0 and +0 class speeds compare unequal")
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/dist"
@@ -247,9 +248,11 @@ type classTable [numClasses]classData
 // a prediction allocates its setup and, per round an estimator stops on, a
 // copy of that round's timeline and tree for the Prediction.
 //
-// A Predictor is not safe for concurrent use; pool Predictors (one per
-// worker) to serve parallel predictions. Results are bit-identical to the
-// one-shot Predict.
+// A Predictor is not safe for concurrent use. The package-level Predict,
+// PredictEach and PredictWorkflow borrow one from a package pool for the
+// length of the call, so parallel callers each solve on their own; a
+// Prediction shares no memory with the Predictor that made it, and its bits
+// depend only on its Config.
 type Predictor struct {
 	solver mva.OverlapSolver
 
@@ -427,10 +430,19 @@ func resize[T any](s []T, n int) []T {
 // NewPredictor returns an empty Predictor; buffers grow on first use.
 func NewPredictor() *Predictor { return &Predictor{} }
 
-// Predict runs the model to convergence with a fresh evaluator.
+// predictors recycles the Predictors of the package-level entry points, so
+// repeated solves stop regrowing the O(T²) overlap scaffolding and the
+// Tripathi memo. A Predictor goes back only after its call returns: one
+// whose solve panicked is dropped.
+var predictors = sync.Pool{New: func() any { return NewPredictor() }}
+
+// Predict runs the model to convergence on a pooled Predictor (see
+// Predictor.Predict).
 func Predict(cfg Config) (Prediction, error) {
-	var p Predictor
-	return p.Predict(cfg)
+	p := predictors.Get().(*Predictor)
+	pred, err := p.Predict(cfg)
+	predictors.Put(p)
+	return pred, err
 }
 
 // Predict runs the model to convergence from the A1 initialization. The
@@ -451,11 +463,13 @@ func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction,
 }
 
 // PredictEach runs one prediction of cfg per estimator in ests
-// (cfg.Estimator is ignored) and returns them in the order of ests. See
-// Predictor.PredictEach.
+// (cfg.Estimator is ignored) on a pooled Predictor and returns them in the
+// order of ests. See Predictor.PredictEach.
 func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
-	var p Predictor
-	return p.PredictEach(ctx, cfg, ests...)
+	p := predictors.Get().(*Predictor)
+	preds, err := p.PredictEach(ctx, cfg, ests...)
+	predictors.Put(p)
+	return preds, err
 }
 
 // PredictEach runs one prediction of cfg per estimator in ests

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"hadoop2perf/internal/cluster"
@@ -55,10 +57,10 @@ func TestLaneWindowsSizedByTasks(t *testing.T) {
 	}
 }
 
-// A reused Predictor must produce bit-identical results to one-shot
-// Predict calls, across shape changes (different task counts) in either
-// direction — scratch reuse must never leak state between predictions.
-func TestPredictorReuseMatchesFresh(t *testing.T) {
+// reuseConfigs are shapes of different task counts in either direction,
+// a repeat and all three estimators.
+func reuseConfigs(t *testing.T) []Config {
+	t.Helper()
 	shapes := []struct {
 		inputMB float64
 		block   float64
@@ -74,14 +76,24 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 		{2 * 1024, 128, 8, 6, 2, EstimatorTripathi},
 		{1024, 128, 4, 4, 1, EstimatorPaperLiteral},
 	}
-	p := NewPredictor()
+	cfgs := make([]Config, len(shapes))
 	for i, s := range shapes {
 		job, err := workload.NewJob(0, s.inputMB, s.block, s.reduces, workload.WordCount())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Spec: cluster.Default(s.nodes), Job: job, NumJobs: s.numJobs, Estimator: s.est}
-		fresh, err := Predict(cfg)
+		cfgs[i] = Config{Spec: cluster.Default(s.nodes), Job: job, NumJobs: s.numJobs, Estimator: s.est}
+	}
+	return cfgs
+}
+
+// A reused Predictor must produce bit-identical results to fresh ones,
+// across shape changes (different task counts) in either direction —
+// scratch reuse must never leak state between predictions.
+func TestPredictorReuseMatchesFresh(t *testing.T) {
+	p := NewPredictor()
+	for i, cfg := range reuseConfigs(t) {
+		fresh, err := NewPredictor().Predict(cfg)
 		if err != nil {
 			t.Fatalf("shape %d: fresh: %v", i, err)
 		}
@@ -89,19 +101,66 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %d: reused: %v", i, err)
 		}
-		if reused.ResponseTime != fresh.ResponseTime {
-			t.Errorf("shape %d: reused predictor diverged: %v != %v", i, reused.ResponseTime, fresh.ResponseTime)
-		}
-		if reused.Iterations != fresh.Iterations || reused.Converged != fresh.Converged {
-			t.Errorf("shape %d: iteration trace diverged: %d/%v vs %d/%v",
-				i, reused.Iterations, reused.Converged, fresh.Iterations, fresh.Converged)
-		}
-		for cls, v := range fresh.ClassResponse {
-			if reused.ClassResponse[cls] != v {
-				t.Errorf("shape %d: class %s response diverged", i, cls)
-			}
+		if d := samePrediction(reused, fresh); d != "" {
+			t.Errorf("shape %d: reused predictor diverged: %s", i, d)
 		}
 	}
+}
+
+// TestPooledPredictConcurrent solves the reuse shapes through the pooled
+// Predict and PredictEach from four goroutines at once, each in its own
+// order: every answer is a fresh Predictor's, bit for bit, and an answer
+// kept from the first pass is unchanged after its Predictor has gone back
+// to the pool and served others (a Prediction shares no memory with its
+// Predictor). CI runs it under -race.
+func TestPooledPredictConcurrent(t *testing.T) {
+	cfgs := reuseConfigs(t)
+	want := make([]Prediction, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if want[i], err = NewPredictor().Predict(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kept := make([]Prediction, len(cfgs))
+			for pass := range 2 {
+				for k := range cfgs {
+					i := (k + g) % len(cfgs)
+					var got Prediction
+					var err error
+					if (i+pass)%2 == 0 {
+						got, err = Predict(cfgs[i])
+					} else {
+						var each []Prediction
+						if each, err = PredictEach(context.Background(), cfgs[i], cfgs[i].Estimator); err == nil {
+							got = each[0]
+						}
+					}
+					if err != nil {
+						t.Errorf("goroutine %d, shape %d: %v", g, i, err)
+						return
+					}
+					if d := samePrediction(got, want[i]); d != "" {
+						t.Errorf("goroutine %d, pass %d, shape %d: %s", g, pass, i, d)
+					}
+					if pass == 0 {
+						kept[i] = got
+					}
+				}
+			}
+			for i := range kept {
+				if d := samePrediction(kept[i], want[i]); d != "" {
+					t.Errorf("goroutine %d, shape %d: kept answer changed: %s", g, i, d)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // A batch of configs solved in order on one Predictor, as a planner axis

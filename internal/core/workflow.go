@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
-	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/ptree"
 	"hadoop2perf/internal/timeline"
 	"hadoop2perf/internal/workflow"
@@ -67,71 +65,6 @@ type WorkflowPrediction struct {
 	Tree *ptree.Node
 }
 
-// specSig hashes the cluster fields that decide whether two stages contend
-// for the same hardware (the wave-population grouping key).
-func specSig(s *cluster.Spec) uint64 {
-	h := newSigHasher()
-	h.i(s.NumNodes)
-	h.i(s.NodeCapacity.MemoryMB)
-	h.i(s.NodeCapacity.VCores)
-	h.i(s.MapContainer.MemoryMB)
-	h.i(s.MapContainer.VCores)
-	h.i(s.ReduceContainer.MemoryMB)
-	h.i(s.ReduceContainer.VCores)
-	h.i(s.CPUPerNode)
-	h.i(s.DiskPerNode)
-	h.f64(s.DiskMBps)
-	h.f64(s.NetworkMBps)
-	h.i(len(s.Classes))
-	for _, c := range s.Classes {
-		h.str(c.Name)
-		h.i(c.Count)
-		h.i(c.Capacity.MemoryMB)
-		h.i(c.Capacity.VCores)
-		h.i(c.CPUs)
-		h.i(c.Disks)
-		h.f64(c.DiskMBps)
-		h.f64(c.NetworkMBps)
-		h.f64(c.Speed)
-		h.b(c.Preemptible)
-		h.f64(c.RevocationRate)
-		h.f64(c.Price)
-	}
-	return h.sum
-}
-
-// sigHasher is a minimal FNV-1a accumulator for specSig.
-type sigHasher struct{ sum uint64 }
-
-func newSigHasher() sigHasher { return sigHasher{sum: 14695981039346656037} }
-
-func (h *sigHasher) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.sum ^= v & 0xff
-		h.sum *= 1099511628211
-		v >>= 8
-	}
-}
-
-func (h *sigHasher) f64(v float64) { h.u64(math.Float64bits(v)) }
-func (h *sigHasher) i(v int)       { h.u64(uint64(int64(v))) }
-
-func (h *sigHasher) b(v bool) {
-	if v {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-}
-
-func (h *sigHasher) str(s string) {
-	h.i(len(s))
-	for i := 0; i < len(s); i++ {
-		h.sum ^= uint64(s[i])
-		h.sum *= 1099511628211
-	}
-}
-
 // WorkflowConcurrency returns each stage's effective closed-network
 // population: stages sharing a wave contend only when they run on the same
 // cluster (equal specs), so a stage with stage-local sizing keeps
@@ -141,17 +74,16 @@ func WorkflowConcurrency(dag *workflow.DAG, cfgs []Config) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigs := make([]uint64, len(cfgs))
-	for i := range cfgs {
-		sigs[i] = specSig(&cfgs[i].Spec)
-	}
-	return workflow.Concurrency(waves, func(i, j int) bool { return sigs[i] == sigs[j] }), nil
+	return workflow.Concurrency(waves, func(i, j int) bool { return cfgs[i].Spec.Equal(cfgs[j].Spec) }), nil
 }
 
-// PredictWorkflow evaluates a workflow DAG with a fresh Predictor (see
+// PredictWorkflow evaluates a workflow DAG on a pooled Predictor (see
 // Predictor.PredictWorkflowContext).
 func PredictWorkflow(dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, error) {
-	return NewPredictor().PredictWorkflowContext(context.Background(), dag, cfgs)
+	p := predictors.Get().(*Predictor)
+	wp, err := p.PredictWorkflowContext(context.Background(), dag, cfgs)
+	predictors.Put(p)
+	return wp, err
 }
 
 // PredictWorkflowContext evaluates every stage of the DAG on this

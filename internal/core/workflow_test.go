@@ -212,6 +212,42 @@ func TestWorkflowStageLocalClustersDoNotContend(t *testing.T) {
 	}
 }
 
+// TestWorkflowConcurrencyComparesClasses gives the middle stages of a
+// diamond two-class clusters built separately: identical specs contend
+// (population 2), and specs differing only in one class's speed do not.
+func TestWorkflowConcurrencyComparesClasses(t *testing.T) {
+	dag := &workflow.DAG{
+		Stages: []string{"src", "left", "right", "join"},
+		Edges: []workflow.Edge{
+			{From: "src", To: "left"}, {From: "src", To: "right"},
+			{From: "left", To: "join"}, {From: "right", To: "join"},
+		},
+	}
+	twoClass := func(fastSpeed float64) cluster.Spec {
+		s := cluster.Default(0)
+		s.Classes = []cluster.NodeClass{
+			{Name: "fast", Count: 2, Capacity: s.NodeCapacity, CPUs: 6, Disks: 1, DiskMBps: 240, NetworkMBps: 110, Speed: fastSpeed},
+			{Name: "slow", Count: 2, Capacity: s.NodeCapacity, CPUs: 6, Disks: 1, DiskMBps: 240, NetworkMBps: 110},
+		}
+		return s
+	}
+	cfgs := wfConfigs(t, cluster.Default(4), 4)
+	cfgs[1].Spec = twoClass(1.5)
+	for _, c := range []struct {
+		right float64
+		want  int
+	}{{1.5, 2}, {2, 1}} {
+		cfgs[2].Spec = twoClass(c.right)
+		conc, err := WorkflowConcurrency(dag, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if conc[1] != c.want || conc[2] != c.want {
+			t.Errorf("fast speeds 1.5 and %g: concurrency %v, want %d for the middle stages", c.right, conc, c.want)
+		}
+	}
+}
+
 // TestWorkflowSimModelAgreement is the workflow-level instance of the
 // paper's §5 validation loop: the analytic critical-path composition must
 // track the discrete-event simulator's dependent-job makespan for chain

@@ -80,10 +80,9 @@ type flightCall struct {
 type outcome uint8
 
 const (
-	computed outcome = iota // this call computed the value and stored it
-	hit                     // a live entry, or the stored result of a call it joined
+	computed outcome = iota // this call computed the value (stored if compute kept it)
+	hit                     // a live entry, or the result of a call it joined
 	staleHit                // an expired entry served under saturation
-	uncached                // a value its compute marked not cacheable
 )
 
 // errComputePanicked is what the waiters of a panicking computation get.
@@ -137,7 +136,7 @@ func (t *resultTable) do(ctx context.Context, key string, compute func() (any, b
 			v, how, c, lead = t.claim(s, key) // the leader died of its own cancellation, not ours
 			continue
 		}
-		return c.result(hit)
+		return c.val, hit, c.err
 	}
 	return v, how, nil
 }
@@ -177,18 +176,7 @@ func (s *tableShard) lead(key string, c *flightCall, compute func() (any, bool, 
 	c.err = errComputePanicked
 	defer s.publish(key, c)
 	c.val, c.keep, c.err = compute()
-	return c.result(computed)
-}
-
-// result is a finished call's answer, reading a stored value as stored.
-func (c *flightCall) result(stored outcome) (any, outcome, error) {
-	switch {
-	case c.err != nil:
-		return nil, stored, c.err
-	case !c.keep:
-		return c.val, uncached, nil
-	}
-	return c.val, stored, nil
+	return c.val, computed, c.err
 }
 
 // publish completes a call under one lock acquisition: it stores a

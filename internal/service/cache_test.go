@@ -74,8 +74,8 @@ func TestPanickingComputeDoesNotWedgeKey(t *testing.T) {
 }
 
 // TestUncacheableResultIsShared: a value its compute marks not cacheable
-// reaches the leader and every waiter as uncached, and the next call
-// computes again.
+// reaches the leader as computed and every waiter as a hit on the shared
+// call, nothing is stored, and the next call computes again.
 func TestUncacheableResultIsShared(t *testing.T) {
 	tab := newResultTable(cacheShards, 0)
 	started := make(chan struct{})
@@ -102,8 +102,8 @@ func TestUncacheableResultIsShared(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the waiter join the call
 	close(release)
 	wg.Wait()
-	if leaderHow != uncached || waiterHow != uncached || waiterVal != "degraded" {
-		t.Errorf("leader %v, waiter %v %v; want both uncached with the leader's value", leaderHow, waiterVal, waiterHow)
+	if leaderHow != computed || waiterHow != hit || waiterVal != "degraded" {
+		t.Errorf("leader %v, waiter %v %v; want computed, and a hit with the leader's value", leaderHow, waiterVal, waiterHow)
 	}
 	if n := tab.len(); n != 0 {
 		t.Errorf("uncacheable value stored: %d entries", n)

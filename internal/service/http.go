@@ -368,19 +368,15 @@ func traceMiddleware(s *Service, cfg ServerConfig, next http.Handler) http.Handl
 			"status", tw.status,
 			"durationMs", float64(d.Microseconds()) / 1e3,
 		}
-		snap := tw.trace.Snapshot()
-		// The trace's request-scoped counters (cache hit/miss, model
-		// iteration counts) ride the same line, in a fixed order.
-		for _, k := range []string{
-			"cacheHits", "cacheMisses", "predicts",
-			"outerIterations", "innerIterations", "cells", "reusedRounds", "rebuiltRounds",
-			"planCandidates",
-		} {
-			if v, ok := snap.Counts[k]; ok {
-				attrs = append(attrs, k, v)
+		// The trace's nonzero request-scoped counters (cache hit/miss,
+		// model iteration counts) ride the same line, in obs.Counter order.
+		for c := range obs.NumCounters {
+			if v := tw.trace.Counter(c); v != 0 {
+				attrs = append(attrs, c.String(), v)
 			}
 		}
 		if d >= cfg.SlowRequestThreshold {
+			snap := tw.trace.Snapshot()
 			stages := make(map[string]float64, len(snap.Stages))
 			for name, st := range snap.Stages {
 				stages[name] = st.Seconds
@@ -392,11 +388,6 @@ func traceMiddleware(s *Service, cfg ServerConfig, next http.Handler) http.Handl
 		cfg.AccessLog.Info("request", attrs...)
 	})
 }
-
-// validationError marks client mistakes (HTTP 400, vs. 500 for the rest).
-type validationError struct{ err error }
-
-func (e validationError) Error() string { return e.err.Error() }
 
 // recoverMiddleware isolates handler panics: one poisoned request logs the
 // stack and answers a structured 500 instead of tearing down the connection
@@ -445,7 +436,7 @@ func clientBudget(r *http.Request, req any) (time.Duration, error) {
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseFloat(h, 64)
 		if err != nil || ms <= 0 {
-			return 0, validationError{fmt.Errorf("%s: want a positive millisecond count, got %q", DeadlineHeader, h)}
+			return 0, invalid(fmt.Errorf("%s: want a positive millisecond count, got %q", DeadlineHeader, h))
 		}
 		return time.Duration(ms * float64(time.Millisecond)), nil
 	}
@@ -454,7 +445,7 @@ func clientBudget(r *http.Request, req any) (time.Duration, error) {
 		case sec > 0:
 			return time.Duration(sec * float64(time.Second)), nil
 		case sec < 0:
-			return 0, validationError{fmt.Errorf("timeoutSec must be positive, got %g", sec)}
+			return 0, invalid(fmt.Errorf("timeoutSec must be positive, got %g", sec))
 		}
 	}
 	return 0, nil
@@ -518,13 +509,12 @@ func jsonEndpoint[Req any](s *Service, cfg ServerConfig, class admit.Class, hand
 			// to 400; anything the engine failed at after accepting the
 			// request is a genuine 500 so monitoring sees it.
 			status := http.StatusInternalServerError
-			var verr validationError
 			switch {
 			case errors.Is(err, context.DeadlineExceeded):
 				status = http.StatusGatewayTimeout
 			case errors.Is(err, context.Canceled):
 				status = 499 // client closed request
-			case errors.As(err, &verr), IsInvalidRequest(err):
+			case IsInvalidRequest(err):
 				status = http.StatusBadRequest
 			}
 			writeError(w, r, status, err)
@@ -685,14 +675,14 @@ func (c clusterWire) spec() (cluster.Spec, error) {
 	}
 	if len(c.Classes) > 0 {
 		if c.Nodes > 0 {
-			return cluster.Spec{}, validationError{errors.New("cluster.nodes and cluster.classes are mutually exclusive")}
+			return cluster.Spec{}, invalid(errors.New("cluster.nodes and cluster.classes are mutually exclusive"))
 		}
 		spec := cluster.Default(0)
 		spec.Classes = c.Classes
 		return spec, nil
 	}
 	if c.Nodes <= 0 {
-		return cluster.Spec{}, validationError{errors.New("cluster.nodes must be positive (or supply cluster.classes or cluster.custom)")}
+		return cluster.Spec{}, invalid(errors.New("cluster.nodes must be positive (or supply cluster.classes or cluster.custom)"))
 	}
 	return cluster.Default(c.Nodes), nil
 }
@@ -718,7 +708,7 @@ func (j jobWire) job() (workload.Job, error) {
 	case j.Profile == "terasort":
 		prof = workload.TeraSort()
 	default:
-		return workload.Job{}, validationError{fmt.Errorf("unknown profile %q (want wordcount, grep or terasort)", j.Profile)}
+		return workload.Job{}, invalid(fmt.Errorf("unknown profile %q (want wordcount, grep or terasort)", j.Profile))
 	}
 	block := j.BlockSizeMB
 	if block <= 0 {
@@ -730,7 +720,7 @@ func (j jobWire) job() (workload.Job, error) {
 	}
 	job, err := workload.NewJob(0, j.InputMB, block, reduces, prof)
 	if err != nil {
-		return workload.Job{}, validationError{err}
+		return workload.Job{}, invalid(err)
 	}
 	return job, nil
 }
@@ -806,13 +796,13 @@ func (w *workflowWire) toWorkflow() (*Workflow, error) {
 	for _, st := range w.Stages {
 		job, err := st.Job.job()
 		if err != nil {
-			return nil, validationError{fmt.Errorf("workflow stage %q: %w", st.Name, err)}
+			return nil, invalid(fmt.Errorf("workflow stage %q: %w", st.Name, err))
 		}
 		stage := WorkflowStage{Name: st.Name, Job: job, Profile: st.Profile}
 		if st.Cluster != nil {
 			spec, err := st.Cluster.spec()
 			if err != nil {
-				return nil, validationError{fmt.Errorf("workflow stage %q: %w", st.Name, err)}
+				return nil, invalid(fmt.Errorf("workflow stage %q: %w", st.Name, err))
 			}
 			stage.Spec = &spec
 		}
@@ -864,7 +854,7 @@ type simulateWire struct {
 
 func (sw simulateWire) toRequest() (SimulateRequest, error) {
 	if sw.Profile != "" {
-		return SimulateRequest{}, validationError{errors.New("calibrated profiles seed the analytic model; /v1/simulate executes the job's workload profile directly")}
+		return SimulateRequest{}, invalid(errors.New("calibrated profiles seed the analytic model; /v1/simulate executes the job's workload profile directly"))
 	}
 	spec, err := sw.Cluster.spec()
 	if err != nil {
@@ -880,7 +870,7 @@ func (sw simulateWire) toRequest() (SimulateRequest, error) {
 	}
 	// Bound before allocating: numJobs comes off the wire.
 	if n > MaxSimJobs {
-		return SimulateRequest{}, validationError{fmt.Errorf("numJobs %d exceeds limit %d", n, MaxSimJobs)}
+		return SimulateRequest{}, invalid(fmt.Errorf("numJobs %d exceeds limit %d", n, MaxSimJobs))
 	}
 	jobs := make([]workload.Job, n)
 	for i := range jobs {
@@ -1025,14 +1015,14 @@ type calibrateWire struct {
 
 func (c calibrateWire) toRequest() (CalibrateRequest, error) {
 	if len(c.Trace) == 0 {
-		return CalibrateRequest{}, validationError{errors.New("calibrate needs a trace document")}
+		return CalibrateRequest{}, invalid(errors.New("calibrate needs a trace document"))
 	}
 	res, err := trace.Read(bytes.NewReader(c.Trace))
 	if err != nil {
-		return CalibrateRequest{}, validationError{err}
+		return CalibrateRequest{}, invalid(err)
 	}
 	if c.TTLSec < 0 {
-		return CalibrateRequest{}, validationError{errors.New("ttlSec must be nonnegative")}
+		return CalibrateRequest{}, invalid(errors.New("ttlSec must be nonnegative"))
 	}
 	return CalibrateRequest{
 		Name:   c.Name,

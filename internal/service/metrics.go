@@ -42,17 +42,17 @@ func writePrometheus(w io.Writer, m Metrics) error {
 		{"mrserved_requests_total", "", "", `kind="plan"`, float64(m.PlanRequests)},
 		{"mrserved_requests_total", "", "", `kind="calibrate"`, float64(m.CalibrateRequests)},
 		{"mrserved_cache_hits_total", "Requests served without computing (LRU hit or shared in-flight result).", "counter", "", float64(m.CacheHits)},
-		{"mrserved_cache_misses_total", "Requests that ran a fresh computation.", "counter", "", float64(m.CacheMisses)},
+		{"mrserved_cache_misses_total", "Requests that ran a fresh computation, whether or not its answer was stored.", "counter", "", float64(m.CacheMisses)},
 		{"mrserved_cache_entries", "Current LRU cache population.", "gauge", "", float64(m.CacheEntries)},
 		{"mrserved_inflight_sims", "Simulator executions running right now (in-flight workers).", "gauge", "", float64(m.InFlightSims)},
 		{"mrserved_sim_runs_total", "Completed simulator executions.", "counter", "", float64(m.SimRuns)},
 		{"mrserved_sim_faults_injected_total", "Node failures (including preemptible revocations) injected across the seeded repetitions of completed simulator executions.", "counter", "", float64(m.SimFaultsInjected)},
 		{"mrserved_sim_tasks_reexecuted_total", "Task attempts re-enqueued after node loss plus speculative backups launched, across completed simulator executions.", "counter", "", float64(m.SimTasksReexecuted)},
 		{"mrserved_profiles_active", "Live (unexpired) calibrated profiles in the registry.", "gauge", "", float64(m.ProfilesActive)},
-		{"mrserved_model_iterations_total", "Model fixed-point iterations spent by computed predictions, by loop (outer damped rounds vs inner MVA sweeps).", "counter", `loop="outer"`, float64(m.ModelOuterIterations)},
+		{"mrserved_model_iterations_total", "Model fixed-point iterations spent by computed model solves (predictions and compares), by loop (outer damped rounds vs inner MVA sweeps).", "counter", `loop="outer"`, float64(m.ModelOuterIterations)},
 		{"mrserved_model_iterations_total", "", "", `loop="inner"`, float64(m.ModelInnerIterations)},
 		{"mrserved_model_reused_rounds_total", "Outer model rounds that re-timed the first round's placement and reused its tree and demand rows.", "counter", "", float64(m.ModelReusedRounds)},
-		{"mrserved_model_unconverged_total", "Computed predictions that stopped at the outer iteration cap before converging; served, never cached.", "counter", "", float64(m.ModelUnconverged)},
+		{"mrserved_model_unconverged_total", "Computed estimator answers (one per prediction, two per compare) that stopped at the outer iteration cap before converging; served, never cached.", "counter", "", float64(m.ModelUnconverged)},
 		{"mrserved_workflow_requests_total", "Predict/plan requests that carried a workflow block (also counted in their kind).", "counter", "", float64(m.WorkflowRequests)},
 		{"mrserved_admission_queued_cost", "Outstanding admitted cost units (queued + executing) in the admission controller.", "gauge", "", float64(m.Admission.QueuedCost)},
 		{"mrserved_admission_queue_limit", "Admission bound in cost units; reaching it sheds with queue_full.", "gauge", "", float64(m.Admission.MaxQueueCost)},

@@ -469,7 +469,7 @@ func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, erro
 		}(&cands[k], &units[k%len(units)])
 	}
 	wg.Wait()
-	obs.FromContext(ctx).AddCounter(obs.CounterPlanCandidates, int64(len(cands)))
+	s.count(obs.FromContext(ctx), obs.CounterPlanCandidates, int64(len(cands)))
 
 	resp := PlanResponse{Candidates: cands, Strategy: StrategyGrid}
 	finalizePlan(&resp, &req)

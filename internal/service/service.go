@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -194,7 +193,8 @@ type Metrics struct {
 	PlanRequests      int64 `json:"planRequests"`      // see PredictRequests
 	CalibrateRequests int64 `json:"calibrateRequests"` // see PredictRequests
 	// CacheHits counts requests served without computing (a stored result
-	// or a shared in-flight one); CacheMisses counts actual computations.
+	// or a shared in-flight one); CacheMisses counts actual computations,
+	// an answer that was served but not stored among them.
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"` // see CacheHits
 	// HitRate is CacheHits / (CacheHits + CacheMisses), 0 when idle.
@@ -209,17 +209,19 @@ type Metrics struct {
 	// profiles in the registry.
 	ProfilesActive int `json:"profilesActive"`
 	// ModelOuterIterations accumulates the outer damped rounds of every
-	// computed (non-cached) model prediction; ModelInnerIterations the inner
-	// MVA fixed-point sweeps. Together with CacheMisses they make the
-	// convergence cost of production traffic observable.
+	// computed (non-cached) model solve, predict and compare alike;
+	// ModelInnerIterations the inner MVA fixed-point sweeps. A compare
+	// solves both estimators in one loop and counts it once. Together with
+	// CacheMisses they make the convergence cost of production traffic
+	// observable.
 	ModelOuterIterations int64 `json:"modelOuterIterations"`
 	ModelInnerIterations int64 `json:"modelInnerIterations"` // see ModelOuterIterations
 	// ModelReusedRounds counts the outer rounds among ModelOuterIterations
 	// that rebuilt none of their structure (core.Prediction.ReusedRounds).
 	ModelReusedRounds int64 `json:"modelReusedRounds"`
-	// ModelUnconverged counts computed predictions that stopped at the
-	// outer iteration cap before their ε-test passed. Such an answer is
-	// served but never cached.
+	// ModelUnconverged counts computed estimator answers (one per predict,
+	// two per compare) that stopped at the outer iteration cap before their
+	// ε-test passed. Such an answer is served but never cached.
 	ModelUnconverged int64 `json:"modelUnconverged"`
 	// WorkflowRequests counts predict/plan requests that carried a workflow
 	// block (also included in PredictRequests/PlanRequests).
@@ -267,10 +269,6 @@ type Service struct {
 	// profiles is the versioned registry of calibrated (trace-fitted)
 	// per-class profiles referenced by request Profile fields.
 	profiles *profileRegistry
-	// predictors recycles allocation-lean model evaluators across requests:
-	// each worker borrows one for the duration of a model run, so steady
-	// traffic stops allocating the O(T²) overlap scaffolding per request.
-	predictors sync.Pool
 	// reqHist holds the per-kind request-latency histograms backing the
 	// mrserved_request_duration_seconds family, indexed by the kind
 	// constants (aligned with RequestKinds); stageHist the per-stage
@@ -284,18 +282,17 @@ type Service struct {
 	admission *admit.Controller
 	breaker   *admit.Breaker
 
+	// counts totals every request's obs counters (see count), indexed by
+	// obs.Counter.
+	counts [obs.NumCounters]atomic.Int64
+
 	predictReqs   atomic.Int64
 	simulateReqs  atomic.Int64
 	compareReqs   atomic.Int64
 	planReqs      atomic.Int64
 	calibrateReqs atomic.Int64
-	hits          atomic.Int64
-	misses        atomic.Int64
 	inFlightSims  atomic.Int64
 	simRuns       atomic.Int64
-	outerIters    atomic.Int64
-	innerIters    atomic.Int64
-	reusedRounds  atomic.Int64
 	unconverged   atomic.Int64
 	simFaults     atomic.Int64
 	simReexec     atomic.Int64
@@ -338,10 +335,9 @@ func RequestKinds() []string {
 func New(opts Options) *Service {
 	opts.applyDefaults()
 	s := &Service{
-		opts:       opts,
-		results:    newResultTable(opts.CacheSize, opts.CacheTTL),
-		profiles:   newProfileRegistry(opts.MaxProfiles, opts.ProfileTTL),
-		predictors: sync.Pool{New: func() any { return core.NewPredictor() }},
+		opts:     opts,
+		results:  newResultTable(opts.CacheSize, opts.CacheTTL),
+		profiles: newProfileRegistry(opts.MaxProfiles, opts.ProfileTTL),
 		admission: admit.NewController(admit.Config{
 			Capacity:     opts.Workers,
 			MaxQueueCost: opts.AdmitMaxQueueCost,
@@ -384,6 +380,13 @@ func (s *Service) endSpan(tr *obs.Trace, stage obs.Stage, start time.Time) {
 	s.stageHist[stage].Observe(d.Seconds())
 }
 
+// count adds n to counter c of the request's trace and of the service
+// totals that /v1/metrics reports.
+func (s *Service) count(tr *obs.Trace, c obs.Counter, n int64) {
+	s.counts[c].Add(n)
+	tr.AddCounter(c, n)
+}
+
 // Metrics returns a snapshot of the service counters.
 func (s *Service) Metrics() Metrics {
 	m := Metrics{
@@ -392,17 +395,17 @@ func (s *Service) Metrics() Metrics {
 		CompareRequests:   s.compareReqs.Load(),
 		PlanRequests:      s.planReqs.Load(),
 		CalibrateRequests: s.calibrateReqs.Load(),
-		CacheHits:         s.hits.Load(),
-		CacheMisses:       s.misses.Load(),
+		CacheHits:         s.counts[obs.CounterCacheHits].Load(),
+		CacheMisses:       s.counts[obs.CounterCacheMisses].Load(),
 		InFlightSims:      s.inFlightSims.Load(),
 		SimRuns:           s.simRuns.Load(),
 		CacheEntries:      s.results.len(),
 		ProfilesActive:    s.profiles.liveCount(),
 
-		ModelOuterIterations: s.outerIters.Load(),
-		ModelReusedRounds:    s.reusedRounds.Load(),
+		ModelOuterIterations: s.counts[obs.CounterOuterIterations].Load(),
+		ModelReusedRounds:    s.counts[obs.CounterReusedRounds].Load(),
 		ModelUnconverged:     s.unconverged.Load(),
-		ModelInnerIterations: s.innerIters.Load(),
+		ModelInnerIterations: s.counts[obs.CounterInnerIterations].Load(),
 		WorkflowRequests:     s.workflowReqs.Load(),
 		SimFaultsInjected:    s.simFaults.Load(),
 		SimTasksReexecuted:   s.simReexec.Load(),
@@ -460,8 +463,8 @@ var errBreakerOpen = errors.New("service: simulator circuit breaker open")
 
 // cachedCompute serves one request through the result table (see
 // resultTable.do) and counts how: a live entry, an expired one served under
-// saturation (stale) and a shared in-flight result are hits; a computed and
-// stored value is a miss; a value compute marked not cacheable is neither.
+// saturation (stale) and a shared in-flight result are hits; a computed
+// value is a miss, whether or not compute marked it cacheable.
 // compute takes its own worker slot (acquire, then s.admission.Release) so
 // that a hit never waits for one and uninterruptible work can keep its slot
 // past a caller's cancellation.
@@ -471,18 +474,15 @@ func (s *Service) cachedCompute(ctx context.Context, key string, compute func() 
 		return nil, false, false, err
 	}
 	tr := obs.FromContext(ctx)
-	switch how {
-	case computed:
-		s.misses.Add(1)
-		tr.AddCounter(obs.CounterCacheMisses, 1)
-	case staleHit:
-		s.staleServed.Add(1)
-		fallthrough
-	case hit:
-		s.hits.Add(1)
-		tr.AddCounter(obs.CounterCacheHits, 1)
+	if how == computed {
+		s.count(tr, obs.CounterCacheMisses, 1)
+		return v, false, false, nil
 	}
-	return v, how == hit || how == staleHit, how == staleHit, nil
+	if how == staleHit {
+		s.staleServed.Add(1)
+	}
+	s.count(tr, obs.CounterCacheHits, 1)
+	return v, true, how == staleHit, nil
 }
 
 // PredictRequest asks for one analytic model evaluation.
@@ -619,34 +619,12 @@ func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictRespo
 		return PredictResponse{}, err
 	}
 	v, cached, stale, err := s.cachedCompute(ctx, predictKey(req), func() (any, bool, error) {
-		if err := s.acquire(ctx); err != nil {
-			return nil, false, err
-		}
-		defer s.admission.Release()
 		cfg := req.config()
-		cfg.MaxIterations = s.maxIterations
-		tr := obs.FromContext(ctx)
-		solveStart := time.Now()
-		p := s.predictors.Get().(*core.Predictor)
-		pred, err := p.PredictContext(ctx, cfg)
-		s.predictors.Put(p)
-		s.endSpan(tr, obs.StageModelSolve, solveStart)
+		preds, converged, err := s.solve(ctx, cfg, cfg.Estimator)
 		if err != nil {
 			return nil, false, err
 		}
-		s.outerIters.Add(int64(pred.Iterations))
-		s.innerIters.Add(int64(pred.InnerIterations))
-		s.reusedRounds.Add(int64(pred.ReusedRounds))
-		if !pred.Converged {
-			s.unconverged.Add(1)
-		}
-		tr.AddCounter(obs.CounterPredicts, 1)
-		tr.AddCounter(obs.CounterOuterIterations, int64(pred.Iterations))
-		tr.AddCounter(obs.CounterInnerIterations, int64(pred.InnerIterations))
-		tr.AddCounter(obs.CounterCells, int64(pred.Cells))
-		tr.AddCounter(obs.CounterReusedRounds, int64(pred.ReusedRounds))
-		tr.AddCounter(obs.CounterRebuiltRounds, int64(pred.RebuiltRounds))
-		return pred, pred.Converged, nil
+		return preds[0], converged, nil
 	})
 	if err != nil {
 		return PredictResponse{}, err
@@ -657,6 +635,47 @@ func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictRespo
 		out.ProfileVersion = req.resolved.info.Version
 	}
 	return out, nil
+}
+
+// solve is the service's one way into the model: it solves cfg once for
+// every estimator in ests (core.PredictEach, on core's pooled Predictors)
+// under a worker slot, capped by the maxIterations seam, as the request's
+// model_solve span. The estimators share one outer loop, so the solve's
+// rounds are counted once, from the estimator that stopped last; each
+// estimator answer that stopped unconverged counts in ModelUnconverged.
+// converged reports whether every answer passed its ε-test: the caller
+// serves an unconverged answer but must not cache it.
+func (s *Service) solve(ctx context.Context, cfg core.Config, ests ...core.Estimator) (preds []core.Prediction, converged bool, err error) {
+	if err := s.acquire(ctx); err != nil {
+		return nil, false, err
+	}
+	defer s.admission.Release()
+	cfg.MaxIterations = s.maxIterations
+	tr := obs.FromContext(ctx)
+	start := time.Now()
+	preds, err = core.PredictEach(ctx, cfg, ests...)
+	s.endSpan(tr, obs.StageModelSolve, start)
+	if err != nil {
+		return nil, false, err
+	}
+	last, converged := &preds[0], true
+	for i := range preds {
+		p := &preds[i]
+		if p.Iterations > last.Iterations {
+			last = p
+		}
+		if !p.Converged {
+			converged = false
+			s.unconverged.Add(1)
+		}
+	}
+	s.count(tr, obs.CounterPredicts, 1)
+	s.count(tr, obs.CounterOuterIterations, int64(last.Iterations))
+	s.count(tr, obs.CounterInnerIterations, int64(last.InnerIterations))
+	s.count(tr, obs.CounterCells, int64(last.Cells))
+	s.count(tr, obs.CounterReusedRounds, int64(last.ReusedRounds))
+	s.count(tr, obs.CounterRebuiltRounds, int64(last.RebuiltRounds))
+	return preds, converged, nil
 }
 
 // SimulateRequest asks for a median-of-seeds simulator execution.
@@ -961,10 +980,11 @@ func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareRespo
 		return CompareResponse{}, err
 	}
 	v, cached, stale, err := s.cachedCompute(ctx, compareKey(req), func() (any, bool, error) {
-		resp, err := s.runCompare(ctx, req)
+		resp, converged, err := s.runCompare(ctx, req)
 		// A degraded comparison is served but not cached: the next one
 		// after the breaker closes recomputes against a real simulation.
-		return resp, !resp.Degraded, err
+		// Nor is one whose model side stopped before its ε-test passed.
+		return resp, converged && !resp.Degraded, err
 	})
 	if err != nil {
 		return CompareResponse{}, err
@@ -978,7 +998,9 @@ func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareRespo
 	return out, nil
 }
 
-func (s *Service) runCompare(ctx context.Context, req CompareRequest) (CompareResponse, error) {
+// runCompare computes one comparison; converged reports whether both
+// model answers passed their ε-test.
+func (s *Service) runCompare(ctx context.Context, req CompareRequest) (_ CompareResponse, converged bool, _ error) {
 	jobs := make([]workload.Job, req.NumJobs)
 	for i := range jobs {
 		j := req.Job
@@ -997,27 +1019,21 @@ func (s *Service) runCompare(ctx context.Context, req CompareRequest) (CompareRe
 		Faults: req.Faults,
 	})
 	if err != nil {
-		return CompareResponse{}, err
+		return CompareResponse{}, false, err
 	}
-	res := sim.Result
-	if err := s.acquire(ctx); err != nil {
-		return CompareResponse{}, err
-	}
-	defer s.admission.Release()
 	cfg := core.Config{Spec: req.Spec, Job: req.Job, NumJobs: req.NumJobs, Faults: req.Faults}
 	if req.resolved != nil {
 		cfg.History = req.resolved.history
 	}
-	// Both estimators from one outer loop, on this pool worker: the pool
-	// owns the concurrency budget, so the solve spawns nothing.
-	solveStart := time.Now()
-	preds, err := core.PredictEach(ctx, cfg, core.EstimatorForkJoin, core.EstimatorTripathi)
-	s.endSpan(obs.FromContext(ctx), obs.StageModelSolve, solveStart)
+	// Both estimators from one outer loop, on one worker slot: the
+	// admission controller owns the concurrency budget, so the solve
+	// spawns nothing.
+	preds, converged, err := s.solve(ctx, cfg, core.EstimatorForkJoin, core.EstimatorTripathi)
 	if err != nil {
-		return CompareResponse{}, err
+		return CompareResponse{}, false, err
 	}
 	fj, tp := preds[0], preds[1]
-	measured := res.MeanResponse()
+	measured := sim.Result.MeanResponse()
 	return CompareResponse{
 		Simulated:   measured,
 		ForkJoin:    fj.ResponseTime,
@@ -1025,5 +1041,5 @@ func (s *Service) runCompare(ctx context.Context, req CompareRequest) (CompareRe
 		ForkJoinErr: stats.SignedRelError(fj.ResponseTime, measured),
 		TripathiErr: stats.SignedRelError(tp.ResponseTime, measured),
 		Degraded:    sim.Degraded,
-	}, nil
+	}, converged, nil
 }

@@ -63,7 +63,8 @@ func TestPredictCachesRepeatedRequests(t *testing.T) {
 // maxIterations seam: at fig11@6 (1 GB, 6 nodes, 4 jobs) the Tripathi solve
 // needs 23 outer rounds and fork/join 10, so a cap of 11 stops Tripathi
 // short. Its answer is served and counted but never stored, so asking twice
-// computes twice; the converged fork/join answer of the same point is
+// computes twice, and both computations count as cache misses; the
+// converged fork/join answer of the same point is
 // cached as before. A one-stage workflow capped at one round, which can
 // never pass the ε-test, is not cached either.
 func TestUnconvergedPredictNotCached(t *testing.T) {
@@ -82,8 +83,8 @@ func TestUnconvergedPredictNotCached(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.ModelUnconverged != 2 || m.ModelOuterIterations != 22 || m.CacheMisses != 0 || m.CacheEntries != 0 {
-		t.Errorf("metrics: %d unconverged, %d outer rounds, %d misses, %d entries; want 2, 22, 0, 0",
+	if m.ModelUnconverged != 2 || m.ModelOuterIterations != 22 || m.CacheMisses != 2 || m.CacheEntries != 0 {
+		t.Errorf("metrics: %d unconverged, %d outer rounds, %d misses, %d entries; want 2, 22, 2, 0",
 			m.ModelUnconverged, m.ModelOuterIterations, m.CacheMisses, m.CacheEntries)
 	}
 
@@ -119,6 +120,53 @@ func TestUnconvergedPredictNotCached(t *testing.T) {
 	}
 	if m := s.Metrics(); m.ModelUnconverged != 2 || m.CacheEntries != 0 {
 		t.Errorf("workflow: %d unconverged, %d entries; want 2, 0", m.ModelUnconverged, m.CacheEntries)
+	}
+}
+
+// TestUnconvergedCompareNotCached holds /v1/compare to predict's rule. At
+// fig11@6 (1 GB, 6 reducers, 6 nodes, 4 jobs) a cap of 11 rounds stops the
+// Tripathi side of the joint solve short, so both asks compute: each counts
+// one unconverged answer and the loop's 11 outer rounds once, and only the
+// inner simulation is stored (the second ask hits it). Uncapped, fork/join
+// stops at 10 rounds and Tripathi at 23, the solve counts 23, and the
+// second ask is served from the cache with the same bits.
+func TestUnconvergedCompareNotCached(t *testing.T) {
+	ctx := context.Background()
+	req := CompareRequest{Spec: cluster.Default(6), Job: testJob(t, 1024, 6), NumJobs: 4, Seed: 1, Reps: 1}
+	s := New(Options{Workers: 1, CacheSize: 8})
+	s.maxIterations = 11
+	for i := range 2 {
+		resp, err := s.Compare(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached {
+			t.Errorf("capped ask %d served from the cache", i+1)
+		}
+	}
+	m := s.Metrics()
+	if m.ModelUnconverged != 2 || m.ModelOuterIterations != 22 || m.CacheEntries != 1 || m.CacheHits != 1 || m.CacheMisses != 3 {
+		t.Errorf("capped: %d unconverged, %d outer rounds, %d entries, %d hits, %d misses; want 2, 22, 1, 1, 3",
+			m.ModelUnconverged, m.ModelOuterIterations, m.CacheEntries, m.CacheHits, m.CacheMisses)
+	}
+
+	s = New(Options{Workers: 1, CacheSize: 8})
+	for i, want := range []bool{false, true} {
+		resp, err := s.Compare(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached != want {
+			t.Errorf("uncapped ask %d: cached %v, want %v", i+1, resp.Cached, want)
+		}
+		if resp.Simulated != 68.22494054205251 || resp.ForkJoin != 51.030116816042394 || resp.Tripathi != 55.132292541956076 {
+			t.Errorf("uncapped ask %d: simulated %v, fork/join %v, Tripathi %v; want 68.22494054205251, 51.030116816042394, 55.132292541956076",
+				i+1, resp.Simulated, resp.ForkJoin, resp.Tripathi)
+		}
+	}
+	if m := s.Metrics(); m.ModelUnconverged != 0 || m.ModelOuterIterations != 23 || m.CacheEntries != 2 {
+		t.Errorf("uncapped: %d unconverged, %d outer rounds, %d entries; want 0, 23, 2",
+			m.ModelUnconverged, m.ModelOuterIterations, m.CacheEntries)
 	}
 }
 
