@@ -88,8 +88,8 @@ type (
 	Service = service.Service
 	// ServiceOptions configures a Service.
 	ServiceOptions = service.Options
-	// ServerConfig tunes the HTTP layer of NewServiceHandlerConfig:
-	// timeouts, body caps and access logging.
+	// ServerConfig tunes the HTTP layer of NewServiceHandlerConfig: the
+	// timeout and access logging.
 	ServerConfig = service.ServerConfig
 	// ServiceMetrics is a snapshot of service counters.
 	ServiceMetrics = service.Metrics
@@ -242,14 +242,17 @@ func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 // /v1/compare, /v1/plan, /v1/calibrate).
 // A zero timeout selects the per-kind defaults (10s for predict, 30s for
 // simulate/compare/plan/calibrate); clients may shrink a request's budget
-// with an X-Deadline-Ms header or a timeoutSec body field.
+// with an X-Deadline-Ms header. Admission decides from the route and that
+// header before any body byte is read, and the budget bounds the body
+// read too.
 func NewServiceHandler(s *Service, timeout time.Duration) http.Handler {
 	return service.NewHandler(s, service.ServerConfig{Timeout: timeout})
 }
 
 // NewServiceHandlerConfig is NewServiceHandler with full HTTP-layer tuning:
-// body caps, the access log and its slow-request threshold. Overload is
-// shed by the Service's admission controller (503 + Retry-After), not here.
+// the timeout, the access log and its slow-request threshold. Body caps
+// are fixed per route (1 MiB; 16 MiB for /v1/calibrate). Overload is shed
+// by the Service's admission controller (503 + Retry-After), not here.
 func NewServiceHandlerConfig(s *Service, cfg ServerConfig) http.Handler {
 	return service.NewHandler(s, cfg)
 }

@@ -125,18 +125,12 @@ func Compare(spec cluster.Spec, job workload.Job, numJobs int, seed int64, reps 
 		model <- solved{preds, err}
 	}()
 
-	jobs := make([]workload.Job, numJobs)
-	for i := range jobs {
-		j := job
-		j.ID = i
-		jobs[i] = j
-	}
 	pol := yarn.PolicyFIFO
 	if numJobs > 1 {
 		pol = yarn.PolicyFair
 	}
 	res, simErr := mrsim.RunMedianOfSeeds(mrsim.Config{
-		Spec: spec, Jobs: jobs, Seed: seed, Scheduler: pol,
+		Spec: spec, Jobs: job.Copies(numJobs), Seed: seed, Scheduler: pol,
 	}, reps)
 	m := <-model
 	if simErr != nil {

@@ -11,6 +11,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -115,12 +116,12 @@ func (c NodeClass) validate() error {
 		return fmt.Errorf("cluster: class %q: Capacity must be positive", c.Name)
 	case c.CPUs <= 0 || c.Disks <= 0:
 		return fmt.Errorf("cluster: class %q: CPUs and Disks must be positive", c.Name)
-	case c.DiskMBps <= 0 || c.NetworkMBps <= 0:
-		return fmt.Errorf("cluster: class %q: DiskMBps and NetworkMBps must be positive", c.Name)
-	case c.Speed < 0:
-		return fmt.Errorf("cluster: class %q: Speed must be nonnegative", c.Name)
-	case c.RevocationRate < 0:
-		return fmt.Errorf("cluster: class %q: RevocationRate must be nonnegative", c.Name)
+	case !(positiveFinite(c.DiskMBps) && positiveFinite(c.NetworkMBps)):
+		return fmt.Errorf("cluster: class %q: DiskMBps and NetworkMBps must be positive and finite", c.Name)
+	case !(c.Speed >= 0 && c.Speed <= math.MaxFloat64): // NaN fails both
+		return fmt.Errorf("cluster: class %q: Speed must be nonnegative and finite", c.Name)
+	case !(c.RevocationRate >= 0 && c.RevocationRate <= math.MaxFloat64):
+		return fmt.Errorf("cluster: class %q: RevocationRate must be nonnegative and finite", c.Name)
 	case c.RevocationRate > 0 && !c.Preemptible:
 		return fmt.Errorf("cluster: class %q: RevocationRate requires Preemptible", c.Name)
 	case !(c.Price >= 0 && c.Price <= MaxPrice): // NaN fails both
@@ -128,6 +129,9 @@ func (c NodeClass) validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports 0 < x < +Inf; NaN fails both comparisons.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // Spec is a cluster specification. Two forms round-trip through JSON:
 //
@@ -277,8 +281,8 @@ func (s Spec) Validate() error {
 		return errors.New("cluster: reduce container exceeds node capacity")
 	case s.CPUPerNode <= 0 || s.DiskPerNode <= 0:
 		return errors.New("cluster: CPUPerNode and DiskPerNode must be positive")
-	case s.DiskMBps <= 0 || s.NetworkMBps <= 0:
-		return errors.New("cluster: DiskMBps and NetworkMBps must be positive")
+	case !(positiveFinite(s.DiskMBps) && positiveFinite(s.NetworkMBps)):
+		return errors.New("cluster: DiskMBps and NetworkMBps must be positive and finite")
 	}
 	return nil
 }

@@ -135,6 +135,10 @@ func TestValidateRejections(t *testing.T) {
 		{"zero disks", func(s *Spec) { s.DiskPerNode = 0 }},
 		{"zero disk bw", func(s *Spec) { s.DiskMBps = 0 }},
 		{"zero net bw", func(s *Spec) { s.NetworkMBps = 0 }},
+		{"NaN disk bw", func(s *Spec) { s.DiskMBps = math.NaN() }},
+		{"infinite disk bw", func(s *Spec) { s.DiskMBps = math.Inf(1) }},
+		{"NaN net bw", func(s *Spec) { s.NetworkMBps = math.NaN() }},
+		{"infinite net bw", func(s *Spec) { s.NetworkMBps = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -275,7 +279,16 @@ func TestClassSpecValidateRejections(t *testing.T) {
 		{"zero disks", func(s *Spec) { s.Classes[0].Disks = 0 }},
 		{"zero disk bw", func(s *Spec) { s.Classes[1].DiskMBps = 0 }},
 		{"zero net bw", func(s *Spec) { s.Classes[1].NetworkMBps = 0 }},
+		{"NaN disk bw", func(s *Spec) { s.Classes[1].DiskMBps = math.NaN() }},
+		{"infinite disk bw", func(s *Spec) { s.Classes[1].DiskMBps = math.Inf(1) }},
+		{"NaN net bw", func(s *Spec) { s.Classes[0].NetworkMBps = math.NaN() }},
+		{"infinite net bw", func(s *Spec) { s.Classes[0].NetworkMBps = math.Inf(1) }},
 		{"negative speed", func(s *Spec) { s.Classes[0].Speed = -1 }},
+		{"NaN speed", func(s *Spec) { s.Classes[0].Speed = math.NaN() }},
+		{"infinite speed", func(s *Spec) { s.Classes[0].Speed = math.Inf(1) }},
+		{"negative revocation rate", func(s *Spec) { s.Classes[1].Preemptible, s.Classes[1].RevocationRate = true, -1 }},
+		{"NaN revocation rate", func(s *Spec) { s.Classes[1].Preemptible, s.Classes[1].RevocationRate = true, math.NaN() }},
+		{"infinite revocation rate", func(s *Spec) { s.Classes[1].Preemptible, s.Classes[1].RevocationRate = true, math.Inf(1) }},
 		{"negative price", func(s *Spec) { s.Classes[0].Price = -1 }},
 		{"price over MaxPrice", func(s *Spec) { s.Classes[1].Price = 1e308 }},
 		{"NaN price", func(s *Spec) { s.Classes[1].Price = math.NaN() }},

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -31,19 +32,13 @@ import (
 // ServerConfig tunes the HTTP layer.
 type ServerConfig struct {
 	// Timeout bounds one request's handling, including queueing for a pool
-	// slot. Zero (the default) selects per-kind budgets: 10s for the cheap
-	// model-backed predict and 30s for the expensive simulator/plan-backed
-	// endpoints (simulate, compare, plan, calibrate). A positive
-	// value applies uniformly to every kind. Either way a client-supplied
-	// budget — the X-Deadline-Ms header or the body's timeoutSec field —
-	// overrides the server default, clamped to 5 minutes.
+	// slot and reading its body. Zero (the default) selects per-kind
+	// budgets: 10s for the cheap model-backed predict and 30s for the
+	// expensive simulator/plan-backed endpoints (simulate, compare, plan,
+	// calibrate). A positive value applies uniformly to every kind. Either
+	// way a client's X-Deadline-Ms header overrides the server default,
+	// clamped to 5 minutes.
 	Timeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// CalibrateMaxBodyBytes bounds /v1/calibrate bodies separately (default
-	// 16 MiB): trace documents carry per-task records and outgrow the
-	// request-sized default long before they stop being reasonable inputs.
-	CalibrateMaxBodyBytes int64
 	// AccessLog, when non-nil, receives one structured line per handled
 	// request (request ID, method, path, status, duration, and the trace's
 	// cache/iteration counters) plus a Warn line with the full
@@ -67,9 +62,14 @@ const (
 	// cannot pin a worker slot indefinitely.
 	maxClientDeadline = 5 * time.Minute
 
-	defaultMaxBodyBytes          = 1 << 20
-	defaultCalibrateMaxBodyBytes = 16 << 20
-	defaultSlowRequestThreshold  = 10 * time.Second
+	// maxBodyBytes bounds request bodies; maxCalibrateBodyBytes bounds
+	// /v1/calibrate's, whose trace documents carry per-task records and
+	// outgrow the request-sized cap long before they stop being reasonable
+	// inputs.
+	maxBodyBytes          = 1 << 20
+	maxCalibrateBodyBytes = 16 << 20
+
+	defaultSlowRequestThreshold = 10 * time.Second
 )
 
 // RequestIDHeader is the header mrserved reads a caller-supplied request ID
@@ -79,11 +79,12 @@ const (
 // case-insensitive on the wire.
 const RequestIDHeader = "X-Request-Id"
 
-// DeadlineHeader carries a client-supplied handling budget in milliseconds.
-// It wins over the body's timeoutSec field and the server default, clamped
-// to maxClientDeadline; the budget rides the request context end to end
-// (pool queueing, cache, model, simulator) and activates the admission
-// controller's deadline-aware shedding.
+// DeadlineHeader carries a client-supplied handling budget in milliseconds,
+// the only client budget there is. It wins over the server default,
+// clamped to maxClientDeadline. Admission reads it before any body byte,
+// so it prices a request from its headers alone; the budget then bounds
+// the body read and rides the request context end to end (pool queueing,
+// cache, model, simulator).
 const DeadlineHeader = "X-Deadline-Ms"
 
 // Route patterns of the mrserved HTTP API, in registration order. NewHandler
@@ -124,12 +125,6 @@ func NewHandler(s *Service, cfg ServerConfig) http.Handler {
 // keeps its zero value: zero selects the per-kind defaults at endpoint
 // construction (see effectiveTimeout).
 func (cfg *ServerConfig) applyDefaults() {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
-	}
-	if cfg.CalibrateMaxBodyBytes <= 0 {
-		cfg.CalibrateMaxBodyBytes = defaultCalibrateMaxBodyBytes
-	}
 	if cfg.SlowRequestThreshold <= 0 {
 		cfg.SlowRequestThreshold = defaultSlowRequestThreshold
 	}
@@ -173,7 +168,7 @@ func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 	mux.HandleFunc(routeProfiles, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, r, http.StatusOK, profilesWire{Profiles: s.Profiles()})
 	})
-	mux.HandleFunc(routePredict, jsonEndpoint(s, cfg, admit.ClassCheap, func(ctx context.Context, req predictWire) (any, error) {
+	mux.HandleFunc(routePredict, jsonEndpoint(s, cfg, admit.ClassCheap, maxBodyBytes, func(ctx context.Context, req predictWire) (any, error) {
 		pr, err := req.toRequest()
 		if err != nil {
 			return nil, err
@@ -195,9 +190,7 @@ func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 			Workflow:        resp.Workflow,
 		}, nil
 	}))
-	calCfg := cfg
-	calCfg.MaxBodyBytes = cfg.CalibrateMaxBodyBytes
-	mux.HandleFunc(routeCalibrate, jsonEndpoint(s, calCfg, admit.ClassExpensive, func(ctx context.Context, req calibrateWire) (any, error) {
+	mux.HandleFunc(routeCalibrate, jsonEndpoint(s, cfg, admit.ClassExpensive, maxCalibrateBodyBytes, func(ctx context.Context, req calibrateWire) (any, error) {
 		cr, err := req.toRequest()
 		if err != nil {
 			return nil, err
@@ -211,7 +204,7 @@ func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 			Classes: classWire(resp.Classes),
 		}, nil
 	}))
-	mux.HandleFunc(routeSimulate, jsonEndpoint(s, cfg, admit.ClassExpensive, func(ctx context.Context, req simulateWire) (any, error) {
+	mux.HandleFunc(routeSimulate, jsonEndpoint(s, cfg, admit.ClassExpensive, maxBodyBytes, func(ctx context.Context, req simulateWire) (any, error) {
 		sr, err := req.toRequest()
 		if err != nil {
 			return nil, err
@@ -236,14 +229,14 @@ func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 		}
 		return out, nil
 	}))
-	mux.HandleFunc(routeCompare, jsonEndpoint(s, cfg, admit.ClassExpensive, func(ctx context.Context, req compareWire) (any, error) {
+	mux.HandleFunc(routeCompare, jsonEndpoint(s, cfg, admit.ClassExpensive, maxBodyBytes, func(ctx context.Context, req compareWire) (any, error) {
 		cr, err := req.toRequest()
 		if err != nil {
 			return nil, err
 		}
 		return s.Compare(ctx, cr)
 	}))
-	mux.HandleFunc(routePlan, jsonEndpoint(s, cfg, admit.ClassExpensive, func(ctx context.Context, req planWire) (any, error) {
+	mux.HandleFunc(routePlan, jsonEndpoint(s, cfg, admit.ClassExpensive, maxBodyBytes, func(ctx context.Context, req planWire) (any, error) {
 		pr, err := req.toRequest()
 		if err != nil {
 			return nil, err
@@ -417,78 +410,57 @@ func recoverMiddleware(cfg ServerConfig, next http.Handler) http.Handler {
 	})
 }
 
-// deadlineFields is embedded in every POST wire type: an optional
-// client-supplied handling budget in seconds, riding the body for clients
-// that cannot set headers. The X-Deadline-Ms header wins when both are set.
-type deadlineFields struct {
-	TimeoutSec float64 `json:"timeoutSec,omitempty"`
-}
-
-// clientTimeoutSec exposes the budget to jsonEndpoint through a plain
-// interface, keeping the generic code free of per-wire-type switches.
-func (d deadlineFields) clientTimeoutSec() float64 { return d.TimeoutSec }
-
-// clientBudget extracts the request's deadline budget: the X-Deadline-Ms
-// header when present (wins), else the body's timeoutSec field. Zero means
-// "no client budget" (the server default applies); negative or malformed
-// values are client errors.
-func clientBudget(r *http.Request, req any) (time.Duration, error) {
-	if h := r.Header.Get(DeadlineHeader); h != "" {
-		ms, err := strconv.ParseFloat(h, 64)
-		if err != nil || ms <= 0 {
-			return 0, invalid(fmt.Errorf("%s: want a positive millisecond count, got %q", DeadlineHeader, h))
-		}
-		return time.Duration(ms * float64(time.Millisecond)), nil
+// clientBudget reads the request's deadline budget from the X-Deadline-Ms
+// header, clamped to maxClientDeadline. Zero means "no client budget" (the
+// server default applies); a malformed, non-positive or NaN value is a
+// client error.
+func clientBudget(r *http.Request) (time.Duration, error) {
+	h := r.Header.Get(DeadlineHeader)
+	if h == "" {
+		return 0, nil
 	}
-	if cb, ok := req.(interface{ clientTimeoutSec() float64 }); ok {
-		switch sec := cb.clientTimeoutSec(); {
-		case sec > 0:
-			return time.Duration(sec * float64(time.Second)), nil
-		case sec < 0:
-			return 0, invalid(fmt.Errorf("timeoutSec must be positive, got %g", sec))
-		}
+	ms, err := strconv.ParseFloat(h, 64)
+	if err != nil || !(ms > 0) {
+		return 0, invalid(fmt.Errorf("%s: want a positive millisecond count, got %q", DeadlineHeader, h))
 	}
-	return 0, nil
+	if ms >= float64(maxClientDeadline/time.Millisecond) {
+		return maxClientDeadline, nil
+	}
+	return time.Duration(ms * float64(time.Millisecond)), nil
 }
 
 // effectiveTimeout resolves one request's handling budget: a client budget
-// wins (clamped to maxClientDeadline), then a configured uniform Timeout,
-// then the request class's default.
+// wins, then a configured uniform Timeout, then the request class's
+// default.
 func effectiveTimeout(cfg ServerConfig, class admit.Class, budget time.Duration) time.Duration {
-	if budget > 0 {
-		if budget > maxClientDeadline {
-			budget = maxClientDeadline
-		}
+	switch {
+	case budget > 0:
 		return budget
-	}
-	if cfg.Timeout > 0 {
+	case cfg.Timeout > 0:
 		return cfg.Timeout
-	}
-	if class == admit.ClassCheap {
+	case class == admit.ClassCheap:
 		return defaultCheapTimeout
 	}
 	return defaultExpensiveTimeout
 }
 
-// jsonEndpoint wires one POST endpoint: decode, resolve the deadline
-// budget, pass admission, handle, encode. Validation failures map to 400,
-// shed admissions to 503 with Retry-After, timeouts to 504. The request's
-// trace rides the handler context, so the engine's stages and counters
-// (admission → pool → cache → profiles → planner → core) land on it.
-func jsonEndpoint[Req any](s *Service, cfg ServerConfig, class admit.Class, handle func(context.Context, Req) (any, error)) http.HandlerFunc {
+// jsonEndpoint wires one POST endpoint as one ordered boundary: read the
+// budget from the headers, pass admission, read and decode at most
+// maxBody bytes of body within the request's own deadline, handle,
+// encode. A shed therefore reads no body byte, whatever its size, and an
+// admitted body that stalls holds its admission cost no longer than its
+// budget. Malformed input maps to 400, shed admissions to 503 with
+// Retry-After, an expired budget (in the body read or the handler) to
+// 504. The request's trace rides the handler context, so the engine's
+// stages and counters (admission → pool → cache → profiles → planner →
+// core) land on it.
+func jsonEndpoint[Req any](s *Service, cfg ServerConfig, class admit.Class, maxBody int64, handle func(context.Context, Req) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if tr := traceOf(w); tr != nil {
 			ctx = obs.WithTrace(ctx, tr)
 		}
-		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cfg.MaxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return
-		}
-		budget, err := clientBudget(r, req)
+		budget, err := clientBudget(r)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
@@ -503,25 +475,46 @@ func jsonEndpoint[Req any](s *Service, cfg ServerConfig, class admit.Class, hand
 			return
 		}
 		defer ticket.Done()
+		// The error is ignored: an in-process writer (an httptest
+		// recorder) has no connection to bound (http.ErrNotSupported), and
+		// a connection that refuses a deadline is closed, so the body read
+		// below fails on its own.
+		deadline, _ := ctx.Deadline()
+		_ = http.NewResponseController(w).SetReadDeadline(deadline)
+		var req Req
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			writeError(w, r, errorStatus(err, http.StatusBadRequest), fmt.Errorf("decode request: %w", err))
+			return
+		}
 		out, err := handle(ctx, req)
 		if err != nil {
 			// Client faults (malformed wire input, rejected validation) map
 			// to 400; anything the engine failed at after accepting the
 			// request is a genuine 500 so monitoring sees it.
 			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				status = http.StatusGatewayTimeout
-			case errors.Is(err, context.Canceled):
-				status = 499 // client closed request
-			case IsInvalidRequest(err):
+			if IsInvalidRequest(err) {
 				status = http.StatusBadRequest
 			}
-			writeError(w, r, status, err)
+			writeError(w, r, errorStatus(err, status), err)
 			return
 		}
 		writeJSON(w, r, http.StatusOK, out)
 	}
+}
+
+// errorStatus maps an expired budget (the context's, or the body read's
+// connection deadline) to 504 and a gone client to 499; any other error
+// keeps status.
+func errorStatus(err error, status int) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, os.ErrDeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return 499 // client closed request
+	}
+	return status
 }
 
 // wantsTimings reports whether the request opted into the per-stage timings
@@ -726,7 +719,6 @@ func (j jobWire) job() (workload.Job, error) {
 }
 
 type predictWire struct {
-	deadlineFields
 	Cluster   clusterWire    `json:"cluster"`
 	Job       jobWire        `json:"job"`
 	NumJobs   int            `json:"numJobs,omitempty"`
@@ -834,7 +826,6 @@ type predictResultWire struct {
 }
 
 type simulateWire struct {
-	deadlineFields
 	Cluster clusterWire `json:"cluster"`
 	Job     jobWire     `json:"job"`
 	// NumJobs submits that many identical copies of Job at t = 0.
@@ -872,13 +863,7 @@ func (sw simulateWire) toRequest() (SimulateRequest, error) {
 	if n > MaxSimJobs {
 		return SimulateRequest{}, invalid(fmt.Errorf("numJobs %d exceeds limit %d", n, MaxSimJobs))
 	}
-	jobs := make([]workload.Job, n)
-	for i := range jobs {
-		j := job
-		j.ID = i
-		jobs[i] = j
-	}
-	return SimulateRequest{Spec: spec, Jobs: jobs, Seed: sw.Seed, Reps: sw.Reps,
+	return SimulateRequest{Spec: spec, Jobs: job.Copies(n), Seed: sw.Seed, Reps: sw.Reps,
 		Policy: sw.Policy, Faults: sw.Faults}, nil
 }
 
@@ -909,7 +894,6 @@ type simulateResultWire struct {
 }
 
 type compareWire struct {
-	deadlineFields
 	Cluster clusterWire `json:"cluster"`
 	Job     jobWire     `json:"job"`
 	NumJobs int         `json:"numJobs,omitempty"`
@@ -937,7 +921,6 @@ func (c compareWire) toRequest() (CompareRequest, error) {
 }
 
 type planWire struct {
-	deadlineFields
 	Cluster      clusterWire    `json:"cluster"`
 	Job          jobWire        `json:"job"`
 	NumJobs      int            `json:"numJobs,omitempty"`
@@ -1000,7 +983,6 @@ func (p planWire) toRequest() (PlanRequest, error) {
 // controls. The trace is decoded and validated by trace.Read, so a calibrate
 // body gets exactly the sanity checks a trace file does.
 type calibrateWire struct {
-	deadlineFields
 	// Name registers (or replaces) the profile under this reference key.
 	Name string `json:"name"`
 	// Trace is a trace.Document: {"version": 1, "result": {...}}.

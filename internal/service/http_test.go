@@ -225,6 +225,9 @@ func TestValidationErrors(t *testing.T) {
 		{"bad policy", "/v1/simulate", `{"cluster":{"nodes":2},"job":{"inputMB":512},"policy":"lifo"}`},
 		{"zero input", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":0}}`},
 		{"negative deadline", "/v1/plan", `{"cluster":{"nodes":2},"job":{"inputMB":512},"deadlineSec":-5}`},
+		// The deadline budget rides the X-Deadline-Ms header only: admission
+		// runs before the body is read.
+		{"body deadline", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":512},"timeoutSec":5}`},
 	}
 	for _, tc := range cases {
 		status, body := postJSON(t, ts.URL+tc.url, tc.body)
@@ -570,5 +573,36 @@ func TestCustomClusterSpecCamelCase(t *testing.T) {
 	}
 	if rt, _ := body["responseTime"].(float64); rt <= 0 {
 		t.Errorf("responseTime = %v", body["responseTime"])
+	}
+}
+
+// TestDeadlineHeaderValidation holds X-Deadline-Ms to a positive
+// millisecond count: anything else is a 400 before admission, and a huge
+// budget is clamped to the 5-minute cap instead of overflowing.
+func TestDeadlineHeaderValidation(t *testing.T) {
+	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
+	body := `{"cluster":{"nodes":2},"job":{"inputMB":256}}`
+	for _, tc := range []struct {
+		header string
+		want   int
+	}{
+		{"abc", http.StatusBadRequest},
+		{"0", http.StatusBadRequest},
+		{"-5", http.StatusBadRequest},
+		{"NaN", http.StatusBadRequest},
+		{"1e300", http.StatusOK},
+		{"Inf", http.StatusOK},
+		{"250", http.StatusOK},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body))
+		r.Header.Set(DeadlineHeader, tc.header)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != tc.want {
+			t.Errorf("%s %q: status %d, want %d: %s", DeadlineHeader, tc.header, w.Code, tc.want, w.Body.Bytes())
+		}
+	}
+	if got, err := clientBudget(&http.Request{Header: http.Header{DeadlineHeader: {"1e300"}}}); err != nil || got != maxClientDeadline {
+		t.Errorf("budget for 1e300 ms = %v (%v), want %v", got, err, maxClientDeadline)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"hadoop2perf/internal/cluster"
@@ -399,12 +398,12 @@ func nodeChoices(req *PlanRequest) []nodeChoice {
 	return out
 }
 
-// Plan evaluates the what-if request and ranks the outcomes. Deadline
-// queries backed by the analytic model run the bisection + pruning search
-// (search.go); everything else evaluates the full grid in parallel. Each
-// candidate flows through the same result table and worker slots as a direct
-// Predict or Simulate call, so overlapping plans share work — a workflow
-// candidate is the workflow Predict at its cluster.
+// Plan evaluates the what-if request and ranks the outcomes (planAxes).
+// Deadline queries backed by the analytic model run the bisection +
+// pruning search (search.go); everything else evaluates the full grid in
+// parallel. Each candidate flows through the same result table and worker
+// slots as a direct Predict or Simulate call, so overlapping plans share
+// work — a workflow candidate is the workflow Predict at its cluster.
 func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {
 	s.planReqs.Add(1)
 	if req.Workflow != nil {
@@ -439,41 +438,7 @@ func (s *Service) Plan(ctx context.Context, req PlanRequest) (PlanResponse, erro
 			total, maxPlanCandidates))
 	}
 
-	if useSearch(&req, choices) {
-		return s.planSearch(ctx, req, choices, units)
-	}
-
-	cands := make([]PlanCandidate, 0, total)
-	for _, ch := range choices {
-		for _, u := range units {
-			c := u.proto
-			c.Nodes, c.ClassCounts = ch.nodes, ch.counts
-			cands = append(cands, c)
-		}
-	}
-
-	// Fan out one goroutine per candidate; the service's worker pool bounds
-	// actual concurrency and the shared cache collapses duplicates (e.g.
-	// model-backed candidates differing only in policy).
-	var wg sync.WaitGroup
-	for k := range cands {
-		wg.Add(1)
-		go func(c *PlanCandidate, u *planUnit) {
-			defer wg.Done()
-			r, err := u.eval(*c)
-			if err != nil {
-				c.Err = err.Error()
-				return
-			}
-			*c = r
-		}(&cands[k], &units[k%len(units)])
-	}
-	wg.Wait()
-	s.count(obs.FromContext(ctx), obs.CounterPlanCandidates, int64(len(cands)))
-
-	resp := PlanResponse{Candidates: cands, Strategy: StrategyGrid}
-	finalizePlan(&resp, &req)
-	return partialOnDeadline(ctx, resp)
+	return s.planAxes(ctx, req, choices, units)
 }
 
 // planUnit is one combination of a plan's non-node axes: every candidate
@@ -488,8 +453,9 @@ type planUnit struct {
 	// single-reducer (see search.go).
 	bisect bool
 	// eval returns c with its result filled in at its cluster (c.Nodes,
-	// c.ClassCounts). It is safe for concurrent use.
-	eval func(c PlanCandidate) (PlanCandidate, error)
+	// c.ClassCounts), and whether the answer passed the model's ε-test (a
+	// simulated one always does). It is safe for concurrent use.
+	eval func(c PlanCandidate) (out PlanCandidate, converged bool, err error)
 }
 
 // planUnits expands the request's non-node axes into units, in grid order.
@@ -499,11 +465,11 @@ func (s *Service) planUnits(ctx context.Context, req *PlanRequest, rw *resolvedW
 		for _, st := range req.Workflow.Stages {
 			bisect = bisect && st.Job.NumReduces == 1
 		}
-		return []planUnit{{bisect: bisect, eval: func(c PlanCandidate) (PlanCandidate, error) {
+		return []planUnit{{bisect: bisect, eval: func(c PlanCandidate) (PlanCandidate, bool, error) {
 			return s.evalWorkflowCandidate(ctx, req, rw, c)
 		}}}
 	}
-	eval := func(c PlanCandidate) (PlanCandidate, error) {
+	eval := func(c PlanCandidate) (PlanCandidate, bool, error) {
 		return s.evalCandidate(ctx, req, c)
 	}
 	var units []planUnit
@@ -550,7 +516,7 @@ func candidateSpec(req *PlanRequest, ch nodeChoice) cluster.Spec {
 
 // evalCandidate evaluates one single-job grid point via the cached
 // Predict/Simulate paths.
-func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCandidate) (PlanCandidate, error) {
+func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCandidate) (PlanCandidate, bool, error) {
 	spec := candidateSpec(req, nodeChoice{nodes: c.Nodes, counts: c.ClassCounts})
 	job := req.Job
 	job.BlockSizeMB = c.BlockSizeMB
@@ -561,26 +527,21 @@ func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCan
 			Faults: req.Faults, Profile: req.Profile, resolved: req.resolved,
 		})
 		if err != nil {
-			return c, err
+			return c, false, err
 		}
 		c.ResponseTime = resp.Prediction.ResponseTime
 		c.Cached = resp.Cached
 		c.Stale = resp.Stale
-		return c, nil
+		return c, resp.Prediction.Converged, nil
 	}
 
 	// The simulator runs NumJobs identical copies of the derived job.
-	jobs := make([]workload.Job, req.NumJobs)
-	for i := range jobs {
-		jobs[i] = job
-		jobs[i].ID = i
-	}
 	sr, err := s.simulate(ctx, SimulateRequest{
-		Spec: spec, Jobs: jobs, Seed: req.Seed, Reps: req.Reps, Policy: c.Policy,
+		Spec: spec, Jobs: job.Copies(req.NumJobs), Seed: req.Seed, Reps: req.Reps, Policy: c.Policy,
 		Faults: req.Faults,
 	})
 	if err != nil {
-		return c, err
+		return c, false, err
 	}
 	switch req.Quantile {
 	case 0.95:
@@ -594,7 +555,7 @@ func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCan
 	c.Cached = sr.Cached
 	c.Degraded = sr.Degraded
 	c.Stale = sr.Stale
-	return c, nil
+	return c, true, nil
 }
 
 // sortCandidates ranks the grid best-first. Failed candidates sink to the

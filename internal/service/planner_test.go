@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/obs"
 	"hadoop2perf/internal/workload"
 	"hadoop2perf/internal/yarn"
 )
@@ -199,5 +200,57 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := s.Plan(context.Background(), req); err == nil {
 		t.Error("oversized grid accepted")
+	}
+}
+
+// deadlinePlan is a 15-point deadline query over a 1 GB, single-reducer
+// job: a plan the search strategy bisects.
+func deadlinePlan(t *testing.T) PlanRequest {
+	t.Helper()
+	job, err := workload.NewJob(0, 1024, 128, 1, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return PlanRequest{Spec: cluster.Default(4), Job: job, DeadlineSec: 150,
+		Nodes: []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}}
+}
+
+// TestPlanCandidatesCounted holds both strategies to one count: the
+// request trace's planCandidates is the number of candidates the plan
+// evaluated, pruned points excluded.
+func TestPlanCandidatesCounted(t *testing.T) {
+	s := New(Options{Workers: 2})
+	for _, exhaustive := range []bool{false, true} {
+		req := deadlinePlan(t)
+		req.Exhaustive = exhaustive
+		var tr obs.Trace
+		resp, err := s.Plan(obs.WithTrace(context.Background(), &tr), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exhaustive != (resp.Pruned == 0) {
+			t.Fatalf("exhaustive %v: strategy %s pruned %d", exhaustive, resp.Strategy, resp.Pruned)
+		}
+		if got := tr.Counter(obs.CounterPlanCandidates); got != int64(len(resp.Candidates)) || got == 0 {
+			t.Errorf("%s plan: planCandidates = %d, want its %d candidates", resp.Strategy, got, len(resp.Candidates))
+		}
+	}
+}
+
+// TestPlanUnconvergedAxisNotBisected caps the model below convergence
+// (the maxIterations seam): an answer that stopped before its ε-test has
+// no trusted place on the response curve, so the deadline search must
+// evaluate the whole axis instead of pruning on it.
+func TestPlanUnconvergedAxisNotBisected(t *testing.T) {
+	s := New(Options{Workers: 2})
+	s.maxIterations = 1
+	req := deadlinePlan(t)
+	resp, err := s.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Strategy != StrategySearch || resp.Pruned != 0 || len(resp.Candidates) != len(req.Nodes) {
+		t.Errorf("capped plan: strategy %s, %d candidates, %d pruned; want search, %d, 0",
+			resp.Strategy, len(resp.Candidates), resp.Pruned, len(req.Nodes))
 	}
 }

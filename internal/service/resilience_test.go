@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -435,5 +438,128 @@ func TestPlanPartialOnDeadline(t *testing.T) {
 	}
 	if full.Evaluated != 2 {
 		t.Errorf("unpressured Evaluated = %d, want 2", full.Evaluated)
+	}
+}
+
+// lazyBody is a request body of size bytes, produced on demand, that
+// counts how many of them the handler read.
+type lazyBody struct{ size, read int64 }
+
+func (b *lazyBody) Read(p []byte) (int, error) {
+	n := min(int64(len(p)), b.size-b.read)
+	if n <= 0 {
+		return 0, io.EOF
+	}
+	for i := range p[:n] {
+		p[i] = ' '
+	}
+	b.read += n
+	return int(n), nil
+}
+
+// TestShedReadsNoBody pins the order of the wire boundary: admission runs
+// on the headers alone, so a draining service or a full admission queue
+// answers every POST route with the structured 503 without reading one
+// byte of its body, whatever the body's size.
+func TestShedReadsNoBody(t *testing.T) {
+	const size = 15 << 20
+	routes := []string{"/v1/predict", "/v1/simulate", "/v1/compare", "/v1/plan", "/v1/calibrate"}
+	cases := []struct {
+		reason string
+		svc    func(t *testing.T) *Service
+	}{
+		{admit.ReasonDraining, func(t *testing.T) *Service {
+			svc := New(Options{Workers: 2})
+			svc.StartDrain()
+			return svc
+		}},
+		{admit.ReasonQueueFull, func(t *testing.T) *Service {
+			// One expensive ticket fills a bound of 8 units, so even a
+			// 1-unit predict is shed.
+			svc := New(Options{Workers: 2, AdmitMaxQueueCost: admit.DefaultExpensiveCost})
+			ticket, err := svc.admission.Admit(t.Context(), admit.ClassExpensive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(ticket.Done)
+			return svc
+		}},
+	}
+	for _, tc := range cases {
+		h := NewHandler(tc.svc(t), ServerConfig{})
+		for _, path := range routes {
+			body := &lazyBody{size: size}
+			r := httptest.NewRequest(http.MethodPost, path, body)
+			r.ContentLength = size
+			w := httptest.NewRecorder()
+			start := time.Now()
+			h.ServeHTTP(w, r)
+			elapsed := time.Since(start)
+			if w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("%s %s: status %d, want 503: %s", tc.reason, path, w.Code, w.Body.Bytes())
+			}
+			var e errorWire
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Reason != tc.reason || e.RetryAfterSec < 1 {
+				t.Errorf("%s %s: body %s (%v), want the structured shed", tc.reason, path, w.Body.Bytes(), err)
+			}
+			if body.read != 0 {
+				t.Errorf("%s %s: a shed read %d body bytes, want 0", tc.reason, path, body.read)
+			}
+			if path == "/v1/calibrate" {
+				t.Logf("%s: a %d MiB calibrate body shed in %v", tc.reason, size>>20, elapsed)
+			}
+		}
+	}
+}
+
+// TestStalledBodyTimesOut sends an admitted request over a real socket
+// with X-Deadline-Ms 100 and then stalls its body. The body read is bounded
+// by the request's own budget, so the answer is the structured 504 within
+// that budget, and the admitted cost returns to the controller.
+func TestStalledBodyTimesOut(t *testing.T) {
+	svc := New(Options{Workers: 2})
+	ts := httptest.NewServer(NewHandler(svc, ServerConfig{}))
+	t.Cleanup(ts.Close)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	// The declared body is 64 bytes; only its first 10 are ever sent.
+	if _, err := io.WriteString(conn, "POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"+
+		DeadlineHeader+": 100\r\nContent-Length: 64\r\n\r\n{\"cluster\""); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, raw)
+	}
+	var e errorWire
+	if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" || e.RetryAfterSec < 1 {
+		t.Errorf("body %s (%v), want the structured 504", raw, err)
+	}
+	if elapsed > 100*time.Millisecond+time.Second {
+		t.Errorf("answered after %v, want within the 100ms budget plus slack", elapsed)
+	}
+	// The server closes a connection whose body it did not finish; its EOF
+	// means the handler has returned and settled its ticket.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatal(err)
+	}
+	if q := svc.Metrics().Admission.QueuedCost; q != 0 {
+		t.Errorf("QueuedCost = %d after the stalled request, want 0", q)
 	}
 }

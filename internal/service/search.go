@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+
+	"hadoop2perf/internal/obs"
 )
 
 // This file implements the planner's deadline fast path: instead of
@@ -77,51 +80,50 @@ func chainOrdered(sorted []nodeChoice) bool {
 	return true
 }
 
-// axisOutcome is the result of searching one node axis (one combo of the
+// axisOutcome is the result of evaluating one node axis (one combo of the
 // non-node grid dimensions).
 type axisOutcome struct {
 	cands  []PlanCandidate // evaluated candidates only
-	idxs   []int           // axis index of each candidate (class-mix lookup)
 	pruned int             // grid points skipped by bisection/dominance
-	exact  bool            // false when the axis fell back to exhaustive
+	exact  bool            // false when the axis was evaluated exhaustively
 }
 
-// axisEval evaluates the node axis at index i.
-type axisEval func(i int) (rt float64, cached bool, err error)
+// axisEval evaluates the node axis at index i: the candidate with its
+// result filled in (its axis values even on error), and whether the
+// answer passed the model's ε-test.
+type axisEval func(i int) (c PlanCandidate, converged bool, err error)
 
 // searchNodeAxis finds the grid-equivalent candidate set of one node axis
-// under a deadline. nodes must be sorted ascending; weights carries each
-// point's price weight (Σ count×price, node count when unpriced) — the
-// cost objective is weights[i]·rt(i). eval serves the sequential
-// bisection/sweep probes and must be safe for concurrent use: it also
-// drives the exhaustive fallback's fan-out. It returns every evaluated
-// point as a candidate (feasible points above the frontier, infeasible
-// bisection probes below it) plus the count of pruned points.
+// under a deadline. The axis must be sorted by ascending size; weights
+// carries each point's price weight (Σ count×price, node count when
+// unpriced) — the cost objective is weights[i]·rt(i). eval serves the
+// sequential bisection/sweep probes and must be safe for concurrent use:
+// it also drives the exhaustive fallback's fan-out. It returns every
+// evaluated point as a candidate (feasible points above the frontier,
+// infeasible bisection probes below it) plus the count of pruned points.
 //
 // Exactness: under monotone response times, the returned set provably
 // contains the axis's cheapest feasible candidate — a pruned point i either
 // satisfies rt(i) > deadline (below the frontier) or has cost
 // weights[i]·rt(i) ≥ weights[i]·rt(max) strictly above the incumbent best.
 // On any observed monotonicity violation the axis is re-evaluated
-// exhaustively instead.
-func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval axisEval) axisOutcome {
-	n := len(nodes)
-	rt := make([]float64, n)
-	cached := make([]bool, n)
+// exhaustively instead; so it is on an evaluation error, and on an answer
+// that stopped before its ε-test, whose place on the curve is unknown.
+func searchNodeAxis(weights []float64, deadline float64, eval axisEval) axisOutcome {
+	n := len(weights)
+	cands := make([]PlanCandidate, n)
 	evaluated := make([]bool, n)
 
 	get := func(i int) (float64, bool) {
-		if evaluated[i] {
-			return rt[i], true
+		if !evaluated[i] {
+			c, converged, err := eval(i)
+			if err != nil || !converged {
+				return 0, false
+			}
+			evaluated[i] = true
+			cands[i] = c
 		}
-		v, c, err := eval(i)
-		if err != nil {
-			return 0, false
-		}
-		evaluated[i] = true
-		rt[i] = v
-		cached[i] = c
-		return v, true
+		return cands[i].ResponseTime, true
 	}
 	// monotone verifies the non-increasing assumption over every evaluated
 	// pair (it suffices to compare consecutive evaluated points).
@@ -131,22 +133,20 @@ func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval axisE
 			if !evaluated[i] {
 				continue
 			}
-			if rt[i] > prev*(1+monoTol) {
+			rt := cands[i].ResponseTime
+			if rt > prev*(1+monoTol) {
 				return false
 			}
-			prev = rt[i]
+			prev = rt
 		}
 		return true
 	}
-	exhaustive := func() axisOutcome { return exhaustiveAxis(nodes, eval) }
+	exhaustive := func() axisOutcome { return exhaustiveAxis(n, eval) }
 	collect := func() axisOutcome {
 		out := axisOutcome{exact: true}
 		for i := 0; i < n; i++ {
 			if evaluated[i] {
-				out.cands = append(out.cands, PlanCandidate{
-					Nodes: nodes[i], ResponseTime: rt[i], Cached: cached[i],
-				})
-				out.idxs = append(out.idxs, i)
+				out.cands = append(out.cands, cands[i])
 			} else {
 				out.pruned++
 			}
@@ -195,10 +195,8 @@ func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval axisE
 	// the axis dips (non-monotone) and bisection may have missed cheaper
 	// feasible islands.
 	if frontier > 0 {
-		if _, ok := get(frontier - 1); !ok || !monotone() {
-			return exhaustive()
-		}
-		if rt[frontier-1] <= deadline {
+		v, ok := get(frontier - 1)
+		if !ok || !monotone() || v <= deadline {
 			return exhaustive()
 		}
 	}
@@ -218,107 +216,97 @@ func searchNodeAxis(nodes []int, weights []float64, deadline float64, eval axisE
 				return exhaustive()
 			}
 		}
-		cost := weights[i] * rt[i]
-		if cost < bestCost || (cost == bestCost && rt[i] < bestRT) {
-			bestCost, bestRT = cost, rt[i]
+		rt := cands[i].ResponseTime
+		if cost := weights[i] * rt; cost < bestCost || (cost == bestCost && rt < bestRT) {
+			bestCost, bestRT = cost, rt
 		}
 	}
 	return collect()
 }
 
-// exhaustiveAxis evaluates every point of one node axis, grid-style:
-// candidates fan out concurrently (the worker pool bounds real parallelism,
-// the cache collapses duplicates) and evaluation errors are recorded per
-// candidate while the rest of the axis still completes.
-func exhaustiveAxis(nodes []int, eval axisEval) axisOutcome {
-	out := axisOutcome{
-		exact: false,
-		cands: make([]PlanCandidate, len(nodes)),
-		idxs:  make([]int, len(nodes)),
-	}
+// exhaustiveAxis evaluates every point of one node axis of n points:
+// candidates fan out concurrently (the worker pool bounds real
+// parallelism, the cache collapses duplicates) and evaluation errors are
+// recorded per candidate while the rest of the axis still completes.
+func exhaustiveAxis(n int, eval axisEval) axisOutcome {
+	out := axisOutcome{cands: make([]PlanCandidate, n)}
 	var wg sync.WaitGroup
-	for i := range nodes {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func(c *PlanCandidate) {
 			defer wg.Done()
-			c := &out.cands[i]
-			c.Nodes = nodes[i]
-			out.idxs[i] = i
-			if v, cached, err := eval(i); err != nil {
+			var err error
+			if *c, _, err = eval(i); err != nil {
 				c.Err = err.Error()
-			} else {
-				c.ResponseTime, c.Cached = v, cached
 			}
-		}(i)
+		}(&out.cands[i])
 	}
 	wg.Wait()
 	return out
 }
 
-// planSearch answers a deadline query through per-unit cluster-size-axis
-// searches run concurrently (the per-candidate predictions inside each unit
-// are bounded by the service worker pool, like the grid path). Units that
-// may bisect (planUnit.bisect: single-reducer jobs or workflows) on a
-// chain-ordered axis ride the bisection fast path; multi-reducer units —
-// whose response curves are not reliably monotone in cluster size — and
-// non-chain mix axes are evaluated exhaustively. On top of the chain
-// premise, the bisection verifies monotonicity over every pair of points it
-// actually evaluates and falls back to exhaustive on any violation. A
-// workflow makespan is a max/sum composition of per-stage responses, each
-// non-increasing in cluster size, so the same premise carries over.
-func (s *Service) planSearch(ctx context.Context, req PlanRequest, choices []nodeChoice, units []planUnit) (PlanResponse, error) {
-	sorted := append([]nodeChoice(nil), choices...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].nodes < sorted[b].nodes })
-	totals := make([]int, len(sorted))
-	weights := make([]float64, len(sorted))
-	for i, ch := range sorted {
-		totals[i] = ch.nodes
-		weights[i] = candidateSpec(&req, ch).PriceWeight()
+// planAxes evaluates every unit of a plan along its cluster-size axis,
+// units concurrently (the per-candidate evaluations inside each unit are
+// bounded by the service worker pool), and assembles and ranks the
+// response. A grid plan evaluates every unit exhaustively over the axis in
+// request order. A search plan (the deadline fast path, see useSearch)
+// sorts the axis by total nodes; units that may bisect (planUnit.bisect:
+// single-reducer jobs or workflows) on a chain-ordered axis ride
+// searchNodeAxis, and the rest — multi-reducer units, whose response curves are not reliably
+// monotone in cluster size, and units over non-chain mix axes — are
+// evaluated exhaustively. On top of the chain premise, the bisection
+// verifies monotonicity over every pair of points it actually evaluates
+// and falls back to exhaustive on any violation. A workflow makespan is a
+// max/sum composition of per-stage responses, each non-increasing in
+// cluster size, so the same premise carries over.
+func (s *Service) planAxes(ctx context.Context, req PlanRequest, choices []nodeChoice, units []planUnit) (PlanResponse, error) {
+	resp := PlanResponse{Strategy: StrategyGrid}
+	var weights []float64
+	bisect := false
+	if useSearch(&req, choices) {
+		resp.Strategy = StrategySearch
+		choices = slices.Clone(choices)
+		sort.SliceStable(choices, func(a, b int) bool { return choices[a].nodes < choices[b].nodes })
+		weights = make([]float64, len(choices))
+		for i, ch := range choices {
+			weights[i] = candidateSpec(&req, ch).PriceWeight()
+		}
+		bisect = chainOrdered(choices)
 	}
-	chain := chainOrdered(sorted)
 
-	// at evaluates unit u along the sorted axis.
-	at := func(u *planUnit) axisEval {
-		return func(i int) (float64, bool, error) {
+	axis := func(u *planUnit) axisOutcome {
+		eval := func(i int) (PlanCandidate, bool, error) {
 			c := u.proto
-			c.Nodes, c.ClassCounts = sorted[i].nodes, sorted[i].counts
-			c, err := u.eval(c)
-			return c.ResponseTime, c.Cached, err
+			c.Nodes, c.ClassCounts = choices[i].nodes, choices[i].counts
+			return u.eval(c)
 		}
-	}
-	search := func(u *planUnit) axisOutcome {
-		if u.bisect && chain {
-			return searchNodeAxis(totals, weights, req.DeadlineSec, at(u))
+		if bisect && u.bisect {
+			return searchNodeAxis(weights, req.DeadlineSec, eval)
 		}
-		return exhaustiveAxis(totals, at(u))
+		return exhaustiveAxis(len(choices), eval)
 	}
 	outcomes := make([]axisOutcome, len(units))
 	if len(units) == 1 {
 		// A lone unit runs on the calling goroutine: a fresh one would
 		// grow its stack through the model on every query.
-		outcomes[0] = search(&units[0])
+		outcomes[0] = axis(&units[0])
 	} else {
 		var wg sync.WaitGroup
 		for ui := range units {
 			wg.Add(1)
 			go func(u *planUnit, out *axisOutcome) {
 				defer wg.Done()
-				*out = search(u)
+				*out = axis(u)
 			}(&units[ui], &outcomes[ui])
 		}
 		wg.Wait()
 	}
 
-	resp := PlanResponse{Strategy: StrategySearch}
-	for ui, out := range outcomes {
-		u := &units[ui]
-		for k, c := range out.cands {
-			c.ClassCounts = sorted[out.idxs[k]].counts
-			c.BlockSizeMB, c.Reducers, c.Policy = u.proto.BlockSizeMB, u.proto.Reducers, u.proto.Policy
-			resp.Candidates = append(resp.Candidates, c)
-		}
+	for _, out := range outcomes {
+		resp.Candidates = append(resp.Candidates, out.cands...)
 		resp.Pruned += out.pruned
 	}
+	s.count(obs.FromContext(ctx), obs.CounterPlanCandidates, int64(len(resp.Candidates)))
 	finalizePlan(&resp, &req)
 	return partialOnDeadline(ctx, resp)
 }

@@ -14,16 +14,18 @@ import (
 	"hadoop2perf/internal/workload"
 )
 
-// syntheticEval adapts a response-time curve to an axisEval, counting calls
-// (atomically: the exhaustive fallback evaluates concurrently).
+// syntheticEval adapts a response-time curve over a node axis to an
+// axisEval of converged answers, counting calls (atomically: the
+// exhaustive fallback evaluates concurrently).
 type syntheticEval struct {
+	nodes []int
 	rt    []float64
 	calls atomic.Int64
 }
 
-func (s *syntheticEval) eval(i int) (float64, bool, error) {
+func (s *syntheticEval) eval(i int) (PlanCandidate, bool, error) {
 	s.calls.Add(1)
-	return s.rt[i], false, nil
+	return PlanCandidate{Nodes: s.nodes[i], ResponseTime: s.rt[i]}, true, nil
 }
 
 // nodeWeights is the unpriced per-point cost weight: Cost == NodeSeconds.
@@ -86,11 +88,11 @@ func TestSearchNodeAxisMonotoneCurves(t *testing.T) {
 		// Deadlines spanning infeasible-everywhere to feasible-everywhere.
 		for _, d := range []float64{rt[0] * 1.1, (rt[0] + rt[n-1]) / 2, rt[n-1] * 1.05, rt[n-1] * 0.5} {
 			perIdx := make([]atomic.Int64, n)
-			eval := func(i int) (float64, bool, error) {
+			eval := func(i int) (PlanCandidate, bool, error) {
 				perIdx[i].Add(1)
-				return rt[i], false, nil
+				return PlanCandidate{Nodes: nodes[i], ResponseTime: rt[i]}, true, nil
 			}
-			out := searchNodeAxis(nodes, nodeWeights(nodes), d, eval)
+			out := searchNodeAxis(nodeWeights(nodes), d, eval)
 			if !out.exact {
 				t.Fatalf("trial %d: fell back on a monotone curve", trial)
 			}
@@ -132,11 +134,11 @@ func TestSearchNodeAxisWalk(t *testing.T) {
 		rt[i] = 10 + 400/float64(n)
 	}
 	var order []int
-	eval := func(i int) (float64, bool, error) {
+	eval := func(i int) (PlanCandidate, bool, error) {
 		order = append(order, i)
-		return rt[i], false, nil
+		return PlanCandidate{Nodes: nodes[i], ResponseTime: rt[i]}, true, nil
 	}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), 45, eval)
+	out := searchNodeAxis(nodeWeights(nodes), 45, eval)
 	if want := []int{7, 3, 5, 4, 6}; !slices.Equal(order, want) {
 		t.Errorf("evaluation order %v, want %v", order, want)
 	}
@@ -180,11 +182,11 @@ func FuzzSearchNodeAxis(f *testing.F) {
 		}
 
 		perIdx := make([]atomic.Int64, n)
-		eval := func(i int) (float64, bool, error) {
+		eval := func(i int) (PlanCandidate, bool, error) {
 			perIdx[i].Add(1)
-			return mono[i], false, nil
+			return PlanCandidate{Nodes: nodes[i], ResponseTime: mono[i]}, true, nil
 		}
-		out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, eval)
+		out := searchNodeAxis(nodeWeights(nodes), deadline, eval)
 		if !out.exact {
 			t.Fatalf("fell back on non-increasing curve %v, deadline %v", mono, deadline)
 		}
@@ -200,14 +202,14 @@ func FuzzSearchNodeAxis(f *testing.F) {
 			}
 		}
 
-		se := &syntheticEval{rt: raw}
-		out = searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval)
+		se := &syntheticEval{nodes: nodes, rt: raw}
+		out = searchNodeAxis(nodeWeights(nodes), deadline, se.eval)
 		if len(out.cands)+out.pruned != n {
 			t.Fatalf("curve %v: %d candidates + %d pruned != %d axis points", raw, len(out.cands), out.pruned, n)
 		}
-		for k, c := range out.cands {
-			if i := out.idxs[k]; c.Nodes != nodes[i] || c.ResponseTime != raw[i] {
-				t.Fatalf("curve %v: candidate %+v at index %d, want nodes %d rt %v", raw, c, i, nodes[i], raw[i])
+		for _, c := range out.cands {
+			if i := c.Nodes - 2; i < 0 || i >= n || c.ResponseTime != raw[i] {
+				t.Fatalf("curve %v: candidate %+v is not a point of the axis", raw, c)
 			}
 		}
 	})
@@ -227,8 +229,8 @@ func TestSearchNodeAxisDetectsViolations(t *testing.T) {
 		rt[i] = base
 	}
 	for _, d := range []float64{40, 55, 70, 100} {
-		se := &syntheticEval{rt: rt}
-		out := searchNodeAxis(nodes, nodeWeights(nodes), d, se.eval)
+		se := &syntheticEval{nodes: nodes, rt: rt}
+		out := searchNodeAxis(nodeWeights(nodes), d, se.eval)
 		wc, wr, wok := bruteBest(nodes, rt, d)
 		gc, gr, gok := searchBest(out, d)
 		if wok != gok || (wok && (wc != gc || wr != gr)) {
@@ -247,8 +249,8 @@ func TestSearchNodeAxisFrontierGuard(t *testing.T) {
 	const deadline = 50.0
 	// Frontier by monotone bisection would land at index 4..; index 3 dips
 	// under the deadline (48 <= 50) right below an infeasible point.
-	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval)
+	se := &syntheticEval{nodes: nodes, rt: rt}
+	out := searchNodeAxis(nodeWeights(nodes), deadline, se.eval)
 	wc, wr, wok := bruteBest(nodes, rt, deadline)
 	gc, gr, gok := searchBest(out, deadline)
 	if wok != gok || wc != gc || wr != gr {
@@ -260,8 +262,8 @@ func TestSearchNodeAxisFrontierGuard(t *testing.T) {
 func TestSearchNodeAxisAllInfeasible(t *testing.T) {
 	nodes := []int{2, 4, 6, 8, 10, 12}
 	rt := []float64{100, 90, 80, 70, 65, 61}
-	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), 60, se.eval)
+	se := &syntheticEval{nodes: nodes, rt: rt}
+	out := searchNodeAxis(nodeWeights(nodes), 60, se.eval)
 	if se.calls.Load() != 2 {
 		t.Errorf("infeasible axis used %d evaluations, want 2 (ceiling + midpoint guard)", se.calls.Load())
 	}
@@ -281,8 +283,8 @@ func TestSearchNodeAxisEndSpikeGuard(t *testing.T) {
 	nodes := []int{2, 4, 6, 8, 10, 12, 14, 16}
 	rt := []float64{90, 80, 70, 60, 55, 52, 50, 75}
 	const deadline = 65.0
-	se := &syntheticEval{rt: rt}
-	out := searchNodeAxis(nodes, nodeWeights(nodes), deadline, se.eval)
+	se := &syntheticEval{nodes: nodes, rt: rt}
+	out := searchNodeAxis(nodeWeights(nodes), deadline, se.eval)
 	wc, wr, wok := bruteBest(nodes, rt, deadline)
 	gc, gr, gok := searchBest(out, deadline)
 	if wok != gok || wc != gc || wr != gr {

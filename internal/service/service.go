@@ -1001,12 +1001,6 @@ func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareRespo
 // runCompare computes one comparison; converged reports whether both
 // model answers passed their ε-test.
 func (s *Service) runCompare(ctx context.Context, req CompareRequest) (_ CompareResponse, converged bool, _ error) {
-	jobs := make([]workload.Job, req.NumJobs)
-	for i := range jobs {
-		j := req.Job
-		j.ID = i
-		jobs[i] = j
-	}
 	pol := yarn.PolicyFIFO
 	if req.NumJobs > 1 {
 		pol = yarn.PolicyFair
@@ -1015,7 +1009,7 @@ func (s *Service) runCompare(ctx context.Context, req CompareRequest) (_ Compare
 	// own key: a Compare after (or concurrent with) a Simulate of
 	// the same configuration reuses its run, and vice versa.
 	sim, err := s.simulate(ctx, SimulateRequest{
-		Spec: req.Spec, Jobs: jobs, Seed: req.Seed, Reps: req.Reps, Policy: pol,
+		Spec: req.Spec, Jobs: req.Job.Copies(req.NumJobs), Seed: req.Seed, Reps: req.Reps, Policy: pol,
 		Faults: req.Faults,
 	})
 	if err != nil {

@@ -17,7 +17,9 @@ import (
 //   - every non-200 answer carries the structured error body;
 //   - a body that decodes as a predict request and is refused gets a 400
 //     (or a 503/504 from admission or the deadline), never another status;
-//   - a 200 carries a finite, positive responseTime.
+//   - a 200 carries a finite, positive responseTime;
+//   - a body that parses into a request keeps its predictKey across
+//     re-encoding the parsed wire form and parsing it again.
 func FuzzPredictBody(f *testing.F) {
 	for _, tc := range goldenHTTPCases {
 		f.Add([]byte(tc.body))
@@ -26,6 +28,7 @@ func FuzzPredictBody(f *testing.F) {
 	f.Add([]byte(`{"cluster":{"nodes":4},"workflow":{"stages":[{"name":"a","job":{"inputMB":512}},{"name":"b","job":{"inputMB":512,"reduces":2}}],"edges":[{"from":"a","to":"b"}]}}`))
 	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkPredictKeyRoundTrip(t, body)
 		out, ok := serveBody(t, h, "/v1/predict", "200", body, &predictWire{})
 		if !ok {
 			return
@@ -40,6 +43,45 @@ func FuzzPredictBody(f *testing.F) {
 			t.Fatalf("200 with responseTime %v for %q", rt, body)
 		}
 	})
+}
+
+// checkPredictKeyRoundTrip parses body as a predict request and, when it
+// parses, re-encodes the wire form, parses that again and requires the
+// same cache key: the key must depend on what a request says, not on how
+// its JSON spelled it.
+func checkPredictKeyRoundTrip(t *testing.T, body []byte) {
+	t.Helper()
+	var first predictWire
+	if decodeStrict(body, &first) != nil {
+		return
+	}
+	req, err := first.toRequest()
+	if err != nil {
+		return
+	}
+	again, err := json.Marshal(first)
+	if err != nil {
+		t.Fatalf("re-encode %q: %v", body, err)
+	}
+	var second predictWire
+	if err := decodeStrict(again, &second); err != nil {
+		t.Fatalf("re-encoded %q does not parse: %v", again, err)
+	}
+	req2, err := second.toRequest()
+	if err != nil {
+		t.Fatalf("re-encoded %q is refused: %v", again, err)
+	}
+	if predictKey(req) != predictKey(req2) {
+		t.Fatalf("predictKey moved across re-encoding: %q vs %q", body, again)
+	}
+}
+
+// decodeStrict decodes body into v as the handler does: one JSON value,
+// unknown fields refused.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // serveBody POSTs body to path through h, with X-Deadline-Ms set to
@@ -57,9 +99,7 @@ func serveBody(t *testing.T, h http.Handler, path, deadline string, body []byte,
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, r)
 
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	decodable := dec.Decode(req) == nil
+	decodable := decodeStrict(body, req) == nil
 
 	switch st := w.Code; st {
 	case http.StatusOK:
@@ -142,6 +182,77 @@ func FuzzCalibrateBody(f *testing.F) {
 		for cls, c := range res.Classes {
 			if !(c.MeanResponse > 0) || math.IsInf(c.MeanResponse, 0) || !(c.CV >= 0) || math.IsInf(c.CV, 0) {
 				t.Fatalf("200 with %s meanResponse %v cv %v for %q", cls, c.MeanResponse, c.CV, body)
+			}
+		}
+	})
+}
+
+// finitePositive reports 0 < v < +Inf.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// FuzzPlanBody drives POST /v1/plan, grid and deadline search, single-job
+// and workflow, through the full handler on FuzzPredictBody's oracle, with
+// X-Deadline-Ms 200. On a 200 every candidate without err carries a
+// finite, positive responseTime and finite cost and nodeSeconds.
+func FuzzPlanBody(f *testing.F) {
+	for _, tc := range goldenHTTPCases {
+		if tc.path == "/v1/plan" {
+			f.Add([]byte(tc.body))
+		}
+	}
+	f.Add([]byte(`{"cluster":{"nodes":4},"nodes":[2,4,6,8,10,12],"deadlineSec":300,
+		"workflow":{"stages":[{"name":"a","job":{"inputMB":512}},{"name":"b","job":{"inputMB":512}}],"edges":[{"from":"a","to":"b"}]}}`))
+	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		out, ok := serveBody(t, h, "/v1/plan", "200", body, &planWire{})
+		if !ok {
+			return
+		}
+		var res PlanResponse
+		if err := json.Unmarshal(out, &res); err != nil {
+			t.Fatalf("200 without a plan (%v): %s", err, out)
+		}
+		for _, c := range res.Candidates {
+			if c.Err != "" {
+				continue
+			}
+			if !finitePositive(c.ResponseTime) || math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) ||
+				math.IsNaN(c.NodeSeconds) || math.IsInf(c.NodeSeconds, 0) {
+				t.Fatalf("200 with candidate %+v for %q", c, body)
+			}
+		}
+	})
+}
+
+// FuzzSimulateBody drives POST /v1/simulate, with its faults block,
+// through the full handler on FuzzPredictBody's oracle, with X-Deadline-Ms
+// 200. A 200 carries a finite, positive meanResponse, makespan, quantiles
+// and per-job response.
+func FuzzSimulateBody(f *testing.F) {
+	for _, tc := range goldenHTTPCases {
+		if tc.path == "/v1/simulate" {
+			f.Add([]byte(tc.body))
+		}
+	}
+	f.Add([]byte(`{"cluster":{"nodes":2},"job":{"inputMB":512,"reduces":2},"numJobs":2,"seed":4,"reps":2,"policy":"fair",
+		"faults":{"nodeMTTFSec":600,"repairDelaySec":30,"stragglerProb":0.1,"stragglerAlpha":2,"speculation":true}}`))
+	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		out, ok := serveBody(t, h, "/v1/simulate", "200", body, &simulateWire{})
+		if !ok {
+			return
+		}
+		var res simulateResultWire
+		if err := json.Unmarshal(out, &res); err != nil {
+			t.Fatalf("200 without a simulation (%v): %s", err, out)
+		}
+		vals := []float64{res.MeanResponse, res.Makespan, res.Quantiles.P50, res.Quantiles.P95, res.Quantiles.P99}
+		for _, j := range res.Jobs {
+			vals = append(vals, j.Response)
+		}
+		for _, v := range vals {
+			if !finitePositive(v) {
+				t.Fatalf("200 with a time of %v for %q: %s", v, body, out)
 			}
 		}
 	})

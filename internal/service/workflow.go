@@ -285,15 +285,15 @@ func (s *Service) predictWorkflow(ctx context.Context, req PredictRequest) (Pred
 // evalWorkflowCandidate is a workflow plan's unit evaluation: the
 // candidate's response is the workflow predict at its cluster, served from
 // the same cache entry.
-func (s *Service) evalWorkflowCandidate(ctx context.Context, req *PlanRequest, rw *resolvedWorkflow, c PlanCandidate) (PlanCandidate, error) {
+func (s *Service) evalWorkflowCandidate(ctx context.Context, req *PlanRequest, rw *resolvedWorkflow, c PlanCandidate) (PlanCandidate, bool, error) {
 	stageReqs, err := rw.stagesAt(candidateSpec(req, nodeChoice{nodes: c.Nodes, counts: c.ClassCounts}))
 	if err != nil {
-		return c, err
+		return c, false, err
 	}
 	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs)
 	if err != nil {
-		return c, err
+		return c, false, err
 	}
 	c.ResponseTime, c.Cached, c.Stale = o.report.ResponseTime, cached, stale
-	return c, nil
+	return c, o.pred.Converged, nil
 }

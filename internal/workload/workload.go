@@ -182,6 +182,17 @@ func (j Job) Validate() error {
 	return j.Profile.Validate()
 }
 
+// Copies returns n copies of the job with IDs 0..n−1: a batch of
+// identical concurrent submissions.
+func (j Job) Copies(n int) []Job {
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = j
+		jobs[i].ID = i
+	}
+	return jobs
+}
+
 // NumMaps is the split count (= number of map tasks).
 func (j Job) NumMaps() int { return hdfs.SplitsFor(j.InputMB, j.BlockSizeMB) }
 

@@ -213,3 +213,21 @@ func TestReduceConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCopies(t *testing.T) {
+	j, err := NewJob(7, 1024, 128, 2, WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := j.Copies(3)
+	if len(jobs) != 3 {
+		t.Fatalf("%d copies, want 3", len(jobs))
+	}
+	for i, c := range jobs {
+		want := j
+		want.ID = i
+		if c != want {
+			t.Errorf("copy %d = %+v, want %+v", i, c, want)
+		}
+	}
+}
