@@ -5,7 +5,7 @@
 // patience — sets the observed throughput), retries shed requests with
 // jittered exponential backoff that honors the server's Retry-After hint,
 // and reports latency quantiles split into accepted and shed outcomes
-// together with degraded/stale response counts.
+// together with the degraded response count.
 //
 // Two modes:
 //
@@ -225,7 +225,7 @@ type collector struct {
 	shedLat           []time.Duration
 	statuses          map[int]int
 	shedMissingHint   int
-	degraded, stale   int
+	degraded          int
 	retried, failures int
 }
 
@@ -234,7 +234,6 @@ func newCollector() *collector { return &collector{statuses: make(map[int]int)} 
 func (c *collector) final(status int, lat time.Duration, body []byte, attempts int) {
 	var flags struct {
 		Degraded bool `json:"degraded"`
-		Stale    bool `json:"stale"`
 	}
 	_ = json.Unmarshal(body, &flags)
 	c.mu.Lock()
@@ -247,9 +246,6 @@ func (c *collector) final(status int, lat time.Duration, body []byte, attempts i
 		c.accepted = append(c.accepted, lat)
 		if flags.Degraded {
 			c.degraded++
-		}
-		if flags.Stale {
-			c.stale++
 		}
 	}
 }
@@ -282,7 +278,6 @@ type Report struct {
 	ShedP99Ms          float64        `json:"shedP99Ms"`
 	ShedMissingHint    int            `json:"shedMissingRetryAfter"`
 	DegradedResponses  int            `json:"degradedResponses"`
-	StaleResponses     int            `json:"staleResponses"`
 	RetriedRequests    int            `json:"retriedRequests"`
 	TransportFailures  int            `json:"transportFailures"`
 	StatusDistribution map[string]int `json:"statusDistribution"`
@@ -301,7 +296,6 @@ func (c *collector) report() Report {
 		ShedP99Ms:          quantileMs(c.shedLat, 0.99),
 		ShedMissingHint:    c.shedMissingHint,
 		DegradedResponses:  c.degraded,
-		StaleResponses:     c.stale,
 		RetriedRequests:    c.retried,
 		TransportFailures:  c.failures,
 		StatusDistribution: make(map[string]int, len(c.statuses)),
@@ -322,8 +316,8 @@ func (r Report) String() string {
 		r.AcceptedP50Ms, r.AcceptedP95Ms, r.AcceptedP99Ms)
 	fmt.Fprintf(&sb, "shed latency     p50 %.2fms  p99 %.2fms (missing Retry-After: %d)\n",
 		r.ShedP50Ms, r.ShedP99Ms, r.ShedMissingHint)
-	fmt.Fprintf(&sb, "degraded %d  stale %d  retried %d\n",
-		r.DegradedResponses, r.StaleResponses, r.RetriedRequests)
+	fmt.Fprintf(&sb, "degraded %d  retried %d\n",
+		r.DegradedResponses, r.RetriedRequests)
 	codes := make([]string, 0, len(r.StatusDistribution))
 	for c := range r.StatusDistribution {
 		codes = append(codes, c)

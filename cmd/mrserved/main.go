@@ -52,7 +52,6 @@ func main() {
 		cacheSize  = flag.Int("cache-size", service.DefaultCacheSize, "LRU cache entries")
 		simReps    = flag.Int("sim-reps", service.DefaultSimReps, "default median-of-seeds repetitions")
 		timeout    = flag.Duration("timeout", 0, "uniform per-request handling timeout (0 = per-kind defaults: 10s predict, 30s simulate/compare/plan/calibrate)")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "cache-entry freshness lifetime; expired entries are recomputed, or served stale under pool saturation (0 = never expire)")
 		drainWait  = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests after SIGTERM/SIGINT before forced exit")
 		drainHold  = flag.Duration("drain-notice", time.Second, "how long the listener stays open (answering /readyz 503 draining, shedding POSTs) after SIGTERM/SIGINT before new connections are refused, so load balancers observe the flip")
 		profileTTL = flag.Duration("profile-ttl", service.DefaultProfileTTL, "default calibrated-profile lifetime")
@@ -70,7 +69,6 @@ func main() {
 	svc := service.New(service.Options{
 		Workers:    *workers,
 		CacheSize:  *cacheSize,
-		CacheTTL:   *cacheTTL,
 		SimReps:    *simReps,
 		ProfileTTL: *profileTTL,
 	})

@@ -14,9 +14,8 @@
 // Acquire and Release then hand out the Capacity worker slots to admitted
 // work that actually computes; a caller that never computes (a cache hit)
 // never takes one. Slot waits block on a channel, which keeps FIFO-ish
-// fairness and context cancellation, and Saturated reports when every slot
-// is busy. Both shed paths answer fast by construction — no lock is held
-// across any computation.
+// fairness and context cancellation. Both shed paths answer fast by
+// construction — no lock is held across any computation.
 //
 // The package is dependency-free and safe for concurrent use.
 package admit
@@ -269,10 +268,6 @@ func (c *Controller) Acquire(ctx context.Context) (time.Duration, error) {
 
 // Release returns a slot taken by Acquire.
 func (c *Controller) Release() { <-c.slots }
-
-// Saturated reports whether every worker slot is busy right now — the
-// trigger for the service's serve-stale cache fallback.
-func (c *Controller) Saturated() bool { return len(c.slots) == cap(c.slots) }
 
 // estWait estimates how long a newly queued request waits for a worker:
 // the outstanding cost ahead of it, beyond what the pool is already

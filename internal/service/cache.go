@@ -36,17 +36,11 @@ func shardOf(key string) uint32 {
 // directly, so callers must not mutate results. Total capacity is split
 // evenly over the shards (rounded up, minimum one entry per shard).
 //
-// A positive ttl ages entries: an expired entry reads as a miss (the
-// recompute replaces it) but stays resident until evicted by capacity, so
-// it can still be served stale while saturated reports that a recompute
-// would queue (the serve-stale degradation mode). ttl zero never expires an
-// entry.
+// Entries never expire: every stored value is a pure function of its key
+// (which carries every input the answer reads), so capacity is the only
+// reason an entry leaves.
 type resultTable struct {
 	shards [cacheShards]tableShard
-	ttl    time.Duration
-	// saturated reports whether a recompute would have to queue for a
-	// worker slot; nil never serves stale.
-	saturated func() bool
 	// lookedUp, when set, is called once per do with the start of its first
 	// lookup, as soon as that lookup is done (the cache_lookup span).
 	lookedUp func(ctx context.Context, start time.Time)
@@ -62,9 +56,8 @@ type tableShard struct {
 }
 
 type lruEntry struct {
-	key      string
-	val      any
-	storedAt time.Time
+	key string
+	val any
 }
 
 // flightCall is one in-flight computation; done closes once val, keep and
@@ -76,24 +69,15 @@ type flightCall struct {
 	err  error
 }
 
-// outcome says how resultTable.do produced its value.
-type outcome uint8
-
-const (
-	computed outcome = iota // this call computed the value (stored if compute kept it)
-	hit                     // a live entry, or the result of a call it joined
-	staleHit                // an expired entry served under saturation
-)
-
 // errComputePanicked is what the waiters of a panicking computation get.
 var errComputePanicked = errors.New("service: computation panicked")
 
-func newResultTable(max int, ttl time.Duration) *resultTable {
+func newResultTable(max int) *resultTable {
 	perShard := (max + cacheShards - 1) / cacheShards
 	if perShard < 1 {
 		perShard = 1
 	}
-	t := &resultTable{ttl: ttl}
+	t := &resultTable{}
 	for i := range t.shards {
 		t.shards[i] = tableShard{
 			max:   perShard,
@@ -105,10 +89,10 @@ func newResultTable(max int, ttl time.Duration) *resultTable {
 	return t
 }
 
-// do serves key: from a live entry, from an expired one under saturation,
-// by joining the computation already in flight for it, or by running
-// compute and publishing its result. compute reports whether its value may
-// be stored; an error is never stored.
+// do serves key: from its entry, by joining the computation already in
+// flight for it, or by running compute and publishing its result. cached
+// reports that this call did not compute the value. compute reports
+// whether its value may be stored; an error is never stored.
 //
 // Waiters honor ctx; the leader's compute observes its own. A waiter whose
 // leader failed only by the leader's own cancellation does not inherit it:
@@ -116,10 +100,10 @@ func newResultTable(max int, ttl time.Duration) *resultTable {
 // panics completes its call with errComputePanicked before the panic goes
 // on up the leader's stack: its waiters get that error, nothing is stored,
 // and the next caller leads a fresh computation.
-func (t *resultTable) do(ctx context.Context, key string, compute func() (any, bool, error)) (any, outcome, error) {
+func (t *resultTable) do(ctx context.Context, key string, compute func() (any, bool, error)) (v any, cached bool, err error) {
 	s := &t.shards[shardOf(key)]
 	start := time.Now()
-	v, how, c, lead := t.claim(s, key)
+	v, c, lead := s.claim(key)
 	if t.lookedUp != nil {
 		t.lookedUp(ctx, start)
 	}
@@ -130,53 +114,43 @@ func (t *resultTable) do(ctx context.Context, key string, compute func() (any, b
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			return nil, hit, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		if isContextError(c.err) && ctx.Err() == nil {
-			v, how, c, lead = t.claim(s, key) // the leader died of its own cancellation, not ours
+			v, c, lead = s.claim(key) // the leader died of its own cancellation, not ours
 			continue
 		}
-		return c.val, hit, c.err
+		return c.val, true, c.err
 	}
-	return v, how, nil
+	return v, true, nil
 }
 
-// claim looks key up under its shard lock. A live entry, or an expired one
-// while saturated, answers at once. Otherwise claim returns the key's
-// in-flight call to wait on, or registers a new call the caller must lead.
-func (t *resultTable) claim(s *tableShard, key string) (v any, how outcome, c *flightCall, lead bool) {
-	// Read before locking: no caller-supplied code runs under a shard lock.
-	saturated := t.ttl > 0 && t.saturated != nil && t.saturated()
+// claim looks key up under the shard lock. An entry answers at once.
+// Otherwise claim returns the key's in-flight call to wait on, or
+// registers a new call the caller must lead.
+func (s *tableShard) claim(key string) (v any, c *flightCall, lead bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		e := el.Value.(*lruEntry)
-		if t.ttl <= 0 || time.Since(e.storedAt) <= t.ttl {
-			s.order.MoveToFront(el)
-			return e.val, hit, nil, false
-		}
-		// A stale serve leaves recency alone, so dead entries are not
-		// pinned against eviction.
-		if saturated {
-			return e.val, staleHit, nil, false
-		}
+		s.order.MoveToFront(el)
+		return el.Value.(*lruEntry).val, nil, false
 	}
 	if c, ok := s.calls[key]; ok {
-		return nil, hit, c, false
+		return nil, c, false
 	}
 	c = &flightCall{done: make(chan struct{})}
 	s.calls[key] = c
-	return nil, computed, c, true
+	return nil, c, true
 }
 
 // lead runs compute for the call the caller claimed. The publish is
 // deferred, so a panicking compute, which never overwrites the preset
 // errComputePanicked, still completes its call.
-func (s *tableShard) lead(key string, c *flightCall, compute func() (any, bool, error)) (any, outcome, error) {
+func (s *tableShard) lead(key string, c *flightCall, compute func() (any, bool, error)) (any, bool, error) {
 	c.err = errComputePanicked
 	defer s.publish(key, c)
 	c.val, c.keep, c.err = compute()
-	return c.val, computed, c.err
+	return c.val, false, c.err
 }
 
 // publish completes a call under one lock acquisition: it stores a
@@ -191,16 +165,12 @@ func (s *tableShard) publish(key string, c *flightCall) {
 	close(c.done)
 }
 
-// store makes val key's entry, fresh and most recently used, and evicts the
-// shard's least recently used entries beyond its capacity. Hold s.mu.
+// store makes val key's entry, most recently used, and evicts the shard's
+// least recently used entries beyond its capacity. Hold s.mu. key has no
+// entry yet: only a call's leader stores, and claim leads no key that has
+// one.
 func (s *tableShard) store(key string, val any) {
-	if el, ok := s.items[key]; ok {
-		s.order.MoveToFront(el)
-		e := el.Value.(*lruEntry)
-		e.val, e.storedAt = val, time.Now()
-		return
-	}
-	s.items[key] = s.order.PushFront(&lruEntry{key: key, val: val, storedAt: time.Now()})
+	s.items[key] = s.order.PushFront(&lruEntry{key: key, val: val})
 	for s.order.Len() > s.max {
 		tail := s.order.Back()
 		s.order.Remove(tail)

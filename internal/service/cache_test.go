@@ -18,8 +18,8 @@ func (t *resultTable) add(key string, val any) {
 // get serves only what is stored: a miss leads a compute that fails, so it
 // stores nothing.
 func (t *resultTable) get(key string) (any, bool) {
-	v, how, err := t.do(context.Background(), key, func() (any, bool, error) { return nil, false, errNotStored })
-	return v, err == nil && how == hit
+	v, cached, err := t.do(context.Background(), key, func() (any, bool, error) { return nil, false, errNotStored })
+	return v, err == nil && cached
 }
 
 // TestPanickingComputeDoesNotWedgeKey: a compute that panics must still
@@ -27,7 +27,7 @@ func (t *resultTable) get(key string) (any, bool) {
 // nothing is stored, and the next caller for the key leads a fresh
 // computation well inside its deadline.
 func TestPanickingComputeDoesNotWedgeKey(t *testing.T) {
-	tab := newResultTable(cacheShards, 0)
+	tab := newResultTable(cacheShards)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	leaderDone := make(chan any)
@@ -64,9 +64,9 @@ func TestPanickingComputeDoesNotWedgeKey(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	v, how, err := tab.do(ctx, "k", func() (any, bool, error) { return "fresh", true, nil })
-	if err != nil || v != "fresh" || how != computed {
-		t.Fatalf("call after panic = %v %v %v, want a fresh computation", v, how, err)
+	v, cached, err := tab.do(ctx, "k", func() (any, bool, error) { return "fresh", true, nil })
+	if err != nil || v != "fresh" || cached {
+		t.Fatalf("call after panic = %v cached %v %v, want a fresh computation", v, cached, err)
 	}
 	if d := time.Since(start); d > deadline/2 {
 		t.Errorf("call after panic took %v of its %v deadline", d, deadline)
@@ -74,19 +74,19 @@ func TestPanickingComputeDoesNotWedgeKey(t *testing.T) {
 }
 
 // TestUncacheableResultIsShared: a value its compute marks not cacheable
-// reaches the leader as computed and every waiter as a hit on the shared
+// reaches the leader as computed and every waiter as cached on the shared
 // call, nothing is stored, and the next call computes again.
 func TestUncacheableResultIsShared(t *testing.T) {
-	tab := newResultTable(cacheShards, 0)
+	tab := newResultTable(cacheShards)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
-	var leaderHow, waiterHow outcome
+	var leaderCached, waiterCached bool
 	var waiterVal any
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, leaderHow, _ = tab.do(context.Background(), "k", func() (any, bool, error) {
+		_, leaderCached, _ = tab.do(context.Background(), "k", func() (any, bool, error) {
 			close(started)
 			<-release
 			return "degraded", false, nil
@@ -95,20 +95,20 @@ func TestUncacheableResultIsShared(t *testing.T) {
 	<-started
 	go func() {
 		defer wg.Done()
-		waiterVal, waiterHow, _ = tab.do(context.Background(), "k", func() (any, bool, error) {
+		waiterVal, waiterCached, _ = tab.do(context.Background(), "k", func() (any, bool, error) {
 			return "waiter led", true, nil
 		})
 	}()
 	time.Sleep(50 * time.Millisecond) // let the waiter join the call
 	close(release)
 	wg.Wait()
-	if leaderHow != computed || waiterHow != hit || waiterVal != "degraded" {
-		t.Errorf("leader %v, waiter %v %v; want computed, and a hit with the leader's value", leaderHow, waiterVal, waiterHow)
+	if leaderCached || !waiterCached || waiterVal != "degraded" {
+		t.Errorf("leader cached %v, waiter %v cached %v; want computed, and a hit with the leader's value", leaderCached, waiterVal, waiterCached)
 	}
 	if n := tab.len(); n != 0 {
 		t.Errorf("uncacheable value stored: %d entries", n)
 	}
-	if v, how, err := tab.do(context.Background(), "k", func() (any, bool, error) { return "real", true, nil }); err != nil || v != "real" || how != computed {
-		t.Errorf("next call = %v %v %v, want a fresh computation", v, how, err)
+	if v, cached, err := tab.do(context.Background(), "k", func() (any, bool, error) { return "real", true, nil }); err != nil || v != "real" || cached {
+		t.Errorf("next call = %v cached %v %v, want a fresh computation", v, cached, err)
 	}
 }

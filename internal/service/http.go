@@ -184,7 +184,6 @@ func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 			Converged:       resp.Prediction.Converged,
 			Estimator:       pr.Estimator,
 			Cached:          resp.Cached,
-			Stale:           resp.Stale,
 			Profile:         resp.Profile,
 			ProfileVersion:  resp.ProfileVersion,
 			Workflow:        resp.Workflow,
@@ -222,7 +221,6 @@ func newMux(s *Service, cfg ServerConfig) *http.ServeMux {
 			Faults:       resp.Result.Faults,
 			Cached:       resp.Cached,
 			Degraded:     resp.Degraded,
-			Stale:        resp.Stale,
 		}
 		for _, j := range resp.Result.Jobs {
 			out.Jobs = append(out.Jobs, simJobWire{ID: j.JobID, Response: j.Response})
@@ -812,9 +810,6 @@ type predictResultWire struct {
 	Converged       bool           `json:"converged"`
 	Estimator       core.Estimator `json:"estimator"`
 	Cached          bool           `json:"cached"`
-	// Stale marks an expired cache entry served under pool saturation
-	// (absent in healthy operation — fault-free bodies stay byte-identical).
-	Stale bool `json:"stale,omitempty"`
 	// Profile/ProfileVersion echo the calibrated profile snapshot that
 	// seeded this prediction (absent for profile-less requests).
 	Profile        string `json:"profile,omitempty"`
@@ -886,11 +881,9 @@ type simulateResultWire struct {
 	Faults *mrsim.FaultStats `json:"faults,omitempty"`
 	Cached bool              `json:"cached"`
 	// Degraded marks a model-only synthesis served while the simulator
-	// circuit breaker was open; Stale an expired cache entry served under
-	// pool saturation. Both absent in healthy operation, keeping fault-free
-	// responses byte-identical.
+	// circuit breaker was open; absent in healthy operation, keeping
+	// fault-free responses byte-identical.
 	Degraded bool `json:"degraded,omitempty"`
-	Stale    bool `json:"stale,omitempty"` // see Degraded
 }
 
 type compareWire struct {

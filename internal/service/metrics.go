@@ -65,7 +65,6 @@ func writePrometheus(w io.Writer, m Metrics) error {
 		{"mrserved_breaker_state", "Simulator circuit breaker state: 0 closed, 1 open, 2 half-open.", "gauge", "", float64(m.BreakerStateCode)},
 		{"mrserved_breaker_trips_total", "Closed-to-open transitions of the simulator circuit breaker.", "counter", "", float64(m.BreakerTrips)},
 		{"mrserved_degraded_responses_total", "Simulator-backed answers served from the model-only fallback while the breaker was open.", "counter", "", float64(m.DegradedResponses)},
-		{"mrserved_stale_served_total", "Expired cache entries served under worker-pool saturation (serve-stale mode).", "counter", "", float64(m.StaleServed)},
 	}
 	seen := ""
 	for _, mt := range metrics {

@@ -284,10 +284,8 @@ type PlanCandidate struct {
 	Cached bool `json:"cached"`
 	// Degraded reports a simulator-backed candidate that fell back to the
 	// model while the circuit breaker was open (see
-	// SimulateResponse.Degraded); Stale an expired cache entry served under
-	// pool saturation. Both absent on healthy evaluations.
+	// SimulateResponse.Degraded); absent on healthy evaluations.
 	Degraded bool `json:"degraded,omitempty"`
-	Stale    bool `json:"stale,omitempty"` // see Degraded
 	// Err is set when this candidate failed to evaluate (the rest of the
 	// grid still completes).
 	Err string `json:"err,omitempty"`
@@ -531,7 +529,6 @@ func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCan
 		}
 		c.ResponseTime = resp.Prediction.ResponseTime
 		c.Cached = resp.Cached
-		c.Stale = resp.Stale
 		return c, resp.Prediction.Converged, nil
 	}
 
@@ -554,7 +551,6 @@ func (s *Service) evalCandidate(ctx context.Context, req *PlanRequest, c PlanCan
 	c.FailedSeeds = sr.FailedSeeds
 	c.Cached = sr.Cached
 	c.Degraded = sr.Degraded
-	c.Stale = sr.Stale
 	return c, true, nil
 }
 

@@ -99,74 +99,6 @@ func mustPost(t *testing.T, url, body string) *http.Response {
 	return resp
 }
 
-// TestServeStaleUnderSaturation pins the serve-stale cache contract: an
-// expired entry is recomputed when the pool has capacity (never stale while
-// idle), served as-is with Stale=true when every worker is busy, and
-// repopulated fresh once capacity returns.
-func TestServeStaleUnderSaturation(t *testing.T) {
-	const ttl = 40 * time.Millisecond
-	s := New(Options{Workers: 1, CacheSize: 8, CacheTTL: ttl})
-	req := PredictRequest{Spec: cluster.Default(2), Job: testJob(t, 512, 2)}
-	ctx := context.Background()
-
-	first, err := s.Predict(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached || first.Stale {
-		t.Fatalf("first = cached %v stale %v", first.Cached, first.Stale)
-	}
-	fresh, err := s.Predict(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fresh.Cached || fresh.Stale {
-		t.Fatalf("within TTL = cached %v stale %v, want fresh hit", fresh.Cached, fresh.Stale)
-	}
-
-	// Past the TTL with an idle pool: the entry is recomputed, not served
-	// stale — staleness is a saturation concession, never the default.
-	time.Sleep(ttl + 20*time.Millisecond)
-	idle, err := s.Predict(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle.Cached || idle.Stale {
-		t.Fatalf("idle recompute = cached %v stale %v, want fresh compute", idle.Cached, idle.Stale)
-	}
-
-	// Past the TTL again, but now with the only worker occupied: the
-	// expired entry is served with Stale=true instead of queueing.
-	time.Sleep(ttl + 20*time.Millisecond)
-	if _, err := s.admission.Acquire(ctx); err != nil { // saturate the pool
-		t.Fatal(err)
-	}
-	stale, err := s.Predict(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stale.Cached || !stale.Stale {
-		t.Fatalf("saturated = cached %v stale %v, want stale hit", stale.Cached, stale.Stale)
-	}
-	if stale.Prediction.ResponseTime != idle.Prediction.ResponseTime {
-		t.Errorf("stale answer drifted: %v vs %v", stale.Prediction.ResponseTime, idle.Prediction.ResponseTime)
-	}
-	s.admission.Release()
-
-	// Capacity is back: the same key recomputes fresh and repopulates.
-	again, err := s.Predict(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cached || again.Stale {
-		t.Fatalf("post-saturation = cached %v stale %v, want fresh compute", again.Cached, again.Stale)
-	}
-
-	if m := s.Metrics(); m.StaleServed != 1 {
-		t.Errorf("StaleServed = %d, want 1", m.StaleServed)
-	}
-}
-
 // TestCacheHitsNeverWaitForSlots pins the lazy-slot contract: a worker
 // slot is taken inside the compute, on a miss only. With every slot held
 // through the admission controller, a cached /v1/predict still answers 200
@@ -185,9 +117,6 @@ func TestCacheHitsNeverWaitForSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer svc.admission.Release()
-	}
-	if !svc.admission.Saturated() {
-		t.Fatal("every slot held, yet the controller is not saturated")
 	}
 
 	status, body := postJSON(t, ts.URL+"/v1/predict", hit)

@@ -125,12 +125,6 @@ type Options struct {
 	// MaxProfiles bounds the calibrated-profile registry population
 	// (default DefaultMaxProfiles).
 	MaxProfiles int
-	// CacheTTL ages response-cache entries: an entry older than CacheTTL
-	// reads as a miss (and is recomputed), but stays resident so the
-	// serve-stale degradation path can fall back to it when the worker pool
-	// is saturated. Zero (the default) never expires entries — the
-	// historical behavior.
-	CacheTTL time.Duration
 	// AdmitMaxQueueCost bounds the admission controller's outstanding
 	// admitted cost (default Workers × admit.DefaultQueueFactor). Requests
 	// beyond the bound are shed with a structured 503.
@@ -245,11 +239,9 @@ type Metrics struct {
 	BreakerStateCode int    `json:"breakerStateCode"` // see BreakerState
 	BreakerTrips     int64  `json:"breakerTrips"`     // see BreakerState
 	// DegradedResponses counts simulator-backed answers served from the
-	// model-only fallback while the breaker was open; StaleServed counts
-	// expired cache entries served under pool saturation. Both stay 0 in
-	// healthy operation.
+	// model-only fallback while the breaker was open; it stays 0 in healthy
+	// operation.
 	DegradedResponses int64 `json:"degradedResponses"`
-	StaleServed       int64 `json:"staleServed"` // see DegradedResponses
 	// Draining reports whether the service has begun shutdown drain (new
 	// work is shed, in-flight work finishes).
 	Draining bool `json:"draining"`
@@ -298,7 +290,6 @@ type Service struct {
 	simReexec     atomic.Int64
 	workflowReqs  atomic.Int64
 	degradedResps atomic.Int64
-	staleServed   atomic.Int64
 
 	// maxIterations, when positive, caps the outer rounds of every model
 	// solve (core.Config.MaxIterations); a test seam that forces an
@@ -336,7 +327,7 @@ func New(opts Options) *Service {
 	opts.applyDefaults()
 	s := &Service{
 		opts:     opts,
-		results:  newResultTable(opts.CacheSize, opts.CacheTTL),
+		results:  newResultTable(opts.CacheSize),
 		profiles: newProfileRegistry(opts.MaxProfiles, opts.ProfileTTL),
 		admission: admit.NewController(admit.Config{
 			Capacity:     opts.Workers,
@@ -347,7 +338,6 @@ func New(opts Options) *Service {
 			Cooldown:      opts.BreakerCooldown,
 		}),
 	}
-	s.results.saturated = s.admission.Saturated
 	s.results.lookedUp = func(ctx context.Context, start time.Time) {
 		s.endSpan(obs.FromContext(ctx), obs.StageCacheLookup, start)
 	}
@@ -413,7 +403,6 @@ func (s *Service) Metrics() Metrics {
 		Admission:         s.admission.Snapshot(),
 		BreakerTrips:      s.breaker.Trips(),
 		DegradedResponses: s.degradedResps.Load(),
-		StaleServed:       s.staleServed.Load(),
 		Draining:          s.admission.Draining(),
 
 		RequestDurations: make(map[string]obs.HistogramSnapshot, numKinds),
@@ -462,27 +451,23 @@ func (s *Service) Overloaded() bool { return s.admission.Overloaded() }
 var errBreakerOpen = errors.New("service: simulator circuit breaker open")
 
 // cachedCompute serves one request through the result table (see
-// resultTable.do) and counts how: a live entry, an expired one served under
-// saturation (stale) and a shared in-flight result are hits; a computed
-// value is a miss, whether or not compute marked it cacheable.
+// resultTable.do) and counts how: a stored entry and a shared in-flight
+// result are hits; a computed value is a miss, whether or not compute
+// marked it cacheable.
 // compute takes its own worker slot (acquire, then s.admission.Release) so
 // that a hit never waits for one and uninterruptible work can keep its slot
 // past a caller's cancellation.
-func (s *Service) cachedCompute(ctx context.Context, key string, compute func() (any, bool, error)) (v any, cached, stale bool, err error) {
-	v, how, err := s.results.do(ctx, key, compute)
+func (s *Service) cachedCompute(ctx context.Context, key string, compute func() (any, bool, error)) (v any, cached bool, err error) {
+	v, cached, err = s.results.do(ctx, key, compute)
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
-	tr := obs.FromContext(ctx)
-	if how == computed {
-		s.count(tr, obs.CounterCacheMisses, 1)
-		return v, false, false, nil
+	counter := obs.CounterCacheMisses
+	if cached {
+		counter = obs.CounterCacheHits
 	}
-	if how == staleHit {
-		s.staleServed.Add(1)
-	}
-	s.count(tr, obs.CounterCacheHits, 1)
-	return v, true, how == staleHit, nil
+	s.count(obs.FromContext(ctx), counter, 1)
+	return v, cached, nil
 }
 
 // PredictRequest asks for one analytic model evaluation.
@@ -564,10 +549,6 @@ type PredictResponse struct {
 	// Cached reports whether the response was served without a fresh model
 	// run (a stored result or a shared in-flight computation).
 	Cached bool
-	// Stale reports that the answer came from an expired cache entry served
-	// under pool saturation (see Options.CacheTTL); always false in healthy
-	// operation.
-	Stale bool
 	// Profile and ProfileVersion identify the calibrated profile snapshot
 	// that seeded the model (empty/0 when the request named none).
 	Profile        string
@@ -618,7 +599,7 @@ func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictRespo
 	if err := s.resolveProfile(ctx, req.Profile, &req.resolved); err != nil {
 		return PredictResponse{}, err
 	}
-	v, cached, stale, err := s.cachedCompute(ctx, predictKey(req), func() (any, bool, error) {
+	v, cached, err := s.cachedCompute(ctx, predictKey(req), func() (any, bool, error) {
 		cfg := req.config()
 		preds, converged, err := s.solve(ctx, cfg, cfg.Estimator)
 		if err != nil {
@@ -629,7 +610,7 @@ func (s *Service) predict(ctx context.Context, req PredictRequest) (PredictRespo
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	out := PredictResponse{Prediction: v.(core.Prediction), Cached: cached, Stale: stale}
+	out := PredictResponse{Prediction: v.(core.Prediction), Cached: cached}
 	if req.resolved != nil {
 		out.Profile = req.resolved.info.Name
 		out.ProfileVersion = req.resolved.info.Version
@@ -771,9 +752,6 @@ type SimulateResponse struct {
 	// Result carries the model's response time per job, Events is 0 and all
 	// quantiles coincide. Degraded responses are never cached.
 	Degraded bool
-	// Stale reports an expired cache entry served under pool saturation
-	// (see Options.CacheTTL).
-	Stale bool
 }
 
 // Simulate runs (or recalls) a batch of consecutively seeded cluster
@@ -798,7 +776,7 @@ func (s *Service) simulate(ctx context.Context, req SimulateRequest) (SimulateRe
 	if err := req.validate(s.opts.SimReps); err != nil {
 		return SimulateResponse{}, invalid(err)
 	}
-	v, cached, stale, err := s.cachedCompute(ctx, simulateKey(req), func() (any, bool, error) {
+	v, cached, err := s.cachedCompute(ctx, simulateKey(req), func() (any, bool, error) {
 		if !s.breaker.Allow() {
 			return nil, false, errBreakerOpen
 		}
@@ -818,7 +796,7 @@ func (s *Service) simulate(ctx context.Context, req SimulateRequest) (SimulateRe
 		return SimulateResponse{}, err
 	}
 	o := v.(simOutcome)
-	return SimulateResponse{Result: o.median, Quantiles: o.quantiles, FailedSeeds: o.failed, Cached: cached, Stale: stale}, nil
+	return SimulateResponse{Result: o.median, Quantiles: o.quantiles, FailedSeeds: o.failed, Cached: cached}, nil
 }
 
 // degradedSimulate synthesizes a SimulateResponse from the analytic model
@@ -959,11 +937,9 @@ type CompareResponse struct {
 	Cached bool
 	// Degraded reports that the simulator breaker was open, so "Simulated"
 	// is itself a model synthesis (see SimulateResponse.Degraded) and the
-	// error columns measure model-vs-model agreement, not accuracy. Wire
-	// tags keep both resilience flags omitted in healthy operation.
+	// error columns measure model-vs-model agreement, not accuracy. The
+	// wire tag keeps it omitted in healthy operation.
 	Degraded bool `json:"Degraded,omitempty"`
-	// Stale reports an expired cache entry served under pool saturation.
-	Stale bool `json:"Stale,omitempty"`
 	// Profile and ProfileVersion identify the calibrated profile snapshot
 	// that seeded the model side (empty/0 when the request named none).
 	Profile        string
@@ -979,7 +955,7 @@ func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareRespo
 	if err := s.resolveProfile(ctx, req.Profile, &req.resolved); err != nil {
 		return CompareResponse{}, err
 	}
-	v, cached, stale, err := s.cachedCompute(ctx, compareKey(req), func() (any, bool, error) {
+	v, cached, err := s.cachedCompute(ctx, compareKey(req), func() (any, bool, error) {
 		resp, converged, err := s.runCompare(ctx, req)
 		// A degraded comparison is served but not cached: the next one
 		// after the breaker closes recomputes against a real simulation.
@@ -990,7 +966,7 @@ func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareRespo
 		return CompareResponse{}, err
 	}
 	out := v.(CompareResponse)
-	out.Cached, out.Stale = cached, stale
+	out.Cached = cached
 	if req.resolved != nil {
 		out.Profile = req.resolved.info.Name
 		out.ProfileVersion = req.resolved.info.Version

@@ -403,7 +403,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	a, b, c3 := keys[0], keys[1], keys[2]
-	c := newResultTable(2*cacheShards, 0) // two entries per shard
+	c := newResultTable(2 * cacheShards) // two entries per shard
 	c.add(a, 1)
 	c.add(b, 2)
 	if _, ok := c.get(a); !ok { // refresh a
@@ -423,7 +423,7 @@ func TestLRUEviction(t *testing.T) {
 // and hits must keep returning the stored values.
 func TestShardedCacheCapacityAndSpread(t *testing.T) {
 	const max = 64
-	c := newResultTable(max, 0)
+	c := newResultTable(max)
 	for i := 0; i < 10*max; i++ {
 		c.add(fmt.Sprintf("key-%d", i), i)
 	}
@@ -446,7 +446,7 @@ func TestShardedCacheCapacityAndSpread(t *testing.T) {
 // TestFlightFollowerSurvivesLeaderCancel: a waiter must not inherit the
 // leader's context cancellation — it retries as the new leader.
 func TestFlightFollowerSurvivesLeaderCancel(t *testing.T) {
-	g := newResultTable(cacheShards, 0)
+	g := newResultTable(cacheShards)
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderStarted := make(chan struct{})
 	leaderRelease := make(chan struct{})

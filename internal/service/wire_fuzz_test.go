@@ -26,6 +26,19 @@ func FuzzPredictBody(f *testing.F) {
 	}
 	f.Add([]byte(`{"cluster":{"nodes":0},"job":{"inputMB":1024}}`))
 	f.Add([]byte(`{"cluster":{"nodes":4},"workflow":{"stages":[{"name":"a","job":{"inputMB":512}},{"name":"b","job":{"inputMB":512,"reduces":2}}],"edges":[{"from":"a","to":"b"}]}}`))
+	// cluster.custom reaches the full cluster.Spec decoder: the flat form,
+	// heterogeneous classes, and classes with the fault surface.
+	f.Add([]byte(`{"cluster":{"custom":{"numNodes":3,"nodeCapacity":{"memoryMB":32768,"vcores":32},` +
+		`"mapContainer":{"memoryMB":4096,"vcores":2},"reduceContainer":{"memoryMB":4096,"vcores":4},` +
+		`"cpuPerNode":6,"diskPerNode":1,"diskMBps":240,"networkMBps":110}},"job":{"inputMB":512,"reduces":2}}`))
+	f.Add([]byte(`{"cluster":{"custom":{"mapContainer":{"memoryMB":4096,"vcores":2},"reduceContainer":{"memoryMB":4096,"vcores":4},"classes":[` +
+		`{"name":"fast","count":2,"capacity":{"memoryMB":32768,"vcores":32},"cpus":6,"disks":1,"diskMBps":240,"networkMBps":110,"speed":1.5},` +
+		`{"name":"slow","count":2,"capacity":{"memoryMB":16384,"vcores":16},"cpus":4,"disks":1,"diskMBps":140,"networkMBps":110,"speed":0.5}]}},` +
+		`"job":{"inputMB":512}}`))
+	f.Add([]byte(`{"cluster":{"custom":{"mapContainer":{"memoryMB":4096,"vcores":2},"reduceContainer":{"memoryMB":4096,"vcores":4},"classes":[` +
+		`{"name":"ondemand","count":2,"capacity":{"memoryMB":32768,"vcores":32},"cpus":6,"disks":1,"diskMBps":240,"networkMBps":110,"price":3},` +
+		`{"name":"spot","count":2,"capacity":{"memoryMB":32768,"vcores":32},"cpus":6,"disks":1,"diskMBps":240,"networkMBps":110,` +
+		`"preemptible":true,"revocationRate":2,"price":1}]}},"job":{"inputMB":512}}`))
 	h := NewHandler(New(Options{Workers: 2}), ServerConfig{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkPredictKeyRoundTrip(t, body)

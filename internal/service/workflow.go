@@ -250,8 +250,8 @@ func (s *Service) workflowEval(ctx context.Context, dag *workflow.DAG, stageReqs
 // under its workflow-level key (the per-stage evaluations
 // inside keep their own keys either way). It keeps only an outcome whose
 // every stage converged.
-func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest) (*workflowOutcome, bool, bool, error) {
-	v, cached, stale, err := s.cachedCompute(ctx, workflowPredictKey(dag, stageReqs), func() (any, bool, error) {
+func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, stageReqs []PredictRequest) (*workflowOutcome, bool, error) {
+	v, cached, err := s.cachedCompute(ctx, workflowPredictKey(dag, stageReqs), func() (any, bool, error) {
 		o, err := s.workflowEval(ctx, dag, stageReqs)
 		if err != nil {
 			return nil, false, err
@@ -259,9 +259,9 @@ func (s *Service) workflowEvalCached(ctx context.Context, dag *workflow.DAG, sta
 		return o, o.pred.Converged, nil
 	})
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
-	return v.(*workflowOutcome), cached, stale, nil
+	return v.(*workflowOutcome), cached, nil
 }
 
 // predictWorkflow serves a workflow-bearing Predict request.
@@ -275,11 +275,11 @@ func (s *Service) predictWorkflow(ctx context.Context, req PredictRequest) (Pred
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs)
+	o, cached, err := s.workflowEvalCached(ctx, rw.dag, stageReqs)
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	return PredictResponse{Prediction: o.pred, Cached: cached, Stale: stale, Workflow: &o.report}, nil
+	return PredictResponse{Prediction: o.pred, Cached: cached, Workflow: &o.report}, nil
 }
 
 // evalWorkflowCandidate is a workflow plan's unit evaluation: the
@@ -290,10 +290,10 @@ func (s *Service) evalWorkflowCandidate(ctx context.Context, req *PlanRequest, r
 	if err != nil {
 		return c, false, err
 	}
-	o, cached, stale, err := s.workflowEvalCached(ctx, rw.dag, stageReqs)
+	o, cached, err := s.workflowEvalCached(ctx, rw.dag, stageReqs)
 	if err != nil {
 		return c, false, err
 	}
-	c.ResponseTime, c.Cached, c.Stale = o.report.ResponseTime, cached, stale
+	c.ResponseTime, c.Cached = o.report.ResponseTime, cached
 	return c, o.pred.Converged, nil
 }
