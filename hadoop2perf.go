@@ -167,7 +167,9 @@ func NewJob(id int, inputMB, blockSizeMB float64, reduces int, p Profile) (Job, 
 
 // Predict runs the analytic performance model (modified MVA, §4.2). Each
 // outer round's inner MVA fixed point starts from the previous round's,
-// with Aitken acceleration; the answer depends only on cfg.
+// with Aitken acceleration; the answer depends only on cfg. It also
+// returns the final round's timeline and precedence tree, which the
+// Service's answers leave out.
 func Predict(cfg ModelConfig) (Prediction, error) { return core.Predict(cfg) }
 
 // Predictor is a reusable, allocation-lean model evaluator (one goroutine
@@ -235,6 +237,12 @@ func FitTrace(res SimResult, opts FitOptions) (FitResult, error) { return trace.
 // Simulate / Compare plus the parallel what-if Plan. The zero ServiceOptions
 // picks sensible defaults (GOMAXPROCS workers, 1024 cache entries, 5
 // simulator repetitions).
+//
+// The Service's model answers are answer-only: the Prediction in a
+// PredictResponse (and every model answer behind compare, plan and
+// workflow) leaves Timeline and Tree nil, so a cached predict holds about
+// 0.5 KB. Earlier releases copied the final round's timeline and
+// precedence tree into it; call Predict for those artifacts.
 func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 
 // NewServiceHandler exposes a Service as the mrserved HTTP API (/healthz,

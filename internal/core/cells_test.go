@@ -91,14 +91,18 @@ func checkEquitable(p *Predictor, tl *timeline.Timeline, otherJobs int) error {
 // checking that every round's cells are equitable — and once element-wise,
 // fails the test when the iteration counts differ or the answers differ
 // beyond lumpTol (class responses beyond classTol), and returns the summed
-// cell and task counts of the lumped rounds.
+// cell and task counts of the lumped rounds. PredictEach answers carry no
+// timeline, so the task count each answer's Cells is checked against is
+// read from the rounds (every round places the same tasks).
 func lumpedMatchesElementwise(t testing.TB, cfg Config) (cellRows, taskRows int) {
 	t.Helper()
 	var lumped Predictor
 	var hookErr error
+	tasks := 0
 	lumped.roundHook = func(tl *timeline.Timeline, _ *ptree.Node, otherJobs int) {
 		cellRows += lumped.cells.count()
 		taskRows += len(tl.Tasks)
+		tasks = len(tl.Tasks)
 		if hookErr == nil {
 			hookErr = checkEquitable(&lumped, tl, otherJobs)
 		}
@@ -120,11 +124,11 @@ func lumpedMatchesElementwise(t testing.TB, cfg Config) (cellRows, taskRows int)
 		if g.Iterations != w.Iterations || g.Converged != w.Converged {
 			t.Fatalf("%v: %d iterations (converged %v), element-wise %d (%v)", est, g.Iterations, g.Converged, w.Iterations, w.Converged)
 		}
-		if w.Cells != len(w.Timeline.Tasks) {
-			t.Fatalf("%v: element-wise solve reports %d cells for %d tasks", est, w.Cells, len(w.Timeline.Tasks))
+		if w.Cells != tasks {
+			t.Fatalf("%v: element-wise solve reports %d cells for %d tasks", est, w.Cells, tasks)
 		}
-		if g.Cells < 1 || g.Cells > len(g.Timeline.Tasks) {
-			t.Fatalf("%v: %d cells for %d tasks", est, g.Cells, len(g.Timeline.Tasks))
+		if g.Cells < 1 || g.Cells > tasks {
+			t.Fatalf("%v: %d cells for %d tasks", est, g.Cells, tasks)
 		}
 		if d := relDiff(g.ResponseTime, w.ResponseTime); d > lumpTol {
 			t.Fatalf("%v: lumped %v, element-wise %v (relative %.3g)", est, g.ResponseTime, w.ResponseTime, d)

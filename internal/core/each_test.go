@@ -42,8 +42,9 @@ func figureConfigs(t *testing.T) map[string]Config {
 	return out
 }
 
-// samePrediction reports how got differs from want, bit for bit, or "".
-func samePrediction(got, want Prediction) string {
+// sameAnswer reports how got's answer (response, counters, class
+// responses) differs from want's, bit for bit, or "".
+func sameAnswer(got, want Prediction) string {
 	if math.Float64bits(got.ResponseTime) != math.Float64bits(want.ResponseTime) {
 		return fmt.Sprintf("response %x, want %x", got.ResponseTime, want.ResponseTime)
 	}
@@ -58,6 +59,15 @@ func samePrediction(got, want Prediction) string {
 	if !reflect.DeepEqual(got.ClassResponse, want.ClassResponse) {
 		return fmt.Sprintf("class responses %v, want %v", got.ClassResponse, want.ClassResponse)
 	}
+	return ""
+}
+
+// samePrediction is sameAnswer plus the artifacts: the final timeline and
+// tree.
+func samePrediction(got, want Prediction) string {
+	if d := sameAnswer(got, want); d != "" {
+		return d
+	}
 	if !reflect.DeepEqual(got.Timeline, want.Timeline) {
 		return "timelines differ"
 	}
@@ -68,7 +78,8 @@ func samePrediction(got, want Prediction) string {
 }
 
 // checkEach runs cfg once through PredictEach with ests and once per
-// estimator through Predict, and requires identical results.
+// estimator through Predict, and requires identical answers, with no
+// artifacts on the PredictEach ones.
 func checkEach(t *testing.T, name string, cfg Config, ests []Estimator) []Prediction {
 	t.Helper()
 	joint, err := PredictEach(context.Background(), cfg, ests...)
@@ -85,8 +96,11 @@ func checkEach(t *testing.T, name string, cfg Config, ests []Estimator) []Predic
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, est, err)
 		}
-		if d := samePrediction(joint[i], want); d != "" {
+		if d := sameAnswer(joint[i], want); d != "" {
 			t.Errorf("%s/%s: joint solve differs from Predict: %s", name, est, d)
+		}
+		if joint[i].Timeline != nil || joint[i].Tree != nil {
+			t.Errorf("%s/%s: joint solve returned a timeline or tree", name, est)
 		}
 	}
 	return joint

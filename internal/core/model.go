@@ -218,7 +218,9 @@ type Prediction struct {
 	// ClassResponse is the final per-class mean task response time.
 	ClassResponse map[timeline.Class]float64
 	// Timeline and Tree are the final iteration's artifacts (inspection,
-	// visualization, tests).
+	// visualization, tests). Only Predict and PredictContext fill them;
+	// the answer-only solves (PredictEach, the stages of
+	// PredictWorkflowContext) leave both nil.
 	Timeline *timeline.Timeline
 	Tree     *ptree.Node
 }
@@ -245,8 +247,9 @@ type classTable [numClasses]classData
 // predictions, so evaluating many configurations — the planner's node-axis
 // sweeps, batched figure reproduction — stops churning the garbage
 // collector. Once its scratch has grown, an outer round allocates nothing;
-// a prediction allocates its setup and, per round an estimator stops on, a
-// copy of that round's timeline and tree for the Prediction.
+// a prediction allocates its setup, its answers' class-response maps and,
+// for Predict and PredictContext only, a copy of the final round's
+// timeline and tree for the Prediction.
 //
 // A Predictor is not safe for concurrent use. The package-level Predict,
 // PredictEach and PredictWorkflow borrow one from a package pool for the
@@ -452,14 +455,14 @@ func Predict(cfg Config) (Prediction, error) {
 // predict). The answer is a function of cfg alone, whatever the Predictor
 // solved before; its bits are pinned by digest_test.go.
 func (p *Predictor) Predict(cfg Config) (Prediction, error) {
-	return p.predictOne(nil, cfg)
+	return p.predictOne(nil, cfg, true)
 }
 
 // PredictContext is Predict honoring ctx: the outer fixed-point loop checks
 // for cancellation between iterations, so a canceled request stops paying
 // for convergence it no longer wants.
 func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
-	return p.predictOne(ctx, cfg)
+	return p.predictOne(ctx, cfg, true)
 }
 
 // PredictEach runs one prediction of cfg per estimator in ests
@@ -483,19 +486,21 @@ func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Predicti
 // as of that round while the loop runs on for the others; the loop ends
 // when all have stopped or MaxIterations is reached. ctx is checked
 // between outer iterations, as in PredictContext. An empty list and a
-// repeated estimator are errors.
+// repeated estimator are errors. The results are answers only: Timeline
+// and Tree are nil (use Predict for the artifacts), so a caller that keeps
+// them, such as a result cache, keeps no copy of the round structure.
 func (p *Predictor) PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Prediction, error) {
 	out := make([]Prediction, len(ests))
-	if err := p.predict(ctx, cfg, ests, out); err != nil {
+	if err := p.predict(ctx, cfg, ests, out, false); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // predictOne is predict for the one estimator cfg.Estimator.
-func (p *Predictor) predictOne(ctx context.Context, cfg Config) (Prediction, error) {
+func (p *Predictor) predictOne(ctx context.Context, cfg Config, artifacts bool) (Prediction, error) {
 	var out [1]Prediction
-	if err := p.predict(ctx, cfg, []Estimator{cfg.Estimator}, out[:]); err != nil {
+	if err := p.predict(ctx, cfg, []Estimator{cfg.Estimator}, out[:], artifacts); err != nil {
 		return Prediction{}, err
 	}
 	return out[0], nil
@@ -513,8 +518,11 @@ func (p *Predictor) predictOne(ctx context.Context, cfg Config) (Prediction, err
 // restart's up to inner-tolerance noise (the coldInner test seam is that
 // restart, the oracle of chain_test.go). A non-nil ctx is checked between
 // outer iterations — cancellation costs at most one more round; nil skips
-// the check so un-contexted callers pay nothing.
-func (p *Predictor) predict(ctx context.Context, cfg Config, ests []Estimator, out []Prediction) error {
+// the check so un-contexted callers pay nothing. With artifacts set, each
+// answer carries a copy of the timeline and tree of the round it stopped
+// on; only a one-estimator solve sets it, so that copy is made once.
+// Without it the answer leaves Timeline and Tree nil.
+func (p *Predictor) predict(ctx context.Context, cfg Config, ests []Estimator, out []Prediction, artifacts bool) error {
 	if len(ests) == 0 {
 		return errors.New("core: no estimator to predict with")
 	}
@@ -537,10 +545,13 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, ests []Estimator, o
 		// inner totals the MVA sweeps so far, reused the rounds that
 		// rebuilt no structure.
 		inner, reused int
-		// kept is the copy of the round's timeline and tree handed to the
-		// estimators that stop on it.
-		kept roundCopy
+		// kept is the timeline finish copies into an estimator's answer,
+		// nil in an answer-only solve.
+		kept *timeline.Timeline
 	)
+	if artifacts {
+		kept = tl
+	}
 	// Until an estimator stops, its entry's ResponseTime is the previous
 	// round's total (the ε-test's reference), +Inf before the first round.
 	for i := range out {
@@ -663,47 +674,33 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, ests []Estimator, o
 			}
 			if stop {
 				pred.Converged = true
-				finish(pred, classes, &kept, iter, tl, &p.ptb)
+				finish(pred, classes, kept, &p.ptb)
 				running--
 			}
 		}
 	}
 	for i := range out {
 		if !out[i].Converged {
-			finish(&out[i], classes, &kept, out[i].Iterations, tl, &p.ptb)
+			finish(&out[i], classes, kept, &p.ptb)
 		}
 	}
 	return nil
 }
 
 // finish records the iteration state an estimator stops with: the class
-// responses (copied — the loop may run on for other estimators) and a copy
-// of round iter's timeline and tree, which the next round overwrites.
-func finish(pred *Prediction, classes *classTable, kept *roundCopy, iter int, tl *timeline.Timeline, tb *ptree.Builder) {
+// responses (copied — the loop may run on for other estimators) and, when
+// tl is non-nil, a copy of the round's timeline tl and of the tree tb
+// holds, which the next round overwrites.
+func finish(pred *Prediction, classes *classTable, tl *timeline.Timeline, tb *ptree.Builder) {
 	pred.ClassResponse = map[timeline.Class]float64{}
 	for cls, cd := range classes {
 		pred.ClassResponse[timeline.Class(cls)] = cd.response
 	}
-	pred.Timeline, pred.Tree = kept.of(iter, tl, tb)
-}
-
-// roundCopy is a self-contained copy of one round's timeline and tree,
-// shared by the estimators that stop on that round.
-type roundCopy struct {
-	iter int
-	tl   *timeline.Timeline
-	tree *ptree.Node
-}
-
-// of returns the copy of round iter, whose timeline is tl and whose tree
-// tb holds, making it on first use.
-func (c *roundCopy) of(iter int, tl *timeline.Timeline, tb *ptree.Builder) (*timeline.Timeline, *ptree.Node) {
-	if c.tl == nil || c.iter != iter {
+	if tl != nil {
 		cp := *tl
 		cp.Tasks = slices.Clone(tl.Tasks)
-		c.iter, c.tl, c.tree = iter, &cp, tb.Snapshot()
+		pred.Timeline, pred.Tree = &cp, tb.Snapshot()
 	}
-	return c.tl, c.tree
 }
 
 // beginPredict validates and normalizes a configuration and initializes the

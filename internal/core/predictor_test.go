@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/ptree"
 	"hadoop2perf/internal/timeline"
 	"hadoop2perf/internal/workload"
 )
@@ -109,9 +110,10 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 
 // TestPooledPredictConcurrent solves the reuse shapes through the pooled
 // Predict and PredictEach from four goroutines at once, each in its own
-// order: every answer is a fresh Predictor's, bit for bit, and an answer
-// kept from the first pass is unchanged after its Predictor has gone back
-// to the pool and served others (a Prediction shares no memory with its
+// order: every answer is a fresh Predictor's, bit for bit (artifacts
+// included for Predict, which alone returns them), and an answer kept from
+// the first pass is unchanged after its Predictor has gone back to the
+// pool and served others (a Prediction shares no memory with its
 // Predictor). CI runs it under -race.
 func TestPooledPredictConcurrent(t *testing.T) {
 	cfgs := reuseConfigs(t)
@@ -121,6 +123,12 @@ func TestPooledPredictConcurrent(t *testing.T) {
 		if want[i], err = NewPredictor().Predict(cfg); err != nil {
 			t.Fatal(err)
 		}
+	}
+	same := func(got, want Prediction) string {
+		if got.Timeline == nil {
+			return sameAnswer(got, want)
+		}
+		return samePrediction(got, want)
 	}
 	var wg sync.WaitGroup
 	for g := range 4 {
@@ -145,7 +153,7 @@ func TestPooledPredictConcurrent(t *testing.T) {
 						t.Errorf("goroutine %d, shape %d: %v", g, i, err)
 						return
 					}
-					if d := samePrediction(got, want[i]); d != "" {
+					if d := same(got, want[i]); d != "" {
 						t.Errorf("goroutine %d, pass %d, shape %d: %s", g, pass, i, d)
 					}
 					if pass == 0 {
@@ -154,7 +162,7 @@ func TestPooledPredictConcurrent(t *testing.T) {
 				}
 			}
 			for i := range kept {
-				if d := samePrediction(kept[i], want[i]); d != "" {
+				if d := same(kept[i], want[i]); d != "" {
 					t.Errorf("goroutine %d, shape %d: kept answer changed: %s", g, i, d)
 				}
 			}
@@ -312,6 +320,58 @@ func TestPredictAllocBudget(t *testing.T) {
 		})
 		if allocs > budget {
 			t.Errorf("%v, jobs=%d: %.0f allocations over %d rounds, budget %d", c.est, c.jobs, allocs, pred.Iterations, budget)
+		}
+	}
+}
+
+// PredictEach is an answer-only solve: its answers carry no timeline or
+// tree, and on a reused Predictor it allocates the same handful whatever
+// the shape's task or round count — the result slice and each answer's
+// class-response map (eight allocations for the three estimators when this
+// was written). A copy of the final round's structure per answer would
+// grow with the task count and with the number of distinct rounds the
+// estimators stop on.
+func TestPredictEachAnswerOnlyAllocs(t *testing.T) {
+	budget := 3 * len(allEstimators)
+	var want float64
+	for i, c := range []struct {
+		nodes, jobs, reduces int
+		inputMB              float64
+		tasks, minRounds     int
+	}{{2, 1, 1, 768, 8, 2}, {6, 4, 6, 7 * 1024, 68, 30}} {
+		j, err := workload.NewJob(0, c.inputMB, 128, c.reduces, workload.WordCount())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Spec: cluster.Default(c.nodes), Job: j, NumJobs: c.jobs}
+		var p Predictor
+		tasks := 0
+		p.roundHook = func(tl *timeline.Timeline, _ *ptree.Node, _ int) { tasks = len(tl.Tasks) }
+		preds, err := p.PredictEach(context.Background(), cfg, allEstimators...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.roundHook = nil
+		if tasks != c.tasks || preds[0].Iterations < c.minRounds {
+			t.Fatalf("shape %d: %d tasks over %d rounds, want %d tasks and at least %d rounds", i, tasks, preds[0].Iterations, c.tasks, c.minRounds)
+		}
+		for k, pred := range preds {
+			if pred.Timeline != nil || pred.Tree != nil {
+				t.Errorf("shape %d, %v: PredictEach answer carries a timeline or tree", i, allEstimators[k])
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := p.PredictEach(context.Background(), cfg, allEstimators...); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs > float64(budget) {
+			t.Errorf("shape %d: %.0f allocations for %d tasks over %d rounds, budget %d", i, allocs, tasks, preds[0].Iterations, budget)
+		}
+		if i == 0 {
+			want = allocs
+		} else if allocs != want {
+			t.Errorf("shape %d: %.0f allocations for %d tasks over %d rounds, the 8-task shape made %.0f", i, allocs, tasks, preds[0].Iterations, want)
 		}
 	}
 }

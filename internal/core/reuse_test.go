@@ -70,8 +70,8 @@ func diffTimeline(got, want *timeline.Timeline) error {
 }
 
 // diffPrediction compares two predictions bit for bit: answer, counters
-// other than the round-reuse split, class responses, final timeline and
-// tree.
+// other than the round-reuse split, class responses and, when want has
+// them (a Predict answer), the final timeline and tree.
 func diffPrediction(got, want Prediction) error {
 	if math.Float64bits(got.ResponseTime) != math.Float64bits(want.ResponseTime) ||
 		got.Iterations != want.Iterations || got.Converged != want.Converged ||
@@ -86,6 +86,12 @@ func diffPrediction(got, want Prediction) error {
 	}
 	if len(got.ClassResponse) != len(want.ClassResponse) {
 		return fmt.Errorf("%d class responses, want %d", len(got.ClassResponse), len(want.ClassResponse))
+	}
+	if (got.Timeline == nil) != (want.Timeline == nil) || (got.Tree == nil) != (want.Tree == nil) {
+		return fmt.Errorf("artifacts %v/%v, want %v/%v", got.Timeline != nil, got.Tree != nil, want.Timeline != nil, want.Tree != nil)
+	}
+	if want.Timeline == nil {
+		return nil
 	}
 	if err := diffTimeline(got.Timeline, want.Timeline); err != nil {
 		return fmt.Errorf("final timeline: %v", err)

@@ -89,11 +89,12 @@ func PredictWorkflow(dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, erro
 // PredictWorkflowContext evaluates every stage of the DAG on this
 // Predictor, honoring ctx between stage evaluations and outer iterations,
 // in deterministic topological order, and composes the critical-path
-// response (see ComposeWorkflow). Each stage is a Predict call, so a
+// response (see ComposeWorkflow). Each stage is a PredictContext solve
+// without its artifacts (ComposeWorkflow reads only scalars), so a
 // single-stage workflow predicts exactly what Predict does.
 func (p *Predictor) PredictWorkflowContext(ctx context.Context, dag *workflow.DAG, cfgs []Config) (WorkflowPrediction, error) {
 	return ComposeWorkflow(dag, cfgs, func(_ int, cfg Config) (Prediction, error) {
-		return p.PredictContext(ctx, cfg)
+		return p.predictOne(ctx, cfg, false)
 	})
 }
 

@@ -473,12 +473,8 @@ func jsonEndpoint[Req any](s *Service, cfg ServerConfig, class admit.Class, maxB
 			return
 		}
 		defer ticket.Done()
-		// The error is ignored: an in-process writer (an httptest
-		// recorder) has no connection to bound (http.ErrNotSupported), and
-		// a connection that refuses a deadline is closed, so the body read
-		// below fails on its own.
 		deadline, _ := ctx.Deadline()
-		_ = http.NewResponseController(w).SetReadDeadline(deadline)
+		setReadDeadline(w, deadline)
 		var req Req
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 		dec.DisallowUnknownFields()
@@ -499,6 +495,27 @@ func jsonEndpoint[Req any](s *Service, cfg ServerConfig, class admit.Class, maxB
 			return
 		}
 		writeJSON(w, r, http.StatusOK, out)
+	}
+}
+
+// setReadDeadline bounds the body read of w's connection, finding the
+// connection's SetReadDeadline through Unwrap as http.ResponseController
+// does. A writer with none (an in-process one, such as an httptest
+// recorder) has no connection to bound, so the call does nothing, without
+// the wrapped http.ErrNotSupported the controller would allocate per
+// request. The deadline's error is ignored: a connection that refuses one
+// is closed, so the body read fails on its own.
+func setReadDeadline(w http.ResponseWriter, deadline time.Time) {
+	for {
+		switch rw := w.(type) {
+		case interface{ SetReadDeadline(time.Time) error }:
+			_ = rw.SetReadDeadline(deadline)
+			return
+		case interface{ Unwrap() http.ResponseWriter }:
+			w = rw.Unwrap()
+		default:
+			return
+		}
 	}
 }
 

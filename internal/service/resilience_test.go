@@ -492,3 +492,32 @@ func TestStalledBodyTimesOut(t *testing.T) {
 		t.Errorf("QueuedCost = %d after the stalled request, want 0", q)
 	}
 }
+
+// deadlineRecorder is a recorder whose "connection" takes read deadlines.
+type deadlineRecorder struct {
+	*httptest.ResponseRecorder
+	deadline time.Time
+}
+
+func (d *deadlineRecorder) SetReadDeadline(t time.Time) error {
+	d.deadline = t
+	return nil
+}
+
+// setReadDeadline finds a connection's SetReadDeadline through the trace
+// middleware's wrapper, and on an in-process writer with no connection it
+// does nothing and allocates nothing (http.ResponseController allocates a
+// wrapped ErrNotSupported there on every request). TestStalledBodyTimesOut
+// covers a real socket.
+func TestSetReadDeadline(t *testing.T) {
+	deadline := time.Now().Add(time.Second)
+	conn := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder()}
+	setReadDeadline(&traceWriter{ResponseWriter: conn}, deadline)
+	if !conn.deadline.Equal(deadline) {
+		t.Errorf("deadline %v through the trace wrapper, want %v", conn.deadline, deadline)
+	}
+	var w http.ResponseWriter = &traceWriter{ResponseWriter: httptest.NewRecorder()}
+	if allocs := testing.AllocsPerRun(100, func() { setReadDeadline(w, deadline) }); allocs != 0 {
+		t.Errorf("%.0f allocations per call on an in-process writer, want 0", allocs)
+	}
+}

@@ -544,7 +544,9 @@ func (r *PredictRequest) config() core.Config {
 // embedded Prediction may be shared with other cache readers — treat it as
 // read-only.
 type PredictResponse struct {
-	// Prediction is the model output (response time, iterations, artifacts).
+	// Prediction is the model output: response time, counters and class
+	// responses. It is answer-only (Timeline and Tree are nil), so a
+	// cached entry holds no round structure.
 	Prediction core.Prediction
 	// Cached reports whether the response was served without a fresh model
 	// run (a stored result or a shared in-flight computation).

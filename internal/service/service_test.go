@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,66 @@ func testJob(t testing.TB, inputMB float64, reduces int) workload.Job {
 		t.Fatal(err)
 	}
 	return job
+}
+
+// liveHeap returns the live heap after a full collection. The second
+// collection frees what the first left in sync.Pool victim caches (core's
+// pooled Predictors), so two readings differ only by what stayed
+// reachable in between.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// A cached predict holds its answer and nothing else: no timeline or tree
+// (the solve behind it is answer-only), so each entry of the result table
+// costs well under 1 KiB of live heap — its key, LRU element, boxed
+// core.Prediction and class-response map: about 490 B on amd64 and 340 B
+// on 386. Holding the final round's timeline and precedence tree as well
+// cost 3.9 KiB (2.4 KiB on 386) per entry on these 17-task shapes.
+func TestCachedPredictFootprint(t *testing.T) {
+	const n, maxPerEntry = 512, 1024
+	ctx := context.Background()
+	s := New(Options{Workers: 1, CacheSize: 2 * n})
+	req := func(i int) PredictRequest {
+		return PredictRequest{Spec: cluster.Default(4), Job: testJob(t, 1024+float64(i), 4)}
+	}
+	// One solve outside the measured set grows what every solve shares.
+	if _, err := s.Predict(ctx, req(n)); err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	for i := range n {
+		resp, err := s.Predict(ctx, req(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.Prediction.Timeline != nil || resp.Prediction.Tree != nil {
+			t.Fatalf("predict %d: cached %v, timeline %v, tree %v; want a fresh answer with no artifacts",
+				i, resp.Cached, resp.Prediction.Timeline != nil, resp.Prediction.Tree != nil)
+		}
+	}
+	after := liveHeap()
+	if m := s.Metrics(); m.CacheEntries != n+1 {
+		t.Fatalf("%d cache entries, want %d", m.CacheEntries, n+1)
+	}
+	resp, err := s.Predict(ctx, req(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached || resp.Prediction.Timeline != nil || resp.Prediction.Tree != nil {
+		t.Fatalf("repeat: cached %v, timeline %v, tree %v; want a stored answer with no artifacts",
+			resp.Cached, resp.Prediction.Timeline != nil, resp.Prediction.Tree != nil)
+	}
+	per := float64(int64(after)-int64(before)) / n
+	t.Logf("live heap %d → %d B over %d cached predicts: %.0f B per entry", before, after, n, per)
+	if per > maxPerEntry {
+		t.Errorf("%.0f B of live heap per cached predict, budget %d", per, maxPerEntry)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestPredictCachesRepeatedRequests(t *testing.T) {
