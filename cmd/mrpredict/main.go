@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mrpredict -nodes 4 -input-gb 1 -block-mb 128 -reduces 4 -jobs 1 \
-//	          -estimator forkjoin -workload wordcount [-baselines] [-v] \
+//	          -estimator forkjoin -workload wordcount [-v] \
 //	          [-trace history.json [-trace-trim 0.02]]
 //
 // With -trace, the model is initialized from the per-class statistics fitted
@@ -33,7 +33,6 @@ func main() {
 		jobs      = flag.Int("jobs", 1, "number of identical concurrent jobs")
 		estimator = flag.String("estimator", "forkjoin", "forkjoin | tripathi | literal")
 		wl        = flag.String("workload", "wordcount", "wordcount | grep | terasort")
-		baselines = flag.Bool("baselines", false, "also print ARIA and Herodotou baselines")
 		verbose   = flag.Bool("v", false, "print per-class responses and the precedence tree")
 		traceFile = flag.String("trace", "", "job-history trace (JSON) to calibrate the model from")
 		traceTrim = flag.Float64("trace-trim", 0, "fraction trimmed from each duration tail when fitting the trace")
@@ -105,17 +104,5 @@ func main() {
 		}
 		fmt.Printf("  timeline makespan: %.1f s, precedence tree: depth=%d leaves=%d\n",
 			pred.Timeline.Makespan, pred.Tree.Depth(), pred.Tree.NumLeaves())
-	}
-	if *baselines {
-		h, err := hadoop2perf.PredictHerodotou(job, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		a, err := hadoop2perf.PredictARIA(job, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("baseline herodotou (static): %.1f s\n", h.Total)
-		fmt.Printf("baseline ARIA: T_low=%.1f T_avg=%.1f T_up=%.1f s\n", a.Low, a.Avg, a.Up)
 	}
 }

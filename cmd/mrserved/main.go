@@ -49,7 +49,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size (model/simulator executions in flight)")
-		cacheSize  = flag.Int("cache-size", service.DefaultCacheSize, "LRU cache entries (a cached predict holds about 0.5 KB of live heap)")
+		cacheSize  = flag.Int("cache-size", service.DefaultCacheSize, "LRU cache capacity: at most this many entries, evicted only when full (a cached predict holds about 0.5 KB of live heap)")
 		simReps    = flag.Int("sim-reps", service.DefaultSimReps, "default median-of-seeds repetitions")
 		timeout    = flag.Duration("timeout", 0, "uniform per-request handling timeout (0 = per-kind defaults: 10s predict, 30s simulate/compare/plan/calibrate)")
 		drainWait  = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests after SIGTERM/SIGINT before forced exit")

@@ -1,8 +1,8 @@
-// Deadline-driven resource allocation: the ARIA use case (paper §2.1) —
-// given a job and a soft deadline, infer the resources required. ARIA's
-// closed-form slot arithmetic answers instantly but ignores contention; the
-// prediction service's what-if planner sweeps real configurations (block
-// size × reducers) under the same deadline, and the simulator arbitrates.
+// Deadline-driven configuration: given a job and a soft deadline, which
+// job configuration on a fixed cluster meets it? The prediction service's
+// what-if planner sweeps real configurations (block size × reducers) under
+// the deadline with the queueing-aware model, and the simulator checks the
+// configuration it picks.
 package main
 
 import (
@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"hadoop2perf"
-	"hadoop2perf/internal/aria"
 )
 
 func main() {
@@ -22,65 +21,69 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, deadline := range []float64{600, 300, 150} {
-		slots, err := aria.SlotsForDeadline(job, spec, deadline)
-		if err != nil {
-			fmt.Printf("deadline %5.0f s: %v\n", deadline, err)
-			continue
-		}
-		est, err := hadoop2perf.PredictARIA(job, spec)
+	// Every candidate is evaluated in parallel and cached, so re-planning
+	// the same grid under another deadline costs no model solve.
+	svc := hadoop2perf.NewService(hadoop2perf.ServiceOptions{})
+	plan := func(deadline float64) hadoop2perf.PlanResponse {
+		p, err := svc.Plan(context.Background(), hadoop2perf.PlanRequest{
+			Spec:         spec,
+			Job:          job,
+			BlockSizesMB: []float64{64, 128, 256},
+			Reducers:     []int{2, 4, 8},
+			DeadlineSec:  deadline,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("deadline %5.0f s: ARIA wants %d map+reduce slots "+
-			"(cluster bounds: T_low=%.0f T_avg=%.0f T_up=%.0f)\n",
-			deadline, slots, est.Low, est.Avg, est.Up)
+		return p
 	}
 
-	// The planner answers the richer question ARIA cannot: which job
-	// configuration on the fixed 4-node cluster meets the deadline, at what
-	// predicted response? All candidates are evaluated in parallel.
-	svc := hadoop2perf.NewService(hadoop2perf.ServiceOptions{})
 	const deadline = 300.0
-	plan, err := svc.Plan(context.Background(), hadoop2perf.PlanRequest{
-		Spec:         spec,
-		Job:          job,
-		BlockSizesMB: []float64{64, 128, 256},
-		Reducers:     []int{2, 4, 8},
-		DeadlineSec:  deadline,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwhat-if sweep on 4 nodes (deadline %.0f s): %d configurations\n",
-		deadline, len(plan.Candidates))
+	p := plan(deadline)
+	fmt.Printf("what-if sweep on 4 nodes (deadline %.0f s): %d configurations\n",
+		deadline, len(p.Candidates))
 	fmt.Println("block MB  reducers  est. response  meets deadline")
-	for _, c := range plan.Candidates {
+	for _, c := range p.Candidates {
 		mark := "  no"
 		if c.Feasible {
 			mark = " YES"
 		}
 		fmt.Printf("%8.0f  %8d  %11.1f s  %s\n", c.BlockSizeMB, c.Reducers, c.ResponseTime, mark)
 	}
-	if plan.Best != nil {
-		fmt.Printf("best configuration: %.0f MB blocks, %d reducers (%.1f s)\n",
-			plan.Best.BlockSizeMB, plan.Best.Reducers, plan.Best.ResponseTime)
+	if p.Best == nil {
+		fmt.Println("no configuration meets the deadline; relax it or add nodes")
+		return
+	}
+	best := *p.Best
+	fmt.Printf("best configuration: %.0f MB blocks, %d reducers (%.1f s)\n",
+		best.BlockSizeMB, best.Reducers, best.ResponseTime)
+
+	for _, d := range []float64{600, 150, 120} {
+		feasible := 0
+		for _, c := range plan(d).Candidates {
+			if c.Feasible {
+				feasible++
+			}
+		}
+		fmt.Printf("deadline %3.0f s: %d of %d configurations meet it\n", d, feasible, len(p.Candidates))
 	}
 
-	// ARIA's slot arithmetic ignores contention and the map/shuffle pipeline;
-	// the dynamic model and the simulator judge its cluster-level estimate.
+	// Check the chosen configuration on the simulator before committing:
+	// the median of five seeded runs against both model estimators.
+	chosen, err := hadoop2perf.NewJob(0, job.InputMB, best.BlockSizeMB, best.Reducers, job.Profile)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cmp, err := svc.Compare(context.Background(), hadoop2perf.CompareRequest{
-		Spec: spec, Job: job, NumJobs: 1, Seed: 3, Reps: 5,
+		Spec: spec, Job: chosen, NumJobs: 1, Seed: 3, Reps: 5,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := hadoop2perf.PredictARIA(job, spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\non the full 4-node cluster: ARIA T_avg=%.0f s, dynamic model=%.0f s, simulated=%.0f s\n",
-		est.Avg, cmp.ForkJoin, cmp.Simulated)
-	fmt.Println("ARIA brackets the truth but its point estimate ignores pipeline overlap and contention;")
-	fmt.Println("the dynamic model lands closer — the paper's argument for queueing-aware models.")
+	fmt.Printf("\nsimulator check: %.1f s simulated, fork/join %.1f s, tripathi %.1f s (deadline %.0f s)\n",
+		cmp.Simulated, cmp.ForkJoin, cmp.Tripathi, deadline)
+
+	m := svc.Metrics()
+	fmt.Printf("service: %d computations (model + simulator), %d served from cache\n",
+		m.CacheMisses, m.CacheHits)
 }

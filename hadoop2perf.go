@@ -3,16 +3,14 @@
 // Glushkova, Jovanovic and Abelló, "MapReduce Performance Models for
 // Hadoop 2.x" (EDBT/ICDT Workshops 2017).
 //
-// The package bundles three layers:
+// The package bundles two layers:
 //
 //   - an analytic model (Predict) combining Algorithm-1 timeline
 //     construction, precedence trees and overlap-weighted Mean Value
 //     Analysis, with the paper's two job-level estimators (fork/join-based
 //     and Tripathi-based);
 //   - a discrete-event YARN cluster simulator (Simulate) standing in for a
-//     real Hadoop 2.x testbed, used to validate the model;
-//   - static baselines from related work: Herodotou's phase cost model and
-//     ARIA's makespan bounds.
+//     real Hadoop 2.x testbed, used to validate the model.
 //
 // Quick start:
 //
@@ -28,12 +26,10 @@ import (
 	"net/http"
 	"time"
 
-	"hadoop2perf/internal/aria"
 	"hadoop2perf/internal/bench"
 	"hadoop2perf/internal/cluster"
 	"hadoop2perf/internal/core"
 	"hadoop2perf/internal/fault"
-	"hadoop2perf/internal/herodotou"
 	"hadoop2perf/internal/mrsim"
 	"hadoop2perf/internal/service"
 	"hadoop2perf/internal/trace"
@@ -76,10 +72,6 @@ type (
 	FaultStats = mrsim.FaultStats
 	// SchedulerPolicy orders applications in the RM's root queue.
 	SchedulerPolicy = yarn.Policy
-	// AriaEstimate holds ARIA makespan bounds.
-	AriaEstimate = aria.Estimate
-	// HerodotouEstimate holds the static phase-model prediction.
-	HerodotouEstimate = herodotou.Estimate
 	// ResourceEstimate holds predicted per-job resource consumption.
 	ResourceEstimate = core.ResourceEstimate
 	// Service is the concurrent prediction engine behind cmd/mrserved: a
@@ -263,14 +255,6 @@ func NewServiceHandler(s *Service, timeout time.Duration) http.Handler {
 // by the Service's admission controller (503 + Retry-After), not here.
 func NewServiceHandlerConfig(s *Service, cfg ServerConfig) http.Handler {
 	return service.NewHandler(s, cfg)
-}
-
-// PredictARIA computes the ARIA baseline bounds.
-func PredictARIA(job Job, spec Cluster) (AriaEstimate, error) { return aria.Predict(job, spec) }
-
-// PredictHerodotou computes the static Herodotou baseline.
-func PredictHerodotou(job Job, spec Cluster) (HerodotouEstimate, error) {
-	return herodotou.Predict(job, spec)
 }
 
 // Comparison is the outcome of validating the model against the simulator

@@ -1,6 +1,9 @@
 package hadoop2perf
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestFacadeQuickstart(t *testing.T) {
 	spec := DefaultCluster(2)
@@ -24,26 +27,19 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeProfilesAndBaselines(t *testing.T) {
+func TestFacadeProfiles(t *testing.T) {
 	spec := DefaultCluster(2)
 	for _, p := range []Profile{WordCount(), Grep(), TeraSort()} {
 		job, err := NewJob(0, 512, 128, 2, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := PredictHerodotou(job, spec)
+		pred, err := Predict(ModelConfig{Spec: spec, Job: job, NumJobs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := PredictARIA(job, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Total <= 0 || a.Avg <= 0 {
-			t.Errorf("%s: baselines %v / %v", p.Name, h.Total, a.Avg)
-		}
-		if !(a.Low <= a.Avg && a.Avg <= a.Up) {
-			t.Errorf("%s: ARIA bounds out of order", p.Name)
+		if r := pred.ResponseTime; !(r > 0) || math.IsInf(r, 0) {
+			t.Errorf("%s: response = %v", p.Name, r)
 		}
 	}
 }

@@ -370,32 +370,6 @@ func (s Spec) MaxMapsOf(c NodeClass) int { return containersPerNode(c.Capacity, 
 // MaxReducesOf is pMaxReducePerNode of §4.3 for one class.
 func (s Spec) MaxReducesOf(c NodeClass) int { return containersPerNode(c.Capacity, s.ReduceContainer) }
 
-// TotalMapSlots is the cluster-wide map container capacity, summed over
-// classes.
-func (s Spec) TotalMapSlots() int {
-	if len(s.Classes) == 0 {
-		return s.NumNodes * containersPerNode(s.NodeCapacity, s.MapContainer)
-	}
-	total := 0
-	for _, c := range s.Classes {
-		total += c.Count * s.MaxMapsOf(c)
-	}
-	return total
-}
-
-// TotalReduceSlots is the cluster-wide reduce container capacity, summed
-// over classes.
-func (s Spec) TotalReduceSlots() int {
-	if len(s.Classes) == 0 {
-		return s.NumNodes * containersPerNode(s.NodeCapacity, s.ReduceContainer)
-	}
-	total := 0
-	for _, c := range s.Classes {
-		total += c.Count * s.MaxReducesOf(c)
-	}
-	return total
-}
-
 func containersPerNode(capacity, container Resource) int {
 	if container.IsZeroOrNegative() {
 		return 0

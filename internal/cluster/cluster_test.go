@@ -165,12 +165,6 @@ func TestContainerCounts(t *testing.T) {
 	if got := s.MaxReducesPerNode(); got != 2 {
 		t.Errorf("MaxReducesPerNode = %d, want 2 (vcore-bound)", got)
 	}
-	if got := s.TotalMapSlots(); got != 32 {
-		t.Errorf("TotalMapSlots = %d", got)
-	}
-	if got := s.TotalReduceSlots(); got != 8 {
-		t.Errorf("TotalReduceSlots = %d", got)
-	}
 }
 
 func TestContainersPerNodeZeroContainer(t *testing.T) {
@@ -239,12 +233,6 @@ func TestClassSpecValidateAndHelpers(t *testing.T) {
 	}
 	if got := s.MaxMapsPerNode(); got != 8 {
 		t.Errorf("MaxMapsPerNode = %d, want 8 (max across classes)", got)
-	}
-	if got := s.TotalMapSlots(); got != 2*8+3*4 {
-		t.Errorf("TotalMapSlots = %d, want 28", got)
-	}
-	if got := s.TotalReduceSlots(); got != 2*8+3*4 {
-		t.Errorf("TotalReduceSlots = %d, want 28", got)
 	}
 	// Node layout: class by class.
 	for node, wantCls := range []int{0, 0, 1, 1, 1} {

@@ -158,7 +158,7 @@ func TestPartialHistoryKeepsClassScaling(t *testing.T) {
 	spec := twoClassSpec(4, 4)
 	md := j.MapDemands(j.BlockSizeMB, spec.MeanDiskMBps())
 	mapOnly := map[timeline.Class]ClassStats{
-		timeline.ClassMap: {MeanCPU: md.CPU, MeanDisk: md.Disk, MeanResponse: md.TotalScaled(1)},
+		timeline.ClassMap: {MeanCPU: md.CPU, MeanDisk: md.Disk, MeanResponse: md.CPU + md.Disk + md.Network},
 	}
 
 	// Degrading the slow class's disk must slow the reduce-side class

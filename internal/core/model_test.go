@@ -102,9 +102,9 @@ func TestPredictAboveUncontendedLowerBound(t *testing.T) {
 	// one map wave + merge (the shuffle may fully overlap maps).
 	spec := cluster.Default(4)
 	j := job(t, 1024, 4)
-	md := j.MapDemands(j.BlockSizeMB, spec.DiskMBps).TotalScaled(1)
-	mg := j.MergeDemands(spec.DiskMBps).TotalScaled(1)
-	lower := j.Profile.AMStartup + md + mg
+	md := j.MapDemands(j.BlockSizeMB, spec.DiskMBps)
+	mg := j.MergeDemands(spec.DiskMBps)
+	lower := j.Profile.AMStartup + (md.CPU + md.Disk + md.Network) + (mg.CPU + mg.Disk + mg.Network)
 	p := predict(t, Config{Spec: spec, Job: j})
 	if p.ResponseTime < lower {
 		t.Errorf("response %v below uncontended bound %v", p.ResponseTime, lower)
@@ -177,7 +177,7 @@ func TestHistoryOverridesInitialization(t *testing.T) {
 	// Doubling the map demand through history must slow the prediction.
 	md := j.MapDemands(j.BlockSizeMB, spec.DiskMBps)
 	hist := map[timeline.Class]ClassStats{
-		timeline.ClassMap: {MeanCPU: md.CPU * 2, MeanDisk: md.Disk * 2, MeanResponse: md.TotalScaled(1) * 2},
+		timeline.ClassMap: {MeanCPU: md.CPU * 2, MeanDisk: md.Disk * 2, MeanResponse: (md.CPU + md.Disk + md.Network) * 2},
 	}
 	slow := predict(t, Config{Spec: spec, Job: j, History: hist})
 	if slow.ResponseTime <= base.ResponseTime {
@@ -209,7 +209,8 @@ func TestClassResponsesPopulated(t *testing.T) {
 	// Map class response can't be below the uncontended map demand.
 	spec := cluster.Default(4)
 	j := job(t, 1024, 4)
-	if p.ClassResponse[timeline.ClassMap] < j.MapDemands(j.BlockSizeMB, spec.DiskMBps).TotalScaled(1)-1e-6 {
+	md := j.MapDemands(j.BlockSizeMB, spec.DiskMBps)
+	if p.ClassResponse[timeline.ClassMap] < md.CPU+md.Disk+md.Network-1e-6 {
 		t.Error("map class response below demand")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -33,14 +34,18 @@ func shardOf(key string) uint32 {
 // publish its result.
 //
 // Values are treated as immutable once stored: hits return the stored value
-// directly, so callers must not mutate results. Total capacity is split
-// evenly over the shards (rounded up, minimum one entry per shard).
+// directly, so callers must not mutate results. Capacity is table-wide: a
+// store that takes the table over max entries evicts its own shard's least
+// recently used entry, or else the tail of the next non-empty shard, so the
+// table fills to max and no further. Recency is per shard.
 //
 // Entries never expire: every stored value is a pure function of its key
 // (which carries every input the answer reads), so capacity is the only
 // reason an entry leaves.
 type resultTable struct {
 	shards [cacheShards]tableShard
+	max    int64
+	n      atomic.Int64 // completed entries over all shards
 	// lookedUp, when set, is called once per do with the start of its first
 	// lookup, as soon as that lookup is done (the cache_lookup span).
 	lookedUp func(ctx context.Context, start time.Time)
@@ -49,7 +54,6 @@ type resultTable struct {
 // tableShard is one independently locked slice of the table.
 type tableShard struct {
 	mu    sync.Mutex
-	max   int
 	order *list.List // completed entries, front = most recently used
 	items map[string]*list.Element
 	calls map[string]*flightCall // keys being computed
@@ -73,14 +77,9 @@ type flightCall struct {
 var errComputePanicked = errors.New("service: computation panicked")
 
 func newResultTable(max int) *resultTable {
-	perShard := (max + cacheShards - 1) / cacheShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	t := &resultTable{}
+	t := &resultTable{max: int64(max)}
 	for i := range t.shards {
 		t.shards[i] = tableShard{
-			max:   perShard,
 			order: list.New(),
 			items: make(map[string]*list.Element),
 			calls: make(map[string]*flightCall),
@@ -101,7 +100,8 @@ func newResultTable(max int) *resultTable {
 // on up the leader's stack: its waiters get that error, nothing is stored,
 // and the next caller leads a fresh computation.
 func (t *resultTable) do(ctx context.Context, key string, compute func() (any, bool, error)) (v any, cached bool, err error) {
-	s := &t.shards[shardOf(key)]
+	i := shardOf(key)
+	s := &t.shards[i]
 	start := time.Now()
 	v, c, lead := s.claim(key)
 	if t.lookedUp != nil {
@@ -109,7 +109,7 @@ func (t *resultTable) do(ctx context.Context, key string, compute func() (any, b
 	}
 	for c != nil {
 		if lead {
-			return s.lead(key, c, compute)
+			return t.lead(i, key, c, compute)
 		}
 		select {
 		case <-c.done:
@@ -146,49 +146,64 @@ func (s *tableShard) claim(key string) (v any, c *flightCall, lead bool) {
 // lead runs compute for the call the caller claimed. The publish is
 // deferred, so a panicking compute, which never overwrites the preset
 // errComputePanicked, still completes its call.
-func (s *tableShard) lead(key string, c *flightCall, compute func() (any, bool, error)) (any, bool, error) {
+func (t *resultTable) lead(i uint32, key string, c *flightCall, compute func() (any, bool, error)) (any, bool, error) {
 	c.err = errComputePanicked
-	defer s.publish(key, c)
+	defer t.publish(i, key, c)
 	c.val, c.keep, c.err = compute()
 	return c.val, false, c.err
 }
 
-// publish completes a call under one lock acquisition: it stores a
-// cacheable value, drops the call and wakes its waiters.
-func (s *tableShard) publish(key string, c *flightCall) {
+// publish completes the call on shard i under one lock acquisition: it
+// stores a cacheable value, evicts from the shard while the table is over
+// capacity, drops the call and wakes its waiters. A table still over
+// capacity then loses the tails of the following shards, one shard lock at
+// a time.
+//
+// key has no entry yet: only a call's leader stores, and claim leads no key
+// that has one.
+func (t *resultTable) publish(i uint32, key string, c *flightCall) {
+	s := &t.shards[i]
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	var fresh *list.Element
 	if c.err == nil && c.keep {
-		s.store(key, c.val)
+		fresh = s.order.PushFront(&lruEntry{key: key, val: c.val})
+		s.items[key] = fresh
+		t.n.Add(1)
+		t.trim(s, fresh)
 	}
 	delete(s.calls, key)
 	close(c.done)
+	s.mu.Unlock()
+	for j := uint32(1); fresh != nil && j < cacheShards && t.n.Load() > t.max; j++ {
+		o := &t.shards[(i+j)%cacheShards]
+		o.mu.Lock()
+		t.trim(o, nil)
+		o.mu.Unlock()
+	}
 }
 
-// store makes val key's entry, most recently used, and evicts the shard's
-// least recently used entries beyond its capacity. Hold s.mu. key has no
-// entry yet: only a call's leader stores, and claim leads no key that has
-// one.
-func (s *tableShard) store(key string, val any) {
-	s.items[key] = s.order.PushFront(&lruEntry{key: key, val: val})
-	for s.order.Len() > s.max {
+// trim evicts s's least recently used entries, never keep, while the table
+// holds more than max entries. Hold s.mu. The count drops by compare-and-swap
+// before the entry goes, so concurrent trims never take the table below max.
+func (t *resultTable) trim(s *tableShard, keep *list.Element) {
+	for {
 		tail := s.order.Back()
-		s.order.Remove(tail)
-		delete(s.items, tail.Value.(*lruEntry).key)
+		if tail == nil || tail == keep {
+			return
+		}
+		n := t.n.Load()
+		if n <= t.max {
+			return
+		}
+		if t.n.CompareAndSwap(n, n-1) {
+			s.order.Remove(tail)
+			delete(s.items, tail.Value.(*lruEntry).key)
+		}
 	}
 }
 
 // len counts completed entries; calls in flight are not entries.
-func (t *resultTable) len() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
+func (t *resultTable) len() int { return int(t.n.Load()) }
 
 func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)

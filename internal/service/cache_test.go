@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -110,5 +111,64 @@ func TestUncacheableResultIsShared(t *testing.T) {
 	}
 	if v, cached, err := tab.do(context.Background(), "k", func() (any, bool, error) { return "real", true, nil }); err != nil || v != "real" || cached {
 		t.Errorf("next call = %v cached %v %v, want a fresh computation", v, cached, err)
+	}
+}
+
+// resident counts the entries the shards hold, independently of the
+// table-wide count len reads.
+func (t *resultTable) resident() int {
+	n := 0
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		n += s.order.Len()
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestTableFillsToCapacity: capacity is table-wide, so distinct stores
+// fill the table to exactly min(keys, capacity) whatever the shard spread,
+// and the newest entry survives.
+func TestTableFillsToCapacity(t *testing.T) {
+	for _, tc := range []struct{ max, keys, want int }{
+		{1024, 1000, 1000},
+		{16, 16, 16},
+		{1, 5000, 1},
+		{1024, 5000, 1024},
+	} {
+		tab := newResultTable(tc.max)
+		for i := 0; i < tc.keys; i++ {
+			tab.add(fmt.Sprintf("key-%d", i), i)
+		}
+		if n, r := tab.len(), tab.resident(); n != tc.want || r != n {
+			t.Errorf("%d keys into %d slots: len %d, resident %d, want %d", tc.keys, tc.max, n, r, tc.want)
+		}
+		last := tc.keys - 1
+		if v, ok := tab.get(fmt.Sprintf("key-%d", last)); !ok || v != last {
+			t.Errorf("%d keys into %d slots: newest entry = %v %v", tc.keys, tc.max, v, ok)
+		}
+	}
+}
+
+// TestTableCapacityUnderConcurrentStores: stores racing on every shard
+// never leave the table over its capacity, and never evict it below a full
+// table, once every call has returned. Run it under -race.
+func TestTableCapacityUnderConcurrentStores(t *testing.T) {
+	const max, writers, perWriter = 100, 8, 1000
+	tab := newResultTable(max)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tab.add(fmt.Sprintf("w%d-key-%d", w, i), i)
+			}
+		}()
+	}
+	wg.Wait()
+	if n, r := tab.len(), tab.resident(); n != max || r != n {
+		t.Errorf("after %d concurrent stores: len %d, resident %d, want %d", writers*perWriter, n, r, max)
 	}
 }

@@ -1,7 +1,7 @@
 // Package service is the long-lived prediction engine behind cmd/mrserved:
-// it wraps the analytic model (internal/core), the discrete-event simulator
-// (internal/mrsim) and the static baselines behind one concurrent
-// request/response API suitable for serving many what-if scenarios.
+// it wraps the analytic model (internal/core) and the discrete-event
+// simulator (internal/mrsim) behind one concurrent request/response API
+// suitable for serving many what-if scenarios.
 //
 // Three mechanisms make repeated operational queries cheap:
 //
@@ -114,7 +114,8 @@ type Options struct {
 	// Workers bounds concurrently executing model/simulator jobs: the
 	// admission controller's slot count (default: GOMAXPROCS).
 	Workers int
-	// CacheSize is the LRU entry capacity (default 1024).
+	// CacheSize is the result table's entry capacity (default 1024): it
+	// holds at most CacheSize answers and evicts only when full.
 	CacheSize int
 	// SimReps is the default median-of-seeds repetition count for simulation
 	// requests that leave Reps zero (default 5, the paper's methodology).

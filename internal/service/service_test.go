@@ -464,13 +464,13 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	a, b, c3 := keys[0], keys[1], keys[2]
-	c := newResultTable(2 * cacheShards) // two entries per shard
+	c := newResultTable(2)
 	c.add(a, 1)
 	c.add(b, 2)
 	if _, ok := c.get(a); !ok { // refresh a
 		t.Fatal("a missing")
 	}
-	c.add(c3, 3) // evicts b (least recently used on the shared shard)
+	c.add(c3, 3) // evicts b (least recently used on the storing shard)
 	if _, ok := c.get(b); ok {
 		t.Error("b survived eviction")
 	}
@@ -480,8 +480,8 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // The result table must bound its total population near the requested
-// capacity (per-shard slices, rounded up) while keys spread over shards,
-// and hits must keep returning the stored values.
+// capacity while keys spread over shards, and hits must keep returning the
+// stored values.
 func TestShardedCacheCapacityAndSpread(t *testing.T) {
 	const max = 64
 	c := newResultTable(max)

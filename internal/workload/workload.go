@@ -238,13 +238,6 @@ type Demands struct {
 	Network float64 // seconds of cluster-network transfer at nominal bandwidth
 }
 
-// TotalScaled returns the uncontended duration of the task with the CPU
-// component scaled by cpuFactor — the cluster's mean inverse compute speed
-// when averaging over heterogeneous hardware (1 on uniform hardware).
-func (d Demands) TotalScaled(cpuFactor float64) float64 {
-	return d.CPU*cpuFactor + d.Disk + d.Network
-}
-
 // MapDemands returns the service demands of one map task over a split of
 // splitMB, for hardware with the given disk bandwidth.
 func (j Job) MapDemands(splitMB, diskMBps float64) Demands {

@@ -137,7 +137,7 @@ func TestDemandsPositiveAndComposition(t *testing.T) {
 		if d.CPU < 0 || d.Disk < 0 || d.Network < 0 {
 			t.Errorf("%s has negative demand: %+v", name, d)
 		}
-		if d.TotalScaled(1) <= 0 {
+		if d.CPU+d.Disk+d.Network <= 0 {
 			t.Errorf("%s has zero total", name)
 		}
 	}
