@@ -153,11 +153,15 @@ func BenchmarkSimulatorLarge(b *testing.B) {
 }
 
 // BenchmarkPredictSweep evaluates a cluster-size sweep — the shape the
-// planner produces — through fresh per-config Predict calls and through
+// planner produces — with the answer-only solve every served request uses
+// (core.PredictEach): through the package-level pooled call and through
 // one reusable Predictor. The light sweep (1 reducer, 1 job) pins the
 // allocation-lean path; the contended sweep (4 reducers, 4 concurrent
 // jobs — dozens of outer rounds per point) pins the chained inner solve:
-// outerIters/op and innerIters/op make its convergence work visible.
+// outerIters/op and innerIters/op make its convergence work visible. The
+// artifacts variant solves the light sweep with Predict, which also copies
+// the final round's timeline and precedence tree, so a CPU profile of the
+// others attributes only what is served.
 func BenchmarkPredictSweep(b *testing.B) {
 	job, err := workload.NewJob(0, 2*1024, 128, 1, workload.WordCount())
 	if err != nil {
@@ -167,17 +171,29 @@ func BenchmarkPredictSweep(b *testing.B) {
 	for n := 2; n <= 17; n++ {
 		cfgs = append(cfgs, ModelConfig{Spec: DefaultCluster(n), Job: job, NumJobs: 1})
 	}
+	ctx := context.Background()
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, cfg := range cfgs {
-				if _, err := Predict(cfg); err != nil {
+				if _, err := core.PredictEach(ctx, cfg, core.EstimatorForkJoin); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
+		b.ReportAllocs()
+		p := NewPredictor()
+		for i := 0; i < b.N; i++ {
+			for _, cfg := range cfgs {
+				if _, err := p.PredictEach(ctx, cfg, core.EstimatorForkJoin); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("artifacts", func(b *testing.B) {
 		b.ReportAllocs()
 		p := NewPredictor()
 		for i := 0; i < b.N; i++ {
@@ -199,12 +215,12 @@ func BenchmarkPredictSweep(b *testing.B) {
 		var outer, inner int64
 		for i := 0; i < b.N; i++ {
 			for n := 2; n <= 17; n++ {
-				pred, err := p.Predict(ModelConfig{Spec: DefaultCluster(n), Job: heavy, NumJobs: 4})
+				preds, err := p.PredictEach(ctx, ModelConfig{Spec: DefaultCluster(n), Job: heavy, NumJobs: 4}, core.EstimatorForkJoin)
 				if err != nil {
 					b.Fatal(err)
 				}
-				outer += int64(pred.Iterations)
-				inner += int64(pred.InnerIterations)
+				outer += int64(preds[0].Iterations)
+				inner += int64(preds[0].InnerIterations)
 			}
 		}
 		b.ReportMetric(float64(outer)/float64(b.N), "outerIters/op")
@@ -213,10 +229,9 @@ func BenchmarkPredictSweep(b *testing.B) {
 }
 
 // BenchmarkServiceParallel drives the HTTP handler with concurrent clients
-// mixing cache hits and misses — the contention profile of production
-// traffic. Before the N-way sharded cache, every request (hit or miss)
-// serialized on one LRU mutex; this benchmark (run under -race in CI) pins
-// the sharded layout and hunts data races in pooled Predictor reuse.
+// mixing cache hits and misses, every lookup on the result table's one
+// mutex. Run under -race in CI, it hunts data races in the table and in
+// pooled Predictor reuse.
 func BenchmarkServiceParallel(b *testing.B) {
 	svc := NewService(ServiceOptions{CacheSize: 4096})
 	h := NewServiceHandler(svc, 30*time.Second)

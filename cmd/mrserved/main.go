@@ -1,7 +1,7 @@
 // Command mrserved serves the hadoop2perf performance model over HTTP: a
-// long-lived prediction service with a bounded worker pool, one sharded
-// result table (LRU cache plus in-flight deduplication), and a parallel what-if planner for capacity-planning
-// and deadline queries.
+// long-lived prediction service with a bounded worker pool, one result
+// table (LRU cache plus in-flight deduplication), and a parallel what-if
+// planner for capacity-planning and deadline queries.
 //
 // Endpoints (all bodies JSON; docs/API.md is the complete wire reference):
 //

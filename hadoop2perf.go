@@ -75,7 +75,7 @@ type (
 	// ResourceEstimate holds predicted per-job resource consumption.
 	ResourceEstimate = core.ResourceEstimate
 	// Service is the concurrent prediction engine behind cmd/mrserved: a
-	// bounded worker pool, one sharded result table, and a parallel
+	// bounded worker pool, one result table, and a parallel
 	// what-if planner.
 	Service = service.Service
 	// ServiceOptions configures a Service.

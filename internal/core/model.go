@@ -218,9 +218,9 @@ type Prediction struct {
 	// ClassResponse is the final per-class mean task response time.
 	ClassResponse map[timeline.Class]float64
 	// Timeline and Tree are the final iteration's artifacts (inspection,
-	// visualization, tests). Only Predict and PredictContext fill them;
-	// the answer-only solves (PredictEach, the stages of
-	// PredictWorkflowContext) leave both nil.
+	// visualization, tests). Only Predict fills them; the answer-only
+	// solves (PredictEach, the stages of PredictWorkflowContext) leave both
+	// nil.
 	Timeline *timeline.Timeline
 	Tree     *ptree.Node
 }
@@ -248,8 +248,8 @@ type classTable [numClasses]classData
 // sweeps, batched figure reproduction — stops churning the garbage
 // collector. Once its scratch has grown, an outer round allocates nothing;
 // a prediction allocates its setup, its answers' class-response maps and,
-// for Predict and PredictContext only, a copy of the final round's
-// timeline and tree for the Prediction.
+// for Predict only, a copy of the final round's timeline and tree for the
+// Prediction.
 //
 // A Predictor is not safe for concurrent use. The package-level Predict,
 // PredictEach and PredictWorkflow borrow one from a package pool for the
@@ -458,13 +458,6 @@ func (p *Predictor) Predict(cfg Config) (Prediction, error) {
 	return p.predictOne(nil, cfg, true)
 }
 
-// PredictContext is Predict honoring ctx: the outer fixed-point loop checks
-// for cancellation between iterations, so a canceled request stops paying
-// for convergence it no longer wants.
-func (p *Predictor) PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
-	return p.predictOne(ctx, cfg, true)
-}
-
 // PredictEach runs one prediction of cfg per estimator in ests
 // (cfg.Estimator is ignored) on a pooled Predictor and returns them in the
 // order of ests. See Predictor.PredictEach.
@@ -485,7 +478,8 @@ func PredictEach(ctx context.Context, cfg Config, ests ...Estimator) ([]Predicti
 // rounds are paid once. An estimator whose ε-test passes keeps its answer
 // as of that round while the loop runs on for the others; the loop ends
 // when all have stopped or MaxIterations is reached. ctx is checked
-// between outer iterations, as in PredictContext. An empty list and a
+// between outer iterations, so a canceled request stops paying for
+// convergence it no longer wants. An empty list and a
 // repeated estimator are errors. The results are answers only: Timeline
 // and Tree are nil (use Predict for the artifacts), so a caller that keeps
 // them, such as a result cache, keeps no copy of the round structure.

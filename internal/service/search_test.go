@@ -574,7 +574,7 @@ func TestPredictEvalChainCounters(t *testing.T) {
 }
 
 // Concurrent deadline plans over overlapping axes hammer the pooled
-// Predictors, the bisection and the sharded cache from many
+// Predictors, the bisection and the result table from many
 // goroutines at once — the -race CI step runs this to hunt data races in
 // the planner's evaluation path.
 func TestPlanSearchConcurrent(t *testing.T) {

@@ -7,7 +7,7 @@
 //
 //   - a bounded worker pool caps concurrent model/simulator executions, so a
 //     burst of requests degrades into queueing instead of thrashing;
-//   - a sharded result table keyed on a canonical hash of the full request
+//   - a result table keyed on a canonical hash of the full request
 //     (cluster spec, job, scheduler policy, estimator, job count) makes
 //     repeated predictions O(1), and lets concurrent identical requests
 //     join the one computation in flight, so a thundering herd computes

@@ -454,60 +454,42 @@ func TestCompare(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// LRU ordering is per shard: pick three keys that collide on one shard
-	// so the recency behavior is observable through the public surface.
-	target := shardOf("a")
-	keys := []string{"a"}
-	for i := 0; len(keys) < 3; i++ {
-		if k := fmt.Sprintf("k%d", i); shardOf(k) == target {
-			keys = append(keys, k)
-		}
-	}
-	a, b, c3 := keys[0], keys[1], keys[2]
 	c := newResultTable(2)
-	c.add(a, 1)
-	c.add(b, 2)
-	if _, ok := c.get(a); !ok { // refresh a
+	c.add("a", 1)
+	c.add("b", 2)
+	if _, ok := c.get("a"); !ok { // refresh a
 		t.Fatal("a missing")
 	}
-	c.add(c3, 3) // evicts b (least recently used on the storing shard)
-	if _, ok := c.get(b); ok {
+	c.add("c", 3) // evicts b, the least recently used
+	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.get(a); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Error("a evicted despite recent use")
 	}
 }
 
-// The result table must bound its total population near the requested
-// capacity while keys spread over shards, and hits must keep returning the
-// stored values.
+// The result table must hold exactly its capacity once more distinct keys
+// than that are stored, and hits must keep returning the stored values.
 func TestShardedCacheCapacityAndSpread(t *testing.T) {
 	const max = 64
 	c := newResultTable(max)
 	for i := 0; i < 10*max; i++ {
 		c.add(fmt.Sprintf("key-%d", i), i)
 	}
-	if n := c.len(); n < max/2 || n > max+cacheShards {
-		t.Errorf("population %d far from capacity %d", n, max)
+	if n := c.len(); n != max {
+		t.Errorf("population %d, want capacity %d", n, max)
 	}
 	c.add("hot", "v")
 	if v, ok := c.get("hot"); !ok || v != "v" {
 		t.Errorf("hot entry lost: %v %v", v, ok)
-	}
-	shards := map[uint32]bool{}
-	for i := 0; i < 64; i++ {
-		shards[shardOf(fmt.Sprintf("key-%d", i))] = true
-	}
-	if len(shards) < cacheShards/2 {
-		t.Errorf("64 keys landed on only %d shards", len(shards))
 	}
 }
 
 // TestFlightFollowerSurvivesLeaderCancel: a waiter must not inherit the
 // leader's context cancellation — it retries as the new leader.
 func TestFlightFollowerSurvivesLeaderCancel(t *testing.T) {
-	g := newResultTable(cacheShards)
+	g := newResultTable(16)
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderStarted := make(chan struct{})
 	leaderRelease := make(chan struct{})
